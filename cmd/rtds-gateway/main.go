@@ -45,7 +45,7 @@ func main() {
 	nodes := flag.String("nodes", "", "comma-separated rtds-node control-API addresses (required)")
 	joblogPath := flag.String("joblog", "", "write-ahead job log path (required)")
 	tenants := flag.String("tenants", "", "tenant quotas: name:rate=R,burst=B,inflight=N;... (required)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "decision poll period")
+	poll := flag.Duration("poll", 200*time.Millisecond, "reconcile period: how often cluster statistics are refreshed, queued jobs re-submitted and the nodes asked for decisions their watchers did not deliver")
 	backendTimeout := flag.Duration("backend-timeout", 5*time.Second, "per-request backend HTTP timeout")
 	flag.Parse()
 

@@ -158,6 +158,9 @@ func run(o runOpts) error {
 	var httpSrv *http.Server
 	if o.httpAddr != "" {
 		httpSrv = &http.Server{Addr: o.httpAddr, Handler: api}
+		// Shutdown waits for handlers: let go of the gateway's long-polls,
+		// or SIGTERM takes as long as the longest of them still has to wait.
+		httpSrv.RegisterOnShutdown(api.ReleaseWaiters)
 		//lint:allow spawncheck -- the HTTP listener lives for the process; shutdown below unblocks ListenAndServe
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

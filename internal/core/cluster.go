@@ -42,6 +42,8 @@ type Cluster struct {
 	mu          sync.Mutex // guards records (needed on the live transport)
 	jobs        []*Job
 	jobIndex    map[string]*Job
+	journal     []*Job        // decided jobs in decision order, append-only (see recordDecision)
+	journalWake chan struct{} // closed at the next journal append; nil while nobody waits
 	violations  []string
 	events      []Event
 	jobSeq      int
@@ -340,8 +342,13 @@ type JobStatus struct {
 func (c *Cluster) JobStatuses() []JobStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]JobStatus, len(c.jobs))
-	for i, j := range c.jobs {
+	return statusesOf(c.jobs)
+}
+
+// statusesOf snapshots job records; callers hold c.mu.
+func statusesOf(jobs []*Job) []JobStatus {
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
 		out[i] = JobStatus{
 			ID:          j.ID,
 			Origin:      j.Origin,
@@ -358,6 +365,28 @@ func (c *Cluster) JobStatuses() []JobStatus {
 		}
 	}
 	return out
+}
+
+// decidedSince reads the decision journal from a cursor: the statuses of
+// up to limit (0 = all) jobs decided after the first `cursor` decisions, in
+// decision order, the cursor to pass next time, and a channel that is closed
+// at the next decision (for a reader whose tail came back empty). A cursor
+// outside the journal reads from the start: re-reading is harmless, skipping
+// is not.
+func (c *Cluster) decidedSince(cursor, limit int) (tail []JobStatus, next int, wake <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cursor < 0 || cursor > len(c.journal) {
+		cursor = 0
+	}
+	next = len(c.journal)
+	if limit > 0 && next-cursor > limit {
+		next = cursor + limit
+	}
+	if c.journalWake == nil {
+		c.journalWake = make(chan struct{})
+	}
+	return statusesOf(c.journal[cursor:next]), next, c.journalWake
 }
 
 // Stats exposes the post-bootstrap communication counters.
@@ -572,6 +601,14 @@ func (c *Cluster) recordDecision(job *Job, outcome Outcome, stage RejectStage, a
 	job.Outcome = outcome
 	job.RejectStage = stage
 	job.DecisionAt = at
+	// Every decision of every execution mode passes here, so the journal is
+	// complete by construction. Waiters are woken by channel: this package
+	// runs under the DES and may not touch timers.
+	c.journal = append(c.journal, job)
+	if c.journalWake != nil {
+		close(c.journalWake)
+		c.journalWake = nil
+	}
 	c.mu.Unlock()
 	detail := outcome.String()
 	if stage != "" {

@@ -270,6 +270,24 @@ func (n *Node) Jobs() []*Job { return n.c.Jobs() }
 // the cluster lock (safe while the protocol is still running).
 func (n *Node) JobStatuses() []JobStatus { return n.c.JobStatuses() }
 
+// DecidedSince reads this node's decision journal from a cursor: the
+// statuses of up to limit (0 = all) jobs decided after the first `cursor`
+// decisions, in decision order, the cursor to pass next time, and a channel
+// closed at the next decision, for a caller that wants to wait for one. A
+// cursor outside the journal reads from the start. A reader that keeps its
+// cursor does work proportional to the new decisions, not to the history
+// (which JobStatuses copies whole).
+func (n *Node) DecidedSince(cursor, limit int) (tail []JobStatus, next int, wake <-chan struct{}) {
+	return n.c.decidedSince(cursor, limit)
+}
+
+// JobCount reports how many jobs were submitted at this node.
+func (n *Node) JobCount() int {
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return len(n.c.jobs)
+}
+
 // Summarize aggregates the locally-submitted jobs' outcomes. Message
 // counters are this node's share of the cluster traffic.
 func (n *Node) Summarize() Summary { return n.c.Summarize() }

@@ -45,10 +45,10 @@ import (
 // Job states, exposed in the /v1/jobs/{id} reply.
 const (
 	// StateQueued means the job is durable in the log but not yet in the
-	// cluster (the forward failed; the poller retries).
+	// cluster (the forward failed; the reconcile tick retries).
 	StateQueued = "queued"
 	// StateForwarded means the cluster holds the job and the gateway is
-	// polling for its decision.
+	// waiting for its decision.
 	StateForwarded = "forwarded"
 	// StateDecided means the cluster reached a verdict (see Outcome).
 	StateDecided = "decided"
@@ -95,7 +95,7 @@ type Job struct {
 	clientKey  string
 	graph      json.RawMessage
 	at         float64
-	acceptedAt time.Time
+	acceptedAt time.Time // request arrival; zero for a job restored from the log
 }
 
 // TenantStats is the GET /v1/tenants/{t}/stats reply.
@@ -134,7 +134,13 @@ type Options struct {
 	LogPath string
 	// Log tunes the write-ahead log (fsync batching, failpoints).
 	Log joblog.Options
-	// PollInterval is the decision/stats poll period (default 200ms).
+	// PollInterval is the reconcile period (default 200ms): how often the
+	// gateway refreshes the cluster statistics behind the laxity gate,
+	// re-submits queued jobs and asks the backend for decisions. With a
+	// Backend that is also a DecisionWatcher, decisions arrive as they are
+	// made and the tick only catches up on what a watcher cannot see (jobs
+	// restored from the log); with a plain Backend it is the decision poll
+	// period.
 	PollInterval time.Duration
 }
 
@@ -151,17 +157,32 @@ type Server struct {
 	mu          sync.Mutex
 	jobs        map[string]*Job   // by gateway ID
 	byClientKey map[string]string // tenant+"\x00"+key -> gateway ID
-	byClusterID map[string]string // cluster ID -> gateway ID
 	tstats      map[string]*TenantStats
 	seq         uint64
+	// The jobs that still need something from the cluster, so that neither
+	// the tick nor a delivered verdict ever walks the all-time tables.
+	queued   map[string]*Job // by gateway ID: durable, not yet in the cluster
+	awaiting map[string]*Job // by cluster ID: forwarded, not yet decided
+	// forwards holds the verdicts that arrive for a cluster ID while the
+	// Backend.Submit that will return that ID is in flight (see windows.go).
+	forwards windows[verdict]
 
-	stop chan struct{}
-	done sync.WaitGroup
+	stop      chan struct{}
+	stopWatch func() // ends the backend's deliveries; nil for a plain Backend
+	done      sync.WaitGroup
 }
 
-// New opens (and replays) the write-ahead log, restores undecided jobs
-// and starts the decision poller. Callers must Close the server to stop
-// the poller and release the log.
+// verdict is a cluster decision and the path it reached the gateway by
+// (the via label of rtds_gateway_decisions_observed_total).
+type verdict struct {
+	BackendDecision
+	via string
+}
+
+// New opens (and replays) the write-ahead log, restores undecided jobs and
+// starts the reconcile tick and, when the backend is a DecisionWatcher, its
+// decision deliveries. Callers must Close the server to stop both and
+// release the log.
 func New(opts Options) (*Server, error) {
 	if len(opts.Tenants) == 0 {
 		return nil, fmt.Errorf("gateway: no tenants configured")
@@ -183,8 +204,9 @@ func New(opts Options) (*Server, error) {
 		poll:        opts.PollInterval,
 		jobs:        make(map[string]*Job),
 		byClientKey: make(map[string]string),
-		byClusterID: make(map[string]string),
 		tstats:      make(map[string]*TenantStats),
+		queued:      make(map[string]*Job),
+		awaiting:    make(map[string]*Job),
 		stop:        make(chan struct{}),
 	}
 	for name, q := range opts.Tenants {
@@ -220,13 +242,16 @@ func New(opts Options) (*Server, error) {
 
 	s.done.Add(1)
 	go s.pollLoop()
+	if w, ok := s.backend.(DecisionWatcher); ok {
+		s.stopWatch = w.WatchDecisions(func(d map[string]BackendDecision) { s.applyDecisions(d, "watch") })
+	}
 	return s, nil
 }
 
 // restore rebuilds in-memory state from the replayed log records.
 // Undecided jobs re-occupy their tenant's inflight slot and are pushed
-// back toward the cluster by the poller (queued jobs are re-submitted;
-// forwarded jobs are re-polled).
+// back toward the cluster by the reconcile tick (queued jobs are
+// re-submitted; forwarded jobs are asked about again).
 func (s *Server) restore(records []joblog.Record) {
 	rep := joblog.Summarize(records)
 	s.seq = rep.NextSeq
@@ -247,15 +272,14 @@ func (s *Server) restore(records []joblog.Record) {
 			j.Outcome = rj.Outcome
 		case rj.ClusterID != "":
 			j.State = StateForwarded
+			s.awaiting[j.ClusterID] = j
 		default:
 			j.State = StateQueued
+			s.queued[j.ID] = j
 		}
 		s.jobs[j.ID] = j
 		if j.clientKey != "" {
 			s.byClientKey[clientKeyIndex(j.Tenant, j.clientKey)] = j.ID
-		}
-		if j.ClusterID != "" {
-			s.byClusterID[j.ClusterID] = j.ID
 		}
 		ts := s.tenantStats(j.Tenant)
 		ts.Submitted++
@@ -286,10 +310,14 @@ func (s *Server) tenantStats(tenant string) *TenantStats {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the poller and closes the write-ahead log. The final log
-// flush is synchronous: a clean shutdown loses nothing.
+// Close stops the tick and the backend's deliveries and closes the
+// write-ahead log. The final log flush is synchronous: a clean shutdown
+// loses nothing.
 func (s *Server) Close() error {
 	close(s.stop)
+	if s.stopWatch != nil {
+		s.stopWatch()
+	}
 	s.done.Wait()
 	return s.log.Close()
 }
@@ -390,6 +418,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.m.joblogRecords.Inc()
 
 	s.mu.Lock()
+	// Stamped before the forward: the verdict can be back within
+	// milliseconds, and the decision-latency sample is taken from it.
+	j.acceptedAt = start
 	s.jobs[j.ID] = j
 	if j.clientKey != "" {
 		s.byClientKey[clientKeyIndex(j.Tenant, j.clientKey)] = j.ID
@@ -399,16 +430,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.m.inflight.With(j.Tenant).Inc()
 	s.m.submissions.With(j.Tenant, "accepted").Inc()
 
-	// Forward inline; a failure leaves the job queued for the poller.
-	if clusterID, err := s.backend.Submit(j.at, j.Deadline, j.graph); err != nil {
-		s.m.backendErrors.Inc()
-	} else {
-		s.recordForwarded(j.ID, clusterID)
-	}
+	// Forward inline; a failure leaves the job queued for the tick.
+	s.forward(j)
 
 	s.mu.Lock()
-	reply := *s.jobs[j.ID]
-	s.jobs[j.ID].acceptedAt = start
+	reply := *j
 	s.mu.Unlock()
 	s.m.acceptLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusAccepted, reply)
@@ -477,32 +503,56 @@ func (s *Server) countLimited(tenant, reason string) {
 }
 
 // ---------------------------------------------------------------------------
-// forwarding and decision polling
+// forwarding and decision return
 
-// recordForwarded marks a job as held by the cluster and logs the
-// Forwarded record. The log append is after the cluster accepted the
-// submission — a crash in between replays the submission (at-least-once,
-// see the package comment).
-func (s *Server) recordForwarded(gatewayID, clusterID string) {
+// forward submits a job to the cluster and records the outcome. A failure
+// queues it for the next tick (a job enters s.queued only here and in
+// restore, so the tick never races the inline forward of a fresh job).
+func (s *Server) forward(j *Job) {
 	s.mu.Lock()
-	j, ok := s.jobs[gatewayID]
-	if !ok || j.State != StateQueued {
+	w := s.forwards.open()
+	s.mu.Unlock()
+	// j's payload fields are immutable once the job is in s.jobs.
+	clusterID, err := s.backend.Submit(j.at, j.Deadline, j.graph)
+	if err != nil {
+		s.m.backendErrors.Inc()
+		s.mu.Lock()
+		s.forwards.close(w, "")
+		s.queued[j.ID] = j
+		s.mu.Unlock()
+		return
+	}
+	s.recordForwarded(j, clusterID, w)
+}
+
+// recordForwarded marks a job as held by the cluster, logs the Forwarded
+// record and applies the verdict if it overtook the forward (it was kept in
+// w). The log append is after the cluster accepted the submission — a crash
+// in between replays the submission (at-least-once, see the package
+// comment).
+func (s *Server) recordForwarded(j *Job, clusterID string, w *window[verdict]) {
+	s.mu.Lock()
+	early, decided := s.forwards.close(w, clusterID)
+	if j.State != StateQueued {
 		s.mu.Unlock()
 		return
 	}
 	j.State = StateForwarded
 	j.ClusterID = clusterID
-	s.byClusterID[clusterID] = gatewayID
+	delete(s.queued, j.ID)
+	s.awaiting[clusterID] = j
 	s.mu.Unlock()
 	if err := s.log.Append(joblog.Record{
-		Type: joblog.TypeForwarded, ID: gatewayID, Tenant: j.Tenant, ClusterID: clusterID,
+		Type: joblog.TypeForwarded, ID: j.ID, Tenant: j.Tenant, ClusterID: clusterID,
 	}); err == nil {
 		s.m.joblogRecords.Inc()
 	}
+	if decided {
+		s.applyDecisions(map[string]BackendDecision{clusterID: early.BackendDecision}, early.via)
+	}
 }
 
-// pollLoop drives everything asynchronous: re-submitting queued jobs,
-// harvesting cluster decisions and refreshing the laxity gate.
+// pollLoop runs the reconcile tick.
 func (s *Server) pollLoop() {
 	defer s.done.Done()
 	ticker := time.NewTicker(s.poll)
@@ -517,7 +567,9 @@ func (s *Server) pollLoop() {
 	}
 }
 
-// pollOnce runs one poller iteration; exported to tests via PollNow.
+// pollOnce is one reconcile tick: refresh the laxity gate, re-submit
+// queued jobs, ask the backend for decisions. Exported to tests via
+// PollNow.
 func (s *Server) pollOnce() {
 	if st, err := s.backend.Stats(); err == nil {
 		s.adm.ObserveDecisionLatency(st.DecisionLatencyP99)
@@ -528,19 +580,13 @@ func (s *Server) pollOnce() {
 
 	// Re-submit queued jobs (failed forwards, replayed submissions).
 	s.mu.Lock()
-	var queued []*Job
-	for _, id := range determinism.SortedKeys(s.jobs) {
-		if j := s.jobs[id]; j.State == StateQueued {
-			queued = append(queued, j)
-		}
+	queued := make([]*Job, 0, len(s.queued))
+	for _, id := range determinism.SortedKeys(s.queued) {
+		queued = append(queued, s.queued[id])
 	}
 	s.mu.Unlock()
 	for _, j := range queued {
-		if clusterID, err := s.backend.Submit(j.at, j.Deadline, j.graph); err != nil {
-			s.m.backendErrors.Inc()
-		} else {
-			s.recordForwarded(j.ID, clusterID)
-		}
+		s.forward(j)
 	}
 
 	decisions, err := s.backend.Decisions()
@@ -548,17 +594,29 @@ func (s *Server) pollOnce() {
 		s.m.backendErrors.Inc()
 		return
 	}
+	s.applyDecisions(decisions, "poll")
+}
+
+// applyDecisions records the verdicts in a backend's report, whether it
+// came from the tick ("poll") or from a DecisionWatcher ("watch"). Reports
+// may repeat a verdict, arrive from several goroutines at once and name
+// jobs this gateway does not await; the first report of an awaited job
+// wins. The work is proportional to the report, never to the job history.
+func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string) {
+	var decided []Job
 	s.mu.Lock()
-	var decided []*Job
-	for _, clusterID := range determinism.SortedKeys(s.byClusterID) {
-		j := s.jobs[s.byClusterID[clusterID]]
-		if j.State != StateForwarded {
+	for _, clusterID := range determinism.SortedKeys(decisions) {
+		d := decisions[clusterID]
+		if !d.Decided() {
 			continue
 		}
-		d, ok := decisions[clusterID]
-		if !ok || !d.Decided() {
+		j, ok := s.awaiting[clusterID]
+		if !ok {
+			// Possibly the job of a forward still in flight.
+			s.forwards.offer(clusterID, verdict{d, via})
 			continue
 		}
+		delete(s.awaiting, clusterID)
 		j.State = StateDecided
 		j.Outcome = d.Outcome
 		j.DecisionLatency = d.Latency
@@ -568,13 +626,14 @@ func (s *Server) pollOnce() {
 		} else {
 			ts.Rejected++
 		}
-		decided = append(decided, j)
+		decided = append(decided, *j)
 	}
 	s.mu.Unlock()
 	for _, j := range decided {
 		s.adm.Release(j.Tenant)
 		s.m.inflight.With(j.Tenant).Dec()
 		s.m.decisions.With(j.Tenant, j.Outcome).Inc()
+		s.m.observed.With(via).Inc()
 		if !j.acceptedAt.IsZero() {
 			s.m.decideLatency.Observe(time.Since(j.acceptedAt).Seconds())
 		}
@@ -587,8 +646,8 @@ func (s *Server) pollOnce() {
 	}
 }
 
-// PollNow runs one synchronous poller iteration (tests and shutdown
-// drains); the background loop keeps its own cadence.
+// PollNow runs one synchronous reconcile tick (tests and shutdown drains);
+// the background loop keeps its own cadence.
 func (s *Server) PollNow() { s.pollOnce() }
 
 func isAccepted(outcome string) bool {

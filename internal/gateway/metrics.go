@@ -10,6 +10,7 @@ type gwMetrics struct {
 
 	submissions   *metrics.CounterVec // rtds_gateway_submissions_total{tenant,result}
 	decisions     *metrics.CounterVec // rtds_gateway_decisions_total{tenant,outcome}
+	observed      *metrics.CounterVec // rtds_gateway_decisions_observed_total{via}
 	inflight      *metrics.GaugeVec   // rtds_gateway_jobs_inflight{tenant}
 	acceptLatency *metrics.Histogram  // rtds_gateway_accept_latency_seconds
 	decideLatency *metrics.Histogram  // rtds_gateway_decision_latency_seconds
@@ -28,8 +29,11 @@ func newGWMetrics() *gwMetrics {
 			"Job submissions by tenant and result (accepted, duplicate, rejected_rate, rejected_quota, rejected_laxity, invalid, error).",
 			"tenant", "result"),
 		decisions: r.NewCounterVec("rtds_gateway_decisions_total",
-			"Cluster decisions observed by the poller, by tenant and outcome.",
+			"Cluster decisions observed by the gateway, by tenant and outcome.",
 			"tenant", "outcome"),
+		observed: r.NewCounterVec("rtds_gateway_decisions_observed_total",
+			"Cluster decisions observed, by the path they came back on: watch (delivered by the backend when made) or poll (found by the reconcile tick).",
+			"via"),
 		inflight: r.NewGaugeVec("rtds_gateway_jobs_inflight",
 			"Jobs accepted by the gateway and not yet decided by the cluster.",
 			"tenant"),

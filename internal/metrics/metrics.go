@@ -98,11 +98,17 @@ func (s *Sample) Max() float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
 	sorted := append([]float64(nil), s.values...)
 	sort.Float64s(sorted)
+	return nearestRank(sorted, p)
+}
+
+// nearestRank reads the p-th percentile off an ascending slice (0 when
+// empty).
+func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -115,6 +121,25 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	return sorted[rank]
 }
+
+// SortedSample keeps its observations in ascending order as they arrive, so
+// a percentile is an index lookup instead of a copy and a sort: the shape a
+// long-running process needs when every scrape asks for percentiles of an
+// all-time sample. Percentile agrees with Sample.Percentile bit for bit.
+type SortedSample struct {
+	sorted []float64
+}
+
+// Add inserts an observation at its rank.
+func (s *SortedSample) Add(v float64) {
+	i := sort.SearchFloat64s(s.sorted, v)
+	s.sorted = append(s.sorted, 0)
+	copy(s.sorted[i+1:], s.sorted[i:])
+	s.sorted[i] = v
+}
+
+// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
+func (s *SortedSample) Percentile(p float64) float64 { return nearestRank(s.sorted, p) }
 
 // Table is a fixed-width text table with a caption, rendered into
 // EXPERIMENTS.md and experiment stdout.

@@ -44,6 +44,24 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+// Property: a SortedSample answers every percentile as the Sample of the
+// same observations does, whatever their order and however many repeat.
+func TestPropertySortedSampleMatchesSample(t *testing.T) {
+	f := func(raw []int8, p uint8) bool {
+		var plain Sample
+		var sorted SortedSample
+		for _, v := range raw {
+			plain.Add(float64(v) / 4)
+			sorted.Add(float64(v) / 4)
+		}
+		pct := float64(p) / 2 // 0 .. 127.5: beyond 100 too
+		return sorted.Percentile(pct) == plain.Percentile(pct)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: mean is within [min, max], CI is non-negative, stddev 0 for
 // constant samples.
 func TestPropertySampleInvariants(t *testing.T) {

@@ -1,8 +1,18 @@
 // Package nodeapi is the control and observability plane of one deployed
 // RTDS site (cmd/rtds-node): a small JSON-over-HTTP API for job
-// submission, decision polling and leak checking, plus an expvar endpoint
+// submission, decision return and leak checking, plus an expvar endpoint
 // whose statistics (decision-latency percentiles from internal/metrics,
 // transport counters) feed dashboards and the load harness.
+//
+// Decisions return through the node's decision journal (core.Node's
+// DecidedSince): GET /jobs?since=<cursor>&boot=<token> answers with the
+// decisions made after the cursor, in decision order, and with wait=<d> it
+// holds the request until the next decision or the timeout, so a reader that
+// keeps its cursor learns of a decision when it is made and pays for new
+// decisions only. The boot token names this process: a reader whose token
+// is stale (the node restarted, its journal is empty) is restarted at 0.
+// /stats, /metrics and expvar are fed from the same journal. GET /jobs
+// without a cursor still returns the whole history (summaries, leak checks).
 //
 // Endpoints:
 //
@@ -10,6 +20,8 @@
 //	GET  /readyz        200 once the PCS bootstrap completed and the epoch is sealed
 //	POST /submit        {"at":0,"deadline":40,"graph":{dag json}} -> {"id":"j1@3"}
 //	GET  /jobs          {"jobs":[{id,outcome,arrival,decision_at,...}]}
+//	GET  /jobs?since=N&boot=T[&wait=800ms]
+//	                    {"boot":T,"next":M,"jobs":[the decisions N..M-1]}
 //	GET  /stats         transport counters + decision-latency percentiles
 //	GET  /reservations  {"jobs":["j1@3",...]} — job IDs with committed plan reservations
 //	GET  /idle          {"idle":true} — lock released, no deferred work, no open txns
@@ -27,6 +39,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dag"
@@ -39,12 +52,38 @@ type Server struct {
 	node  *core.Node
 	ready atomic.Bool
 	mux   *http.ServeMux
+
+	boot        string        // names this process to journal readers
+	release     chan struct{} // closed by ReleaseWaiters
+	releaseOnce sync.Once
+
+	// What /stats knows of the decision journal so far.
+	statsMu  sync.Mutex
+	cursor   int
+	decided  int
+	accepted int
+	latency  metrics.SortedSample
 }
+
+// maxWait bounds how long GET /jobs?since= holds a request open. It stays
+// well under a second-scale client timeout and under the patience of
+// http.Server.Shutdown, which waits for handlers and does not cancel them.
+const maxWait = time.Second
+
+// maxTail bounds the decisions in one GET /jobs?since= reply (about 1 MB of
+// JSON), so that a reader starting from 0 on a long history pages through
+// it instead of asking for a reply it cannot hold.
+const maxTail = 4096
 
 // New builds the API server for a node. Call SetReady once the node's
 // bootstrap has been sealed.
 func New(node *core.Node) *Server {
-	s := &Server{node: node, mux: http.NewServeMux()}
+	s := &Server{
+		node:    node,
+		mux:     http.NewServeMux(),
+		boot:    strconv.FormatInt(time.Now().UnixNano(), 36),
+		release: make(chan struct{}),
+	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -106,8 +145,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"id": job.ID})
 }
 
+// ReleaseWaiters makes every held (and future) GET /jobs?wait= return at
+// once. Register it with http.Server.RegisterOnShutdown: Shutdown waits for
+// in-flight handlers, and a long-poll would otherwise delay it by its wait.
+func (s *Server) ReleaseWaiters() { s.releaseOnce.Do(func() { close(s.release) }) }
+
+// JournalReply is the GET /jobs?since= schema.
+type JournalReply struct {
+	// Boot names the answering process; send it back with the next read.
+	Boot string `json:"boot"`
+	// Next is the cursor to send with the next read.
+	Next int `json:"next"`
+	// Jobs are the decisions made after the request's cursor, in decision
+	// order (empty, not null, when there are none).
+	Jobs []core.JobStatus `json:"jobs"`
+}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]any{"jobs": s.node.JobStatuses()})
+	q := r.URL.Query()
+	if !q.Has("since") {
+		writeJSON(w, map[string]any{"jobs": s.node.JobStatuses()})
+		return
+	}
+	cursor, err := strconv.Atoi(q.Get("since"))
+	if err != nil || cursor < 0 {
+		http.Error(w, "since must be a non-negative integer", http.StatusBadRequest)
+		return
+	}
+	if q.Get("boot") != s.boot {
+		cursor = 0 // the reader's cursor counted another process's journal
+	}
+	var wait time.Duration
+	if v := q.Get("wait"); v != "" {
+		if wait, err = time.ParseDuration(v); err != nil || wait < 0 {
+			http.Error(w, "wait must be a non-negative duration such as 800ms", http.StatusBadRequest)
+			return
+		}
+		wait = min(wait, maxWait)
+	}
+	tail, next, wake := s.node.DecidedSince(cursor, maxTail)
+	if len(tail) == 0 && wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-wake:
+			tail, next, _ = s.node.DecidedSince(cursor, maxTail)
+		case <-timer.C:
+		case <-r.Context().Done():
+		case <-s.release:
+		}
+	}
+	writeJSON(w, JournalReply{Boot: s.boot, Next: next, Jobs: tail})
 }
 
 // StatsReply is the GET /stats schema.
@@ -149,20 +237,26 @@ func (s *Server) stats() StatsReply {
 		RoutingTableBytes: rb,
 		RoutingEntries:    re,
 	}
-	var latency metrics.Sample
-	for _, j := range s.node.JobStatuses() {
-		reply.Jobs++
-		if j.Outcome == core.Pending {
-			continue
-		}
-		reply.Decided++
+	// The gateway asks every tick and every scrape asks again, so the
+	// decision counters are folded in from the journal tail and the latency
+	// sample is kept sorted: a call costs the decisions made since the last
+	// one, not the history.
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	tail, next, _ := s.node.DecidedSince(s.cursor, 0)
+	s.cursor = next
+	for _, j := range tail {
+		s.decided++
 		if j.Outcome == core.AcceptedLocal || j.Outcome == core.AcceptedDistributed {
-			reply.Accepted++
+			s.accepted++
 		}
-		latency.Add(j.DecisionAt - j.Arrival)
+		s.latency.Add(j.DecisionAt - j.Arrival)
 	}
-	reply.DecisionLatencyP50 = latency.Percentile(50)
-	reply.DecisionLatencyP99 = latency.Percentile(99)
+	reply.Jobs = s.node.JobCount()
+	reply.Decided = s.decided
+	reply.Accepted = s.accepted
+	reply.DecisionLatencyP50 = s.latency.Percentile(50)
+	reply.DecisionLatencyP99 = s.latency.Percentile(99)
 	return reply
 }
 

@@ -32,7 +32,13 @@
 # rtds-load retries through the outage with idempotency keys and, at the
 # end, reconciles every acked job id against GET /v1/jobs/{id}: a single
 # accepted-but-lost submission fails the run. This is the durability
-# acceptance run for the write-ahead job log.
+# acceptance run for the write-ahead job log. It is also the only run of the
+# real multi-process deployment, so it checks the decision-return path from
+# the gateway's /metrics, before the kill and at the end: decisions must
+# come back through the per-node watchers (the reconcile tick is the
+# fallback, and accounts for the jobs replayed across the kill), and the
+# median accept->decision latency must be under 100 ms. A regression to
+# tick-only delivery fails the soak.
 #
 #   scripts/soak.sh GATEWAY 3 300 -load 0.4     # the gateway acceptance run
 set -euo pipefail
@@ -117,11 +123,49 @@ if [[ "$GATEWAY" == "1" ]]; then
   }
   start_gateway
 
+  # check_decision_return LABEL: assert on the running gateway's /metrics
+  # that watched decisions outnumber polled ones (not counting the jobs
+  # replayed from the log, which only the tick can find) and that the median
+  # of rtds_gateway_decision_latency_seconds lies in a bucket <= 0.1 s.
+  check_decision_return() {
+    local label="$1" m
+    if ! m=$(curl -fsS "http://127.0.0.1:$GW_PORT/metrics"); then
+      echo "soak: $label: cannot scrape the gateway's /metrics" >&2
+      return 1
+    fi
+    awk -v label="$label" '
+      /^rtds_gateway_decisions_observed_total\{via="watch"\}/ { watch = $2 }
+      /^rtds_gateway_decisions_observed_total\{via="poll"\}/  { poll = $2 }
+      /^rtds_gateway_replayed_total /                         { replayed = $2 }
+      /^rtds_gateway_decision_latency_seconds_count /         { count = $2 }
+      /^rtds_gateway_decision_latency_seconds_bucket/ {
+        le = $1; sub(/.*le="/, "", le); sub(/".*/, "", le)
+        n++; les[n] = le; cum[n] = $2
+      }
+      END {
+        polled = poll - replayed; if (polled < 0) polled = 0
+        printf "soak: %s: decisions via watch=%d poll=%d (replayed=%d)", label, watch, poll, replayed
+        if (watch + polled > 0 && watch <= polled) {
+          printf "\nsoak: %s: FAIL: decisions are coming back on the reconcile tick, not through the watchers\n", label
+          exit 1
+        }
+        if (count > 0) {
+          for (i = 1; i <= n; i++) if (cum[i] >= count / 2) break
+          printf ", median decision latency <= %s s over %d samples\n", les[i], count
+          if (les[i] == "+Inf" || les[i] + 0 > 0.1) {
+            printf "soak: %s: FAIL: median decision latency is not under 100 ms\n", label
+            exit 1
+          }
+        } else printf "\n"
+      }' <<<"$m"
+  }
+
   "$bin/rtds-load" -gateway "127.0.0.1:$GW_PORT" -tenants "$TENANTS" \
     -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
     -jobs "$JOBS" -scale "$SCALE" -json "$OUT" "$@" &
   load_pid=$!
   sleep "$KILL_AFTER"
+  check_decision_return "before the kill"
   echo "soak: SIGKILL gateway (pid $gw_pid)"
   kill -9 "$gw_pid" 2>/dev/null || true
   wait "$gw_pid" 2>/dev/null || true
@@ -129,6 +173,7 @@ if [[ "$GATEWAY" == "1" ]]; then
   echo "soak: restarting gateway on the same job log"
   start_gateway
   wait "$load_pid"
+  check_decision_return "after the restart"
   echo "gateway soak OK: $SITES sites, tenants $TENANTS, gateway killed+restarted, zero acked submissions lost -> $OUT"
 elif [[ "$CHURN" == "1" ]]; then
   "$bin/rtds-load" -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
