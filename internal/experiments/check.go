@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/determinism"
+	"repro/internal/joblog"
 )
 
 // ratioTolerance bounds acceptable guarantee-ratio drift in the regression
@@ -163,7 +164,13 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 	// a regenerated baseline); the measurements themselves are wall-clock
 	// and only sanity-checked — zero throughput or a zero-batch fsync
 	// histogram means the bench silently broke, not that hardware got
-	// slower.
+	// slower. One comparison of two of this run's own numbers is gated,
+	// because it holds on any machine: an ack waits at most for the log's
+	// commit window to end, for the fsync in flight when its record was
+	// written and for the next one, so its median stays within the window
+	// plus a small multiple of a slow fsync unless something else (a timer
+	// in front of every fsync, a second waited-on record) is back on the
+	// path.
 	if baseline.Gateway != nil {
 		if current.Gateway == nil {
 			problems = append(problems, "gateway benchmark section missing from the run")
@@ -187,6 +194,11 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 				problems = append(problems, fmt.Sprintf(
 					"gateway: %d fsync batches for %d jobs — group commit is not batching",
 					g.FsyncBatches, g.Jobs))
+			}
+			if budget := joblog.CommitWindow.Seconds() + gatewayAckFsyncs*g.FsyncP99; g.FsyncP99 > 0 && g.AcceptP50 > budget {
+				problems = append(problems, fmt.Sprintf(
+					"gateway: accept p50 %.2f ms exceeds %.2f ms (the %.1f ms commit window + %gx the fsync p99 of %.2f ms) — the ack waits on something that is not the disk",
+					g.AcceptP50*1e3, budget*1e3, joblog.CommitWindow.Seconds()*1e3, gatewayAckFsyncs, g.FsyncP99*1e3))
 			}
 		}
 	} else if current.Gateway != nil {

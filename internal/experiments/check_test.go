@@ -172,3 +172,36 @@ func TestCompareReportsBaselineWithoutMicroPasses(t *testing.T) {
 		t.Fatalf("baseline without micro section failed the gate: %v", err)
 	}
 }
+
+// The ack-path gate compares numbers of the same run with a constant of the
+// log, so it holds on any machine: the figures of the commit that still slept
+// 2 ms before every fsync fail it on a slow disk and on a fast one, the
+// figures of the paced, timer-less log pass on both.
+func TestCompareReportsCatchesAckThatWaitsOnMoreThanTheDisk(t *testing.T) {
+	base, cur := gateReports()
+	base.Gateway = &GatewayBench{Jobs: 2000, Workers: 8, SubmissionsPerSec: 1434,
+		AcceptP50: 0.0055, AcceptP99: 0.0079, FsyncP99: 0.0007, FsyncBatches: 501}
+	for _, timer := range []GatewayBench{
+		*base.Gateway,
+		{Jobs: 2000, Workers: 8, SubmissionsPerSec: 1700,
+			AcceptP50: 0.0045, AcceptP99: 0.0060, FsyncP99: 0.0002, FsyncBatches: 501},
+	} {
+		cur.Gateway = &timer
+		err := CompareReports(base, cur, 0.25)
+		if err == nil || !strings.Contains(err.Error(), "not the disk") {
+			t.Fatalf("an ack of %.1f ms over an fsync p99 of %.1f ms not caught: %v",
+				timer.AcceptP50*1e3, timer.FsyncP99*1e3, err)
+		}
+	}
+	for _, paced := range []GatewayBench{
+		{Jobs: 2000, Workers: 8, SubmissionsPerSec: 4800,
+			AcceptP50: 0.0020, AcceptP99: 0.004, FsyncP99: 0.0012, FsyncBatches: 400},
+		{Jobs: 2000, Workers: 8, SubmissionsPerSec: 5000,
+			AcceptP50: 0.0020, AcceptP99: 0.003, FsyncP99: 0.0001, FsyncBatches: 400},
+	} {
+		cur.Gateway = &paced
+		if err := CompareReports(base, cur, 0.25); err != nil {
+			t.Fatalf("an ack of one commit window failed the gate: %v", err)
+		}
+	}
+}

@@ -124,11 +124,12 @@ type Admitter struct {
 	tenants map[string]*tenantState
 	now     func() time.Time // injectable for tests
 
-	// p99 is the cluster's observed decision latency in seconds, fed by
-	// the decision poller. A submission whose relative deadline is below
-	// laxityFactor×p99 is refused: the protocol would spend the job's
-	// whole laxity deciding, and the surplus-based offer phase would
-	// reject it anyway after burning cluster messages.
+	// p99 is the cluster's current decision latency in seconds, fed by the
+	// reconcile tick from Backend.Stats (0 when the cluster is not slow
+	// now). A submission whose relative deadline is below laxityFactor×p99
+	// is refused: the protocol would spend the job's whole laxity deciding,
+	// and the surplus-based offer phase would reject it anyway after
+	// burning cluster messages.
 	p99          float64
 	laxityFactor float64
 }

@@ -8,10 +8,13 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Backend is the gateway's view of the RTDS cluster: submit a job, poll
@@ -68,8 +71,10 @@ func (d BackendDecision) Accepted() bool {
 // BackendStats is the slice of cluster statistics the gateway's
 // backpressure logic consumes.
 type BackendStats struct {
-	// DecisionLatencyP99 is the worst observed p99 decision latency
-	// across sites, in virtual seconds. Feeds the laxity gate.
+	// DecisionLatencyP99 is the worst current p99 decision latency across
+	// sites, in virtual seconds; 0 when no site is slow now. Feeds the
+	// laxity gate, so it must not outlive what it describes: the gate
+	// withholds the very jobs whose decisions would correct it.
 	DecisionLatencyP99 float64
 	// ReachableSites counts sites that answered the stats poll.
 	ReachableSites int
@@ -110,6 +115,11 @@ type backendNode struct {
 	// decided and read, and must then not be waited for.
 	submits windows[struct{}]
 	owes    chan struct{} // capacity 1: wakes the watcher when the node comes to owe
+	// What Stats reads: the latencies of the decisions read since its last
+	// call, and their p99 at each of its last sustainTicks calls.
+	unread []float64
+	ticks  [sustainTicks]float64
+	tick   int
 }
 
 const (
@@ -118,6 +128,13 @@ const (
 	watchWait = 800 * time.Millisecond
 	// watchBackoff paces a watcher's retries against an unreachable node.
 	watchBackoff = 200 * time.Millisecond
+	// sustainTicks is how many Stats calls in a row (reconcile ticks: a
+	// second at the default period) must find a node slow before Stats says
+	// so. All the gate can do is send a client away for a second or more,
+	// the shortest Retry-After there is; on a cluster that was slow for less
+	// the client comes back to one that has long recovered, with whatever
+	// fell due meanwhile as one burst, which is the next slow spell.
+	sustainTicks = 5
 )
 
 // NewHTTPBackend builds a backend over the given node control-API base
@@ -281,10 +298,19 @@ func (b *HTTPBackend) readJournal(ctx context.Context, nd *backendNode, wait tim
 		return nil, err
 	}
 	restarted := nd.boot != "" && reply.Boot != nd.boot
+	// Only a read that continues a cursor is known to carry new decisions:
+	// the first one, and the one after a node restart, start from 0 and
+	// return history of any age.
+	fresh := reply.Boot == nd.boot
 	nd.boot, nd.cursor = reply.Boot, reply.Next
 	out := make(map[string]BackendDecision, len(reply.Jobs))
+	var latencies []float64
 	for _, j := range reply.Jobs {
-		out[j.ID] = BackendDecision{Outcome: j.Outcome, Latency: j.DecisionAt - j.Arrival}
+		d := BackendDecision{Outcome: j.Outcome, Latency: j.DecisionAt - j.Arrival}
+		out[j.ID] = d
+		if fresh && d.Decided() {
+			latencies = append(latencies, d.Latency)
+		}
 	}
 
 	nd.mu.Lock()
@@ -294,6 +320,7 @@ func (b *HTTPBackend) readJournal(ctx context.Context, nd *backendNode, wait tim
 		// would hold a request open at the new one for ever.
 		clear(nd.owed)
 	}
+	nd.unread = append(nd.unread, latencies...)
 	for id := range out {
 		if _, ok := nd.owed[id]; ok {
 			delete(nd.owed, id)
@@ -355,27 +382,46 @@ func (b *HTTPBackend) watch(ctx context.Context, nd *backendNode, deliver func(m
 	}
 }
 
-// Stats implements Backend: max p99 across reachable sites.
+// Stats implements Backend: the worst sustained p99 across reachable sites,
+// from the decisions this backend reads in their journals (every decision a
+// node makes is read within one reconcile tick, whoever submitted the job).
+// Not the p99 a node reports in /stats: that one is over the node's whole
+// life, its maximum until the node has decided a hundred jobs, and a gate
+// that keys on it stays shut after one slow spell, since it refuses the jobs
+// whose quick decisions would dilute it. GET /stats is asked all the same,
+// to tell a reachable site from a silent one. Each call ends a tick.
 func (b *HTTPBackend) Stats() (BackendStats, error) {
 	var out BackendStats
 	var lastErr error
 	for _, nd := range b.nodes {
-		var reply struct {
-			P99 float64 `json:"decision_latency_p99"`
-		}
-		if err := b.getJSON(context.Background(), nd.base+"/stats", &reply); err != nil {
+		if err := b.getJSON(context.Background(), nd.base+"/stats", &struct{}{}); err != nil {
 			lastErr = err
 			continue
 		}
 		out.ReachableSites++
-		if reply.P99 > out.DecisionLatencyP99 {
-			out.DecisionLatencyP99 = reply.P99
-		}
+		out.DecisionLatencyP99 = max(out.DecisionLatencyP99, nd.sustainedP99())
 	}
 	if out.ReachableSites == 0 {
 		return out, fmt.Errorf("gateway: no site answered /stats: %w", lastErr)
 	}
 	return out, nil
+}
+
+// sustainedP99 ends a tick: it files the p99 of the decisions read since
+// the last call and returns the smallest p99 of the last sustainTicks ticks,
+// which is 0 when one of them saw no decision or there were not that many
+// yet. A gate shut on it reopens within a tick of the decisions stopping.
+func (nd *backendNode) sustainedP99() float64 {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	var s metrics.Sample
+	for _, v := range nd.unread {
+		s.Add(v)
+	}
+	nd.unread = nd.unread[:0]
+	nd.ticks[nd.tick%sustainTicks] = s.Percentile(99)
+	nd.tick++
+	return slices.Min(nd.ticks[:])
 }
 
 func (b *HTTPBackend) getJSON(ctx context.Context, u string, v any) error {

@@ -10,19 +10,24 @@
 //  2. tenant admission — a per-tenant token bucket (rate/burst) and an
 //     inflight cap, configured by -tenants;
 //  3. laxity backpressure — when the job's relative deadline is below
-//     the cluster's observed p99 decision latency the gateway answers
-//     429 with Retry-After, because the protocol's surplus-based offer
-//     phase would reject the job anyway after burning cluster messages;
+//     the cluster's p99 decision latency, and has been for the last few
+//     reconcile periods (HTTPBackend.Stats), the gateway answers 429
+//     with Retry-After, because the protocol's surplus-based offer phase
+//     would reject the job anyway after burning cluster messages;
 //  4. durability — the submission is appended to a write-ahead job log
-//     (internal/joblog) and fsynced before the 202 ack leaves.
+//     (internal/joblog) and fsynced before the 202 ack leaves. That one
+//     fsync is all the ack waits for: the forwarded and decided records
+//     that follow are written without waiting and ride the next flush.
 //
 // Once acked, a job survives gateway crashes: on restart the log is
 // replayed, undecided jobs re-enter the cluster, and clients can keep
 // polling GET /v1/jobs/{id}. Forwarding is at-least-once — a crash
 // between the cluster accepting a submission and the Forwarded record
-// reaching disk makes the job run twice in the cluster; clients that
-// need exactly-once semantics supply a client_key, which dedupes retries
-// of the same logical job at the gateway.
+// reaching disk (at most one reconcile period later) makes the job run
+// twice in the cluster; a lost Decided record makes the restarted gateway
+// ask the cluster again. Clients that need exactly-once semantics supply a
+// client_key, which dedupes retries of the same logical job at the
+// gateway.
 package gateway
 
 import (
@@ -92,7 +97,9 @@ type Job struct {
 	// virtual seconds, once decided.
 	DecisionLatency float64 `json:"decision_latency,omitempty"`
 
-	clientKey  string
+	clientKey string
+	// graph is held only while the job is queued, when the gateway may have
+	// to submit it (again); once the cluster holds the job it is dropped.
 	graph      json.RawMessage
 	at         float64
 	acceptedAt time.Time // request arrival; zero for a job restored from the log
@@ -136,7 +143,8 @@ type Options struct {
 	Log joblog.Options
 	// PollInterval is the reconcile period (default 200ms): how often the
 	// gateway refreshes the cluster statistics behind the laxity gate,
-	// re-submits queued jobs and asks the backend for decisions. With a
+	// re-submits queued jobs, asks the backend for decisions and flushes
+	// the forwarded and decided records nobody waited for. With a
 	// Backend that is also a DecisionWatcher, decisions arrive as they are
 	// made and the tick only catches up on what a watcher cannot see (jobs
 	// restored from the log); with a plain Backend it is the decision poll
@@ -157,8 +165,11 @@ type Server struct {
 	mu          sync.Mutex
 	jobs        map[string]*Job   // by gateway ID
 	byClientKey map[string]string // tenant+"\x00"+key -> gateway ID
-	tstats      map[string]*TenantStats
-	seq         uint64
+	// reserving holds the client keys whose first submission is between its
+	// ID and its durable record; the channel closes when the append returns.
+	reserving map[string]chan struct{}
+	tstats    map[string]*TenantStats
+	seq       uint64
 	// The jobs that still need something from the cluster, so that neither
 	// the tick nor a delivered verdict ever walks the all-time tables.
 	queued   map[string]*Job // by gateway ID: durable, not yet in the cluster
@@ -204,6 +215,7 @@ func New(opts Options) (*Server, error) {
 		poll:        opts.PollInterval,
 		jobs:        make(map[string]*Job),
 		byClientKey: make(map[string]string),
+		reserving:   make(map[string]chan struct{}),
 		tstats:      make(map[string]*TenantStats),
 		queued:      make(map[string]*Job),
 		awaiting:    make(map[string]*Job),
@@ -221,12 +233,12 @@ func New(opts Options) (*Server, error) {
 			userOnSync(d)
 		}
 	}
-	l, records, err := joblog.Open(opts.LogPath, logOpts)
+	l, replay, err := joblog.Recover(opts.LogPath, logOpts)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: open job log: %w", err)
 	}
 	s.log = l
-	s.restore(records)
+	s.restore(replay)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -248,12 +260,11 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restore rebuilds in-memory state from the replayed log records.
-// Undecided jobs re-occupy their tenant's inflight slot and are pushed
-// back toward the cluster by the reconcile tick (queued jobs are
-// re-submitted; forwarded jobs are asked about again).
-func (s *Server) restore(records []joblog.Record) {
-	rep := joblog.Summarize(records)
+// restore rebuilds in-memory state from the replayed log. Undecided jobs
+// re-occupy their tenant's inflight slot and are pushed back toward the
+// cluster by the reconcile tick (queued jobs are re-submitted; forwarded
+// jobs are asked about again). Only queued jobs come with their graph.
+func (s *Server) restore(rep *joblog.Replay) {
 	s.seq = rep.NextSeq
 	for _, rj := range rep.Jobs {
 		sub := rj.Submitted
@@ -360,10 +371,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Idempotent retry: same (tenant, client_key) returns the original.
+	// One critical section looks the client key up, admits the submission,
+	// assigns the ID and reserves the key, so of any number of concurrent
+	// posts of one (tenant, client_key) exactly one gets past it. The others
+	// wait for that one's submitted record and answer with its job: no
+	// reply, duplicate or not, leaves before the record is durable.
+	key := ""
 	if req.ClientKey != "" {
-		s.mu.Lock()
-		if id, ok := s.byClientKey[clientKeyIndex(req.Tenant, req.ClientKey)]; ok {
+		key = clientKeyIndex(req.Tenant, req.ClientKey)
+	}
+	s.mu.Lock()
+	for key != "" {
+		if id, ok := s.byClientKey[key]; ok {
+			// Idempotent retry: same (tenant, client_key) returns the original.
 			j := *s.jobs[id]
 			s.tenantStats(req.Tenant).Duplicates++
 			s.mu.Unlock()
@@ -371,19 +391,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, j)
 			return
 		}
+		first, ok := s.reserving[key]
+		if !ok {
+			break
+		}
 		s.mu.Unlock()
+		<-first // its record is durable, or its append failed and the key is free again
+		s.mu.Lock()
 	}
-
 	dec := s.adm.Admit(req.Tenant, req.Deadline)
 	if !dec.OK {
 		s.countLimited(req.Tenant, dec.Reason)
+		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(dec.RetryAfter.Seconds()))))
 		s.reject(w, req.Tenant, "rejected_"+dec.Reason, http.StatusTooManyRequests,
 			fmt.Sprintf("tenant %q over %s limit", req.Tenant, dec.Reason), dec.RetryAfter.Seconds())
 		return
 	}
-
-	s.mu.Lock()
 	s.seq++
 	j := &Job{
 		ID:        fmt.Sprintf("g%d", s.seq),
@@ -393,6 +417,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		clientKey: req.ClientKey,
 		graph:     req.Graph,
 		at:        req.At,
+		// Stamped before the forward: the verdict can be back within
+		// milliseconds, and the decision-latency sample is taken from it.
+		acceptedAt: start,
 	}
 	rec := joblog.Record{
 		Type:      joblog.TypeSubmitted,
@@ -404,29 +431,38 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Deadline:  j.Deadline,
 		Graph:     j.graph,
 	}
+	var reserved chan struct{}
+	if key != "" {
+		reserved = make(chan struct{})
+		s.reserving[key] = reserved
+	}
 	s.mu.Unlock()
 
 	// Durability gate: the 202 ack must not leave before the Submitted
-	// record is fsynced. Append group-commits, so concurrent submissions
-	// share one fsync.
-	if err := s.log.Append(rec); err != nil {
+	// record is fsynced, and this is the only fsync it waits for. Append
+	// group-commits, so concurrent submissions share one.
+	err = s.log.Append(rec)
+
+	s.mu.Lock()
+	if reserved != nil {
+		delete(s.reserving, key)
+		close(reserved)
+	}
+	if err == nil {
+		s.jobs[j.ID] = j
+		if key != "" {
+			s.byClientKey[key] = j.ID
+		}
+		s.tenantStats(j.Tenant).Submitted++
+	}
+	s.mu.Unlock()
+	if err != nil {
 		s.adm.Release(req.Tenant)
 		s.reject(w, req.Tenant, "error", http.StatusInternalServerError,
 			"job log write failed: "+err.Error(), 0)
 		return
 	}
 	s.m.joblogRecords.Inc()
-
-	s.mu.Lock()
-	// Stamped before the forward: the verdict can be back within
-	// milliseconds, and the decision-latency sample is taken from it.
-	j.acceptedAt = start
-	s.jobs[j.ID] = j
-	if j.clientKey != "" {
-		s.byClientKey[clientKeyIndex(j.Tenant, j.clientKey)] = j.ID
-	}
-	s.tenantStats(j.Tenant).Submitted++
-	s.mu.Unlock()
 	s.m.inflight.With(j.Tenant).Inc()
 	s.m.submissions.With(j.Tenant, "accepted").Inc()
 
@@ -488,9 +524,8 @@ func (s *Server) reject(w http.ResponseWriter, tenant, result string, code int, 
 	writeJSON(w, code, body)
 }
 
+// countLimited counts one 429 against the tenant. Callers hold s.mu.
 func (s *Server) countLimited(tenant, reason string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	ts := s.tenantStats(tenant)
 	switch reason {
 	case "rate":
@@ -510,10 +545,14 @@ func (s *Server) countLimited(tenant, reason string) {
 // restore, so the tick never races the inline forward of a fresh job).
 func (s *Server) forward(j *Job) {
 	s.mu.Lock()
+	if j.State != StateQueued { // two ticks at once: the other one forwarded it
+		s.mu.Unlock()
+		return
+	}
 	w := s.forwards.open()
+	graph := j.graph // dropped, under this lock, once the job is forwarded
 	s.mu.Unlock()
-	// j's payload fields are immutable once the job is in s.jobs.
-	clusterID, err := s.backend.Submit(j.at, j.Deadline, j.graph)
+	clusterID, err := s.backend.Submit(j.at, j.Deadline, graph)
 	if err != nil {
 		s.m.backendErrors.Inc()
 		s.mu.Lock()
@@ -525,11 +564,13 @@ func (s *Server) forward(j *Job) {
 	s.recordForwarded(j, clusterID, w)
 }
 
-// recordForwarded marks a job as held by the cluster, logs the Forwarded
-// record and applies the verdict if it overtook the forward (it was kept in
-// w). The log append is after the cluster accepted the submission — a crash
-// in between replays the submission (at-least-once, see the package
-// comment).
+// recordForwarded marks a job as held by the cluster, lets go of its graph,
+// logs the Forwarded record and applies the verdict if it overtook the
+// forward (it was kept in w). Nobody waits for the record: it is written
+// after the cluster accepted the submission and is durable with the next
+// flush, and a crash before that replays the submission (at-least-once, see
+// the package comment). A watcher may log the job's Decided record first;
+// replay folds the two in either order.
 func (s *Server) recordForwarded(j *Job, clusterID string, w *window[verdict]) {
 	s.mu.Lock()
 	early, decided := s.forwards.close(w, clusterID)
@@ -539,14 +580,13 @@ func (s *Server) recordForwarded(j *Job, clusterID string, w *window[verdict]) {
 	}
 	j.State = StateForwarded
 	j.ClusterID = clusterID
+	j.graph = nil
 	delete(s.queued, j.ID)
 	s.awaiting[clusterID] = j
 	s.mu.Unlock()
-	if err := s.log.Append(joblog.Record{
+	s.logNoWait(joblog.Record{
 		Type: joblog.TypeForwarded, ID: j.ID, Tenant: j.Tenant, ClusterID: clusterID,
-	}); err == nil {
-		s.m.joblogRecords.Inc()
-	}
+	})
 	if decided {
 		s.applyDecisions(map[string]BackendDecision{clusterID: early.BackendDecision}, early.via)
 	}
@@ -567,9 +607,20 @@ func (s *Server) pollLoop() {
 	}
 }
 
+// logNoWait writes records nobody waits for (see joblog.AppendNoWait). A
+// failure poisons the log, so the next submission is refused with a 500;
+// there is nothing to undo here.
+func (s *Server) logNoWait(recs ...joblog.Record) {
+	if err := s.log.AppendNoWait(recs...); err == nil {
+		s.m.joblogRecords.Add(float64(len(recs)))
+	}
+}
+
 // pollOnce is one reconcile tick: refresh the laxity gate, re-submit
-// queued jobs, ask the backend for decisions. Exported to tests via
-// PollNow.
+// queued jobs, ask the backend for decisions, and flush the log if a
+// forwarded or decided record is waiting for it — so such a record is
+// durable within one period, and an idle gateway does not touch the disk.
+// Exported to tests via PollNow.
 func (s *Server) pollOnce() {
 	if st, err := s.backend.Stats(); err == nil {
 		s.adm.ObserveDecisionLatency(st.DecisionLatencyP99)
@@ -589,12 +640,12 @@ func (s *Server) pollOnce() {
 		s.forward(j)
 	}
 
-	decisions, err := s.backend.Decisions()
-	if err != nil {
+	if decisions, err := s.backend.Decisions(); err == nil {
+		s.applyDecisions(decisions, "poll")
+	} else {
 		s.m.backendErrors.Inc()
-		return
 	}
-	s.applyDecisions(decisions, "poll")
+	_ = s.log.Sync() // a failed flush poisons the log; the next submission reports it
 }
 
 // applyDecisions records the verdicts in a backend's report, whether it
@@ -629,6 +680,7 @@ func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string
 		decided = append(decided, *j)
 	}
 	s.mu.Unlock()
+	recs := make([]joblog.Record, 0, len(decided))
 	for _, j := range decided {
 		s.adm.Release(j.Tenant)
 		s.m.inflight.With(j.Tenant).Dec()
@@ -637,13 +689,13 @@ func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string
 		if !j.acceptedAt.IsZero() {
 			s.m.decideLatency.Observe(time.Since(j.acceptedAt).Seconds())
 		}
-		if err := s.log.Append(joblog.Record{
+		recs = append(recs, joblog.Record{
 			Type: joblog.TypeDecided, ID: j.ID, Tenant: j.Tenant,
 			ClusterID: j.ClusterID, Outcome: j.Outcome, DecisionLatency: j.DecisionLatency,
-		}); err == nil {
-			s.m.joblogRecords.Inc()
-		}
+		})
 	}
+	// One write for the whole report, not one fsync per verdict.
+	s.logNoWait(recs...)
 }
 
 // PollNow runs one synchronous reconcile tick (tests and shutdown drains);

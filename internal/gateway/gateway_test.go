@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/joblog"
 	"repro/internal/metrics"
 )
 
@@ -24,6 +23,7 @@ type fakeBackend struct {
 	failNext  int // Submit errors for this many calls
 	p99       float64
 	submitted int
+	graphs    []string // what each accepted Submit carried
 }
 
 func newFakeBackend() *fakeBackend {
@@ -39,6 +39,7 @@ func (f *fakeBackend) Submit(at, deadline float64, graph json.RawMessage) (strin
 	}
 	f.next++
 	f.submitted++
+	f.graphs = append(f.graphs, string(graph))
 	id := fmt.Sprintf("j%d@0", f.next)
 	f.jobs[id] = BackendDecision{Outcome: "pending"}
 	return id, nil
@@ -80,7 +81,6 @@ func newTestServer(t *testing.T, backend Backend, quotas map[string]Quota, logPa
 	}
 	s, err := New(Options{
 		Tenants: quotas, Backend: backend, LogPath: logPath,
-		Log:          joblog.Options{BatchDelay: 100 * time.Microsecond},
 		PollInterval: time.Hour, // tests drive the poller with PollNow
 	})
 	if err != nil {
@@ -293,6 +293,11 @@ func TestRestartReplaysUndecided(t *testing.T) {
 	}
 	if fb2.submitted != len(ids) {
 		t.Errorf("cluster saw %d replayed submissions, want %d", fb2.submitted, len(ids))
+	}
+	for i, g := range fb2.graphs {
+		if g != testGraph {
+			t.Errorf("replayed submission %d carried %s, not the bytes that were acked", i, g)
+		}
 	}
 
 	// New submissions must not reuse replayed IDs.

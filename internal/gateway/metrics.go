@@ -38,13 +38,13 @@ func newGWMetrics() *gwMetrics {
 			"Jobs accepted by the gateway and not yet decided by the cluster.",
 			"tenant"),
 		acceptLatency: r.NewHistogram("rtds_gateway_accept_latency_seconds",
-			"Wall time from request arrival to the durable 202 ack (includes the joblog fsync).",
+			"Wall time from request arrival to the durable 202 ack (includes the submitted record's fsync, the only one it waits for).",
 			metrics.DefaultLatencyBuckets),
 		decideLatency: r.NewHistogram("rtds_gateway_decision_latency_seconds",
 			"Wall time from durable accept to the observed cluster decision.",
 			metrics.DefaultLatencyBuckets),
 		fsyncLatency: r.NewHistogram("rtds_gateway_joblog_fsync_seconds",
-			"Write-ahead job-log fsync batch latency.",
+			"Write-ahead job-log fsync latency: group commits of submissions and the reconcile tick's flushes.",
 			metrics.DefaultLatencyBuckets),
 		replayed: r.NewCounter("rtds_gateway_replayed_total",
 			"Undecided jobs replayed from the write-ahead log after a restart."),
@@ -53,7 +53,7 @@ func newGWMetrics() *gwMetrics {
 		clusterLaxity: r.NewGauge("rtds_gateway_cluster_decision_p99_seconds",
 			"Cluster p99 decision latency feeding the laxity admission gate."),
 		joblogRecords: r.NewCounter("rtds_gateway_joblog_records_total",
-			"Records appended to the write-ahead job log."),
+			"Records written to the write-ahead job log (submitted, forwarded, decided)."),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/joblog"
 	"repro/internal/nodeapi"
 	"repro/internal/wire"
 )
@@ -296,7 +296,7 @@ func newHTTPGateway(t *testing.T, backend Backend, logPath string, poll time.Dur
 	t.Helper()
 	s, err := New(Options{
 		Tenants: map[string]Quota{"acme": {Rate: 1e6, Burst: 1e6}}, Backend: backend, LogPath: logPath,
-		Log: joblog.Options{BatchDelay: 100 * time.Microsecond}, PollInterval: poll,
+		PollInterval: poll,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -500,4 +500,99 @@ func TestGatewayRestartDecidesForwardedJobs(t *testing.T) {
 	s2 := newHTTPGateway(t, second, logPath, 5*time.Millisecond)
 	waitDecided(t, s2, ids, 20*time.Second)
 	waitMetric(t, s2, `rtds_gateway_decisions_observed_total{via="poll"} 9`)
+}
+
+// scriptedNode is a node control plane whose decision journal the test
+// writes, one latency per decision.
+type scriptedNode struct {
+	mu      sync.Mutex
+	journal []float64
+}
+
+func (n *scriptedNode) decide(latencies ...float64) {
+	n.mu.Lock()
+	n.journal = append(n.journal, latencies...)
+	n.mu.Unlock()
+}
+
+func (n *scriptedNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/jobs" {
+		fmt.Fprint(w, "{}") // GET /stats: the site is reachable
+		return
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	since, _ := strconv.Atoi(r.URL.Query().Get("since"))
+	if r.URL.Query().Get("boot") != "b1" {
+		since = 0
+	}
+	type entry struct {
+		ID         string  `json:"id"`
+		Outcome    string  `json:"outcome"`
+		DecisionAt float64 `json:"decision_at"`
+	}
+	jobs := []entry{}
+	for i := since; i < len(n.journal); i++ {
+		jobs = append(jobs, entry{ID: fmt.Sprintf("j%d@0", i+1), Outcome: "rejected", DecisionAt: n.journal[i]})
+	}
+	json.NewEncoder(w).Encode(map[string]any{"boot": "b1", "next": len(n.journal), "jobs": jobs})
+}
+
+// What HTTPBackend.Stats hands the laxity gate: a node counts as slow once
+// every one of the last sustainTicks ticks found it slow, one slow spell
+// does not count, history read at first contact does not count, and the
+// reading is gone one tick after the decisions stop, which is what a shut
+// gate brings about: it cannot hold itself shut.
+func TestStatsReportsSustainedSlowness(t *testing.T) {
+	node := &scriptedNode{}
+	ts := httptest.NewServer(node)
+	defer ts.Close()
+	backend, err := NewHTTPBackend([]string{ts.URL}, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := func(latencies ...float64) float64 {
+		t.Helper()
+		node.decide(latencies...)
+		if _, err := backend.Decisions(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := backend.Stats()
+		if err != nil || st.ReachableSites != 1 {
+			t.Fatalf("Stats: %+v, %v", st, err)
+		}
+		return st.DecisionLatencyP99
+	}
+
+	tick(500) // what the node decided before this gateway knew it
+	if got := backend.nodes[0].ticks[0]; got != 0 {
+		t.Fatalf("history read at first contact was filed as a tick's p99: %v", got)
+	}
+	for i := 0; i < 2*sustainTicks; i++ {
+		var got float64
+		if i == sustainTicks+1 {
+			got = tick(90, 120, 2) // one slow spell among quick ticks
+		} else {
+			got = tick(2, 3)
+		}
+		want := 3.0
+		if i < sustainTicks-1 {
+			want = 0 // the ticks so far include the one that read the history
+		}
+		if got != want {
+			t.Fatalf("quick tick %d: p99 %v, want %v", i, got, want)
+		}
+	}
+	for i := 0; i < sustainTicks; i++ {
+		got, want := tick(100+float64(i), 40), 3.0
+		if i == sustainTicks-1 {
+			want = 100
+		}
+		if got != want {
+			t.Fatalf("slow tick %d: p99 %v, want %v", i, got, want)
+		}
+	}
+	if got := tick(); got != 0 {
+		t.Fatalf("a tick without decisions left the reading at %v", got)
+	}
 }

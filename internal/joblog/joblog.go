@@ -8,17 +8,32 @@
 //
 // where body is the JSON encoding of a Record (JSON for debuggability —
 // the log is an operator artifact; the wire codec stays reserved for
-// protocol traffic). Appends are fsync-BATCHED (group commit): every
-// Append blocks until its record is durable, but concurrent appends share
-// one fdatasync, so a burst of submissions costs one disk flush, not one
-// per job. The batch window is bounded by Options.BatchDelay.
+// protocol traffic).
 //
-// Recovery (Open) replays the valid prefix of the file and is
-// truncation-tolerant: a torn final record — the shape a crash mid-write
-// leaves behind — is detected by its length/CRC frame and truncated away,
-// never parsed. Corruption BEFORE the final record is refused loudly
-// (ErrCorrupt): silent data loss in the middle of an acknowledged history
-// must never look like a clean recovery.
+// There are two ways to write, and they differ only in who waits:
+//
+//   - Append returns when its record is durable. The commit is
+//     self-clocked (group commit with no timer in front of it): an appender
+//     that finds no fsync running starts one at once; everyone who writes
+//     while that fsync runs shares the next one. Batches therefore form
+//     from real concurrency, and a lone appender pays one fdatasync and
+//     nothing else. Only back-to-back commits are paced: an fsync on an
+//     idle log starts no sooner than CommitWindow after the last such one
+//     and covers everyone who wrote by then (see CommitWindow). So the
+//     ack rate of a few clients submitting back to back is set by a clock,
+//     not by how fast the host happens to run this minute.
+//   - AppendNoWait returns when its records are written. They are made
+//     durable by whatever flushes the file next: the group commit of a
+//     later Append, a Sync, or Close. Both kinds are framed and written
+//     under one lock, so file order is call order, and a failed write or
+//     fsync poisons the log for both.
+//
+// Recovery (Open, Recover) streams the valid prefix of the file in bounded
+// memory and is truncation-tolerant: a torn final record — the shape a
+// crash mid-write leaves behind — is detected by its length/CRC frame and
+// truncated away, never parsed. Corruption BEFORE the final record is
+// refused loudly (ErrCorrupt): silent data loss in the middle of an
+// acknowledged history must never look like a clean recovery.
 package joblog
 
 import (
@@ -37,6 +52,21 @@ import (
 // u32 CRC-32C (Castagnoli) of the body.
 const frameHeader = 8
 
+// CommitWindow paces back-to-back commits. An fsync that starts on an idle
+// log starts no sooner than CommitWindow after the last such fsync started
+// and covers everyone who wrote by then; those who wrote while it ran get one
+// follow-up fsync at once, and whoever comes after that waits for the next
+// window. The first append after a quiet spell is never delayed. It is a
+// property of the log, not a setting: at most two fsyncs start per window
+// however the log is driven, a client that submits back to back is acked
+// once per window (each further concurrent client adds its ack to the same
+// fsyncs, so capacity is not capped), and the ack rate of a few such clients
+// is set by a clock rather than by the speed of the host that minute. The
+// value keeps the back-to-back ack under 2 ms and leaves a sequential
+// client's round trip (about 1 ms with the fsync) enough slack to make
+// every window. Logs opened with NoSync have no fsync to pace and skip it.
+const CommitWindow = 1900 * time.Microsecond
+
 // MaxRecord bounds one record's body. It matches the wire codec's MaxFrame
 // order of magnitude: a record larger than this is a corrupt length field,
 // not a legitimate job.
@@ -50,6 +80,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // as a clean recovery.
 var ErrCorrupt = errors.New("joblog: corrupt record before the log tail")
 
+var errClosed = errors.New("joblog: log is closed")
+
 // RecordType names the three events the gateway logs.
 type RecordType string
 
@@ -60,7 +92,7 @@ const (
 	// the job into the cluster.
 	TypeSubmitted RecordType = "submitted"
 	// TypeForwarded maps the gateway job id to the cluster job id the
-	// backing node assigned; appended after the cluster accepted the
+	// backing node assigned; written after the cluster accepted the
 	// submission.
 	TypeForwarded RecordType = "forwarded"
 	// TypeDecided closes the job: the cluster reached a guarantee
@@ -93,14 +125,10 @@ type Record struct {
 	DecisionLatency float64         `json:"decision_latency,omitempty"`
 }
 
-// Options tunes the fsync batching and recovery behavior.
+// Options tunes durability and observes it.
 type Options struct {
-	// BatchDelay bounds how long an Append may wait for companions before
-	// the batch is flushed anyway. 0 means DefaultBatchDelay. Smaller is
-	// lower latency, larger is fewer fsyncs under load.
-	BatchDelay time.Duration
 	// NoSync disables fsync entirely (tests and benchmarks on tmpfs where
-	// durability is moot). Appends still go through the batch writer so
+	// durability is moot). Appends still go through the group commit so
 	// the code path stays the same.
 	NoSync bool
 	// OnSync, when set, observes every fsync's wall-clock duration — the
@@ -113,10 +141,6 @@ type Options struct {
 	failpoint func(w syncWriter) syncWriter
 }
 
-// DefaultBatchDelay is the fsync batch window: long enough to coalesce a
-// burst, short enough to stay invisible next to network latency.
-const DefaultBatchDelay = 2 * time.Millisecond
-
 // syncWriter is the slice of *os.File the log writes through; the
 // failpoint writer wraps it to inject crashes at batch boundaries.
 type syncWriter interface {
@@ -124,7 +148,15 @@ type syncWriter interface {
 	Sync() error
 }
 
-// Log is an open write-ahead job log. Safe for concurrent Append.
+// commit is what a waiter of the group commit is told: the outcome of the
+// fsync that covered its bytes, or — lead set — that the fsync running when
+// it wrote has ended and the next one is its to run.
+type commit struct {
+	err  error
+	lead bool
+}
+
+// Log is an open write-ahead job log. Safe for concurrent use.
 type Log struct {
 	opts Options
 	f    *os.File
@@ -132,210 +164,199 @@ type Log struct {
 
 	mu      sync.Mutex
 	closed  bool
-	pending []chan error // appenders waiting for the running batch
-	syncing bool
-	err     error // sticky: a failed write or sync poisons the log
+	pending []chan commit // waiters of the next fsync, in arrival order
+	joined  []chan commit // waiters of the running fsync: Sync or Close with nothing new to flush
+	syncing bool          // an fsync is running, or its successor has been named
+	dirty   bool          // bytes were written since the last fsync started
+	err     error         // sticky: a failed write or sync poisons the log
+
+	// lastSync is when the current commit window's fsync started, followUp
+	// whether the window's one follow-up fsync has been spent. Only whoever
+	// runs the group commit touches them, and leadership passes under mu or
+	// over a waiter's channel, so they need no lock of their own.
+	lastSync time.Time
+	followUp bool
 }
 
-// Open replays the log at path (creating it if absent), truncates a torn
-// tail, and returns the log opened for append plus the replayed records in
-// order. Corruption before the tail returns ErrCorrupt.
-func Open(path string, opts Options) (*Log, []Record, error) {
-	if opts.BatchDelay <= 0 {
-		opts.BatchDelay = DefaultBatchDelay
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	records, valid, err := scan(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	// Truncate the torn tail (no-op when the file ends cleanly), then seek
-	// to the end for appends.
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	l := &Log{opts: opts, f: f, w: f}
-	if opts.failpoint != nil {
-		l.w = opts.failpoint(f)
-	}
-	return l, records, nil
-}
-
-// scan reads the valid record prefix of f, returning the records and the
-// byte offset where validity ends. A bad frame at the tail (torn write) is
-// fine — recovery truncates it; a bad frame followed by a GOOD frame means
-// mid-file corruption and returns ErrCorrupt.
-func scan(f *os.File) ([]Record, int64, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, err
-	}
-	var records []Record
-	var offset int64
-	for int64(len(data))-offset >= frameHeader {
-		body, next, ok := frameAt(data, offset)
-		if !ok {
-			break
-		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
-			// The CRC matched but the body is not a record: that is not a
-			// torn write, it is corruption (or a foreign file).
-			return nil, 0, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, offset, err)
-		}
-		records = append(records, rec)
-		offset = next
-	}
-	// Anything after offset must be a torn tail: if another whole valid
-	// frame exists further on, the damage is in the middle.
-	rest := data[offset:]
-	for probe := int64(1); probe+frameHeader <= int64(len(rest)); probe++ {
-		if _, _, ok := frameAt(rest, probe); ok {
-			return nil, 0, fmt.Errorf("%w: valid frame after damage at offset %d", ErrCorrupt, offset)
-		}
-	}
-	return records, offset, nil
-}
-
-// frameAt decodes the frame starting at offset; ok is false when the frame
-// is incomplete or fails its CRC.
-func frameAt(data []byte, offset int64) (body []byte, next int64, ok bool) {
-	if int64(len(data))-offset < frameHeader {
-		return nil, 0, false
-	}
-	n := binary.LittleEndian.Uint32(data[offset:])
-	crc := binary.LittleEndian.Uint32(data[offset+4:])
-	if n == 0 || n > MaxRecord || offset+frameHeader+int64(n) > int64(len(data)) {
-		return nil, 0, false
-	}
-	body = data[offset+frameHeader : offset+frameHeader+int64(n)]
-	if crc32.Checksum(body, castagnoli) != crc {
-		return nil, 0, false
-	}
-	return body, offset + frameHeader + int64(n), true
-}
-
-// Append frames, writes and durably flushes one record, blocking until the
-// record's fsync batch completes. Concurrent appenders share a batch: the
-// first one in becomes the syncer, waits BatchDelay for companions, then
-// flushes once for everyone.
+// Append frames and writes one record and returns once it is durable: after
+// an fsync that STARTED after the record's bytes were written. (The write
+// and the enrolment among the next fsync's waiters happen under one lock,
+// and whoever runs that fsync takes the waiters under the same lock before
+// it calls Sync, so no fsync can answer a waiter whose bytes it did not
+// cover.) An appender that finds no fsync running runs one at once — or,
+// if the last such one started less than CommitWindow ago, when that window
+// ends; one that finds one running waits for it to end and for the next,
+// which the first of the waiters runs for all of them.
 func (l *Log) Append(rec Record) error {
-	body, err := json.Marshal(rec)
+	buf, err := appendFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxRecord {
-		return fmt.Errorf("joblog: record of %d bytes exceeds MaxRecord", len(body))
-	}
-	var frame [frameHeader]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	return l.write(buf, true)
+}
 
+// AppendNoWait frames and writes the records, in order and contiguously,
+// and returns without waiting for them to be durable: the next group
+// commit, Sync or Close makes them so. A crash before that loses them (and
+// nothing written earlier). Use it for records whose loss recovery repairs.
+func (l *Log) AppendNoWait(recs ...Record) error {
+	var buf []byte
+	for _, rec := range recs {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	return l.write(buf, false)
+}
+
+// Sync makes everything written so far durable. When nothing was written
+// since the last fsync began it does not touch the disk: it returns at once,
+// or when that fsync has ended if it is still running.
+func (l *Log) Sync() error { return l.write(nil, true) }
+
+// appendFrame appends rec's frame to buf.
+func appendFrame(buf []byte, rec Record) ([]byte, error) {
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	if len(body) > MaxRecord {
+		return buf, fmt.Errorf("joblog: record of %d bytes exceeds MaxRecord", len(body))
+	}
+	var hdr [frameHeader]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
+	return append(append(buf, hdr[:]...), body...), nil
+}
+
+// write puts buf (whole frames, possibly none) at the end of the file and,
+// when wait is set, returns only once an fsync that started afterwards has
+// completed.
+func (l *Log) write(buf []byte, wait bool) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return fmt.Errorf("joblog: log is closed")
+		return errClosed
 	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if _, err := l.w.Write(frame[:]); err == nil {
-		_, err = l.w.Write(body)
-		if err != nil {
-			l.err = err
-		}
-	} else {
-		l.err = err
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	done := make(chan error, 1)
-	l.pending = append(l.pending, done)
-	lead := !l.syncing
-	if lead {
-		l.syncing = true
-	}
+	done, lead, err := l.writeLocked(buf, wait)
 	l.mu.Unlock()
-
-	if lead {
-		// Group commit: give companions the batch window, flush once, and
-		// keep flushing while late joiners queued up during the fsync —
-		// an appender that saw syncing=true relies on this loop.
-		for {
-			if l.opts.BatchDelay > 0 && !l.opts.NoSync {
-				time.Sleep(l.opts.BatchDelay)
-			}
-			if !l.flushBatch() {
-				break
-			}
-		}
+	if done == nil {
+		return err
 	}
-	return <-done
+	return l.await(done, lead)
 }
 
-// flushBatch fsyncs the file once and releases every appender that joined
-// the batch before the sync started. It reports whether new appenders
-// queued during the fsync (the leader then flushes again for them).
-func (l *Log) flushBatch() bool {
+// writeLocked is write's critical section. It returns a nil channel when
+// there is nothing to wait for.
+func (l *Log) writeLocked(buf []byte, wait bool) (done chan commit, lead bool, err error) {
+	if l.err != nil {
+		return nil, false, l.err
+	}
+	if len(buf) > 0 {
+		if _, err := l.w.Write(buf); err != nil {
+			l.err = err
+			return nil, false, err
+		}
+		l.dirty = true
+	}
+	if !wait || (!l.dirty && !l.syncing) {
+		return nil, false, nil
+	}
+	done = make(chan commit, 1)
+	if !l.dirty {
+		// The fsync that is running started after the last byte was
+		// written (every waiter of the next one has written since it
+		// started), so it is the one to wait for: another would flush
+		// nothing.
+		l.joined = append(l.joined, done)
+		return done, false, nil
+	}
+	l.pending = append(l.pending, done)
+	lead = !l.syncing
+	l.syncing = true
+	return done, lead, nil
+}
+
+// await runs the group commit from one waiter's side.
+func (l *Log) await(done chan commit, lead bool) error {
+	handed := false
+	for {
+		if lead {
+			l.flushBatch(handed) // answers done among the others
+		}
+		c := <-done
+		if !c.lead {
+			return c.err
+		}
+		lead, handed = true, true
+	}
+}
+
+// flushBatch fsyncs the file once, answers every waiter that enrolled
+// before the fsync started, and names the first waiter that enrolled during
+// it to run the next one: each fsync is run by someone it is owed to, and
+// nobody stays behind flushing for later arrivals. handed says the caller
+// was so named, rather than having found the log idle.
+func (l *Log) flushBatch(handed bool) {
+	// Pace back-to-back commits before taking the batch, so that whoever
+	// writes during the pause is covered by this fsync too. Whoever wrote
+	// while the window's fsync ran missed it by less than one fsync: they
+	// get theirs at once, on the same window, instead of waiting one out.
+	if !l.opts.NoSync {
+		if handed && !l.followUp {
+			l.followUp = true
+		} else {
+			pause(CommitWindow - time.Since(l.lastSync))
+			l.lastSync = time.Now()
+			l.followUp = false
+		}
+	}
 	l.mu.Lock()
-	waiters := l.pending
+	batch := l.pending
 	l.pending = nil
+	l.dirty = false
+	err := l.err
 	l.mu.Unlock()
 
-	var err error
-	if !l.opts.NoSync {
+	// A poisoned log is not synced again: after a failed fsync the kernel
+	// may report the next one clean over pages it has dropped.
+	if err == nil && !l.opts.NoSync {
 		start := time.Now()
 		err = l.w.Sync()
 		if l.opts.OnSync != nil {
 			l.opts.OnSync(time.Since(start))
 		}
 	}
+
 	l.mu.Lock()
-	if err != nil && l.err == nil {
+	if l.err == nil {
 		l.err = err
 	}
 	err = l.err
-	more := len(l.pending) > 0
-	if !more {
+	batch = append(batch, l.joined...)
+	l.joined = nil
+	var next chan commit
+	if len(l.pending) > 0 {
+		next = l.pending[0] // stays enrolled: its own fsync answers it
+	} else {
 		l.syncing = false
 	}
 	l.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- err
+	for _, ch := range batch {
+		ch <- commit{err: err}
 	}
-	return more
+	if next != nil {
+		next <- commit{lead: true}
+	}
 }
 
-// Sync forces an immediate fsync outside the batch path (Close and tests).
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	if l.closed || l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-	if l.opts.NoSync {
-		return nil
-	}
-	return l.w.Sync()
-}
-
-// Close flushes and closes the file. Further Appends fail.
+// Close makes everything written durable, records of both kinds, and
+// closes the file. Further writes fail. On a poisoned log it returns the
+// error that poisoned it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -343,71 +364,15 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	// Whoever wrote before this point is enrolled before Close is, so when
+	// Close is answered nobody is left to touch the file.
+	done, lead, err := l.writeLocked(nil, true)
 	l.mu.Unlock()
-	var syncErr error
-	if !l.opts.NoSync {
-		syncErr = l.f.Sync()
+	if done != nil {
+		err = l.await(done, lead)
 	}
-	if err := l.f.Close(); err != nil {
-		return err
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	return syncErr
-}
-
-// Replay summarizes a recovered record stream into per-job state: the
-// latest known stage of every gateway job id, in first-submission order.
-type Replay struct {
-	// Jobs holds one entry per submitted gateway job id.
-	Jobs []*ReplayJob
-	// NextSeq is one past the highest Seq seen; the gateway's id counter
-	// resumes here.
-	NextSeq uint64
-	byID    map[string]*ReplayJob
-}
-
-// ReplayJob is one job's recovered state.
-type ReplayJob struct {
-	Submitted Record
-	// ClusterID is set when a forwarded record was recovered: the job
-	// reached the cluster under this id before the crash.
-	ClusterID string
-	// Outcome is set when a decided record was recovered; such jobs are
-	// closed and need no replay.
-	Outcome string
-}
-
-// Undecided reports whether the job still needs driving: submitted (and
-// possibly forwarded) but never decided.
-func (j *ReplayJob) Undecided() bool { return j.Outcome == "" }
-
-// Summarize folds a recovered record stream into per-job replay state.
-// Folding is idempotent by construction: duplicate records of any type
-// collapse onto the same job entry, so replaying a log twice (or a log
-// that was itself produced by a replay) yields identical state — the
-// duplicate-replay test pins this.
-func Summarize(records []Record) *Replay {
-	r := &Replay{byID: make(map[string]*ReplayJob)}
-	for _, rec := range records {
-		if rec.Seq >= r.NextSeq {
-			r.NextSeq = rec.Seq + 1
-		}
-		switch rec.Type {
-		case TypeSubmitted:
-			if _, dup := r.byID[rec.ID]; dup {
-				continue // idempotent: same id resubmitted by a replayed log
-			}
-			j := &ReplayJob{Submitted: rec}
-			r.byID[rec.ID] = j
-			r.Jobs = append(r.Jobs, j)
-		case TypeForwarded:
-			if j := r.byID[rec.ID]; j != nil && j.ClusterID == "" {
-				j.ClusterID = rec.ClusterID
-			}
-		case TypeDecided:
-			if j := r.byID[rec.ID]; j != nil && j.Outcome == "" {
-				j.Outcome = rec.Outcome
-			}
-		}
-	}
-	return r
+	return err
 }

@@ -38,7 +38,12 @@
 # come back through the per-node watchers (the reconcile tick is the
 # fallback, and accounts for the jobs replayed across the kill), and the
 # median accept->decision latency must be under 100 ms. A regression to
-# tick-only delivery fails the soak.
+# tick-only delivery fails the soak. After the restart the median
+# submission->ack latency must be under 3 ms: the ack waits for one fsync,
+# and for at most one 1.9 ms commit window when it follows another closely.
+# The kill lands with forwarded/decided records written and not yet flushed
+# (nobody waits for those), so the zero-loss reconciliation also covers
+# recovery from a log whose tail lost them.
 #
 #   scripts/soak.sh GATEWAY 3 300 -load 0.4     # the gateway acceptance run
 set -euo pipefail
@@ -160,6 +165,37 @@ if [[ "$GATEWAY" == "1" ]]; then
       }' <<<"$m"
   }
 
+  # check_accept_latency LABEL: assert that the median of
+  # rtds_gateway_accept_latency_seconds lies in a bucket <= 3 ms. An ack
+  # waits for one fsync and one forward, after at most one commit window
+  # (1.9 ms); a median above that means a timer in front of every fsync or a
+  # second waited-on record is back between a submission and its 202.
+  check_accept_latency() {
+    local label="$1" m
+    if ! m=$(curl -fsS "http://127.0.0.1:$GW_PORT/metrics"); then
+      echo "soak: $label: cannot scrape the gateway's /metrics" >&2
+      return 1
+    fi
+    awk -v label="$label" '
+      /^rtds_gateway_accept_latency_seconds_count / { count = $2 }
+      /^rtds_gateway_accept_latency_seconds_bucket/ {
+        le = $1; sub(/.*le="/, "", le); sub(/".*/, "", le)
+        n++; les[n] = le; cum[n] = $2
+      }
+      END {
+        if (count == 0) {
+          printf "soak: %s: FAIL: no submission was acked by this gateway process\n", label
+          exit 1
+        }
+        for (i = 1; i <= n; i++) if (cum[i] >= count / 2) break
+        printf "soak: %s: median accept latency <= %s s over %d acks\n", label, les[i], count
+        if (les[i] == "+Inf" || les[i] + 0 > 0.003) {
+          printf "soak: %s: FAIL: median accept latency is not under 3 ms\n", label
+          exit 1
+        }
+      }' <<<"$m"
+  }
+
   "$bin/rtds-load" -gateway "127.0.0.1:$GW_PORT" -tenants "$TENANTS" \
     -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
     -jobs "$JOBS" -scale "$SCALE" -json "$OUT" "$@" &
@@ -174,6 +210,7 @@ if [[ "$GATEWAY" == "1" ]]; then
   start_gateway
   wait "$load_pid"
   check_decision_return "after the restart"
+  check_accept_latency "after the restart"
   echo "gateway soak OK: $SITES sites, tenants $TENANTS, gateway killed+restarted, zero acked submissions lost -> $OUT"
 elif [[ "$CHURN" == "1" ]]; then
   "$bin/rtds-load" -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
