@@ -102,7 +102,7 @@ func BenchmarkSuiteSerial(b *testing.B) {
 // harness banks on; on one core it degenerates to the serial cost.
 func BenchmarkSuiteParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(experiments.Quick, 1, 0); err != nil {
+		if _, err := experiments.RunAll(experiments.Quick, 1, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,7 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -kernel-workers must be >= 0")
 		os.Exit(1)
 	}
-	experiments.SetKernelWorkers(*kernelWorkers)
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile, *tracePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -102,7 +101,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if err := checkBaseline(*checkPath, *workers, *evpsTol); err != nil {
+		if err := checkBaseline(*checkPath, *workers, *kernelWorkers, *evpsTol); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
@@ -159,7 +158,7 @@ func main() {
 	}
 
 	start := time.Now()
-	results := experiments.RunTasks(size, tasks, *workers)
+	results := experiments.RunTasks(size, tasks, *workers, *kernelWorkers)
 	wall := time.Since(start)
 	if err := experiments.FirstError(results); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -277,7 +276,7 @@ func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
 // checkBaseline is the benchmark-regression gate: re-run the suite exactly
 // as the committed baseline describes (size, seeds), then compare
 // guarantee ratios (exact) and events/sec (within tolerance).
-func checkBaseline(path string, workers int, evpsTol float64) error {
+func checkBaseline(path string, workers, kernelWorkers int, evpsTol float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -303,7 +302,7 @@ func checkBaseline(path string, workers int, evpsTol float64) error {
 	fmt.Fprintf(os.Stderr, "regression gate: re-running the %s suite at seeds %v on %d workers\n",
 		baseline.Size, baseline.Seeds, workers)
 	start := time.Now()
-	results := experiments.RunTasks(size, tasks, workers)
+	results := experiments.RunTasks(size, tasks, workers, kernelWorkers)
 	wall := time.Since(start)
 	if err := experiments.FirstError(results); err != nil {
 		return err

@@ -69,9 +69,9 @@
 //
 //   - the deterministic discrete-event simulator (internal/simnet.DES),
 //     used by every experiment and benchmark; with KernelWorkers set, the
-//     same experiments run on the conservative parallel kernel
-//     (internal/sim/par behind internal/simnet.PartDES) and produce
-//     byte-identical tables at any partition count;
+//     same transport runs on the conservative parallel kernel
+//     (internal/sim/par) instead of the serial engine (internal/sim) and
+//     produces byte-identical tables at any partition count;
 //   - the goroutine-backed live transport (internal/simnet.Live), real
 //     scaled time and genuine concurrency in one process;
 //   - the TCP transport (internal/wire.NetTransport), which frames every

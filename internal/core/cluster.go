@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,35 +12,43 @@ import (
 	"repro/internal/routing"
 	"repro/internal/routing/hier"
 	"repro/internal/schedule"
-	"repro/internal/sim"
-	"repro/internal/sim/par"
 	"repro/internal/simnet"
 )
 
-// Cluster is a network of RTDS sites on a deterministic discrete-event
-// transport. Construction runs the PCS bootstrap (§7) to completion; jobs
-// are then submitted at times relative to the post-bootstrap epoch.
+// Cluster is the one host of RTDS sites: a set of locally hosted sites over
+// a simnet.Transport. Site construction, the flat or hierarchical bootstrap,
+// sealing, submission, site probes and job records are the same code on
+// every runtime; the three public constructors only choose the transport,
+// which sites are local and how quiescence of the bootstrap is awaited:
+//
+//   - NewCluster: every site on the deterministic DES; the event queue
+//     drained (Run). All experiments use it.
+//   - NewLiveCluster: every site on the goroutine transport; Live.WaitIdle.
+//   - NewNode: one site over an injected transport (TCP in deployment);
+//     the caller's WaitReady, then Seal.
+//
+// A host knows which sites it runs (c.sites[id] != nil) and nothing about
+// how many hosts there are: state for jobs initiated elsewhere is rebuilt
+// from the protocol messages (see adoptRemoteJob). Jobs are submitted at
+// times relative to the post-bootstrap epoch.
 type Cluster struct {
-	cfg    Config
-	mcfg   membership.Config // resolved membership configuration
-	topo   *graph.Graph
-	lay    *hier.Layout    // region/landmark structure; nil on flat clusters
-	engine *sim.Engine     // serial kernel; nil on parallel and live clusters
-	par    *par.Engine     // parallel kernel; nil on serial and live clusters
-	ptr    *simnet.PartDES // set iff par is (for per-site clock reads)
-	tr     simnet.Transport
-	sites  []*Site
+	cfg  Config
+	mcfg membership.Config // resolved membership configuration
+	topo *graph.Graph
+	lay  *hier.Layout // region/landmark structure; nil on flat clusters
+	tr   simnet.Transport
+	// kernel drives virtual time: the event kernel under the DES transport
+	// NewCluster built itself — never recovered from an injected transport,
+	// which a decorator would hide. Nil on wall-clock runtimes.
+	kernel simnet.Kernel
+	sites  []*Site // by site id; nil where the site is hosted elsewhere
+	local  []*Site // the sites this host runs, ascending
 
-	epoch             float64 // virtual time when bootstrap finished
+	epoch             float64 // transport time when bootstrap finished
 	bootstrapMessages int64
 	bootstrapBytes    int64
 
-	// nodeMode marks a single-site cluster (see Node): c.sites holds one
-	// non-nil entry, peers live in other processes, and member-side state
-	// for remotely-initiated jobs is reconstructed from protocol messages.
-	nodeMode bool
-
-	mu          sync.Mutex // guards records (needed on the live transport)
+	mu          sync.Mutex // guards records (needed on the wall-clock transports)
 	jobs        []*Job
 	jobIndex    map[string]*Job
 	journal     []*Job        // decided jobs in decision order, append-only (see recordDecision)
@@ -69,49 +78,6 @@ func (c *Cluster) membershipOn() bool { return c.mcfg.Enabled }
 // mid-repair site is an expected consequence of churn, not a protocol bug.
 func (c *Cluster) resilient() bool { return c.faultsOn() || c.membershipOn() }
 
-// armFaults activates the configured fault plan once the bootstrap is done;
-// plan times are relative to the epoch. Failure *detection* is no longer
-// scripted here: the membership layer's heartbeats and suspicion timeouts
-// (armMembership) discover crashes through the protocol itself.
-func (c *Cluster) armFaults() {
-	if !c.faultsOn() {
-		return
-	}
-	c.tr.SetFaults(*c.cfg.Faults, c.epoch)
-}
-
-// armMembership starts each owned site's membership manager inside that
-// site's execution context. Shared by the DES and live constructors and by
-// Node.Seal.
-func (c *Cluster) armMembership() {
-	if !c.membershipOn() {
-		return
-	}
-	for _, s := range c.sites {
-		if s == nil || s.member == nil {
-			continue
-		}
-		m := s.member
-		if m.Started() || m.Joining() {
-			continue // the join path started it during the handshake
-		}
-		c.tr.After(s.id, 0, m.Start)
-	}
-}
-
-// MembershipSnapshots reports each owned site's membership view. Only safe
-// once the cluster has quiesced (sites own their managers); experiments
-// and tests call it after Run.
-func (c *Cluster) MembershipSnapshots() []membership.Snapshot {
-	var out []membership.Snapshot
-	for _, s := range c.sites {
-		if s != nil && s.member != nil {
-			out = append(out, s.member.Snapshot())
-		}
-	}
-	return out
-}
-
 // protocolDrop reports an anomaly on a graceful-degradation path (a dropped
 // un-routable message, a refused commit of an unknown job, lost plan
 // fragments). On a faulty cluster these are expected consequences of the
@@ -137,28 +103,16 @@ func (c *Cluster) FaultDisruptions() int {
 	return c.disruptions
 }
 
-// eventLimit is the livelock backstop on discrete-event clusters.
-const eventLimit = 200_000_000
-
-// NewCluster builds a DES-backed cluster and runs the PCS construction.
-// Config.KernelWorkers selects the kernel: 0 the serial reference engine,
-// >= 1 the conservative parallel kernel (same event order, same tables).
-func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
-	if err := cfg.validate(topo.Len()); err != nil {
-		return nil, err
-	}
-	if !topo.Connected() {
-		return nil, fmt.Errorf("core: topology is not connected")
-	}
-	mcfg := cfg.membershipConfig()
-	if mcfg.Enabled && mcfg.Horizon <= 0 {
-		return nil, fmt.Errorf("core: membership on a discrete-event cluster needs " +
-			"Config.Membership.Horizon, or the heartbeat timers keep the event queue alive forever")
-	}
+// newHost builds the sites in local over tr and attaches their handlers. It
+// sends nothing, so every host of a network can be attached before the
+// first bootstrap message flies. cfg must have passed Config.validate.
+func newHost(topo *graph.Graph, cfg Config, tr simnet.Transport, local []graph.NodeID) (*Cluster, error) {
 	c := &Cluster{
 		cfg:      cfg,
-		mcfg:     mcfg,
+		mcfg:     cfg.membershipConfig(),
 		topo:     topo,
+		tr:       tr,
+		sites:    make([]*Site, topo.Len()),
 		jobIndex: make(map[string]*Job),
 	}
 	if cfg.Hier {
@@ -167,81 +121,133 @@ func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		c.lay = lay
-	}
-	if cfg.KernelWorkers > 0 {
-		workers := cfg.KernelWorkers
-		if cfg.Faults != nil && (cfg.Faults.Loss > 0 || cfg.Faults.MaxJitter > 0) {
-			// Loss/jitter draws come from one sequential random source in
-			// global send order; only a single partition reproduces it.
-			// Crash-only plans are pure in (site, time) and parallelize.
-			workers = 1
-		}
-		if workers > topo.Len() {
-			workers = topo.Len()
-		}
-		part := topo.Partition(workers)
-		pe, err := par.New(part, topo.MinCrossDelay(part))
-		if err != nil {
-			return nil, fmt.Errorf("core: parallel kernel: %w", err)
-		}
-		pe.SetEventLimit(eventLimit)
-		c.par = pe
-		c.ptr = simnet.NewPartDES(pe, topo, part)
-		c.tr = c.ptr
-	} else {
-		engine := sim.New()
-		engine.SetEventLimit(eventLimit)
-		c.engine = engine
-		c.tr = simnet.NewDES(engine, topo)
-	}
-	if c.lay != nil {
 		// Count traversals that cross a region boundary: the headline claim
 		// of the hierarchy is that region-local work generates none.
-		assign := c.lay.Assign
-		c.tr.Stats().SetBoundary(func(from, to graph.NodeID) bool {
+		assign := lay.Assign
+		tr.Stats().SetBoundary(func(from, to graph.NodeID) bool {
 			return assign[from] != assign[to]
 		})
 	}
-	c.sites = make([]*Site, topo.Len())
-	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
+	for _, id := range local {
 		s := newSite(id, c)
 		c.sites[id] = s
-		c.tr.Attach(id, s.handle)
+		c.local = append(c.local, s)
+		tr.Attach(id, s.handle)
 	}
-	for _, s := range c.sites {
+	return c, nil
+}
+
+// everySite lists the site ids of an n-site topology.
+func everySite(n int) []graph.NodeID {
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		ids[i] = graph.NodeID(i)
+	}
+	return ids
+}
+
+// startBootstrap kicks the routing bootstrap (§7 PCS construction, or the
+// two-phase hierarchical one) from each local site's execution context.
+// Call once the transport runs; peers in other hosts start their own.
+func (c *Cluster) startBootstrap() {
+	for _, s := range c.local {
+		start := s.rnode.Start
 		if s.boot != nil {
-			s.boot.Start()
+			start = s.boot.Start
+		}
+		if c.virtualTime() {
+			start() // nothing runs yet: the caller is every site's context
 		} else {
-			s.rnode.Start()
+			c.tr.After(s.id, 0, start)
 		}
 	}
-	if err := c.Run(); err != nil {
-		return nil, fmt.Errorf("core: PCS bootstrap: %w", err)
+}
+
+// finishBootstrap closes the bootstrap once the runtime reports that the
+// network drained, and seals. The barrier matters for the hierarchy: its
+// landmark flood terminates by "no strict improvement" and has no local end
+// signal, so a site cannot tell by itself that its landmark vector is final
+// (flat tables are adopted by the sites as their last round completes).
+func (c *Cluster) finishBootstrap() error {
+	errs := probe(c, (*Site).finishBootstrap)
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
-	for _, s := range c.sites {
-		if s.boot != nil {
-			if !s.boot.Done() {
-				return nil, fmt.Errorf("core: site %d never finished hierarchical bootstrap (missing regions %v)",
-					s.id, s.boot.MissingRegions())
-			}
-			s.adoptHier(s.boot.Finish())
-		}
-		if s.table == nil {
-			return nil, fmt.Errorf("core: site %d never finished PCS construction", s.id)
-		}
+	if len(errs) != len(c.local) {
+		return fmt.Errorf("core: %d of %d sites did not answer after the bootstrap", len(c.local)-len(errs), len(c.local))
 	}
+	c.seal()
+	return nil
+}
+
+// seal marks the end of the bootstrap phase: the epoch is fixed, the
+// bootstrap communication cost is recorded, the per-job counters are zeroed
+// and the operational phase is armed — the fault plan (its times are
+// relative to the epoch, so construction always runs fault-free) and the
+// membership managers, each started in its site's execution context, whose
+// heartbeats and suspicion timeouts discover crashes through the protocol.
+func (c *Cluster) seal() {
 	c.epoch = c.tr.Now()
 	c.bootstrapMessages = c.tr.Stats().Messages()
 	c.bootstrapBytes = c.tr.Stats().Bytes()
 	c.tr.Stats().Reset()
-	c.armFaults()
-	c.armMembership()
+	if c.faultsOn() {
+		c.tr.SetFaults(*c.cfg.Faults, c.epoch)
+	}
+	for _, s := range c.local {
+		// On the join path the handshake already started the manager.
+		if m := s.member; m != nil && !m.Started() && !m.Joining() {
+			c.tr.After(s.id, 0, m.Start)
+		}
+	}
+}
+
+// eventLimit is the livelock backstop on discrete-event clusters.
+const eventLimit = 200_000_000
+
+// NewCluster builds a DES-backed cluster of every site of the topology and
+// runs the routing bootstrap to completion. Config.KernelWorkers selects
+// the kernel: 0 the serial reference engine, >= 1 the conservative parallel
+// kernel (same event order, same tables).
+func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
+	if err := cfg.validate(topo); err != nil {
+		return nil, err
+	}
+	if mcfg := cfg.membershipConfig(); mcfg.Enabled && mcfg.Horizon <= 0 {
+		return nil, fmt.Errorf("core: membership on a discrete-event cluster needs " +
+			"Config.Membership.Horizon, or the heartbeat timers keep the event queue alive forever")
+	}
+	workers := cfg.KernelWorkers
+	if workers > 1 && cfg.Faults != nil && (cfg.Faults.Loss > 0 || cfg.Faults.MaxJitter > 0) {
+		// Loss/jitter draws come from one sequential random source in
+		// global send order; only a single partition reproduces it.
+		// Crash-only plans are pure in (site, time) and parallelize.
+		workers = 1
+	}
+	kernel, err := simnet.NewKernel(topo, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	kernel.SetEventLimit(eventLimit)
+	c, err := newHost(topo, cfg, simnet.NewDES(kernel, topo), everySite(topo.Len()))
+	if err != nil {
+		return nil, err
+	}
+	c.kernel = kernel
+	c.startBootstrap()
+	if err := c.Run(); err != nil {
+		return nil, fmt.Errorf("core: PCS bootstrap: %w", err)
+	}
+	if err := c.finishBootstrap(); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// Submit schedules a job arrival `at` time units after the epoch. The
-// deadline is relative to arrival. Returns the job record, which is filled
-// in as the simulation runs.
+// Submit schedules a job arrival at a locally hosted origin site `at` time
+// units after the epoch; the deadline is relative to arrival. Returns the
+// job record, which is filled in as the protocol runs. Every entry point
+// (Cluster, LiveCluster, Node) submits through here.
 func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadline float64) (*Job, error) {
 	if at < 0 {
 		return nil, fmt.Errorf("core: negative submission time %v", at)
@@ -249,17 +255,26 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 	if int(origin) < 0 || int(origin) >= len(c.sites) {
 		return nil, fmt.Errorf("core: origin site %d out of range", origin)
 	}
+	site := c.sites[origin]
+	if site == nil {
+		return nil, fmt.Errorf("core: origin site %d is not hosted here", origin)
+	}
 	if relDeadline <= 0 {
 		return nil, fmt.Errorf("core: non-positive relative deadline %v", relDeadline)
 	}
 	c.mu.Lock()
 	c.jobSeq++
+	arrival := c.epoch + at
+	if !c.virtualTime() {
+		// The wall clock may already have passed the requested instant.
+		arrival = max(arrival, c.tr.Now())
+	}
 	job := &Job{
 		ID:          fmt.Sprintf("j%d@%d", c.jobSeq, origin),
 		Graph:       g,
 		Origin:      origin,
-		Arrival:     c.epoch + at,
-		AbsDeadline: c.epoch + at + relDeadline,
+		Arrival:     arrival,
+		AbsDeadline: arrival + relDeadline,
 		remaining:   make(map[dag.TaskID]bool, g.Len()),
 	}
 	for _, id := range g.TaskIDs() {
@@ -268,48 +283,42 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 	c.jobs = append(c.jobs, job)
 	c.jobIndex[job.ID] = job
 	c.mu.Unlock()
-	site := c.sites[origin]
-	if c.par != nil {
-		c.par.Schedule(int(origin), int(origin), job.Arrival, func() { site.jobArrives(job) })
+	arrive := func() { site.jobArrives(job) }
+	if c.virtualTime() {
+		// At the absolute time, not After(arrival-now): in floating point
+		// now+(arrival-now) != arrival, and the experiment tables are
+		// compared byte for byte. Fire-and-forget: no index entry per job.
+		c.kernel.Schedule(int(origin), int(origin), arrival, arrive)
 	} else {
-		c.engine.AtFixed(job.Arrival, func() { site.jobArrives(job) })
+		c.tr.After(origin, max(0, arrival-c.tr.Now()), arrive)
 	}
 	return job, nil
 }
 
 // Run processes all pending events (arrivals, protocol traffic, execution).
-func (c *Cluster) Run() error {
-	if c.par != nil {
-		return c.par.Run()
-	}
-	return c.engine.Run()
-}
+// Run, RunUntil and EventsProcessed drive virtual time and exist on
+// discrete-event clusters only.
+func (c *Cluster) Run() error { return c.kernel.Run() }
 
 // RunUntil advances the simulation to epoch-relative time t.
-func (c *Cluster) RunUntil(t float64) error {
-	if c.par != nil {
-		return c.par.RunUntil(c.epoch + t)
+func (c *Cluster) RunUntil(t float64) error { return c.kernel.RunUntil(c.epoch + t) }
+
+// EventsProcessed reports how many discrete events the kernel has fired (0
+// on wall-clock runtimes, which have no event queue). The experiment harness
+// aggregates this into its events/sec throughput metric.
+func (c *Cluster) EventsProcessed() int64 {
+	if !c.virtualTime() {
+		return 0
 	}
-	return c.engine.RunUntil(c.epoch + t)
+	return c.kernel.Processed()
 }
 
 // Now reports the current epoch-relative time.
 func (c *Cluster) Now() float64 { return c.tr.Now() - c.epoch }
 
-// nowFor reports the virtual time site id's execution context observes. On
-// the serial and live transports that is the transport-wide clock; on the
-// parallel kernel it is the site's partition clock — the only clock an
-// event closure may consult while partitions run concurrently.
-func (c *Cluster) nowFor(id graph.NodeID) float64 {
-	if c.ptr != nil {
-		return c.ptr.NowFor(id)
-	}
-	return c.tr.Now()
-}
-
 // virtualTime reports whether the cluster runs on a discrete-event kernel
 // (serial or parallel), as opposed to a wall-clock transport.
-func (c *Cluster) virtualTime() bool { return c.engine != nil || c.par != nil }
+func (c *Cluster) virtualTime() bool { return c.kernel != nil }
 
 // Jobs returns all submitted job records in submission order.
 func (c *Cluster) Jobs() []*Job {
@@ -423,24 +432,6 @@ func (c *Cluster) BootstrapRounds() int {
 	return routing.RoundsForRadius(c.cfg.Radius)
 }
 
-// RoutingState reports the largest per-site routing-state footprint across
-// the cluster's sites — the hierarchy's O(√n) headline versus the flat
-// table's O(n). Only safe once the cluster has quiesced.
-func (c *Cluster) RoutingState() (maxBytes, maxEntries int) {
-	for _, s := range c.sites {
-		if s == nil || s.table == nil {
-			continue
-		}
-		if b := s.table.StateBytes(); b > maxBytes {
-			maxBytes = b
-		}
-		if e := s.table.StateEntries(); e > maxEntries {
-			maxEntries = e
-		}
-	}
-	return maxBytes, maxEntries
-}
-
 // RemoteRegionViews reports the cross-region liveness digests a landmark
 // has received from its adjacent peers (tests and observability; empty for
 // non-landmarks and flat clusters).
@@ -456,42 +447,12 @@ func (c *Cluster) RemoteRegionViews(id graph.NodeID) map[int][]membership.Entry 
 	return out
 }
 
-// EventsProcessed reports how many discrete events the underlying engine has
-// fired (0 on the live transport, which has no event queue). The experiment
-// harness aggregates this into its events/sec throughput metric.
-func (c *Cluster) EventsProcessed() int64 {
-	if c.par != nil {
-		return c.par.Processed()
-	}
-	if c.engine == nil {
-		return 0
-	}
-	return c.engine.Processed()
-}
-
 // Violations lists causality violations detected during execution. A sound
 // run has none; tests assert emptiness.
 func (c *Cluster) Violations() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]string(nil), c.violations...)
-}
-
-// AllIdle reports whether every site has released its lock, drained its
-// deferred queue and closed its transactions — the expected state once the
-// event queue is empty. Tests assert it. This reads site state directly and
-// is only safe on the single-threaded DES transport; LiveCluster shadows it
-// with a probe routed through each site's execution context.
-func (c *Cluster) AllIdle() bool {
-	for _, s := range c.sites {
-		if s == nil { // node mode: only the owned site is local
-			continue
-		}
-		if s.locked() || len(s.deferred) > 0 || len(s.txns) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // SiteSphere exposes a site's PCS (for tests and experiments).
@@ -520,10 +481,7 @@ type TaskExecution struct {
 // deterministic order. Used by the internal/verify oracle and tests.
 func (c *Cluster) Executions() []TaskExecution {
 	var out []TaskExecution
-	for _, s := range c.sites {
-		if s == nil { // node mode: only the owned site is local
-			continue
-		}
+	for _, s := range c.local {
 		// Preemptive bounds come from the plan's fragments.
 		type bounds struct{ start, end float64 }
 		var fragBounds map[string]map[int]bounds
@@ -745,16 +703,10 @@ func (c *Cluster) Summarize() Summary {
 	s.Dropped = c.tr.Stats().Dropped()
 	s.Disruptions = c.disruptions
 	s.CrossRegionMessages = c.tr.Stats().CrossMessages()
-	for _, site := range c.sites {
-		if site == nil || site.table == nil {
-			continue
-		}
-		if b := site.table.StateBytes(); b > s.RoutingTableBytes {
-			s.RoutingTableBytes = b
-		}
-		if e := site.table.StateEntries(); e > s.RoutingEntries {
-			s.RoutingEntries = e
-		}
+	for _, site := range c.local {
+		st := site.routingState()
+		s.RoutingTableBytes = max(s.RoutingTableBytes, st[0])
+		s.RoutingEntries = max(s.RoutingEntries, st[1])
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core/membership"
 	"repro/internal/core/policy"
+	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/routing"
 	"repro/internal/simnet"
@@ -81,7 +82,8 @@ type Config struct {
 	// drawing loss or jitter consume one sequential random stream in global
 	// send order, so such plans collapse to a single partition (still the
 	// parallel code path, just P=1); crash-only plans parallelize fully.
-	// Ignored by wall-clock transports (live, wire).
+	// It is the only kernel selector (resolved by simnet.NewKernel) and is
+	// ignored by wall-clock transports (live, wire).
 	KernelWorkers int
 	// Hier arms two-level region/landmark routing (internal/routing/hier):
 	// the topology is partitioned into ~√n connected regions, each site
@@ -91,9 +93,13 @@ type Config struct {
 	// is confined to the initiator's region — and an enrollment window that
 	// closes empty escalates once to the adjacent regions' landmarks before
 	// rejecting. Membership heartbeats and repair floods are scoped to the
-	// region; landmarks exchange cross-region liveness digests. Requires the
-	// in-process cluster (node mode runs one site and cannot finalize the
-	// cluster-wide hierarchy), and a connected topology like the flat
+	// region; landmarks exchange cross-region liveness digests. Available on
+	// every runtime that can await network-wide quiescence — NewCluster on
+	// either kernel and NewLiveCluster, through the same bootstrap code: the
+	// landmark flood terminates by "no strict improvement" and has no local
+	// end signal, so the tables are assembled once the network drained.
+	// NewNode refuses it for that reason (a lone node cannot tell when its
+	// peers have drained). Requires a connected topology like the flat
 	// bootstrap.
 	Hier bool
 	// Membership arms the distributed membership layer: per-site heartbeats
@@ -120,7 +126,9 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate(n int) error {
+// validate checks the configuration against the topology it will run on.
+func (c Config) validate(topo *graph.Graph) error {
+	n := topo.Len()
 	if c.Radius < 0 {
 		return fmt.Errorf("core: negative sphere radius %d", c.Radius)
 	}
@@ -148,6 +156,9 @@ func (c Config) validate(n int) error {
 	}
 	if err := c.Membership.Validate(); err != nil {
 		return err
+	}
+	if !topo.Connected() {
+		return fmt.Errorf("core: topology is not connected")
 	}
 	return nil
 }

@@ -281,7 +281,7 @@ func TestUniformMachines(t *testing.T) {
 func TestSurplusReflectsLoad(t *testing.T) {
 	c := mustCluster(t, fastLine(2), DefaultConfig())
 	s := c.sites[0]
-	if got := s.plan.Surplus(c.engine.Now(), 100); got != 1 {
+	if got := s.plan.Surplus(c.tr.Now(), 100); got != 1 {
 		t.Fatalf("idle surplus %v, want 1", got)
 	}
 	job, _ := c.Submit(0, 0, chainJob(t, 1, 50), 200)

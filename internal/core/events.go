@@ -69,7 +69,7 @@ func (c *Cluster) event(site graph.NodeID, job string, kind EventKind, detail st
 	}
 	c.mu.Lock()
 	c.events = append(c.events, Event{
-		At: c.nowFor(site), Site: site, Job: job, Kind: kind, Detail: detail,
+		At: c.tr.NowOf(site), Site: site, Job: job, Kind: kind, Detail: detail,
 	})
 	c.mu.Unlock()
 }

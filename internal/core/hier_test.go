@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core/membership"
 	"repro/internal/graph"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -219,14 +221,19 @@ type layoutView struct {
 
 func (v *layoutView) Region(id graph.NodeID) int { return v.assign[id] }
 
-// TestHierNodeModeRejected: the hierarchy needs the in-process cluster.
+// TestHierNodeModeRejected: the hierarchy needs a runtime that can await
+// network-wide quiescence, which a lone node cannot; the error says so.
 func TestHierNodeModeRejected(t *testing.T) {
 	topo := fastLine(3)
 	cfg := DefaultConfig()
 	cfg.Hier = true
-	tr := simnet.NewDES(nil, topo)
-	if _, err := NewNode(topo, cfg, tr, 0); err == nil {
+	tr := simnet.NewDES(sim.New(), topo)
+	_, err := NewNode(topo, cfg, tr, 0)
+	if err == nil {
 		t.Fatal("NewNode accepted Hier")
+	}
+	if !strings.Contains(err.Error(), "quiescence") {
+		t.Fatalf("refusal does not give the reason: %v", err)
 	}
 }
 

@@ -4,176 +4,50 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
 )
 
-// LiveCluster runs the same Site state machines on the goroutine-backed
-// live transport: one goroutine per site, real (scaled) time, genuine
+// LiveCluster is the Cluster host on the goroutine-backed live transport:
+// every site local, one goroutine per site, real (scaled) time, genuine
 // concurrency. It exists for demonstration and for the DES-equivalence
-// tests; experiments use the deterministic Cluster.
+// tests; experiments use the deterministic Cluster. Submit clamps an
+// arrival the wall clock has already passed up to now; site probes (AllIdle,
+// ReservationJobIDs, ...) report "no" within probeTimeout after Close.
 type LiveCluster struct {
 	*Cluster
 	live *simnet.Live
 }
 
-// NewLiveCluster builds the cluster, starts the transport and runs the PCS
-// bootstrap, blocking until it quiesces. scale is the wall-clock duration of
-// one virtual time unit.
+// NewLiveCluster builds the cluster, starts the transport and runs the
+// routing bootstrap (flat, or hierarchical under Config.Hier), blocking until
+// it quiesces. scale is the wall-clock duration of one virtual time unit.
 func NewLiveCluster(topo *graph.Graph, cfg Config, scale time.Duration) (*LiveCluster, error) {
-	if err := cfg.validate(topo.Len()); err != nil {
+	if err := cfg.validate(topo); err != nil {
 		return nil, err
 	}
-	if !topo.Connected() {
-		return nil, fmt.Errorf("core: topology is not connected")
-	}
 	live := simnet.NewLive(topo, scale)
-	c := &Cluster{
-		cfg:      cfg,
-		mcfg:     cfg.membershipConfig(),
-		topo:     topo,
-		tr:       live,
-		jobIndex: make(map[string]*Job),
-	}
-	lc := &LiveCluster{Cluster: c, live: live}
-	c.sites = make([]*Site, topo.Len())
-	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
-		s := newSite(id, c)
-		c.sites[id] = s
-		live.Attach(id, s.handle)
+	c, err := newHost(topo, cfg, live, everySite(topo.Len()))
+	if err != nil {
+		return nil, err
 	}
 	live.Start()
-	// Kick the bootstrap from each site's own execution context.
-	for _, s := range c.sites {
-		s := s
-		live.After(s.id, 0, func() { s.rnode.Start() })
-	}
+	c.startBootstrap()
 	if !live.WaitIdle(30 * time.Second) {
 		live.Close()
 		return nil, fmt.Errorf("core: live PCS bootstrap did not quiesce")
 	}
-	for _, s := range c.sites {
-		if s.table == nil {
-			live.Close()
-			return nil, fmt.Errorf("core: site %d never finished live PCS construction", s.id)
-		}
+	if err := c.finishBootstrap(); err != nil {
+		live.Close()
+		return nil, err
 	}
-	c.epoch = live.Now()
-	c.bootstrapMessages = live.Stats().Messages()
-	c.bootstrapBytes = live.Stats().Bytes()
-	live.Stats().Reset()
-	c.armFaults()
-	c.armMembership()
-	return lc, nil
-}
-
-// Submit injects a job arrival `at` virtual time units after the epoch
-// (0 = as soon as possible) through the origin site's execution context.
-// Validation matches the DES Cluster.Submit exactly so the two transports
-// keep equivalent APIs; the only live-specific adjustment is clamping an
-// arrival the wall clock has already passed up to now.
-func (lc *LiveCluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadline float64) (*Job, error) {
-	if at < 0 {
-		return nil, fmt.Errorf("core: negative submission time %v", at)
-	}
-	if int(origin) < 0 || int(origin) >= len(lc.sites) {
-		return nil, fmt.Errorf("core: origin site %d out of range", origin)
-	}
-	if relDeadline <= 0 {
-		return nil, fmt.Errorf("core: non-positive relative deadline %v", relDeadline)
-	}
-	lc.mu.Lock()
-	lc.jobSeq++
-	arrival := lc.epoch + at
-	if now := lc.live.Now(); arrival < now {
-		arrival = now
-	}
-	job := &Job{
-		ID:          fmt.Sprintf("j%d@%d", lc.jobSeq, origin),
-		Graph:       g,
-		Origin:      origin,
-		Arrival:     arrival,
-		AbsDeadline: arrival + relDeadline,
-		remaining:   make(map[dag.TaskID]bool, g.Len()),
-	}
-	for _, id := range g.TaskIDs() {
-		job.remaining[id] = true
-	}
-	lc.jobs = append(lc.jobs, job)
-	lc.jobIndex[job.ID] = job
-	lc.mu.Unlock()
-	site := lc.sites[origin]
-	delay := arrival - lc.live.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	lc.live.After(origin, delay, func() { site.jobArrives(job) })
-	return job, nil
+	return &LiveCluster{Cluster: c, live: live}, nil
 }
 
 // Wait blocks until the cluster quiesces (all decisions made, executions
 // scheduled) or the timeout elapses.
 func (lc *LiveCluster) Wait(timeout time.Duration) bool {
 	return lc.live.WaitIdle(timeout)
-}
-
-// AllIdle reports whether every site has released its lock, drained its
-// deferred queue and closed its transactions. Unlike the DES cluster's
-// check, site state here is owned by per-site goroutines, so each probe is
-// routed through its site's execution context instead of reading the fields
-// from the caller's goroutine (which would race with message handlers).
-// Must not be called after Close.
-func (lc *LiveCluster) AllIdle() bool {
-	results := make(chan bool, len(lc.sites))
-	for _, s := range lc.sites {
-		s := s
-		lc.live.After(s.id, 0, func() {
-			results <- !s.locked() && len(s.deferred) == 0 && len(s.txns) == 0
-		})
-	}
-	idle := true
-	for range lc.sites {
-		if !<-results {
-			idle = false
-		}
-	}
-	return idle
-}
-
-// ReservationJobIDs reports, per site, the distinct job IDs with committed
-// reservations in that site's plan. Like AllIdle, each probe is routed
-// through its site's execution context so the read does not race with
-// message handlers; call it only after the cluster has quiesced enough for
-// the answer to be meaningful. Must not be called after Close.
-func (lc *LiveCluster) ReservationJobIDs() map[graph.NodeID][]string {
-	type probe struct {
-		site graph.NodeID
-		jobs []string
-	}
-	results := make(chan probe, len(lc.sites))
-	for _, s := range lc.sites {
-		s := s
-		lc.live.After(s.id, 0, func() {
-			seen := make(map[string]bool)
-			var jobs []string
-			for _, r := range s.plan.Reservations() {
-				if !seen[r.Job] {
-					seen[r.Job] = true
-					jobs = append(jobs, r.Job)
-				}
-			}
-			results <- probe{s.id, jobs}
-		})
-	}
-	out := make(map[graph.NodeID][]string, len(lc.sites))
-	for range lc.sites {
-		p := <-results
-		if len(p.jobs) > 0 {
-			out[p.site] = p.jobs
-		}
-	}
-	return out
 }
 
 // Close shuts down the transport goroutines.

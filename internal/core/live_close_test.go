@@ -37,6 +37,17 @@ func TestLiveClusterCloseIdempotent(t *testing.T) {
 	wg.Wait()
 	lc.Close() // and once more after everything returned
 
+	// Probes of a closed cluster answer "no" within probeTimeout instead of
+	// waiting forever for a callback the transport dropped.
+	defer func(d time.Duration) { probeTimeout = d }(probeTimeout)
+	probeTimeout = 50 * time.Millisecond
+	if lc.AllIdle() {
+		t.Error("AllIdle reports idle on a closed cluster")
+	}
+	if held := lc.ReservationJobIDs(); len(held) != 0 {
+		t.Errorf("ReservationJobIDs on a closed cluster = %v, want empty", held)
+	}
+
 	// The process must remain healthy: a fresh cluster on the same topology
 	// bootstraps and decides jobs after the old one was torn down.
 	lc2, err := NewLiveCluster(fastLine(4), cfg, 200*time.Microsecond)

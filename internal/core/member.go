@@ -157,8 +157,8 @@ func (s *Site) onCommit(m CommitMsg) {
 		return
 	}
 	job := s.cluster.jobByID(m.Job)
-	if job == nil && s.cluster.nodeMode && m.Graph != nil {
-		// Multi-process deployment: the initiator's record lives in another
+	if job == nil && s.cluster.sites[m.Initiator] == nil && m.Graph != nil {
+		// The initiator is hosted elsewhere: its record lives in another
 		// process, so reconstruct the member's view from the message itself.
 		job = s.cluster.adoptRemoteJob(m.Job, m.Graph, m.Initiator)
 	}

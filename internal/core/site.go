@@ -244,6 +244,35 @@ func (s *Site) adoptRouter(t routing.Router) {
 	}
 }
 
+// finishBootstrap closes this site's routing bootstrap once the network has
+// drained (see Cluster.finishBootstrap): the two-level table is assembled
+// here; a flat table was adopted when the site's last round completed.
+func (s *Site) finishBootstrap() error {
+	if s.boot != nil {
+		if !s.boot.Done() {
+			return fmt.Errorf("core: site %d never finished hierarchical bootstrap (missing regions %v)",
+				s.id, s.boot.MissingRegions())
+		}
+		s.adoptHier(s.boot.Finish())
+	}
+	if s.table == nil {
+		return fmt.Errorf("core: site %d never finished PCS construction", s.id)
+	}
+	return nil
+}
+
+// routingState reports the routing-table footprint as {bytes, entries}.
+func (s *Site) routingState() [2]int {
+	if s.table == nil {
+		return [2]int{}
+	}
+	return [2]int{s.table.StateBytes(), s.table.StateEntries()}
+}
+
+// idle reports whether the site has released its lock, drained its deferred
+// queue and closed its transactions.
+func (s *Site) idle() bool { return !s.locked() && len(s.deferred) == 0 && len(s.txns) == 0 }
+
 // handle is the single transport entry point. Routing-table messages are
 // offered to the membership layer first: epoch-tagged repair floods belong
 // to it, the epoch-0 bootstrap to the §7 state machine. Membership beacons
@@ -406,7 +435,7 @@ func (s *Site) forward(m Routed) {
 	}
 }
 
-func (s *Site) now() float64 { return s.cluster.nowFor(s.id) }
+func (s *Site) now() float64 { return s.cluster.tr.NowOf(s.id) }
 
 // after schedules fn in this site's execution context after a virtual-time
 // delay — the clock every phase timer, lease and execution timer runs on.

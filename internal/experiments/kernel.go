@@ -9,22 +9,6 @@ import (
 	"repro/internal/sim/par"
 )
 
-// kernelWorkers, when nonzero, routes every RTDS-core cluster the suite
-// builds onto the conservative parallel kernel with that many partitions
-// (core.Config.KernelWorkers). Set it once before running; the produced
-// tables are byte-identical to the serial kernel's — the setting trades
-// wall-clock time only. The fab/oracle baselines have no DES core and are
-// unaffected.
-var kernelWorkers int
-
-// SetKernelWorkers selects the simulation kernel for subsequent suite runs:
-// 0 the serial reference engine, >= 1 the parallel kernel with that many
-// partitions. Call before RunTasks/All, never concurrently with a run.
-func SetKernelWorkers(workers int) { kernelWorkers = workers }
-
-// KernelWorkers reports the current suite-wide kernel selection.
-func KernelWorkers() int { return kernelWorkers }
-
 // ---------------------------------------------------------------------------
 // Kernel benchmark: single-run multicore scaling (the BENCH_suite.json
 // "kernel" section)

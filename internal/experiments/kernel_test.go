@@ -26,7 +26,6 @@ func TestKernelWorkersByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays three experiments at six kernel settings")
 	}
-	defer SetKernelWorkers(KernelWorkers())
 	seeds := []int64{1, 2, 3}
 	var tasks []Task
 	for _, s := range seeds {
@@ -43,14 +42,12 @@ func TestKernelWorkersByteIdentity(t *testing.T) {
 			len(tasks), len(seeds)*len(kernelIdentityExperiments))
 	}
 
-	SetKernelWorkers(0)
-	serial := RunTasks(Quick, tasks, 1)
+	serial := RunTasks(Quick, tasks, 1, 0)
 	if err := FirstError(serial); err != nil {
 		t.Fatalf("serial reference run: %v", err)
 	}
 	for _, p := range []int{1, 2, 3, 8, 17} {
-		SetKernelWorkers(p)
-		got := RunTasks(Quick, tasks, 1)
+		got := RunTasks(Quick, tasks, 1, p)
 		if err := FirstError(got); err != nil {
 			t.Fatalf("kernel-workers=%d: %v", p, err)
 		}

@@ -22,6 +22,12 @@ import (
 type runEnv struct {
 	events atomic.Int64
 	busyNS atomic.Int64
+	// kernelWorkers routes every RTDS-core cluster the task builds onto the
+	// parallel kernel with that many partitions (core.Config.KernelWorkers);
+	// 0 is the serial reference engine. The tables are byte-identical either
+	// way — the setting trades wall-clock time only — and the fab/oracle
+	// baselines have no DES core and are unaffected.
+	kernelWorkers int
 }
 
 // note accumulates one cluster run's processed-event count and elapsed time.
@@ -138,7 +144,9 @@ type Result struct {
 // (per-task rand sources, no shared globals) and shard row blocks are
 // merged in shard order, so the produced tables are byte-identical to a
 // serial run whatever the worker count. workers <= 0 selects GOMAXPROCS.
-func RunTasks(size Size, tasks []Task, workers int) []Result {
+// kernelWorkers selects the simulation kernel of every RTDS-core cluster
+// (0 serial, >= 1 parallel; see core.Config.KernelWorkers).
+func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 	type unit struct {
 		task  int // index into tasks
 		shard int // -1: run the whole experiment
@@ -188,7 +196,7 @@ func RunTasks(size Size, tasks []Task, workers int) []Result {
 				}
 				u := units[i]
 				t := tasks[u.task]
-				env := new(runEnv)
+				env := &runEnv{kernelWorkers: kernelWorkers}
 				start := time.Now() //lint:allow wallclock -- wall-time measurement of suite throughput; never enters simulation state
 				ur := unitResult{}
 				if u.shard < 0 {
@@ -266,14 +274,15 @@ func FirstError(results []Result) error {
 
 // RunAll runs the entire suite for one seed on a worker pool and returns the
 // tables in the same stable order All produces. workers <= 0 selects
-// GOMAXPROCS; workers == 1 degenerates to a serial run.
-func RunAll(size Size, seed int64, workers int) ([]*metrics.Table, error) {
+// GOMAXPROCS; workers == 1 degenerates to a serial run. kernelWorkers is
+// passed through to RunTasks.
+func RunAll(size Size, seed int64, workers, kernelWorkers int) ([]*metrics.Table, error) {
 	suite := Suite()
 	tasks := make([]Task, len(suite))
 	for i, n := range suite {
 		tasks[i] = Task{Exp: n, Seed: seed}
 	}
-	results := RunTasks(size, tasks, workers)
+	results := RunTasks(size, tasks, workers, kernelWorkers)
 	if err := FirstError(results); err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func TestParallelSuiteDeterministicMerge(t *testing.T) {
 	}
 	want := renderAll(serial)
 	for _, workers := range []int{1, 8} {
-		par, err := RunAll(Quick, 1, workers)
+		par, err := RunAll(Quick, 1, workers, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -53,7 +53,7 @@ func TestRunTasksOrderAndInstrumentation(t *testing.T) {
 		{Exp: byName["paper"], Seed: 2},
 		{Exp: byName["E9-pcs-construction"], Seed: 3},
 	}
-	results := RunTasks(Quick, tasks, 4)
+	results := RunTasks(Quick, tasks, 4, 0)
 	if len(results) != len(tasks) {
 		t.Fatalf("%d results for %d tasks", len(results), len(tasks))
 	}
@@ -94,7 +94,7 @@ func TestSameSeedSameTableAcrossWorkers(t *testing.T) {
 		}
 	}
 	tasks := []Task{{Exp: e9, Seed: 7}, {Exp: e9, Seed: 7}, {Exp: e9, Seed: 7}}
-	results := RunTasks(Quick, tasks, 3)
+	results := RunTasks(Quick, tasks, 3, 0)
 	for i := 1; i < len(results); i++ {
 		if results[i].Err != nil {
 			t.Fatal(results[i].Err)

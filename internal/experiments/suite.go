@@ -69,9 +69,7 @@ func StdSpec(sites int, horizon float64, seed int64) workload.Spec {
 // read scheme-specific metrics (bootstrap cost, sphere sizes).
 func (env *runEnv) runCluster(name string, topo *graph.Graph, cfg scheme.Config, arrivals []workload.Arrival) (scheme.Cluster, error) {
 	if cfg.KernelWorkers == 0 {
-		// Suite-wide kernel selection (SetKernelWorkers): every RTDS-core
-		// cluster runs on the parallel kernel, byte-identical tables.
-		cfg.KernelWorkers = kernelWorkers
+		cfg.KernelWorkers = env.kernelWorkers
 	}
 	start := time.Now() //lint:allow wallclock -- events/sec accounting for the CI bench gate; never enters simulation state
 	c, err := scheme.MustGet(name).Build(topo, cfg)

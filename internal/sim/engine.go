@@ -9,15 +9,17 @@
 // layers (internal/simnet, internal/core) build message passing and protocol
 // state machines on top of it.
 //
-// internal/sim/par holds the multicore counterpart: a conservative
-// (lookahead-windowed) parallel kernel that shards sites across per-core
-// event heaps and reproduces this engine's event order bit-for-bit for the
-// workloads the suite runs (see the par package comment for the ordering
-// argument). The serial engine remains the reference semantics.
+// Queue is the one event-queue implementation: heap, node pool,
+// cancellation index, burst-shrink policy and the pop-and-fire step. Engine,
+// the serial kernel, is one Queue. internal/sim/par holds the multicore
+// counterpart: a conservative (lookahead-windowed) parallel kernel that is
+// one Queue per partition plus outboxes and a window barrier, and
+// reproduces this engine's event order bit-for-bit for the workloads the
+// suite runs (see the par package comment for the ordering argument). The
+// serial engine remains the reference semantics.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -32,145 +34,66 @@ type Time = float64
 // The zero EventID is never issued.
 type EventID int64
 
-type event struct {
-	at    Time
-	seq   int64 // tie-breaker: FIFO among simultaneous events
-	id    EventID
-	fn    func()
-	index int // heap index, -1 when popped/cancelled
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // ErrEventLimit is returned by Run/RunUntil when the engine processed more
 // events than the configured limit, which almost always indicates a protocol
 // livelock in the layers above.
 var ErrEventLimit = errors.New("sim: event limit exceeded")
 
-// Engine is a discrete-event simulation engine. The zero value is not ready
-// to use; call New.
+// Engine is the serial discrete-event engine — the reference semantics: one
+// Queue whose events all carry birth 0 and origin 0, ordered by (at, global
+// scheduling order).
 type Engine struct {
-	now       Time
-	pq        eventHeap
-	seq       int64
-	nextID    EventID
-	live      map[EventID]*event
-	free      []*event // recycled event nodes
-	processed int64
-	limit     int64 // 0 = unlimited
-	running   bool
+	q       Queue
+	seq     int64
+	limit   int64 // 0 = unlimited
+	running bool
 }
 
 // New returns an engine with the virtual clock at 0.
-func New() *Engine {
-	return &Engine{live: make(map[EventID]*event)}
-}
+func New() *Engine { return &Engine{} }
 
 // SetEventLimit bounds the total number of events the engine will process
 // across all Run calls. limit <= 0 removes the bound.
-func (e *Engine) SetEventLimit(limit int64) {
-	if limit < 0 {
-		limit = 0
-	}
-	e.limit = limit
-}
+func (e *Engine) SetEventLimit(limit int64) { e.limit = max(limit, 0) }
 
 // Now reports the current virtual time.
-func (e *Engine) Now() Time { return e.now }
+func (e *Engine) Now() Time { return e.q.Now() }
 
 // Processed reports how many events have fired so far.
-func (e *Engine) Processed() int64 { return e.processed }
+func (e *Engine) Processed() int64 { return e.q.Processed() }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return e.q.Len() }
 
-// schedule validates and enqueues one event node drawn from the pool.
-func (e *Engine) schedule(t Time, fn func()) *event {
-	if math.IsNaN(t) {
-		panic("sim: NaN event time")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past: t=%v now=%v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil event function")
+// schedule validates and enqueues one event.
+func (e *Engine) schedule(t Time, fn func()) *Event {
+	if t < e.q.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past: t=%v now=%v", t, e.q.now))
 	}
 	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.id, ev.fn = t, e.seq, 0, fn
-	} else {
-		//lint:allow hotalloc -- pool-miss growth: each node is allocated once, then recycled through e.free
-		ev = &event{at: t, seq: e.seq, fn: fn}
-	}
-	heap.Push(&e.pq, ev)
+	ev := e.q.Alloc(t, 0, 0, e.seq, fn)
+	e.q.Push(ev)
 	return ev
-}
-
-// release returns a popped or cancelled event node to the pool. The closure
-// reference is dropped so the pool does not pin caller state.
-func (e *Engine) release(ev *event) {
-	ev.fn = nil
-	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at absolute virtual time t and returns an ID that
 // can cancel it. Scheduling in the past panics: it is always a logic error
 // in the layers above, and silently clamping would mask causality bugs.
-func (e *Engine) At(t Time, fn func()) EventID {
-	ev := e.schedule(t, fn)
-	e.nextID++
-	ev.id = e.nextID
-	e.live[ev.id] = ev
-	return ev.id
-}
+func (e *Engine) At(t Time, fn func()) EventID { return e.q.Track(e.schedule(t, fn)) }
 
 // AtFixed schedules fn to run at absolute virtual time t with no way to
-// cancel it. Fire-and-forget events skip the cancellation index entirely —
-// message deliveries, the dominant event class, never cancel, and tracking
-// them costs a map insert + delete per event on the hot path.
+// cancel it: fire-and-forget events skip the cancellation index (see
+// Queue.Track).
 //
 //lint:hotpath -- fire-and-forget scheduling carries every simulated message delivery
-func (e *Engine) AtFixed(t Time, fn func()) {
-	e.schedule(t, fn)
-}
+func (e *Engine) AtFixed(t Time, fn func()) { e.schedule(t, fn) }
 
 // After schedules fn to run d time units from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now+d, fn)
+	return e.At(e.q.now+d, fn)
 }
 
 // AfterFixed schedules fn to run d time units from now with no cancellation
@@ -179,117 +102,58 @@ func (e *Engine) AfterFixed(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.AtFixed(e.now+d, fn)
+	e.AtFixed(e.q.now+d, fn)
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending (false if it already fired or was cancelled). Only events created
 // by At/After can be cancelled; AtFixed/AfterFixed events have no ID.
-func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.live[id]
-	if !ok {
-		return false
-	}
-	delete(e.live, id)
-	heap.Remove(&e.pq, ev.index)
-	e.release(ev)
-	return true
-}
+func (e *Engine) Cancel(id EventID) bool { return e.q.Cancel(id) }
 
-// step fires the earliest pending event. It reports false when the queue is
-// empty.
+// NowOf, Schedule, ScheduleCancellable, Parts and PartOf are the per-site
+// view the DES transport programs against (simnet.Kernel, see par.Engine):
+// here every site shares the one clock, the one queue and partition 0.
+
+func (e *Engine) NowOf(site int) Time                       { return e.q.now }
+func (e *Engine) Schedule(from, to int, at Time, fn func()) { e.AtFixed(at, fn) }
+func (e *Engine) ScheduleCancellable(site int, at Time, fn func()) func() bool {
+	id := e.At(at, fn)
+	return func() bool { return e.Cancel(id) }
+}
+func (e *Engine) Parts() int          { return 1 }
+func (e *Engine) PartOf(site int) int { return 0 }
+
+// run is the event loop: pop and fire events with timestamps <= horizon.
 //
-//lint:hotpath -- the event loop body: every simulated event dispatch goes through here
-func (e *Engine) step() (bool, error) {
-	if len(e.pq) == 0 {
-		return false, nil
-	}
-	if e.limit > 0 && e.processed >= e.limit {
-		return false, ErrEventLimit
-	}
-	ev := heap.Pop(&e.pq).(*event)
-	if ev.id != 0 {
-		delete(e.live, ev.id)
-	}
-	if ev.at < e.now {
-		panic("sim: time went backwards") // unreachable by construction
-	}
-	at, fn := ev.at, ev.fn
-	e.release(ev) // fn may schedule and reuse the node; all fields are read
-	e.now = at
-	e.processed++
-	fn()
-	e.maybeShrink()
-	return true, nil
-}
-
-// poolMin is the capacity below which the shrink heuristics never fire;
-// steady-state simulations stay under it and pay nothing.
-const poolMin = 1 << 10
-
-// maybeShrink caps the memory a burst leaves pinned: a flood-heavy bootstrap
-// can balloon the free pool and the heap's backing array to hundreds of
-// thousands of entries that the steady state never needs again, and neither
-// ever shrinks on its own (release only appends; Pop only reslices). Checked
-// once every 1024 events: surplus pooled nodes are released to the garbage
-// collector once the pool dwarfs the pending queue, and the pool and heap
-// backing arrays are reallocated at half capacity once their lengths fall
-// below a quarter of capacity.
-func (e *Engine) maybeShrink() {
-	if e.processed&1023 != 0 {
-		return
-	}
-	if n := len(e.free); n > poolMin && n > 4*(len(e.pq)+1) {
-		for i := n / 2; i < n; i++ {
-			e.free[i] = nil
-		}
-		e.free = e.free[:n/2]
-	}
-	if c := cap(e.free); c > poolMin && len(e.free) < c/4 {
-		e.free = append(make([]*event, 0, c/2), e.free...) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the pool is 4x oversized
-	}
-	if c := cap(e.pq); c > poolMin && len(e.pq) < c/4 {
-		pq := make(eventHeap, len(e.pq), c/2) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the heap backing is 4x oversized
-		copy(pq, e.pq)
-		e.pq = pq
-	}
-}
-
-// Run processes events until the queue drains or the event limit trips.
-func (e *Engine) Run() error {
+//lint:hotpath -- the serial event loop: every simulated event dispatch goes through here
+func (e *Engine) run(horizon Time) error {
 	if e.running {
 		return errors.New("sim: Run called re-entrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for {
-		ok, err := e.step()
-		if err != nil {
-			return err
+	for e.q.Len() > 0 && e.q.NextAt() <= horizon {
+		if e.limit > 0 && e.q.processed >= e.limit {
+			return ErrEventLimit
 		}
-		if !ok {
-			return nil
-		}
+		e.q.Step()
 	}
+	return nil
 }
+
+// Run processes events until the queue drains or the event limit trips.
+func (e *Engine) Run() error { return e.run(math.Inf(1)) }
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
 // t (even if no event fired exactly there). Events scheduled during the run
 // are honoured if they fall within the horizon.
 func (e *Engine) RunUntil(t Time) error {
-	if t < e.now {
-		return fmt.Errorf("sim: RunUntil(%v) is in the past (now=%v)", t, e.now)
+	if t < e.q.now {
+		return fmt.Errorf("sim: RunUntil(%v) is in the past (now=%v)", t, e.q.now)
 	}
-	if e.running {
-		return errors.New("sim: RunUntil called re-entrantly")
+	if err := e.run(t); err != nil {
+		return err
 	}
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		if _, err := e.step(); err != nil {
-			return err
-		}
-	}
-	e.now = t
+	e.q.SetNow(t)
 	return nil
 }

@@ -2,9 +2,10 @@
 // multicore counterpart of internal/sim's serial Engine.
 //
 // Sites (called origins here) are pinned to partitions; each partition owns
-// an event heap, a clock and an execution thread, so all events of one
-// origin run serially on one goroutine — the same per-site serial contract
-// the serial kernel and the live transport give the protocol layer.
+// a sim.Queue (the serial engine's own event heap, pool and clock) and an
+// execution thread, so all events of one origin run serially on one
+// goroutine — the same per-site serial contract the serial kernel and the
+// live transport give the protocol layer.
 // Partitions synchronize with conservative time windows: every round the
 // coordinator computes the global floor (the minimum next-event time across
 // partitions) and lets all partitions run concurrently up to the safe
@@ -34,7 +35,6 @@
 package par
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -42,66 +42,13 @@ import (
 	"repro/internal/sim"
 )
 
-// event is one scheduled closure. The ordering key (at, birth, origin, seq)
-// is partition-count-independent; see the package comment.
-type event struct {
-	at     float64
-	birth  float64
-	origin int32
-	seq    int64
-	id     int64 // cancellation handle; 0 = fire-and-forget
-	fn     func()
-	index  int
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.birth != b.birth {
-		return a.birth < b.birth
-	}
-	if a.origin != b.origin {
-		return a.origin < b.origin
-	}
-	return a.seq < b.seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-// partition is one shard of the simulation: an event heap, a node pool, a
-// clock and the cancellation index of its own timers. All fields are owned
-// by the partition's worker goroutine during a window and by the
-// coordinator between windows (the barrier channels order the handoff).
+// partition is one shard of the simulation: a sim.Queue (event heap, node
+// pool, clock and the cancellation index of its own timers). It is owned by
+// the partition's worker goroutine during a window and by the coordinator
+// between windows (the barrier channels order the handoff).
 type partition struct {
-	pq        eventHeap
-	free      []*event
-	live      map[int64]*event
-	nextID    int64
-	now       float64
-	processed int64
-	limitHit  bool
+	sim.Queue
+	limitHit bool
 }
 
 // window is one synchronization round's execution bound. Events strictly
@@ -123,7 +70,7 @@ type Engine struct {
 	originPart []int32
 	originSeq  []int64
 	parts      []*partition
-	outbox     [][][]*event // [src partition][dst partition]
+	outbox     [][][]*sim.Event // [src partition][dst partition]
 	limit      int64
 	running    bool
 }
@@ -143,9 +90,7 @@ func New(part []int, lookahead float64) (*Engine, error) {
 		if p < 0 {
 			return nil, fmt.Errorf("par: origin %d has negative partition %d", origin, p)
 		}
-		if p+1 > nparts {
-			nparts = p + 1
-		}
+		nparts = max(nparts, p+1)
 	}
 	if !(lookahead > 0) {
 		return nil, fmt.Errorf("par: non-positive lookahead %v", lookahead)
@@ -155,14 +100,14 @@ func New(part []int, lookahead float64) (*Engine, error) {
 		originPart: make([]int32, len(part)),
 		originSeq:  make([]int64, len(part)),
 		parts:      make([]*partition, nparts),
-		outbox:     make([][][]*event, nparts),
+		outbox:     make([][][]*sim.Event, nparts),
 	}
 	for origin, p := range part {
 		e.originPart[origin] = int32(p)
 	}
 	for p := range e.parts {
-		e.parts[p] = &partition{live: make(map[int64]*event)}
-		e.outbox[p] = make([][]*event, nparts)
+		e.parts[p] = &partition{}
+		e.outbox[p] = make([][]*sim.Event, nparts)
 	}
 	return e, nil
 }
@@ -170,20 +115,15 @@ func New(part []int, lookahead float64) (*Engine, error) {
 // Parts reports the number of partitions.
 func (e *Engine) Parts() int { return len(e.parts) }
 
-// Lookahead reports the conservative window width.
-func (e *Engine) Lookahead() float64 { return e.lookahead }
+// PartOf reports the partition an origin is pinned to.
+func (e *Engine) PartOf(origin int) int { return int(e.originPart[origin]) }
 
 // SetEventLimit bounds the total number of events processed across all Run
 // calls, the same livelock backstop as the serial kernel. Because partitions
 // only reconcile at window barriers, the run may overshoot the limit by up
 // to one window's worth of events before the error surfaces. limit <= 0
 // removes the bound.
-func (e *Engine) SetEventLimit(limit int64) {
-	if limit < 0 {
-		limit = 0
-	}
-	e.limit = limit
-}
+func (e *Engine) SetEventLimit(limit int64) { e.limit = max(limit, 0) }
 
 // Now reports the engine's clock: the maximum partition clock, which after
 // a completed Run equals the timestamp of the last event processed (the
@@ -191,24 +131,20 @@ func (e *Engine) SetEventLimit(limit int64) {
 func (e *Engine) Now() float64 {
 	now := 0.0
 	for _, pt := range e.parts {
-		if pt.now > now {
-			now = pt.now
-		}
+		now = max(now, pt.Now())
 	}
 	return now
 }
 
 // NowOf reports the clock of the origin's partition: the virtual time an
 // event closure running in that origin's execution context observes.
-func (e *Engine) NowOf(origin int) float64 {
-	return e.parts[e.originPart[origin]].now
-}
+func (e *Engine) NowOf(origin int) float64 { return e.parts[e.originPart[origin]].Now() }
 
 // Processed reports how many events have fired so far, across partitions.
 func (e *Engine) Processed() int64 {
 	var total int64
 	for _, pt := range e.parts {
-		total += pt.processed
+		total += pt.Processed()
 	}
 	return total
 }
@@ -217,40 +153,21 @@ func (e *Engine) Processed() int64 {
 func (e *Engine) Pending() int {
 	total := 0
 	for _, pt := range e.parts {
-		total += len(pt.pq)
+		total += pt.Len()
 	}
 	return total
 }
 
 // alloc draws an event node from a partition's pool and fills the ordering
-// key. seq is drawn from the scheduling origin's counter, which only that
-// origin's partition touches, so the increment needs no synchronization.
-func (e *Engine) alloc(pt *partition, from int, at, birth float64, fn func()) *event {
-	if math.IsNaN(at) {
-		panic("par: NaN event time")
-	}
-	if fn == nil {
-		panic("par: nil event function")
+// key: birth is that partition's clock, seq comes from the scheduling
+// origin's counter, which only that origin's partition touches, so the
+// increment needs no synchronization.
+func (e *Engine) alloc(pt *partition, from int, at float64, fn func()) *sim.Event {
+	if at < pt.Now() {
+		panic(fmt.Sprintf("par: scheduling event in the past: t=%v now=%v", at, pt.Now()))
 	}
 	e.originSeq[from]++
-	var ev *event
-	if n := len(pt.free); n > 0 {
-		ev = pt.free[n-1]
-		pt.free[n-1] = nil
-		pt.free = pt.free[:n-1]
-		ev.at, ev.birth, ev.origin, ev.seq, ev.id, ev.fn = at, birth, int32(from), e.originSeq[from], 0, fn
-	} else {
-		//lint:allow hotalloc -- pool-miss growth: each node is allocated once, then recycled through the partition pool
-		ev = &event{at: at, birth: birth, origin: int32(from), seq: e.originSeq[from], fn: fn}
-	}
-	return ev
-}
-
-// release returns a fired or cancelled node to a partition's pool, dropping
-// the closure so the pool does not pin caller state.
-func release(pt *partition, ev *event) {
-	ev.fn = nil
-	pt.free = append(pt.free, ev)
+	return pt.Alloc(at, pt.Now(), int32(from), e.originSeq[from], fn)
 }
 
 // Schedule enqueues fn to run at absolute virtual time at in the execution
@@ -272,25 +189,18 @@ func (e *Engine) Schedule(from, to int, at float64, fn func()) {
 		// single-threaded, all clocks aligned; push straight into the
 		// destination heap.
 		dst := e.parts[q]
-		if at < dst.now {
-			panic(fmt.Sprintf("par: scheduling event in the past: t=%v now=%v", at, dst.now))
-		}
-		ev := e.alloc(dst, from, at, dst.now, fn)
-		heap.Push(&dst.pq, ev)
+		dst.Push(e.alloc(dst, from, at, fn))
 		return
 	}
-	if at < src.now {
-		panic(fmt.Sprintf("par: scheduling event in the past: t=%v now=%v", at, src.now))
-	}
-	ev := e.alloc(src, from, at, src.now, fn)
+	ev := e.alloc(src, from, at, fn)
 	if p == q {
-		heap.Push(&src.pq, ev)
+		src.Push(ev)
 		return
 	}
-	if at < src.now+e.lookahead {
+	if at < src.Now()+e.lookahead {
 		panic(fmt.Sprintf(
 			"par: cross-partition event inside the lookahead window: t=%v now=%v lookahead=%v",
-			at, src.now, e.lookahead))
+			at, src.Now(), e.lookahead))
 	}
 	e.outbox[p][q] = append(e.outbox[p][q], ev)
 }
@@ -301,58 +211,29 @@ func (e *Engine) Schedule(from, to int, at float64, fn func()) {
 // and cancels only its own — so the cancellation index is partition-local.
 func (e *Engine) ScheduleCancellable(origin int, at float64, fn func()) func() bool {
 	pt := e.parts[e.originPart[origin]]
-	if at < pt.now {
-		panic(fmt.Sprintf("par: scheduling event in the past: t=%v now=%v", at, pt.now))
-	}
-	ev := e.alloc(pt, origin, at, pt.now, fn)
-	pt.nextID++
-	ev.id = pt.nextID
-	pt.live[ev.id] = ev
-	heap.Push(&pt.pq, ev)
-	id := ev.id
-	return func() bool {
-		pending, ok := pt.live[id]
-		if !ok {
-			return false
-		}
-		delete(pt.live, id)
-		heap.Remove(&pt.pq, pending.index)
-		release(pt, pending)
-		return true
-	}
+	ev := e.alloc(pt, origin, at, fn)
+	id := pt.Track(ev)
+	pt.Push(ev)
+	return func() bool { return pt.Cancel(id) }
 }
 
 // runWindow executes one partition's share of a synchronization window: pop
-// and fire events below the bound, tracking the partition clock. It is the
-// parallel kernel's event-loop body.
+// and fire events below the bound.
 //
 //lint:hotpath -- the partition step loop: every simulated event dispatch goes through here
 func (pt *partition) runWindow(e *Engine, w window) {
-	for len(pt.pq) > 0 {
-		top := pt.pq[0]
-		if top.at > w.bound || (top.at == w.bound && !w.inclusive) {
+	for pt.Len() > 0 {
+		if at := pt.NextAt(); at > w.bound || (at == w.bound && !w.inclusive) {
 			return
 		}
-		if e.limit > 0 && pt.processed >= e.limit {
+		if e.limit > 0 && pt.Processed() >= e.limit {
 			// Local backstop against a livelock that never leaves this
 			// partition (zero-delay local event chains never exhaust a
 			// window); the barrier reconciles the global count.
 			pt.limitHit = true
 			return
 		}
-		ev := heap.Pop(&pt.pq).(*event)
-		if ev.id != 0 {
-			delete(pt.live, ev.id)
-		}
-		if ev.at < pt.now {
-			panic("par: time went backwards") // unreachable by construction
-		}
-		at, fn := ev.at, ev.fn
-		release(pt, ev) // fn may schedule and reuse the node; all fields are read
-		pt.now = at
-		pt.processed++
-		fn()
-		pt.maybeShrink()
+		pt.Step()
 	}
 }
 
@@ -364,10 +245,7 @@ func (e *Engine) Run() error {
 	if err := e.run(math.Inf(1)); err != nil {
 		return err
 	}
-	now := e.Now()
-	for _, pt := range e.parts {
-		pt.now = now
-	}
+	e.alignClocks(e.Now())
 	return nil
 }
 
@@ -376,17 +254,21 @@ func (e *Engine) Run() error {
 // kernel's RunUntil.
 func (e *Engine) RunUntil(t float64) error {
 	for _, pt := range e.parts {
-		if t < pt.now {
-			return fmt.Errorf("par: RunUntil(%v) is in the past (now=%v)", t, pt.now)
+		if t < pt.Now() {
+			return fmt.Errorf("par: RunUntil(%v) is in the past (now=%v)", t, pt.Now())
 		}
 	}
 	if err := e.run(t); err != nil {
 		return err
 	}
-	for _, pt := range e.parts {
-		pt.now = t
-	}
+	e.alignClocks(t)
 	return nil
+}
+
+func (e *Engine) alignClocks(t float64) {
+	for _, pt := range e.parts {
+		pt.SetNow(t)
+	}
 }
 
 // run is the coordinator: spawn one worker per partition, then loop
@@ -400,66 +282,45 @@ func (e *Engine) run(horizon float64) error {
 	e.running = true
 	defer func() { e.running = false }()
 
-	nparts := len(e.parts)
-	if nparts == 1 {
-		// One partition needs no workers or barriers: run the window loop
-		// inline (this is also the shape lossy fault plans collapse to).
-		return e.runSerial(horizon)
-	}
-
-	cmds := make([]chan window, nparts)
-	for p := range cmds {
-		cmds[p] = make(chan window)
-	}
-	var winWG sync.WaitGroup
-	var runWG sync.WaitGroup
-	for p := 0; p < nparts; p++ {
-		runWG.Add(1)
-		go func(p int) {
-			defer runWG.Done()
-			for w := range cmds[p] {
-				e.parts[p].runWindow(e, w)
-				winWG.Done()
+	// One partition needs no workers or barriers: its windows run inline,
+	// the same loop in the same event order (the ordering key is
+	// partition-count-independent). This is also the shape lossy fault
+	// plans collapse to.
+	dispatch := func(w window) { e.parts[0].runWindow(e, w) }
+	if nparts := len(e.parts); nparts > 1 {
+		cmds := make([]chan window, nparts)
+		var winWG, runWG sync.WaitGroup
+		for p := range cmds {
+			cmds[p] = make(chan window)
+			runWG.Add(1)
+			go func(p int) {
+				defer runWG.Done()
+				for w := range cmds[p] {
+					e.parts[p].runWindow(e, w)
+					winWG.Done()
+				}
+			}(p)
+		}
+		defer func() {
+			for _, c := range cmds {
+				close(c)
 			}
-		}(p)
-	}
-	stop := func() {
-		for _, c := range cmds {
-			close(c)
-		}
-		runWG.Wait()
-	}
-
-	for {
-		w, ok := e.nextWindow(horizon)
-		if !ok {
-			break
-		}
-		winWG.Add(nparts)
-		for _, c := range cmds {
-			c <- w
-		}
-		winWG.Wait()
-		if err := e.mergeBarrier(); err != nil {
-			stop()
-			return err
+			runWG.Wait()
+		}()
+		dispatch = func(w window) {
+			winWG.Add(nparts)
+			for _, c := range cmds {
+				c <- w
+			}
+			winWG.Wait()
 		}
 	}
-	stop()
-	return nil
-}
-
-// runSerial is the single-partition fast path: the same window loop without
-// goroutines, preserving the exact event order of the multi-partition run
-// (the ordering key is partition-count-independent).
-func (e *Engine) runSerial(horizon float64) error {
-	pt := e.parts[0]
 	for {
 		w, ok := e.nextWindow(horizon)
 		if !ok {
 			return nil
 		}
-		pt.runWindow(e, w)
+		dispatch(w)
 		if err := e.mergeBarrier(); err != nil {
 			return err
 		}
@@ -473,8 +334,8 @@ func (e *Engine) runSerial(horizon float64) error {
 func (e *Engine) nextWindow(horizon float64) (window, bool) {
 	floor := math.Inf(1)
 	for _, pt := range e.parts {
-		if len(pt.pq) > 0 && pt.pq[0].at < floor {
-			floor = pt.pq[0].at
+		if pt.Len() > 0 && pt.NextAt() < floor {
+			floor = pt.NextAt()
 		}
 	}
 	if floor > horizon || math.IsInf(floor, 1) {
@@ -496,10 +357,8 @@ func (e *Engine) mergeBarrier() error {
 	for q, pt := range e.parts {
 		for p := range e.parts {
 			box := e.outbox[p][q]
-			for _, ev := range box {
-				heap.Push(&pt.pq, ev)
-			}
-			for i := range box {
+			for i, ev := range box {
+				pt.Push(ev)
 				box[i] = nil
 			}
 			e.outbox[p][q] = box[:0]
@@ -512,33 +371,4 @@ func (e *Engine) mergeBarrier() error {
 		return sim.ErrEventLimit
 	}
 	return nil
-}
-
-// poolMin is the capacity below which the shrink heuristics never fire;
-// steady-state simulations stay under it and pay nothing.
-const poolMin = 1 << 10
-
-// maybeShrink caps the memory a burst leaves pinned in this partition, the
-// same policy as the serial kernel: surplus pooled nodes are released to the
-// garbage collector once the pool dwarfs the pending queue, and the heap's
-// backing array is reallocated once its length falls below a quarter of its
-// capacity.
-func (pt *partition) maybeShrink() {
-	if pt.processed&1023 != 0 {
-		return
-	}
-	if n := len(pt.free); n > poolMin && n > 4*(len(pt.pq)+1) {
-		for i := n / 2; i < n; i++ {
-			pt.free[i] = nil
-		}
-		pt.free = pt.free[:n/2]
-	}
-	if c := cap(pt.free); c > poolMin && len(pt.free) < c/4 {
-		pt.free = append(make([]*event, 0, c/2), pt.free...) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the pool is 4x oversized
-	}
-	if c := cap(pt.pq); c > poolMin && len(pt.pq) < c/4 {
-		pq := make(eventHeap, len(pt.pq), c/2) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the heap backing is 4x oversized
-		copy(pq, pt.pq)
-		pt.pq = pq
-	}
 }

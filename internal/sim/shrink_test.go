@@ -34,13 +34,13 @@ func TestBurstReleasesRetainedCapacity(t *testing.T) {
 	const flood = 256 * 1024
 	e := New()
 	burst(e, flood)
-	if got := cap(e.pq); got >= flood/4 {
+	if got := cap(e.q.pq); got >= flood/4 {
 		t.Errorf("heap backing retains cap %d after burst of %d; want shrunk below %d", got, flood, flood/4)
 	}
-	if got := len(e.free); got >= flood/4 {
+	if got := len(e.q.free); got >= flood/4 {
 		t.Errorf("free pool retains %d nodes after burst of %d; want shrunk below %d", got, flood, flood/4)
 	}
-	if got := cap(e.free); got >= flood/4 {
+	if got := cap(e.q.free); got >= flood/4 {
 		t.Errorf("free pool backing retains cap %d after burst of %d; want shrunk below %d", got, flood, flood/4)
 	}
 }

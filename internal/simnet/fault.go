@@ -116,12 +116,17 @@ func (f *faultState) down(site graph.NodeID, t float64) bool {
 
 // perturb decides the fate of one traversal sent at time `at` with base link
 // delay `delay`: it returns the (possibly jittered) delay and whether the
-// traversal is dropped. Crash drops consume no randomness, so a plan with
-// crashes only is reproducible without regard to traffic interleaving; loss
-// and jitter draw from the seeded source in send order.
+// traversal is dropped. Crash windows are pure functions of (site, time):
+// a plan with crashes only takes no lock and consumes no randomness, so it
+// is reproducible without regard to traffic interleaving and safe to
+// evaluate from concurrent simulation partitions. Loss and jitter draw from
+// the seeded source in send order.
 func (f *faultState) perturb(from, to graph.NodeID, at, delay float64) (float64, bool) {
 	if f.down(from, at) || f.down(to, at+delay) {
 		return delay, true
+	}
+	if f.plan.Loss <= 0 && f.plan.MaxJitter <= 0 {
+		return delay, false
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()

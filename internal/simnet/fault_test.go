@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // pairTopo is a single link with delay 1.
@@ -18,10 +17,9 @@ func pairTopo() *graph.Graph {
 
 // runLossTrial sends n messages over a lossy link and returns which message
 // indices were delivered plus the final dropped count.
-func runLossTrial(t *testing.T, seed int64, loss float64, n int) ([]int, int64) {
+func runLossTrial(t *testing.T, k Kernel, seed int64, loss float64, n int) ([]int, int64) {
 	t.Helper()
-	eng := sim.New()
-	tr := NewDES(eng, pairTopo())
+	tr := NewDES(k, pairTopo())
 	var got []int
 	tr.Attach(0, func(graph.NodeID, Payload) {})
 	tr.Attach(1, func(_ graph.NodeID, p Payload) { got = append(got, p.(testMsg).n) })
@@ -31,16 +29,40 @@ func runLossTrial(t *testing.T, seed int64, loss float64, n int) ([]int, int64) 
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return got, tr.Stats().Dropped()
 }
 
+// lossyParts: loss and jitter draw from one sequential source, so the
+// transport admits them on a single partition only (see
+// TestDESLossyPlanNeedsOnePartition).
+var lossyParts = []int{1}
+
 func TestDESFaultLossDeterministicAndCounted(t *testing.T) {
 	const n = 200
-	gotA, droppedA := runLossTrial(t, 42, 0.3, n)
-	gotB, droppedB := runLossTrial(t, 42, 0.3, n)
+	// The serial engine's pattern is the reference: the parallel kernel at
+	// one partition must drop exactly the same traversals.
+	var reference []int
+	onEveryKernel(t, pairTopo(), lossyParts, func(t *testing.T, k Kernel) {
+		got, _ := runLossTrial(t, k, 42, 0.3, n)
+		if reference == nil {
+			reference = got
+			return
+		}
+		if len(got) != len(reference) {
+			t.Fatalf("delivered %d messages, the serial engine %d", len(got), len(reference))
+		}
+		for i := range got {
+			if got[i] != reference[i] {
+				t.Fatalf("diverged from the serial engine at delivery %d: %d vs %d", i, got[i], reference[i])
+			}
+		}
+	})
+	fresh := func() Kernel { k, _ := NewKernel(pairTopo(), 0); return k }
+	gotA, droppedA := runLossTrial(t, fresh(), 42, 0.3, n)
+	gotB, droppedB := runLossTrial(t, fresh(), 42, 0.3, n)
 	if len(gotA) != len(gotB) {
 		t.Fatalf("same seed delivered %d vs %d messages", len(gotA), len(gotB))
 	}
@@ -58,7 +80,7 @@ func TestDESFaultLossDeterministicAndCounted(t *testing.T) {
 	if droppedA != droppedB {
 		t.Fatalf("same seed dropped %d vs %d", droppedA, droppedB)
 	}
-	gotC, _ := runLossTrial(t, 43, 0.3, n)
+	gotC, _ := runLossTrial(t, fresh(), 43, 0.3, n)
 	same := len(gotC) == len(gotA)
 	if same {
 		for i := range gotA {
@@ -73,9 +95,29 @@ func TestDESFaultLossDeterministicAndCounted(t *testing.T) {
 	}
 }
 
+// TestDESLossyPlanNeedsOnePartition: SetFaults enforces what the callers
+// are told to arrange.
+func TestDESLossyPlanNeedsOnePartition(t *testing.T) {
+	k, err := NewKernel(pairTopo(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewDES(k, pairTopo())
+	tr.SetFaults(FaultPlan{Crashes: []Crash{{Site: 1, At: 1}}}, 0) // crash-only: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a lossy plan was armed on two partitions")
+		}
+	}()
+	tr.SetFaults(FaultPlan{Seed: 1, Loss: 0.1}, 0)
+}
+
 func TestDESFaultCrashWindowDropsBothDirections(t *testing.T) {
-	eng := sim.New()
-	tr := NewDES(eng, pairTopo())
+	onEveryKernel(t, pairTopo(), oneAndTwo, testCrashWindowDropsBothDirections)
+}
+
+func testCrashWindowDropsBothDirections(t *testing.T, k Kernel) {
+	tr := NewDES(k, pairTopo())
 	var delivered []int
 	tr.Attach(0, func(_ graph.NodeID, p Payload) { delivered = append(delivered, p.(testMsg).n) })
 	tr.Attach(1, func(_ graph.NodeID, p Payload) { delivered = append(delivered, p.(testMsg).n) })
@@ -83,7 +125,7 @@ func TestDESFaultCrashWindowDropsBothDirections(t *testing.T) {
 	tr.SetFaults(FaultPlan{Crashes: []Crash{{Site: 1, At: 10, For: 10}}}, 0)
 
 	send := func(at float64, from, to graph.NodeID, n int) {
-		eng.AtFixed(at, func() {
+		k.Schedule(int(from), int(from), at, func() {
 			if err := tr.Send(from, to, testMsg{kind: "x", size: 1, n: n}); err != nil {
 				t.Error(err)
 			}
@@ -95,7 +137,7 @@ func TestDESFaultCrashWindowDropsBothDirections(t *testing.T) {
 	send(15, 1, 0, 4)  // sent BY the crashed site: dropped
 	send(21, 0, 1, 5)  // after recovery: delivered
 	send(25, 1, 0, 6)  // recovered site sends again: delivered
-	if err := eng.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 5, 6}
@@ -113,21 +155,23 @@ func TestDESFaultCrashWindowDropsBothDirections(t *testing.T) {
 }
 
 func TestDESFaultPermanentCrashNeverRecovers(t *testing.T) {
-	eng := sim.New()
-	tr := NewDES(eng, pairTopo())
+	onEveryKernel(t, pairTopo(), oneAndTwo, testPermanentCrashNeverRecovers)
+}
+
+func testPermanentCrashNeverRecovers(t *testing.T, k Kernel) {
+	tr := NewDES(k, pairTopo())
 	got := 0
 	tr.Attach(0, func(graph.NodeID, Payload) {})
 	tr.Attach(1, func(graph.NodeID, Payload) { got++ })
 	tr.SetFaults(FaultPlan{Crashes: []Crash{{Site: 1, At: 1}}}, 0)
 	for _, at := range []float64{5, 50, 500} {
-		at := at
-		eng.AtFixed(at, func() {
+		k.Schedule(0, 0, at, func() {
 			if err := tr.Send(0, 1, testMsg{kind: "x", size: 1}); err != nil {
 				t.Error(err)
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != 0 {
@@ -136,11 +180,14 @@ func TestDESFaultPermanentCrashNeverRecovers(t *testing.T) {
 }
 
 func TestDESFaultJitterBounds(t *testing.T) {
-	eng := sim.New()
-	tr := NewDES(eng, pairTopo())
+	onEveryKernel(t, pairTopo(), lossyParts, testJitterBounds)
+}
+
+func testJitterBounds(t *testing.T, k Kernel) {
+	tr := NewDES(k, pairTopo())
 	var arrivals []float64
 	tr.Attach(0, func(graph.NodeID, Payload) {})
-	tr.Attach(1, func(graph.NodeID, Payload) { arrivals = append(arrivals, eng.Now()) })
+	tr.Attach(1, func(graph.NodeID, Payload) { arrivals = append(arrivals, tr.NowOf(1)) })
 	tr.SetFaults(FaultPlan{Seed: 9, MaxJitter: 0.5}, 0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -148,7 +195,7 @@ func TestDESFaultJitterBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := eng.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(arrivals) != n {
@@ -169,17 +216,20 @@ func TestDESFaultJitterBounds(t *testing.T) {
 }
 
 func TestFaultEpochShiftsCrashWindows(t *testing.T) {
-	eng := sim.New()
-	tr := NewDES(eng, pairTopo())
+	onEveryKernel(t, pairTopo(), oneAndTwo, testEpochShiftsCrashWindows)
+}
+
+func testEpochShiftsCrashWindows(t *testing.T, k Kernel) {
+	tr := NewDES(k, pairTopo())
 	got := 0
 	tr.Attach(0, func(graph.NodeID, Payload) {})
 	tr.Attach(1, func(graph.NodeID, Payload) { got++ })
 	// Crash at plan time 10 with epoch 100: absolute window starts at 110.
 	tr.SetFaults(FaultPlan{Crashes: []Crash{{Site: 1, At: 10, For: 5}}}, 100)
-	eng.AtFixed(105, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // before 110: ok
-	eng.AtFixed(111, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // inside: dropped
-	eng.AtFixed(116, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // after 115: ok
-	if err := eng.Run(); err != nil {
+	k.Schedule(0, 0, 105, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // before 110: ok
+	k.Schedule(0, 0, 111, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // inside: dropped
+	k.Schedule(0, 0, 116, func() { tr.Send(0, 1, testMsg{kind: "x", size: 1}) }) // after 115: ok
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != 2 {

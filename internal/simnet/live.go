@@ -230,6 +230,9 @@ func (l *Live) Now() float64 {
 	return float64(time.Since(l.start)) / float64(l.scale)
 }
 
+// NowOf implements Transport: every node reads the one wall clock.
+func (l *Live) NowOf(graph.NodeID) float64 { return l.Now() }
+
 // Topology implements Transport.
 func (l *Live) Topology() *graph.Graph { return l.topo }
 

@@ -8,12 +8,13 @@
 //
 // Two implementations live in this package, and a third outside it:
 //
-//   - DES: built on internal/sim — fully deterministic, used by all
-//     experiments and benchmarks;
-//   - PartDES: built on internal/sim/par — the same deterministic semantics
-//     over the conservative parallel kernel, routing partition-local
-//     traffic into per-partition heaps and cross-partition traffic through
-//     the barrier outboxes (enabled by the kernel-workers knob);
+//   - DES: fully deterministic, used by all experiments and benchmarks. One
+//     transport over a small Kernel interface that both event engines
+//     satisfy: the serial reference engine (internal/sim) and the
+//     conservative parallel kernel (internal/sim/par), which routes
+//     partition-local traffic into per-partition queues and
+//     cross-partition traffic through the barrier outboxes. NewKernel
+//     picks between them from a worker count;
 //   - Live: one goroutine per site and real (scaled) time — demonstrates the
 //     protocol under genuine concurrency (examples/livenet) and backs the
 //     transport-equivalence tests;
@@ -33,7 +34,6 @@ import (
 
 	"repro/internal/determinism"
 	"repro/internal/graph"
-	"repro/internal/sim"
 )
 
 // Payload is anything a site sends to another site. Kind routes the message
@@ -63,8 +63,12 @@ type Transport interface {
 	Send(from, to graph.NodeID, p Payload) error
 	// After runs fn in node id's execution context after d time units.
 	After(id graph.NodeID, d float64, fn func()) CancelFunc
-	// Now reports the current (virtual or scaled real) time.
+	// Now reports the current (virtual or scaled real) time; on a
+	// partitioned DES kernel it is meaningful between runs only. NowOf
+	// reports the time node id's execution context observes: its
+	// partition's clock on the DES, Now on the wall-clock transports.
 	Now() float64
+	NowOf(id graph.NodeID) float64
 	// Topology exposes the underlying network graph.
 	Topology() *graph.Graph
 	// Stats exposes the communication counters.
@@ -175,7 +179,7 @@ func (s *Stats) Record(p Payload) {
 
 // RecordEdge counts one sent payload with its link endpoints, so traversals
 // crossing the installed boundary classifier are also counted. Transports
-// that know the link (DES, PartDES, Live) use this instead of Record.
+// that know the link (DES, Live) use this instead of Record.
 func (s *Stats) RecordEdge(from, to graph.NodeID, p Payload) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,87 +269,3 @@ func (s *Stats) String() string {
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// DES transport
-
-// DES is the deterministic transport over a discrete-event engine.
-type DES struct {
-	engine   *sim.Engine
-	topo     *graph.Graph
-	handlers map[graph.NodeID]Handler
-	stats    *Stats
-	faults   *faultState
-}
-
-// NewDES builds a DES transport over the topology. The caller drives the
-// simulation through Engine().Run or RunUntil.
-func NewDES(engine *sim.Engine, topo *graph.Graph) *DES {
-	return &DES{
-		engine:   engine,
-		topo:     topo,
-		handlers: make(map[graph.NodeID]Handler),
-		stats:    NewStats(),
-	}
-}
-
-// Engine exposes the underlying event engine.
-func (d *DES) Engine() *sim.Engine { return d.engine }
-
-// Attach implements Transport.
-func (d *DES) Attach(id graph.NodeID, h Handler) {
-	if _, dup := d.handlers[id]; dup {
-		panic(fmt.Sprintf("simnet: handler for node %d attached twice", id))
-	}
-	d.handlers[id] = h
-}
-
-// SetFaults implements Transport. Since the DES runs single-threaded, every
-// subsequent Send observes the injector immediately and in a deterministic
-// order, so runs of the same plan and traffic are byte-identical.
-func (d *DES) SetFaults(plan FaultPlan, epoch float64) {
-	d.faults = newFaultState(plan, epoch)
-}
-
-// Send implements Transport.
-func (d *DES) Send(from, to graph.NodeID, p Payload) error {
-	delay, err := d.topo.EdgeDelay(from, to)
-	if err != nil {
-		return fmt.Errorf("simnet: send %s from %d to non-neighbor %d", p.Kind(), from, to)
-	}
-	if d.faults != nil {
-		var dropped bool
-		if delay, dropped = d.faults.perturb(from, to, d.engine.Now(), delay); dropped {
-			d.stats.Drop()
-			return nil
-		}
-	}
-	d.stats.RecordEdge(from, to, p)
-	// Deliveries are fire-and-forget: the protocol never cancels an in-flight
-	// message, so skip the engine's cancellation index on this hot path.
-	d.engine.AfterFixed(delay, func() {
-		h, ok := d.handlers[to]
-		if !ok {
-			panic(fmt.Sprintf("simnet: no handler attached at node %d", to))
-		}
-		h(from, p)
-	})
-	return nil
-}
-
-// After implements Transport.
-func (d *DES) After(id graph.NodeID, delay float64, fn func()) CancelFunc {
-	evID := d.engine.After(delay, fn)
-	return func() bool { return d.engine.Cancel(evID) }
-}
-
-// Now implements Transport.
-func (d *DES) Now() float64 { return d.engine.Now() }
-
-// Topology implements Transport.
-func (d *DES) Topology() *graph.Graph { return d.topo }
-
-// Stats implements Transport.
-func (d *DES) Stats() *Stats { return d.stats }
-
-var _ Transport = (*DES)(nil)

@@ -343,6 +343,9 @@ func (t *NetTransport) Now() float64 {
 	return float64(time.Since(t.start)) / float64(t.scale)
 }
 
+// NowOf implements simnet.Transport: the process has one wall clock.
+func (t *NetTransport) NowOf(graph.NodeID) float64 { return t.Now() }
+
 // Topology implements simnet.Transport.
 func (t *NetTransport) Topology() *graph.Graph { return t.topo }
 
