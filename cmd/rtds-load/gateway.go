@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -69,7 +68,7 @@ func runGateway(o opts) error {
 		len(arrivals), base, tenants, o.load, o.scale)
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	if err := waitGatewayReady(client, base, 60*time.Second); err != nil {
+	if err := waitReady(client, base, 60*time.Second); err != nil {
 		return err
 	}
 
@@ -168,7 +167,7 @@ func runGateway(o opts) error {
 	// gateway and on every node we were told about.
 	targets := []string{base + "/metrics"}
 	if o.nodesSpec != "" {
-		nodes, err := parseNodeList(o.nodesSpec, o.sites)
+		nodes, err := parseNodeList(o.nodesSpec)
 		if err != nil {
 			return err
 		}
@@ -187,15 +186,8 @@ func runGateway(o opts) error {
 		rep.Acked, rep.Accepted, rep.Rejected, rep.Undecided, rep.LostAcked, rep.TenantSubmitted)
 	fmt.Printf("metrics validated: %s\n", strings.Join(rep.MetricsValidated, ", "))
 
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.jsonOut)
+	if err := writeReport(o.jsonOut, rep); err != nil {
+		return err
 	}
 	switch {
 	case rep.LostAcked > 0:
@@ -274,21 +266,6 @@ func submitGateway(client *http.Client, base, tenant, key string, a workload.Arr
 	}
 }
 
-func waitGatewayReady(client *http.Client, base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-	return fmt.Errorf("gateway %s not ready after %v", base, timeout)
-}
-
 // getJSONCode is getJSON that hands back the status code instead of
 // failing on non-200s (reconciliation needs to see 404s).
 func getJSONCode(client *http.Client, url string, v any) (int, error) {
@@ -325,7 +302,7 @@ func validateMetrics(client *http.Client, url string) error {
 
 // parseNodeList accepts both the id=host:port map form and a bare
 // comma-separated host:port list (gateway mode does not need site ids).
-func parseNodeList(spec string, sites int) ([]string, error) {
+func parseNodeList(spec string) ([]string, error) {
 	var out []string
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)

@@ -191,7 +191,7 @@ func run(o opts) error {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	for id := 0; id < o.sites; id++ {
-		if err := waitReady(client, nodes[graph.NodeID(id)], 60*time.Second); err != nil {
+		if err := waitReady(client, "http://"+nodes[graph.NodeID(id)], 60*time.Second); err != nil {
 			if o.optional[graph.NodeID(id)] {
 				fmt.Printf("rtds-load: optional site %d not ready, continuing\n", id)
 				continue
@@ -291,15 +291,8 @@ func run(o opts) error {
 			fmt.Println("  mismatch:", m)
 		}
 	}
-	if o.jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", o.jsonOut)
+	if err := writeReport(o.jsonOut, rep); err != nil {
+		return err
 	}
 
 	switch {
@@ -386,10 +379,11 @@ func buildWorkload(o opts) ([]workload.Arrival, error) {
 	}
 }
 
-func waitReady(client *http.Client, addr string, timeout time.Duration) error {
+// waitReady polls base's /readyz (a node's control API or the gateway).
+func waitReady(client *http.Client, base string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		resp, err := client.Get("http://" + addr + "/readyz")
+		resp, err := client.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -398,7 +392,7 @@ func waitReady(client *http.Client, addr string, timeout time.Duration) error {
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-	return fmt.Errorf("not ready after %v", timeout)
+	return fmt.Errorf("%s not ready after %v", base, timeout)
 }
 
 func submit(client *http.Client, addr string, a workload.Arrival) error {
@@ -424,18 +418,11 @@ func submit(client *http.Client, addr string, a workload.Arrival) error {
 }
 
 func fetchJobs(client *http.Client, addr string) ([]core.JobStatus, error) {
-	resp, err := client.Get("http://" + addr + "/jobs")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var reply struct {
 		Jobs []core.JobStatus `json:"jobs"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return nil, err
-	}
-	return reply.Jobs, nil
+	err := getJSON(client, "http://"+addr+"/jobs", &reply)
+	return reply.Jobs, err
 }
 
 // waitDecided polls every node until the submitted jobs are decided AND
@@ -593,15 +580,27 @@ func buildReport(client *http.Client, nodes map[graph.NodeID]string, o opts,
 }
 
 func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
+	code, err := getJSONCode(client, url, v)
+	if err == nil && code != http.StatusOK {
+		err = fmt.Errorf("GET %s: status %d", url, code)
+	}
+	return err
+}
+
+// writeReport writes the -json report of either mode; no path, no file.
+func writeReport(path string, rep any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	fmt.Println("wrote", path)
+	return nil
 }
 
 // verifyAgainstLive replays the identical arrivals on the in-process live

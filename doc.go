@@ -42,19 +42,19 @@
 // JoinReq/JoinAck handshake lets a fresh process for a crashed site enter
 // a running cluster and start serving enrollments (Node.StartJoin,
 // rtds-node -join). Membership arms automatically when a fault plan
-// injects crashes, replacing the scripted DetectDelay oracle.
+// injects crashes; its timing is written in Config.Membership only.
 //
 // # Policies and schemes
 //
 // The protocol's decision points are pluggable (Config.Policies, the
 // policy layer): the enrollment fan-out (full sphere or k-redundant), the
 // local acceptance test (EDF or a laxity threshold), the laxity
-// dispatching and the mapper heuristic. Nil policies replay the paper's
-// hard-wired behavior exactly.
+// dispatching and the mapper heuristic. Config.Policies is the only place
+// any of the four is chosen; nil policies are the paper's choices.
 //
-// Complete scheduling algorithms are registered as schemes — rtds, spread,
-// broadcast, local, fab (focused addressing + bidding) and oracle — and
-// built by name:
+// Complete scheduling algorithms are registered as schemes — rtds,
+// rtds-hier, broadcast, local, fab (focused addressing + bidding) and
+// oracle — and built by name:
 //
 //	c, err := rtds.BuildScheme("broadcast", topo, rtds.SchemeConfig{})
 //	if err != nil { ... }

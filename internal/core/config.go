@@ -6,7 +6,6 @@ import (
 	"repro/internal/core/membership"
 	"repro/internal/core/policy"
 	"repro/internal/graph"
-	"repro/internal/mapper"
 	"repro/internal/routing"
 	"repro/internal/simnet"
 )
@@ -23,9 +22,6 @@ type Config struct {
 	// LocalOnly disables distribution entirely: jobs that fail the local
 	// test are rejected (the baseline RTDS is compared against).
 	LocalOnly bool
-	// Heuristic and LaxityMode configure the mapper (§9, §12, §13).
-	Heuristic  mapper.Heuristic
-	LaxityMode mapper.LaxityMode
 	// EnrollSlack is added to the enrollment timeout beyond the round-trip
 	// bound 2·ω(PCS); it lets acks that tie with the timer win.
 	EnrollSlack float64
@@ -66,9 +62,9 @@ type Config struct {
 	// Policies selects the protocol's pluggable decision points: enrollment
 	// fan-out (Sphere), the local guarantee test (Acceptance), case-(iii)
 	// laxity scattering (Dispatch) and the trial-mapping heuristic (Mapper).
-	// Nil fields resolve to the paper defaults — FullSphere, EDF, and
-	// wrappers over the legacy LaxityMode/Heuristic knobs — which replay
-	// the hard-wired behavior event for event.
+	// It is the only selector of all four. Nil fields resolve to the paper
+	// defaults — FullSphere (HierSphere under Hier), EDF, UniformDispatch
+	// and the CP-EFT HeuristicMapper.
 	Policies policy.Set
 	// KernelWorkers selects the discrete-event kernel backing a simulated
 	// cluster. 0 (the default) runs the serial internal/sim engine — the
@@ -105,11 +101,11 @@ type Config struct {
 	// Membership arms the distributed membership layer: per-site heartbeats
 	// with suspicion timeouts, flooded death/resurrection notices,
 	// epoch-tagged routing re-floods and the runtime join handshake. When
-	// not explicitly enabled but the fault plan injects crashes, a
-	// configuration is derived from the plan (SuspectAfter from the legacy
-	// DetectDelay, a horizon covering every planned crash) so failure
-	// detection happens through the protocol instead of the old scripted
-	// oracle. Disabled clusters run the faultless paper model untouched.
+	// not explicitly enabled but the fault plan injects crashes, the default
+	// detector is armed (flood budget from the radius, a horizon covering
+	// every planned crash) so failure detection always happens through the
+	// protocol. It is the only place failure-detection timing is written.
+	// Disabled clusters run the faultless paper model untouched.
 	Membership membership.Config
 }
 
@@ -165,11 +161,11 @@ func (c Config) validate(topo *graph.Graph) error {
 
 // membershipConfig resolves the effective membership configuration: the
 // explicit Config.Membership when enabled, otherwise a configuration
-// derived from a crash-injecting fault plan — heartbeat and suspicion
-// timing from the plan's DetectDelay, the flood budget from the sphere
-// radius (the repair re-flood obeys the same interruption bound as the
-// bootstrap), and a horizon that covers detecting every planned crash and
-// recovery, so discrete-event runs drain once the last repair settles.
+// derived from a crash-injecting fault plan — the default heartbeat and
+// suspicion timing, the flood budget from the sphere radius (the repair
+// re-flood obeys the same interruption bound as the bootstrap), and a
+// horizon that covers detecting every planned crash and recovery, so
+// discrete-event runs drain once the last repair settles.
 func (c Config) membershipConfig() membership.Config {
 	m := c.Membership
 	if !m.Enabled {
@@ -177,10 +173,6 @@ func (c Config) membershipConfig() membership.Config {
 			return membership.Config{}
 		}
 		m = membership.Config{Enabled: true}
-		if d := c.Faults.DetectDelay; d > 0 {
-			m.SuspectAfter = d
-			m.HeartbeatEvery = d / 3
-		}
 	}
 	if m.FloodRounds == 0 {
 		if r := routing.RoundsForRadius(c.Radius); r > 0 {
@@ -200,15 +192,8 @@ func (c Config) membershipConfig() membership.Config {
 				last = end
 			}
 		}
-		hb := m.HeartbeatEvery
-		if hb <= 0 {
-			hb = 1
-		}
-		suspect := m.SuspectAfter
-		if suspect <= 0 {
-			suspect = 3 * hb
-		}
-		m.Horizon = last + suspect + 10*hb
+		timing := m.WithDefaults()
+		m.Horizon = last + timing.SuspectAfter + 10*timing.HeartbeatEvery
 	}
 	return m
 }
@@ -221,8 +206,6 @@ func (c Config) power(site int) float64 {
 }
 
 // The policy resolvers fill nil Policies fields with the paper defaults.
-// Dispatch and Mapper fall back to wrappers over the legacy LaxityMode and
-// Heuristic knobs so existing sweeps (E5, E8) keep working unchanged.
 
 func (c Config) spherePolicy() policy.Sphere {
 	if c.Policies.Sphere != nil {
@@ -245,12 +228,12 @@ func (c Config) dispatchPolicy() policy.Dispatch {
 	if c.Policies.Dispatch != nil {
 		return c.Policies.Dispatch
 	}
-	return policy.FromLaxityMode(c.LaxityMode)
+	return policy.UniformDispatch{}
 }
 
 func (c Config) mapperPolicy() policy.Mapper {
 	if c.Policies.Mapper != nil {
 		return c.Policies.Mapper
 	}
-	return policy.FromHeuristic(c.Heuristic)
+	return policy.HeuristicMapper{}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core/membership"
 	"repro/internal/core/txn"
 	"repro/internal/graph"
 	"repro/internal/simnet"
@@ -224,10 +225,8 @@ func TestCrashedInitiatorLeaseUnlocksMembers(t *testing.T) {
 // around the dead site.
 func TestCrashedSiteRoutedAround(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Faults = &simnet.FaultPlan{
-		Crashes:     []simnet.Crash{{Site: 1, At: 5}},
-		DetectDelay: 1,
-	}
+	cfg.Faults = &simnet.FaultPlan{Crashes: []simnet.Crash{{Site: 1, At: 5}}}
+	cfg.Membership = membership.Config{Enabled: true, SuspectAfter: 1, HeartbeatEvery: 1.0 / 3}
 	c := mustCluster(t, ring5(), cfg)
 	// Before the repair the sphere of site 0 includes its neighbor 1.
 	preSphere := c.SiteSphere(0)

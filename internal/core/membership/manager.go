@@ -106,7 +106,7 @@ type Manager struct {
 // established site, post-bootstrap) or StartJoin (a joiner) once the
 // transport is running.
 func New(self graph.NodeID, neighbors []graph.Edge, cfg Config, hooks Hooks) *Manager {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	delays := make(map[graph.NodeID]float64, len(neighbors))
 	for _, e := range neighbors {
 		delays[e.To] = e.Delay

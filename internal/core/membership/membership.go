@@ -35,9 +35,9 @@
 // # Failure detection and repair
 //
 // Sites heartbeat their direct topology neighbors every HeartbeatEvery and
-// declare a neighbor dead after SuspectAfter of silence — replacing the
-// scripted FaultPlan.DetectDelay oracle. A detected death is flooded as an
-// incarnation-tagged notice; each site that applies it bumps its epoch,
+// declare a neighbor dead after SuspectAfter of silence. A detected death
+// is flooded as an incarnation-tagged notice; each site that applies it
+// bumps its epoch,
 // rebuilds its table from the start condition over its alive neighbors
 // (stale routes *through* the corpse cannot survive a reset, which is what
 // the central RebuildAlive pass used to guarantee) and re-floods the table
@@ -100,8 +100,9 @@ type Config struct {
 	JoinRetries int
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset fields: the one place the default detector
+// timing (heartbeat 1, suspicion after 3 heartbeats) is written.
+func (c Config) WithDefaults() Config {
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 1
 	}

@@ -47,8 +47,8 @@ func TestMembershipRequiresHorizonOnDES(t *testing.T) {
 // TestCrashRejoinResurrects: a temporary fail-silent window is detected by
 // the heartbeat layer, the victim is routed around, and once its beacons
 // resume every site resurrects it at a fresh incarnation — after which a
-// job enrolls it again. The scripted DetectDelay oracle is gone; all of
-// this flows through the wire protocol.
+// job enrolls it again. Nothing scripts the detection; all of this flows
+// through the wire protocol.
 func TestCrashRejoinResurrects(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceEvents = true

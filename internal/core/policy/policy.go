@@ -31,8 +31,8 @@ import (
 )
 
 // Set bundles one concrete choice per policy axis. Nil fields select the
-// paper defaults (FullSphere, EDF, and the mapper knobs from the legacy
-// Config fields).
+// paper defaults (FullSphere, EDF, UniformDispatch, CP-EFT HeuristicMapper);
+// it is the only place a cluster's choice on any of the four axes is written.
 type Set struct {
 	Sphere     Sphere
 	Acceptance Acceptance
@@ -239,14 +239,6 @@ func (WeightedDispatch) Name() string { return "busyness-weighted" }
 // LaxityMode implements Dispatch.
 func (WeightedDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityBusynessWeighted }
 
-// FromLaxityMode wraps a legacy Config.LaxityMode value as a Dispatch.
-func FromLaxityMode(m mapper.LaxityMode) Dispatch {
-	if m == mapper.LaxityBusynessWeighted {
-		return WeightedDispatch{}
-	}
-	return UniformDispatch{}
-}
-
 // ---------------------------------------------------------------------------
 // Mapper: the trial-mapping heuristic (§9)
 
@@ -258,7 +250,8 @@ type Mapper interface {
 	Heuristic() mapper.Heuristic
 }
 
-// HeuristicMapper selects a fixed internal/mapper heuristic.
+// HeuristicMapper selects a fixed internal/mapper heuristic; the zero value
+// is the paper's CP-EFT.
 type HeuristicMapper struct{ H mapper.Heuristic }
 
 // Name implements Mapper.
@@ -266,6 +259,3 @@ func (m HeuristicMapper) Name() string { return m.H.String() }
 
 // Heuristic implements Mapper.
 func (m HeuristicMapper) Heuristic() mapper.Heuristic { return m.H }
-
-// FromHeuristic wraps a legacy Config.Heuristic value as a Mapper.
-func FromHeuristic(h mapper.Heuristic) Mapper { return HeuristicMapper{H: h} }

@@ -116,17 +116,19 @@ func TestLaxityThresholdRejectsTightFits(t *testing.T) {
 	}
 }
 
-func TestLegacyKnobWrappers(t *testing.T) {
-	if FromLaxityMode(mapper.LaxityUniform).LaxityMode() != mapper.LaxityUniform {
-		t.Fatal("uniform wrapper changed the mode")
+// The defaults core.Config falls back to must hand mapper.Build the paper's
+// enums: the zero HeuristicMapper is CP-EFT, UniformDispatch is §12.2.
+func TestDispatchAndMapperCarryTheirEnums(t *testing.T) {
+	if (UniformDispatch{}).LaxityMode() != mapper.LaxityUniform {
+		t.Fatal("uniform dispatch changed the mode")
 	}
-	if FromLaxityMode(mapper.LaxityBusynessWeighted).LaxityMode() != mapper.LaxityBusynessWeighted {
-		t.Fatal("weighted wrapper changed the mode")
+	if (WeightedDispatch{}).LaxityMode() != mapper.LaxityBusynessWeighted {
+		t.Fatal("weighted dispatch changed the mode")
 	}
-	if FromHeuristic(mapper.HeuristicMinMin).Heuristic() != mapper.HeuristicMinMin {
-		t.Fatal("heuristic wrapper changed the heuristic")
+	if (HeuristicMapper{H: mapper.HeuristicMinMin}).Heuristic() != mapper.HeuristicMinMin {
+		t.Fatal("heuristic mapper changed the heuristic")
 	}
-	if FromHeuristic(mapper.HeuristicCPEFT).Name() != "cp-eft" {
-		t.Fatalf("name %q", FromHeuristic(mapper.HeuristicCPEFT).Name())
+	if (HeuristicMapper{}).Heuristic() != mapper.HeuristicCPEFT || (HeuristicMapper{}).Name() != "cp-eft" {
+		t.Fatalf("zero mapper is %q, not cp-eft", (HeuristicMapper{}).Name())
 	}
 }

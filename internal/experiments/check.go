@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/determinism"
-	"repro/internal/joblog"
 )
 
 // ratioTolerance bounds acceptable guarantee-ratio drift in the regression
@@ -23,11 +22,18 @@ const ratioTolerance = 1e-9
 //     formatting noise — the suite is seeded and deterministic, so drift
 //     means the protocol's behavior changed and the baseline must be
 //     regenerated deliberately;
-//   - suite throughput (events/sec) must not regress by more than
-//     evpsTolerance (0.25 = fail when more than 25% slower).
+//   - hot-path allocs/op must not exceed the baseline's, the kernel storm
+//     must stay deterministic (and scale, where the machine has the cores),
+//     and the routing sweep must match.
+//
+// Nothing wall-clock is compared against the baseline: events/sec is a
+// reading of the host, and throughput and latency regressions are the
+// benchmark's job (go run ./benchmark), which measures them against the
+// parent commit with a recorded spread. Sections the baseline carries but
+// this report no longer has (a "gateway" block in an older file) are ignored.
 //
 // All problems are reported together so one CI run shows the full damage.
-func CompareReports(baseline, current BenchReport, evpsTolerance float64) error {
+func CompareReports(baseline, current BenchReport) error {
 	var problems []string
 	if baseline.Size != current.Size {
 		problems = append(problems, fmt.Sprintf(
@@ -117,9 +123,11 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 			}
 		}
 	}
-	// Kernel scaling curve. Two unconditional checks — the storm's event
-	// count is deterministic and partition-count-independent, so any drift
-	// is a kernel correctness bug, not noise. The speedup floor binds only
+	// Kernel scaling curve. The storm's event count is deterministic and
+	// partition-count-independent: RunKernelBench refuses to report a curve
+	// whose points disagree, so what is pinned here is the count itself —
+	// drift is a kernel correctness bug or a changed workload, not noise.
+	// The speedup floor (against the serial engine) binds only
 	// on machines with enough cores to express one: the committed baseline
 	// may have been measured on fewer cores than the gate runs on (or vice
 	// versa), so the floor reads the *current* machine's curve.
@@ -128,13 +136,6 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 			problems = append(problems, "kernel benchmark section missing from the run")
 		} else {
 			k := current.Kernel
-			for _, p := range k.Points[1:] {
-				if p.Events != k.Points[0].Events {
-					problems = append(problems, fmt.Sprintf(
-						"kernel: %d workers processed %d events, 1 worker %d — partition-count determinism broken",
-						p.Workers, p.Events, k.Points[0].Events))
-				}
-			}
 			if b := baseline.Kernel; len(b.Points) > 0 && len(k.Points) > 0 &&
 				k.Points[0].Events != b.Points[0].Events {
 				problems = append(problems, fmt.Sprintf(
@@ -158,52 +159,6 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 	} else if current.Kernel != nil {
 		problems = append(problems,
 			"kernel benchmark section absent from the baseline (regenerate it)")
-	}
-	// Gateway section: the workload shape is pinned exactly (a changed
-	// job count or client concurrency is a different benchmark and needs
-	// a regenerated baseline); the measurements themselves are wall-clock
-	// and only sanity-checked — zero throughput or a zero-batch fsync
-	// histogram means the bench silently broke, not that hardware got
-	// slower. One comparison of two of this run's own numbers is gated,
-	// because it holds on any machine: an ack waits at most for the log's
-	// commit window to end, for the fsync in flight when its record was
-	// written and for the next one, so its median stays within the window
-	// plus a small multiple of a slow fsync unless something else (a timer
-	// in front of every fsync, a second waited-on record) is back on the
-	// path.
-	if baseline.Gateway != nil {
-		if current.Gateway == nil {
-			problems = append(problems, "gateway benchmark section missing from the run")
-		} else {
-			g := current.Gateway
-			if g.Jobs != baseline.Gateway.Jobs || g.Workers != baseline.Gateway.Workers {
-				problems = append(problems, fmt.Sprintf(
-					"gateway: workload %d jobs / %d workers, baseline pins %d / %d — the benchmark changed (regenerate the baseline)",
-					g.Jobs, g.Workers, baseline.Gateway.Jobs, baseline.Gateway.Workers))
-			}
-			if g.SubmissionsPerSec <= 0 || g.AcceptP99 <= 0 {
-				problems = append(problems, fmt.Sprintf(
-					"gateway: degenerate measurements (%.0f submissions/sec, p99 %.6fs)",
-					g.SubmissionsPerSec, g.AcceptP99))
-			}
-			if g.FsyncBatches <= 0 {
-				problems = append(problems,
-					"gateway: no fsync batches recorded — the write-ahead log is not syncing")
-			}
-			if g.FsyncBatches >= g.Jobs {
-				problems = append(problems, fmt.Sprintf(
-					"gateway: %d fsync batches for %d jobs — group commit is not batching",
-					g.FsyncBatches, g.Jobs))
-			}
-			if budget := joblog.CommitWindow.Seconds() + gatewayAckFsyncs*g.FsyncP99; g.FsyncP99 > 0 && g.AcceptP50 > budget {
-				problems = append(problems, fmt.Sprintf(
-					"gateway: accept p50 %.2f ms exceeds %.2f ms (the %.1f ms commit window + %gx the fsync p99 of %.2f ms) — the ack waits on something that is not the disk",
-					g.AcceptP50*1e3, budget*1e3, joblog.CommitWindow.Seconds()*1e3, gatewayAckFsyncs, g.FsyncP99*1e3))
-			}
-		}
-	} else if current.Gateway != nil {
-		problems = append(problems,
-			"gateway benchmark section absent from the baseline (regenerate it)")
 	}
 	// Routing section: fully deterministic (seeded topology, seeded
 	// workload, deterministic DES), so everything is gated exactly. Two
@@ -264,14 +219,6 @@ func CompareReports(baseline, current BenchReport, evpsTolerance float64) error 
 	} else if current.Routing != nil {
 		problems = append(problems,
 			"routing benchmark section absent from the baseline (regenerate it)")
-	}
-	if evpsTolerance > 0 && baseline.EventsPerSec > 0 && current.EventsPerSec > 0 {
-		floor := baseline.EventsPerSec * (1 - evpsTolerance)
-		if current.EventsPerSec < floor {
-			problems = append(problems, fmt.Sprintf(
-				"throughput regressed: %.0f events/sec vs baseline %.0f (floor %.0f at %.0f%% tolerance)",
-				current.EventsPerSec, baseline.EventsPerSec, floor, evpsTolerance*100))
-		}
 	}
 	if len(problems) == 0 {
 		return nil

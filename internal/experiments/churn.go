@@ -47,8 +47,8 @@ func e14Table(size Size) *metrics.Table {
 // from a cell-specific seed, crash times spread over the horizon. With
 // rejoin each outage lasts a quarter horizon and the site then resumes
 // heartbeating (the membership layer resurrects it); without, crashes are
-// permanent. DetectDelay stays zero: detection latency is now a property
-// of the membership timing, not of the plan.
+// permanent. Detection latency is a property of the membership timing
+// (e14's explicit Config.Membership), not of the plan.
 func e14Plan(seed int64, churn int, rejoin bool, horizon float64, sites int) *simnet.FaultPlan {
 	plan := &simnet.FaultPlan{Seed: seed*1000 + int64(churn)}
 	if churn == 0 {

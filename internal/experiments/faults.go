@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/core/membership"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/scheme"
@@ -33,7 +34,7 @@ func e12Table(size Size) *metrics.Table {
 // e12Plan derives the deterministic fault plan of one sweep cell. Crash
 // victims are drawn from a cell-specific seed and crash permanently at
 // times spread over the horizon, so early jobs see a healthy network and
-// late jobs must route around the dead sites after the detection delay.
+// late jobs must route around the dead sites once e12Detector notices.
 // Lossy cells also carry delay jitter (a lossy network is a jittery one);
 // the loss-free cells stay jitter-free so the (0, 0) cell is a true
 // faultless control and the (0, k) column isolates pure crash effects.
@@ -43,10 +44,9 @@ func e12Plan(seed int64, shard, crashes int, loss, horizon float64, sites int) *
 		jitter = 0.05
 	}
 	plan := &simnet.FaultPlan{
-		Seed:        seed*1000 + int64(shard*10+crashes),
-		Loss:        loss,
-		MaxJitter:   jitter,
-		DetectDelay: 2,
+		Seed:      seed*1000 + int64(shard*10+crashes),
+		Loss:      loss,
+		MaxJitter: jitter,
 	}
 	if crashes > 0 {
 		rng := rand.New(rand.NewSource(plan.Seed + 1))
@@ -59,6 +59,21 @@ func e12Plan(seed int64, shard, crashes int, loss, horizon float64, sites int) *
 		}
 	}
 	return plan
+}
+
+// e12Detector is the sweep's failure-detection timing: suspicion after 2
+// time units of silence, three heartbeats per suspicion window. It is armed
+// only in cells that crash a site — heartbeats in a loss-only cell would
+// move msgs/job, dropped and the event count — and leaves the flood budget
+// and horizon for core to derive from the radius and the plan.
+func e12Detector(crashes int) func(*core.Config) {
+	if crashes == 0 {
+		return nil
+	}
+	suspect := 2.0
+	return func(c *core.Config) {
+		c.Membership = membership.Config{Enabled: true, SuspectAfter: suspect, HeartbeatEvery: suspect / 3}
+	}
 }
 
 func e12Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
@@ -75,11 +90,13 @@ func e12Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 	for _, crashes := range e12CrashCounts(size) {
 		plan := e12Plan(seed, shard, crashes, loss, size.horizon(), size.sites())
 
-		rtds, err := env.run("rtds", topo, scheme.Config{Faults: plan}, arrivals)
+		detect := e12Detector(crashes)
+
+		rtds, err := env.run("rtds", topo, scheme.Config{Faults: plan, Tune: detect}, arrivals)
 		if err != nil {
 			return nil, err
 		}
-		bcast, err := env.run("broadcast", topo, scheme.Config{Faults: plan}, arrivals)
+		bcast, err := env.run("broadcast", topo, scheme.Config{Faults: plan, Tune: detect}, arrivals)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/sim/par"
+	"repro/internal/simnet"
 )
 
 // ---------------------------------------------------------------------------
@@ -29,22 +29,26 @@ const (
 
 // The -check gate's speedup floor: on a machine with at least
 // kernelSpeedupCores cores, some sweep point with that many workers must
-// reach kernelSpeedupFloor times the serial throughput. Machines with fewer
-// cores still run the sweep (determinism is checked everywhere) but cannot
-// express the floor, so it does not bind there.
+// reach kernelSpeedupFloor times the serial engine's throughput. Machines
+// with fewer cores still run the sweep (determinism is checked everywhere)
+// but cannot express the floor, so it does not bind there.
 const (
 	kernelSpeedupCores = 8
 	kernelSpeedupFloor = 4.0
 )
 
-// KernelPoint is one partition-count measurement of the kernel benchmark.
+// KernelPoint is one measurement of the kernel benchmark: Workers 0 is the
+// serial engine, Workers >= 1 the parallel kernel on that many partitions
+// (the meaning of core.Config.KernelWorkers).
 type KernelPoint struct {
 	Workers      int     `json:"workers"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	Events       int64   `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Speedup is EventsPerSec relative to the Workers=1 point of the same
-	// run. Wall-clock, so only comparable across runs on the same hardware.
+	// Speedup is EventsPerSec relative to the serial engine (the Workers=0
+	// point) of the same run — the parallel kernel at one partition is not
+	// the baseline: its smaller heaps read as a "speedup" on a single core.
+	// Wall-clock, so only comparable across runs on the same hardware.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -64,29 +68,29 @@ type KernelBench struct {
 	Points    []KernelPoint `json:"points"`
 }
 
-// kernelWorkerPoints is the partition-count sweep: powers of two from 1 up
-// to max(8, NumCPU). The floor of 8 keeps the curve meaningful even on
-// small machines — partitions beyond the core count cost little (smaller
-// per-partition heaps roughly offset the barrier), the event counts they
-// pin are machine-independent, and the top point's partition always has a
-// real cut (finite lookahead).
+// kernelWorkerPoints is the sweep: the serial engine (0), then partition
+// counts in powers of two from 1 up to max(8, NumCPU). The floor of 8 keeps
+// the curve meaningful even on small machines — partitions beyond the core
+// count cost little (smaller per-partition heaps roughly offset the
+// barrier), the event counts they pin are machine-independent, and the top
+// point's partition always has a real cut (finite lookahead).
 func kernelWorkerPoints() []int {
 	top := runtime.NumCPU()
 	if top < 8 {
 		top = 8
 	}
-	points := []int{1}
+	points := []int{0, 1}
 	for p := 2; p < top; p *= 2 {
 		points = append(points, p)
 	}
 	return append(points, top)
 }
 
-// runStorm executes the token storm on a fresh kernel with the given
-// partition count and reports the events processed and the wall time.
+// runStorm executes the token storm on a fresh kernel (workers as in
+// core.Config.KernelWorkers) and reports the events processed and the wall
+// time.
 func runStorm(topo *graph.Graph, workers int) (int64, time.Duration, error) {
-	part := topo.Partition(workers)
-	eng, err := par.New(part, topo.MinCrossDelay(part))
+	eng, err := simnet.NewKernel(topo, workers)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -122,8 +126,8 @@ func runStorm(topo *graph.Graph, workers int) (int64, time.Duration, error) {
 }
 
 // RunKernelBench measures the parallel kernel's single-run scaling curve:
-// the token storm at every partition count of kernelWorkerPoints, with the
-// serial point as the speedup baseline. It also asserts the determinism
+// the token storm at every point of kernelWorkerPoints, with the serial
+// engine as the speedup baseline. It also asserts the determinism
 // invariant directly — every point must process exactly the same number of
 // events.
 func RunKernelBench() (*KernelBench, error) {
@@ -149,7 +153,7 @@ func RunKernelBench() (*KernelBench, error) {
 		if wall > 0 {
 			p.EventsPerSec = float64(events) / wall.Seconds()
 		}
-		if w == 1 {
+		if w == 0 {
 			baseEvps = p.EventsPerSec
 		}
 		if baseEvps > 0 {
@@ -157,7 +161,7 @@ func RunKernelBench() (*KernelBench, error) {
 		}
 		if len(kb.Points) > 0 && events != kb.Points[0].Events {
 			return nil, fmt.Errorf(
-				"kernel bench: %d workers processed %d events, 1 worker processed %d — determinism broken",
+				"kernel bench: %d workers processed %d events, the serial engine processed %d — determinism broken",
 				w, events, kb.Points[0].Events)
 		}
 		kb.Points = append(kb.Points, p)

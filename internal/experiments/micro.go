@@ -10,8 +10,6 @@ import (
 	"repro/internal/core/txn"
 	"repro/internal/graph"
 	"repro/internal/schedule"
-	"repro/internal/sim"
-	"repro/internal/sim/par"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -43,8 +41,8 @@ func RunMicroBenches() []MicroBench {
 		micro("wire/read-frame", benchWireReadFrame),
 		micro("wire/write-batch", benchWireWriteBatch),
 		micro("graph/partition", benchGraphPartition),
-		micro("sim/event-loop", benchSimEventLoop),
-		micro("sim/par-event-loop", benchParEventLoop),
+		micro("sim/event-loop", benchKernelEventLoop(0)),
+		micro("sim/par-event-loop", benchKernelEventLoop(1)),
 		micro("schedule/admit-reject", benchAdmitReject),
 		micro("schedule/admit-accept", benchAdmitAccept),
 	}
@@ -184,39 +182,29 @@ func benchGraphPartition(b *testing.B) {
 	}
 }
 
-// benchSimEventLoop drives the kernel with a self-rescheduling tick: one
-// event fired per op, pool-recycled nodes, a single closure. Steady state
-// must be allocation-free.
-func benchSimEventLoop(b *testing.B) {
-	e := sim.New()
-	var tick func()
-	tick = func() { e.AfterFixed(1, tick) }
-	e.AfterFixed(1, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.RunUntil(float64(b.N)); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchParEventLoop is benchSimEventLoop on the parallel kernel at one
+// benchKernelEventLoop drives a kernel (workers as in
+// core.Config.KernelWorkers) with a self-rescheduling tick: one event fired
+// per op, pool-recycled nodes, a single closure. Steady state must be
+// allocation-free on the serial engine and on the parallel kernel at one
 // partition (the in-line serial fast path every partition's window loop
-// shares). Steady state must be allocation-free — the pool-recycle and
-// shrink logic mirror the serial engine's. A P=NumCPU point would not be
-// machine-independent (allocs vary with worker count and core count), so
-// multicore throughput is tracked by the report's kernel section instead.
-func benchParEventLoop(b *testing.B) {
-	e, err := par.New(make([]int, 4), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tick func()
-	tick = func() { e.Schedule(0, 0, e.NowOf(0)+1, tick) }
-	e.Schedule(0, 0, 1, tick)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.RunUntil(float64(b.N)); err != nil {
-		b.Fatal(err)
+// shares; its pool-recycle and shrink logic mirror the serial engine's). A
+// P=NumCPU point would not be machine-independent (allocs vary with worker
+// count and core count), so multicore throughput is tracked by the report's
+// kernel section instead.
+func benchKernelEventLoop(workers int) func(*testing.B) {
+	return func(b *testing.B) {
+		k, err := simnet.NewKernel(graph.New(4), workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var tick func()
+		tick = func() { k.Schedule(0, 0, k.NowOf(0)+1, tick) }
+		k.Schedule(0, 0, 1, tick)
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := k.RunUntil(float64(b.N)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

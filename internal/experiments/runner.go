@@ -341,15 +341,10 @@ type BenchReport struct {
 	// CompareReports gates allocs/op exactly, never ns/op.
 	Micro []MicroBench `json:"micro,omitempty"`
 	// Kernel records the parallel kernel's single-run scaling curve
-	// (events/sec vs partition count on the token storm). CompareReports
-	// checks its determinism invariant everywhere and its speedup floor on
-	// machines with enough cores to express one.
+	// (events/sec vs partition count on the token storm, against the serial
+	// engine). CompareReports checks its determinism invariant everywhere
+	// and its speedup floor on machines with enough cores to express one.
 	Kernel *KernelBench `json:"kernel,omitempty"`
-	// Gateway records the submission front door's throughput and tail
-	// latency (see RunGatewayBench). CompareReports pins the workload
-	// shape and sanity-checks the measurements; absolute numbers are
-	// hardware and never gated.
-	Gateway *GatewayBench `json:"gateway,omitempty"`
 	// Routing records the hierarchical routing sweep (see RunRoutingBench).
 	// CompareReports requires the per-site table-bytes curve to stay
 	// sub-linear in the site count and msgs/job at the largest point not to

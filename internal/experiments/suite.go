@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/policy"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/graph"
@@ -433,7 +434,7 @@ func e8MapperHeuristics(env *runEnv, size Size, seed int64) (*metrics.Table, err
 	for _, h := range []mapper.Heuristic{mapper.HeuristicCPEFT, mapper.HeuristicMinMin,
 		mapper.HeuristicBestSurplus, mapper.HeuristicRoundRobin} {
 		h := h
-		sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Heuristic = h }), arrivals)
+		sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Policies.Mapper = policy.HeuristicMapper{H: h} }), arrivals)
 		if err != nil {
 			return nil, err
 		}

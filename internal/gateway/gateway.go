@@ -32,6 +32,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -342,8 +343,13 @@ func (s *Server) MetricsText() string { return s.m.reg.Expose() }
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, req.Tenant, "invalid", http.StatusBadRequest, "bad request body: "+err.Error(), 0)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxJobJSON)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.reject(w, req.Tenant, "invalid", status, "bad request body: "+err.Error(), 0)
 		return
 	}
 	if !s.adm.Known(req.Tenant) {

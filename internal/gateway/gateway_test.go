@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // fakeBackend is an in-memory cluster: submissions are assigned cluster
@@ -176,6 +178,14 @@ func TestAdmissionTable(t *testing.T) {
 			wantResult: "invalid",
 		},
 		{
+			// Refused by the body cap, before the graph is even parsed.
+			name: "oversized body",
+			body: `{"tenant":"acme","client_key":"big","deadline":40,"graph":{"name":"` +
+				strings.Repeat("x", wire.MaxJobJSON) + `"}}`,
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantResult: "invalid",
+		},
+		{
 			name:       "rate limited",
 			quotas:     map[string]Quota{"acme": {Rate: 0.001, Burst: 2}},
 			prime:      2, // drains the burst
@@ -212,7 +222,8 @@ func TestAdmissionTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fb := newFakeBackend()
 			fb.p99 = tc.p99
-			s := newTestServer(t, fb, tc.quotas, "")
+			logPath := filepath.Join(t.TempDir(), "gateway.wal")
+			s := newTestServer(t, fb, tc.quotas, logPath)
 			if tc.p99 > 0 {
 				s.PollNow() // feed the laxity gate
 			}
@@ -222,9 +233,24 @@ func TestAdmissionTable(t *testing.T) {
 					t.Fatalf("prime %d: %v %v", i, resp.Status, reply)
 				}
 			}
+			logged, err := os.Stat(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 			resp, reply := submit(t, s, tc.body)
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status = %v, want %d (%v)", resp.Status, tc.wantStatus, reply)
+			}
+			if tc.wantStatus != http.StatusAccepted {
+				// A refusal leaves no job, no client key and no log record.
+				after, err := os.Stat(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(s.jobs) != tc.prime || len(s.byClientKey) != 0 || fb.submitted != tc.prime || after.Size() != logged.Size() {
+					t.Errorf("refusal stored something: %d jobs, %d keys, %d cluster submissions, log %d -> %d bytes",
+						len(s.jobs), len(s.byClientKey), fb.submitted, logged.Size(), after.Size())
+				}
 			}
 			if tc.wantResult != "" && reply["result"] != tc.wantResult {
 				t.Errorf("result = %v, want %v", reply["result"], tc.wantResult)

@@ -1,8 +1,9 @@
 // Package nodeapi is the control and observability plane of one deployed
 // RTDS site (cmd/rtds-node): a small JSON-over-HTTP API for job
-// submission, decision return and leak checking, plus an expvar endpoint
-// whose statistics (decision-latency percentiles from internal/metrics,
-// transport counters) feed dashboards and the load harness.
+// submission, decision return and leak checking, plus one statistics
+// snapshot (decision-latency percentiles from internal/metrics, transport
+// counters) in two encodings: JSON on /stats for the gateway and the load
+// harness, Prometheus text on /metrics for dashboards.
 //
 // Decisions return through the node's decision journal (core.Node's
 // DecidedSince): GET /jobs?since=<cursor>&boot=<token> answers with the
@@ -11,7 +12,7 @@
 // keeps its cursor learns of a decision when it is made and pays for new
 // decisions only. The boot token names this process: a reader whose token
 // is stale (the node restarted, its journal is empty) is restarted at 0.
-// /stats, /metrics and expvar are fed from the same journal. GET /jobs
+// /stats and /metrics render one fold of the same journal. GET /jobs
 // without a cursor still returns the whole history (summaries, leak checks).
 //
 // Endpoints:
@@ -27,12 +28,11 @@
 //	GET  /idle          {"idle":true} — lock released, no deferred work, no open txns
 //	GET  /membership    membership view: epoch, incarnation, per-site liveness, repair state
 //	GET  /metrics       Prometheus text exposition (see docs/metrics.md)
-//	GET  /debug/vars    expvar (includes the rtds map below)
 package nodeapi
 
 import (
 	"encoding/json"
-	"expvar"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -45,6 +45,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Server serves the control API of one core.Node.
@@ -101,8 +102,6 @@ func New(node *core.Node) *Server {
 	s.mux.HandleFunc("GET /idle", s.handleIdle)
 	s.mux.HandleFunc("GET /membership", s.handleMembership)
 	s.mux.HandleFunc("GET /metrics", s.handleProm)
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
-	registerExpvar(s)
 	return s
 }
 
@@ -128,8 +127,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxJobJSON)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	g, err := dag.UnmarshalGraph(req.Graph)
@@ -329,33 +333,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// ---------------------------------------------------------------------------
-// expvar
-
-// expvar names are global per process; a test may host several node API
-// servers, so the published "rtds" variable aggregates every live server
-// keyed by site id.
-var (
-	expvarOnce sync.Once
-	expvarMu   sync.Mutex
-	servers    = map[int]*Server{}
-)
-
-func registerExpvar(s *Server) {
-	expvarMu.Lock()
-	servers[int(s.node.Self())] = s
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("rtds", expvar.Func(func() any {
-			expvarMu.Lock()
-			defer expvarMu.Unlock()
-			out := make(map[string]StatsReply, len(servers))
-			for id, srv := range servers {
-				out[fmt.Sprintf("site_%d", id)] = srv.stats()
-			}
-			return out
-		}))
-	})
 }

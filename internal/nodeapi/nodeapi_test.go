@@ -181,16 +181,28 @@ func TestControlPlane(t *testing.T) {
 		t.Fatal("node not idle after its only job was decided")
 	}
 
-	// Malformed submissions are 400s, not crashes.
-	for _, bad := range []string{"{", `{"at":0,"deadline":50,"graph":{"tasks":[]}}`} {
-		resp, err := http.Post(srv0.URL+"/submit", "application/json", strings.NewReader(bad))
+	// Malformed submissions are refused, not crashes, and create no job; a
+	// body past the cap is refused without being buffered.
+	for _, bad := range []struct {
+		name, body string
+		want       int
+	}{
+		{"truncated", "{", http.StatusBadRequest},
+		{"empty graph", `{"at":0,"deadline":50,"graph":{"tasks":[]}}`, http.StatusBadRequest},
+		{"oversized", `{"at":0,"deadline":50,"graph":{"name":"` + strings.Repeat("x", wire.MaxJobJSON) + `"}}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(srv0.URL+"/submit", "application/json", strings.NewReader(bad.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad submit %q: status %d, want 400", bad, resp.StatusCode)
+		if resp.StatusCode != bad.want {
+			t.Fatalf("%s submit: status %d, want %d", bad.name, resp.StatusCode, bad.want)
 		}
+	}
+	if n := serverOf(t, srv0).node.JobCount(); n != 1 {
+		t.Fatalf("refused submissions left %d jobs on the node, want the 1 accepted", n)
 	}
 
 	// Membership view: the layer is armed, heartbeating, and the peer is
@@ -214,13 +226,6 @@ func TestControlPlane(t *testing.T) {
 	}
 	if !foundPeer {
 		t.Fatalf("membership snapshot misses the peer: %+v", mem.Sites)
-	}
-
-	// expvar surface exists and carries the rtds map.
-	var vars map[string]json.RawMessage
-	getJSON(t, srv0.URL+"/debug/vars", &vars)
-	if _, ok := vars["rtds"]; !ok {
-		t.Fatal("/debug/vars has no rtds entry")
 	}
 
 	// The Prometheus plane: valid text format, live values.

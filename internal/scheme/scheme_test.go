@@ -1,7 +1,6 @@
 package scheme
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -46,7 +45,7 @@ func drive(t testing.TB, c Cluster) Result {
 }
 
 func TestRegistryContents(t *testing.T) {
-	want := []string{"broadcast", "fab", "local", "oracle", "rtds", "rtds-hier", "spread"}
+	want := []string{"broadcast", "fab", "local", "oracle", "rtds", "rtds-hier"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("registry %v, want %v", got, want)
@@ -74,21 +73,6 @@ func TestMustGetPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	MustGet("nope")
-}
-
-func TestRtdsAndSpreadAgree(t *testing.T) {
-	topo := testTopo()
-	build := func(name string) Result {
-		c, err := MustGet(name).Build(topo, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return drive(t, c)
-	}
-	a, b := build("rtds"), build("spread")
-	if fmt.Sprintf("%v", a) != fmt.Sprintf("%v", b) {
-		t.Fatalf("rtds and spread diverged:\n%v\n%v", a, b)
-	}
 }
 
 func TestLocalNeverDistributes(t *testing.T) {

@@ -9,19 +9,14 @@ import (
 	"repro/internal/graph"
 )
 
-// The built-in schemes. "rtds" and "spread" share the paper's radius-3
-// configuration ("spread" is the experiment suite's historical name for
-// it); "broadcast" and "local" are the two ablations the paper argues
-// against, and "fab" and "oracle" are the external baselines.
+// The built-in schemes. "rtds" is the paper's radius-3 configuration;
+// "broadcast" and "local" are the two ablations the paper argues against,
+// "rtds-hier" is the wide-network variant, and "fab" and "oracle" are the
+// external baselines.
 func init() {
 	Register(coreScheme{
 		name: "rtds",
 		desc: "the paper's protocol: radius-3 computing sphere, EDF local test, CP-EFT mapper",
-		base: func(*graph.Graph) core.Config { return core.DefaultConfig() },
-	})
-	Register(coreScheme{
-		name: "spread",
-		desc: "alias of rtds: the suite's standard radius-3 spreading configuration",
 		base: func(*graph.Graph) core.Config { return core.DefaultConfig() },
 	})
 	Register(coreScheme{

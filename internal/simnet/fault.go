@@ -24,7 +24,8 @@ import (
 // window — while its local clock and timers keep running. This is equivalent
 // to a network partition of the site and keeps local cleanup (lock leases,
 // phase timeouts) alive, which is what lets faulty runs terminate instead of
-// wedging.
+// wedging. The plan only injects: how fast survivors notice a crash is the
+// membership layer's timing (core.Config.Membership), not a plan field.
 type FaultPlan struct {
 	// Seed drives the loss and jitter draws. Two transports given the same
 	// plan drop and delay exactly the same traversals (DES).
@@ -36,13 +37,6 @@ type FaultPlan struct {
 	MaxJitter float64
 	// Crashes lists site outage windows.
 	Crashes []Crash
-	// DetectDelay sizes the failure-detector latency the protocol layer
-	// derives its membership timing from when the plan injects crashes but
-	// no explicit membership configuration was given: the suspicion
-	// timeout becomes DetectDelay (heartbeats a third of it). Detection
-	// itself is no longer scripted — survivors discover crashes through
-	// the membership layer's missed heartbeats. The transport ignores it.
-	DetectDelay float64
 }
 
 // Crash is one site outage window, starting At (epoch-relative) and lasting
@@ -68,9 +62,6 @@ func (p FaultPlan) Validate(n int) error {
 	}
 	if p.MaxJitter < 0 {
 		return fmt.Errorf("simnet: negative jitter %v", p.MaxJitter)
-	}
-	if p.DetectDelay < 0 {
-		return fmt.Errorf("simnet: negative detect delay %v", p.DetectDelay)
 	}
 	for _, c := range p.Crashes {
 		if int(c.Site) < 0 || int(c.Site) >= n {

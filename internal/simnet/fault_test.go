@@ -271,7 +271,6 @@ func TestFaultPlanValidate(t *testing.T) {
 		{FaultPlan{Loss: -0.1}, false},
 		{FaultPlan{Loss: 1.1}, false},
 		{FaultPlan{MaxJitter: -1}, false},
-		{FaultPlan{DetectDelay: -1}, false},
 		{FaultPlan{Crashes: []Crash{{Site: 5, At: 1}}}, false},
 		{FaultPlan{Crashes: []Crash{{Site: 1, At: -1}}}, false},
 		{FaultPlan{Crashes: []Crash{{Site: 1, At: 1, For: 2}}}, true},

@@ -43,12 +43,12 @@ type Live struct {
 const closeDrainGrace = 250 * time.Millisecond
 
 type liveNode struct {
-	inbox *fifo[func()]
+	inbox *FIFO[func()]
 }
 
 type liveLink struct {
 	delay time.Duration
-	queue *fifo[linkItem]
+	queue *FIFO[linkItem]
 }
 
 type linkItem struct {
@@ -100,13 +100,13 @@ func (l *Live) Start() {
 	l.started = true
 	l.start = time.Now()
 	for id := graph.NodeID(0); int(id) < l.topo.Len(); id++ {
-		n := &liveNode{inbox: newFIFO[func()]()}
+		n := &liveNode{inbox: NewFIFO[func()]()}
 		l.nodes[id] = n
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
 			for {
-				fn, ok := n.inbox.pop()
+				fn, ok := n.inbox.Pop()
 				if !ok {
 					return
 				}
@@ -117,14 +117,14 @@ func (l *Live) Start() {
 		for _, e := range l.topo.Neighbors(id) {
 			lk := &liveLink{
 				delay: time.Duration(e.Delay * float64(l.scale)),
-				queue: newFIFO[linkItem](),
+				queue: NewFIFO[linkItem](),
 			}
 			l.links[[2]graph.NodeID{id, e.To}] = lk
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()
 				for {
-					it, ok := lk.queue.pop()
+					it, ok := lk.queue.Pop()
 					if !ok {
 						return
 					}
@@ -185,10 +185,10 @@ func (l *Live) Send(from, to graph.NodeID, p Payload) error {
 	}
 	l.stats.RecordEdge(from, to, p)
 	l.pending.Add(1)
-	lk.queue.push(linkItem{
+	lk.queue.Push(linkItem{
 		deliverAt: time.Now().Add(delay),
 		deliver: func() {
-			node.inbox.push(func() { h(from, p) })
+			node.inbox.Push(func() { h(from, p) })
 		},
 	})
 	return nil
@@ -209,7 +209,7 @@ func (l *Live) After(id graph.NodeID, delay float64, fn func()) CancelFunc {
 			l.pending.Add(-1)
 			return
 		}
-		node.inbox.push(func() {
+		node.inbox.Push(func() {
 			if !cancelled.Load() {
 				fn()
 			}
@@ -285,10 +285,10 @@ func (l *Live) Close() {
 		l.WaitIdle(closeDrainGrace)
 		l.mu.Lock()
 		for _, n := range l.nodes {
-			n.inbox.close()
+			n.inbox.Close()
 		}
 		for _, lk := range l.links {
-			lk.queue.close()
+			lk.queue.Close()
 		}
 		l.mu.Unlock()
 		close(l.torndown)
@@ -299,50 +299,3 @@ func (l *Live) Close() {
 }
 
 var _ Transport = (*Live)(nil)
-
-// fifo is an unbounded FIFO queue with blocking pop, so producers never
-// deadlock on full buffers whatever the traffic pattern.
-type fifo[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []T
-	closed bool
-}
-
-func newFIFO[T any]() *fifo[T] {
-	f := &fifo[T]{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-func (f *fifo[T]) push(v T) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return
-	}
-	f.items = append(f.items, v)
-	f.cond.Signal()
-}
-
-func (f *fifo[T]) pop() (T, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for len(f.items) == 0 && !f.closed {
-		f.cond.Wait()
-	}
-	var zero T
-	if len(f.items) == 0 {
-		return zero, false
-	}
-	v := f.items[0]
-	f.items = f.items[1:]
-	return v, true
-}
-
-func (f *fifo[T]) close() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closed = true
-	f.cond.Broadcast()
-}

@@ -51,7 +51,7 @@ type NetTransport struct {
 	started  bool
 	closed   bool
 
-	inbox *netQueue
+	inbox *simnet.FIFO[func()]
 	wg    sync.WaitGroup
 
 	// enc amortizes outbound frame allocations (see EncodeArena).
@@ -111,7 +111,7 @@ func Listen(cfg NetConfig) (*NetTransport, error) {
 		ln:    ln,
 		peers: make(map[graph.NodeID]*peerConn),
 		conns: make(map[net.Conn]struct{}),
-		inbox: newNetQueue(),
+		inbox: simnet.NewFIFO[func()](),
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -189,7 +189,7 @@ func (t *NetTransport) Start() {
 	go func() {
 		defer t.wg.Done()
 		for {
-			fn, ok := t.inbox.pop()
+			fn, ok := t.inbox.Pop()
 			if !ok {
 				return
 			}
@@ -267,7 +267,7 @@ func (t *NetTransport) readLoop(conn net.Conn) {
 			return
 		}
 		src := from
-		t.inbox.push(func() { t.handler(src, p) })
+		t.inbox.Push(func() { t.handler(src, p) })
 	}
 }
 
@@ -325,7 +325,7 @@ func (t *NetTransport) After(id graph.NodeID, delay float64, fn func()) simnet.C
 	// start) firing in creation order, which the runtime's timer queue
 	// provides and a synchronous fast path would defeat.
 	timer := time.AfterFunc(time.Duration(delay*float64(t.scale)), func() {
-		t.inbox.push(func() {
+		t.inbox.Push(func() {
 			if !cancelled.Load() {
 				fn()
 			}
@@ -383,7 +383,7 @@ func (t *NetTransport) Close() {
 	for _, p := range t.peers {
 		p.close()
 	}
-	t.inbox.close()
+	t.inbox.Close()
 	t.wg.Wait()
 }
 
@@ -689,53 +689,4 @@ func helloFrame(self graph.NodeID) []byte {
 	n := len(e.b) - 4
 	binary.LittleEndian.PutUint32(e.b[:4], uint32(n))
 	return e.b
-}
-
-// ---------------------------------------------------------------------------
-// Serial execution queue
-
-// netQueue is an unbounded FIFO with blocking pop — the single execution
-// context of the transport's site.
-type netQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []func()
-	closed bool
-}
-
-func newNetQueue() *netQueue {
-	q := &netQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *netQueue) push(fn func()) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.items = append(q.items, fn)
-	q.cond.Signal()
-}
-
-func (q *netQueue) pop() (func(), bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	fn := q.items[0]
-	q.items = q.items[1:]
-	return fn, true
-}
-
-func (q *netQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
 }

@@ -38,6 +38,14 @@ const Version = 3
 // connection from forcing a huge allocation.
 const MaxFrame = 1 << 20
 
+// MaxJobJSON bounds the JSON body of a job submission (the gateway's POST
+// /v1/jobs, a node's POST /submit). A task or an edge costs at least 10
+// bytes of a frame (two varints and a float64) and at most ~70 of compact
+// dag JSON, so a graph that fits MaxFrame fits inside 8× with room for
+// indentation and the envelope; a larger body cannot carry an admissible
+// job and is refused without being buffered.
+const MaxJobJSON = 8 * MaxFrame
+
 // Kind tags a frame's payload type. New kinds append at the end: the tag
 // value is wire format. Every switch over Kind must be exhaustive (the
 // exhaustive analyzer enforces it), so adding a kind fails lint at every

@@ -42,10 +42,9 @@ type (
 	// TaskID identifies a task within one job.
 	TaskID = dag.TaskID
 
-	// Heuristic selects the mapper's processor-selection rule.
+	// Heuristic names a mapper processor-selection rule; HeuristicMapper
+	// carries one into Config.Policies.
 	Heuristic = mapper.Heuristic
-	// LaxityMode selects how case-(iii) laxity is scattered.
-	LaxityMode = mapper.LaxityMode
 
 	// Workload describes a sporadic arrival process.
 	Workload = workload.Spec
@@ -59,7 +58,7 @@ type (
 	// Crash is one site outage window of a FaultPlan.
 	Crash = simnet.Crash
 
-	// Scheme is one registered scheduling algorithm (rtds, spread,
+	// Scheme is one registered scheduling algorithm (rtds, rtds-hier,
 	// broadcast, local, fab, oracle); BuildScheme constructs one by name.
 	Scheme = scheme.Scheme
 	// SchemeConfig is the scheme-independent run configuration.
@@ -85,6 +84,13 @@ type (
 	// LaxityThreshold requires Theta of the window as end-to-end laxity
 	// before accepting locally.
 	LaxityThreshold = policy.LaxityThreshold
+	// HeuristicMapper picks the trial-mapping heuristic (§9); the zero
+	// value is the paper's CP-EFT.
+	HeuristicMapper = policy.HeuristicMapper
+	// UniformDispatch scatters case-(iii) laxity evenly (§12.2, the default).
+	UniformDispatch = policy.UniformDispatch
+	// WeightedDispatch gives tasks on busy processors more laxity (§13).
+	WeightedDispatch = policy.WeightedDispatch
 )
 
 // Job outcomes.
@@ -95,17 +101,12 @@ const (
 	Rejected            = core.Rejected
 )
 
-// Mapper heuristics (paper §12 instance first).
+// Mapper heuristics for HeuristicMapper.H (paper §12 instance first).
 const (
 	HeuristicCPEFT       = mapper.HeuristicCPEFT
+	HeuristicMinMin      = mapper.HeuristicMinMin
 	HeuristicBestSurplus = mapper.HeuristicBestSurplus
 	HeuristicRoundRobin  = mapper.HeuristicRoundRobin
-)
-
-// Laxity dispatching modes (§12.2 and §13).
-const (
-	LaxityUniform          = mapper.LaxityUniform
-	LaxityBusynessWeighted = mapper.LaxityBusynessWeighted
 )
 
 // DefaultConfig returns the configuration the experiments use.
