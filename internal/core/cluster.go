@@ -568,11 +568,13 @@ func (c *Cluster) recordDecision(job *Job, outcome Outcome, stage RejectStage, a
 		c.journalWake = nil
 	}
 	c.mu.Unlock()
-	detail := outcome.String()
-	if stage != "" {
-		detail += "/" + string(stage)
+	if c.tracing() {
+		detail := outcome.String()
+		if stage != "" {
+			detail += "/" + string(stage)
+		}
+		c.event(job.Origin, job.ID, EvDecided, detail)
 	}
-	c.event(job.Origin, job.ID, EvDecided, detail)
 }
 
 func (c *Cluster) recordTaskDone(job *Job, task dag.TaskID, at float64) {
@@ -590,8 +592,10 @@ func (c *Cluster) recordTaskDone(job *Job, task dag.TaskID, at float64) {
 		job.Done = true
 	}
 	c.mu.Unlock()
-	c.event(job.Origin, job.ID, EvTaskDone, fmt.Sprintf("t%d at %.3f", task, at))
-	if done {
+	if c.tracing() {
+		c.event(job.Origin, job.ID, EvTaskDone, fmt.Sprintf("t%d at %.3f", task, at))
+	}
+	if done && c.tracing() {
 		c.event(job.Origin, job.ID, EvJobDone, fmt.Sprintf("completed %.3f", job.CompletedAt))
 	}
 }

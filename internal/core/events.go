@@ -63,8 +63,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("%10.3f site=%-3d %-12s %s (%s)", e.At, e.Site, e.Kind, e.Job, e.Detail)
 }
 
+// tracing reports whether the timeline is recorded. A call site whose detail
+// string has to be built (fmt.Sprintf, concatenation) guards the whole event
+// call with it, so an untraced run formats nothing; constant details go
+// straight to event.
+func (c *Cluster) tracing() bool { return c.cfg.TraceEvents }
+
 func (c *Cluster) event(site graph.NodeID, job string, kind EventKind, detail string) {
-	if !c.cfg.TraceEvents {
+	if !c.tracing() {
 		return
 	}
 	c.mu.Lock()

@@ -104,8 +104,10 @@ func (s *Site) rescheduleAllExec() {
 				// this is still reported as a violation.
 				s.cluster.protocolDrop(s.id, fmt.Sprintf(
 					"site %d lost fragments of %s/t%d", s.id, jobID, ti))
-				s.cluster.event(s.id, jobID, EvExecAborted,
-					fmt.Sprintf("t%d fragments missing", ti))
+				if s.cluster.tracing() {
+					s.cluster.event(s.id, jobID, EvExecAborted,
+						fmt.Sprintf("t%d fragments missing", ti))
+				}
 				lost = append(lost, jobID)
 				break
 			}

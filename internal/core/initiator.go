@@ -10,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/matching"
+	"repro/internal/simnet"
 )
 
 // This file is the initiator's half of the protocol: it drives one txn
@@ -26,14 +27,14 @@ import (
 // and the window timer is armed.
 func (s *Site) startTxn(job *Job) {
 	expected := s.enrollSet
-	s.cluster.event(s.id, job.ID, EvEnroll, fmt.Sprintf("pcs=%d", len(expected)))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, job.ID, EvEnroll, fmt.Sprintf("pcs=%d", len(expected)))
+	}
 	s.lock(s.id, job.ID)
 	t := &activeTxn{Txn: txn.New(job.ID, expected), job: job}
 	s.txns[job.ID] = t
 	timeout := 2*s.enrollDiam + s.cluster.cfg.EnrollSlack
-	for _, m := range expected {
-		s.sendTo(m, EnrollReq{Job: job.ID, Initiator: s.id, Window: timeout})
-	}
+	s.sendAll(expected, EnrollReq{Job: job.ID, Initiator: s.id, Window: timeout})
 	t.SetTimer(s.after(timeout, func() { s.enrollDone(t) }))
 }
 
@@ -73,9 +74,7 @@ func (s *Site) enrollDone(t *activeTxn) {
 	// deferred, and the existing straggler path unlocks it when the late
 	// ack arrives.
 	if s.cluster.resilient() && t.Enrollments() < len(t.Expected) {
-		for _, m := range t.MissingEnrollments() {
-			s.sendTo(m, UnlockMsg{Job: job.ID, From: s.id})
-		}
+		s.sendAll(t.MissingEnrollments(), UnlockMsg{Job: job.ID, From: s.id})
 	}
 
 	if t.Enrollments() == 0 {
@@ -96,7 +95,9 @@ func (s *Site) enrollDone(t *activeTxn) {
 
 	acs := t.FixACS()
 	s.cluster.noteJobACS(job, len(acs)+1) // initiator included
-	s.cluster.event(s.id, job.ID, EvACSFixed, fmt.Sprintf("acs=%d", job.ACSSize))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, job.ID, EvACSFixed, fmt.Sprintf("acs=%d", job.ACSSize))
+	}
 
 	omega := s.acsDiameter(t)
 	t.Omega = omega
@@ -113,8 +114,10 @@ func (s *Site) enrollDone(t *activeTxn) {
 	}
 	t.TM = tm
 	s.cluster.noteJobProcs(job, tm.NumProcs())
-	s.cluster.event(s.id, job.ID, EvMapped,
-		fmt.Sprintf("procs=%d case=%s M=%.3g M*=%.3g", tm.NumProcs(), tm.Case, tm.Makespan, tm.IdealMakespan))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, job.ID, EvMapped,
+			fmt.Sprintf("procs=%d case=%s M=%.3g M*=%.3g", tm.NumProcs(), tm.Case, tm.Makespan, tm.IdealMakespan))
+	}
 
 	// Broadcast M in the ACS (§10); endorse locally in place.
 	windows := make([][]mapper.TaskWindow, tm.NumProcs())
@@ -122,9 +125,11 @@ func (s *Site) enrollDone(t *activeTxn) {
 		windows[i] = tm.Tasks(job.Graph, i)
 	}
 	t.BeginValidation()
+	// Boxed once for the whole broadcast, like sendAll does.
+	var req simnet.Payload = ValidateReq{Job: job.ID, Initiator: s.id, NumProcs: tm.NumProcs(), Windows: windows}
 	for _, m := range acs {
 		t.ExpectEndorsement(m)
-		s.sendTo(m, ValidateReq{Job: job.ID, Initiator: s.id, NumProcs: tm.NumProcs(), Windows: windows})
+		s.sendTo(m, req)
 	}
 	t.SetEndorsement(s.id, s.endorsable(job.ID, windows))
 	if t.Awaiting() == 0 {
@@ -169,11 +174,11 @@ func (s *Site) escalateEnrollment(t *activeTxn) bool {
 	}
 	t.Reopen(extra)
 	timeout := 2*diam + s.cluster.cfg.EnrollSlack
-	s.cluster.event(s.id, t.job.ID, EvEscalate,
-		fmt.Sprintf("landmarks=%d window=%.3g", len(extra), timeout))
-	for _, m := range extra {
-		s.sendTo(m, EnrollReq{Job: t.job.ID, Initiator: s.id, Window: timeout})
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, t.job.ID, EvEscalate,
+			fmt.Sprintf("landmarks=%d window=%.3g", len(extra), timeout))
 	}
+	s.sendAll(extra, EnrollReq{Job: t.job.ID, Initiator: s.id, Window: timeout})
 	t.SetTimer(s.after(timeout, func() { s.enrollDone(t) }))
 	return true
 }
@@ -186,8 +191,10 @@ func (s *Site) validateTimeout(t *activeTxn) {
 	if !fired {
 		return
 	}
-	s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
-		fmt.Sprintf("validate missing=%d", missing))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
+			fmt.Sprintf("validate missing=%d", missing))
+	}
 	s.finishValidation(t)
 }
 
@@ -311,8 +318,10 @@ func (s *Site) finishValidation(t *activeTxn) {
 		}
 	}
 	res := b.MaximumMatching()
-	s.cluster.event(s.id, t.job.ID, EvValidated,
-		fmt.Sprintf("coupling=%d/%d", res.Size, t.TM.NumProcs()))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, t.job.ID, EvValidated,
+			fmt.Sprintf("coupling=%d/%d", res.Size, t.TM.NumProcs()))
+	}
 	if !res.PerfectOnRight() {
 		s.finishTxn(t, Rejected, StageMatching)
 		return
@@ -359,7 +368,9 @@ func (s *Site) finishValidation(t *activeTxn) {
 		s.sendTo(m, msg)
 	}
 	t.CommitsSent = true
-	s.cluster.event(s.id, t.job.ID, EvCommit, fmt.Sprintf("executing=%d", t.CommitsOutstanding()+1))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, t.job.ID, EvCommit, fmt.Sprintf("executing=%d", t.CommitsOutstanding()+1))
+	}
 	if t.CommitsOutstanding() == 0 {
 		s.commitResolved(t)
 		return
@@ -382,8 +393,10 @@ func (s *Site) commitTimeout(t *activeTxn) {
 	if !fired {
 		return
 	}
-	s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
-		fmt.Sprintf("commit missing=%d", missing))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
+			fmt.Sprintf("commit missing=%d", missing))
+	}
 	s.commitResolved(t)
 }
 
@@ -407,9 +420,7 @@ func (s *Site) onCommitAck(m CommitAck) {
 func (s *Site) commitResolved(t *activeTxn) {
 	if t.CommitFail {
 		// Abort everywhere: members cancel any reservations of the job.
-		for _, m := range t.ACS {
-			s.sendTo(m, UnlockMsg{Job: t.job.ID, From: s.id, Abort: true})
-		}
+		s.sendAll(t.ACS, UnlockMsg{Job: t.job.ID, From: s.id, Abort: true})
 		if s.cluster.resilient() {
 			s.trackAbort(t)
 		}
@@ -468,16 +479,18 @@ func (s *Site) abortRetryFire(job string, ar *txn.AbortRetry) {
 		return
 	}
 	if !ar.NextTry() {
-		s.cluster.event(s.id, job, EvAbortRetry,
-			fmt.Sprintf("gave up on %d members after %d tries", len(ar.Members), txn.MaxAbortTries))
+		if s.cluster.tracing() {
+			s.cluster.event(s.id, job, EvAbortRetry,
+				fmt.Sprintf("gave up on %d members after %d tries", len(ar.Members), txn.MaxAbortTries))
+		}
 		delete(s.aborts, job)
 		return
 	}
-	s.cluster.event(s.id, job, EvAbortRetry,
-		fmt.Sprintf("try %d to %d members", ar.Tries, len(ar.Members)))
-	for _, m := range ar.Members {
-		s.sendTo(m, UnlockMsg{Job: job, From: s.id, Abort: true})
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, job, EvAbortRetry,
+			fmt.Sprintf("try %d to %d members", ar.Tries, len(ar.Members)))
 	}
+	s.sendAll(ar.Members, UnlockMsg{Job: job, From: s.id, Abort: true})
 	s.scheduleAbortRetry(job, ar)
 }
 
@@ -505,9 +518,7 @@ func (s *Site) finishTxn(t *activeTxn, outcome Outcome, stage RejectStage) {
 		// "the DAG is rejected and ACS members are unlocked" (§10). This
 		// also covers a commit that failed at the initiator itself before
 		// anything was dispatched.
-		for _, m := range t.ACS {
-			s.sendTo(m, UnlockMsg{Job: t.job.ID, From: s.id})
-		}
+		s.sendAll(t.ACS, UnlockMsg{Job: t.job.ID, From: s.id})
 		delete(s.memberTickets, t.job.ID)
 	}
 	s.cluster.recordDecision(t.job, outcome, stage, s.now())

@@ -18,7 +18,7 @@ import (
 // already locked.
 func (s *Site) onEnroll(src graph.NodeID, m EnrollReq) {
 	if s.locked() {
-		s.deferWork(func() { s.onEnroll(src, m) })
+		s.deferWork(deferredWork{src: src, req: m})
 		return
 	}
 	s.lock(m.Initiator, m.Job)
@@ -60,7 +60,9 @@ func (s *Site) leaseExpired(job string, initiator graph.NodeID) {
 	if !s.locked() || s.lockJob != job || s.lockedBy != initiator {
 		return
 	}
-	s.cluster.event(s.id, job, EvLeaseExpired, fmt.Sprintf("initiator %d silent", initiator))
+	if s.cluster.tracing() {
+		s.cluster.event(s.id, job, EvLeaseExpired, fmt.Sprintf("initiator %d silent", initiator))
+	}
 	delete(s.memberTickets, job)
 	s.unlock()
 }
@@ -68,19 +70,20 @@ func (s *Site) leaseExpired(job string, initiator graph.NodeID) {
 // endorsable computes which logical processors this site can endorse (§10)
 // and caches the admission tickets for a later commit.
 func (s *Site) endorsable(jobID string, windows [][]mapper.TaskWindow) []int {
-	tickets := make(map[int]*schedule.Ticket)
+	tickets := make([]*schedule.Ticket, len(windows))
 	var ok []int
 	for i, wins := range windows {
-		reqs := make([]schedule.Request, len(wins))
-		for k, w := range wins {
-			reqs[k] = schedule.Request{
+		reqs := s.reqScratch[:0]
+		for _, w := range wins {
+			reqs = append(reqs, schedule.Request{
 				Job:      jobID,
 				Task:     int(w.Task),
 				Release:  w.Release,
 				Deadline: w.Deadline,
 				Duration: w.Complexity / s.power,
-			}
+			})
 		}
+		s.reqScratch = reqs
 		if tk, admitted := s.plan.Admit(s.now(), reqs); admitted {
 			tickets[i] = tk
 			ok = append(ok, i)
@@ -109,10 +112,10 @@ func (s *Site) onValidate(m ValidateReq) {
 func (s *Site) commitShare(job *Job, proc int, g *dag.Graph, taskSites map[dag.TaskID]graph.NodeID) bool {
 	tickets := s.memberTickets[job.ID]
 	delete(s.memberTickets, job.ID)
-	tk := tickets[proc]
-	if tk == nil {
+	if proc >= len(tickets) || tickets[proc] == nil {
 		return false
 	}
+	tk := tickets[proc]
 	now := s.now()
 	for _, r := range tk.Requests {
 		// A slot that should already have started cannot be honoured; the

@@ -17,11 +17,33 @@ const msgHeader = 24
 // traversal is a separate accounted message, which is exactly how the paper
 // counts communication ("a limited number of sites and communication
 // links").
-type Routed struct {
+//
+// Routed is a one-word handle to a header allocated once per end-to-end
+// message (NewRouted, called by Site.sendTo and the wire decoder): a struct
+// of one pointer converts to simnet.Payload without allocating, so a relay
+// decrements TTL in place and re-sends the same payload. The zero Routed has
+// no header; only NewRouted makes a usable one.
+//
+// Ownership: a sent payload belongs to whoever receives it, and the sender
+// does not touch it after Send. That is what makes the in-place TTL update
+// safe on every transport — the DES and Live hand the object itself to the
+// one receiver (the event queue and the link FIFO order the hand-off), the
+// TCP transport encodes inside Send and the receiver decodes a fresh header.
+// A header is never recycled or cleared: observers (the benchmark's trace
+// decorator) read Inner after the handler has returned.
+type Routed struct{ *RoutedHeader }
+
+// RoutedHeader is the routing envelope a Routed handle points to.
+type RoutedHeader struct {
 	Src   graph.NodeID
 	Dest  graph.NodeID
 	TTL   int
 	Inner simnet.Payload
+}
+
+// NewRouted allocates the header of one end-to-end message.
+func NewRouted(src, dest graph.NodeID, ttl int, inner simnet.Payload) Routed {
+	return Routed{&RoutedHeader{Src: src, Dest: dest, TTL: ttl, Inner: inner}}
 }
 
 // Kind implements simnet.Payload.

@@ -82,14 +82,21 @@ type Site struct {
 	// Lock (§8): while locked the site defers all other scheduling activity.
 	lockedBy graph.NodeID
 	lockJob  string
-	deferred []func()
+	// deferred holds the work that arrived while locked, as values; spare is
+	// the drained backing array of the previous replay, so steady-state
+	// unlocks swap two arrays and allocate nothing (see unlock).
+	deferred []deferredWork
+	spare    []deferredWork
 	// lockLease is the member-side backstop on faulty clusters: if the
 	// initiator goes silent (crash, lost unlock) the lease releases the
 	// lock so the site is never wedged forever. Nil when not armed.
 	lockLease simnet.CancelFunc
 
-	// Member-side validation state: job -> logical proc -> admitted ticket.
-	memberTickets map[string]map[int]*schedule.Ticket
+	// Member-side validation state: job -> admitted ticket per logical
+	// processor (nil where the proc was not endorsable). reqScratch is
+	// endorsable's request buffer: Admit copies what it keeps.
+	memberTickets map[string][]*schedule.Ticket
+	reqScratch    []schedule.Request
 
 	// Initiator-side transactions (the txn state machines plus their job
 	// records).
@@ -128,7 +135,7 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 		dispatchPol:   c.cfg.dispatchPolicy(),
 		mapperPol:     c.cfg.mapperPolicy(),
 		lockedBy:      noLock,
-		memberTickets: make(map[string]map[int]*schedule.Ticket),
+		memberTickets: make(map[string][]*schedule.Ticket),
 		txns:          make(map[string]*activeTxn),
 		aborts:        make(map[string]*txn.AbortRetry),
 		exec:          make(map[string]*execJob),
@@ -409,7 +416,16 @@ func (s *Site) sendTo(dest graph.NodeID, p simnet.Payload) {
 		s.dispatch(s.id, p)
 		return
 	}
-	s.forward(Routed{Src: s.id, Dest: dest, TTL: s.cluster.routedTTL(), Inner: p})
+	s.forward(NewRouted(s.id, dest, s.cluster.routedTTL(), p))
+}
+
+// sendAll fans one message out to every destination. The (immutable)
+// message is boxed once, by the call; each destination gets its own routed
+// header pointing at the same value.
+func (s *Site) sendAll(dests []graph.NodeID, p simnet.Payload) {
+	for _, m := range dests {
+		s.sendTo(m, p)
+	}
 }
 
 // forward relays a routed payload one hop. An exhausted TTL or a missing
@@ -417,8 +433,13 @@ func (s *Site) sendTo(dest graph.NodeID, p simnet.Payload) {
 // is reported as a violation, on a faulty one it is expected degradation
 // (routes to dead sites are pruned) and only counted. The phase timeouts
 // and lock leases guarantee the protocol recovers from the loss either way.
+// The message is this site's until it is sent on (see Routed): TTL drops in
+// the header and the same handle goes out, so a relayed hop allocates nothing.
+//
+//lint:hotpath -- one call per link traversal of every routed protocol message
 func (s *Site) forward(m Routed) {
 	if m.TTL <= 0 {
+		//lint:allow hotalloc -- drop path: a protocol bug on a faultless cluster, counted degradation on a faulty one
 		s.cluster.protocolDrop(s.id, fmt.Sprintf(
 			"TTL exhausted forwarding %q from %d to %d at %d", m.Inner.Kind(), m.Src, m.Dest, s.id))
 		return
@@ -426,6 +447,7 @@ func (s *Site) forward(m Routed) {
 	m.TTL--
 	nh, ok := s.table.NextHop(m.Dest)
 	if !ok {
+		//lint:allow hotalloc -- drop path: a protocol bug on a faultless cluster, counted degradation on a faulty one
 		s.cluster.protocolDrop(s.id, fmt.Sprintf(
 			"site %d has no route to %d for %q", s.id, m.Dest, m.Inner.Kind()))
 		return
@@ -456,9 +478,26 @@ func (s *Site) lock(owner graph.NodeID, job string) {
 	s.lockJob = job
 }
 
-// unlock releases the lock and replays work deferred while locked. A single
-// pass over a snapshot avoids livelock when replayed items defer themselves
-// again.
+// deferredWork is one piece of work a locked site put off: a job arrival
+// (job non-nil) or an enrollment request from src. Only jobArrives and
+// onEnroll defer, each re-queueing its own argument.
+type deferredWork struct {
+	job *Job
+	src graph.NodeID
+	req EnrollReq
+}
+
+// unlock releases the lock and replays work deferred while locked, in
+// arrival order. A single pass over a snapshot avoids livelock when replayed
+// items defer themselves again: an item that finds the site locked again
+// joins the new queue, behind whatever the items replayed before it deferred
+// (a synchronous send to self, say) and ahead of the items after it. A
+// replayed item may re-enter unlock (a transaction that rejects
+// synchronously): the inner call snapshots and replays the new queue, then
+// the outer pass resumes. Each level owns its snapshot's backing array until
+// it is drained and only then offers it as the spare, so the queue being
+// appended to never aliases a snapshot being read; a re-entered unlock finds
+// no spare and the next deferral allocates, which is the rare path.
 func (s *Site) unlock() {
 	if s.lockLease != nil {
 		s.lockLease()
@@ -467,13 +506,20 @@ func (s *Site) unlock() {
 	s.lockedBy = noLock
 	s.lockJob = ""
 	pending := s.deferred
-	s.deferred = nil
-	for _, fn := range pending {
-		fn()
+	s.deferred, s.spare = s.spare[:0], nil
+	for i := range pending {
+		w := pending[i]
+		pending[i] = deferredWork{} // the spare array must not pin jobs
+		if w.job != nil {
+			s.jobArrives(w.job)
+		} else {
+			s.onEnroll(w.src, w.req)
+		}
 	}
+	s.spare = pending[:0]
 }
 
-func (s *Site) deferWork(fn func()) { s.deferred = append(s.deferred, fn) }
+func (s *Site) deferWork(w deferredWork) { s.deferred = append(s.deferred, w) }
 
 // ---------------------------------------------------------------------------
 // Job arrival and the local guarantee test (§5)
@@ -481,8 +527,10 @@ func (s *Site) deferWork(fn func()) { s.deferred = append(s.deferred, fn) }
 // jobArrives is the entry point for a job submitted at this site.
 func (s *Site) jobArrives(job *Job) {
 	if s.locked() {
-		s.cluster.event(s.id, job.ID, EvDeferred, fmt.Sprintf("locked by %d", s.lockedBy))
-		s.deferWork(func() { s.jobArrives(job) })
+		if s.cluster.tracing() {
+			s.cluster.event(s.id, job.ID, EvDeferred, fmt.Sprintf("locked by %d", s.lockedBy))
+		}
+		s.deferWork(deferredWork{job: job})
 		return
 	}
 	s.cluster.event(s.id, job.ID, EvArrival, "")

@@ -9,8 +9,10 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -439,12 +441,13 @@ func (g *Graph) PriorityOrder() []TaskID {
 	}
 	order := make([]TaskID, 0, len(g.tasks))
 	for len(free) > 0 {
-		sort.Slice(free, func(i, j int) bool {
-			bi, bj := g.blev[free[i]], g.blev[free[j]]
-			if bi != bj {
-				return bi > bj
+		// A total order (bottom level, then ID), so any sort agrees;
+		// slices.SortFunc needs no reflection-built swapper.
+		slices.SortFunc(free, func(a, b TaskID) int {
+			if c := cmp.Compare(g.blev[b], g.blev[a]); c != 0 {
+				return c
 			}
-			return free[i] < free[j]
+			return cmp.Compare(a, b)
 		})
 		id := free[0]
 		free = free[1:]

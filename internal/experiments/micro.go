@@ -27,8 +27,9 @@ type MicroBench struct {
 }
 
 // RunMicroBenches measures the declared hot paths — the wire codec, the
-// DES event kernel, and the reservation-plan admit path — with the testing
-// package's benchmark driver. The cases mirror the //lint:hotpath roots the
+// DES event kernel, a message hop through the DES transport and the protocol
+// layer's relay, the deferred-queue replay, and the reservation-plan admit
+// path — with the testing package's benchmark driver. The cases mirror the //lint:hotpath roots the
 // hotalloc analyzer polices, so the static gate (no unjustified allocation
 // reachable from a root) and the dynamic gate (allocs/op pinned in
 // BENCH_suite.json) watch the same code.
@@ -43,6 +44,9 @@ func RunMicroBenches() []MicroBench {
 		micro("graph/partition", benchGraphPartition),
 		micro("sim/event-loop", benchKernelEventLoop(0)),
 		micro("sim/par-event-loop", benchKernelEventLoop(1)),
+		micro("simnet/des-send", benchDESSend),
+		micro("core/relay-hop", benchRelayHop),
+		micro("core/unlock-replay", benchUnlockReplay),
 		micro("schedule/admit-reject", benchAdmitReject),
 		micro("schedule/admit-accept", benchAdmitAccept),
 	}
@@ -59,14 +63,12 @@ func micro(name string, fn func(*testing.B)) MicroBench {
 }
 
 // microPayload is the codec benchmark's frame: the routed hop-wrapper
-// around an enroll-ack, a realistic mid-size steady-state message. The
-// interface return type matters: it boxes the payload once here rather
-// than once per benchmarked op.
+// around an enroll-ack, a realistic mid-size steady-state message.
 func microPayload() simnet.Payload {
-	return core.Routed{Src: 1, Dest: 2, TTL: 20, Inner: core.EnrollAck{
+	return core.NewRouted(1, 2, 20, core.EnrollAck{
 		Job: "j3@7", Member: 2, Surplus: 0.875, Power: 2,
 		Dists: []txn.DistEntry{{Dest: 0, Dist: 0.05}, {Dest: 9, Dist: 1.5}},
-	}}
+	})
 }
 
 func benchWireEncode(b *testing.B) {
@@ -205,6 +207,74 @@ func benchKernelEventLoop(workers int) func(*testing.B) {
 		if err := k.RunUntil(float64(b.N)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchDESSend measures the DES's unit cost, one link traversal: DES.Send of
+// a boxed payload plus the Step that delivers it, as a two-site ping-pong
+// (each delivery sends the next message). The message rides the pooled event
+// node, so steady state is allocation-free.
+func benchDESSend(b *testing.B) {
+	topo := graph.Line(2, graph.UnitDelay, 1)
+	k, err := simnet.NewKernel(topo, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := simnet.NewDES(k, topo)
+	p := microPayload()
+	for id := graph.NodeID(0); id < 2; id++ {
+		d.Attach(id, func(from graph.NodeID, p simnet.Payload) {
+			if err := d.Send(id, from, p); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	if err := d.Send(0, 1, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.RunUntil(float64(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchRelayHop measures one relayed hop of a routed protocol message on a
+// 3-site line (core.NewRelayHop): handle, forward, Send, Step. The routed
+// handle is forwarded as it is, so steady state is allocation-free.
+func benchRelayHop(b *testing.B) {
+	step, err := core.NewRelayHop(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// unlockReplayBatch is how many deferred enrollments one unlock of
+// benchUnlockReplay replays.
+const unlockReplayBatch = 256
+
+// benchUnlockReplay measures the deferred queue's replay (core.NewUnlockReplay):
+// one op is one deferred enrollment looked at by an unlock whose first item
+// re-locks the site, in passes of unlockReplayBatch. Requeueing a value
+// allocates nothing; the one acknowledgement a pass sends (2 allocations,
+// pinned exactly by the core package's test) is under 1/100 per op.
+func benchUnlockReplay(b *testing.B) {
+	step, err := core.NewUnlockReplay(unlockReplayBatch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	step()
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += unlockReplayBatch {
+		step()
 	}
 }
 

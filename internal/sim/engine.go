@@ -5,12 +5,16 @@
 // fire in scheduling order (a monotone sequence number breaks ties), so a
 // simulation driven from a single goroutine is fully deterministic.
 //
-// The kernel is intentionally minimal: an event is just a closure. Higher
-// layers (internal/simnet, internal/core) build message passing and protocol
-// state machines on top of it.
+// The kernel is intentionally minimal: an event is a closure, or a message
+// delivery — a long-lived handler, two site ids and a payload — stored in
+// the event node itself, so the dominant event class of the layers above
+// (internal/simnet's link traversals) costs no allocation. Higher layers
+// (internal/simnet, internal/core) build message passing and protocol state
+// machines on top of it.
 //
-// Queue is the one event-queue implementation: heap, node pool,
-// cancellation index, burst-shrink policy and the pop-and-fire step. Engine,
+// Queue is the one event-queue implementation: a concrete binary heap over
+// *Event (the only heap in this package), node pool, cancellation index,
+// burst-shrink policy and the pop-and-fire step. Engine,
 // the serial kernel, is one Queue. internal/sim/par holds the multicore
 // counterpart: a conservative (lookahead-windowed) parallel kernel that is
 // one Queue per partition plus outboxes and a window barrier, and
@@ -65,13 +69,18 @@ func (e *Engine) Processed() int64 { return e.q.Processed() }
 // Pending reports how many events are scheduled but not yet fired.
 func (e *Engine) Pending() int { return e.q.Len() }
 
-// schedule validates and enqueues one event.
-func (e *Engine) schedule(t Time, fn func()) *Event {
+// nextSeq validates an event time and draws its scheduling-order key.
+func (e *Engine) nextSeq(t Time) int64 {
 	if t < e.q.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: t=%v now=%v", t, e.q.now))
 	}
 	e.seq++
-	ev := e.q.Alloc(t, 0, 0, e.seq, fn)
+	return e.seq
+}
+
+// schedule validates and enqueues one closure event.
+func (e *Engine) schedule(t Time, fn func()) *Event {
+	ev := e.q.Alloc(t, 0, 0, e.nextSeq(t), fn)
 	e.q.Push(ev)
 	return ev
 }
@@ -110,12 +119,21 @@ func (e *Engine) AfterFixed(d Time, fn func()) {
 // by At/After can be cancelled; AtFixed/AfterFixed events have no ID.
 func (e *Engine) Cancel(id EventID) bool { return e.q.Cancel(id) }
 
-// NowOf, Schedule, ScheduleCancellable, Parts and PartOf are the per-site
-// view the DES transport programs against (simnet.Kernel, see par.Engine):
-// here every site shares the one clock, the one queue and partition 0.
+// NowOf, Schedule, Deliver, ScheduleCancellable, Parts and PartOf are the
+// per-site view the DES transport programs against (simnet.Kernel, see
+// par.Engine): here every site shares the one clock, the one queue and
+// partition 0.
 
 func (e *Engine) NowOf(site int) Time                       { return e.q.now }
 func (e *Engine) Schedule(from, to int, at Time, fn func()) { e.AtFixed(at, fn) }
+
+// Deliver schedules the fire-and-forget call h(from, to, p) at absolute
+// virtual time at. The message rides the event node: nothing is allocated.
+//
+//lint:hotpath -- every simulated message delivery on the serial kernel is scheduled through here
+func (e *Engine) Deliver(from, to int, at Time, h Delivery, p any) {
+	e.q.Push(e.q.AllocDelivery(at, 0, 0, e.nextSeq(at), h, int32(from), int32(to), p))
+}
 func (e *Engine) ScheduleCancellable(site int, at Time, fn func()) func() bool {
 	id := e.At(at, fn)
 	return func() bool { return e.Cancel(id) }

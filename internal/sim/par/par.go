@@ -161,26 +161,43 @@ func (e *Engine) Pending() int {
 // alloc draws an event node from a partition's pool and fills the ordering
 // key: birth is that partition's clock, seq comes from the scheduling
 // origin's counter, which only that origin's partition touches, so the
-// increment needs no synchronization.
-func (e *Engine) alloc(pt *partition, from int, at float64, fn func()) *sim.Event {
+// increment needs no synchronization. The node is a closure event when fn is
+// non-nil, else the delivery h(from, to, p).
+func (e *Engine) alloc(pt *partition, from, to int, at float64, fn func(), h sim.Delivery, p any) *sim.Event {
 	if at < pt.Now() {
 		panic(fmt.Sprintf("par: scheduling event in the past: t=%v now=%v", at, pt.Now()))
 	}
 	e.originSeq[from]++
-	return pt.Alloc(at, pt.Now(), int32(from), e.originSeq[from], fn)
+	if fn != nil {
+		return pt.Alloc(at, pt.Now(), int32(from), e.originSeq[from], fn)
+	}
+	return pt.AllocDelivery(at, pt.Now(), int32(from), e.originSeq[from], h, int32(from), int32(to), p)
 }
 
 // Schedule enqueues fn to run at absolute virtual time at in the execution
 // context of origin to, scheduled by origin from. During a run it must be
 // called from from's own execution context (an event closure of from's
-// partition); between runs any goroutine may call it, serially. Events for
-// another partition are buffered in the sender's outbox and merged at the
-// next barrier — conservativeness demands they be at least one lookahead
-// away, which holds by construction when at = now + link delay and is
-// checked here.
+// partition); between runs any goroutine may call it, serially.
+func (e *Engine) Schedule(from, to int, at float64, fn func()) {
+	e.schedule(from, to, at, fn, nil, nil)
+}
+
+// Deliver enqueues the call h(from, to, p) under Schedule's contract. The
+// message rides the event node, so a delivery allocates nothing; the node is
+// filled here, in the sender's context, before it can reach an outbox, and
+// is read only by the receiving partition after the barrier.
+func (e *Engine) Deliver(from, to int, at float64, h sim.Delivery, p any) {
+	e.schedule(from, to, at, nil, h, p)
+}
+
+// schedule is the one body of Schedule and Deliver. Events for another
+// partition are buffered in the sender's outbox and merged at the next
+// barrier — conservativeness demands they be at least one lookahead away,
+// which holds by construction when at = now + link delay and is checked
+// here.
 //
 //lint:hotpath -- every simulated message delivery and timer is scheduled through here
-func (e *Engine) Schedule(from, to int, at float64, fn func()) {
+func (e *Engine) schedule(from, to int, at float64, fn func(), h sim.Delivery, pl any) {
 	p := e.originPart[from]
 	q := e.originPart[to]
 	src := e.parts[p]
@@ -189,10 +206,10 @@ func (e *Engine) Schedule(from, to int, at float64, fn func()) {
 		// single-threaded, all clocks aligned; push straight into the
 		// destination heap.
 		dst := e.parts[q]
-		dst.Push(e.alloc(dst, from, at, fn))
+		dst.Push(e.alloc(dst, from, to, at, fn, h, pl))
 		return
 	}
-	ev := e.alloc(src, from, at, fn)
+	ev := e.alloc(src, from, to, at, fn, h, pl)
 	if p == q {
 		src.Push(ev)
 		return
@@ -211,7 +228,7 @@ func (e *Engine) Schedule(from, to int, at float64, fn func()) {
 // and cancels only its own — so the cancellation index is partition-local.
 func (e *Engine) ScheduleCancellable(origin int, at float64, fn func()) func() bool {
 	pt := e.parts[e.originPart[origin]]
-	ev := e.alloc(pt, origin, at, fn)
+	ev := e.alloc(pt, origin, origin, at, fn, nil, nil)
 	id := pt.Track(ev)
 	pt.Push(ev)
 	return func() bool { return pt.Cancel(id) }

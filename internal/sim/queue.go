@@ -1,31 +1,38 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
-// Event is one scheduled closure, owned by the Queue that allocated it (or
-// by a parallel-kernel outbox on its way to the destination Queue).
+// Delivery is the long-lived function a delivery event calls: the transport
+// creates one when it is built and every message it sends names it, so a
+// hop costs no closure.
+type Delivery func(from, to int32, p any)
+
+// Event is one scheduled piece of work, owned by the Queue that allocated it
+// (or by a parallel-kernel outbox on its way to the destination Queue). It
+// is either a closure (fn) or a message delivery that rides the node itself
+// (deliver, from, to, payload): the dominant event class costs no
+// allocation beyond the pooled node.
 type Event struct {
 	at     Time
 	birth  Time    // virtual time at which the event was scheduled
-	origin int32   // site whose execution context scheduled it
 	seq    int64   // scheduler-drawn counter: FIFO among otherwise equal keys
 	id     EventID // cancellation handle; 0 = fire-and-forget
-	fn     func()
-	index  int // heap index, -1 when popped/cancelled
+	fn     func()  // nil on a delivery event
+	origin int32   // site whose execution context scheduled it
+	index  int32   // heap index, -1 when popped/cancelled
+
+	deliver  Delivery
+	from, to int32
+	payload  any
 }
 
-// eventHeap orders events by (at, birth, origin, seq): the parallel kernel's
+// less orders events by (at, birth, origin, seq): the parallel kernel's
 // partition-count-independent key (see the par package comment). The serial
 // engine schedules with birth = 0, origin = 0 and one global seq, which
-// makes the key the (at, scheduling order) of the reference semantics.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
+// makes the key the (at, scheduling order) of the reference semantics. The
+// key is a strict total order, so the pop sequence does not depend on the
+// heap's shape.
+func less(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -37,25 +44,6 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
 
 // Queue is the event queue both kernels are made of: a heap of pending
 // events, the pool their nodes are recycled through, the cancellation index
@@ -64,7 +52,7 @@ func (h *eventHeap) Pop() any {
 // outboxes and the window barrier. One goroutine owns a Queue at a time;
 // the zero value is ready to use.
 type Queue struct {
-	pq        eventHeap
+	pq        []*Event // binary min-heap on less; the only heap in this package
 	free      []*Event // recycled event nodes
 	live      map[EventID]*Event
 	nextID    EventID
@@ -87,8 +75,21 @@ func (q *Queue) Len() int { return len(q.pq) }
 // NextAt reports the earliest pending timestamp of a non-empty queue.
 func (q *Queue) NextAt() Time { return q.pq[0].at }
 
-// Alloc draws an event node from the pool and fills its ordering key. The
-// node is not pending until Push (cross-partition events wait in an outbox).
+// node draws an event node from the pool and fills its ordering key.
+func (q *Queue) node(at, birth Time, origin int32, seq int64) *Event {
+	if n := len(q.free); n > 0 {
+		ev := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		ev.at, ev.birth, ev.origin, ev.seq, ev.id = at, birth, origin, seq, 0
+		return ev
+	}
+	//lint:allow hotalloc -- pool-miss growth: each node is allocated once, then recycled through q.free
+	return &Event{at: at, birth: birth, origin: origin, seq: seq}
+}
+
+// Alloc draws a closure event from the pool. The node is not pending until
+// Push (cross-partition events wait in an outbox).
 func (q *Queue) Alloc(at, birth Time, origin int32, seq int64, fn func()) *Event {
 	if math.IsNaN(at) {
 		panic("sim: NaN event time")
@@ -96,19 +97,102 @@ func (q *Queue) Alloc(at, birth Time, origin int32, seq int64, fn func()) *Event
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	if n := len(q.free); n > 0 {
-		ev := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		ev.at, ev.birth, ev.origin, ev.seq, ev.id, ev.fn = at, birth, origin, seq, 0, fn
-		return ev
+	ev := q.node(at, birth, origin, seq) //lint:allow hotalloc -- node's pool-miss growth, inlined here
+	ev.fn = fn
+	return ev
+}
+
+// AllocDelivery draws a delivery event from the pool: firing it calls
+// deliver(from, to, p). The node carries the message, so nothing else is
+// allocated for it; p is dropped when the node returns to the pool.
+//
+//lint:hotpath -- every simulated message delivery is allocated through here
+func (q *Queue) AllocDelivery(at, birth Time, origin int32, seq int64, deliver Delivery, from, to int32, p any) *Event {
+	if math.IsNaN(at) {
+		panic("sim: NaN event time")
 	}
-	//lint:allow hotalloc -- pool-miss growth: each node is allocated once, then recycled through q.free
-	return &Event{at: at, birth: birth, origin: origin, seq: seq, fn: fn}
+	if deliver == nil {
+		panic("sim: nil delivery function")
+	}
+	ev := q.node(at, birth, origin, seq) //lint:allow hotalloc -- node's pool-miss growth, inlined here
+	ev.deliver, ev.from, ev.to, ev.payload = deliver, from, to, p
+	return ev
 }
 
 // Push makes an allocated event pending.
-func (q *Queue) Push(ev *Event) { heap.Push(&q.pq, ev) }
+func (q *Queue) Push(ev *Event) {
+	ev.index = int32(len(q.pq))
+	q.pq = append(q.pq, ev)
+	q.up(int(ev.index))
+}
+
+// up sifts the entry at i toward the root and reports whether it moved.
+func (q *Queue) up(i int) bool {
+	pq := q.pq
+	ev := pq[i]
+	start := i
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := pq[parent]
+		if !less(ev, p) {
+			break
+		}
+		pq[i] = p
+		p.index = int32(i)
+		i = parent
+	}
+	pq[i] = ev
+	ev.index = int32(i)
+	return i != start
+}
+
+// down sifts the entry at i toward the leaves and reports whether it moved.
+func (q *Queue) down(i int) bool {
+	pq := q.pq
+	n := len(pq)
+	ev := pq[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		child := pq[c]
+		if r := c + 1; r < n && less(pq[r], child) {
+			c, child = r, pq[r]
+		}
+		if !less(child, ev) {
+			break
+		}
+		pq[i] = child
+		child.index = int32(i)
+		i = c
+	}
+	pq[i] = ev
+	ev.index = int32(i)
+	return i != start
+}
+
+// removeAt takes the entry at heap index i out of the heap: the last entry
+// moves into its slot and is sifted down and, if that did not move it, up
+// (an interior removal can violate the order in either direction).
+func (q *Queue) removeAt(i int) *Event {
+	pq := q.pq
+	ev := pq[i]
+	n := len(pq) - 1
+	last := pq[n]
+	pq[n] = nil
+	q.pq = pq[:n]
+	if i != n {
+		pq[i] = last
+		last.index = int32(i)
+		if !q.down(i) {
+			q.up(i)
+		}
+	}
+	ev.index = -1
+	return ev
+}
 
 // Track enters an event into the cancellation index and returns its handle.
 // Fire-and-forget events skip it: message deliveries, the dominant event
@@ -131,15 +215,14 @@ func (q *Queue) Cancel(id EventID) bool {
 		return false
 	}
 	delete(q.live, id)
-	heap.Remove(&q.pq, ev.index)
-	q.release(ev)
+	q.release(q.removeAt(int(ev.index)))
 	return true
 }
 
 // release returns a popped or cancelled event node to the pool. The closure
-// reference is dropped so the pool does not pin caller state.
+// and payload references are dropped so the pool does not pin caller state.
 func (q *Queue) release(ev *Event) {
-	ev.fn = nil
+	ev.fn, ev.deliver, ev.payload = nil, nil, nil
 	q.free = append(q.free, ev)
 }
 
@@ -148,18 +231,24 @@ func (q *Queue) release(ev *Event) {
 //
 //lint:hotpath -- the event loop body of both kernels: every simulated event dispatch goes through here
 func (q *Queue) Step() {
-	ev := heap.Pop(&q.pq).(*Event)
+	ev := q.removeAt(0)
 	if ev.id != 0 {
 		delete(q.live, ev.id)
 	}
 	if ev.at < q.now {
 		panic("sim: time went backwards") // unreachable by construction
 	}
+	// The event may schedule and reuse the node: read every field first.
 	at, fn := ev.at, ev.fn
-	q.release(ev) // fn may schedule and reuse the node; all fields are read
+	deliver, from, to, p := ev.deliver, ev.from, ev.to, ev.payload
+	q.release(ev)
 	q.now = at
 	q.processed++
-	fn()
+	if fn != nil {
+		fn()
+	} else {
+		deliver(from, to, p)
+	}
 	q.maybeShrink()
 }
 
@@ -189,7 +278,7 @@ func (q *Queue) maybeShrink() {
 		q.free = append(make([]*Event, 0, c/2), q.free...) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the pool is 4x oversized
 	}
 	if c := cap(q.pq); c > poolMin && len(q.pq) < c/4 {
-		pq := make(eventHeap, len(q.pq), c/2) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the heap backing is 4x oversized
+		pq := make([]*Event, len(q.pq), c/2) //lint:allow hotalloc -- burst-shrink realloc: at most once per 1024 events, only while the heap backing is 4x oversized
 		copy(pq, q.pq)
 		q.pq = pq
 	}

@@ -24,6 +24,10 @@ type Kernel interface {
 	// and is valid only from that context.
 	Schedule(from, to int, at float64, fn func())
 	ScheduleCancellable(site int, at float64, fn func()) func() bool
+	// Deliver is Schedule for a message: h(from, to, p) runs at time at in
+	// site to's context. The message rides the kernel's pooled event node,
+	// so a delivery allocates nothing (h is long-lived, p already boxed).
+	Deliver(from, to int, at float64, h sim.Delivery, p any)
 	// Parts and PartOf expose the site-to-partition pinning.
 	Parts() int
 	PartOf(site int) int
@@ -71,10 +75,16 @@ func NewKernel(topo *graph.Graph, workers int) (Kernel, error) {
 // order, which no parallel execution can reproduce; such plans need a
 // single partition (internal/core collapses to one worker), and SetFaults
 // enforces it.
+//
+// A message in flight is the payload field of a kernel event node (see
+// Kernel.Deliver), not a closure: a hop allocates nothing here. The payload
+// object itself is handed over untouched — a sent payload belongs to the
+// receiver, and the sender must not touch it after Send.
 type DES struct {
 	kernel   Kernel
 	topo     *graph.Graph
 	handlers []Handler
+	deliver  sim.Delivery // d.dispatch, bound once: every in-flight message names it
 	stats    *Stats
 	shard    []*Stats // per site: its partition's shard
 	faults   *faultState
@@ -92,13 +102,25 @@ func NewDES(kernel Kernel, topo *graph.Graph) *DES {
 	for site := range shard {
 		shard[site] = byPart[kernel.PartOf(site)]
 	}
-	return &DES{
+	d := &DES{
 		kernel:   kernel,
 		topo:     topo,
 		handlers: make([]Handler, topo.Len()),
 		stats:    stats,
 		shard:    shard,
 	}
+	d.deliver = d.dispatch
+	return d
+}
+
+// dispatch fires one delivery event: the receiving site's handler runs in
+// its own execution context.
+func (d *DES) dispatch(from, to int32, p any) {
+	h := d.handlers[to]
+	if h == nil {
+		panic(fmt.Sprintf("simnet: no handler attached at node %d", to))
+	}
+	h(graph.NodeID(from), p.(Payload))
 }
 
 // Attach implements Transport.
@@ -124,10 +146,12 @@ func (d *DES) SetFaults(plan FaultPlan, epoch float64) {
 // context (its partition's goroutine), so the partition clock, the per-site
 // scheduling counters and the partition's stats shard are all touched
 // race-free.
+//
+//lint:hotpath -- one call per link traversal: the DES's unit cost
 func (d *DES) Send(from, to graph.NodeID, p Payload) error {
 	delay, err := d.topo.EdgeDelay(from, to)
 	if err != nil {
-		return fmt.Errorf("simnet: send %s from %d to non-neighbor %d", p.Kind(), from, to)
+		return fmt.Errorf("simnet: send %s from %d to non-neighbor %d", p.Kind(), from, to) //lint:allow hotalloc -- protocol-bug error path: sites only send to neighbours
 	}
 	sh := d.shard[from]
 	now := d.kernel.NowOf(int(from))
@@ -143,13 +167,7 @@ func (d *DES) Send(from, to graph.NodeID, p Payload) error {
 	sh.RecordEdge(from, to, p)
 	// Deliveries are fire-and-forget: the protocol never cancels an in-flight
 	// message, so they skip the kernel's cancellation index.
-	d.kernel.Schedule(int(from), int(to), now+delay, func() {
-		h := d.handlers[to]
-		if h == nil {
-			panic(fmt.Sprintf("simnet: no handler attached at node %d", to))
-		}
-		h(from, p)
-	})
+	d.kernel.Deliver(int(from), int(to), now+delay, d.deliver, p)
 	return nil
 }
 

@@ -8,7 +8,9 @@
 //
 // Two implementations live in this package, and a third outside it:
 //
-//   - DES: fully deterministic, used by all experiments and benchmarks. One
+//   - DES: fully deterministic, used by all experiments and benchmarks. A
+//     message in flight is the payload of a pooled kernel event node
+//     (Kernel.Deliver), so a link traversal allocates nothing. One
 //     transport over a small Kernel interface that both event engines
 //     satisfy: the serial reference engine (internal/sim) and the
 //     conservative parallel kernel (internal/sim/par), which routes
@@ -38,7 +40,9 @@ import (
 
 // Payload is anything a site sends to another site. Kind routes the message
 // to protocol handlers and labels the statistics; SizeBytes estimates the
-// wire size for communication accounting.
+// wire size for communication accounting. A sent payload belongs to whoever
+// receives it: the sender does not touch it after Send, and the in-process
+// transports hand the receiver the object itself.
 type Payload interface {
 	Kind() string
 	SizeBytes() int
@@ -95,13 +99,20 @@ type Stats struct {
 	dropped     int64
 	crossMsgs   int64
 	boundary    func(from, to graph.NodeID) bool
-	byKind      map[string]int64
+	byKind      map[string]*kindCount
 	shards      []*Stats
+}
+
+// kindCount is one kind's traversal count, with the control-plane
+// classification of the kind remembered from its first traversal.
+type kindCount struct {
+	n       int64
+	control bool
 }
 
 // NewStats returns zeroed counters.
 func NewStats() *Stats {
-	return &Stats{byKind: make(map[string]int64)}
+	return &Stats{byKind: make(map[string]*kindCount)}
 }
 
 // Shard returns a child counter set aggregated into s by every read and
@@ -163,36 +174,43 @@ func controlKind(kind string) bool {
 	return strings.HasPrefix(kind, "member.") || strings.HasPrefix(kind, "pcs.")
 }
 
-// Record counts one sent payload (exported for transports implemented
-// outside this package, e.g. the wire package's TCP transport).
-func (s *Stats) Record(p Payload) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// count adds one traversal of the given kind and size; callers hold s.mu.
+func (s *Stats) count(kind string, size int64) {
 	s.messages++
-	s.bytes += int64(p.SizeBytes())
-	s.byKind[p.Kind()]++
-	if controlKind(p.Kind()) {
-		s.controlMsgs++
-		s.controlB += int64(p.SizeBytes())
+	s.bytes += size
+	kc := s.byKind[kind]
+	if kc == nil {
+		kc = &kindCount{control: controlKind(kind)} //lint:allow hotalloc -- once per message kind between resets
+		s.byKind[kind] = kc
 	}
+	kc.n++
+	if kc.control {
+		s.controlMsgs++
+		s.controlB += size
+	}
+}
+
+// Record counts one sent payload (exported for transports implemented
+// outside this package, e.g. the wire package's TCP transport). Kind and
+// size are evaluated once, outside the lock: sizing a payload can walk it.
+func (s *Stats) Record(p Payload) {
+	kind, size := p.Kind(), int64(p.SizeBytes())
+	s.mu.Lock()
+	s.count(kind, size)
+	s.mu.Unlock()
 }
 
 // RecordEdge counts one sent payload with its link endpoints, so traversals
 // crossing the installed boundary classifier are also counted. Transports
 // that know the link (DES, Live) use this instead of Record.
 func (s *Stats) RecordEdge(from, to graph.NodeID, p Payload) {
+	kind, size := p.Kind(), int64(p.SizeBytes())
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.messages++
-	s.bytes += int64(p.SizeBytes())
-	s.byKind[p.Kind()]++
-	if controlKind(p.Kind()) {
-		s.controlMsgs++
-		s.controlB += int64(p.SizeBytes())
-	}
+	s.count(kind, size)
 	if s.boundary != nil && s.boundary(from, to) {
 		s.crossMsgs++
 	}
+	s.mu.Unlock()
 }
 
 // CrossMessages reports how many traversals crossed the boundary installed
@@ -228,8 +246,8 @@ func (s *Stats) Bytes() int64 { return s.totals().bytes }
 func (s *Stats) ByKind() map[string]int64 {
 	s.mu.Lock()
 	out := make(map[string]int64, len(s.byKind))
-	for k, v := range s.byKind {
-		out[k] = v
+	for k, kc := range s.byKind {
+		out[k] = kc.n
 	}
 	shards := s.shards
 	s.mu.Unlock()
@@ -247,7 +265,7 @@ func (s *Stats) Reset() {
 	s.mu.Lock()
 	s.messages, s.bytes, s.dropped = 0, 0, 0
 	s.controlMsgs, s.controlB, s.crossMsgs = 0, 0, 0
-	s.byKind = make(map[string]int64)
+	s.byKind = make(map[string]*kindCount)
 	shards := s.shards
 	s.mu.Unlock()
 	for _, c := range shards {

@@ -23,8 +23,8 @@ func benchPayloads(tb testing.TB) []struct {
 		name string
 		p    simnet.Payload
 	}{
-		{"routed-enroll", core.Routed{Src: 1, Dest: 2, TTL: 20,
-			Inner: core.EnrollReq{Job: "j1@0", Initiator: 0, Window: 3.5}}},
+		{"routed-enroll", core.NewRouted(1, 2, 20,
+			core.EnrollReq{Job: "j1@0", Initiator: 0, Window: 3.5})},
 		{"enroll-ack", core.EnrollAck{Job: "j3@7", Member: 2, Surplus: 0.875, Power: 2,
 			Dists: []txn.DistEntry{{Dest: 0, Dist: 0.05}, {Dest: 9, Dist: 1.5}}}},
 		{"commit-graph", core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: 1, CodeBytes: 768,

@@ -37,17 +37,18 @@ func testGraph(t testing.TB) *dag.Graph {
 
 // samples returns one zero-value and one max-field instance of every
 // message type the protocol puts on a link. The zero Routed is excluded:
-// a routed frame without an inner payload is not encodable by design.
+// it has no header, and a routed frame without an inner payload is not
+// encodable by design.
 func samples(t testing.TB) []simnet.Payload {
 	t.Helper()
 	g := testGraph(t)
 	return []simnet.Payload{
 		// Routed wrapper, small and with a large inner payload.
-		core.Routed{Src: 1, Dest: 2, TTL: 20, Inner: core.EnrollReq{Job: "j1@0", Initiator: 0, Window: 3.5}},
-		core.Routed{Src: 31, Dest: 0, TTL: 0, Inner: core.CommitMsg{
+		core.NewRouted(1, 2, 20, core.EnrollReq{Job: "j1@0", Initiator: 0, Window: 3.5}),
+		core.NewRouted(31, 0, 0, core.CommitMsg{
 			Job: "j9@31", Initiator: 31, Proc: 2, CodeBytes: 2048, Graph: g,
 			TaskSites: map[dag.TaskID]graph.NodeID{1: 4, 2: 31, 3: 0},
-		}},
+		}),
 		// PCS bootstrap tables and epoch-tagged repair floods.
 		routing.TableMsg{},
 		routing.TableMsg{Round: 5, Entries: []routing.WireRoute{
@@ -347,8 +348,11 @@ func TestEncodeRefusesUnknownPayload(t *testing.T) {
 	if _, err := Encode(unknownPayload{}); err == nil {
 		t.Fatal("encoding an unknown payload type succeeded")
 	}
-	if _, err := Encode(core.Routed{Src: 1, Dest: 2, TTL: 3, Inner: unknownPayload{}}); err == nil {
+	if _, err := Encode(core.NewRouted(1, 2, 3, unknownPayload{})); err == nil {
 		t.Fatal("encoding a routed unknown payload succeeded")
+	}
+	if _, err := Encode(core.Routed{}); err == nil {
+		t.Fatal("encoding the zero Routed (no header) succeeded")
 	}
 }
 

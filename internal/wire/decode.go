@@ -81,10 +81,9 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 		// consumed there; one reaching the codec is a framing bug.
 		return nil, fmt.Errorf("wire: %v frame reached the payload codec", kind)
 	case kindRouted:
-		m := core.Routed{}
-		m.Src = graph.NodeID(d.varint())
-		m.Dest = graph.NodeID(d.varint())
-		m.TTL = int(d.varint())
+		src := graph.NodeID(d.varint())
+		dest := graph.NodeID(d.varint())
+		ttl := int(d.varint())
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -99,8 +98,7 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Inner = inner
-		return m, nil
+		return core.NewRouted(src, dest, ttl, inner), nil
 	case kindTable:
 		m := routing.TableMsg{}
 		m.Round = int(d.varint())

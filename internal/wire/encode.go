@@ -57,6 +57,9 @@ func AppendFrame(buf []byte, p simnet.Payload) ([]byte, error) {
 func encodePayload(e *enc, p simnet.Payload) error {
 	switch m := p.(type) {
 	case core.Routed:
+		if m.RoutedHeader == nil {
+			return fmt.Errorf("wire: routed payload without a header (the zero core.Routed)")
+		}
 		e.kind(kindRouted)
 		e.varint(int64(m.Src))
 		e.varint(int64(m.Dest))
