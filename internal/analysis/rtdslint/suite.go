@@ -56,7 +56,8 @@ var deterministicPkgs = []string{
 //     implementation (its testdata fixtures intentionally violate the rules)
 //   - lockorder: the heavy lock users (core, simnet, wire) — the packages
 //     whose mutexes interleave across the message chain
-//   - hotalloc: the declared hot-path packages (wire, sim, schedule); the
+//   - hotalloc: the declared hot-path packages (wire, sim, schedule, and
+//     routing for the bootstrap's merge and landmark relaxation); the
 //     //lint:hotpath roots live there and the call graph stays within them
 //   - spawncheck: every package that spawns goroutines, i.e. all module
 //     code outside the linter itself
@@ -85,7 +86,8 @@ func AppliesTo(a *analysis.Analyzer, importPath string) bool {
 	case "hotalloc":
 		return hasPrefix(importPath, "repro/internal/wire") ||
 			hasPrefix(importPath, "repro/internal/sim") ||
-			hasPrefix(importPath, "repro/internal/schedule")
+			hasPrefix(importPath, "repro/internal/schedule") ||
+			hasPrefix(importPath, "repro/internal/routing")
 	default: // exhaustive, spawncheck, future module-wide checks
 		return hasPrefix(importPath, "repro")
 	}

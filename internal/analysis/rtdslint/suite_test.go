@@ -35,6 +35,7 @@ func TestAppliesToScoping(t *testing.T) {
 		{"detclock", "repro/internal/baseline", false},
 		{"mapiter", "repro/internal/sim/par", true},
 		{"hotalloc", "repro/internal/sim/par", true},
+		{"hotalloc", "repro/internal/routing/hier", true},
 		{"mapiter", "repro/internal/wire", true},
 		{"mapiter", "repro/internal/baseline", true},
 		{"mapiter", "repro/cmd/rtds-sim", false},

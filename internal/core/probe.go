@@ -3,6 +3,12 @@ package core
 //lint:file-allow wallclock -- the probe timeout guards callers of a wall-clock transport that was closed under them; on virtual time a probe is a direct read and never touches the clock
 
 import (
+	"cmp"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core/membership"
@@ -77,6 +83,50 @@ func (c *Cluster) RoutingState() (maxBytes, maxEntries int) {
 	}
 	return maxBytes, maxEntries
 }
+
+// RouteDigest hashes every local site's routing answers into one FNV-64a
+// value, sites in ID order (see Site.routeDigest). The routing benchmark
+// pins it, so a change that moves one route at one site fails the gate
+// instead of only drifting a ratio. Sites that do not answer are left out.
+func (c *Cluster) RouteDigest() uint64 {
+	type siteSum struct {
+		id  graph.NodeID
+		sum uint64
+	}
+	sums := probe(c, func(s *Site) siteSum { return siteSum{s.id, s.routeDigest()} })
+	slices.SortFunc(sums, func(a, b siteSum) int { return cmp.Compare(a.id, b.id) })
+	h := fnv.New64a()
+	for _, s := range sums {
+		writeWord(h, uint64(s.id))
+		writeWord(h, s.sum)
+	}
+	return h.Sum64()
+}
+
+// routeDigest hashes this site's routing answers: each destination its
+// router holds state for, with the next hop (-1 for none) and the
+// distance's bits, then the sphere. Zero before the bootstrap completes.
+func (s *Site) routeDigest() uint64 {
+	if s.table == nil {
+		return 0
+	}
+	h := fnv.New64a()
+	for _, dest := range s.table.Destinations() {
+		nh, ok := s.table.NextHop(dest)
+		if !ok {
+			nh = -1
+		}
+		writeWord(h, uint64(dest))
+		writeWord(h, uint64(nh))
+		writeWord(h, math.Float64bits(s.table.Dist(dest)))
+	}
+	for _, m := range s.pcs {
+		writeWord(h, uint64(m))
+	}
+	return h.Sum64()
+}
+
+func writeWord(h hash.Hash64, v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 
 // MembershipSnapshots reports each local site's membership view; empty when
 // membership is disabled or the transport is closed.

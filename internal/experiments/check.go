@@ -24,7 +24,8 @@ const ratioTolerance = 1e-9
 //     regenerated deliberately;
 //   - hot-path allocs/op must not exceed the baseline's, the kernel storm
 //     must stay deterministic (and scale, where the machine has the cores),
-//     and the routing sweep must match.
+//     and the routing sweep must match, bootstrap message counts and route
+//     digests included.
 //
 // Nothing wall-clock is compared against the baseline: events/sec is a
 // reading of the host, and throughput and latency regressions are the
@@ -208,6 +209,18 @@ func CompareReports(baseline, current BenchReport) error {
 					problems = append(problems, fmt.Sprintf(
 						"routing: guarantee ratio at %d sites drifted %+.6f (baseline %.6f, run %.6f)",
 						cp.Sites, cp.GuaranteeRatio-bp.GuaranteeRatio, bp.GuaranteeRatio, cp.GuaranteeRatio))
+				}
+				// A baseline from before these two fields leaves them empty
+				// and is compared on the rest.
+				if bp.BootstrapMsgs != 0 && cp.BootstrapMsgs != bp.BootstrapMsgs {
+					problems = append(problems, fmt.Sprintf(
+						"routing: bootstrap at %d sites sent %d messages, baseline pins %d",
+						cp.Sites, cp.BootstrapMsgs, bp.BootstrapMsgs))
+				}
+				if bp.RouteDigest != "" && cp.RouteDigest != bp.RouteDigest {
+					problems = append(problems, fmt.Sprintf(
+						"routing: route digest at %d sites is %s, baseline pins %s — a route moved",
+						cp.Sites, cp.RouteDigest, bp.RouteDigest))
 				}
 				if i == len(b.Points)-1 && cp.MsgsPerJob > bp.MsgsPerJob+ratioTolerance {
 					problems = append(problems, fmt.Sprintf(

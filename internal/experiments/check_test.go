@@ -158,3 +158,42 @@ func TestCompareReportsBaselineWithoutMicroPasses(t *testing.T) {
 		t.Fatalf("baseline without micro section failed the gate: %v", err)
 	}
 }
+
+func routingReports() (BenchReport, BenchReport) {
+	base, cur := gateReports()
+	point := func() RoutingPoint {
+		return RoutingPoint{Sites: 256, Regions: 16, TableBytes: 600, GuaranteeRatio: 0.9, MsgsPerJob: 40,
+			BootstrapMsgs: 52000, RouteDigest: "0123456789abcdef"}
+	}
+	base.Routing = &RoutingBench{Seed: 1, Jobs: 96, Points: []RoutingPoint{point()}}
+	cur.Routing = &RoutingBench{Seed: 1, Jobs: 96, Points: []RoutingPoint{point()}}
+	return base, cur
+}
+
+// TestCompareReportsCatchesMovedRoute: the routing section's bootstrap
+// message count and route digest are gated exactly.
+func TestCompareReportsCatchesMovedRoute(t *testing.T) {
+	base, cur := routingReports()
+	if err := CompareReports(base, cur); err != nil {
+		t.Fatalf("identical routing sections failed the gate: %v", err)
+	}
+	cur.Routing.Points[0].RouteDigest = "fedcba9876543210"
+	if err := CompareReports(base, cur); err == nil || !strings.Contains(err.Error(), "route digest") {
+		t.Fatalf("moved route not caught: %v", err)
+	}
+	base, cur = routingReports()
+	cur.Routing.Points[0].BootstrapMsgs++
+	if err := CompareReports(base, cur); err == nil || !strings.Contains(err.Error(), "bootstrap") {
+		t.Fatalf("bootstrap message drift not caught: %v", err)
+	}
+}
+
+// TestCompareReportsRoutingBaselineWithoutDigestPasses: a baseline written
+// before the digest and bootstrap count were recorded still gates the rest.
+func TestCompareReportsRoutingBaselineWithoutDigestPasses(t *testing.T) {
+	base, cur := routingReports()
+	base.Routing.Points[0].BootstrapMsgs, base.Routing.Points[0].RouteDigest = 0, ""
+	if err := CompareReports(base, cur); err != nil {
+		t.Fatalf("baseline without route digests failed the gate: %v", err)
+	}
+}

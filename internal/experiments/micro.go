@@ -9,6 +9,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/txn"
 	"repro/internal/graph"
+	"repro/internal/routing"
+	"repro/internal/routing/hier"
 	"repro/internal/schedule"
 	"repro/internal/simnet"
 	"repro/internal/wire"
@@ -28,8 +30,9 @@ type MicroBench struct {
 
 // RunMicroBenches measures the declared hot paths — the wire codec, the
 // DES event kernel, a message hop through the DES transport and the protocol
-// layer's relay, the deferred-queue replay, and the reservation-plan admit
-// path — with the testing package's benchmark driver. The cases mirror the //lint:hotpath roots the
+// layer's relay, the deferred-queue replay, the routing bootstrap's table
+// merge and landmark relaxation, and the reservation-plan admit path — with
+// the testing package's benchmark driver. The cases mirror the //lint:hotpath roots the
 // hotalloc analyzer polices, so the static gate (no unjustified allocation
 // reachable from a root) and the dynamic gate (allocs/op pinned in
 // BENCH_suite.json) watch the same code.
@@ -42,6 +45,8 @@ func RunMicroBenches() []MicroBench {
 		micro("wire/read-frame", benchWireReadFrame),
 		micro("wire/write-batch", benchWireWriteBatch),
 		micro("graph/partition", benchGraphPartition),
+		micro("routing/merge", benchRoutingMerge),
+		micro("hier/handle-ad", benchHierHandleAd),
 		micro("sim/event-loop", benchKernelEventLoop(0)),
 		micro("sim/par-event-loop", benchKernelEventLoop(1)),
 		micro("simnet/des-send", benchDESSend),
@@ -181,6 +186,51 @@ func benchGraphPartition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topo.Partition(32)
+	}
+}
+
+// benchRoutingMerge measures one bootstrap merge at its steady state: a
+// neighbor's snapshot folded into a full radius-3 table of a 64-site random
+// topology (the des_std PCS). Once both backing arrays have reached the
+// table's size the merge allocates nothing.
+func benchRoutingMerge(b *testing.B) {
+	topo := graph.RandomConnected(64, 4, StdDelays, 1)
+	tables, _, err := routing.Build(topo, routing.RoundsForRadius(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := tables[0].Clone()
+	nbr := topo.Neighbors(0)[0]
+	snap := tables[nbr.To].Snapshot()
+	t.Merge(nbr.To, nbr.Delay, snap)
+	t.Merge(nbr.To, nbr.Delay, snap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Merge(nbr.To, nbr.Delay, snap)
+	}
+}
+
+// benchHierHandleAd measures one improving landmark advertisement on a
+// 256-site layout: the vector line is replaced in place and the ad re-sent
+// to every neighbor, boxed once — one allocation per op whatever the
+// degree. (A non-improving ad, the flood's usual case, allocates nothing;
+// the hier package's tests pin that.)
+func benchHierHandleAd(b *testing.B) {
+	topo := graph.RandomConnected(256, 4, StdDelays, 1)
+	lay, err := hier.NewLayout(topo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nbrs := topo.Neighbors(0)
+	boot := hier.NewBootstrap(0, nbrs, lay, func(graph.NodeID, simnet.Payload) {})
+	r := (lay.Region(0) + 1) % lay.Regions
+	ad := hier.LandmarkAd{Region: r, Landmark: lay.Landmarks[r], Dist: float64(b.N) + 1, Hops: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ad.Dist--
+		boot.HandleAd(nbrs[0].To, ad)
 	}
 }
 

@@ -132,6 +132,12 @@ type RoutingPoint struct {
 	// boundary during the run (escalations and their ACS traffic only —
 	// region-local jobs contribute zero).
 	CrossRegionMessages int64 `json:"cross_region_messages"`
+	// BootstrapMsgs is the two-phase bootstrap's message count and
+	// RouteDigest a hash of every site's routes (core.Cluster.RouteDigest):
+	// both are gated exactly, so a representation change that moves a
+	// single route or message fails the gate.
+	BootstrapMsgs int64  `json:"bootstrap_msgs,omitempty"`
+	RouteDigest   string `json:"route_digest,omitempty"`
 }
 
 // RoutingBench is the BENCH_suite.json "routing" section: the hierarchical
@@ -162,6 +168,7 @@ func RunRoutingBench() (*RoutingBench, error) {
 		}
 		sum := c.Summarize()
 		cluster := c.(scheme.CoreBacked).Core()
+		bootMsgs, _ := cluster.BootstrapCost()
 		rb.Points = append(rb.Points, RoutingPoint{
 			Sites:               n,
 			Regions:             cluster.Layout().Regions,
@@ -172,6 +179,8 @@ func RunRoutingBench() (*RoutingBench, error) {
 			MsgsPerJob:          sum.MessagesPerJob,
 			GuaranteeRatio:      sum.GuaranteeRatio,
 			CrossRegionMessages: sum.Core.CrossRegionMessages,
+			BootstrapMsgs:       bootMsgs,
+			RouteDigest:         fmt.Sprintf("%016x", cluster.RouteDigest()),
 		})
 	}
 	return rb, nil

@@ -12,7 +12,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeID identifies a site. Sites are numbered 0..N-1.
@@ -86,30 +85,43 @@ func (g *Graph) MustAddEdge(u, v NodeID, delay float64) {
 
 func (g *Graph) insert(u NodeID, e Edge) {
 	a := g.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= e.To })
+	i, _ := SearchEdges(a, e.To)
 	a = append(a, Edge{})
 	copy(a[i+1:], a[i:])
 	a[i] = e
 	g.adj[u] = a
 }
 
+// SearchEdges binary-searches an adjacency list sorted by neighbor ID (the
+// order Neighbors returns) for the link to v: its index and whether it is
+// there, or the index it would be inserted at.
+func SearchEdges(a []Edge, v NodeID) (int, bool) {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if a[m].To < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(a) && a[lo].To == v
+}
+
 // HasEdge reports whether u and v are adjacent.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	g.check(u)
 	g.check(v)
-	a := g.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
-	return i < len(a) && a[i].To == v
+	_, ok := SearchEdges(g.adj[u], v)
+	return ok
 }
 
 // EdgeDelay returns the delay of link u—v, or an error if absent.
 func (g *Graph) EdgeDelay(u, v NodeID) (float64, error) {
 	g.check(u)
 	g.check(v)
-	a := g.adj[u]
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
-	if i < len(a) && a[i].To == v {
-		return a[i].Delay, nil
+	if i, ok := SearchEdges(g.adj[u], v); ok {
+		return g.adj[u][i].Delay, nil
 	}
 	return 0, fmt.Errorf("graph: no edge %d—%d", u, v)
 }

@@ -72,8 +72,9 @@ func (g *Graph) Partition(nparts int) []int {
 			}
 			claimed := false
 			for len(frontiers[p]) > 0 && !claimed {
+				// Peek at the head: it stays there for the next turn while it
+				// has unclaimed neighbors, and is popped once it has none.
 				u := frontiers[p][0]
-				frontiers[p] = frontiers[p][1:]
 				for _, e := range g.adj[u] {
 					if part[e.To] >= 0 {
 						continue
@@ -87,10 +88,8 @@ func (g *Graph) Partition(nparts int) []int {
 					break
 				}
 				if !claimed {
-					continue
+					frontiers[p] = frontiers[p][1:]
 				}
-				// Re-visit u next turn: it may have more unclaimed neighbors.
-				frontiers[p] = append([]NodeID{u}, frontiers[p]...)
 			}
 		}
 		if !progress {
@@ -329,6 +328,7 @@ func (g *Graph) connectedWithout(part []int, p int, skip NodeID) bool {
 func (g *Graph) partitionSeeds(nparts int) []NodeID {
 	seeds := []NodeID{0}
 	minDist := g.HopDistances(0)
+	var queue []NodeID
 	for len(seeds) < nparts {
 		best, bestDist := NodeID(-1), -1
 		for v := 0; v < g.n; v++ {
@@ -358,9 +358,20 @@ func (g *Graph) partitionSeeds(nparts int) []NodeID {
 			}
 		}
 		seeds = append(seeds, best)
-		for v, d := range g.HopDistances(best) {
-			if d >= 0 && (minDist[v] < 0 || d < minDist[v]) {
-				minDist[v] = d
+		// Lower minDist to the hop distance from the new seed wherever that
+		// is nearer: a BFS that expands only the nodes it brings nearer. That
+		// is exact — a node the seed does not bring nearer cannot lie on a
+		// shortest path to one it does — and visits only the seed's own
+		// cell instead of the whole graph.
+		queue = append(queue[:0], best)
+		minDist[best] = 0
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for _, e := range g.adj[u] {
+				if d := minDist[e.To]; d < 0 || minDist[u]+1 < d {
+					minDist[e.To] = minDist[u] + 1
+					queue = append(queue, e.To)
+				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"testing"
@@ -123,6 +125,85 @@ func TestPartitionAtScale(t *testing.T) {
 			}
 			if again := g.Partition(nparts); !reflect.DeepEqual(part, again) {
 				t.Errorf("n=%d seed=%d: two runs disagree", n, seed)
+			}
+		}
+	}
+}
+
+// partitionGolden was generated at the commit before the growth loop stopped
+// re-prepending its frontier head: the assignment is a pure function of the
+// graph, so any rewrite of the loop must reproduce it exactly.
+var partitionGolden = map[string]string{
+	"ring97/2":        "39da9aa4d4f4eb59",
+	"ring97/7":        "0d38a745af81816a",
+	"ring97/16":       "0baf9682d6c38a07",
+	"ring97/32":       "4c99353e29121643",
+	"grid12x12/2":     "817e6251a9eb4f25",
+	"grid12x12/7":     "36cb2544e8e792f8",
+	"grid12x12/16":    "5a6b96320e88a916",
+	"grid12x12/32":    "6f9e4ca153d08e59",
+	"torus9x9/2":      "957908d15400fae8",
+	"torus9x9/7":      "a3f28531bd7d490f",
+	"torus9x9/16":     "ab3e5528e04f6031",
+	"torus9x9/32":     "f9bcfa7e1cbb00b0",
+	"star40/2":        "81d26111cb9ea37c",
+	"star40/7":        "79fa9fd97c917e62",
+	"star40/16":       "0a9c9420ef34df3b",
+	"star40/32":       "aac5d7045b7d7389",
+	"tree150/2":       "36be46500692361d",
+	"tree150/7":       "968a49e8ac0a1531",
+	"tree150/16":      "af887170a428f853",
+	"tree150/32":      "a3245022a44e572f",
+	"random256/2":     "e885af2630284bb5",
+	"random256/7":     "70caad877b0243be",
+	"random256/16":    "00def2f8c51a99c1",
+	"random256/32":    "4330c99967b60c2b",
+	"random1024/2":    "8a48a875b0da3e2d",
+	"random1024/7":    "460343e3c63542d2",
+	"random1024/16":   "57eda90e9e51b08b",
+	"random1024/32":   "06229b49acc3690c",
+	"geometric200/2":  "ebcd96f21792d1ad",
+	"geometric200/7":  "7bca8d98d16006d1",
+	"geometric200/16": "7956a42ce611bb70",
+	"geometric200/32": "9eb7018b0818f236",
+	"split60/2":       "aee39246beb43f7d",
+	"split60/7":       "32e3be39f680263b",
+	"split60/16":      "9a217c5e412231a1",
+	"split60/32":      "906a92c292329901",
+}
+
+// TestPartitionMatchesGolden pins Partition's output over a table of
+// topologies (a disconnected one among them) and part counts.
+func TestPartitionMatchesGolden(t *testing.T) {
+	std := DelayRange{Min: 0.05, Max: 0.3}
+	split := New(60) // two disjoint rings: the dry-frontier fallback
+	for i := 0; i < 30; i++ {
+		split.MustAddEdge(NodeID(i), NodeID((i+1)%30), 1)
+		split.MustAddEdge(NodeID(30+i), NodeID(30+(i+1)%30), 1)
+	}
+	topos := []struct {
+		name string
+		g    *Graph
+	}{
+		{"ring97", Ring(97, UnitDelay, 1)},
+		{"grid12x12", Grid(12, 12, std, 2)},
+		{"torus9x9", Torus(9, 9, std, 3)},
+		{"star40", Star(40, std, 4)},
+		{"tree150", RandomTree(150, std, 5)},
+		{"random256", RandomConnected(256, 4, std, 6)},
+		{"random1024", RandomConnected(1024, 4, std, 7)},
+		{"geometric200", RandomGeometric(200, 0.15, std, 8)},
+		{"split60", split},
+	}
+	for _, tc := range topos {
+		for _, nparts := range []int{2, 7, 16, 32} {
+			h := fnv.New64a()
+			for _, p := range tc.g.Partition(nparts) {
+				fmt.Fprintf(h, "%d,", p)
+			}
+			key := fmt.Sprintf("%s/%d", tc.name, nparts)
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != partitionGolden[key] {
+				t.Errorf("%q: %q, // golden %q", key, got, partitionGolden[key])
 			}
 		}
 	}

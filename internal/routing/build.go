@@ -53,7 +53,7 @@ func Build(topo *graph.Graph, rounds int) (map[graph.NodeID]*Table, *simnet.Stat
 // exchange, exactly the tables the distributed protocol produces at every
 // node after the given number of rounds — minimum delay over paths of at
 // most rounds+1 edges, minimum hop counts capped the same way, and the
-// deterministic next-hop tie-breaking of Table.merge. The whole synchronous
+// deterministic next-hop tie-breaking of Table.Merge. The whole synchronous
 // information flow is simulated once; callers that need every site's table
 // (the bidding baseline) must use this instead of calling CentralTable per
 // site, which would redo the n-node simulation n times.
@@ -91,7 +91,7 @@ func RebuildAlive(topo *graph.Graph, rounds int, alive func(graph.NodeID) bool) 
 		snaps := make([][]WireRoute, n)
 		for v := 0; v < n; v++ {
 			if state[v] != nil {
-				snaps[v] = state[v].snapshot()
+				snaps[v] = state[v].Snapshot()
 			}
 		}
 		changed := false
@@ -103,7 +103,7 @@ func RebuildAlive(topo *graph.Graph, rounds int, alive func(graph.NodeID) bool) 
 				if state[e.To] == nil {
 					continue
 				}
-				if state[v].merge(e.To, e.Delay, snaps[e.To]) {
+				if state[v].Merge(e.To, e.Delay, snaps[e.To]) {
 					changed = true
 				}
 			}

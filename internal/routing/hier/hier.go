@@ -25,12 +25,19 @@
 // table — and the bootstrap exchanges O(regionEdges·regionDiam) table
 // messages plus O(E·√n) constant-size advertisements instead of flooding
 // O(n)-entry tables network-wide.
+//
+// The landmark vector is a slice indexed by region with a count of known
+// lines (a line whose Site is negative marks a region no advertisement has
+// reached yet); state sizes count known lines only. The advertisement
+// flood is most of a wide network's bootstrap messages, so a dropped ad
+// costs no allocation and an improving one exactly one: its payload, boxed
+// once for every neighbor.
 package hier
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/determinism"
 	"repro/internal/graph"
 )
 
@@ -88,28 +95,26 @@ func NewLayout(topo *graph.Graph) (*Layout, error) {
 	for v, r := range lay.Assign {
 		lay.Members[r] = append(lay.Members[r], graph.NodeID(v))
 	}
-	adj := make([]map[int]bool, nregions)
-	for r := range adj {
-		adj[r] = make(map[int]bool)
-	}
 	for v := 0; v < n; v++ {
 		for _, e := range topo.Neighbors(graph.NodeID(v)) {
 			if a, b := lay.Assign[v], lay.Assign[e.To]; a != b {
-				adj[a][b] = true
+				lay.Adjacent[a] = append(lay.Adjacent[a], b)
 			}
 		}
 	}
+	bfs := newRegionBFS(n)
 	for r := 0; r < nregions; r++ {
 		if len(lay.Members[r]) == 0 {
 			return nil, fmt.Errorf("hier: region %d is empty", r)
 		}
-		landmark, diam, err := electLandmark(topo, lay.Assign, lay.Members[r])
+		landmark, diam, err := bfs.electLandmark(topo, lay.Assign, lay.Members[r])
 		if err != nil {
 			return nil, fmt.Errorf("hier: region %d: %w", r, err)
 		}
 		lay.Landmarks[r] = landmark
 		lay.Rounds[r] = roundsForDiameter(diam)
-		lay.Adjacent[r] = determinism.SortedKeys(adj[r])
+		slices.Sort(lay.Adjacent[r])
+		lay.Adjacent[r] = slices.Compact(lay.Adjacent[r])
 	}
 	return lay, nil
 }
@@ -125,14 +130,30 @@ func roundsForDiameter(diam int) int {
 	return 2*diam - 1
 }
 
+// regionBFS is NewLayout's breadth-first search scratch, shared by every
+// eccentricity search of one layout: a dense hop-distance slice (-1 =
+// unseen) that each search restores by walking its own queue, and the queue.
+type regionBFS struct {
+	dist  []int
+	queue []graph.NodeID
+}
+
+func newRegionBFS(n int) *regionBFS {
+	b := &regionBFS{dist: make([]int, n)}
+	for i := range b.dist {
+		b.dist[i] = -1
+	}
+	return b
+}
+
 // electLandmark returns the region member with the smallest hop
 // eccentricity within the region's induced subgraph (ties to the lowest
 // ID, which the ascending member order provides), plus the region's hop
 // diameter. Errors if the region is not internally connected.
-func electLandmark(topo *graph.Graph, assign []int, members []graph.NodeID) (graph.NodeID, int, error) {
+func (b *regionBFS) electLandmark(topo *graph.Graph, assign []int, members []graph.NodeID) (graph.NodeID, int, error) {
 	best, bestEcc, diam := graph.NodeID(-1), -1, 0
 	for _, m := range members {
-		ecc, err := regionEccentricity(topo, assign, m, len(members))
+		ecc, err := b.eccentricity(topo, assign, m, len(members))
 		if err != nil {
 			return -1, 0, err
 		}
@@ -146,34 +167,32 @@ func electLandmark(topo *graph.Graph, assign []int, members []graph.NodeID) (gra
 	return best, diam, nil
 }
 
-// regionEccentricity BFSes from src over intra-region links only and
-// returns the maximum hop distance to any region member. Errors if some
-// member is unreachable inside the region.
-func regionEccentricity(topo *graph.Graph, assign []int, src graph.NodeID, members int) (int, error) {
+// eccentricity BFSes from src over intra-region links only and returns the
+// maximum hop distance to any region member. Errors if some member is
+// unreachable inside the region.
+func (b *regionBFS) eccentricity(topo *graph.Graph, assign []int, src graph.NodeID, members int) (int, error) {
 	region := assign[src]
-	dist := map[graph.NodeID]int{src: 0}
-	queue := []graph.NodeID{src}
+	b.queue = append(b.queue[:0], src)
+	b.dist[src] = 0
 	ecc := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	for i := 0; i < len(b.queue); i++ {
+		u := b.queue[i]
 		for _, e := range topo.Neighbors(u) {
-			if assign[e.To] != region {
+			if assign[e.To] != region || b.dist[e.To] >= 0 {
 				continue
 			}
-			if _, ok := dist[e.To]; ok {
-				continue
-			}
-			dist[e.To] = dist[u] + 1
-			if dist[e.To] > ecc {
-				ecc = dist[e.To]
-			}
-			queue = append(queue, e.To)
+			b.dist[e.To] = b.dist[u] + 1
+			ecc = max(ecc, b.dist[e.To])
+			b.queue = append(b.queue, e.To)
 		}
 	}
-	if len(dist) != members {
+	reached := len(b.queue)
+	for _, v := range b.queue {
+		b.dist[v] = -1
+	}
+	if reached != members {
 		return 0, fmt.Errorf("region of site %d is not internally connected (%d of %d members reachable)",
-			src, len(dist), members)
+			src, reached, members)
 	}
 	return ecc, nil
 }

@@ -1,10 +1,10 @@
 package hier
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
-	"repro/internal/determinism"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/simnet"
@@ -64,14 +64,25 @@ type Table struct {
 	Self  graph.NodeID
 	lay   *Layout
 	intra *routing.Table
-	vec   map[int]Landmark
+	vec   []Landmark // by region; Site < 0 marks a region not yet reached
+	known int        // regions with a landmark line
 }
 
+// unknownLandmark fills the vector slots of regions whose advertisement has
+// not arrived.
+var unknownLandmark = Landmark{Site: -1}
+
 // NewTable assembles a hierarchical table from a finished intra-region
-// bootstrap and a converged landmark vector. The vector map is owned by
-// the table afterwards.
-func NewTable(self graph.NodeID, lay *Layout, intra *routing.Table, vec map[int]Landmark) *Table {
-	return &Table{Self: self, lay: lay, intra: intra, vec: vec}
+// bootstrap and a landmark vector indexed by region, Site < 0 marking a
+// region with no line. The vector is owned by the table afterwards.
+func NewTable(self graph.NodeID, lay *Layout, intra *routing.Table, vec []Landmark) *Table {
+	t := &Table{Self: self, lay: lay, intra: intra, vec: vec}
+	for _, lm := range vec {
+		if lm.Site >= 0 {
+			t.known++
+		}
+	}
+	return t
 }
 
 // Layout exposes the shared region structure.
@@ -85,6 +96,12 @@ func (t *Table) Intra() *routing.Table { return t.intra }
 // vector (membership route repair after a death inside the region).
 func (t *Table) SetIntra(intra *routing.Table) { t.intra = intra }
 
+// landmark returns the vector line for region r, if the region is known.
+func (t *Table) landmark(r int) (Landmark, bool) {
+	lm := t.vec[r]
+	return lm, lm.Site >= 0
+}
+
 // NextHop implements routing.Router: intra-region destinations follow the
 // exact table; any other destination follows the landmark gradient of its
 // region until the message enters that region.
@@ -95,7 +112,7 @@ func (t *Table) NextHop(dest graph.NodeID) (graph.NodeID, bool) {
 	if t.lay.SameRegion(t.Self, dest) {
 		return t.intra.NextHop(dest)
 	}
-	lm, ok := t.vec[t.lay.Region(dest)]
+	lm, ok := t.landmark(t.lay.Region(dest))
 	if !ok {
 		return 0, false
 	}
@@ -109,25 +126,45 @@ func (t *Table) Dist(dest graph.NodeID) float64 {
 	if t.lay.SameRegion(t.Self, dest) {
 		return t.intra.Dist(dest)
 	}
-	if lm, ok := t.vec[t.lay.Region(dest)]; ok {
+	if lm, ok := t.landmark(t.lay.Region(dest)); ok {
 		return lm.Dist
 	}
 	return math.Inf(1)
 }
 
 // Destinations implements routing.Router: the region mates plus every
-// known landmark, in increasing ID order. Including the landmarks gives
-// the initiator finite pairwise distances for escalated commit spheres
-// (the ω phase-timer computation skips unknown pairs).
+// known landmark, in increasing ID order — a merge of the intra table's
+// sorted destinations with the sorted landmark sites. Including the
+// landmarks gives the initiator finite pairwise distances for escalated
+// commit spheres (the ω phase-timer computation skips unknown pairs).
 func (t *Table) Destinations() []graph.NodeID {
-	seen := make(map[graph.NodeID]bool, t.intra.Len()+len(t.vec))
-	for _, d := range t.intra.Destinations() {
-		seen[d] = true
+	mates := t.intra.Destinations()
+	lms := make([]graph.NodeID, 0, t.known)
+	for _, lm := range t.vec {
+		if lm.Site >= 0 {
+			lms = append(lms, lm.Site)
+		}
 	}
-	for _, r := range determinism.SortedKeys(t.vec) {
-		seen[t.vec[r].Site] = true
+	slices.Sort(lms)
+	lms = slices.Compact(lms)
+	out := make([]graph.NodeID, 0, len(mates)+len(lms))
+	i, j := 0, 0
+	for i < len(mates) && j < len(lms) {
+		switch a, b := mates[i], lms[j]; {
+		case a < b:
+			out = append(out, a)
+			i++
+		case b < a:
+			out = append(out, b)
+			j++
+		default: // the region's own landmark
+			out = append(out, a)
+			i++
+			j++
+		}
 	}
-	return determinism.SortedKeys(seen)
+	out = append(out, mates[i:]...)
+	return append(out, lms[j:]...)
 }
 
 // Sphere implements routing.Router: the radius-h PCS within the region.
@@ -138,12 +175,12 @@ func (t *Table) Sphere(h int) []graph.NodeID { return t.intra.Sphere(h) }
 // SphereDelayDiameter implements routing.Router.
 func (t *Table) SphereDelayDiameter(h int) float64 { return t.intra.SphereDelayDiameter(h) }
 
-// StateBytes implements routing.Router: the intra table plus the landmark
-// vector.
-func (t *Table) StateBytes() int { return t.intra.StateBytes() + 8 + landmarkBytes*len(t.vec) }
+// StateBytes implements routing.Router: the intra table plus the known
+// lines of the landmark vector.
+func (t *Table) StateBytes() int { return t.intra.StateBytes() + 8 + landmarkBytes*t.known }
 
 // StateEntries implements routing.Router.
-func (t *Table) StateEntries() int { return t.intra.StateEntries() + len(t.vec) }
+func (t *Table) StateEntries() int { return t.intra.StateEntries() + t.known }
 
 // EscalationLandmarks lists the landmarks of the regions adjacent to this
 // site's region that the landmark vector can reach, in increasing site-ID
@@ -152,11 +189,11 @@ func (t *Table) StateEntries() int { return t.intra.StateEntries() + len(t.vec) 
 func (t *Table) EscalationLandmarks() []graph.NodeID {
 	var out []graph.NodeID
 	for _, r := range t.lay.Adjacent[t.lay.Region(t.Self)] {
-		if lm, ok := t.vec[r]; ok {
+		if lm, ok := t.landmark(r); ok {
 			out = append(out, lm.Site)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -164,9 +201,9 @@ func (t *Table) EscalationLandmarks() []graph.NodeID {
 // component of the routed-message TTL bound under hierarchy.
 func (t *Table) MaxVecHops() int {
 	max := 0
-	for _, r := range determinism.SortedKeys(t.vec) {
-		if h := t.vec[r].Hops; h > max {
-			max = h
+	for _, lm := range t.vec {
+		if lm.Site >= 0 && lm.Hops > max {
+			max = lm.Hops
 		}
 	}
 	return max
@@ -183,14 +220,14 @@ func (t *Table) MaxVecHops() int {
 // re-forwarded. The owner drives it exactly like a routing.Node: deliver
 // incoming payloads, then collect the table once the network drains.
 type Bootstrap struct {
-	self   graph.NodeID
-	lay    *Layout
-	intra  *routing.Node
-	nbrs   []graph.NodeID // all neighbors, ascending
-	direct map[graph.NodeID]float64
-	vec    map[int]Landmark
-	table  *routing.Table // finished intra table
-	send   func(to graph.NodeID, p simnet.Payload)
+	self  graph.NodeID
+	lay   *Layout
+	intra *routing.Node
+	nbrs  []graph.Edge   // every direct link, ascending by neighbor ID
+	vec   []Landmark     // by region; Site < 0 marks a region not yet reached
+	known int            // regions with a landmark line
+	table *routing.Table // finished intra table
+	send  func(to graph.NodeID, p simnet.Payload)
 }
 
 // NewBootstrap creates the state machine for one site. neighbors is the
@@ -199,16 +236,18 @@ type Bootstrap struct {
 func NewBootstrap(self graph.NodeID, neighbors []graph.Edge, lay *Layout,
 	send func(to graph.NodeID, p simnet.Payload)) *Bootstrap {
 	b := &Bootstrap{
-		self:   self,
-		lay:    lay,
-		direct: make(map[graph.NodeID]float64, len(neighbors)),
-		vec:    make(map[int]Landmark),
-		send:   send,
+		self: self,
+		lay:  lay,
+		nbrs: slices.Clone(neighbors),
+		vec:  make([]Landmark, lay.Regions),
+		send: send,
+	}
+	slices.SortFunc(b.nbrs, func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
+	for r := range b.vec {
+		b.vec[r] = unknownLandmark
 	}
 	var intraNbrs []graph.Edge
-	for _, e := range neighbors {
-		b.nbrs = append(b.nbrs, e.To)
-		b.direct[e.To] = e.Delay
+	for _, e := range b.nbrs {
 		if lay.SameRegion(self, e.To) {
 			intraNbrs = append(intraNbrs, e)
 		}
@@ -225,8 +264,7 @@ func (b *Bootstrap) Start() {
 	b.intra.Start()
 	region := b.lay.Region(b.self)
 	if b.lay.Landmarks[region] == b.self {
-		b.vec[region] = Landmark{Site: b.self, Dist: 0, NextHop: b.self, Hops: 0}
-		b.broadcastAd(region)
+		b.set(region, Landmark{Site: b.self, Dist: 0, NextHop: b.self, Hops: 0})
 	}
 }
 
@@ -238,37 +276,44 @@ func (b *Bootstrap) HandleTable(from graph.NodeID, msg routing.TableMsg) {
 // HandleAd relaxes one landmark advertisement: if it improves this site's
 // entry for the advertised region, the entry is updated and the improved
 // advertisement re-broadcast to every neighbor. Non-improvements are
-// dropped, which is what terminates the flood.
+// dropped, which is what terminates the flood; so are ads that cannot have
+// come over a real link or name no real region.
+//
+//lint:hotpath -- the landmark flood is most of a wide network's bootstrap messages: a dropped ad must cost nothing, an improving one only its broadcast
 func (b *Bootstrap) HandleAd(from graph.NodeID, ad LandmarkAd) {
-	delay, ok := b.direct[from]
-	if !ok {
-		return // not a neighbor; cannot have come over a real link
-	}
-	cand := Landmark{Site: ad.Landmark, Dist: ad.Dist + delay, NextHop: from, Hops: ad.Hops + 1}
-	cur, have := b.vec[ad.Region]
-	if have && !cur.better(cand) {
+	i, ok := graph.SearchEdges(b.nbrs, from)
+	if !ok || ad.Region < 0 || ad.Region >= len(b.vec) || ad.Landmark < 0 {
 		return
 	}
-	b.vec[ad.Region] = cand
-	b.broadcastAd(ad.Region)
+	cand := Landmark{Site: ad.Landmark, Dist: ad.Dist + b.nbrs[i].Delay, NextHop: from, Hops: ad.Hops + 1}
+	if cur := b.vec[ad.Region]; cur.Site >= 0 && !cur.better(cand) {
+		return
+	}
+	b.set(ad.Region, cand)
 }
 
-func (b *Bootstrap) broadcastAd(region int) {
-	lm := b.vec[region]
-	ad := LandmarkAd{Region: region, Landmark: lm.Site, Dist: lm.Dist, Hops: lm.Hops}
-	for _, nbr := range b.nbrs {
-		b.send(nbr, ad)
+// set installs region's new best line and advertises it to every neighbor,
+// the ad boxed once: the payload is immutable, so every neighbor receives
+// the same one.
+func (b *Bootstrap) set(region int, lm Landmark) {
+	if b.vec[region].Site < 0 {
+		b.known++
+	}
+	b.vec[region] = lm
+	var ad simnet.Payload = LandmarkAd{Region: region, Landmark: lm.Site, Dist: lm.Dist, Hops: lm.Hops} //lint:allow hotalloc -- the one box an improvement costs, shared by every neighbor's copy
+	for _, e := range b.nbrs {
+		b.send(e.To, ad)
 	}
 }
 
 // Done reports whether both phases have completed at this site: the intra
 // rounds ran out and every region's landmark is reachable.
 func (b *Bootstrap) Done() bool {
-	return b.table != nil && len(b.vec) == b.lay.Regions
+	return b.table != nil && b.known == b.lay.Regions
 }
 
 // Finish assembles the hierarchical table. Call only after the network has
-// drained (Done reports true); the vector map is handed over.
+// drained (Done reports true); the vector is handed over.
 func (b *Bootstrap) Finish() *Table {
 	return NewTable(b.self, b.lay, b.table, b.vec)
 }
@@ -277,8 +322,8 @@ func (b *Bootstrap) Finish() *Table {
 // for a bootstrap that drained without converging), ascending.
 func (b *Bootstrap) MissingRegions() []int {
 	var out []int
-	for r := 0; r < b.lay.Regions; r++ {
-		if _, ok := b.vec[r]; !ok {
+	for r, lm := range b.vec {
+		if lm.Site < 0 {
 			out = append(out, r)
 		}
 	}

@@ -17,13 +17,19 @@
 // discovered path (used for sphere membership: "sites up to h hops away").
 // The two differ when edge weights violate the triangle inequality, which
 // the paper explicitly allows.
+//
+// Representation: a Table is one slice of routes sorted by destination,
+// and a Node's round inbox is indexed by neighbor position; nothing here
+// holds a map. A round merges its neighbors' snapshots in ascending
+// neighbor ID order, because Route.better's tolerance makes the order
+// candidates meet in decide ties (see Table.Merge for the input contract).
 package routing
 
 import (
-	"fmt"
+	"cmp"
 	"math"
+	"slices"
 
-	"repro/internal/determinism"
 	"repro/internal/graph"
 	"repro/internal/simnet"
 )
@@ -84,44 +90,73 @@ type Router interface {
 	StateEntries() int
 }
 
-// Table is one site's routing table.
+// Table is one site's routing table: its lines in one slice sorted by
+// destination. Lookups are a binary search (see find), Snapshot, Destinations and
+// Sphere are linear projections in ID order, and Merge folds a neighbor's
+// sorted snapshot in with one two-pointer pass. The slice is the table's only
+// representation and Merge and RemoveSite rewrite it in place after the table
+// has been adopted, so no caller may keep a []Route of it without copying.
 type Table struct {
 	Self   graph.NodeID
-	routes map[graph.NodeID]Route
+	routes []Route // sorted by Dest, one line per destination
+	spare  []Route // merge's second backing array, swapped with routes
 }
 
 // NewTable builds a table holding only the start condition: self plus the
-// given immediate neighbors.
+// given immediate neighbors (distinct, none of them self).
 func NewTable(self graph.NodeID, neighbors []graph.Edge) *Table {
-	t := &Table{Self: self, routes: make(map[graph.NodeID]Route, len(neighbors)+1)}
-	t.routes[self] = Route{Dest: self, Dist: 0, NextHop: self, PathHops: 0, MinHops: 0}
+	routes := make([]Route, 0, len(neighbors)+1)
+	routes = append(routes, Route{Dest: self, Dist: 0, NextHop: self, PathHops: 0, MinHops: 0})
 	for _, e := range neighbors {
-		t.routes[e.To] = Route{Dest: e.To, Dist: e.Delay, NextHop: e.To, PathHops: 1, MinHops: 1}
+		routes = append(routes, Route{Dest: e.To, Dist: e.Delay, NextHop: e.To, PathHops: 1, MinHops: 1})
 	}
-	return t
+	slices.SortFunc(routes, func(a, b Route) int { return cmp.Compare(a.Dest, b.Dest) })
+	return &Table{Self: self, routes: routes}
+}
+
+// find locates the line for dest: its index and whether it is there. A
+// table that knows every site below dest holds dest at index dest — the
+// common case of a flat table, whose sphere covers most of a small network
+// — so that slot is probed before the binary search.
+func (t *Table) find(dest graph.NodeID) (int, bool) {
+	if i := int(dest); i >= 0 && i < len(t.routes) && t.routes[i].Dest == dest {
+		return i, true
+	}
+	lo, hi := 0, len(t.routes)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t.routes[m].Dest < dest {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.routes) && t.routes[lo].Dest == dest
 }
 
 // Route returns the table line for dest.
 func (t *Table) Route(dest graph.NodeID) (Route, bool) {
-	r, ok := t.routes[dest]
-	return r, ok
+	if i, ok := t.find(dest); ok {
+		return t.routes[i], true
+	}
+	return Route{}, false
 }
 
 // Dist returns the known minimum delay to dest, or +Inf.
 func (t *Table) Dist(dest graph.NodeID) float64 {
-	if r, ok := t.routes[dest]; ok {
-		return r.Dist
+	if i, ok := t.find(dest); ok {
+		return t.routes[i].Dist
 	}
 	return math.Inf(1)
 }
 
 // NextHop returns the neighbor to forward to for dest.
 func (t *Table) NextHop(dest graph.NodeID) (graph.NodeID, bool) {
-	r, ok := t.routes[dest]
+	i, ok := t.find(dest)
 	if !ok || dest == t.Self {
 		return 0, false
 	}
-	return r.NextHop, true
+	return t.routes[i].NextHop, true
 }
 
 // Len reports the number of known destinations (including self).
@@ -136,16 +171,20 @@ func (t *Table) StateEntries() int { return len(t.routes) }
 
 // Destinations lists known destinations in increasing ID order.
 func (t *Table) Destinations() []graph.NodeID {
-	return determinism.SortedKeys(t.routes)
+	out := make([]graph.NodeID, len(t.routes))
+	for i, r := range t.routes {
+		out[i] = r.Dest
+	}
+	return out
 }
 
 // Sphere returns the PCS of radius h rooted at this table's node: all known
 // destinations within h hops (self included), sorted by ID.
 func (t *Table) Sphere(h int) []graph.NodeID {
 	var out []graph.NodeID
-	for _, d := range determinism.SortedKeys(t.routes) {
-		if t.routes[d].MinHops <= h {
-			out = append(out, d)
+	for _, r := range t.routes {
+		if r.MinHops <= h {
+			out = append(out, r.Dest)
 		}
 	}
 	return out
@@ -164,13 +203,48 @@ func (t *Table) SphereDelayDiameter(h int) float64 {
 	return diam
 }
 
-// merge integrates a neighbor's table snapshot received over a link of the
-// given delay. It reports whether anything changed.
+// Merge integrates a neighbor's table snapshot received over a link of the
+// given delay, reporting whether anything changed. It is the receiving half
+// of both the §7 bootstrap (via Node) and the membership layer's epoch-
+// tagged repair floods, which drive it directly.
+//
+// entries is shared — one snapshot goes to every neighbor — and is never
+// written. Snapshots are sorted by destination without duplicates; any other
+// input (a peer's wire payload) is merged from a sorted copy, repeated
+// destinations in their given order, which is exactly what merging it line
+// by line would do.
+func (t *Table) Merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
+	if !slices.IsSortedFunc(entries, wireByDest) {
+		entries = slices.Clone(entries)
+		slices.SortStableFunc(entries, wireByDest)
+	}
+	return t.merge(from, linkDelay, entries)
+}
+
+func wireByDest(a, b WireRoute) int { return cmp.Compare(a.Dest, b.Dest) }
+
+// merge is Merge's two-pointer pass over entries sorted by destination: the
+// merged table is written into the spare backing array, which then swaps
+// with the current one, so once both have grown to the table's size a round
+// allocates nothing. Candidates for one destination meet in the order the
+// caller merges its neighbors in, which matters: better's tolerance makes it
+// non-transitive.
+//
+//lint:hotpath -- every bootstrap round merges one snapshot per neighbor, and a repair flood one per hop
 func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
+	cur, out := t.routes, t.spare[:0]
+	if cap(out) < len(cur) {
+		out = make([]Route, 0, len(cur)+len(entries)) //lint:allow hotalloc -- spare growth: the table gained destinations since the spare was last sized
+	}
 	changed := false
+	i := 0
 	for _, e := range entries {
 		if e.Dest == t.Self {
 			continue
+		}
+		for i < len(cur) && cur[i].Dest < e.Dest {
+			out = append(out, cur[i])
+			i++
 		}
 		cand := Route{
 			Dest:     e.Dest,
@@ -179,14 +253,22 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 			PathHops: 1 + e.PathHops,
 			MinHops:  1 + e.MinHops,
 		}
-		cur, ok := t.routes[e.Dest]
-		if !ok {
-			t.routes[e.Dest] = cand
+		var old Route
+		switch {
+		case len(out) > 0 && out[len(out)-1].Dest == e.Dest:
+			// A repeated destination (unsorted input, normalised by Merge)
+			// merges into what its first line produced.
+			old, out = out[len(out)-1], out[:len(out)-1]
+		case i < len(cur) && cur[i].Dest == e.Dest:
+			old = cur[i]
+			i++
+		default:
+			out = append(out, cand)
 			changed = true
 			continue
 		}
-		upd := cur
-		if cur.better(cand) {
+		upd := old
+		if old.better(cand) {
 			upd.Dist = cand.Dist
 			upd.NextHop = cand.NextHop
 			upd.PathHops = cand.PathHops
@@ -194,32 +276,22 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 		if cand.MinHops < upd.MinHops {
 			upd.MinHops = cand.MinHops
 		}
-		if upd != cur {
-			t.routes[e.Dest] = upd
+		if upd != old {
 			changed = true
 		}
+		out = append(out, upd)
 	}
+	out = append(out, cur[i:]...)
+	t.routes, t.spare = out, cur
 	return changed
-}
-
-// Merge integrates a neighbor's table snapshot received over a link of the
-// given delay, reporting whether anything changed. It is the receiving half
-// of both the §7 bootstrap (via Node) and the membership layer's epoch-
-// tagged repair floods, which drive it directly.
-func (t *Table) Merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
-	return t.merge(from, linkDelay, entries)
 }
 
 // Snapshot copies the table into its on-the-wire form, sorted by
 // destination — the payload of a bootstrap round or a repair re-flood.
-func (t *Table) Snapshot() []WireRoute { return t.snapshot() }
-
-// snapshot copies the table for transmission, sorted by destination.
-func (t *Table) snapshot() []WireRoute {
-	out := make([]WireRoute, 0, len(t.routes))
-	for _, d := range t.Destinations() {
-		r := t.routes[d]
-		out = append(out, WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops})
+func (t *Table) Snapshot() []WireRoute {
+	out := make([]WireRoute, len(t.routes))
+	for i, r := range t.routes {
+		out[i] = WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops}
 	}
 	return out
 }
@@ -230,23 +302,14 @@ func (t *Table) snapshot() []WireRoute {
 // re-learned by RebuildAlive (the repair pass the cluster runs when a site
 // is declared dead).
 func (t *Table) RemoveSite(dead graph.NodeID) int {
-	removed := 0
-	for d, r := range t.routes {
-		if d == dead || r.NextHop == dead {
-			delete(t.routes, d)
-			removed++
-		}
-	}
-	return removed
+	n := len(t.routes)
+	t.routes = slices.DeleteFunc(t.routes, func(r Route) bool { return r.Dest == dead || r.NextHop == dead })
+	return n - len(t.routes)
 }
 
 // Clone deep-copies the table.
 func (t *Table) Clone() *Table {
-	c := &Table{Self: t.Self, routes: make(map[graph.NodeID]Route, len(t.routes))}
-	for k, v := range t.routes {
-		c.routes[k] = v
-	}
-	return c
+	return &Table{Self: t.Self, routes: slices.Clone(t.routes)}
 }
 
 // WireRoute is the on-the-wire form of a table line. NextHop is not sent:
@@ -296,36 +359,43 @@ func RoundsForRadius(h int) int {
 // It is driven by its owner: the owner must deliver incoming TableMsg
 // payloads to HandleTable and provide a send function.
 type Node struct {
-	table     *Table
-	neighbors []graph.NodeID
-	direct    map[graph.NodeID]float64             // raw link delays, immutable
-	rounds    int                                  // total rounds to run
-	round     int                                  // current round (0-based)
-	started   bool                                 // Start has broadcast round 0
-	received  map[int]map[graph.NodeID][]WireRoute // round -> sender -> entries
-	done      bool
-	send      func(to graph.NodeID, p simnet.Payload)
-	onDone    func(*Table)
+	table   *Table
+	nbrs    []graph.Edge // direct links ascending by neighbor ID; Delay is the raw link delay
+	rounds  int          // total rounds to run
+	round   int          // current round (0-based)
+	started bool         // Start has broadcast round 0
+	// inbox holds the tables of rounds round and round+1 (slot round&1),
+	// one per neighbor, indexed like nbrs; filled counts each round's
+	// arrivals. A neighbor is never further ahead: its round r+2 table
+	// needs this node's round r+1 table, which only completing round r
+	// sends.
+	inbox  [2][]inboxSlot
+	filled [2]int
+	done   bool
+	send   func(to graph.NodeID, p simnet.Payload)
+	onDone func(*Table)
+}
+
+// inboxSlot is one neighbor's table for one round.
+type inboxSlot struct {
+	entries []WireRoute
+	got     bool
 }
 
 // NewNode creates the state machine for one site. onDone fires once, when
 // the configured number of rounds has completed (immediately if rounds==0).
 func NewNode(self graph.NodeID, neighbors []graph.Edge, rounds int,
 	send func(to graph.NodeID, p simnet.Payload), onDone func(*Table)) *Node {
-	nbrIDs := make([]graph.NodeID, len(neighbors))
-	direct := make(map[graph.NodeID]float64, len(neighbors))
-	for i, e := range neighbors {
-		nbrIDs[i] = e.To
-		direct[e.To] = e.Delay
-	}
+	nbrs := slices.Clone(neighbors)
+	slices.SortFunc(nbrs, func(a, b graph.Edge) int { return cmp.Compare(a.To, b.To) })
+	slots := make([]inboxSlot, 2*len(nbrs))
 	return &Node{
-		table:     NewTable(self, neighbors),
-		neighbors: nbrIDs,
-		direct:    direct,
-		rounds:    rounds,
-		received:  make(map[int]map[graph.NodeID][]WireRoute),
-		send:      send,
-		onDone:    onDone,
+		table:  NewTable(self, nbrs),
+		nbrs:   nbrs,
+		rounds: rounds,
+		inbox:  [2][]inboxSlot{slots[:len(nbrs)], slots[len(nbrs):]},
+		send:   send,
+		onDone: onDone,
 	}
 }
 
@@ -333,7 +403,7 @@ func NewNode(self graph.NodeID, neighbors []graph.Edge, rounds int,
 // received before Start (possible under real concurrency when a neighbor
 // starts earlier) are buffered by HandleTable and processed here.
 func (n *Node) Start() {
-	if n.rounds <= 0 || len(n.neighbors) == 0 {
+	if n.rounds <= 0 || len(n.nbrs) == 0 {
 		n.finish()
 		return
 	}
@@ -342,25 +412,36 @@ func (n *Node) Start() {
 	n.advance()
 }
 
+// broadcast sends this round's snapshot to every neighbor, boxed once: the
+// payload is immutable, so every neighbor receives the same one.
 func (n *Node) broadcast() {
-	msg := TableMsg{Round: n.round, Entries: n.table.snapshot()}
-	for _, nbr := range n.neighbors {
-		n.send(nbr, msg)
+	var msg simnet.Payload = TableMsg{Round: n.round, Entries: n.table.Snapshot()}
+	for _, e := range n.nbrs {
+		n.send(e.To, msg)
 	}
 }
 
-// HandleTable processes one neighbor's table message. Messages from future
-// rounds (a faster neighbor) are buffered.
+// HandleTable processes one neighbor's table message. A table of the next
+// round (a faster neighbor) is buffered. Anything else is dropped: tables
+// after interruption, tables of rounds no neighbor can send, and tables
+// from a site that is not a neighbor — there is no link to weigh its routes
+// by (a stray epoch-0 table over TCP, an inter-region neighbor's table under
+// the hierarchy), and counting it would close a round early.
 func (n *Node) HandleTable(from graph.NodeID, msg TableMsg) {
 	if n.done {
 		return // stragglers after interruption are dropped by design
 	}
-	bucket := n.received[msg.Round]
-	if bucket == nil {
-		bucket = make(map[graph.NodeID][]WireRoute)
-		n.received[msg.Round] = bucket
+	i, ok := graph.SearchEdges(n.nbrs, from)
+	if !ok || (msg.Round != n.round && msg.Round != n.round+1) {
+		return
 	}
-	bucket[from] = msg.Entries
+	b := msg.Round & 1
+	slot := &n.inbox[b][i]
+	if !slot.got {
+		slot.got = true
+		n.filled[b]++
+	}
+	slot.entries = msg.Entries
 	n.advance()
 }
 
@@ -369,16 +450,19 @@ func (n *Node) HandleTable(from graph.NodeID, msg TableMsg) {
 // earlier would skip that broadcast and stall every neighbor.
 func (n *Node) advance() {
 	for n.started && !n.done {
-		bucket := n.received[n.round]
-		if len(bucket) < len(n.neighbors) {
+		b := n.round & 1
+		if n.filled[b] < len(n.nbrs) {
 			return
 		}
-		// Merge deterministically: neighbors in increasing ID order.
-		for _, nbr := range determinism.SortedKeys(bucket) {
-			delay := n.linkDelay(nbr)
-			n.table.merge(nbr, delay, bucket[nbr])
+		// Merge deterministically: neighbors in increasing ID order. The
+		// raw link delay weighs each table, not the table's own entry for
+		// the neighbor: a multi-edge path may have replaced that when
+		// weights violate the triangle inequality.
+		for i, e := range n.nbrs {
+			n.table.Merge(e.To, e.Delay, n.inbox[b][i].entries)
+			n.inbox[b][i] = inboxSlot{}
 		}
-		delete(n.received, n.round)
+		n.filled[b] = 0
 		n.round++
 		if n.round >= n.rounds {
 			n.finish()
@@ -386,17 +470,6 @@ func (n *Node) advance() {
 		}
 		n.broadcast()
 	}
-}
-
-// linkDelay returns the raw (immutable) delay of the direct link to nbr.
-// The table entry cannot be used: a multi-edge path may have replaced it
-// when weights violate the triangle inequality.
-func (n *Node) linkDelay(nbr graph.NodeID) float64 {
-	d, ok := n.direct[nbr]
-	if !ok {
-		panic(fmt.Sprintf("routing: node %d has no direct link to %d", n.table.Self, nbr))
-	}
-	return d
 }
 
 // Table returns the node's current table (live; owners must not mutate).
@@ -410,7 +483,9 @@ func (n *Node) finish() {
 		return
 	}
 	n.done = true
-	n.received = nil
+	n.inbox = [2][]inboxSlot{}
+	// The bootstrap's merges are over; a repair flood re-grows the spare.
+	n.table.spare = nil
 	if n.onDone != nil {
 		n.onDone(n.table)
 	}

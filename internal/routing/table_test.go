@@ -1,0 +1,333 @@
+package routing
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/determinism"
+	"repro/internal/graph"
+	"repro/internal/simnet"
+)
+
+// refTable is the map-backed routing table the sorted slice replaced, kept
+// as the reference model: every answer of Table must equal its answer.
+type refTable struct {
+	self   graph.NodeID
+	routes map[graph.NodeID]Route
+}
+
+func newRefTable(self graph.NodeID, neighbors []graph.Edge) *refTable {
+	t := &refTable{self: self, routes: map[graph.NodeID]Route{self: {Dest: self, NextHop: self}}}
+	for _, e := range neighbors {
+		t.routes[e.To] = Route{Dest: e.To, Dist: e.Delay, NextHop: e.To, PathHops: 1, MinHops: 1}
+	}
+	return t
+}
+
+func (t *refTable) nextHop(dest graph.NodeID) (graph.NodeID, bool) {
+	r, ok := t.routes[dest]
+	if !ok || dest == t.self {
+		return 0, false
+	}
+	return r.NextHop, true
+}
+
+func (t *refTable) dist(dest graph.NodeID) float64 {
+	if r, ok := t.routes[dest]; ok {
+		return r.Dist
+	}
+	return math.Inf(1)
+}
+
+func (t *refTable) sphere(h int) []graph.NodeID {
+	var out []graph.NodeID
+	for _, d := range determinism.SortedKeys(t.routes) {
+		if t.routes[d].MinHops <= h {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func (t *refTable) sphereDelayDiameter(h int) float64 {
+	var diam float64
+	for _, d := range determinism.SortedKeys(t.routes) {
+		if r := t.routes[d]; r.MinHops <= h && r.Dist > diam {
+			diam = r.Dist
+		}
+	}
+	return diam
+}
+
+func (t *refTable) merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
+	changed := false
+	for _, e := range entries {
+		if e.Dest == t.self {
+			continue
+		}
+		cand := Route{Dest: e.Dest, Dist: linkDelay + e.Dist, NextHop: from,
+			PathHops: 1 + e.PathHops, MinHops: 1 + e.MinHops}
+		cur, ok := t.routes[e.Dest]
+		if !ok {
+			t.routes[e.Dest] = cand
+			changed = true
+			continue
+		}
+		upd := cur
+		if cur.better(cand) {
+			upd.Dist, upd.NextHop, upd.PathHops = cand.Dist, cand.NextHop, cand.PathHops
+		}
+		if cand.MinHops < upd.MinHops {
+			upd.MinHops = cand.MinHops
+		}
+		if upd != cur {
+			t.routes[e.Dest] = upd
+			changed = true
+		}
+	}
+	return changed
+}
+
+func (t *refTable) snapshot() []WireRoute {
+	var out []WireRoute
+	for _, d := range determinism.SortedKeys(t.routes) {
+		r := t.routes[d]
+		out = append(out, WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops})
+	}
+	return out
+}
+
+func (t *refTable) removeSite(dead graph.NodeID) int {
+	removed := 0
+	for _, d := range determinism.SortedKeys(t.routes) {
+		if r := t.routes[d]; d == dead || r.NextHop == dead {
+			delete(t.routes, d)
+			removed++
+		}
+	}
+	return removed
+}
+
+func (t *refTable) clone() *refTable {
+	c := &refTable{self: t.self, routes: make(map[graph.NodeID]Route, len(t.routes))}
+	for k, v := range t.routes {
+		c.routes[k] = v
+	}
+	return c
+}
+
+// sameAsRef compares every observable answer of got with the reference.
+func sameAsRef(t *testing.T, where string, got *Table, ref *refTable) {
+	t.Helper()
+	if got.Len() != len(ref.routes) {
+		t.Fatalf("%s: Len %d, reference %d", where, got.Len(), len(ref.routes))
+	}
+	if want := determinism.SortedKeys(ref.routes); !slices.Equal(got.Destinations(), want) {
+		t.Fatalf("%s: Destinations %v, reference %v", where, got.Destinations(), want)
+	}
+	if gs, rs := got.Snapshot(), ref.snapshot(); !slices.Equal(gs, rs) {
+		t.Fatalf("%s: Snapshot %v, reference %v", where, gs, rs)
+	}
+	for d := graph.NodeID(-1); d <= refDests; d++ {
+		r, ok := got.Route(d)
+		rr, rok := ref.routes[d]
+		if ok != rok || r != rr {
+			t.Fatalf("%s: Route(%d) = %+v %v, reference %+v %v", where, d, r, ok, rr, rok)
+		}
+		if g, w := got.Dist(d), ref.dist(d); math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: Dist(%d) = %v, reference %v", where, d, g, w)
+		}
+		nh, ok := got.NextHop(d)
+		rnh, rok := ref.nextHop(d)
+		if nh != rnh || ok != rok {
+			t.Fatalf("%s: NextHop(%d) = %d %v, reference %d %v", where, d, nh, ok, rnh, rok)
+		}
+	}
+	for h := 0; h <= 5; h++ {
+		if g, w := got.Sphere(h), ref.sphere(h); !slices.Equal(g, w) {
+			t.Fatalf("%s: Sphere(%d) = %v, reference %v", where, h, g, w)
+		}
+		if g, w := got.SphereDelayDiameter(h), ref.sphereDelayDiameter(h); g != w {
+			t.Fatalf("%s: SphereDelayDiameter(%d) = %v, reference %v", where, h, g, w)
+		}
+	}
+}
+
+// refDests bounds the destination IDs the property test draws.
+const refDests = 24
+
+// randomEntries draws a merge input: sorted and duplicate-free like a
+// snapshot, or in any order with repeated destinations, optionally naming
+// the receiver itself. Distances come from a coarse grid plus jitter below
+// distEps, so better's tolerance — and with it the merge order — decides
+// many comparisons.
+func randomEntries(rng *rand.Rand, self graph.NodeID) []WireRoute {
+	n := rng.Intn(12)
+	out := make([]WireRoute, 0, n+1)
+	for i := 0; i < n; i++ {
+		out = append(out, WireRoute{
+			Dest:     graph.NodeID(rng.Intn(refDests)),
+			Dist:     float64(rng.Intn(3))*0.5 + float64(rng.Intn(3))*6e-10,
+			PathHops: rng.Intn(4),
+			MinHops:  rng.Intn(4),
+		})
+	}
+	if rng.Intn(4) == 0 {
+		out = append(out, WireRoute{Dest: self, Dist: 0.5, PathHops: 1, MinHops: 1})
+	}
+	if rng.Intn(2) == 0 {
+		slices.SortFunc(out, wireByDest)
+		out = slices.CompactFunc(out, func(a, b WireRoute) bool { return a.Dest == b.Dest })
+	}
+	return out
+}
+
+// TestTableMatchesMapReference drives the sorted-slice Table and the map
+// reference through the same random sequences of Merge (sorted, unsorted
+// and self-containing input, and real snapshots), RemoveSite and Clone, and
+// compares every answer and every changed bit. Merge must never write its
+// input.
+func TestTableMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		self := graph.NodeID(rng.Intn(refDests))
+		var nbrs []graph.Edge
+		for d := graph.NodeID(0); d < refDests; d++ {
+			if d != self && rng.Intn(5) == 0 {
+				nbrs = append(nbrs, graph.Edge{To: d, Delay: float64(1 + rng.Intn(3))})
+			}
+		}
+		got, ref := NewTable(self, nbrs), newRefTable(self, nbrs)
+		sameAsRef(t, "start", got, ref)
+		// A second table evolving alongside supplies realistic snapshots.
+		peer := NewTable(graph.NodeID((int(self)+1)%refDests), nil)
+		for op := 0; op < 60; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6:
+				from := graph.NodeID(rng.Intn(refDests))
+				delay := float64(rng.Intn(3)) * 0.5
+				entries := randomEntries(rng, self)
+				if rng.Intn(3) == 0 {
+					peer.Merge(graph.NodeID(rng.Intn(refDests)), 1, randomEntries(rng, peer.Self))
+					entries = peer.Snapshot()
+				}
+				before := slices.Clone(entries)
+				changed, want := got.Merge(from, delay, entries), ref.merge(from, delay, entries)
+				if changed != want {
+					t.Fatalf("seed %d op %d: Merge changed=%v, reference %v (input %v)", seed, op, changed, want, entries)
+				}
+				if !slices.Equal(entries, before) {
+					t.Fatalf("seed %d op %d: Merge wrote its input", seed, op)
+				}
+			case r < 8:
+				dead := graph.NodeID(rng.Intn(refDests))
+				if g, w := got.RemoveSite(dead), ref.removeSite(dead); g != w {
+					t.Fatalf("seed %d op %d: RemoveSite(%d) removed %d, reference %d", seed, op, dead, g, w)
+				}
+			default:
+				// Continue on the clone; the original keeps changing and
+				// must not leak into it.
+				c, rc := got.Clone(), ref.clone()
+				got.Merge(self+1, 0, randomEntries(rng, self))
+				got.RemoveSite(graph.NodeID(rng.Intn(refDests)))
+				got, ref = c, rc
+			}
+			sameAsRef(t, "after op", got, ref)
+		}
+	}
+}
+
+// TestMergeSameShapeAllocatesNothing pins the double buffer: once the table
+// and its spare have reached the table's size, merging a snapshot that adds
+// no destination allocates nothing.
+func TestMergeSameShapeAllocatesNothing(t *testing.T) {
+	topo := graph.RandomConnected(64, 4, graph.DelayRange{Min: 1, Max: 9}, 3)
+	tables, _, err := Build(topo, RoundsForRadius(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tables[0].Clone()
+	nbr := topo.Neighbors(0)[0]
+	snap := tables[nbr.To].Snapshot()
+	tb.Merge(nbr.To, nbr.Delay, snap) // learns whatever the neighbor adds
+	tb.Merge(nbr.To, nbr.Delay, snap) // sizes the second backing array
+	if n := testing.AllocsPerRun(100, func() { tb.Merge(nbr.To, nbr.Delay, snap) }); n != 0 {
+		t.Fatalf("same-shape merge allocates %v times, want 0", n)
+	}
+}
+
+// TestNonNeighborTableIsDropped: a table from a site that is not a direct
+// neighbor — a stray epoch-0 TableMsg over TCP, or an inter-region
+// neighbor's table under the hierarchy — is dropped. It used to fill a slot
+// of the round, close it early and panic in the merge for want of a link
+// delay.
+func TestNonNeighborTableIsDropped(t *testing.T) {
+	g := lineN(3) // 0-1-2: site 2 is no neighbor of 0
+	var sent []TableMsg
+	n0 := NewNode(0, g.Neighbors(0), 2,
+		func(_ graph.NodeID, p simnet.Payload) { sent = append(sent, p.(TableMsg)) }, nil)
+	n0.Start()
+	stray := TableMsg{Round: 0, Entries: []WireRoute{{Dest: 2, Dist: 0}}}
+	n0.HandleTable(2, stray)
+	n0.HandleTable(2, TableMsg{Round: 1, Entries: stray.Entries})
+	if len(sent) != 1 || n0.Done() {
+		t.Fatalf("a stray table advanced the round: %d broadcasts, done=%v", len(sent), n0.Done())
+	}
+	if _, ok := n0.Table().Route(2); ok {
+		t.Fatal("the stray table's routes were merged")
+	}
+	// The real neighbor's tables still complete both rounds.
+	n1 := NewTable(1, g.Neighbors(1))
+	n0.HandleTable(1, TableMsg{Round: 0, Entries: n1.Snapshot()})
+	n0.HandleTable(1, TableMsg{Round: 1, Entries: n1.Snapshot()})
+	if !n0.Done() {
+		t.Fatal("node did not finish on its neighbor's tables")
+	}
+	if d := n0.Table().Dist(2); d != 2 {
+		t.Fatalf("dist to 2 = %v, want 2 via the neighbor", d)
+	}
+}
+
+// TestNodeMergesNeighborsInIDOrder: whatever order a round's tables arrive
+// in, they merge in ascending neighbor ID — the order that decides ties
+// under better's tolerance — exactly as RebuildAlive's synchronous flow.
+func TestNodeMergesNeighborsInIDOrder(t *testing.T) {
+	topo := graph.RandomConnected(40, 5, graph.DelayRange{Min: 1, Max: 2}, 9)
+	rounds := RoundsForRadius(3)
+	want := CentralTables(topo, rounds)
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type msg struct {
+			from, to graph.NodeID
+			m        TableMsg
+		}
+		var queue []msg
+		nodes := make([]*Node, topo.Len())
+		for id := range nodes {
+			id := graph.NodeID(id)
+			nodes[id] = NewNode(id, topo.Neighbors(id), rounds, func(to graph.NodeID, p simnet.Payload) {
+				queue = append(queue, msg{id, to, p.(TableMsg)})
+			}, nil)
+		}
+		for _, n := range nodes {
+			n.Start()
+		}
+		for len(queue) > 0 { // deliver in random order
+			i := rng.Intn(len(queue))
+			m := queue[i]
+			queue = append(queue[:i], queue[i+1:]...)
+			nodes[m.to].HandleTable(m.from, m.m)
+		}
+		for id, n := range nodes {
+			if !n.Done() {
+				t.Fatalf("seed %d: node %d did not finish", seed, id)
+			}
+			if !reflect.DeepEqual(n.Table().routes, want[id].routes) {
+				t.Fatalf("seed %d: node %d's table differs from the synchronous flow", seed, id)
+			}
+		}
+	}
+}

@@ -161,3 +161,48 @@ func TestReleaseDropsPayload(t *testing.T) {
 		t.Fatalf("pooled node still references payload=%v deliver=%v fn=%v", ev.payload, ev.deliver != nil, ev.fn != nil)
 	}
 }
+
+// TestHeapTieHeavyPops: timestamps from a two-value set, so nearly every
+// comparison ties on the inline key and falls through to (birth, origin,
+// seq) on the events themselves. Every pop must still be the exact minimum,
+// and the tail must drain in sorted order.
+func TestHeapTieHeavyPops(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var seq int64
+		var pending []heapKey // the model: kept sorted
+		var fired heapKey
+		for batch := 0; batch < 40; batch++ {
+			for i := 0; i < 50; i++ {
+				seq++
+				k := heapKey{
+					at:     q.Now() + Time(rng.Intn(2)),
+					birth:  Time(rng.Intn(2)),
+					origin: int32(rng.Intn(3)),
+					seq:    seq,
+				}
+				q.Push(q.Alloc(k.at, k.birth, k.origin, k.seq, func() { fired = k }))
+				pending = append(pending, k)
+			}
+			sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j]) })
+			for i := rng.Intn(60); i > 0 && q.Len() > 0; i-- {
+				q.Step()
+				if fired != pending[0] {
+					t.Fatalf("seed %d batch %d: fired %+v, want %+v", seed, batch, fired, pending[0])
+				}
+				pending = pending[1:]
+			}
+		}
+		for len(pending) > 0 {
+			q.Step()
+			if fired != pending[0] {
+				t.Fatalf("seed %d drain: fired %+v, want %+v", seed, fired, pending[0])
+			}
+			pending = pending[1:]
+		}
+		if q.Len() != 0 {
+			t.Fatalf("seed %d: %d events left", seed, q.Len())
+		}
+	}
+}

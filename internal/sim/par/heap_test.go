@@ -31,9 +31,11 @@ func (a firedKey) less(b firedKey) bool {
 // runKeyed drives a random self-sustaining workload over n origins — closure
 // events, delivery events and cancellable timers, some cancelled while
 // interior to the heap — and returns, per origin, the keys of the events
-// that fired there, in firing order. All randomness is per origin, so the
-// workload is a pure function of the per-origin execution order.
-func runKeyed(t *testing.T, n, nparts int, seed int64) [][]firedKey {
+// that fired there, in firing order. Each event lands 1 to spread lookahead
+// units after its scheduling time, so spread 1 puts a whole generation on
+// one timestamp. All randomness is per origin, so the workload is a pure
+// function of the per-origin execution order.
+func runKeyed(t *testing.T, n, nparts int, seed int64, spread int) [][]firedKey {
 	t.Helper()
 	const delay = 0.25
 	eng, err := New(blockParts(n, nparts), delay)
@@ -56,7 +58,7 @@ func runKeyed(t *testing.T, n, nparts int, seed int64) [][]firedKey {
 		rng := rngs[o]
 		to := (o + 1 + rng.Intn(n-1)) % n
 		now := eng.NowOf(o)
-		at := now + delay*float64(1+rng.Intn(3))
+		at := now + delay*float64(1+rng.Intn(spread))
 		seqs[o]++
 		k := firedKey{at: at, birth: now, origin: o, seq: seqs[o]}
 		switch rng.Intn(3) {
@@ -101,30 +103,34 @@ func runKeyed(t *testing.T, n, nparts int, seed int64) [][]firedKey {
 
 // TestHeapPropertyAcrossPartitions: through the parallel kernel, every
 // origin sees its events in exactly sorted (at, birth, origin, seq) order,
-// and the same sequence at 1, 2 and 4 partitions.
+// and the same sequence at 1, 2 and 4 partitions — with timestamps spread
+// over three lookahead steps, and with every event of a generation on one
+// timestamp, where the order is decided by the tie-break alone.
 func TestHeapPropertyAcrossPartitions(t *testing.T) {
 	const n = 8
-	for seed := int64(1); seed <= 5; seed++ {
-		var ref [][]firedKey
-		for _, nparts := range []int{1, 2, 4} {
-			logs := runKeyed(t, n, nparts, seed)
-			total := 0
-			for o, log := range logs {
-				total += len(log)
-				for i := 1; i < len(log); i++ {
-					if !log[i-1].less(log[i]) {
-						t.Fatalf("seed %d, %d partitions, origin %d: %+v fired before %+v",
-							seed, nparts, o, log[i-1], log[i])
+	for _, spread := range []int{3, 1} {
+		for seed := int64(1); seed <= 5; seed++ {
+			var ref [][]firedKey
+			for _, nparts := range []int{1, 2, 4} {
+				logs := runKeyed(t, n, nparts, seed, spread)
+				total := 0
+				for o, log := range logs {
+					total += len(log)
+					for i := 1; i < len(log); i++ {
+						if !log[i-1].less(log[i]) {
+							t.Fatalf("spread %d seed %d, %d partitions, origin %d: %+v fired before %+v",
+								spread, seed, nparts, o, log[i-1], log[i])
+						}
 					}
 				}
-			}
-			if total < 200 {
-				t.Fatalf("seed %d: degenerate workload, %d events", seed, total)
-			}
-			if ref == nil {
-				ref = logs
-			} else if !reflect.DeepEqual(ref, logs) {
-				t.Fatalf("seed %d: firing order at %d partitions differs from 1 partition", seed, nparts)
+				if total < 200 {
+					t.Fatalf("spread %d seed %d: degenerate workload, %d events", spread, seed, total)
+				}
+				if ref == nil {
+					ref = logs
+				} else if !reflect.DeepEqual(ref, logs) {
+					t.Fatalf("spread %d seed %d: firing order at %d partitions differs from 1 partition", spread, seed, nparts)
+				}
 			}
 		}
 	}
