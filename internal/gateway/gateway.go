@@ -6,7 +6,8 @@
 //
 //  1. payload validation — the DAG must parse (dag JSON schema) and must
 //     survive the wire codec (a job too large for wire.MaxFrame is
-//     refused at the door, not deep inside the commit phase);
+//     refused at the door, not deep inside the commit phase), and its
+//     log record must fit in joblog.MaxRecord;
 //  2. tenant admission — a per-tenant token bucket (rate/burst) and an
 //     inflight cap, configured by -tenants;
 //  3. laxity backpressure — when the job's relative deadline is below
@@ -376,6 +377,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"graph exceeds wire limits: "+err.Error(), 0)
 		return
 	}
+	// The log must be able to hold the submitted record. It is sized here,
+	// with the longest id a sequence number can give, so that a job the log
+	// would refuse is refused before it is admitted or takes a number.
+	rec := joblog.Record{
+		Type:      joblog.TypeSubmitted,
+		ID:        jobID(math.MaxUint64),
+		Seq:       math.MaxUint64,
+		Tenant:    req.Tenant,
+		ClientKey: req.ClientKey,
+		At:        req.At,
+		Deadline:  req.Deadline,
+		Graph:     req.Graph,
+	}
+	if err := joblog.CheckSize(rec); err != nil {
+		s.reject(w, req.Tenant, "invalid", http.StatusRequestEntityTooLarge,
+			"submission exceeds job log limits: "+err.Error(), 0)
+		return
+	}
 
 	// One critical section looks the client key up, admits the submission,
 	// assigns the ID and reserves the key, so of any number of concurrent
@@ -415,8 +434,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
+	rec.ID, rec.Seq = jobID(s.seq), s.seq
 	j := &Job{
-		ID:        fmt.Sprintf("g%d", s.seq),
+		ID:        rec.ID,
 		Tenant:    req.Tenant,
 		State:     StateQueued,
 		Deadline:  req.Deadline,
@@ -426,16 +446,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Stamped before the forward: the verdict can be back within
 		// milliseconds, and the decision-latency sample is taken from it.
 		acceptedAt: start,
-	}
-	rec := joblog.Record{
-		Type:      joblog.TypeSubmitted,
-		ID:        j.ID,
-		Seq:       s.seq,
-		Tenant:    j.Tenant,
-		ClientKey: j.clientKey,
-		At:        j.at,
-		Deadline:  j.Deadline,
-		Graph:     j.graph,
 	}
 	var reserved chan struct{}
 	if key != "" {
@@ -713,6 +723,9 @@ func isAccepted(outcome string) bool {
 }
 
 func clientKeyIndex(tenant, key string) string { return tenant + "\x00" + key }
+
+// jobID is the gateway job id of sequence number seq.
+func jobID(seq uint64) string { return "g" + strconv.FormatUint(seq, 10) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/joblog"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -186,6 +187,16 @@ func TestAdmissionTable(t *testing.T) {
 			wantResult: "invalid",
 		},
 		{
+			// Under the body cap, a valid graph and a small wire frame, but
+			// a submitted record the log cannot hold: refused at the door,
+			// not failed after admission with a sequence number spent.
+			name: "record over the log's bound",
+			body: `{"tenant":"acme","client_key":"big","deadline":40,"graph":{"name":"t","tasks":[{"id":1,"complexity":5.` +
+				strings.Repeat("0", joblog.MaxRecord) + `}],"edges":[]}}`,
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantResult: "invalid",
+		},
+		{
 			name:       "rate limited",
 			quotas:     map[string]Quota{"acme": {Rate: 0.001, Burst: 2}},
 			prime:      2, // drains the burst
@@ -242,14 +253,16 @@ func TestAdmissionTable(t *testing.T) {
 				t.Fatalf("status = %v, want %d (%v)", resp.Status, tc.wantStatus, reply)
 			}
 			if tc.wantStatus != http.StatusAccepted {
-				// A refusal leaves no job, no client key and no log record.
+				// A refusal leaves no job, no client key, no log record and
+				// no spent sequence number.
 				after, err := os.Stat(logPath)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(s.jobs) != tc.prime || len(s.byClientKey) != 0 || fb.submitted != tc.prime || after.Size() != logged.Size() {
-					t.Errorf("refusal stored something: %d jobs, %d keys, %d cluster submissions, log %d -> %d bytes",
-						len(s.jobs), len(s.byClientKey), fb.submitted, logged.Size(), after.Size())
+				if len(s.jobs) != tc.prime || len(s.byClientKey) != 0 || fb.submitted != tc.prime ||
+					after.Size() != logged.Size() || s.seq != uint64(tc.prime) {
+					t.Errorf("refusal stored something: %d jobs, %d keys, %d cluster submissions, log %d -> %d bytes, seq %d",
+						len(s.jobs), len(s.byClientKey), fb.submitted, logged.Size(), after.Size(), s.seq)
 				}
 			}
 			if tc.wantResult != "" && reply["result"] != tc.wantResult {

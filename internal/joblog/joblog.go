@@ -6,9 +6,12 @@
 //
 //	u32 length | u32 crc32c(body) | body
 //
-// where body is the JSON encoding of a Record (JSON for debuggability —
-// the log is an operator artifact; the wire codec stays reserved for
-// protocol traffic).
+// where body is a Record in a small versioned binary layout (see body.go):
+// a version byte, a type byte, then the fields as length-prefixed bytes,
+// uvarints and float64s. Recovery reads it without parsing any JSON.
+// Ids, keys, outcomes and each submitted graph's JSON are stored as plain
+// bytes, so grep and strings still find a job in the file. Bodies written
+// as JSON, by versions before this layout, are still read.
 //
 // There are two ways to write, and they differ only in who waits:
 //
@@ -44,6 +47,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -55,8 +59,9 @@ const frameHeader = 8
 // CommitWindow paces back-to-back commits. An fsync that starts on an idle
 // log starts no sooner than CommitWindow after the last such fsync started
 // and covers everyone who wrote by then; those who wrote while it ran get one
-// follow-up fsync at once, and whoever comes after that waits for the next
-// window. The first append after a quiet spell is never delayed. It is a
+// follow-up fsync at once (after a slow fsync, no sooner than CommitWindow
+// after the fsync two before it), and whoever comes after that waits for the
+// next window. The first append after a quiet spell is never delayed. It is a
 // property of the log, not a setting: at most two fsyncs start per window
 // however the log is driven, a client that submits back to back is acked
 // once per window (each further concurrent client adds its ack to the same
@@ -170,11 +175,11 @@ type Log struct {
 	dirty   bool          // bytes were written since the last fsync started
 	err     error         // sticky: a failed write or sync poisons the log
 
-	// lastSync is when the current commit window's fsync started, followUp
-	// whether the window's one follow-up fsync has been spent. Only whoever
-	// runs the group commit touches them, and leadership passes under mu or
-	// over a waiter's channel, so they need no lock of their own.
-	lastSync time.Time
+	// started is when the last two fsyncs started, the latest first;
+	// followUp whether the latest was its window's one follow-up. Only
+	// whoever runs the group commit touches them, and leadership passes
+	// under mu or over a waiter's channel, so they need no lock of their own.
+	started  [2]time.Time
 	followUp bool
 }
 
@@ -220,17 +225,20 @@ func (l *Log) Sync() error { return l.write(nil, true) }
 
 // appendFrame appends rec's frame to buf.
 func appendFrame(buf []byte, rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
+	if typeByte(rec.Type) == 0 {
+		return buf, fmt.Errorf("joblog: unknown record type %q", rec.Type)
+	}
+	if err := CheckSize(rec); err != nil {
 		return buf, err
 	}
-	if len(body) > MaxRecord {
-		return buf, fmt.Errorf("joblog: record of %d bytes exceeds MaxRecord", len(body))
-	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	return append(append(buf, hdr[:]...), body...), nil
+	n := bodySize(rec)
+	start := len(buf)
+	buf = slices.Grow(buf, frameHeader+n)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = append(buf, 0, 0, 0, 0) // the CRC, once the body is there
+	buf = appendBody(buf, rec)
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(buf[start+frameHeader:], castagnoli))
+	return buf, nil
 }
 
 // write puts buf (whole frames, possibly none) at the end of the file and,
@@ -303,17 +311,20 @@ func (l *Log) await(done chan commit, lead bool) error {
 // was so named, rather than having found the log idle.
 func (l *Log) flushBatch(handed bool) {
 	// Pace back-to-back commits before taking the batch, so that whoever
-	// writes during the pause is covered by this fsync too. Whoever wrote
-	// while the window's fsync ran missed it by less than one fsync: they
-	// get theirs at once, on the same window, instead of waiting one out.
+	// writes during the pause is covered by this fsync too. A window's first
+	// fsync starts CommitWindow after the last window's first. Whoever wrote
+	// while it ran missed it by less than one fsync: they get theirs on the
+	// same window, as soon as it is CommitWindow clear of the fsync two
+	// before it, which is at once unless a slow fsync pushed the last
+	// window's follow-up late. So no three fsyncs start within one window.
 	if !l.opts.NoSync {
-		if handed && !l.followUp {
-			l.followUp = true
-		} else {
-			pause(CommitWindow - time.Since(l.lastSync))
-			l.lastSync = time.Now()
-			l.followUp = false
+		from := l.started[1]
+		if !handed && !l.followUp {
+			from = l.started[0]
 		}
+		l.followUp = handed && !l.followUp
+		pause(CommitWindow - time.Since(from))
+		l.started = [2]time.Time{time.Now(), l.started[0]}
 	}
 	l.mu.Lock()
 	batch := l.pending

@@ -613,6 +613,47 @@ func TestCommitWindowPacesOnlyBackToBackCommits(t *testing.T) {
 	}
 }
 
+// slowFirstSync is stampedSyncFile with a first fsync that takes most of a
+// window, as the first fdatasync of a new file can.
+type slowFirstSync struct{ stampedSyncFile }
+
+func (s slowFirstSync) Sync() error {
+	err := s.stampedSyncFile.Sync()
+	s.mu.Lock()
+	first := len(*s.starts) == 1
+	s.mu.Unlock()
+	if first {
+		pause(CommitWindow * 3 / 4)
+	}
+	return err
+}
+
+// A slow fsync pushes its window's follow-up late in the window. The next
+// window's first fsync waits out the window, and its follow-up must then
+// wait until it is a window clear of the late one: no three fsyncs start
+// within one window, however long an fsync takes.
+func TestSlowFsyncDoesNotCrowdTheNextWindow(t *testing.T) {
+	var mu sync.Mutex
+	var starts []time.Time
+	opts := testOpts()
+	opts.failpoint = func(w syncWriter) syncWriter { return slowFirstSync{stampedSyncFile{w, &mu, &starts}} }
+	l, _ := openOrDie(t, filepath.Join(t.TempDir(), "joblog"), opts)
+	defer l.Close()
+
+	// The group commit's runners as the hand-offs of a busy log name them: a
+	// window's first fsync (the slow one), its follow-up, the next window's
+	// first, which a waiter was handed too, and that window's follow-up.
+	for _, handed := range []bool{false, true, true, true} {
+		l.flushBatch(handed)
+	}
+	const slack = CommitWindow / 4 // as in TestCommitWindowPacesOnlyBackToBackCommits
+	for i := 2; i < len(starts); i++ {
+		if gap := starts[i].Sub(starts[i-2]); gap < CommitWindow-slack {
+			t.Errorf("fsyncs %d, %d and %d started within %v; the window is %v", i-2, i-1, i, gap, CommitWindow)
+		}
+	}
+}
+
 // A log without fsync has nothing to pace: a thousand serial appends must not
 // cost a thousand windows.
 func TestNoSyncSkipsTheCommitWindow(t *testing.T) {

@@ -3,7 +3,6 @@ package joblog
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -149,10 +148,10 @@ func (c *chunk) decode() {
 		if crc32.Checksum(body, castagnoli) != fr.crc {
 			return
 		}
-		// A zero Record each time: decoding into a recycled one would write
-		// the graph into bytes an earlier record still owns.
+		// A zero Record each time: decodeBody writes only the fields the
+		// body holds, and a recycled one would keep an earlier record's.
 		c.recs = append(c.recs, Record{})
-		if err := json.Unmarshal(body, &c.recs[i]); err != nil {
+		if err := decodeBody(body, &c.recs[i]); err != nil {
 			// The CRC matched but the body is not a record: that is not a
 			// torn write, it is corruption (or a foreign file).
 			c.recs = c.recs[:i]

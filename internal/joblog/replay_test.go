@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,6 +17,73 @@ import (
 	"sync"
 	"testing"
 )
+
+// refDecode is the tests' own reading of a record body, written apart from
+// decodeBody so that the reference below is a second implementation: a JSON
+// body goes to encoding/json, and a binary one is read through a
+// bytes.Reader with the io-based helpers of encoding/binary.
+func refDecode(body []byte) (Record, error) {
+	var rec Record
+	if len(body) > 0 && body[0] == '{' {
+		err := json.Unmarshal(body, &rec)
+		return rec, err
+	}
+	r := bytes.NewReader(body)
+	var bad error
+	fail := func(err error) {
+		if bad == nil {
+			bad = err
+		}
+	}
+	version, err := r.ReadByte()
+	fail(err)
+	if err == nil && version != 1 {
+		fail(fmt.Errorf("version %d", version))
+	}
+	typ, err := r.ReadByte()
+	fail(err)
+	rec.Type = map[byte]RecordType{1: TypeSubmitted, 2: TypeForwarded, 3: TypeDecided}[typ]
+	if rec.Type == "" {
+		fail(fmt.Errorf("type byte %d", typ))
+	}
+	bytesField := func() []byte {
+		n, err := binary.ReadUvarint(r)
+		fail(err)
+		if bad != nil || n > uint64(r.Len()) {
+			fail(io.ErrUnexpectedEOF)
+			return nil
+		}
+		b := make([]byte, n)
+		_, err = io.ReadFull(r, b)
+		fail(err)
+		return b
+	}
+	float := func() float64 {
+		var v float64
+		fail(binary.Read(r, binary.LittleEndian, &v))
+		return v
+	}
+	rec.ID = string(bytesField())
+	rec.Seq, err = binary.ReadUvarint(r)
+	fail(err)
+	rec.Tenant = string(bytesField())
+	rec.ClientKey = string(bytesField())
+	rec.At = float()
+	rec.Deadline = float()
+	if g := bytesField(); len(g) > 0 {
+		rec.Graph = g
+	}
+	rec.ClusterID = string(bytesField())
+	rec.Outcome = string(bytesField())
+	rec.DecisionLatency = float()
+	if r.Len() > 0 {
+		fail(fmt.Errorf("%d trailing bytes", r.Len()))
+	}
+	if bad != nil {
+		return Record{}, bad
+	}
+	return rec, nil
+}
 
 // scan is the recovery scanner as it was before recovery streamed: the whole
 // file in memory, one frame after the other, every record kept. It is the
@@ -28,8 +96,8 @@ func scan(data []byte) ([]Record, int64, error) {
 		if !ok {
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(body, &rec); err != nil {
+		rec, err := refDecode(body)
+		if err != nil {
 			return nil, 0, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, offset, err)
 		}
 		records = append(records, rec)
@@ -188,11 +256,14 @@ func TestReplayMatchesReference(t *testing.T) {
 			}
 
 			// A frame whose CRC is right and whose body is not a record, in
-			// the middle and at the very end.
-			foreign := rawFrame([]byte(`{"type":"submitted","id":`))
-			at := offsets[rng.Intn(n)]
-			agree(t, dir, name("foreign frame at %d", at), bytes.Join([][]byte{data[:at], foreign, data[at:]}, nil))
-			agree(t, dir, name("foreign frame at the end"), append(append([]byte(nil), data...), foreign...))
+			// the middle and at the very end: a cut JSON body, and a binary
+			// one whose last float is cut.
+			for _, body := range [][]byte{[]byte(`{"type":"submitted","id":`), decidedBody[:len(decidedBody)-3]} {
+				foreign := rawFrame(body)
+				at := offsets[rng.Intn(n)]
+				agree(t, dir, name("foreign frame %q at %d", body, at), bytes.Join([][]byte{data[:at], foreign, data[at:]}, nil))
+				agree(t, dir, name("foreign frame %q at the end", body), append(append([]byte(nil), data...), foreign...))
+			}
 		}
 
 		// The torn tail: the file cut at every byte of its last frame.
@@ -229,6 +300,15 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), intact[:offsets[6]+2]...), intact[offsets[6]+9:]...))
 	f.Add(append(append([]byte(nil), intact...), rawFrame([]byte("not json"))...))
 	f.Add([]byte{})
+	// Binary bodies behind good CRCs: a whole one, one with a byte too many,
+	// and the JSON-bodied log of the format before.
+	f.Add(rawFrame(decidedBody))
+	f.Add(append(append([]byte(nil), intact...), rawFrame(append(append([]byte(nil), decidedBody...), 0))...))
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 32<<10 {
@@ -252,24 +332,21 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// A log written by the commit before the streaming replay (testdata/
-// parent.wal, by its Append) recovers to the state that commit's Open and
-// Summarize gave, and today's writer frames the same records into the same
-// bytes: the format on disk did not change.
+// A log of JSON bodies, written by the commit before the streaming replay
+// (testdata/parent.wal, by its Append), recovers to the state that commit's
+// Open and Summarize gave, and so does testdata/v1.wal, the same records as
+// the first binary writer framed them. Today's writer frames them into
+// v1.wal's bytes, and a JSON log that a binary writer appends to recovers
+// whole.
 func TestParentFormatReplays(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "joblog")
-	if err := os.WriteFile(path, golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l, rep, err := Recover(path, Options{NoSync: true})
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 
 	type state struct {
 		id, tenant, key, cluster, outcome string
@@ -282,16 +359,30 @@ func TestParentFormatReplays(t *testing.T) {
 		{"g3", "acme", "k<3>&", "j2@1", "rejected", 7, false}, // decided before forwarded
 		{"g4", "acme", "", "j3@2", "", 9, false},
 	}
-	if len(rep.Jobs) != len(want) || rep.NextSeq != 5 {
-		t.Fatalf("%d jobs, NextSeq %d; want %d and 5", len(rep.Jobs), rep.NextSeq, len(want))
-	}
-	for i, j := range rep.Jobs {
-		got := state{j.Submitted.ID, j.Submitted.Tenant, j.Submitted.ClientKey, j.ClusterID, j.Outcome,
-			j.Submitted.Deadline, j.Submitted.Graph != nil}
-		if got != want[i] {
-			t.Errorf("job %d: %+v, want %+v", i, got, want[i])
+	path := filepath.Join(t.TempDir(), "joblog")
+	recoverImage := func(what string, image []byte) *Log {
+		t.Helper()
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		l, rep, err := Recover(path, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(rep.Jobs) != len(want) || rep.NextSeq != 5 {
+			t.Fatalf("%s: %d jobs, NextSeq %d; want %d and 5", what, len(rep.Jobs), rep.NextSeq, len(want))
+		}
+		for i, j := range rep.Jobs {
+			got := state{j.Submitted.ID, j.Submitted.Tenant, j.Submitted.ClientKey, j.ClusterID, j.Outcome,
+				j.Submitted.Deadline, j.Submitted.Graph != nil}
+			if got != want[i] {
+				t.Errorf("%s: job %d: %+v, want %+v", what, i, got, want[i])
+			}
+		}
+		return l
 	}
+	recoverImage("v1.wal", v1).Close()
+	l := recoverImage("parent.wal", golden)
 
 	records, _, err := scan(golden)
 	if err != nil {
@@ -303,8 +394,21 @@ func TestParentFormatReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(rewritten, golden) {
-		t.Error("today's writer frames the parent's records into different bytes")
+	if !bytes.Equal(rewritten, v1) {
+		t.Error("today's writer frames the parent's records into bytes other than v1.wal's")
+	}
+
+	// The JSON log, recovered and appended to in the binary format.
+	if err := l.AppendNoWait(Record{Type: TypeDecided, ID: "g2", Outcome: "rejected"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, mixed := openOrDie(t, path, Options{NoSync: true})
+	defer l.Close()
+	if len(mixed) != len(records)+1 || !reflect.DeepEqual(mixed[:len(records)], records) || mixed[len(records)].Outcome != "rejected" {
+		t.Errorf("a JSON log with a binary record appended recovered as %+v", mixed)
 	}
 }
 
@@ -433,8 +537,8 @@ func (o *orderWriter) Write(p []byte) (int, error) {
 		if !ok {
 			panic("a write that is not whole frames")
 		}
-		var r Record
-		if err := json.Unmarshal(body, &r); err != nil {
+		r, err := refDecode(body)
+		if err != nil {
 			panic(err)
 		}
 		o.log("w " + r.ID)
