@@ -388,13 +388,15 @@ func (b *HTTPBackend) watch(ctx context.Context, nd *backendNode, deliver func(m
 // Not the p99 a node reports in /stats: that one is over the node's whole
 // life, its maximum until the node has decided a hundred jobs, and a gate
 // that keys on it stays shut after one slow spell, since it refuses the jobs
-// whose quick decisions would dilute it. GET /stats is asked all the same,
-// to tell a reachable site from a silent one. Each call ends a tick.
+// whose quick decisions would dilute it. A site is reachable when its
+// GET /healthz answers 200; /stats is not asked, since the node answers it
+// by probing its execution context and sorting its latencies. Each call
+// ends a tick.
 func (b *HTTPBackend) Stats() (BackendStats, error) {
 	var out BackendStats
 	var lastErr error
 	for _, nd := range b.nodes {
-		if err := b.getJSON(context.Background(), nd.base+"/stats", &struct{}{}); err != nil {
+		if err := b.probe(nd.base + "/healthz"); err != nil {
 			lastErr = err
 			continue
 		}
@@ -402,7 +404,7 @@ func (b *HTTPBackend) Stats() (BackendStats, error) {
 		out.DecisionLatencyP99 = max(out.DecisionLatencyP99, nd.sustainedP99())
 	}
 	if out.ReachableSites == 0 {
-		return out, fmt.Errorf("gateway: no site answered /stats: %w", lastErr)
+		return out, fmt.Errorf("gateway: no site answered /healthz: %w", lastErr)
 	}
 	return out, nil
 }
@@ -422,6 +424,20 @@ func (nd *backendNode) sustainedP99() float64 {
 	nd.ticks[nd.tick%sustainTicks] = s.Percentile(99)
 	nd.tick++
 	return slices.Min(nd.ticks[:])
+}
+
+// probe GETs u and reports an error unless it answers 200.
+func (b *HTTPBackend) probe(u string) error {
+	resp, err := b.client.Get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) // lets the connection be reused
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s", u, resp.Status)
+	}
+	return nil
 }
 
 func (b *HTTPBackend) getJSON(ctx context.Context, u string, v any) error {

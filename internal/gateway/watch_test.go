@@ -517,7 +517,7 @@ func (n *scriptedNode) decide(latencies ...float64) {
 
 func (n *scriptedNode) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/jobs" {
-		fmt.Fprint(w, "{}") // GET /stats: the site is reachable
+		fmt.Fprintln(w, "ok") // GET /healthz: the site is reachable
 		return
 	}
 	n.mu.Lock()
@@ -594,5 +594,62 @@ func TestStatsReportsSustainedSlowness(t *testing.T) {
 	}
 	if got := tick(); got != 0 {
 		t.Fatalf("a tick without decisions left the reading at %v", got)
+	}
+}
+
+// pathCounter is a node control plane that counts the paths it is asked
+// for; its /healthz answers with health.
+type pathCounter struct {
+	health int
+	mu     sync.Mutex
+	paths  map[string]int
+}
+
+func (n *pathCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	n.mu.Lock()
+	n.paths[r.URL.Path]++
+	n.mu.Unlock()
+	if r.URL.Path == "/healthz" {
+		w.WriteHeader(n.health)
+	}
+	fmt.Fprintln(w, "ok")
+}
+
+func (n *pathCounter) count(path string) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.paths[path]
+}
+
+// A reconcile tick tells a reachable site from a silent one by /healthz
+// alone: it never asks /stats, and a site whose /healthz fails is not
+// reachable however well the rest of its API answers.
+func TestStatsProbesHealthz(t *testing.T) {
+	up := &pathCounter{health: http.StatusOK, paths: map[string]int{}}
+	down := &pathCounter{health: http.StatusServiceUnavailable, paths: map[string]int{}}
+	var bases []string
+	for _, n := range []*pathCounter{up, down} {
+		ts := httptest.NewServer(n)
+		defer ts.Close()
+		bases = append(bases, ts.URL)
+	}
+	backend, err := NewHTTPBackend(bases, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := backend.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ReachableSites != 1 {
+		t.Errorf("%d reachable sites, want 1 (the one whose /healthz answers 200)", st.ReachableSites)
+	}
+	for i, n := range []*pathCounter{up, down} {
+		if got := n.count("/healthz"); got != 1 {
+			t.Errorf("node %d: %d /healthz requests in one tick, want 1", i, got)
+		}
+		if got := n.count("/stats"); got != 0 {
+			t.Errorf("node %d: %d /stats requests in one tick, want 0", i, got)
+		}
 	}
 }

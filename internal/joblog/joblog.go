@@ -50,6 +50,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/wallclock"
 )
 
 // frameHeader is the per-record frame: u32 little-endian body length plus
@@ -323,7 +325,7 @@ func (l *Log) flushBatch(handed bool) {
 			from = l.started[0]
 		}
 		l.followUp = handed && !l.followUp
-		pause(CommitWindow - time.Since(from))
+		wallclock.Pause(CommitWindow - time.Since(from))
 		l.started = [2]time.Time{time.Now(), l.started[0]}
 	}
 	l.mu.Lock()

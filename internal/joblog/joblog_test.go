@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wallclock"
 )
 
 // testOpts is the default: real fsync (tmp dirs are cheap and the sync path
@@ -623,7 +625,7 @@ func (s slowFirstSync) Sync() error {
 	first := len(*s.starts) == 1
 	s.mu.Unlock()
 	if first {
-		pause(CommitWindow * 3 / 4)
+		wallclock.Pause(CommitWindow * 3 / 4)
 	}
 	return err
 }

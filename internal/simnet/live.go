@@ -9,12 +9,16 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/wallclock"
 )
 
 // Live is a transport backed by real goroutines and channels: one goroutine
 // per site serializes that site's message handling, and one goroutine per
 // directed link models propagation delay while preserving per-link FIFO
-// order. Virtual-time unit 1.0 maps to Scale of wall-clock time.
+// order. Virtual-time unit 1.0 maps to Scale of wall-clock time. A link
+// waits out a delay under wallclock.Short in nanosleep(2), holding one
+// thread, so a hop costs its delay plus about 60 µs rather than the whole
+// millisecond a Go timer rounds it up to; longer delays sleep on a timer.
 //
 // Live exists to run the protocol under genuine concurrency; experiments use
 // the deterministic DES transport.
@@ -128,8 +132,10 @@ func (l *Live) Start() {
 					if !ok {
 						return
 					}
-					if d := time.Until(it.deliverAt); d > 0 {
+					if d := time.Until(it.deliverAt); d >= wallclock.Short {
 						time.Sleep(d)
+					} else {
+						wallclock.Pause(d)
 					}
 					it.deliver()
 				}

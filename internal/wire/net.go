@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/simnet"
+	"repro/internal/wallclock"
 )
 
 // NetTransport implements simnet.Transport over TCP: one site per process,
@@ -35,6 +36,16 @@ import (
 // the connection broke mid-batch is retried on the fresh connection —
 // duplicates are possible across a reconnect and the protocol's handlers
 // tolerate them, exactly as they tolerate retransmitted aborts.
+//
+// A hop costs its emulated delay plus about 60 µs, not about a millisecond:
+// a writer whose next frame is due within wallclock.Short (2 ms) sleeps in
+// nanosleep(2) (wallclock.Pause) instead of on a Go timer, which an idle
+// process wakes only on a whole-millisecond netpoll timeout. The sleep
+// cannot be interrupted, and it is safe because every link has one constant
+// delay: a frame enqueued during it is never due before the head. Only an
+// armed FaultPlan's jitter can make one due earlier, and that frame is then
+// late by at most the rest of the sleep, under 2 ms. Longer waits (large
+// Scale, or jitter) keep a timer that a new head or Close interrupts.
 type NetTransport struct {
 	self  graph.NodeID
 	topo  *graph.Graph
@@ -521,10 +532,13 @@ func (p *peerConn) close() {
 }
 
 // writeLoop waits until the earliest frame is due, then gathers every frame
-// due at that moment and delivers them with one vectored write. The batch
-// and writev scratch slices are loop-local and reused across iterations, so
-// same-tick coalescing allocates nothing in steady state — the frames
-// themselves were allocated by Send's Encode and are owned by the queue.
+// due at that moment and delivers them with one vectored write. A wait
+// shorter than wallclock.Short is a nanosleep followed by a fresh look at the
+// queue; a longer one is a timer that a wake (new, possibly earlier head)
+// or Close cuts short. The batch and writev scratch slices are loop-local
+// and reused across iterations, so same-tick coalescing allocates nothing
+// in steady state — the frames themselves were allocated by Send's Encode
+// and are owned by the queue.
 func (p *peerConn) writeLoop() {
 	var batch [][]byte
 	var scratch net.Buffers
@@ -546,6 +560,10 @@ func (p *peerConn) writeLoop() {
 		now := time.Now()
 		if wait := p.queue[0].due.Sub(now); wait > 0 {
 			p.mu.Unlock()
+			if wait < wallclock.Short {
+				wallclock.Pause(wait)
+				continue
+			}
 			timer := time.NewTimer(wait)
 			select {
 			case <-timer.C:

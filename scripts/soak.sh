@@ -15,7 +15,11 @@
 # clearly infeasible deadlines): wall-clock transports cannot pin decisions
 # whose margin is below scheduling noise — two runs of the in-process live
 # transport disagree on those — so "identical decisions" is demonstrated
-# where it is well-defined. The DES suite pins razor-edge decisions.
+# where it is well-defined. The DES suite pins razor-edge decisions. The
+# 8-site, 600-job run at seed 1 still holds two such jobs (arrivals 245
+# and 458): both transports charge the link delays the DES charges, the
+# DES accepts 245 and rejects 458 by less than scheduling noise, and the run
+# can miss 1.0 by one of them. The nightly 3-site, 150-job run holds none.
 #
 # CHURN=1 exercises dynamic membership: mid-run, one node (VICTIM, default
 # the last site) is SIGKILLed — no goodbye, its in-flight jobs die with it —
