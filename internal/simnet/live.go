@@ -15,10 +15,10 @@ import (
 // Live is a transport backed by real goroutines and channels: one goroutine
 // per site serializes that site's message handling, and one goroutine per
 // directed link models propagation delay while preserving per-link FIFO
-// order. Virtual-time unit 1.0 maps to Scale of wall-clock time. A link
-// waits out a delay under wallclock.Short in nanosleep(2), holding one
-// thread, so a hop costs its delay plus about 60 µs rather than the whole
-// millisecond a Go timer rounds it up to; longer delays sleep on a timer.
+// order. Virtual-time unit 1.0 maps to Scale of wall-clock time. Each link
+// waits out its delay on its own wallclock.Alarm, parked in the netpoller
+// without holding a thread, so a hop costs its delay plus about 10 µs
+// rather than the whole millisecond a Go timer rounds it up to.
 //
 // Live exists to run the protocol under genuine concurrency; experiments use
 // the deterministic DES transport.
@@ -53,6 +53,7 @@ type liveNode struct {
 type liveLink struct {
 	delay time.Duration
 	queue *FIFO[linkItem]
+	alarm *wallclock.Alarm // only the link's goroutine sets and waits on it
 }
 
 type linkItem struct {
@@ -119,9 +120,14 @@ func (l *Live) Start() {
 			}
 		}()
 		for _, e := range l.topo.Neighbors(id) {
+			alarm, err := wallclock.NewAlarm()
+			if err != nil {
+				panic(fmt.Sprintf("simnet: link %d->%d: %v", id, e.To, err))
+			}
 			lk := &liveLink{
 				delay: time.Duration(e.Delay * float64(l.scale)),
 				queue: NewFIFO[linkItem](),
+				alarm: alarm,
 			}
 			l.links[[2]graph.NodeID{id, e.To}] = lk
 			l.wg.Add(1)
@@ -132,10 +138,11 @@ func (l *Live) Start() {
 					if !ok {
 						return
 					}
-					if d := time.Until(it.deliverAt); d >= wallclock.Short {
-						time.Sleep(d)
-					} else {
-						wallclock.Pause(d)
+					if d := time.Until(it.deliverAt); d > 0 {
+						lk.alarm.Set(d)
+						if !lk.alarm.Wait() {
+							return // torn down
+						}
 					}
 					it.deliver()
 				}
@@ -295,6 +302,7 @@ func (l *Live) Close() {
 		}
 		for _, lk := range l.links {
 			lk.queue.Close()
+			lk.alarm.Close()
 		}
 		l.mu.Unlock()
 		close(l.torndown)

@@ -1,12 +1,19 @@
-// Package wallclock holds the one precise wall-clock pause the deployed
-// path uses for sub-millisecond waits: the group-commit window of the job
-// log and the emulated link delays of the TCP and live transports.
+// Package wallclock holds the two precise wall-clock waits of the deployed
+// path. Both exist because a Go timer is no use for a sub-millisecond wait:
+// an idle process wakes its timers through an epoll_wait whose timeout is
+// in whole milliseconds, so a 200 µs time.Sleep or timer returns after
+// about 1.08 ms.
+//
+//   - Alarm is a one-shot timer the runtime's netpoller watches (a timerfd
+//     on Linux). The waiting goroutine is parked and holds neither an OS
+//     thread nor a P, another goroutine can re-arm it earlier or close it,
+//     and it returns about 10 µs after it was due. The emulated link delays
+//     of the TCP and live transports wait on one Alarm per link: many of
+//     them wait at once, and the TCP writer's wait must end early when a
+//     frame due sooner is queued.
+//   - Pause is nanosleep(2): it blocks its thread, cannot be cut short and
+//     returns about 55 µs late (the kernel's default timer slack). The job
+//     log's commit window pauses in it: the commit leader is usually the only
+//     runnable goroutine, and parking it on an Alarm costs a netpoll round
+//     trip per window: 15–23 % more CPU per ingested job on a 2-vCPU box.
 package wallclock
-
-import "time"
-
-// Short is the longest wait spent in Pause rather than on a Go timer. It
-// covers every link delay of the shipped topologies at the default scale
-// and the job log's commit window, and bounds how long a paused goroutine
-// holds its thread and ignores anything that would cut its wait short.
-const Short = 2 * time.Millisecond

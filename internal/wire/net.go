@@ -37,15 +37,13 @@ import (
 // duplicates are possible across a reconnect and the protocol's handlers
 // tolerate them, exactly as they tolerate retransmitted aborts.
 //
-// A hop costs its emulated delay plus about 60 µs, not about a millisecond:
-// a writer whose next frame is due within wallclock.Short (2 ms) sleeps in
-// nanosleep(2) (wallclock.Pause) instead of on a Go timer, which an idle
-// process wakes only on a whole-millisecond netpoll timeout. The sleep
-// cannot be interrupted, and it is safe because every link has one constant
-// delay: a frame enqueued during it is never due before the head. Only an
-// armed FaultPlan's jitter can make one due earlier, and that frame is then
-// late by at most the rest of the sleep, under 2 ms. Longer waits (large
-// Scale, or jitter) keep a timer that a new head or Close interrupts.
+// A hop costs its emulated delay plus about 10 µs, not about a millisecond:
+// each peer's writer waits for its next frame on its own wallclock.Alarm, a
+// timerfd the netpoller watches, instead of on a Go timer, which an idle
+// process wakes only on a whole-millisecond netpoll timeout. A waiting
+// writer is parked and holds no thread, whatever the delay, and a frame
+// due before the one the writer waits for (FaultPlan jitter can bring one
+// forward) re-arms the alarm, so it is written at its own due time.
 type NetTransport struct {
 	self  graph.NodeID
 	topo  *graph.Graph
@@ -129,16 +127,21 @@ func Listen(cfg NetConfig) (*NetTransport, error) {
 		seed = int64(cfg.Self) + 1
 	}
 	for _, e := range cfg.Topo.Neighbors(cfg.Self) {
-		p := &peerConn{
+		alarm, err := wallclock.NewAlarm()
+		if err != nil {
+			t.Close()
+			return nil, fmt.Errorf("wire: writer for peer %d: %w", e.To, err)
+		}
+		t.peers[e.To] = &peerConn{
 			to:         e.To,
 			hello:      cfg.Self,
 			addr:       cfg.Peers[e.To],
 			maxBackoff: cfg.MaxBackoff,
 			stats:      t.stats,
 			rng:        rand.New(rand.NewSource(seed*1000003 + int64(e.To))),
+			alarm:      alarm,
+			done:       make(chan struct{}),
 		}
-		p.init()
-		t.peers[e.To] = p
 	}
 	return t, nil
 }
@@ -405,11 +408,12 @@ var _ simnet.Transport = (*NetTransport)(nil)
 
 // peerConn owns the outbound connection to one neighbor: a delay queue of
 // frames ordered by (due time, send sequence), flushed by one writer
-// goroutine that waits for the earliest due frame, coalesces everything due
-// at that moment into a single write (same-tick batching) and re-dials with
-// exponential backoff. Equal-delay frames keep their send order — per-link
-// FIFO, like the live transport's link goroutines; only differing delays
-// (jitter) can reorder a link, which is the documented fault semantics.
+// goroutine that waits on the link's alarm for the earliest due frame,
+// coalesces everything due at that moment into a single write (same-tick
+// batching) and re-dials with exponential backoff. Equal-delay frames keep
+// their send order — per-link FIFO, like the live transport's link
+// goroutines; only differing delays (jitter) can reorder a link, which is
+// the documented fault semantics.
 type peerConn struct {
 	to         graph.NodeID
 	hello      graph.NodeID // the owning transport's site, sent as the hello
@@ -417,14 +421,15 @@ type peerConn struct {
 	maxBackoff time.Duration
 	stats      *simnet.Stats
 	rng        *rand.Rand // backoff jitter; only the writer goroutine draws
+	alarm      *wallclock.Alarm
 
 	mu     sync.Mutex
 	queue  frameHeap
 	seq    uint64
+	armed  time.Time // when the alarm fires; zero while the writer waits on an empty queue
 	closed bool
 	conn   net.Conn
-	wake   chan struct{} // 1-buffered nudge: new head may be earlier
-	done   chan struct{} // closed by close()
+	done   chan struct{} // closed by close(); ends a reconnect backoff
 }
 
 // The protocol tolerates loss (enroll windows, phase timeouts and lock
@@ -493,11 +498,6 @@ func (h *frameHeap) pop() timedFrame {
 	return top
 }
 
-func (p *peerConn) init() {
-	p.wake = make(chan struct{}, 1)
-	p.done = make(chan struct{})
-}
-
 func (p *peerConn) enqueue(due time.Time, frame []byte) {
 	p.mu.Lock()
 	if p.closed {
@@ -511,11 +511,11 @@ func (p *peerConn) enqueue(due time.Time, frame []byte) {
 	}
 	p.seq++
 	p.queue.push(timedFrame{due: due, seq: p.seq, frame: frame})
-	p.mu.Unlock()
-	select {
-	case p.wake <- struct{}{}:
-	default:
+	if p.armed.IsZero() || due.Before(p.armed) {
+		p.armed = due
+		p.alarm.Set(time.Until(due))
 	}
+	p.mu.Unlock()
 }
 
 func (p *peerConn) close() {
@@ -529,16 +529,18 @@ func (p *peerConn) close() {
 		p.conn.Close()
 	}
 	close(p.done)
+	p.alarm.Close()
 }
 
 // writeLoop waits until the earliest frame is due, then gathers every frame
-// due at that moment and delivers them with one vectored write. A wait
-// shorter than wallclock.Short is a nanosleep followed by a fresh look at the
-// queue; a longer one is a timer that a wake (new, possibly earlier head)
-// or Close cuts short. The batch and writev scratch slices are loop-local
-// and reused across iterations, so same-tick coalescing allocates nothing
-// in steady state — the frames themselves were allocated by Send's Encode
-// and are owned by the queue.
+// due at that moment and delivers them with one vectored write. It has one
+// wait: the alarm, armed under p.mu for the head's due time (or not armed
+// while the queue is empty), which enqueue re-arms when it queues a frame
+// due sooner and Close closes. A wake with nothing due is followed by a
+// fresh look at the queue. The batch and writev scratch slices are
+// loop-local and reused across iterations, so same-tick coalescing
+// allocates nothing in steady state — the frames themselves were allocated
+// by Send's Encode and are owned by the queue.
 func (p *peerConn) writeLoop() {
 	var batch [][]byte
 	var scratch net.Buffers
@@ -548,30 +550,16 @@ func (p *peerConn) writeLoop() {
 			p.mu.Unlock()
 			return
 		}
-		if len(p.queue) == 0 {
-			p.mu.Unlock()
-			select {
-			case <-p.wake:
-			case <-p.done:
-				return
-			}
-			continue
-		}
 		now := time.Now()
-		if wait := p.queue[0].due.Sub(now); wait > 0 {
-			p.mu.Unlock()
-			if wait < wallclock.Short {
-				wallclock.Pause(wait)
-				continue
+		if len(p.queue) == 0 || p.queue[0].due.After(now) {
+			p.armed = time.Time{}
+			if len(p.queue) > 0 {
+				p.armed = p.queue[0].due
+				p.alarm.Set(p.armed.Sub(now))
 			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-timer.C:
-			case <-p.wake: // an earlier frame may have arrived
-				timer.Stop()
-			case <-p.done:
-				timer.Stop()
-				return
+			p.mu.Unlock()
+			if !p.alarm.Wait() {
+				return // closed
 			}
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
+	"repro/internal/wallclock"
 )
 
 // pair starts two transports joined by one link of the given delay in
@@ -29,23 +30,16 @@ func pair(t *testing.T, delayMS float64) ([]*NetTransport, chan core.DoneMsg) {
 	return trs, got
 }
 
-// A hop costs its emulated delay, not the millisecond an idle process's
-// timer rounds a sub-millisecond wait up to: frames sent one at a time
-// over a 200 µs link arrive a median of well under 600 µs after Send.
-func TestNetTransportHopLatency(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("the precise pause is nanosleep(2); elsewhere a hop is timer-paced")
-	}
-	trs, got := pair(t, 0.2)
-	defer trs[0].Close()
-	defer trs[1].Close()
+// medianHop reports the median one-way delivery time of n frames sent one
+// at a time from site 0 to site 1, spaced so that each finds an idle writer.
+func medianHop(t *testing.T, trs []*NetTransport, got chan core.DoneMsg, n int) time.Duration {
+	t.Helper()
 	// The first frame dials the connection; it is not a hop to time.
 	if err := trs[0].Send(0, 1, core.DoneMsg{Job: "warm"}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
-
-	took := make([]time.Duration, 121)
+	took := make([]time.Duration, n)
 	for i := range took {
 		start := time.Now()
 		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "hop", Task: dag.TaskID(i)}); err != nil {
@@ -57,11 +51,44 @@ func TestNetTransportHopLatency(t *testing.T) {
 			t.Fatalf("frame %d never delivered", i)
 		}
 		took[i] = time.Since(start)
-		time.Sleep(time.Millisecond) // spaced: each frame finds an idle writer
+		time.Sleep(time.Millisecond)
 	}
 	slices.Sort(took)
-	if med := took[len(took)/2]; med < 200*time.Microsecond || med >= 600*time.Microsecond {
+	return took[n/2]
+}
+
+// A hop costs its emulated delay, not the millisecond an idle process's
+// timer rounds a sub-millisecond wait up to: frames sent one at a time
+// over a 200 µs link arrive a median of well under 600 µs after Send.
+func TestNetTransportHopLatency(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the precise alarm is a timerfd; elsewhere a hop is timer-paced")
+	}
+	trs, got := pair(t, 0.2)
+	defer trs[0].Close()
+	defer trs[1].Close()
+	if med := medianHop(t, trs, got, 121); med < 200*time.Microsecond || med >= 600*time.Microsecond {
 		t.Errorf("one-way delivery over a 200µs link: median %v, want in [200µs, 600µs)", med)
+	}
+}
+
+// A long link waits on the same alarm as a short one, so it too costs its
+// delay and not up to a millisecond more: over 2.5 ms and 3 ms links the
+// median one-way delivery is under the delay plus 400 µs. (A Go timer
+// sleeps out a wait in whole-millisecond epoll timeouts, which stretches
+// a 2.5 ms hop to about 3.1 ms.)
+func TestNetTransportCoarseScaleHop(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the precise alarm is a timerfd; elsewhere a hop is timer-paced")
+	}
+	for _, delayMS := range []float64{2.5, 3} {
+		trs, got := pair(t, delayMS)
+		delay := time.Duration(delayMS * float64(time.Millisecond))
+		if med := medianHop(t, trs, got, 51); med < delay || med >= delay+400*time.Microsecond {
+			t.Errorf("one-way delivery over a %v link: median %v, want in [%v, %v)", delay, med, delay, delay+400*time.Microsecond)
+		}
+		trs[0].Close()
+		trs[1].Close()
 	}
 }
 
@@ -89,30 +116,79 @@ func TestNetTransportBackToBackFIFO(t *testing.T) {
 	}
 }
 
-// Close while a writer waits out a short pause returns within about that
-// pause, and leaves no goroutine behind.
+// Close while a writer waits for a frame's due time returns at once,
+// whether the wait is short or long, and leaves no goroutine behind.
 func TestNetTransportCloseDuringShortWait(t *testing.T) {
-	before := runtime.NumGoroutine()
-	trs, got := pair(t, 1.9) // just under the 2 ms cut-over to a timer
+	for _, delayMS := range []float64{1.9, 50} {
+		before := runtime.NumGoroutine()
+		trs, got := pair(t, delayMS)
+		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "warm"}); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "pending"}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(200 * time.Microsecond) // the writer is waiting now
+		start := time.Now()
+		trs[0].Close()
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%vms link: Close during a wait took %v", delayMS, took)
+		}
+		trs[1].Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%vms link: %d goroutines after Close, %d before", delayMS, n, before)
+		}
+	}
+}
+
+// A frame due before the one the writer is waiting for re-arms the
+// writer's alarm and goes out at its own due time, not after the wait: in
+// the median round, a frame due in 200 µs queued while the writer waits
+// 1.9 ms for another arrives within a millisecond.
+func TestPeerEarlierFrameRearms(t *testing.T) {
+	trs, got := pair(t, 1.9)
+	defer trs[0].Close()
+	defer trs[1].Close()
 	if err := trs[0].Send(0, 1, core.DoneMsg{Job: "warm"}); err != nil {
 		t.Fatal(err)
 	}
 	<-got
-	if err := trs[0].Send(0, 1, core.DoneMsg{Job: "pending"}); err != nil {
+	early, err := Encode(core.DoneMsg{Job: "early"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(200 * time.Microsecond) // the writer is inside its pause now
-	start := time.Now()
-	trs[0].Close()
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Errorf("Close during a short wait took %v", took)
+	recv := func() core.DoneMsg {
+		select {
+		case m := <-got:
+			return m
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame never delivered")
+			return core.DoneMsg{}
+		}
 	}
-	trs[1].Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	took := make([]time.Duration, 11)
+	for i := range took {
+		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "late"}); err != nil {
+			t.Fatal(err)
+		}
+		// The writer waits for "late" now; time.Sleep would take a
+		// millisecond, most of the wait.
+		wallclock.Pause(200 * time.Microsecond)
+		start := time.Now()
+		trs[0].peers[1].enqueue(start.Add(200*time.Microsecond), early)
+		if m := recv(); m.Job != "early" {
+			t.Fatalf("round %d: %q arrived first, want early", i, m.Job)
+		}
+		took[i] = time.Since(start)
+		recv()
 	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after Close, %d before", n, before)
+	slices.Sort(took)
+	if med := took[len(took)/2]; med >= time.Millisecond {
+		t.Errorf("frame due in 200µs queued during a 1.9ms wait: median delivery %v, want < 1ms", med)
 	}
 }
