@@ -2,13 +2,19 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/core/txn"
 	"repro/internal/graph"
+	"repro/internal/joblog"
 	"repro/internal/routing"
 	"repro/internal/routing/hier"
 	"repro/internal/schedule"
@@ -31,7 +37,8 @@ type MicroBench struct {
 // RunMicroBenches measures the declared hot paths — the wire codec, the
 // DES event kernel, a message hop through the DES transport and the protocol
 // layer's relay, the deferred-queue replay, the routing bootstrap's table
-// merge and landmark relaxation, and the reservation-plan admit path — with
+// merge and landmark relaxation, the reservation-plan admit path, and the
+// job log's restart recovery per decided job — with
 // the testing package's benchmark driver. The cases mirror the //lint:hotpath roots the
 // hotalloc analyzer polices, so the static gate (no unjustified allocation
 // reachable from a root) and the dynamic gate (allocs/op pinned in
@@ -54,6 +61,7 @@ func RunMicroBenches() []MicroBench {
 		micro("core/unlock-replay", benchUnlockReplay),
 		micro("schedule/admit-reject", benchAdmitReject),
 		micro("schedule/admit-accept", benchAdmitAccept),
+		micro("joblog/recover", benchJoblogRecover),
 	}
 }
 
@@ -353,6 +361,55 @@ func benchAdmitReject(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := p.Admit(0, reqs); ok {
 			b.Fatal("infeasible batch admitted")
+		}
+	}
+}
+
+// recoverJobs is how many decided jobs the log benchJoblogRecover reads
+// holds.
+const recoverJobs = 1000
+
+// benchJoblogRecover measures the gateway's restart: one op is one decided
+// job (submitted with a 640-byte graph, forwarded, decided) of a log that
+// joblog.Recover reads back, recoverJobs jobs at a time. A job costs what
+// the Replay keeps of it; the file, the chunks and the workers are shared
+// by the whole log and come to well under one allocation per job.
+func benchJoblogRecover(b *testing.B) {
+	dir, err := os.MkdirTemp("", "joblog-recover")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "wal")
+	l, _, err := joblog.Open(path, joblog.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph := json.RawMessage(`{"name":"` + strings.Repeat("g", 640-len(`{"name":""}`)) + `"}`)
+	for i := 1; i <= recoverJobs; i++ {
+		id, cluster := fmt.Sprintf("g%d", i), fmt.Sprintf("p%d@0", i)
+		if err := l.AppendNoWait(
+			joblog.Record{Type: joblog.TypeSubmitted, ID: id, Seq: uint64(i), Tenant: "acme",
+				ClientKey: fmt.Sprintf("key-%d", i), Deadline: 100, Graph: graph},
+			joblog.Record{Type: joblog.TypeForwarded, ID: id, Tenant: "acme", ClusterID: cluster},
+			joblog.Record{Type: joblog.TypeDecided, ID: id, Tenant: "acme", ClusterID: cluster,
+				Outcome: "accepted-local", DecisionLatency: 1},
+		); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += recoverJobs {
+		l, _, err := joblog.Recover(path, joblog.Options{NoSync: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

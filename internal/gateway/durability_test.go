@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/binary"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -227,6 +228,89 @@ func TestGraphHeldOnlyWhileQueued(t *testing.T) {
 		if g != testGraph {
 			t.Errorf("re-submitted %s", g)
 		}
+	}
+}
+
+// jobJSON is the body of GET /v1/jobs/{id}.
+func jobJSON(t *testing.T, s *Server, id string) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/"+id, nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET job %s: status %d", id, w.Code)
+	}
+	return w.Body.String()
+}
+
+// A restarted gateway answers GET /v1/jobs/{id} with the bytes the gateway
+// that wrote the log answered with: for a decided, a forwarded and a queued
+// job, and for a decided job whose forwarded record never reached the disk
+// (a watcher can log a verdict before the forward it overtook, and a crash
+// can come between the two). A client key still finds its job.
+func TestRestartAnswersAsBeforeRestart(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "gateway.wal")
+	fb := newFakeBackend()
+	s1, err := New(Options{
+		Tenants: map[string]Quota{"acme": {Rate: 1000, Burst: 1000}}, Backend: fb, LogPath: logPath,
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) string {
+		t.Helper()
+		resp, reply := submit(t, s1, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %v %v", resp.Status, reply)
+		}
+		return reply["id"].(string)
+	}
+	keyed := `{"tenant":"acme","client_key":"order-9","deadline":40,"graph":` + testGraph + `}`
+	decided := post(keyed)
+	overtaken := post(acmeJob)
+	fb.decideAll("rejected")
+	s1.PollNow()
+	forwarded := post(acmeJob)
+	fb.failNext = 1
+	queued := post(acmeJob)
+	ids := []string{decided, overtaken, forwarded, queued}
+	before := make(map[string]string)
+	for _, id := range ids {
+		before[id] = jobJSON(t, s1, id)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The log as that crash leaves it: overtaken's forwarded record is gone.
+	records := readLog(t, logPath)
+	if err := os.Remove(logPath); err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := joblog.Open(logPath, joblog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if r.Type == joblog.TypeForwarded && r.ID == overtaken {
+			continue
+		}
+		if err := l.AppendNoWait(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newTestServer(t, fb, nil, logPath)
+	for _, id := range ids {
+		if got := jobJSON(t, s2, id); got != before[id] {
+			t.Errorf("job %s after the restart:\n%s\nbefore it:\n%s", id, got, before[id])
+		}
+	}
+	if resp, reply := submit(t, s2, keyed); resp.StatusCode != http.StatusOK || reply["id"] != decided {
+		t.Errorf("a retry of %s's client key after the restart: %v %v", decided, resp.Status, reply)
 	}
 }
 

@@ -165,11 +165,11 @@ type Server struct {
 	poll    time.Duration
 
 	mu          sync.Mutex
-	jobs        map[string]*Job   // by gateway ID
-	byClientKey map[string]string // tenant+"\x00"+key -> gateway ID
+	jobs        map[string]*Job      // by gateway ID
+	byClientKey map[clientKey]string // gateway ID
 	// reserving holds the client keys whose first submission is between its
 	// ID and its durable record; the channel closes when the append returns.
-	reserving map[string]chan struct{}
+	reserving map[clientKey]chan struct{}
 	tstats    map[string]*TenantStats
 	seq       uint64
 	// The jobs that still need something from the cluster, so that neither
@@ -211,17 +211,15 @@ func New(opts Options) (*Server, error) {
 	}
 
 	s := &Server{
-		backend:     opts.Backend,
-		adm:         NewAdmitter(opts.Tenants),
-		m:           newGWMetrics(),
-		poll:        opts.PollInterval,
-		jobs:        make(map[string]*Job),
-		byClientKey: make(map[string]string),
-		reserving:   make(map[string]chan struct{}),
-		tstats:      make(map[string]*TenantStats),
-		queued:      make(map[string]*Job),
-		awaiting:    make(map[string]*Job),
-		stop:        make(chan struct{}),
+		backend:   opts.Backend,
+		adm:       NewAdmitter(opts.Tenants),
+		m:         newGWMetrics(),
+		poll:      opts.PollInterval,
+		reserving: make(map[clientKey]chan struct{}),
+		tstats:    make(map[string]*TenantStats),
+		queued:    make(map[string]*Job),
+		awaiting:  make(map[string]*Job),
+		stop:      make(chan struct{}),
 	}
 	for name, q := range opts.Tenants {
 		s.tstats[name] = &TenantStats{Tenant: name, Quota: q}
@@ -265,12 +263,18 @@ func New(opts Options) (*Server, error) {
 // restore rebuilds in-memory state from the replayed log. Undecided jobs
 // re-occupy their tenant's inflight slot and are pushed back toward the
 // cluster by the reconcile tick (queued jobs are re-submitted; forwarded
-// jobs are asked about again). Only queued jobs come with their graph.
+// jobs are asked about again). Only queued jobs come with their graph. The
+// job tables are made here, at the size the log says they have, and the
+// restored jobs, which live as long as the server, are allocated together.
 func (s *Server) restore(rep *joblog.Replay) {
 	s.seq = rep.NextSeq
-	for _, rj := range rep.Jobs {
+	s.jobs = make(map[string]*Job, len(rep.Jobs))
+	s.byClientKey = make(map[clientKey]string, len(rep.Jobs))
+	restored := make([]Job, len(rep.Jobs))
+	for i, rj := range rep.Jobs {
 		sub := rj.Submitted
-		j := &Job{
+		j := &restored[i]
+		*j = Job{
 			ID:        sub.ID,
 			Tenant:    sub.Tenant,
 			ClusterID: rj.ClusterID,
@@ -283,6 +287,7 @@ func (s *Server) restore(rep *joblog.Replay) {
 		case rj.Outcome != "":
 			j.State = StateDecided
 			j.Outcome = rj.Outcome
+			j.DecisionLatency = rj.DecisionLatency
 		case rj.ClusterID != "":
 			j.State = StateForwarded
 			s.awaiting[j.ClusterID] = j
@@ -292,7 +297,7 @@ func (s *Server) restore(rep *joblog.Replay) {
 		}
 		s.jobs[j.ID] = j
 		if j.clientKey != "" {
-			s.byClientKey[clientKeyIndex(j.Tenant, j.clientKey)] = j.ID
+			s.byClientKey[clientKey{j.Tenant, j.clientKey}] = j.ID
 		}
 		ts := s.tenantStats(j.Tenant)
 		ts.Submitted++
@@ -401,12 +406,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// posts of one (tenant, client_key) exactly one gets past it. The others
 	// wait for that one's submitted record and answer with its job: no
 	// reply, duplicate or not, leaves before the record is durable.
-	key := ""
-	if req.ClientKey != "" {
-		key = clientKeyIndex(req.Tenant, req.ClientKey)
-	}
+	key := clientKey{req.Tenant, req.ClientKey}
+	keyed := req.ClientKey != ""
 	s.mu.Lock()
-	for key != "" {
+	for keyed {
 		if id, ok := s.byClientKey[key]; ok {
 			// Idempotent retry: same (tenant, client_key) returns the original.
 			j := *s.jobs[id]
@@ -448,7 +451,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		acceptedAt: start,
 	}
 	var reserved chan struct{}
-	if key != "" {
+	if keyed {
 		reserved = make(chan struct{})
 		s.reserving[key] = reserved
 	}
@@ -466,7 +469,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err == nil {
 		s.jobs[j.ID] = j
-		if key != "" {
+		if keyed {
 			s.byClientKey[key] = j.ID
 		}
 		s.tenantStats(j.Tenant).Submitted++
@@ -722,7 +725,8 @@ func isAccepted(outcome string) bool {
 	return outcome == "accepted-local" || outcome == "accepted-distributed"
 }
 
-func clientKeyIndex(tenant, key string) string { return tenant + "\x00" + key }
+// clientKey indexes a job by the (tenant, client_key) its submission named.
+type clientKey struct{ tenant, key string }
 
 // jobID is the gateway job id of sequence number seq.
 func jobID(seq uint64) string { return "g" + strconv.FormatUint(seq, 10) }

@@ -1,11 +1,14 @@
 package joblog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"strings"
+	"unsafe"
 )
 
 // A record body is a version byte, a type byte and then every field of
@@ -85,8 +88,10 @@ var (
 	errTrailing  = errors.New("trailing bytes after the last field")
 )
 
-// decodeBody decodes a body into rec, which must be the zero Record. The
-// strings and the graph are copies: body may be reused once it returns.
+// decodeBody decodes a body into rec, which must be the zero Record. It
+// borrows: the strings and the graph of a binary body alias body, so they
+// are valid only while body is, and whoever keeps one past that copies it
+// (Record.clone, Replay.fold). Nothing is allocated for a binary body.
 func decodeBody(body []byte, rec *Record) error {
 	if len(body) > 0 && body[0] == '{' {
 		return json.Unmarshal(body, rec)
@@ -102,22 +107,43 @@ func decodeBody(body []byte, rec *Record) error {
 	}
 	rec.Type = recordTypes[body[1]-1]
 	d := decoder{rest: body[2:]}
-	rec.ID = string(d.field())
+	rec.ID = borrow(d.field())
 	rec.Seq = d.uvarint()
-	rec.Tenant = string(d.field())
-	rec.ClientKey = string(d.field())
+	rec.Tenant = borrow(d.field())
+	rec.ClientKey = borrow(d.field())
 	rec.At = d.float()
 	rec.Deadline = d.float()
 	if g := d.field(); len(g) > 0 {
-		rec.Graph = append(json.RawMessage(nil), g...)
+		rec.Graph = g
 	}
-	rec.ClusterID = string(d.field())
-	rec.Outcome = string(d.field())
+	rec.ClusterID = borrow(d.field())
+	rec.Outcome = borrow(d.field())
 	rec.DecisionLatency = d.float()
 	if d.err == nil && len(d.rest) > 0 {
 		d.err = errTrailing
 	}
 	return d.err
+}
+
+// borrow is b as a string without a copy. The string aliases b: b must not
+// change while the string is in use.
+func borrow(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// clone is rec with its strings and graph copied, so that it outlives the
+// body it was decoded from.
+func (rec Record) clone() Record {
+	rec.ID = strings.Clone(rec.ID)
+	rec.Tenant = strings.Clone(rec.Tenant)
+	rec.ClientKey = strings.Clone(rec.ClientKey)
+	rec.Graph = bytes.Clone(rec.Graph)
+	rec.ClusterID = strings.Clone(rec.ClusterID)
+	rec.Outcome = strings.Clone(rec.Outcome)
+	return rec
 }
 
 // decoder reads a body's fields front to back. Once a field runs past the

@@ -170,9 +170,10 @@ func TestAppendFrameDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Decoding a forwarded or decided record allocates its non-empty strings
-// and nothing else: recovery reads three of those for every job it has
-// ever logged.
+// Decoding a forwarded or decided record allocates nothing, its strings
+// borrowed from the body, and the copy Open hands out allocates its
+// non-empty strings and nothing else: recovery reads three records for
+// every job it has ever logged.
 func TestDecodeAllocatesOnlyStrings(t *testing.T) {
 	for _, tc := range []struct {
 		rec  Record
@@ -193,8 +194,16 @@ func TestDecodeAllocatesOnlyStrings(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.rec) {
 				t.Fatalf("decoded %+v, want %+v", got, tc.rec)
 			}
+			if allocs != 0 {
+				t.Errorf("decoding: %v allocs, want 0", allocs)
+			}
+			var owned Record
+			allocs = testing.AllocsPerRun(200, func() { owned = got.clone() })
+			if !reflect.DeepEqual(owned, tc.rec) {
+				t.Fatalf("copied %+v, want %+v", owned, tc.rec)
+			}
 			if allocs != tc.want {
-				t.Errorf("%v allocs, want %v: one per string", allocs, tc.want)
+				t.Errorf("copying: %v allocs, want %v: one per string", allocs, tc.want)
 			}
 		})
 	}

@@ -37,6 +37,12 @@
 // truncated away, never parsed. Corruption BEFORE the final record is
 // refused loudly (ErrCorrupt): silent data loss in the middle of an
 // acknowledged history must never look like a clean recovery.
+//
+// Decoding borrows: a record's strings and graph alias the chunk of the
+// file it was read into, and nothing is allocated to decode it. Whoever
+// keeps a record copies what it keeps before the chunk is reused: Open
+// copies every record it returns, and Recover's fold copies only what the
+// per-job state holds, so a restart costs per job, not per byte of history.
 package joblog
 
 import (

@@ -1,24 +1,30 @@
 package joblog
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 )
 
 // Open replays the log at path (creating it if absent), truncates a torn
 // tail, and returns the log opened for append plus the replayed records in
-// order. Corruption before the tail returns ErrCorrupt. Open holds every
-// record of the history at once; a caller that wants the per-job state
-// should use Recover, which does not.
+// order, each a copy the caller owns. Corruption before the tail returns
+// ErrCorrupt. Open holds every record of the history at once; a caller that
+// wants the per-job state should use Recover, which does not.
 func Open(path string, opts Options) (*Log, []Record, error) {
 	var records []Record
-	l, err := open(path, opts, func(rec Record) { records = append(records, rec) })
+	l, err := open(path, opts, func(recs []Record) {
+		for _, rec := range recs {
+			records = append(records, rec.clone())
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -28,16 +34,22 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 // Recover is Open folded into a Replay as the records stream past: what it
 // holds at any moment is the per-job state so far plus a bounded number of
 // chunks of the file, never the file or the record list.
+//
+// Its records are never copied whole. They are decoded in place, their
+// strings and graphs borrowed from the chunk they were read into, and the
+// fold copies only what the Replay keeps: a job's id, client key and
+// cluster id, its tenant and outcome once per distinct value, and a
+// submitted graph only if the job is still queued when its chunk is done.
 func Recover(path string, opts Options) (*Log, *Replay, error) {
 	rep := newReplay()
-	l, err := open(path, opts, rep.add)
+	l, err := open(path, opts, rep.fold)
 	if err != nil {
 		return nil, nil, err
 	}
 	return l, rep, nil
 }
 
-func open(path string, opts Options, fold func(Record)) (*Log, error) {
+func open(path string, opts Options, fold func([]Record)) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -62,72 +74,79 @@ func open(path string, opts Options, fold func(Record)) (*Log, error) {
 	return l, nil
 }
 
-const (
-	// chunkBytes is how much of the file one decode task covers (one frame
-	// more when the last does not fit; a single record can be MaxRecord).
-	chunkBytes = 128 << 10
-	// readBufferBytes is the reader's buffer in front of the file.
-	readBufferBytes = 256 << 10
-)
+// chunkBytes is how much of the file one decode task reads (more when a
+// single frame does not fit: a record can be MaxRecord).
+const chunkBytes = 128 << 10
 
-// chunk is a run of consecutive frames cut off the file, decoded as one
+// chunk is a run of consecutive frames read off the file, decoded as one
 // task. Chunks are recycled, so recovery's transient memory is the chunks
 // in flight, whatever the size of the file.
 type chunk struct {
-	start  int64   // file offset of the first frame
-	bodies []byte  // the frames' bodies, back to back
-	frames []frame // where each body ends, and the CRC its header claims
+	start  int64   // file offset of buf[0]
+	buf    []byte  // whole frames, header and body, as the file holds them
+	frames []frame // where each frame ends in buf, and the CRC its header claims
 	done   chan struct{}
 
-	// Set by decode: the records of the frames before the first bad one.
+	// Set by decode: the records of the frames before the first bad one,
+	// borrowing from buf.
 	recs []Record
 	err  error // a body behind a good CRC did not decode (ErrCorrupt)
 }
 
 type frame struct {
-	end int // body is bodies[previous end:end]
+	end int // the frame is buf[previous end:end]
 	crc uint32
 }
 
 // offset is the file offset of frame i (of the end of the chunk when i is
 // len(frames)).
 func (c *chunk) offset(i int) int64 {
-	bodyBytes := 0
-	if i > 0 {
-		bodyBytes = c.frames[i-1].end
+	if i == 0 {
+		return c.start
 	}
-	return c.start + int64(i*frameHeader+bodyBytes)
+	return c.start + int64(c.frames[i-1].end)
 }
 
-// fill cuts frames off r until the chunk holds size bytes or the
-// structurally valid prefix ends: at the end of the file, at a header or
-// body the file is too short for, or at a length no record can have. more is
-// false in those cases; err is an I/O error only.
-func (c *chunk) fill(r *bufio.Reader, start int64, size int) (more bool, err error) {
-	c.start, c.bodies, c.frames, c.recs, c.err = start, c.bodies[:0], c.frames[:0], c.recs[:0], nil
-	for len(c.bodies) < size {
-		var hdr [frameHeader]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return false, endOfPrefix(err)
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[0:]))
-		if n == 0 || n > MaxRecord {
-			return false, nil
-		}
-		from := len(c.bodies)
-		if need := from + n; need > cap(c.bodies) {
-			grown := make([]byte, from, max(need, size+size/2))
-			copy(grown, c.bodies)
-			c.bodies = grown
-		}
-		c.bodies = c.bodies[:from+n]
-		if _, err := io.ReadFull(r, c.bodies[from:]); err != nil {
-			c.bodies = c.bodies[:from]
-			return false, endOfPrefix(err)
-		}
-		c.frames = append(c.frames, frame{end: from + n, crc: binary.LittleEndian.Uint32(hdr[4:])})
+// fill reads frames into the chunk, starting with carry, the part of the
+// next frame its predecessor read, until the buffer holds no further whole
+// frame or the structurally valid prefix ends: at the end of the file, at a
+// frame the file is too short for, or at a length no record can have. It
+// returns the bytes read past its last frame, which the next chunk starts
+// with; more is false when the prefix ended. err is an I/O error only.
+func (c *chunk) fill(f io.Reader, carry []byte, start int64, size int) (rest []byte, more bool, err error) {
+	c.start, c.frames, c.recs, c.err = start, c.frames[:0], c.recs[:0], nil
+	if cap(c.buf) < size {
+		c.buf = make([]byte, 0, size)
 	}
-	return true, nil
+	c.buf = append(c.buf[:0], carry...)
+	for end := 0; ; {
+		next := end + frameHeader // where the frame at end ends, once its length is read
+		if len(c.buf) >= next {
+			n := int(binary.LittleEndian.Uint32(c.buf[end:]))
+			if n == 0 || n > MaxRecord {
+				return nil, false, nil
+			}
+			if next += n; len(c.buf) >= next {
+				c.frames = append(c.frames, frame{end: next, crc: binary.LittleEndian.Uint32(c.buf[end+4:])})
+				end = next
+				continue
+			}
+		}
+		// The frame at end is not all read. If it cannot fit behind the
+		// frames before it, it starts the next chunk; a frame larger than
+		// the buffer grows it.
+		if next > cap(c.buf) {
+			if end > 0 {
+				return c.buf[end:], true, nil
+			}
+			c.buf = slices.Grow(c.buf, next-len(c.buf))
+		}
+		m, err := io.ReadAtLeast(f, c.buf[len(c.buf):cap(c.buf)], next-len(c.buf))
+		c.buf = c.buf[:len(c.buf)+m]
+		if err != nil {
+			return nil, false, endOfPrefix(err)
+		}
+	}
 }
 
 // endOfPrefix maps a short read to "the prefix ends here" and keeps
@@ -142,9 +161,10 @@ func endOfPrefix(err error) error {
 // decode checks each frame's CRC and decodes its body, stopping at the first
 // frame that fails either.
 func (c *chunk) decode() {
+	c.recs = slices.Grow(c.recs, len(c.frames))
 	from := 0
 	for i, fr := range c.frames {
-		body := c.bodies[from:fr.end]
+		body := c.buf[from+frameHeader : fr.end]
 		if crc32.Checksum(body, castagnoli) != fr.crc {
 			return
 		}
@@ -170,8 +190,10 @@ func (c *chunk) decode() {
 //
 // The caller cuts the file into chunks of chunkSize bytes and folds them;
 // GOMAXPROCS workers check and decode them in between. At most maxInFlight
-// chunks exist, so memory does not grow with the file.
-func replay(f *os.File, chunkSize int, fold func(Record)) (valid int64, err error) {
+// chunks exist, so memory does not grow with the file. fold is handed one
+// chunk's records at a time; they borrow from the chunk, which is reused
+// once fold returns.
+func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err error) {
 	workers := runtime.GOMAXPROCS(0)
 	maxInFlight := 2 * workers
 	work := make(chan *chunk, maxInFlight) // every chunk in flight fits: the reader never blocks on a send
@@ -189,9 +211,9 @@ func replay(f *os.File, chunkSize int, fold func(Record)) (valid int64, err erro
 		}()
 	}
 
-	r := bufio.NewReaderSize(f, readBufferBytes)
 	var inFlight, free []*chunk
-	end := int64(0) // where the reader stands
+	var carry []byte // read past the last frame cut
+	end := int64(0)  // where the frames cut so far end
 	for more := true; more || len(inFlight) > 0; {
 		if more && len(inFlight) < maxInFlight {
 			var c *chunk
@@ -200,7 +222,7 @@ func replay(f *os.File, chunkSize int, fold func(Record)) (valid int64, err erro
 			} else {
 				c = &chunk{done: make(chan struct{}, 1)}
 			}
-			if more, err = c.fill(r, end, chunkSize); err != nil {
+			if carry, more, err = c.fill(f, carry, end, chunkSize); err != nil {
 				break
 			}
 			end = c.offset(len(c.frames))
@@ -213,9 +235,7 @@ func replay(f *os.File, chunkSize int, fold func(Record)) (valid int64, err erro
 		c := inFlight[0]
 		inFlight = inFlight[1:]
 		<-c.done
-		for _, rec := range c.recs {
-			fold(rec)
-		}
+		fold(c.recs)
 		if c.err != nil {
 			err = c.err
 			break
@@ -285,7 +305,16 @@ type Replay struct {
 	// resumes here.
 	NextSeq uint64
 	byID    map[string]*ReplayJob
+	// names interns tenants and outcomes, which take few distinct values.
+	names map[string]string
+	// free is the rest of the block the next jobs are carved from: a
+	// Replay lives only until its jobs are restored, so they are allocated
+	// jobBlock at a time rather than one by one.
+	free []ReplayJob
 }
+
+// jobBlock is how many jobs a Replay allocates at once.
+const jobBlock = 256
 
 // ReplayJob is one job's recovered state.
 type ReplayJob struct {
@@ -293,12 +322,13 @@ type ReplayJob struct {
 	// the job may still have to be re-submitted: it is dropped when the
 	// job's forwarded or decided record is folded in.
 	Submitted Record
-	// ClusterID is set when a forwarded record was recovered: the job
-	// reached the cluster under this id before the crash.
+	// ClusterID is set when a forwarded or decided record was recovered:
+	// the job reached the cluster under this id before the crash.
 	ClusterID string
-	// Outcome is set when a decided record was recovered; such jobs are
-	// closed and need no replay.
-	Outcome string
+	// Outcome and DecisionLatency are set when a decided record was
+	// recovered; such jobs are closed and need no replay.
+	Outcome         string
+	DecisionLatency float64
 }
 
 // Undecided reports whether the job still needs driving: submitted (and
@@ -314,16 +344,31 @@ func (j *ReplayJob) Undecided() bool { return j.Outcome == "" }
 // that it overtook.
 func Summarize(records []Record) *Replay {
 	r := newReplay()
-	for _, rec := range records {
-		r.add(rec)
-	}
+	r.fold(records)
 	return r
 }
 
-func newReplay() *Replay { return &Replay{byID: make(map[string]*ReplayJob)} }
+func newReplay() *Replay {
+	return &Replay{byID: make(map[string]*ReplayJob), names: make(map[string]string)}
+}
 
-// add folds one record in.
-func (r *Replay) add(rec Record) {
+// fold folds a run of records in, in order. Their strings and graphs may
+// borrow from a buffer that is reused once fold returns, so what the Replay
+// keeps is copied: strings as they are folded in, and the graphs of the
+// jobs the run submitted at its end, when only those still queued need one.
+func (r *Replay) fold(recs []Record) {
+	submitted := len(r.Jobs)
+	for i := range recs {
+		r.add(&recs[i])
+	}
+	for _, j := range r.Jobs[submitted:] {
+		j.Submitted.Graph = bytes.Clone(j.Submitted.Graph) // nil once forwarded or decided
+	}
+}
+
+// add folds one record in. A submitted record's graph is kept as it is:
+// fold copies it.
+func (r *Replay) add(rec *Record) {
 	if rec.Seq >= r.NextSeq {
 		r.NextSeq = rec.Seq + 1
 	}
@@ -332,22 +377,47 @@ func (r *Replay) add(rec Record) {
 		if _, dup := r.byID[rec.ID]; dup {
 			return // idempotent: same id resubmitted by a replayed log
 		}
-		j := &ReplayJob{Submitted: rec}
-		r.byID[rec.ID] = j
+		sub := *rec
+		sub.ID = strings.Clone(rec.ID)
+		sub.Tenant = r.intern(rec.Tenant)
+		sub.ClientKey = strings.Clone(rec.ClientKey)
+		sub.ClusterID = strings.Clone(rec.ClusterID)
+		sub.Outcome = r.intern(rec.Outcome)
+		if len(r.free) == 0 {
+			r.free = make([]ReplayJob, jobBlock)
+		}
+		j := &r.free[0]
+		r.free = r.free[1:]
+		j.Submitted = sub
+		r.byID[sub.ID] = j
 		r.Jobs = append(r.Jobs, j)
 	case TypeForwarded:
 		if j := r.byID[rec.ID]; j != nil {
 			j.Submitted.Graph = nil
 			if j.ClusterID == "" {
-				j.ClusterID = rec.ClusterID
+				j.ClusterID = strings.Clone(rec.ClusterID)
 			}
 		}
 	case TypeDecided:
 		if j := r.byID[rec.ID]; j != nil {
 			j.Submitted.Graph = nil
+			if j.ClusterID == "" {
+				j.ClusterID = strings.Clone(rec.ClusterID)
+			}
 			if j.Outcome == "" {
-				j.Outcome = rec.Outcome
+				j.Outcome = r.intern(rec.Outcome)
+				j.DecisionLatency = rec.DecisionLatency
 			}
 		}
 	}
+}
+
+// intern is s, copied the first time it is seen.
+func (r *Replay) intern(s string) string {
+	if v, ok := r.names[s]; ok {
+		return v
+	}
+	v := strings.Clone(s)
+	r.names[v] = v
+	return v
 }

@@ -125,7 +125,11 @@ func replayBytes(t testing.TB, dir string, data []byte, chunkSize int) ([]Record
 	}
 	defer f.Close()
 	var records []Record
-	valid, err := replay(f, chunkSize, func(rec Record) { records = append(records, rec) })
+	valid, err := replay(f, chunkSize, func(recs []Record) {
+		for _, rec := range recs {
+			records = append(records, rec.clone())
+		}
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -173,7 +177,7 @@ func rawFrame(body []byte) []byte {
 // randomLog builds a log image of n records of mixed types and sizes and
 // returns it with the offset of every frame. With large set, one submitted
 // record in a dozen is tens of kilobytes, so that chunks end in odd places;
-// huge adds one record larger than the reader's buffer.
+// huge adds one record larger than a chunk's buffer.
 func randomLog(rng *rand.Rand, n int, large, huge bool) (data []byte, offsets []int) {
 	hugeAt := -1
 	if huge && n > 0 {
@@ -187,7 +191,7 @@ func randomLog(rng *rand.Rand, n int, large, huge bool) (data []byte, offsets []
 			size := rng.Intn(600)
 			switch {
 			case i == hugeAt:
-				size = readBufferBytes + rng.Intn(chunkBytes)
+				size = 2*chunkBytes + rng.Intn(chunkBytes)
 			case large && rng.Intn(12) == 0:
 				size = 10000 + rng.Intn(40000)
 			}
@@ -289,10 +293,9 @@ func TestReplayMatchesReference(t *testing.T) {
 	}, 1, 4)
 }
 
-// FuzzReplay feeds arbitrary file images to the streaming replay: it must
-// not panic, must agree with the reference, and so can never yield a record
-// from behind a frame that failed its CRC.
-func FuzzReplay(f *testing.F) {
+// addReplaySeeds seeds a fuzz target with log images: intact, torn, holed,
+// with foreign frames behind good CRCs, and the given files of testdata.
+func addReplaySeeds(f *testing.F, files ...string) {
 	rng := rand.New(rand.NewSource(1))
 	intact, offsets := randomLog(rng, 12, false, false)
 	f.Add(intact)
@@ -300,15 +303,23 @@ func FuzzReplay(f *testing.F) {
 	f.Add(append(append([]byte(nil), intact[:offsets[6]+2]...), intact[offsets[6]+9:]...))
 	f.Add(append(append([]byte(nil), intact...), rawFrame([]byte("not json"))...))
 	f.Add([]byte{})
-	// Binary bodies behind good CRCs: a whole one, one with a byte too many,
-	// and the JSON-bodied log of the format before.
+	// Binary bodies behind good CRCs: a whole one, one with a byte too many.
 	f.Add(rawFrame(decidedBody))
 	f.Add(append(append([]byte(nil), intact...), rawFrame(append(append([]byte(nil), decidedBody...), 0))...))
-	parent, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range files {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	f.Add(parent)
+}
+
+// FuzzReplay feeds arbitrary file images to the streaming replay: it must
+// not panic, must agree with the reference, and so can never yield a record
+// from behind a frame that failed its CRC.
+func FuzzReplay(f *testing.F) {
+	addReplaySeeds(f, "parent.wal") // the JSON-bodied log of the format before
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 32<<10 {
@@ -330,6 +341,194 @@ func FuzzReplay(f *testing.F) {
 			offset = next
 		}
 	})
+}
+
+// FuzzRecover checks the borrowing fold against the copying one: for any
+// file image, Recover's Replay equals Summarize of Open's records, whose
+// every string and graph is a copy, or both refuse the image with the same
+// class of error. The fold is also run on chunks of a frame or two, so that
+// the chunks it borrows from are reused while it runs.
+func FuzzRecover(f *testing.F) {
+	addReplaySeeds(f, "parent.wal", "v1.wal")
+	dir := f.TempDir()
+	path := filepath.Join(dir, "image")
+	load := func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			t.Skip("the search for a frame after the damage is quadratic")
+		}
+		load(t, data)
+		var want *Replay
+		l, records, wantErr := Open(path, Options{NoSync: true})
+		if wantErr == nil {
+			want = Summarize(records)
+			l.Close()
+		}
+
+		load(t, data)
+		l, got, err := Recover(path, Options{NoSync: true})
+		if err == nil {
+			l.Close()
+		}
+		sameReplay(t, "Recover", got, err, want, wantErr)
+
+		load(t, data)
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		tiny := newReplay()
+		if _, err = replay(file, 200, tiny.fold); err != nil {
+			tiny = nil
+		}
+		sameReplay(t, "tiny chunks", tiny, err, want, wantErr)
+	})
+}
+
+// sameReplay fails t unless got and want hold the same jobs in the same
+// order, each with the same submitted record, cluster id, outcome and
+// latency, and the same NextSeq; or unless both errors are of one class.
+func sameReplay(t *testing.T, what string, got *Replay, gotErr error, want *Replay, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrCorrupt) != errors.Is(wantErr, ErrCorrupt) {
+		t.Fatalf("%s: error %v, Open's %v", what, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	if got.NextSeq != want.NextSeq || len(got.Jobs) != len(want.Jobs) {
+		t.Fatalf("%s: %d jobs, NextSeq %d; Summarize has %d and %d",
+			what, len(got.Jobs), got.NextSeq, len(want.Jobs), want.NextSeq)
+	}
+	for i, j := range want.Jobs {
+		// %#v, not DeepEqual: a float field may be NaN.
+		if g, w := fmt.Sprintf("%#v", *got.Jobs[i]), fmt.Sprintf("%#v", *j); g != w {
+			t.Fatalf("%s: job %d is\n%s\nSummarize has\n%s", what, i, g, w)
+		}
+	}
+}
+
+// decidedJob is one job's whole life as the gateway logs it: submitted with
+// graph, forwarded and decided.
+func decidedJob(i int, graph json.RawMessage) []Record {
+	id, cluster := fmt.Sprintf("g%d", i), fmt.Sprintf("p%d@0", i)
+	return []Record{
+		{Type: TypeSubmitted, ID: id, Seq: uint64(i), Tenant: "acme", ClientKey: fmt.Sprintf("key-%d", i),
+			Deadline: 100, Graph: graph},
+		{Type: TypeForwarded, ID: id, Tenant: "acme", ClusterID: cluster},
+		{Type: TypeDecided, ID: id, Tenant: "acme", ClusterID: cluster, Outcome: "accepted-local", DecisionLatency: 1},
+	}
+}
+
+// randomGraph is n bytes of graph JSON, its name random letters: no two are
+// alike, so a graph read out of a reused buffer shows.
+func randomGraph(rng *rand.Rand, n int) json.RawMessage {
+	name := make([]byte, n-len(`{"name":""}`))
+	for i := range name {
+		name[i] = 'a' + byte(rng.Intn(26))
+	}
+	return json.RawMessage(`{"name":"` + string(name) + `"}`)
+}
+
+// A queued job's graph outlives the chunk it was read from. Recovery
+// borrows every record from a chunk that is reused once folded, and copies
+// a submitted graph, when its chunk is done, only if the job is still
+// queued. Here the queued job's chunk is reused many times before recovery
+// ends, and the job submitted next to it is forwarded chunks later.
+func TestRecoverKeepsQueuedGraphsAcrossChunks(t *testing.T) {
+	withGOMAXPROCS(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		path := filepath.Join(t.TempDir(), "joblog")
+		l, _ := openOrDie(t, path, Options{NoSync: true})
+		queued, forwarded := randomGraph(rng, 640), randomGraph(rng, 640)
+		if err := l.AppendNoWait(
+			Record{Type: TypeSubmitted, ID: "queued", Seq: 1, Tenant: "acme", Deadline: 40, Graph: queued},
+			Record{Type: TypeSubmitted, ID: "forwarded", Seq: 2, Tenant: "acme", Deadline: 40, Graph: forwarded},
+		); err != nil {
+			t.Fatal(err)
+		}
+		// Three times the chunks that are ever in flight at once.
+		filler := 3 * 2 * runtime.GOMAXPROCS(0) * chunkBytes / 640
+		for i := 3; i < 3+filler; i++ {
+			if err := l.AppendNoWait(decidedJob(i, randomGraph(rng, 640))...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.AppendNoWait(Record{Type: TypeForwarded, ID: "forwarded", ClusterID: "j1@0"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		l, rep, err := Recover(path, Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if len(rep.Jobs) != 2+filler {
+			t.Fatalf("%d jobs recovered, want %d", len(rep.Jobs), 2+filler)
+		}
+		if q := rep.Jobs[0]; q.Submitted.ID != "queued" || !bytes.Equal(q.Submitted.Graph, queued) {
+			t.Errorf("the queued job %s recovered with graph %.80q…, want %.80q…", q.Submitted.ID, q.Submitted.Graph, queued)
+		}
+		if f := rep.Jobs[1]; f.Submitted.ID != "forwarded" || f.ClusterID != "j1@0" || f.Submitted.Graph != nil {
+			t.Errorf("the forwarded job %s recovered with cluster id %q and %d graph bytes, want j1@0 and none",
+				f.Submitted.ID, f.ClusterID, len(f.Submitted.Graph))
+		}
+		for _, j := range rep.Jobs[2:] {
+			if j.Submitted.Graph != nil || j.Outcome != "accepted-local" {
+				t.Fatalf("decided job %s recovered as %+v", j.Submitted.ID, j)
+			}
+		}
+	}, 1, 4)
+}
+
+// Recovery allocates what the Replay keeps of a job and little more: for a
+// decided job, its entry and its id, client key and cluster id. Its graph
+// is never copied, its tenant and outcome are shared with every other
+// job's, and the chunks, buffers and workers are shared by the whole log.
+// That share grows with the workers (two chunks in flight each), so their
+// number is fixed.
+func TestRecoverAllocatesWhatItKeeps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const jobs = 20000
+	rng := rand.New(rand.NewSource(5))
+	graphs := []json.RawMessage{randomGraph(rng, 640), randomGraph(rng, 640), randomGraph(rng, 640)}
+	path := filepath.Join(t.TempDir(), "joblog")
+	l, _ := openOrDie(t, path, Options{NoSync: true})
+	for i := 1; i <= jobs; i++ {
+		if err := l.AppendNoWait(decidedJob(i, graphs[i%len(graphs)])...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l, rep, err := Recover(path, Options{NoSync: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(rep.Jobs) != jobs {
+		t.Fatalf("%d jobs recovered, want %d", len(rep.Jobs), jobs)
+	}
+	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	allocs := float64(after.Mallocs-before.Mallocs) / jobs
+	t.Logf("Recover: %.0f B and %.2f allocations per decided job", perJob, allocs)
+	if perJob > 500 || allocs > 8 {
+		t.Errorf("Recover allocated %.0f B in %.2f allocations per decided job, want at most 500 B and 8", perJob, allocs)
+	}
 }
 
 // A log of JSON bodies, written by the commit before the streaming replay
@@ -496,9 +695,11 @@ func TestReplayMemoryIsBounded(t *testing.T) {
 	base := live()
 	var peak uint64
 	n := 0
-	if _, err := replay(f, chunkBytes, func(Record) {
-		if n++; n%1000 == 0 {
-			peak = max(peak, live())
+	if _, err := replay(f, chunkBytes, func(recs []Record) {
+		for range recs {
+			if n++; n%1000 == 0 {
+				peak = max(peak, live())
+			}
 		}
 	}); err != nil {
 		t.Fatal(err)
