@@ -121,15 +121,18 @@ func (s *Site) rescheduleAllExec() {
 	}
 }
 
-// Wall-clock transports (live goroutines, TCP) fire same-deadline timers
-// with runtime scheduling skew: a predecessor's completion timer and its
-// successor's start timer share an instant, and either may win. The
-// causality assertion therefore retries for up to one virtual time unit
-// before declaring a violation on those transports; a genuinely missing
-// input (a result that was never produced) persists past every retry and
-// is still reported. The DES keeps the single zero-delay recheck: its
-// event order is deterministic, so one hop resolves legitimate ties and
-// anything else is a real protocol bug.
+// Wall-clock transports (live goroutines, TCP) fire timers in due order and
+// on time, but their handlers take real time the plan does not charge: when
+// a plan leaves no slack (a successor starts exactly ω after its
+// predecessor ends, on the ACS's diameter pair), the result leaves late by
+// however long the sender's goroutine was busy with other work when the
+// completion timer fired, plus the socket hop, and reaches the consumer
+// after its slot starts. The causality assertion therefore retries for up
+// to one virtual time unit before declaring a violation on those
+// transports; a genuinely missing input (a result that was never produced)
+// persists past every retry and is still reported. The DES keeps the
+// single zero-delay recheck: its event order is deterministic, so one hop
+// resolves legitimate ties and anything else is a real protocol bug.
 const (
 	startRecheckDelay = 0.05
 	startRecheckMax   = 20

@@ -1,0 +1,149 @@
+package simnet
+
+import (
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+)
+
+func acquireClock(t *testing.T) *Clock {
+	t.Helper()
+	c, err := AcquireClock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Release)
+	return c
+}
+
+// inboxBatcher is a Batcher that pushes a record of each item onto an
+// inbox, so the inbox shows the order in which the dispatcher handed out
+// functions and items alike.
+type inboxBatcher struct {
+	inbox *FIFO[func()]
+	log   *[]string
+}
+
+func (b inboxBatcher) Add(item any) bool {
+	b.inbox.Push(func() { *b.log = append(*b.log, item.(string)) })
+	return true
+}
+
+func (b inboxBatcher) Flush() {}
+
+// Entries due at exactly the same instant — timers, deliveries and batched
+// items mixed — are handed out in the order they were queued, every round.
+func TestClockSameInstantInQueueOrder(t *testing.T) {
+	c := acquireClock(t)
+	inbox := NewFIFO[func()]()
+	var log []string
+	b := inboxBatcher{inbox: inbox, log: &log}
+	record := func(s string) func() { return func() { log = append(log, s) } }
+	const entries = 6
+	for round := 0; round < 1000; round++ {
+		log = log[:0]
+		var want []string
+		c.mu.Lock()
+		now := float64(time.Since(c.epoch))
+		at := now + float64(100*time.Microsecond)
+		for i := 0; i < entries; i++ {
+			name := fmt.Sprint(i)
+			want = append(want, name)
+			switch i % 3 {
+			case 0:
+				c.addAt(now, at, &event{inbox: inbox, fn: record(name)}, true)
+			case 1:
+				c.addAt(now, at, &event{inbox: inbox, fn: record(name)}, false)
+			default:
+				c.addAt(now, at, &event{batch: b, item: name}, false)
+			}
+		}
+		c.mu.Unlock()
+		for range want {
+			fn, _ := inbox.Pop()
+			fn()
+		}
+		if !slices.Equal(log, want) {
+			t.Fatalf("round %d: handed out %v, queued %v", round, log, want)
+		}
+	}
+}
+
+// A timer is cancelled even when it has already been pushed onto its inbox,
+// and the caller learns that the inbox will settle it.
+func TestClockCancelAfterPop(t *testing.T) {
+	c := acquireClock(t)
+	inbox := NewFIFO[func()]()
+	ran := false
+	id := c.After(inbox, 0, func() { ran = true })
+	fn, _ := inbox.Pop() // popped and pushed: the inbox owns it now
+	if cancelled, queued := c.Cancel(id); !cancelled || !queued {
+		t.Fatalf("Cancel of a queued timer = (%v, %v), want (true, true)", cancelled, queued)
+	}
+	fn()
+	if ran {
+		t.Fatal("a timer cancelled after it was queued still ran")
+	}
+	if cancelled, _ := c.Cancel(id); cancelled {
+		t.Fatal("second Cancel reported the timer still pending")
+	}
+	pending := c.After(inbox, time.Hour, func() { t.Error("cancelled timer ran") })
+	if cancelled, queued := c.Cancel(pending); !cancelled || queued {
+		t.Fatalf("Cancel of a pending timer = (%v, %v), want (true, false)", cancelled, queued)
+	}
+}
+
+// On the live transport a delivery and a timer due at the same virtual
+// instant at one site run in the order they were made, whichever came
+// first, in every one of 1,000 rounds.
+func TestLiveTimerAndDeliveryInCreationOrder(t *testing.T) {
+	topo := graph.New(2)
+	topo.MustAddEdge(0, 1, 0.1)
+	tr := NewLive(topo, time.Millisecond)
+	var mu sync.Mutex
+	var log []string
+	done := make(chan struct{}, 2)
+	record := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+		done <- struct{}{}
+	}
+	tr.Attach(0, func(graph.NodeID, Payload) {})
+	tr.Attach(1, func(graph.NodeID, Payload) { record("delivery") })
+	tr.Start()
+	defer tr.Close()
+	for round := 0; round < 1000; round++ {
+		mu.Lock()
+		log = log[:0]
+		mu.Unlock()
+		want := []string{"delivery", "timer"}
+		if round%2 == 1 {
+			want = []string{"timer", "delivery"}
+			tr.After(1, 0.1, func() { record("timer") })
+		}
+		if err := tr.Send(0, 1, testMsg{kind: "x"}); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 0 {
+			tr.After(1, 0.1, func() { record("timer") })
+		}
+		for range want {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round %d: nothing ran", round)
+			}
+		}
+		mu.Lock()
+		got := slices.Clone(log)
+		mu.Unlock()
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: ran %v, made %v", round, got, want)
+		}
+	}
+}

@@ -4,8 +4,8 @@ import "sync"
 
 // FIFO is an unbounded FIFO queue with blocking Pop, so producers never
 // deadlock on full buffers whatever the traffic pattern. The wall-clock
-// transports (Live here, wire.NetTransport) run each site's handlers off
-// one.
+// transports (Live here, wire.NetTransport) run each site's handlers and
+// timers off one, and the process Clock pushes onto it without blocking.
 type FIFO[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -20,15 +20,16 @@ func NewFIFO[T any]() *FIFO[T] {
 	return f
 }
 
-// Push appends v; after Close it is dropped.
-func (f *FIFO[T]) Push(v T) {
+// Push appends v and reports true; after Close it drops v and reports false.
+func (f *FIFO[T]) Push(v T) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return
+		return false
 	}
 	f.items = append(f.items, v)
 	f.cond.Signal()
+	return true
 }
 
 // Pop blocks for the oldest item. After Close it drains what was pushed

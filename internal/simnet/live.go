@@ -1,6 +1,6 @@
 package simnet
 
-//lint:file-allow wallclock -- Live is the wall-clock transport half of simnet: mapping virtual delay onto real goroutine sleeps is its entire purpose; determinism is the DES transport's job
+//lint:file-allow wallclock -- Live is the wall-clock transport half of simnet: mapping virtual delay onto real time is its entire purpose; determinism is the DES transport's job
 
 import (
 	"fmt"
@@ -9,16 +9,16 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/wallclock"
 )
 
-// Live is a transport backed by real goroutines and channels: one goroutine
-// per site serializes that site's message handling, and one goroutine per
-// directed link models propagation delay while preserving per-link FIFO
-// order. Virtual-time unit 1.0 maps to Scale of wall-clock time. Each link
-// waits out its delay on its own wallclock.Alarm, parked in the netpoller
-// without holding a thread, so a hop costs its delay plus about 10 µs
-// rather than the whole millisecond a Go timer rounds it up to.
+// Live is a transport backed by real goroutines: one goroutine per site
+// serializes that site's message handling and timers. Virtual-time unit 1.0
+// maps to Scale of wall-clock time. Every wait — a link's propagation delay
+// and a timer alike — is an entry in the process Clock, so a hop costs its
+// delay plus about 10 µs rather than the whole millisecond a Go timer rounds
+// it up to, and a delivery and a timer due at the same instant reach the
+// site in the order they were made. Without an armed FaultPlan's jitter a
+// link's delay is fixed, so each link stays FIFO.
 //
 // Live exists to run the protocol under genuine concurrency; experiments use
 // the deterministic DES transport.
@@ -27,15 +27,15 @@ type Live struct {
 	scale time.Duration
 	start time.Time
 	stats *Stats
+	clock *Clock
 
 	mu       sync.Mutex
 	handlers map[graph.NodeID]Handler
-	links    map[[2]graph.NodeID]*liveLink
-	nodes    map[graph.NodeID]*liveNode
+	inboxes  []*FIFO[func()] // per site, from Start
 	faults   *faultState
 	started  bool
 	closed   bool
-	torndown chan struct{} // closed once the teardown (queue close) is done
+	torndown chan struct{} // closed once the teardown is done
 
 	pending atomic.Int64 // in-flight messages + handlers + pending timers
 	wg      sync.WaitGroup
@@ -45,21 +45,6 @@ type Live struct {
 // drain before tearing the goroutines down. A transport that has already
 // quiesced pays only a few polling intervals.
 const closeDrainGrace = 250 * time.Millisecond
-
-type liveNode struct {
-	inbox *FIFO[func()]
-}
-
-type liveLink struct {
-	delay time.Duration
-	queue *FIFO[linkItem]
-	alarm *wallclock.Alarm // only the link's goroutine sets and waits on it
-}
-
-type linkItem struct {
-	deliverAt time.Time
-	deliver   func()
-}
 
 // NewLive builds a live transport. scale is the wall-clock duration of one
 // virtual time unit (e.g. time.Millisecond). Call Attach for every node,
@@ -73,8 +58,6 @@ func NewLive(topo *graph.Graph, scale time.Duration) *Live {
 		scale:    scale,
 		stats:    NewStats(),
 		handlers: make(map[graph.NodeID]Handler),
-		links:    make(map[[2]graph.NodeID]*liveLink),
-		nodes:    make(map[graph.NodeID]*liveNode),
 		torndown: make(chan struct{}),
 	}
 }
@@ -92,26 +75,32 @@ func (l *Live) Attach(id graph.NodeID, h Handler) {
 	l.handlers[id] = h
 }
 
-// Start launches the per-node and per-link goroutines and starts the clock.
+// Start acquires the process Clock, launches the per-site goroutines and
+// starts the virtual clock.
 func (l *Live) Start() {
+	clock, err := AcquireClock()
+	if err != nil {
+		panic(err)
+	}
 	l.mu.Lock()
+	if l.started || l.closed {
+		l.mu.Unlock()
+		clock.Release()
+		panic("simnet: Start called twice, or after Close")
+	}
 	defer l.mu.Unlock()
-	if l.started {
-		panic("simnet: Start called twice")
-	}
-	if l.closed {
-		panic("simnet: Start after Close")
-	}
+	l.clock = clock
 	l.started = true
 	l.start = time.Now()
-	for id := graph.NodeID(0); int(id) < l.topo.Len(); id++ {
-		n := &liveNode{inbox: NewFIFO[func()]()}
-		l.nodes[id] = n
+	l.inboxes = make([]*FIFO[func()], l.topo.Len())
+	for id := range l.inboxes {
+		inbox := NewFIFO[func()]()
+		l.inboxes[id] = inbox
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
 			for {
-				fn, ok := n.inbox.Pop()
+				fn, ok := inbox.Pop()
 				if !ok {
 					return
 				}
@@ -119,37 +108,11 @@ func (l *Live) Start() {
 				l.pending.Add(-1)
 			}
 		}()
-		for _, e := range l.topo.Neighbors(id) {
-			alarm, err := wallclock.NewAlarm()
-			if err != nil {
-				panic(fmt.Sprintf("simnet: link %d->%d: %v", id, e.To, err))
-			}
-			lk := &liveLink{
-				delay: time.Duration(e.Delay * float64(l.scale)),
-				queue: NewFIFO[linkItem](),
-				alarm: alarm,
-			}
-			l.links[[2]graph.NodeID{id, e.To}] = lk
-			l.wg.Add(1)
-			go func() {
-				defer l.wg.Done()
-				for {
-					it, ok := lk.queue.Pop()
-					if !ok {
-						return
-					}
-					if d := time.Until(it.deliverAt); d > 0 {
-						lk.alarm.Set(d)
-						if !lk.alarm.Wait() {
-							return // torn down
-						}
-					}
-					it.deliver()
-				}
-			}()
-		}
 	}
 }
+
+// wall converts a virtual delay to wall-clock time.
+func (l *Live) wall(d float64) time.Duration { return time.Duration(d * float64(l.scale)) }
 
 // SetFaults implements Transport. Unlike the DES, real concurrency makes
 // the live transport's loss/jitter draws depend on goroutine interleaving;
@@ -175,66 +138,46 @@ func (l *Live) Send(from, to graph.NodeID, p Payload) error {
 		l.mu.Unlock()
 		return fmt.Errorf("simnet: live transport not running")
 	}
-	lk, ok := l.links[[2]graph.NodeID{from, to}]
-	node := l.nodes[to]
 	h := l.handlers[to]
 	faults := l.faults
 	l.mu.Unlock()
-	if !ok {
+	delay, err := l.topo.EdgeDelay(from, to)
+	if err != nil {
 		return fmt.Errorf("simnet: send %s from %d to non-neighbor %d", p.Kind(), from, to)
 	}
 	if h == nil {
 		return fmt.Errorf("simnet: no handler attached at node %d", to)
 	}
-	delay := lk.delay
 	if faults != nil {
-		base := float64(lk.delay) / float64(l.scale)
-		jittered, dropped := faults.perturb(from, to, l.Now(), base)
-		if dropped {
+		var dropped bool
+		if delay, dropped = faults.perturb(from, to, l.Now(), delay); dropped {
 			l.stats.Drop()
 			return nil
 		}
-		delay = time.Duration(jittered * float64(l.scale))
 	}
 	l.stats.RecordEdge(from, to, p)
 	l.pending.Add(1)
-	lk.queue.Push(linkItem{
-		deliverAt: time.Now().Add(delay),
-		deliver: func() {
-			node.inbox.Push(func() { h(from, p) })
-		},
-	})
+	l.clock.Post(l.inboxes[to], l.wall(delay), func() { h(from, p) })
 	return nil
 }
 
 // After implements Transport: fn runs on node id's goroutine after delay.
+// The cancel handle holds the timer's id, not fn.
 func (l *Live) After(id graph.NodeID, delay float64, fn func()) CancelFunc {
 	l.mu.Lock()
-	node := l.nodes[id]
+	started := l.started
 	l.mu.Unlock()
-	if node == nil {
+	if !started || int(id) < 0 || int(id) >= len(l.inboxes) {
 		panic(fmt.Sprintf("simnet: After on unknown node %d", id))
 	}
-	var cancelled atomic.Bool
 	l.pending.Add(1)
-	timer := time.AfterFunc(time.Duration(delay*float64(l.scale)), func() {
-		if cancelled.Load() {
-			l.pending.Add(-1)
-			return
-		}
-		node.inbox.Push(func() {
-			if !cancelled.Load() {
-				fn()
-			}
-		})
-	})
+	ev := l.clock.After(l.inboxes[id], l.wall(delay), fn)
 	return func() bool {
-		was := cancelled.Swap(true)
-		if !was && timer.Stop() {
-			// The callback will never run; release its pending slot here.
-			l.pending.Add(-1)
+		cancelled, queued := l.clock.Cancel(ev)
+		if cancelled && !queued {
+			l.pending.Add(-1) // it never reaches the inbox, whose loop would settle it
 		}
-		return !was
+		return cancelled
 	}
 }
 
@@ -273,13 +216,13 @@ func (l *Live) WaitIdle(timeout time.Duration) bool {
 }
 
 // Close shuts the transport down: new Sends are dropped, in-flight
-// deliveries are given a bounded grace period to drain, then the per-node
-// and per-link goroutines are torn down. Close is idempotent and safe to
-// call from several goroutines concurrently — every call blocks until the
-// teardown has completed, whichever call performed it, so a caller
-// returning from Close may safely free or reuse the sites behind the
-// handlers. Traffic that outlives the grace period is dropped; call
-// WaitIdle first if delivery matters.
+// deliveries are given a bounded grace period to drain, then the per-site
+// goroutines are torn down and the process Clock released. Close is
+// idempotent and safe to call from several goroutines concurrently — every
+// call blocks until the teardown has completed, whichever call performed
+// it, so a caller returning from Close may safely free or reuse the sites
+// behind the handlers. Traffic that outlives the grace period is dropped;
+// call WaitIdle first if delivery matters.
 func (l *Live) Close() {
 	l.mu.Lock()
 	if !l.started {
@@ -291,25 +234,20 @@ func (l *Live) Close() {
 	first := !l.closed
 	l.closed = true
 	l.mu.Unlock()
-	if first {
-		// Drain: messages already on a link — and the handler work they
-		// trigger — complete instead of vanishing mid-cascade. Bounded, so
-		// a cluster with far-future timers still closes promptly.
-		l.WaitIdle(closeDrainGrace)
-		l.mu.Lock()
-		for _, n := range l.nodes {
-			n.inbox.Close()
-		}
-		for _, lk := range l.links {
-			lk.queue.Close()
-			lk.alarm.Close()
-		}
-		l.mu.Unlock()
-		close(l.torndown)
-	} else {
+	if !first {
 		<-l.torndown
+		return
+	}
+	// Drain: messages already on a link — and the handler work they
+	// trigger — complete instead of vanishing mid-cascade. Bounded, so a
+	// cluster with far-future timers still closes promptly.
+	l.WaitIdle(closeDrainGrace)
+	for _, inbox := range l.inboxes {
+		inbox.Close()
 	}
 	l.wg.Wait()
+	l.clock.Release()
+	close(l.torndown)
 }
 
 var _ Transport = (*Live)(nil)

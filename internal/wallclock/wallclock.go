@@ -7,13 +7,13 @@
 //   - Alarm is a one-shot timer the runtime's netpoller watches (a timerfd
 //     on Linux). The waiting goroutine is parked and holds neither an OS
 //     thread nor a P, another goroutine can re-arm it earlier or close it,
-//     and it returns about 10 µs after it was due. The emulated link delays
-//     of the TCP and live transports wait on one Alarm per link: many of
-//     them wait at once, and the TCP writer's wait must end early when a
-//     frame due sooner is queued.
+//     and it returns about 10 µs after it was due. It has one user per
+//     process: simnet.Clock, the timer queue every wall-clock transport of
+//     the process shares, arms its one Alarm for the head of the queue.
 //   - Pause is nanosleep(2): it blocks its thread, cannot be cut short and
-//     returns about 55 µs late (the kernel's default timer slack). The job
-//     log's commit window pauses in it: the commit leader is usually the only
-//     runnable goroutine, and parking it on an Alarm costs a netpoll round
-//     trip per window: 15–23 % more CPU per ingested job on a 2-vCPU box.
+//     returns about 55 µs late (the kernel's default timer slack). Its one
+//     user is the job log's commit window: the commit leader is usually the
+//     only runnable goroutine, and parking it on an Alarm costs a netpoll
+//     round trip per window: 15–23 % more CPU per ingested job on a 2-vCPU
+//     box.
 package wallclock

@@ -20,7 +20,7 @@ const arenaChunkSize = 64 << 10
 //
 // Carved frames are never aliased or recycled: when a chunk is exhausted
 // the arena allocates a fresh one and abandons the old, so frames stay
-// valid while the delay heap and the socket writer retain them, and
+// valid while the clock queue and the socket writers retain them, and
 // become garbage with their chunk once the last one is released. The
 // zero value is ready to use; methods are safe for concurrent use.
 type EncodeArena struct {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/simnet"
-	"repro/internal/wallclock"
 )
 
 // NetTransport implements simnet.Transport over TCP: one site per process,
@@ -29,21 +28,20 @@ import (
 //     with the shared Injector, so the E12 fault scenarios run over real
 //     sockets.
 //
-// Outbound frames that become due at the same moment are coalesced into a
-// single write per peer (same-tick batching); connections are established
-// lazily and re-dialed with exponential backoff, so nodes may start in any
-// order and survive peer restarts. A frame that cannot be written because
-// the connection broke mid-batch is retried on the fresh connection —
+// Every wait is an entry in the process's simnet.Clock, shared with the
+// process's other transports: protocol timers (After) and each outbound
+// frame, queued at its due time by Send. So timers due at the same instant
+// run in the order they were set, a hop costs its emulated delay plus about
+// 10 µs, and a fired timer's cancel handle pins nothing but its id. The
+// clock's dispatcher writes each peer's due frames itself, with one writev
+// (same-tick batching). A batch goes to the peer's dialer goroutine instead
+// when the connection is down or an earlier batch is still queued there:
+// the dialer dials lazily and re-dials with exponential backoff, so nodes
+// may start in any order and survive peer restarts, and a dead neighbour
+// never delays anyone else's timers. A batch that cannot be written because
+// the connection broke mid-write is resent whole on the fresh connection —
 // duplicates are possible across a reconnect and the protocol's handlers
 // tolerate them, exactly as they tolerate retransmitted aborts.
-//
-// A hop costs its emulated delay plus about 10 µs, not about a millisecond:
-// each peer's writer waits for its next frame on its own wallclock.Alarm, a
-// timerfd the netpoller watches, instead of on a Go timer, which an idle
-// process wakes only on a whole-millisecond netpoll timeout. A waiting
-// writer is parked and holds no thread, whatever the delay, and a frame
-// due before the one the writer waits for (FaultPlan jitter can bring one
-// forward) re-arms the alarm, so it is written at its own due time.
 type NetTransport struct {
 	self  graph.NodeID
 	topo  *graph.Graph
@@ -51,6 +49,7 @@ type NetTransport struct {
 	stats *simnet.Stats
 	ln    net.Listener
 	start time.Time
+	clock *simnet.Clock
 
 	mu       sync.Mutex
 	handler  simnet.Handler
@@ -93,8 +92,9 @@ type NetConfig struct {
 }
 
 // Listen opens the transport's listener so the actual address (needed when
-// Listen was ":0") is known before any peer map is final. Call SetPeers and
-// then Start to begin exchanging traffic; finish with Close.
+// Listen was ":0") is known before any peer map is final, and acquires the
+// process's simnet.Clock. Call SetPeers and then Start to begin exchanging
+// traffic; finish with Close.
 func Listen(cfg NetConfig) (*NetTransport, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("wire: NetConfig.Topo is required")
@@ -112,12 +112,18 @@ func Listen(cfg NetConfig) (*NetTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", cfg.Listen, err)
 	}
+	clock, err := simnet.AcquireClock()
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("wire: %w", err)
+	}
 	t := &NetTransport{
 		self:  cfg.Self,
 		topo:  cfg.Topo,
 		scale: cfg.Scale,
 		stats: simnet.NewStats(),
 		ln:    ln,
+		clock: clock,
 		peers: make(map[graph.NodeID]*peerConn),
 		conns: make(map[net.Conn]struct{}),
 		inbox: simnet.NewFIFO[func()](),
@@ -127,19 +133,13 @@ func Listen(cfg NetConfig) (*NetTransport, error) {
 		seed = int64(cfg.Self) + 1
 	}
 	for _, e := range cfg.Topo.Neighbors(cfg.Self) {
-		alarm, err := wallclock.NewAlarm()
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("wire: writer for peer %d: %w", e.To, err)
-		}
 		t.peers[e.To] = &peerConn{
-			to:         e.To,
 			hello:      cfg.Self,
 			addr:       cfg.Peers[e.To],
 			maxBackoff: cfg.MaxBackoff,
 			stats:      t.stats,
 			rng:        rand.New(rand.NewSource(seed*1000003 + int64(e.To))),
-			alarm:      alarm,
+			wake:       make(chan struct{}, 1),
 			done:       make(chan struct{}),
 		}
 	}
@@ -183,7 +183,7 @@ func (t *NetTransport) Attach(id graph.NodeID, h simnet.Handler) {
 }
 
 // Start launches the execution-context goroutine, the accept loop and the
-// per-peer writers, and starts the virtual clock.
+// per-peer dialers, and starts the virtual clock.
 func (t *NetTransport) Start() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -239,13 +239,13 @@ func (t *NetTransport) Start() {
 			}()
 		}
 	}()
-	// Per-peer writers.
+	// Per-peer dialers.
 	for _, p := range t.peers {
 		p := p
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			p.writeLoop()
+			p.dialLoop()
 		}()
 	}
 }
@@ -285,8 +285,8 @@ func (t *NetTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// Send implements simnet.Transport: encode, apply the fault injector,
-// emulate the link delay, then queue the frame for the peer's writer. On a
+// Send implements simnet.Transport: encode, apply the fault injector, then
+// queue the frame on the clock for when the link delay has passed. On a
 // closed transport the message is silently dropped, mirroring the live
 // transport's drain semantics.
 func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
@@ -323,34 +323,27 @@ func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 		return err
 	}
 	t.stats.Record(p)
-	peer.enqueue(time.Now().Add(time.Duration(delay*float64(t.scale))), frame)
+	t.clock.PostTo(peer, t.wall(delay), frame)
 	return nil
 }
 
 // After implements simnet.Transport: fn runs on the site's execution
-// context after the scaled delay.
+// context after the scaled delay. The cancel handle holds the timer's id,
+// not fn.
 func (t *NetTransport) After(id graph.NodeID, delay float64, fn func()) simnet.CancelFunc {
 	if id != t.self {
 		panic(fmt.Sprintf("wire: After(%d) on the transport of site %d", id, t.self))
 	}
-	var cancelled atomic.Bool
-	// Always a real timer, even for zero delays: the protocol's zero-delay
-	// recheck hops rely on same-deadline timers (a completion racing a slot
-	// start) firing in creation order, which the runtime's timer queue
-	// provides and a synchronous fast path would defeat.
-	timer := time.AfterFunc(time.Duration(delay*float64(t.scale)), func() {
-		t.inbox.Push(func() {
-			if !cancelled.Load() {
-				fn()
-			}
-		})
-	})
+	c := t.clock
+	ev := c.After(t.inbox, t.wall(delay), fn)
 	return func() bool {
-		was := cancelled.Swap(true)
-		timer.Stop()
-		return !was
+		cancelled, _ := c.Cancel(ev)
+		return cancelled
 	}
 }
+
+// wall converts a virtual delay to wall-clock time.
+func (t *NetTransport) wall(d float64) time.Duration { return time.Duration(d * float64(t.scale)) }
 
 // Now implements simnet.Transport: elapsed wall time in virtual units.
 func (t *NetTransport) Now() float64 {
@@ -373,9 +366,9 @@ func (t *NetTransport) SetFaults(plan simnet.FaultPlan, epoch float64) {
 }
 
 // Close shuts the transport down: the listener and all connections are
-// closed and every goroutine is joined. Idempotent and safe to call
-// concurrently; messages still in flight are dropped (real networks offer
-// nothing better).
+// closed, every goroutine is joined and the process clock is released.
+// Idempotent and safe to call concurrently; messages still in flight are
+// dropped (real networks offer nothing better).
 func (t *NetTransport) Close() {
 	t.mu.Lock()
 	if t.closed {
@@ -399,6 +392,7 @@ func (t *NetTransport) Close() {
 	}
 	t.inbox.Close()
 	t.wg.Wait()
+	t.clock.Release()
 }
 
 var _ simnet.Transport = (*NetTransport)(nil)
@@ -406,116 +400,123 @@ var _ simnet.Transport = (*NetTransport)(nil)
 // ---------------------------------------------------------------------------
 // Outbound peers
 
-// peerConn owns the outbound connection to one neighbor: a delay queue of
-// frames ordered by (due time, send sequence), flushed by one writer
-// goroutine that waits on the link's alarm for the earliest due frame,
-// coalesces everything due at that moment into a single write (same-tick
-// batching) and re-dials with exponential backoff. Equal-delay frames keep
-// their send order — per-link FIFO, like the live transport's link
-// goroutines; only differing delays (jitter) can reorder a link, which is
-// the documented fault semantics.
+// peerConn owns the outbound connection to one neighbor. It is the
+// simnet.Batcher of the neighbor's frames: the clock's dispatcher adds the
+// frames that come due at one wake and flushes them with one vectored write
+// (same-tick batching). Frames come due in (due time, send sequence) order,
+// so equal-delay frames keep their send order — per-link FIFO, like Live's
+// links; only differing delays (jitter) can reorder a link, which is the
+// documented fault semantics.
+//
+// The dispatcher writes inline only while the connection is up and nothing
+// is queued ahead: otherwise it hands the batch to the peer's dialer
+// goroutine, which dials with backoff and writes the backlog in order. An
+// inline write is bounded by inlineWriteLimit, so a peer that stops reading
+// costs the dispatcher at most that once; its connection is then dropped
+// and the batch handed over.
 type peerConn struct {
-	to         graph.NodeID
 	hello      graph.NodeID // the owning transport's site, sent as the hello
 	addr       string
 	maxBackoff time.Duration
 	stats      *simnet.Stats
-	rng        *rand.Rand // backoff jitter; only the writer goroutine draws
-	alarm      *wallclock.Alarm
+	rng        *rand.Rand // backoff jitter; only the dialer draws
 
-	mu     sync.Mutex
-	queue  frameHeap
-	seq    uint64
-	armed  time.Time // when the alarm fires; zero while the writer waits on an empty queue
-	closed bool
-	conn   net.Conn
-	done   chan struct{} // closed by close(); ends a reconnect backoff
+	mu      sync.Mutex
+	conn    net.Conn
+	backlog []handedFrame // frames handed to the dialer, in order
+	busy    bool          // the dialer holds frames not yet written; later batches queue behind them
+	closed  bool
+	wake    chan struct{} // capacity 1: the dialer has a backlog
+	done    chan struct{} // closed by close(); ends a wait or a reconnect backoff
+
+	// The dispatcher's own: the frames due at this wake and writev scratch.
+	batch   [][]byte
+	scratch net.Buffers
 }
 
 // The protocol tolerates loss (enroll windows, phase timeouts and lock
 // leases treat a silent peer as lost traffic), so frames for a peer that
 // stays down are eventually dropped instead of accumulating until OOM:
-// the queue is capped, and frames more than staleAfter past their due
-// time are discarded when the writer finally drains. Both count as
-// dropped traversals in the transport statistics.
+// the backlog is capped, and frames handed over more than staleAfter
+// before the dialer can write them are discarded. Both count as dropped
+// traversals in the transport statistics.
 const (
-	maxQueuedFrames = 1 << 16
-	staleAfter      = 30 * time.Second
+	maxQueuedFrames  = 1 << 16
+	staleAfter       = 30 * time.Second
+	inlineWriteLimit = time.Millisecond
 )
 
-type timedFrame struct {
-	due   time.Time
-	seq   uint64
+type handedFrame struct {
+	at    time.Time
 	frame []byte
 }
 
-// frameHeap is a binary min-heap over (due, seq).
-type frameHeap []timedFrame
-
-func (h frameHeap) less(i, j int) bool {
-	if !h[i].due.Equal(h[j].due) {
-		return h[i].due.Before(h[j].due)
-	}
-	return h[i].seq < h[j].seq
+// Add implements simnet.Batcher.
+func (p *peerConn) Add(item any) bool {
+	p.batch = append(p.batch, item.([]byte))
+	return len(p.batch) == 1
 }
 
-func (h *frameHeap) push(f timedFrame) {
-	*h = append(*h, f)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+// Flush implements simnet.Batcher: write the batch inline, or else hand it
+// to the dialer.
+func (p *peerConn) Flush() {
+	if !p.writeInline() {
+		p.handOff()
 	}
+	clear(p.batch)
+	p.batch = p.batch[:0]
 }
 
-func (h *frameHeap) pop() timedFrame {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = timedFrame{}
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
-}
-
-func (p *peerConn) enqueue(due time.Time, frame []byte) {
+// writeInline writes the batch if the connection is up and nothing is
+// queued ahead of it, and reports whether it did. A failed write, or one
+// that outlasts inlineWriteLimit, drops the connection; the batch then goes
+// to the dialer whole, to be resent on a fresh one.
+func (p *peerConn) writeInline() bool {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
+	conn := p.conn
+	ok := conn != nil && !p.busy && !p.closed
+	p.mu.Unlock()
+	if !ok {
+		return false
 	}
-	if len(p.queue) >= maxQueuedFrames {
-		p.mu.Unlock()
-		p.stats.Drop()
-		return
+	conn.SetWriteDeadline(time.Now().Add(inlineWriteLimit))
+	if err := WriteBatch(conn, &p.scratch, p.batch); err != nil {
+		conn.Close()
+		p.setConn(nil)
+		return false
 	}
-	p.seq++
-	p.queue.push(timedFrame{due: due, seq: p.seq, frame: frame})
-	if p.armed.IsZero() || due.Before(p.armed) {
-		p.armed = due
-		p.alarm.Set(time.Until(due))
+	conn.SetWriteDeadline(time.Time{})
+	return true
+}
+
+// handOff queues the batch for the dialer and wakes it. A closed peer
+// discards the batch, and a full backlog drops what does not fit.
+func (p *peerConn) handOff() {
+	dropped := 0
+	p.mu.Lock()
+	if !p.closed {
+		now := time.Now()
+		for _, f := range p.batch {
+			if len(p.backlog) >= maxQueuedFrames {
+				dropped++
+				continue
+			}
+			p.backlog = append(p.backlog, handedFrame{at: now, frame: f})
+		}
+		p.busy = true
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
 	}
 	p.mu.Unlock()
+	p.drop(dropped)
+}
+
+func (p *peerConn) drop(n int) {
+	for ; n > 0; n-- {
+		p.stats.Drop()
+	}
 }
 
 func (p *peerConn) close() {
@@ -529,58 +530,42 @@ func (p *peerConn) close() {
 		p.conn.Close()
 	}
 	close(p.done)
-	p.alarm.Close()
 }
 
-// writeLoop waits until the earliest frame is due, then gathers every frame
-// due at that moment and delivers them with one vectored write. It has one
-// wait: the alarm, armed under p.mu for the head's due time (or not armed
-// while the queue is empty), which enqueue re-arms when it queues a frame
-// due sooner and Close closes. A wake with nothing due is followed by a
-// fresh look at the queue. The batch and writev scratch slices are
-// loop-local and reused across iterations, so same-tick coalescing
-// allocates nothing in steady state — the frames themselves were allocated
-// by Send's Encode and are owned by the queue.
-func (p *peerConn) writeLoop() {
+// dialLoop is the peer's dialer goroutine: it takes the backlog and writes
+// it in order, dialing with backoff as needed, until the backlog is empty;
+// then it hands the connection back to the dispatcher's inline writes and
+// waits for the next hand-off. Frames that waited longer than staleAfter
+// are dropped. The batch and writev scratch slices are reused.
+func (p *peerConn) dialLoop() {
 	var batch [][]byte
 	var scratch net.Buffers
 	for {
 		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return
+		taken := p.backlog
+		p.backlog, p.busy = nil, len(taken) > 0
+		p.mu.Unlock()
+		if len(taken) == 0 {
+			select {
+			case <-p.wake:
+				continue
+			case <-p.done:
+				return
+			}
 		}
 		now := time.Now()
-		if len(p.queue) == 0 || p.queue[0].due.After(now) {
-			p.armed = time.Time{}
-			if len(p.queue) > 0 {
-				p.armed = p.queue[0].due
-				p.alarm.Set(p.armed.Sub(now))
-			}
-			p.mu.Unlock()
-			if !p.alarm.Wait() {
-				return // closed
-			}
-			continue
-		}
 		batch = batch[:0]
-		stale := 0
-		for len(p.queue) > 0 && !p.queue[0].due.After(now) {
-			f := p.queue.pop()
-			if now.Sub(f.due) > staleAfter {
-				stale++ // peer was down past any useful delivery window
+		for _, f := range taken {
+			if now.Sub(f.at) > staleAfter {
+				p.drop(1) // peer was down past any useful delivery window
 				continue
 			}
 			batch = append(batch, f.frame)
 		}
-		p.mu.Unlock()
-		for i := 0; i < stale; i++ {
-			p.stats.Drop()
+		if len(batch) > 0 {
+			p.write(batch, &scratch)
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		p.write(batch, &scratch)
+		clear(batch)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestNetTransportDelivers(t *testing.T) {
 }
 
 // TestNetTransportDialsWithBackoff sends to a peer whose process has not
-// started listening yet: the writer must keep the frames queued, re-dial
+// started listening yet: the dialer must keep the frames queued, re-dial
 // with backoff and deliver them once the peer appears. This is the
 // start-order independence the multi-process bootstrap relies on. (A peer
 // crashing mid-stream can still lose frames buffered in the kernel — TCP

@@ -10,7 +10,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
-	"repro/internal/wallclock"
 )
 
 // pair starts two transports joined by one link of the given delay in
@@ -31,7 +30,7 @@ func pair(t *testing.T, delayMS float64) ([]*NetTransport, chan core.DoneMsg) {
 }
 
 // medianHop reports the median one-way delivery time of n frames sent one
-// at a time from site 0 to site 1, spaced so that each finds an idle writer.
+// at a time from site 0 to site 1, spaced so that each is alone on the link.
 func medianHop(t *testing.T, trs []*NetTransport, got chan core.DoneMsg, n int) time.Duration {
 	t.Helper()
 	// The first frame dials the connection; it is not a hop to time.
@@ -72,7 +71,7 @@ func TestNetTransportHopLatency(t *testing.T) {
 	}
 }
 
-// A long link waits on the same alarm as a short one, so it too costs its
+// A long link waits on the same clock as a short one, so it too costs its
 // delay and not up to a millisecond more: over 2.5 ms and 3 ms links the
 // median one-way delivery is under the delay plus 400 µs. (A Go timer
 // sleeps out a wait in whole-millisecond epoll timeouts, which stretches
@@ -92,8 +91,8 @@ func TestNetTransportCoarseScaleHop(t *testing.T) {
 	}
 }
 
-// Frames sent back to back on one link, each waited out in a short pause,
-// arrive in send order and all of them arrive.
+// Frames sent back to back on one link arrive in send order and all of
+// them arrive.
 func TestNetTransportBackToBackFIFO(t *testing.T) {
 	trs, got := pair(t, 0.3)
 	defer trs[0].Close()
@@ -116,8 +115,9 @@ func TestNetTransportBackToBackFIFO(t *testing.T) {
 	}
 }
 
-// Close while a writer waits for a frame's due time returns at once,
-// whether the wait is short or long, and leaves no goroutine behind.
+// Close while a frame waits on the clock for its due time returns at once,
+// whether the wait is short or long, and leaves no goroutine behind: the
+// last transport to close stops the clock's dispatcher.
 func TestNetTransportCloseDuringShortWait(t *testing.T) {
 	for _, delayMS := range []float64{1.9, 50} {
 		before := runtime.NumGoroutine()
@@ -129,7 +129,7 @@ func TestNetTransportCloseDuringShortWait(t *testing.T) {
 		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "pending"}); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(200 * time.Microsecond) // the writer is waiting now
+		time.Sleep(200 * time.Microsecond) // the frame is waiting now
 		start := time.Now()
 		trs[0].Close()
 		if took := time.Since(start); took > 100*time.Millisecond {
@@ -146,12 +146,12 @@ func TestNetTransportCloseDuringShortWait(t *testing.T) {
 	}
 }
 
-// A frame due before the one the writer is waiting for re-arms the
-// writer's alarm and goes out at its own due time, not after the wait: in
-// the median round, a frame due in 200 µs queued while the writer waits
-// 1.9 ms for another arrives within a millisecond.
+// A frame due before the one the clock is waiting for re-arms the clock's
+// alarm and goes out at its own due time, not after the wait: in the median
+// round, a frame due in 200 µs queued while the clock waits 20 ms for
+// another arrives within a millisecond.
 func TestPeerEarlierFrameRearms(t *testing.T) {
-	trs, got := pair(t, 1.9)
+	trs, got := pair(t, 20)
 	defer trs[0].Close()
 	defer trs[1].Close()
 	if err := trs[0].Send(0, 1, core.DoneMsg{Job: "warm"}); err != nil {
@@ -176,11 +176,9 @@ func TestPeerEarlierFrameRearms(t *testing.T) {
 		if err := trs[0].Send(0, 1, core.DoneMsg{Job: "late"}); err != nil {
 			t.Fatal(err)
 		}
-		// The writer waits for "late" now; time.Sleep would take a
-		// millisecond, most of the wait.
-		wallclock.Pause(200 * time.Microsecond)
+		time.Sleep(time.Millisecond) // the clock waits for "late" now
 		start := time.Now()
-		trs[0].peers[1].enqueue(start.Add(200*time.Microsecond), early)
+		trs[0].clock.PostTo(trs[0].peers[1], 200*time.Microsecond, early)
 		if m := recv(); m.Job != "early" {
 			t.Fatalf("round %d: %q arrived first, want early", i, m.Job)
 		}
@@ -189,6 +187,6 @@ func TestPeerEarlierFrameRearms(t *testing.T) {
 	}
 	slices.Sort(took)
 	if med := took[len(took)/2]; med >= time.Millisecond {
-		t.Errorf("frame due in 200µs queued during a 1.9ms wait: median delivery %v, want < 1ms", med)
+		t.Errorf("frame due in 200µs queued during a 20ms wait: median delivery %v, want < 1ms", med)
 	}
 }
