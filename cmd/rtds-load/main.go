@@ -2,9 +2,10 @@
 // Std-spec DAG workload at the target rate through the nodes' HTTP control
 // APIs, waits for every decision, and reports guarantee ratio, p50/p99
 // decision latency, messages per job and leak checks. With -verify-live it
-// additionally replays the identical workload on the in-process live
-// transport and reports per-arrival decision agreement — the deployment's
-// transport-equivalence proof.
+// additionally replays the identical workload on an in-process live cluster
+// (every site in this process, on the nodes' own TCP transport over
+// loopback) and reports per-arrival decision agreement — the check that
+// one process and N processes decide alike.
 //
 // Usage:
 //
@@ -40,6 +41,7 @@ import (
 	"strings"
 	"time"
 
+	rtds "repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
@@ -60,7 +62,7 @@ func main() {
 	scale := flag.Duration("scale", 2*time.Millisecond, "wall-clock duration of one virtual unit (pacing; must match the nodes)")
 	tightness := flag.Float64("tightness", 0, "override deadline tightness (0 = Std-spec 2.5)")
 	infeasible := flag.Float64("infeasible", 0, "fraction of extra infeasible jobs (deadline < critical path)")
-	verifyLive := flag.Bool("verify-live", false, "replay the workload on the in-process live transport and compare decisions")
+	verifyLive := flag.Bool("verify-live", false, "replay the workload on an in-process live cluster and compare decisions")
 	minAgreement := flag.Float64("min-agreement", 0, "fail unless decision agreement with -verify-live reaches this fraction")
 	schemeName := flag.String("scheme", "rtds", "scheme of the deployed nodes (for -verify-live)")
 	policySpec := flag.String("policy", "", "policy overrides of the deployed nodes (for -verify-live)")
@@ -151,8 +153,8 @@ type Report struct {
 	// arrivals whose guarantee decision (accepted vs rejected — the
 	// paper's decision) matched the live replay; LiveAgreementStrict
 	// additionally distinguishes local from distributed acceptance, which
-	// is a mechanism detail two wall-clock transports may legitimately
-	// resolve differently on a busy site.
+	// is a mechanism detail two wall-clock runs may legitimately resolve
+	// differently on a busy site.
 	LiveVerified        bool     `json:"live_verified"`
 	LiveAgreement       float64  `json:"live_agreement"`
 	LiveAgreementStrict float64  `json:"live_agreement_strict"`
@@ -285,7 +287,7 @@ func run(o opts) error {
 			o.joiner, rep.JoinerEnrollAcks, rep.JoinerAccepted)
 	}
 	if o.verifyLive {
-		fmt.Printf("live-transport agreement: %.4f on the guarantee decision (%.4f incl. local-vs-distributed), %d mismatches\n",
+		fmt.Printf("live-cluster agreement: %.4f on the guarantee decision (%.4f incl. local-vs-distributed), %d mismatches\n",
 			rep.LiveAgreement, rep.LiveAgreementStrict, len(rep.LiveMismatches))
 		for _, m := range rep.LiveMismatches {
 			fmt.Println("  mismatch:", m)
@@ -603,8 +605,8 @@ func writeReport(path string, rep any) error {
 	return nil
 }
 
-// verifyAgainstLive replays the identical arrivals on the in-process live
-// transport with the nodes' configuration and compares per-arrival
+// verifyAgainstLive replays the identical arrivals on an in-process live
+// cluster with the nodes' configuration and compares per-arrival
 // outcomes, pairing each arrival with its per-origin submission sequence.
 func verifyAgainstLive(o opts, arrivals []workload.Arrival,
 	statuses map[graph.NodeID][]core.JobStatus, rep *Report) error {
@@ -621,8 +623,8 @@ func verifyAgainstLive(o opts, arrivals []workload.Arrival,
 	if cfg.Policies, err = scheme.ParsePolicies(o.policySpec); err != nil {
 		return err
 	}
-	fmt.Println("rtds-load: replaying the workload on the in-process live transport...")
-	lc, err := core.NewLiveCluster(topo, cfg, o.scale)
+	fmt.Println("rtds-load: replaying the workload on an in-process live cluster...")
+	lc, err := rtds.NewLiveCluster(topo, cfg, o.scale)
 	if err != nil {
 		return err
 	}

@@ -64,21 +64,11 @@
 //
 // # Transports and deployment
 //
-// The protocol core is transport-agnostic (simnet.Transport). Three
-// transports implement it:
-//
-//   - the deterministic discrete-event simulator (internal/simnet.DES),
-//     used by every experiment and benchmark; with KernelWorkers set, the
-//     same transport runs on the conservative parallel kernel
-//     (internal/sim/par) instead of the serial engine (internal/sim) and
-//     produces byte-identical tables at any partition count;
-//   - the goroutine-backed live transport (internal/simnet.Live), real
-//     scaled time and genuine concurrency in one process;
-//   - the TCP transport (internal/wire.NetTransport), which frames every
-//     protocol message with the versioned binary codec of internal/wire
-//     and runs one site per operating-system process (internal/core.Node,
-//     deployed by cmd/rtds-node with the HTTP control plane of
-//     internal/nodeapi and driven by cmd/rtds-load).
+// The protocol core is transport-agnostic (simnet.Transport). The
+// deterministic discrete-event simulator runs every experiment; the TCP
+// transport of internal/wire runs one site per process in deployment
+// (cmd/rtds-node) and every site in one process for NewLiveCluster. See
+// docs/architecture.md ("Transports") for both.
 //
 // # Gateway
 //
@@ -99,14 +89,10 @@
 // # Static analysis
 //
 // The determinism and protocol invariants the packages above rely on are
-// machine-checked: cmd/rtds-lint (internal/analysis) runs four
-// project-specific analyzers — detclock (no wall clocks or global rand in
-// deterministic packages), mapiter (no order-sensitive range over maps;
-// use internal/determinism.SortedKeys), exhaustive (switches over
-// protocol enums cover every constant or reject explicitly) and
-// sendunderlock (no transport sends while holding a mutex). CI fails on
-// any finding; exceptions are annotated in the source with
-// //lint:allow <check> -- <justification>.
+// machine-checked by cmd/rtds-lint (internal/analysis): seven
+// project-specific analyzers, listed in docs/architecture.md ("Static
+// analysis"). CI fails on any finding; exceptions are annotated in the
+// source with //lint:allow <check> -- <justification>.
 //
 // # Quick start
 //

@@ -1,8 +1,9 @@
-// Livenet: the same RTDS protocol running on real goroutines and channels
-// instead of the deterministic event simulator — and then again over real
-// TCP sockets, one site per transport, as the multi-process deployment
-// (cmd/rtds-node) runs it. Demonstrates that the protocol logic is
-// transport-agnostic and survives genuine concurrency.
+// Livenet: the same RTDS protocol running in real time instead of the
+// deterministic event simulator. Every site runs in this process on its own
+// goroutine, and every link is a loopback TCP connection carrying the
+// binary wire codec — the transport the multi-process deployment
+// (cmd/rtds-node, one site per process) runs. Demonstrates that the
+// protocol logic survives genuine concurrency and real sockets.
 package main
 
 import (
@@ -11,10 +12,6 @@ import (
 	"time"
 
 	rtds "repro"
-
-	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/wire"
 )
 
 func ring() *rtds.Network {
@@ -45,12 +42,6 @@ func liveConfig() rtds.Config {
 }
 
 func main() {
-	runGoroutines()
-	runTCP()
-}
-
-// runGoroutines: one goroutine per site, one per link, shared memory.
-func runGoroutines() {
 	start := time.Now()
 	cluster, err := rtds.NewLiveCluster(ring(), liveConfig(), 2*time.Millisecond)
 	if err != nil {
@@ -58,7 +49,7 @@ func runGoroutines() {
 	}
 	defer cluster.Close()
 	bootMsgs, _ := cluster.BootstrapCost()
-	fmt.Printf("live PCS bootstrap over goroutines: %d messages in %v\n",
+	fmt.Printf("live PCS bootstrap over TCP: %d messages in %v\n",
 		bootMsgs, time.Since(start).Round(time.Millisecond))
 
 	rec, err := cluster.Submit(0, 0, burst(), 26)
@@ -74,80 +65,7 @@ func runGoroutines() {
 		log.Fatalf("causality violations: %v", v)
 	}
 	fmt.Println("summary:", cluster.Summarize())
-	// Close is idempotent and drains in-flight traffic: the deferred call
-	// above plus this one exercise exactly what cmd/rtds-node relies on.
+	// Close is idempotent: the deferred call above plus this one exercise
+	// exactly what cmd/rtds-node relies on.
 	cluster.Close()
-}
-
-// runTCP: the same ring, but every site is its own wire.NetTransport on a
-// loopback TCP socket — the protocol messages travel as length-prefixed
-// binary frames, exactly as between rtds-node processes.
-func runTCP() {
-	topo := ring()
-	cfg := liveConfig()
-	scale := 2 * time.Millisecond
-	start := time.Now()
-
-	trs := make([]*wire.NetTransport, topo.Len())
-	addrs := make(map[graph.NodeID]string)
-	for id := 0; id < topo.Len(); id++ {
-		tr, err := wire.Listen(wire.NetConfig{
-			Self: graph.NodeID(id), Topo: topo, Listen: "127.0.0.1:0", Scale: scale,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		trs[id] = tr
-		addrs[graph.NodeID(id)] = tr.Addr()
-		defer tr.Close()
-	}
-	nodes := make([]*core.Node, topo.Len())
-	for id, tr := range trs {
-		tr.SetPeers(addrs)
-		n, err := core.NewNode(topo, cfg, tr, graph.NodeID(id))
-		if err != nil {
-			log.Fatal(err)
-		}
-		nodes[id] = n
-	}
-	for _, tr := range trs {
-		tr.Start()
-	}
-	for _, n := range nodes {
-		n.StartBootstrap()
-	}
-	var boot int64
-	for id, n := range nodes {
-		if !n.WaitReady(30 * time.Second) {
-			log.Fatalf("site %d never finished the PCS bootstrap over TCP", id)
-		}
-		n.Seal()
-		m, _ := n.BootstrapCost()
-		boot += m
-	}
-	fmt.Printf("live PCS bootstrap over TCP sockets: %d messages in %v\n",
-		boot, time.Since(start).Round(time.Millisecond))
-
-	if _, err := nodes[0].Submit(0, burst(), 26); err != nil {
-		log.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := nodes[0].JobStatuses()
-		if len(st) == 1 && st[0].Outcome != core.Pending {
-			fmt.Printf("job outcome over TCP: %s (ACS %d sites, |U| = %d), wall time %v\n",
-				st[0].OutcomeName, st[0].ACSSize, st[0].NumProcs,
-				time.Since(start).Round(time.Millisecond))
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("TCP cluster never decided the job")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	for id, n := range nodes {
-		if v := n.Violations(); len(v) > 0 {
-			log.Fatalf("site %d causality violations: %v", id, v)
-		}
-	}
 }

@@ -10,10 +10,10 @@ package lockorder
 // lock discipline is flat. No mutex is acquired — directly or through any
 // chain of calls — while another mutex is held. The code achieves this by
 // snapshotting under a lock and working on the snapshot after release:
-// simnet.Live.Send drops Live.mu before queueing on the process Clock,
-// whose dispatcher pops under Clock.mu but pushes onto the per-site fifo
-// queues (whose own mu is taken push/pop-local) after releasing it, the
-// wire.NetTransport accessors hand out field pointers without locking, and
+// wire.NetTransport.Send drops its mu before queueing on the process
+// Clock, whose dispatcher pops under Clock.mu but pushes onto the per-site
+// fifo queues (whose own mu is taken push/pop-local) after releasing it,
+// the transport's accessors hand out field pointers without locking, and
 // core.Cluster calls only lock-free accessors (Transport.Stats,
 // Transport.Now, payload Kind/SizeBytes) under Cluster.mu.
 //

@@ -1,5 +1,5 @@
 // Package spawncheck requires every go statement to come with provable
-// teardown, so the live transport (and everything else) cannot leak
+// teardown, so the wall-clock transport (and everything else) cannot leak
 // goroutines: a leaked reader keeps its connection and buffers alive
 // forever, and a thousand-run experiment suite multiplies that by a
 // thousand.

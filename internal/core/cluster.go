@@ -23,7 +23,8 @@ import (
 //
 //   - NewCluster: every site on the deterministic DES; the event queue
 //     drained (Run). All experiments use it.
-//   - NewLiveCluster: every site on the goroutine transport; Live.WaitIdle.
+//   - NewLiveCluster: every site on one injected wall-clock transport (the
+//     rtds facade's: loopback TCP); the transport's WaitIdle.
 //   - NewNode: one site over an injected transport (TCP in deployment);
 //     the caller's WaitReady, then Seal.
 //

@@ -79,7 +79,7 @@ type Config struct {
 	// send order, so such plans collapse to a single partition (still the
 	// parallel code path, just P=1); crash-only plans parallelize fully.
 	// It is the only kernel selector (resolved by simnet.NewKernel) and is
-	// ignored by wall-clock transports (live, wire).
+	// ignored by the wall-clock transport (wire).
 	KernelWorkers int
 	// Hier arms two-level region/landmark routing (internal/routing/hier):
 	// the topology is partitioned into ~√n connected regions, each site

@@ -1,17 +1,29 @@
-package core
+package core_test
 
 import (
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 )
 
+// newLiveCluster builds a live cluster of every site of topo on one
+// loopback wire transport, as the rtds facade does.
+func newLiveCluster(topo *graph.Graph, cfg core.Config, scale time.Duration) (*core.LiveCluster, error) {
+	tr, err := wire.ListenLocal(topo, scale)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewLiveCluster(topo, cfg, tr)
+}
+
 // TestLiveMatchesDESDecisions runs the same single-job scenarios on the
-// deterministic DES transport and the goroutine-backed live transport and
+// deterministic DES transport and the live cluster's wire transport and
 // requires identical admission decisions (experiment E10).
 func TestLiveMatchesDESDecisions(t *testing.T) {
 	type scenario struct {
@@ -19,44 +31,44 @@ func TestLiveMatchesDESDecisions(t *testing.T) {
 		par  int     // independent tasks
 		dur  float64 // per-task duration
 		dl   float64 // relative deadline
-		want Outcome
+		want core.Outcome
 	}
 	scenarios := []scenario{
-		{"local", 1, 5, 50, AcceptedLocal},
+		{"local", 1, 5, 50, core.AcceptedLocal},
 		// Deadline 19 < 20 (serial) forces distribution while leaving ~4
 		// virtual units of margin over protocol latency and real jitter.
-		{"distributed", 2, 10, 19, AcceptedDistributed},
-		{"impossible", 2, 10, 3, Rejected},
+		{"distributed", 2, 10, 19, core.AcceptedDistributed},
+		{"impossible", 2, 10, 3, core.Rejected},
 	}
 	// On the live transport message handling takes real time that the
 	// DES models as zero, so the timeouts derived from link delays alone
 	// (enrollment window, release padding) need real slack. The same config
 	// drives both transports; the DES outcome is insensitive to the extra
 	// slack because every site answers immediately in virtual time.
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.EnrollSlack = 2
 	cfg.ReleasePadFactor = 25
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			topo := fastLine(3)
-			des := mustCluster(t, topo, cfg)
-			dj, err := des.Submit(0, 0, parJob(t, sc.par, sc.dur), sc.dl)
+			topo := core.FastLine(3)
+			des := core.MustCluster(t, topo, cfg)
+			dj, err := des.Submit(0, 0, core.ParJob(t, sc.par, sc.dur), sc.dl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			runAll(t, des)
+			core.RunAll(t, des)
 			if dj.Outcome != sc.want {
 				t.Fatalf("DES outcome %v, want %v", dj.Outcome, sc.want)
 			}
 
 			// The live clock is wall-clock-driven: the scale must dwarf Go
 			// scheduling jitter or real latency eats the virtual deadline.
-			live, err := NewLiveCluster(topo, cfg, 10*time.Millisecond)
+			live, err := newLiveCluster(topo, cfg, 10*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer live.Close()
-			lj, err := live.Submit(0, 0, parJob(t, sc.par, sc.dur), sc.dl)
+			lj, err := live.Submit(0, 0, core.ParJob(t, sc.par, sc.dur), sc.dl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,18 +90,18 @@ func TestLiveMatchesDESDecisions(t *testing.T) {
 // under -race this test proves the check no longer reads site state from a
 // foreign goroutine (the seed's Cluster.AllIdle raced with handlers here).
 func TestLiveAllIdleDuringTraffic(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.EnrollSlack = 2
 	cfg.ReleasePadFactor = 25
-	topo := fastLine(3)
-	live, err := NewLiveCluster(topo, cfg, 10*time.Millisecond)
+	topo := core.FastLine(3)
+	live, err := newLiveCluster(topo, cfg, 10*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
 	// Distribution-forcing deadline (as in TestLiveMatchesDESDecisions) keeps
 	// lock/transaction traffic flowing between the sites while we probe.
-	job, err := live.Submit(0, 0, parJob(t, 2, 10), 19)
+	job, err := live.Submit(0, 0, core.ParJob(t, 2, 10), 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +117,8 @@ func TestLiveAllIdleDuringTraffic(t *testing.T) {
 	if !live.Wait(30 * time.Second) {
 		t.Fatal("live cluster did not quiesce")
 	}
-	if job.Outcome != AcceptedDistributed {
-		t.Fatalf("outcome %v, want %v", job.Outcome, AcceptedDistributed)
+	if job.Outcome != core.AcceptedDistributed {
+		t.Fatalf("outcome %v, want %v", job.Outcome, core.AcceptedDistributed)
 	}
 	if !live.AllIdle() {
 		t.Fatal("cluster not idle after quiescence")
@@ -118,17 +130,22 @@ func TestLiveAllIdleDuringTraffic(t *testing.T) {
 // reject the same invalid submissions, instead of silently clamping
 // negative arrival times.
 func TestLiveSubmitValidatesLikeDES(t *testing.T) {
-	topo := fastLine(2)
-	g := parJob(t, 1, 5)
-	des := mustCluster(t, topo, DefaultConfig())
-	live, err := NewLiveCluster(topo, DefaultConfig(), 100*time.Microsecond)
+	topo := core.FastLine(2)
+	g := core.ParJob(t, 1, 5)
+	des := core.MustCluster(t, topo, core.DefaultConfig())
+	live, err := newLiveCluster(topo, core.DefaultConfig(), 100*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
 	// Invalid submissions are refused before they reach the transport, so
 	// the node's is never started.
-	node, err := NewNode(topo, DefaultConfig(), simnet.NewLive(topo, 100*time.Microsecond), 0)
+	tr, err := wire.Listen(wire.NetConfig{Self: 0, Topo: topo, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	node, err := core.NewNode(topo, core.DefaultConfig(), tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +181,9 @@ func TestLiveSubmitValidatesLikeDES(t *testing.T) {
 }
 
 // TestTwoHostsMatchLiveAndDES runs an 8-site ring as two hosts of four
-// sites each over one live transport. The hosts interleave (even sites,
-// odd sites), so every neighbor of every site lives in the other host and
+// sites each, each host on its own wire transport, the two joined over TCP
+// as two processes would be. The hosts interleave (even sites, odd sites),
+// so every neighbor of every site lives in the other host and
 // any distributed job must be committed by members that adopt its record
 // from the CommitMsg. On the scenarios of TestLiveMatchesDESDecisions,
 // submitted once from each host, the two hosts must decide like the
@@ -173,7 +191,7 @@ func TestLiveSubmitValidatesLikeDES(t *testing.T) {
 // "initiator not hosted here" and that nothing assumes a host runs one site
 // or all of them.
 func TestTwoHostsMatchLiveAndDES(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.EnrollSlack = 2
 	cfg.ReleasePadFactor = 25
 	const scale = 10 * time.Millisecond
@@ -204,11 +222,11 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 			submission{base + 80, origin, 2, 10, 3},  // impossible
 		)
 	}
-	type submitFn func(at float64, origin graph.NodeID, g *dag.Graph, dl float64) (*Job, error)
-	submitAll := func(hostOf func(origin graph.NodeID) submitFn) []*Job {
-		var jobs []*Job
+	type submitFn func(at float64, origin graph.NodeID, g *dag.Graph, dl float64) (*core.Job, error)
+	submitAll := func(hostOf func(origin graph.NodeID) submitFn) []*core.Job {
+		var jobs []*core.Job
 		for _, w := range workload {
-			j, err := hostOf(w.origin)(w.at, w.origin, parJob(t, w.par, w.dur), w.dl)
+			j, err := hostOf(w.origin)(w.at, w.origin, core.ParJob(t, w.par, w.dur), w.dl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,25 +235,25 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 		return jobs
 	}
 	// decisions lists, per origin, the outcomes in submission order.
-	decisions := func(jobs []*Job) map[graph.NodeID][]Outcome {
-		out := make(map[graph.NodeID][]Outcome)
+	decisions := func(jobs []*core.Job) map[graph.NodeID][]core.Outcome {
+		out := make(map[graph.NodeID][]core.Outcome)
 		for _, j := range jobs {
 			out[j.Origin] = append(out[j.Origin], j.Outcome)
 		}
 		return out
 	}
 
-	des := mustCluster(t, ring(), cfg)
+	des := core.MustCluster(t, ring(), cfg)
 	desJobs := submitAll(func(graph.NodeID) submitFn { return des.Submit })
-	runAll(t, des)
+	core.RunAll(t, des)
 	want := decisions(desJobs)
 	for origin, got := range want {
-		if !reflect.DeepEqual(got, []Outcome{AcceptedLocal, AcceptedDistributed, Rejected}) {
+		if !reflect.DeepEqual(got, []core.Outcome{core.AcceptedLocal, core.AcceptedDistributed, core.Rejected}) {
 			t.Fatalf("DES decisions at origin %d: %v", origin, got)
 		}
 	}
 
-	lc, err := NewLiveCluster(ring(), cfg, scale)
+	lc, err := newLiveCluster(ring(), cfg, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,35 +267,47 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 	}
 
 	topo := ring()
-	tr := simnet.NewLive(topo, scale)
-	defer tr.Close()
-	hosts := make([]*Cluster, 2)
+	hosts := make([]*core.Cluster, 2)
+	trs := make([]*wire.NetTransport, 2)
 	for h := range hosts {
 		var local []graph.NodeID
 		for id := h; id < topo.Len(); id += 2 {
 			local = append(local, graph.NodeID(id))
 		}
-		if hosts[h], err = newHost(topo, cfg, tr, local); err != nil {
+		if trs[h], err = wire.ListenLocal(topo, scale); err != nil {
+			t.Fatal(err)
+		}
+		defer trs[h].Close()
+		if hosts[h], err = core.NewHost(topo, cfg, trs[h], local); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr.Start()
-	for _, h := range hosts {
-		h.startBootstrap()
+	for h, tr := range trs {
+		other := make(map[graph.NodeID]string)
+		for id := 1 - h; id < topo.Len(); id += 2 {
+			other[graph.NodeID(id)] = trs[1-h].Addr()
+		}
+		tr.SetPeers(other)
 	}
-	if !tr.WaitIdle(30 * time.Second) {
+	for _, tr := range trs {
+		tr.Start()
+	}
+	for _, h := range hosts {
+		h.StartBootstrap()
+	}
+	if !wire.WaitIdle(30*time.Second, trs...) {
 		t.Fatal("two-host bootstrap did not quiesce")
 	}
 	for _, h := range hosts {
-		if err := h.finishBootstrap(); err != nil {
+		if err := h.FinishBootstrap(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := hosts[0].Submit(0, 1, parJob(t, 1, 5), 50); err == nil {
+	if _, err := hosts[0].Submit(0, 1, core.ParJob(t, 1, 5), 50); err == nil {
 		t.Fatal("a host accepted a job for a site it does not run")
 	}
 	hostJobs := submitAll(func(origin graph.NodeID) submitFn { return hosts[origin%2].Submit })
-	if !tr.WaitIdle(60 * time.Second) {
+	if !wire.WaitIdle(60*time.Second, trs...) {
 		t.Fatal("two hosts did not quiesce")
 	}
 	if got := decisions(hostJobs); !reflect.DeepEqual(got, want) {
@@ -298,13 +328,13 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 // reports the network drained — the same bootstrap code as the DES, where
 // it used to run flat tables under a HierSphere policy without saying so.
 func TestLiveClusterHier(t *testing.T) {
-	topo := hierTopo(32, 5)
-	cfg := DefaultConfig()
+	topo := core.HierTopo(32, 5)
+	cfg := core.DefaultConfig()
 	cfg.Hier = true
 	cfg.EnrollSlack = 2
 	cfg.ReleasePadFactor = 10
-	des := mustCluster(t, topo, cfg)
-	live, err := NewLiveCluster(topo, cfg, 5*time.Millisecond)
+	des := core.MustCluster(t, topo, cfg)
+	live, err := newLiveCluster(topo, cfg, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,10 +342,8 @@ func TestLiveClusterHier(t *testing.T) {
 	if live.Layout() == nil {
 		t.Fatal("live hier cluster has no layout")
 	}
-	for _, s := range live.sites {
-		if s.hierTable == nil {
-			t.Fatalf("site %d runs a flat table under Config.Hier", s.id)
-		}
+	if flat := live.FlatTableSites(); len(flat) != 0 {
+		t.Fatalf("sites %v run a flat table under Config.Hier", flat)
 	}
 	wantBytes, wantEntries := des.RoutingState()
 	if gotBytes, gotEntries := live.RoutingState(); gotBytes != wantBytes || gotEntries != wantEntries {
@@ -334,14 +362,14 @@ func TestLiveClusterHier(t *testing.T) {
 	}
 	// Serial needs 80 > deadline 70: the job must distribute, inside the
 	// origin's region.
-	job, err := live.Submit(0, origin, parJob(t, 2, 40), 70)
+	job, err := live.Submit(0, origin, core.ParJob(t, 2, 40), 70)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !live.Wait(60 * time.Second) {
 		t.Fatal("live hier cluster did not quiesce")
 	}
-	if job.Outcome != AcceptedDistributed {
+	if job.Outcome != core.AcceptedDistributed {
 		t.Fatalf("outcome = %v (stage %q), want accepted-distributed", job.Outcome, job.RejectStage)
 	}
 	if got := live.Summarize().CrossRegionMessages; got != 0 {
@@ -353,15 +381,15 @@ func TestLiveClusterHier(t *testing.T) {
 }
 
 func TestLiveClusterBootstrap(t *testing.T) {
-	topo := fastLine(4)
-	live, err := NewLiveCluster(topo, DefaultConfig(), 100*time.Microsecond)
+	topo := core.FastLine(4)
+	live, err := newLiveCluster(topo, core.DefaultConfig(), 100*time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
 	msgs, _ := live.BootstrapCost()
 	// Same bootstrap cost formula as the DES cluster.
-	want := int64((2*DefaultConfig().Radius - 1) * 2 * topo.NumEdges())
+	want := int64((2*core.DefaultConfig().Radius - 1) * 2 * topo.NumEdges())
 	if msgs != want {
 		t.Fatalf("live bootstrap messages %d, want %d", msgs, want)
 	}
@@ -372,14 +400,14 @@ func TestLiveClusterBootstrap(t *testing.T) {
 	}
 }
 
-// TestLiveClusterUnderLossAndJitter runs the live (goroutine-backed)
-// transport with injected message loss, delay jitter and a transient site
+// TestLiveClusterUnderLossAndJitter runs the live cluster with injected
+// message loss, delay jitter and a transient site
 // outage: whatever is lost, Wait must reach quiescence (no wedged locks —
 // the phase timeouts and lock leases must fire), every job must be decided,
 // and no site may end holding reservations of a rejected job. Run under
 // -race in CI, this also exercises the injector from concurrent senders.
 func TestLiveClusterUnderLossAndJitter(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.EnrollSlack = 2
 	cfg.ReleasePadFactor = 25
 	cfg.Faults = &simnet.FaultPlan{
@@ -388,17 +416,17 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 		MaxJitter: 0.5,
 		Crashes:   []simnet.Crash{{Site: 2, At: 6, For: 6}},
 	}
-	topo := fastLine(4)
-	live, err := NewLiveCluster(topo, cfg, 2*time.Millisecond)
+	topo := core.FastLine(4)
+	live, err := newLiveCluster(topo, cfg, 2*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	var jobs []*Job
+	var jobs []*core.Job
 	for i := 0; i < 10; i++ {
 		// Serial needs 20 > deadline 19: every job must try to distribute,
 		// crossing the lossy links in every protocol phase.
-		j, err := live.Submit(float64(i)*2, graph.NodeID(i%4), parJob(t, 2, 10), 19)
+		j, err := live.Submit(float64(i)*2, graph.NodeID(i%4), core.ParJob(t, 2, 10), 19)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,10 +440,10 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 	}
 	rejected := make(map[string]bool)
 	for _, j := range jobs {
-		if j.Outcome == Pending {
+		if j.Outcome == core.Pending {
 			t.Errorf("job %s never decided", j.ID)
 		}
-		if j.Outcome == Rejected {
+		if j.Outcome == core.Rejected {
 			rejected[j.ID] = true
 		}
 	}

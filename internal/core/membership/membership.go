@@ -6,10 +6,10 @@
 // running cluster and start serving enrollments.
 //
 // The package is transport-agnostic: one Manager runs per site inside that
-// site's execution context (the DES event loop, the live transport's
-// per-site goroutine, or the TCP transport's inbox goroutine), driven
-// entirely through the Hooks it is constructed with. It therefore behaves
-// identically — and deterministically — on all three transports.
+// site's execution context (the DES event loop or the TCP transport's
+// per-site inbox goroutine), driven entirely through the Hooks it is
+// constructed with. It therefore behaves identically on both transports,
+// and deterministically on the DES.
 //
 // # The membership view and its epoch
 //

@@ -19,8 +19,8 @@ const noLock = graph.NodeID(-1)
 
 // Site is one network node running the RTDS state machine. A site's methods
 // are only invoked from its transport execution context (the DES event loop
-// or the site's goroutine on the live transport), so no internal locking is
-// needed.
+// or the site's goroutine on the wall-clock transport), so no internal
+// locking is needed.
 //
 // The site is the protocol's I/O half: it owns the transport, the routing
 // table, the scheduling plan and the member-side lock. The initiator-side

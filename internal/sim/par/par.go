@@ -5,7 +5,7 @@
 // a sim.Queue (the serial engine's own event heap, pool and clock) and an
 // execution thread, so all events of one origin run serially on one
 // goroutine — the same per-site serial contract the serial kernel and the
-// live transport give the protocol layer.
+// wall-clock transport give the protocol layer.
 // Partitions synchronize with conservative time windows: every round the
 // coordinator computes the global floor (the minimum next-event time across
 // partitions) and lets all partitions run concurrently up to the safe

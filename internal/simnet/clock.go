@@ -13,20 +13,19 @@ import (
 )
 
 // Clock is the process's one wall-clock timer queue: every wait of the
-// wall-clock transports (Live here, wire.NetTransport) is an entry in it —
-// protocol timers (After), Live's link delays and the TCP transport's
-// outbound frames. It is a sim.Queue keyed by (due, seq) behind a mutex,
-// one wallclock.Alarm armed for the head of the queue and one dispatcher
-// goroutine. So entries due at the same instant come due in the order they
-// were queued, by construction; the process wakes about 10 µs after each
-// due time, whatever the number of sites, links and timers, and holds no
-// thread while it waits; and a timer's cancel handle is its event id,
-// which once the timer has fired pins neither its function nor a runtime
-// timer.
+// process's wall-clock transports (wire.NetTransport) is an entry in it —
+// protocol timers (After) and outbound frames (PostTo). It is a sim.Queue
+// keyed by (due, seq) behind a mutex, one wallclock.Alarm armed for the
+// head of the queue and one dispatcher goroutine. So entries due at the
+// same instant come due in the order they were queued, by construction;
+// the process wakes about 10 µs after each due time, whatever the number
+// of sites, links and timers, and holds no thread while it waits; and a
+// timer's cancel handle is its event id, which once the timer has fired
+// pins neither its function nor a runtime timer.
 //
 // At each wake the dispatcher pops everything due and then, outside the
-// lock and in queue order, pushes each function onto its inbox and hands
-// each item to its Batcher; last, it flushes every Batcher that took one.
+// lock and in queue order, pushes each timer onto its inbox and hands each
+// item to its Batcher; last, it flushes every Batcher that took one.
 // An inbox push does not block and a Batcher must not either, so no site
 // or peer can hold up anyone else's timers.
 //
@@ -57,10 +56,10 @@ type Batcher interface {
 	Flush()
 }
 
-// event is what one queue entry does when it comes due: run fn on inbox,
-// or hand item to batch.
+// event is what one queue entry does when it comes due: run timer fn on
+// inbox, or hand item to batch.
 type event struct {
-	id    sim.EventID // non-zero for a timer After returned a handle for
+	id    sim.EventID // a timer's handle; zero for an item
 	inbox *FIFO[func()]
 	fn    func()
 	batch Batcher
@@ -114,17 +113,12 @@ func (c *Clock) Release() {
 // After queues fn to run on inbox d from now and returns its handle for
 // Cancel.
 func (c *Clock) After(inbox *FIFO[func()], d time.Duration, fn func()) sim.EventID {
-	return c.add(d, &event{inbox: inbox, fn: fn}, true)
-}
-
-// Post queues fn to run on inbox d from now, with no handle: a delivery.
-func (c *Clock) Post(inbox *FIFO[func()], d time.Duration, fn func()) {
-	c.add(d, &event{inbox: inbox, fn: fn}, false)
+	return c.add(d, &event{inbox: inbox, fn: fn})
 }
 
 // PostTo queues item for b d from now.
 func (c *Clock) PostTo(b Batcher, d time.Duration, item any) {
-	c.add(d, &event{batch: b, item: item}, false)
+	c.add(d, &event{batch: b, item: item})
 }
 
 // Cancel stops timer id from running. It reports whether the timer was
@@ -142,22 +136,22 @@ func (c *Clock) Cancel(id sim.EventID) (cancelled, queued bool) {
 	return queued, queued
 }
 
-func (c *Clock) add(d time.Duration, ev *event, track bool) sim.EventID {
+func (c *Clock) add(d time.Duration, ev *event) sim.EventID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := float64(time.Since(c.epoch))
-	return c.addAt(now, now+float64(d), ev, track)
+	return c.addAt(now, now+float64(d), ev)
 }
 
 // addAt queues ev at time at, never before the last entry popped, gives a
-// tracked entry its id, and re-arms the alarm if ev is the new head.
-// Callers hold c.mu.
-func (c *Clock) addAt(now, at sim.Time, ev *event, track bool) sim.EventID {
+// timer its id, and re-arms the alarm if ev is the new head. Callers hold
+// c.mu.
+func (c *Clock) addAt(now, at sim.Time, ev *event) sim.EventID {
 	at = max(at, c.q.Now())
 	c.seq++
 	qe := c.q.AllocDelivery(at, 0, 0, c.seq, c.collect, 0, 0, ev)
 	c.q.Push(qe)
-	if track {
+	if ev.batch == nil {
 		ev.id = c.q.Track(qe)
 	}
 	if at < c.armed {
@@ -204,22 +198,19 @@ func (c *Clock) dispatch() {
 func (c *Clock) handOut() {
 	for i, ev := range c.fired {
 		c.fired[i] = nil
-		switch {
-		case ev.batch != nil:
+		if ev.batch != nil {
 			if ev.batch.Add(ev.item) {
 				c.flushes = append(c.flushes, ev.batch)
 			}
-		case ev.id == 0:
-			ev.inbox.Push(ev.fn)
-		default:
-			run := func() {
-				if c.forget(ev.id) { // else it was cancelled after it was popped
-					ev.fn()
-				}
+			continue
+		}
+		run := func() {
+			if c.forget(ev.id) { // else it was cancelled after it was popped
+				ev.fn()
 			}
-			if !ev.inbox.Push(run) {
-				c.forget(ev.id) // the inbox is closed and will never run it
-			}
+		}
+		if !ev.inbox.Push(run) {
+			c.forget(ev.id) // the inbox is closed and will never run it
 		}
 	}
 	c.fired = c.fired[:0]

@@ -3,11 +3,8 @@ package simnet
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/graph"
 )
 
 func acquireClock(t *testing.T) *Clock {
@@ -35,8 +32,8 @@ func (b inboxBatcher) Add(item any) bool {
 
 func (b inboxBatcher) Flush() {}
 
-// Entries due at exactly the same instant — timers, deliveries and batched
-// items mixed — are handed out in the order they were queued, every round.
+// Entries due at exactly the same instant — timers and batched items mixed —
+// are handed out in the order they were queued, every round.
 func TestClockSameInstantInQueueOrder(t *testing.T) {
 	c := acquireClock(t)
 	inbox := NewFIFO[func()]()
@@ -53,13 +50,10 @@ func TestClockSameInstantInQueueOrder(t *testing.T) {
 		for i := 0; i < entries; i++ {
 			name := fmt.Sprint(i)
 			want = append(want, name)
-			switch i % 3 {
-			case 0:
-				c.addAt(now, at, &event{inbox: inbox, fn: record(name)}, true)
-			case 1:
-				c.addAt(now, at, &event{inbox: inbox, fn: record(name)}, false)
-			default:
-				c.addAt(now, at, &event{batch: b, item: name}, false)
+			if i%2 == 0 {
+				c.addAt(now, at, &event{inbox: inbox, fn: record(name)})
+			} else {
+				c.addAt(now, at, &event{batch: b, item: name})
 			}
 		}
 		c.mu.Unlock()
@@ -94,56 +88,5 @@ func TestClockCancelAfterPop(t *testing.T) {
 	pending := c.After(inbox, time.Hour, func() { t.Error("cancelled timer ran") })
 	if cancelled, queued := c.Cancel(pending); !cancelled || queued {
 		t.Fatalf("Cancel of a pending timer = (%v, %v), want (true, false)", cancelled, queued)
-	}
-}
-
-// On the live transport a delivery and a timer due at the same virtual
-// instant at one site run in the order they were made, whichever came
-// first, in every one of 1,000 rounds.
-func TestLiveTimerAndDeliveryInCreationOrder(t *testing.T) {
-	topo := graph.New(2)
-	topo.MustAddEdge(0, 1, 0.1)
-	tr := NewLive(topo, time.Millisecond)
-	var mu sync.Mutex
-	var log []string
-	done := make(chan struct{}, 2)
-	record := func(s string) {
-		mu.Lock()
-		log = append(log, s)
-		mu.Unlock()
-		done <- struct{}{}
-	}
-	tr.Attach(0, func(graph.NodeID, Payload) {})
-	tr.Attach(1, func(graph.NodeID, Payload) { record("delivery") })
-	tr.Start()
-	defer tr.Close()
-	for round := 0; round < 1000; round++ {
-		mu.Lock()
-		log = log[:0]
-		mu.Unlock()
-		want := []string{"delivery", "timer"}
-		if round%2 == 1 {
-			want = []string{"timer", "delivery"}
-			tr.After(1, 0.1, func() { record("timer") })
-		}
-		if err := tr.Send(0, 1, testMsg{kind: "x"}); err != nil {
-			t.Fatal(err)
-		}
-		if round%2 == 0 {
-			tr.After(1, 0.1, func() { record("timer") })
-		}
-		for range want {
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatalf("round %d: nothing ran", round)
-			}
-		}
-		mu.Lock()
-		got := slices.Clone(log)
-		mu.Unlock()
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: ran %v, made %v", round, got, want)
-		}
 	}
 }

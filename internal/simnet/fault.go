@@ -75,8 +75,9 @@ func (p FaultPlan) Validate(n int) error {
 }
 
 // faultState is the per-transport injector. The mutex serializes the rand
-// source on the live transport; the DES transport calls from a single
-// goroutine, where lock cost is negligible next to determinism.
+// source on the wall-clock transport, whose sites send concurrently; the
+// DES transport calls from a single goroutine, where lock cost is
+// negligible next to determinism.
 type faultState struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -132,8 +133,8 @@ func (f *faultState) perturb(from, to graph.NodeID, at, delay float64) (float64,
 
 // Injector applies a FaultPlan for transports implemented outside this
 // package (the wire package's TCP transport perturbs traversals at the
-// socket layer with exactly the semantics the DES and live transports
-// implement). Safe for concurrent use.
+// socket layer with exactly the semantics the DES transport implements).
+// Safe for concurrent use.
 type Injector struct{ st *faultState }
 
 // NewInjector arms a fault plan whose times are relative to epoch.

@@ -1,9 +1,7 @@
 package simnet
 
 import (
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -234,30 +232,6 @@ func testEpochShiftsCrashWindows(t *testing.T, k Kernel) {
 	}
 	if got != 2 {
 		t.Fatalf("delivered %d, want 2", got)
-	}
-}
-
-func TestLiveFaultFullLossDropsEverything(t *testing.T) {
-	l := NewLive(pairTopo(), 100*time.Microsecond)
-	var got atomic.Int64
-	l.Attach(0, func(graph.NodeID, Payload) {})
-	l.Attach(1, func(graph.NodeID, Payload) { got.Add(1) })
-	l.Start()
-	defer l.Close()
-	l.SetFaults(FaultPlan{Seed: 1, Loss: 1}, 0)
-	for i := 0; i < 50; i++ {
-		if err := l.Send(0, 1, testMsg{kind: "x", size: 1, n: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !l.WaitIdle(5 * time.Second) {
-		t.Fatal("transport did not quiesce")
-	}
-	if n := got.Load(); n != 0 {
-		t.Fatalf("full loss delivered %d messages", n)
-	}
-	if d := l.Stats().Dropped(); d != 50 {
-		t.Fatalf("dropped %d, want 50", d)
 	}
 }
 

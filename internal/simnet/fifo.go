@@ -4,8 +4,8 @@ import "sync"
 
 // FIFO is an unbounded FIFO queue with blocking Pop, so producers never
 // deadlock on full buffers whatever the traffic pattern. The wall-clock
-// transports (Live here, wire.NetTransport) run each site's handlers and
-// timers off one, and the process Clock pushes onto it without blocking.
+// transport (wire.NetTransport) runs each site's handlers and timers off
+// one, and the process Clock pushes onto it without blocking.
 type FIFO[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -43,7 +43,7 @@ func TestDESSendStepAllocatesNothing(t *testing.T) {
 	})
 }
 
-// refStats is the previous Stats.Record/RecordEdge, kept as the reference
+// refStats is the previous Stats.RecordEdge, kept as the reference
 // the rewritten counters are checked against: Kind and SizeBytes evaluated
 // per use, control traffic classified by prefix on every call.
 type refStats struct {
@@ -82,7 +82,7 @@ func (s *refStats) String() string {
 	return out
 }
 
-// TestStatsMatchesReference: for random sequences of Record, RecordEdge and
+// TestStatsMatchesReference: for random sequences of RecordEdge and
 // Reset over sharded counters, every read agrees with the reference.
 func TestStatsMatchesReference(t *testing.T) {
 	kinds := []string{"rtds.enroll", "rtds.validate", "member.heartbeat", "pcs.table", "pcsx", "membership", ""}
@@ -100,9 +100,6 @@ func TestStatsMatchesReference(t *testing.T) {
 			p := testMsg{kind: kinds[rng.Intn(len(kinds))], size: rng.Intn(500)}
 			sh := shards[rng.Intn(len(shards))]
 			switch r := rng.Intn(100); {
-			case r < 45:
-				sh.Record(p)
-				ref.record(p)
 			case r < 98:
 				from, to := graph.NodeID(rng.Intn(4)), graph.NodeID(rng.Intn(4))
 				sh.RecordEdge(from, to, p)
@@ -143,7 +140,7 @@ func TestStatsConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				sh.RecordEdge(0, 1, testMsg{kind: "rtds.enroll", size: 3})
-				s.Record(testMsg{kind: "member.heartbeat", size: 1})
+				s.RecordEdge(1, 0, testMsg{kind: "member.heartbeat", size: 1})
 			}
 		}()
 	}

@@ -6,7 +6,7 @@
 // reorder a link) and fail-silent site crash windows — the adverse
 // conditions of an arbitrary wide network.
 //
-// Two implementations live in this package, and a third outside it:
+// One implementation lives in this package, and one outside it:
 //
 //   - DES: fully deterministic, used by all experiments and benchmarks. A
 //     message in flight is the payload of a pooled kernel event node
@@ -17,11 +17,10 @@
 //     partition-local traffic into per-partition queues and
 //     cross-partition traffic through the barrier outboxes. NewKernel
 //     picks between them from a worker count;
-//   - Live: one goroutine per site and real (scaled) time — demonstrates the
-//     protocol under genuine concurrency (examples/livenet) and backs the
-//     transport-equivalence tests;
 //   - internal/wire.NetTransport: the same interface over TCP with a binary
-//     wire codec, one site per process (cmd/rtds-node).
+//     wire codec in real (scaled) time, one site per process (cmd/rtds-node)
+//     or a set of sites in one process (the in-process live cluster), whose
+//     every wait is an entry in this package's process Clock.
 //
 // Only adjacent sites can exchange messages directly; multi-hop delivery is
 // the protocol layer's job (it forwards along routing-table next hops), so
@@ -116,7 +115,7 @@ func NewStats() *Stats {
 }
 
 // Shard returns a child counter set aggregated into s by every read and
-// zeroed by Reset. Record/Drop on a shard touch only the shard's own mutex,
+// zeroed by Reset. RecordEdge/Drop on a shard touch only the shard's own mutex,
 // which keeps simulation partitions recording in parallel off each other's
 // cache lines.
 func (s *Stats) Shard() *Stats {
@@ -190,19 +189,9 @@ func (s *Stats) count(kind string, size int64) {
 	}
 }
 
-// Record counts one sent payload (exported for transports implemented
-// outside this package, e.g. the wire package's TCP transport). Kind and
-// size are evaluated once, outside the lock: sizing a payload can walk it.
-func (s *Stats) Record(p Payload) {
-	kind, size := p.Kind(), int64(p.SizeBytes())
-	s.mu.Lock()
-	s.count(kind, size)
-	s.mu.Unlock()
-}
-
 // RecordEdge counts one sent payload with its link endpoints, so traversals
-// crossing the installed boundary classifier are also counted. Transports
-// that know the link (DES, Live) use this instead of Record.
+// crossing the installed boundary classifier are also counted. Kind and
+// size are evaluated once, outside the lock: sizing a payload can walk it.
 func (s *Stats) RecordEdge(from, to graph.NodeID, p Payload) {
 	kind, size := p.Kind(), int64(p.SizeBytes())
 	s.mu.Lock()

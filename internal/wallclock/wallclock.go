@@ -8,8 +8,8 @@
 //     on Linux). The waiting goroutine is parked and holds neither an OS
 //     thread nor a P, another goroutine can re-arm it earlier or close it,
 //     and it returns about 10 µs after it was due. It has one user per
-//     process: simnet.Clock, the timer queue every wall-clock transport of
-//     the process shares, arms its one Alarm for the head of the queue.
+//     process: simnet.Clock, the timer queue every wire.NetTransport of the
+//     process shares, arms its one Alarm for the head of the queue.
 //   - Pause is nanosleep(2): it blocks its thread, cannot be cut short and
 //     returns about 55 µs late (the kernel's default timer slack). Its one
 //     user is the job log's commit window: the commit leader is usually the

@@ -12,15 +12,19 @@ import (
 	"repro/internal/simnet"
 )
 
-// onWallClock runs a case on each wall-clock transport, over two sites
-// joined by one 0.2-unit link at a millisecond per unit, both started. The
-// case gets the transport of each site: the one Live for both, or each
-// site's own NetTransport.
+// onWallClock runs a case on each shape of the wall-clock transport, over
+// two sites joined by one 0.2-unit link at a millisecond per unit, both
+// started. The case gets the transport of each site: the one transport of
+// an in-process live cluster for both ("live", ListenLocal), or each site's
+// own, as in deployment ("tcp").
 func onWallClock(t *testing.T, run func(t *testing.T, trs []simnet.Transport)) {
 	topo := graph.New(2)
 	topo.MustAddEdge(0, 1, 0.2)
 	t.Run("live", func(t *testing.T) {
-		live := simnet.NewLive(topo, time.Millisecond)
+		live, err := ListenLocal(topo, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		live.Attach(0, func(graph.NodeID, simnet.Payload) {})
 		live.Attach(1, func(graph.NodeID, simnet.Payload) {})
 		live.Start()

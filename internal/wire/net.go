@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -13,17 +14,21 @@ import (
 	"repro/internal/simnet"
 )
 
-// NetTransport implements simnet.Transport over TCP: one site per process,
-// one transport per site, per-peer connections carrying the framed codec of
-// this package. It preserves the simnet semantics the protocol core was
-// built against:
+// NetTransport implements simnet.Transport over TCP for a set of sites: one
+// site per process in deployment (Listen, cmd/rtds-node), or whichever
+// sites of a topology are attached to it in one process (ListenLocal) —
+// every site for an in-process live cluster, or a share of them for one
+// host among several. Each outbound directed link is its own connection
+// carrying the framed codec of this package, including a link between two
+// sites of the same transport, which loops back through the transport's own
+// listener. It preserves the simnet semantics the protocol core was built
+// against:
 //
 //   - only adjacent sites exchange messages, and each traversal costs the
 //     topology's link delay (emulated in scaled wall time before the frame
 //     is handed to the socket);
-//   - the attached handler runs serially on one goroutine — the site's
-//     execution context — exactly like the DES event loop and the live
-//     transport's per-site goroutine;
+//   - each hosted site's handler and timers run serially on one goroutine —
+//     the site's execution context — exactly like the DES event loop;
 //   - an armed FaultPlan drops and jitters traversals at the socket layer
 //     with the shared Injector, so the E12 fault scenarios run over real
 //     sockets.
@@ -33,8 +38,8 @@ import (
 // frame, queued at its due time by Send. So timers due at the same instant
 // run in the order they were set, a hop costs its emulated delay plus about
 // 10 µs, and a fired timer's cancel handle pins nothing but its id. The
-// clock's dispatcher writes each peer's due frames itself, with one writev
-// (same-tick batching). A batch goes to the peer's dialer goroutine instead
+// clock's dispatcher writes each link's due frames itself, with one writev
+// (same-tick batching). A batch goes to the link's dialer goroutine instead
 // when the connection is down or an earlier batch is still queued there:
 // the dialer dials lazily and re-dials with exponential backoff, so nodes
 // may start in any order and survive peer restarts, and a dead neighbour
@@ -43,28 +48,45 @@ import (
 // duplicates are possible across a reconnect and the protocol's handlers
 // tolerate them, exactly as they tolerate retransmitted aborts.
 type NetTransport struct {
-	self  graph.NodeID
-	topo  *graph.Graph
-	scale time.Duration
-	stats *simnet.Stats
-	ln    net.Listener
-	start time.Time
-	clock *simnet.Clock
+	topo       *graph.Graph
+	scale      time.Duration
+	self       graph.NodeID // the one site a Listen transport hosts; -1 on ListenLocal's
+	maxBackoff time.Duration
+	seed       int64 // NetConfig.Seed
+	stats      *simnet.Stats
+	ln         net.Listener
+	start      time.Time
+	clock      *simnet.Clock
 
 	mu       sync.Mutex
-	handler  simnet.Handler
 	injector atomic.Pointer[simnet.Injector]
-	peers    map[graph.NodeID]*peerConn
-	conns    map[net.Conn]struct{} // live accepted inbound connections
+	addrs    map[graph.NodeID]string // neighbour addresses: NetConfig.Peers, then SetPeers
+	sites    []*hostedSite           // by site id, set by Attach; nil where the site is hosted elsewhere
+	peers    map[edge]*peerConn      // outbound links of the hosted sites, built by Start
+	conns    map[net.Conn]struct{}   // live accepted inbound connections
 	started  bool
 	closed   bool
 
-	inbox *simnet.FIFO[func()]
-	wg    sync.WaitGroup
+	// pending counts what is in flight: a frame from Send until its handler
+	// returns or its link drops it, a timer until it runs or is cancelled.
+	// A frame is counted by its sender and settled by its receiver, so only
+	// the sum over every transport of a cluster is meaningful (see WaitIdle).
+	pending atomic.Int64
+	wg      sync.WaitGroup
 
 	// enc amortizes outbound frame allocations (see EncodeArena).
 	enc EncodeArena
 }
+
+// hostedSite is one site this transport runs: its handler and the inbox its
+// execution goroutine drains.
+type hostedSite struct {
+	handler simnet.Handler
+	inbox   *simnet.FIFO[func()]
+}
+
+// edge is a directed link.
+type edge struct{ from, to graph.NodeID }
 
 // NetConfig configures a NetTransport.
 type NetConfig struct {
@@ -91,16 +113,31 @@ type NetConfig struct {
 	Seed int64
 }
 
-// Listen opens the transport's listener so the actual address (needed when
-// Listen was ":0") is known before any peer map is final, and acquires the
-// process's simnet.Clock. Call SetPeers and then Start to begin exchanging
-// traffic; finish with Close.
+// Listen opens the transport of the one site cfg.Self, so the actual address
+// (needed when Listen was ":0") is known before any peer map is final, and
+// acquires the process's simnet.Clock. Call SetPeers and then Start to begin
+// exchanging traffic; finish with Close.
 func Listen(cfg NetConfig) (*NetTransport, error) {
+	if cfg.Topo != nil && (int(cfg.Self) < 0 || int(cfg.Self) >= cfg.Topo.Len()) {
+		return nil, fmt.Errorf("wire: self %d out of range [0,%d)", cfg.Self, cfg.Topo.Len())
+	}
+	return listen(cfg)
+}
+
+// ListenLocal opens a transport on a loopback port that hosts whichever
+// sites of topo are attached to it, with scale the wall-clock duration of
+// one virtual time unit: the in-process live cluster attaches every site.
+// A link between two attached sites loops back through the transport's own
+// listener; a link to a site attached elsewhere needs SetPeers before Start.
+func ListenLocal(topo *graph.Graph, scale time.Duration) (*NetTransport, error) {
+	return listen(NetConfig{Self: -1, Topo: topo, Listen: "127.0.0.1:0", Scale: scale})
+}
+
+// listen opens the transport cfg describes; a negative cfg.Self lets any
+// site be attached.
+func listen(cfg NetConfig) (*NetTransport, error) {
 	if cfg.Topo == nil {
 		return nil, fmt.Errorf("wire: NetConfig.Topo is required")
-	}
-	if int(cfg.Self) < 0 || int(cfg.Self) >= cfg.Topo.Len() {
-		return nil, fmt.Errorf("wire: self %d out of range [0,%d)", cfg.Self, cfg.Topo.Len())
 	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = time.Millisecond
@@ -118,72 +155,67 @@ func Listen(cfg NetConfig) (*NetTransport, error) {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	t := &NetTransport{
-		self:  cfg.Self,
-		topo:  cfg.Topo,
-		scale: cfg.Scale,
-		stats: simnet.NewStats(),
-		ln:    ln,
-		clock: clock,
-		peers: make(map[graph.NodeID]*peerConn),
-		conns: make(map[net.Conn]struct{}),
-		inbox: simnet.NewFIFO[func()](),
+		topo:       cfg.Topo,
+		scale:      cfg.Scale,
+		self:       cfg.Self,
+		maxBackoff: cfg.MaxBackoff,
+		seed:       cfg.Seed,
+		stats:      simnet.NewStats(),
+		ln:         ln,
+		clock:      clock,
+		addrs:      make(map[graph.NodeID]string),
+		sites:      make([]*hostedSite, cfg.Topo.Len()),
+		peers:      make(map[edge]*peerConn),
+		conns:      make(map[net.Conn]struct{}),
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = int64(cfg.Self) + 1
-	}
-	for _, e := range cfg.Topo.Neighbors(cfg.Self) {
-		t.peers[e.To] = &peerConn{
-			hello:      cfg.Self,
-			addr:       cfg.Peers[e.To],
-			maxBackoff: cfg.MaxBackoff,
-			stats:      t.stats,
-			rng:        rand.New(rand.NewSource(seed*1000003 + int64(e.To))),
-			wake:       make(chan struct{}, 1),
-			done:       make(chan struct{}),
-		}
-	}
+	maps.Copy(t.addrs, cfg.Peers)
 	return t, nil
+}
+
+// site returns the state of hosted site id, or nil when id is hosted
+// elsewhere.
+func (t *NetTransport) site(id graph.NodeID) *hostedSite {
+	if int(id) < 0 || int(id) >= len(t.sites) {
+		return nil
+	}
+	return t.sites[id]
 }
 
 // Addr reports the transport's bound protocol address.
 func (t *NetTransport) Addr() string { return t.ln.Addr().String() }
 
 // SetPeers installs (or overrides) neighbor protocol addresses. Must be
-// called before Start for every topology neighbor that had no address in
-// the NetConfig.
+// called before Start for every topology neighbor hosted elsewhere that had
+// no address yet.
 func (t *NetTransport) SetPeers(peers map[graph.NodeID]string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.started {
 		panic("wire: SetPeers after Start")
 	}
-	for id, addr := range peers {
-		if p, ok := t.peers[id]; ok {
-			p.addr = addr
-		}
-	}
+	maps.Copy(t.addrs, peers)
 }
 
-// Attach implements simnet.Transport. Only the transport's own site can be
-// attached: every other site lives in another process.
+// Attach implements simnet.Transport: the site becomes hosted here. A
+// Listen transport hosts its own site only.
 func (t *NetTransport) Attach(id graph.NodeID, h simnet.Handler) {
-	if id != t.self {
-		panic(fmt.Sprintf("wire: Attach(%d) on the transport of site %d", id, t.self))
+	if int(id) < 0 || int(id) >= len(t.sites) || (t.self >= 0 && id != t.self) {
+		panic(fmt.Sprintf("wire: Attach(%d) on a transport that cannot host it", id))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.started {
 		panic("wire: Attach after Start")
 	}
-	if t.handler != nil {
+	if t.sites[id] != nil {
 		panic(fmt.Sprintf("wire: handler for node %d attached twice", id))
 	}
-	t.handler = h
+	t.sites[id] = &hostedSite{handler: h, inbox: simnet.NewFIFO[func()]()}
 }
 
-// Start launches the execution-context goroutine, the accept loop and the
-// per-peer dialers, and starts the virtual clock.
+// Start builds the hosted sites' outbound links and launches each site's
+// execution-context goroutine, the accept loop and the per-link dialers,
+// and starts the virtual clock.
 func (t *NetTransport) Start() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -193,23 +225,52 @@ func (t *NetTransport) Start() {
 	if t.closed {
 		panic("wire: Start after Close")
 	}
-	if t.handler == nil {
+	if t.self >= 0 && t.sites[t.self] == nil {
 		panic("wire: Start without an attached handler")
 	}
 	t.started = true
 	t.start = time.Now()
-	// Execution context: every handler invocation and timer runs here.
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		for {
-			fn, ok := t.inbox.Pop()
-			if !ok {
-				return
-			}
-			fn()
+	for id, s := range t.sites {
+		if s == nil {
+			continue
 		}
-	}()
+		from := graph.NodeID(id)
+		seed := t.seed
+		if seed == 0 {
+			seed = int64(from) + 1
+		}
+		for _, e := range t.topo.Neighbors(from) {
+			addr := t.addrs[e.To]
+			if t.sites[e.To] != nil {
+				addr = t.Addr()
+			}
+			t.peers[edge{from, e.To}] = &peerConn{
+				owner:      t,
+				from:       from,
+				to:         e.To,
+				delay:      e.Delay,
+				addr:       addr,
+				maxBackoff: t.maxBackoff,
+				rng:        rand.New(rand.NewSource(seed*1000003 + int64(e.To))),
+				wake:       make(chan struct{}, 1),
+				done:       make(chan struct{}),
+			}
+		}
+		// Execution context: every handler invocation and timer of the
+		// site runs on this goroutine.
+		t.wg.Add(1)
+		go func() {
+			defer t.wg.Done()
+			for {
+				fn, ok := s.inbox.Pop()
+				if !ok {
+					return
+				}
+				fn()
+				t.pending.Add(-1)
+			}
+		}()
+	}
 	// Accept loop.
 	t.wg.Add(1)
 	go func() {
@@ -239,9 +300,8 @@ func (t *NetTransport) Start() {
 			}()
 		}
 	}()
-	// Per-peer dialers.
+	// Per-link dialers.
 	for _, p := range t.peers {
-		p := p
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
@@ -251,12 +311,14 @@ func (t *NetTransport) Start() {
 }
 
 // readLoop decodes frames off one inbound connection and hands them to the
-// site's execution context. The first frame must be a hello identifying the
-// dialing site; a connection that talks garbage is dropped.
+// dialed site's execution context. The first frame must be a hello that
+// names an admissible link (see admit); a connection that names another or
+// talks garbage is dropped.
 func (t *NetTransport) readLoop(conn net.Conn) {
 	defer conn.Close()
 	fr := NewFrameReader(conn)
-	from := graph.NodeID(-1)
+	var to *hostedSite
+	var from graph.NodeID
 	for {
 		block, err := fr.Next()
 		if err != nil {
@@ -266,41 +328,59 @@ func (t *NetTransport) readLoop(conn net.Conn) {
 			return
 		}
 		if Kind(block[1]) == kindHello {
-			id, k := binary.Varint(block[2:])
-			if k <= 0 || int(id) < 0 || int(id) >= t.topo.Len() {
+			if from, to = t.admit(block[2:]); to == nil {
 				return
 			}
-			from = graph.NodeID(id)
 			continue
 		}
-		if from < 0 {
+		if to == nil {
 			return // protocol frame before hello
 		}
 		p, err := decodePayload(Kind(block[1]), block[2:])
 		if err != nil {
 			return
 		}
-		src := from
-		t.inbox.Push(func() { t.handler(src, p) })
+		h, src := to.handler, from
+		to.inbox.Push(func() { h(src, p) })
 	}
+}
+
+// admit reads a hello body — the dialing site, then the dialed one — and
+// returns both when the link is admissible: the dialed site is hosted here
+// and the dialing site is its topology neighbour. A hello that names only
+// the dialing site, as older peers send, dials the site of a Listen
+// transport.
+func (t *NetTransport) admit(body []byte) (graph.NodeID, *hostedSite) {
+	from, k := binary.Varint(body)
+	if k <= 0 {
+		return 0, nil
+	}
+	to := int64(t.self)
+	if len(body) > k {
+		var n int
+		if to, n = binary.Varint(body[k:]); n <= 0 {
+			return 0, nil
+		}
+	}
+	if from < 0 || from >= int64(t.topo.Len()) {
+		return 0, nil
+	}
+	s := t.site(graph.NodeID(to))
+	if s == nil {
+		return 0, nil
+	}
+	if _, err := t.topo.EdgeDelay(graph.NodeID(from), graph.NodeID(to)); err != nil {
+		return 0, nil
+	}
+	return graph.NodeID(from), s
 }
 
 // Send implements simnet.Transport: encode, apply the fault injector, then
 // queue the frame on the clock for when the link delay has passed. On a
-// closed transport the message is silently dropped, mirroring the live
-// transport's drain semantics.
+// closed transport the message is silently dropped: a handler still running
+// when Close is called must be able to finish its send cascade without
+// panicking the protocol layer, whose Send errors are wiring bugs.
 func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
-	if from != t.self {
-		return fmt.Errorf("wire: send from %d on the transport of site %d", from, t.self)
-	}
-	delay, err := t.topo.EdgeDelay(from, to)
-	if err != nil {
-		return fmt.Errorf("wire: send %s from %d to non-neighbor %d", p.Kind(), from, to)
-	}
-	peer := t.peers[to]
-	if peer == nil || peer.addr == "" {
-		return fmt.Errorf("wire: no address for neighbor %d", to)
-	}
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -311,6 +391,17 @@ func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 		return fmt.Errorf("wire: transport not running")
 	}
 	t.mu.Unlock()
+	peer := t.peers[edge{from, to}]
+	if peer == nil {
+		if t.site(from) == nil {
+			return fmt.Errorf("wire: send from %d on a transport that does not host it", from)
+		}
+		return fmt.Errorf("wire: send %s from %d to non-neighbor %d", p.Kind(), from, to)
+	}
+	if peer.addr == "" {
+		return fmt.Errorf("wire: no address for neighbor %d", to)
+	}
+	delay := peer.delay
 	if inj := t.injector.Load(); inj != nil {
 		var dropped bool
 		if delay, dropped = inj.Perturb(from, to, t.Now(), delay); dropped {
@@ -322,7 +413,8 @@ func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 	if err != nil {
 		return err
 	}
-	t.stats.Record(p)
+	t.stats.RecordEdge(from, to, p)
+	t.pending.Add(1)
 	t.clock.PostTo(peer, t.wall(delay), frame)
 	return nil
 }
@@ -331,15 +423,46 @@ func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 // context after the scaled delay. The cancel handle holds the timer's id,
 // not fn.
 func (t *NetTransport) After(id graph.NodeID, delay float64, fn func()) simnet.CancelFunc {
-	if id != t.self {
-		panic(fmt.Sprintf("wire: After(%d) on the transport of site %d", id, t.self))
+	s := t.site(id)
+	if s == nil {
+		panic(fmt.Sprintf("wire: After(%d) on a transport that does not host it", id))
 	}
-	c := t.clock
-	ev := c.After(t.inbox, t.wall(delay), fn)
+	t.pending.Add(1)
+	ev := t.clock.After(s.inbox, t.wall(delay), fn)
 	return func() bool {
-		cancelled, _ := c.Cancel(ev)
+		cancelled, queued := t.clock.Cancel(ev)
+		if cancelled && !queued {
+			t.pending.Add(-1) // it never reaches the inbox, whose loop would settle it
+		}
 		return cancelled
 	}
+}
+
+// WaitIdle blocks until nothing is in flight on the transport — see the
+// package function — or the timeout elapses.
+func (t *NetTransport) WaitIdle(timeout time.Duration) bool { return WaitIdle(timeout, t) }
+
+// WaitIdle blocks until nothing is in flight across trs — no frame between
+// Send and the return of its handler, no timer still to run — or the
+// timeout elapses, and reports whether that quiescence was reached. A frame
+// is counted by the transport that sent it and settled by the one that
+// handled it, so pass every transport of the cluster.
+func WaitIdle(timeout time.Duration, trs ...*NetTransport) bool {
+	deadline := time.Now().Add(timeout)
+	stable := 0
+	for time.Now().Before(deadline) {
+		var n int64
+		for _, t := range trs {
+			n += t.pending.Load()
+		}
+		if n != 0 {
+			stable = 0
+		} else if stable++; stable >= 3 {
+			return true
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return false
 }
 
 // wall converts a virtual delay to wall-clock time.
@@ -390,7 +513,11 @@ func (t *NetTransport) Close() {
 	for _, p := range t.peers {
 		p.close()
 	}
-	t.inbox.Close()
+	for _, s := range t.sites {
+		if s != nil {
+			s.inbox.Close()
+		}
+	}
 	t.wg.Wait()
 	t.clock.Release()
 }
@@ -398,27 +525,28 @@ func (t *NetTransport) Close() {
 var _ simnet.Transport = (*NetTransport)(nil)
 
 // ---------------------------------------------------------------------------
-// Outbound peers
+// Outbound links
 
-// peerConn owns the outbound connection to one neighbor. It is the
-// simnet.Batcher of the neighbor's frames: the clock's dispatcher adds the
+// peerConn owns the outbound connection of one directed link. It is the
+// simnet.Batcher of the link's frames: the clock's dispatcher adds the
 // frames that come due at one wake and flushes them with one vectored write
 // (same-tick batching). Frames come due in (due time, send sequence) order,
-// so equal-delay frames keep their send order — per-link FIFO, like Live's
-// links; only differing delays (jitter) can reorder a link, which is the
-// documented fault semantics.
+// so equal-delay frames keep their send order — per-link FIFO; only
+// differing delays (jitter) can reorder a link, which is the documented
+// fault semantics.
 //
 // The dispatcher writes inline only while the connection is up and nothing
-// is queued ahead: otherwise it hands the batch to the peer's dialer
+// is queued ahead: otherwise it hands the batch to the link's dialer
 // goroutine, which dials with backoff and writes the backlog in order. An
 // inline write is bounded by inlineWriteLimit, so a peer that stops reading
 // costs the dispatcher at most that once; its connection is then dropped
 // and the batch handed over.
 type peerConn struct {
-	hello      graph.NodeID // the owning transport's site, sent as the hello
+	owner      *NetTransport
+	from, to   graph.NodeID // the link; the hello names both
+	delay      float64      // the link's delay in virtual units
 	addr       string
 	maxBackoff time.Duration
-	stats      *simnet.Stats
 	rng        *rand.Rand // backoff jitter; only the dialer draws
 
 	mu      sync.Mutex
@@ -513,9 +641,12 @@ func (p *peerConn) handOff() {
 	p.drop(dropped)
 }
 
+// drop discards n of the link's frames: each counts as a dropped traversal
+// and is no longer in flight.
 func (p *peerConn) drop(n int) {
+	p.owner.pending.Add(int64(-n))
 	for ; n > 0; n-- {
-		p.stats.Drop()
+		p.owner.stats.Drop()
 	}
 }
 
@@ -609,8 +740,8 @@ func (p *peerConn) write(batch [][]byte, scratch *net.Buffers) {
 			if tc, ok := c.(*net.TCPConn); ok {
 				tc.SetNoDelay(true)
 			}
-			// Identify ourselves before any protocol frame.
-			hello := helloFrame(p.hello)
+			// Name the link before any protocol frame.
+			hello := helloFrame(p.from, p.to)
 			if _, err := c.Write(hello); err != nil {
 				c.Close()
 				if fail() {
@@ -671,12 +802,15 @@ func (p *peerConn) sleepClosed(d time.Duration) bool {
 	}
 }
 
-func helloFrame(self graph.NodeID) []byte {
+// helloFrame names a link: the dialing site, then the dialed one. A decoder
+// that reads only the dialing site ignores the rest of the body.
+func helloFrame(from, to graph.NodeID) []byte {
 	e := enc{}
 	e.b = append(e.b, 0, 0, 0, 0)
 	e.u8(Version)
 	e.kind(kindHello)
-	e.varint(int64(self))
+	e.varint(int64(from))
+	e.varint(int64(to))
 	n := len(e.b) - 4
 	binary.LittleEndian.PutUint32(e.b[:4], uint32(n))
 	return e.b

@@ -174,7 +174,7 @@ func startNetCluster(t *testing.T, topo *graph.Graph, cfg core.Config, scale tim
 	}
 }
 
-// liveFriendly returns the configuration both wall-clock transports run:
+// liveFriendly returns the configuration wall-clock clusters run:
 // generous slack, because real message handling takes real time. The phase
 // windows close early once every answer arrives, so on a healthy cluster
 // the large slack costs nothing — it only keeps a socket-latency straggler
@@ -207,11 +207,11 @@ func testWorkload(t *testing.T, topo *graph.Graph, horizon float64, seed int64) 
 // marginRobustWorkload draws a workload whose decisions do not depend on
 // sub-unit timing: deadlines are either loose (tightness 5 — comfortably
 // schedulable, locally or distributed) or infeasible (tightness 0.4 —
-// below the critical path, rejected by every scheduler). Wall-clock
-// transports cannot pin razor-edge decisions — two runs of the *live*
-// transport disagree on them — so the transport-equivalence claim is made
-// where it is meaningful: every decision with a real margin. The DES suite
-// pins the razor's edge deterministically.
+// below the critical path, rejected by every scheduler). A wall-clock
+// cluster cannot pin razor-edge decisions — two of its runs disagree on
+// them — so the transport-equivalence claim is made where it is
+// meaningful: every decision with a real margin. The DES suite pins the
+// razor's edge deterministically.
 func marginRobustWorkload(t *testing.T, topo *graph.Graph, horizon float64, seed int64) []workload.Arrival {
 	t.Helper()
 	spec := workload.Spec{
@@ -295,16 +295,16 @@ func netOutcomes(nodes []*core.Node, arrivals []workload.Arrival) []core.JobStat
 	return out
 }
 
-// TestNetClusterMatchesLiveDecisions is the headline proof of the wire
+// TestNetClusterMatchesDESDecisions is the headline proof of the wire
 // layer: an N-process-shaped cluster (one core.Node per site, real TCP
-// between them) reaches the same same-seed decisions as the in-process
-// live transport.
-func TestNetClusterMatchesLiveDecisions(t *testing.T) {
+// between them) reaches the same same-seed decisions as the deterministic
+// DES cluster on every arrival with a real margin.
+func TestNetClusterMatchesDESDecisions(t *testing.T) {
 	topo := graph.RandomConnected(8, 3, graph.DelayRange{Min: 0.05, Max: 0.3}, 1)
 	cfg := liveFriendly()
 	// 2ms per virtual unit keeps loopback socket latency (~0.1ms) small
-	// against the protocol's decision margins, so both wall-clock
-	// transports resolve every job the same way the DES would.
+	// against the protocol's decision margins, so the TCP cluster resolves
+	// every job the way the DES does.
 	scale := 2 * time.Millisecond
 	arrivals := marginRobustWorkload(t, topo, 80, 7)
 	if len(arrivals) < 5 {
@@ -324,27 +324,26 @@ func TestNetClusterMatchesLiveDecisions(t *testing.T) {
 	}
 	netStatus := netOutcomes(nodes, arrivals)
 
-	// In-process live reference, same seed, same arrivals.
-	lc, err := core.NewLiveCluster(topo, cfg, scale)
+	// DES reference, same seed, same arrivals.
+	des, err := core.NewCluster(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lc.Close()
 	for _, a := range arrivals {
-		if _, err := lc.Submit(a.At, a.Origin, a.Graph, a.Deadline); err != nil {
+		if _, err := des.Submit(a.At, a.Origin, a.Graph, a.Deadline); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !lc.Wait(120 * time.Second) {
-		t.Fatal("live cluster did not quiesce")
+	if err := des.Run(); err != nil {
+		t.Fatal(err)
 	}
-	liveStatus := lc.JobStatuses()
+	desStatus := des.JobStatuses()
 
 	// Same decisions, arrival by arrival.
 	for i := range arrivals {
-		if netStatus[i].Outcome != liveStatus[i].Outcome {
-			t.Errorf("arrival %d (origin %d): TCP decided %v, live decided %v",
-				i, arrivals[i].Origin, netStatus[i].Outcome, liveStatus[i].Outcome)
+		if netStatus[i].Outcome != desStatus[i].Outcome {
+			t.Errorf("arrival %d (origin %d): TCP decided %v, DES decided %v",
+				i, arrivals[i].Origin, netStatus[i].Outcome, desStatus[i].Outcome)
 		}
 	}
 

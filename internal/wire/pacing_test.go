@@ -178,7 +178,7 @@ func TestPeerEarlierFrameRearms(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond) // the clock waits for "late" now
 		start := time.Now()
-		trs[0].clock.PostTo(trs[0].peers[1], 200*time.Microsecond, early)
+		trs[0].clock.PostTo(trs[0].peers[edge{0, 1}], 200*time.Microsecond, early)
 		if m := recv(); m.Job != "early" {
 			t.Fatalf("round %d: %q arrived first, want early", i, m.Job)
 		}

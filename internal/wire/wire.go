@@ -53,7 +53,8 @@ const MaxJobJSON = 8 * MaxFrame
 type Kind byte
 
 // Message kinds. Kind 0 is reserved for the transport's hello frame, which
-// identifies the dialing site and never reaches the protocol layer.
+// names the link (the dialing site, then the dialed one) and never reaches
+// the protocol layer.
 const (
 	kindHello Kind = iota
 	kindRouted

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/scheme"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -19,7 +20,7 @@ type (
 	// Cluster is a simulated network of RTDS sites (deterministic
 	// discrete-event time).
 	Cluster = core.Cluster
-	// LiveCluster runs the same protocol on real goroutines and channels.
+	// LiveCluster runs the same protocol in real time over loopback TCP.
 	LiveCluster = core.LiveCluster
 	// Config tunes a cluster; start from DefaultConfig.
 	Config = core.Config
@@ -136,10 +137,15 @@ func NewCluster(topo *Network, cfg Config) (*Cluster, error) {
 	return core.NewCluster(topo, cfg)
 }
 
-// NewLiveCluster is NewCluster on the goroutine-backed transport; scale is
-// the wall-clock duration of one virtual time unit.
+// NewLiveCluster is NewCluster in real time on the deployed transport: every
+// site in this process, each link a loopback TCP connection carrying the
+// wire codec. scale is the wall-clock duration of one virtual time unit.
 func NewLiveCluster(topo *Network, cfg Config, scale time.Duration) (*LiveCluster, error) {
-	return core.NewLiveCluster(topo, cfg, scale)
+	tr, err := wire.ListenLocal(topo, scale)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewLiveCluster(topo, cfg, tr)
 }
 
 // NewNetwork returns an empty topology with n sites; join sites with

@@ -12,14 +12,15 @@
 #                                               # the churn acceptance run
 #
 # The acceptance run uses a margin-robust workload (clearly feasible or
-# clearly infeasible deadlines): wall-clock transports cannot pin decisions
-# whose margin is below scheduling noise — two runs of the in-process live
-# transport disagree on those — so "identical decisions" is demonstrated
-# where it is well-defined. The DES suite pins razor-edge decisions. The
-# 8-site, 600-job run at seed 1 still holds two such jobs (arrivals 245
-# and 458): both transports charge the link delays the DES charges, the
-# DES accepts 245 and rejects 458 by less than scheduling noise, and the run
-# can miss 1.0 by one of them. The nightly 3-site, 150-job run holds none.
+# clearly infeasible deadlines): wall-clock runs cannot pin decisions whose
+# margin is below scheduling noise — two runs of the in-process live cluster
+# disagree on those — so "identical decisions" is demonstrated where it is
+# well-defined. The DES suite pins razor-edge decisions. The 8-site, 600-job
+# run at seed 1 still holds two such jobs (arrivals 245 and 458): the
+# processes and the in-process replay run the same TCP transport, which
+# charges the link delays the DES charges, the DES accepts 245 and rejects
+# 458 by less than scheduling noise, and the run can miss 1.0 by one of
+# them. The nightly 3-site, 150-job run holds none.
 #
 # CHURN=1 exercises dynamic membership: mid-run, one node (VICTIM, default
 # the last site) is SIGKILLed — no goodbye, its in-flight jobs die with it —
