@@ -1,142 +1,49 @@
 // Command rtds-lint machine-checks the repository's determinism and
-// protocol invariants with seven project-specific analyzers: the
-// per-package detclock, mapiter, exhaustive, and sendunderlock, and the
-// whole-program lockorder, hotalloc, and spawncheck (see
-// internal/analysis/... for what each enforces and why).
+// protocol invariants with six project-specific analyzers: detclock,
+// mapiter, exhaustive, lockorder, hotalloc and spawncheck (see
+// internal/analysis/... for what each enforces and why, and
+// internal/analysis/rtdslint for which packages each polices).
 //
-// Standalone:
+// Usage:
 //
-//	rtds-lint ./...
-//	rtds-lint -json ./...       # machine-readable diagnostics
-//	rtds-lint -hierarchy ./...  # print the derived lock hierarchy
+//	rtds-lint <packages>   # e.g. rtds-lint ./...
 //
-// As a vet tool (per-package analyzers only — vet schedules one package
-// per process, so the whole-program checks cannot run there):
-//
-//	go build -o bin/rtds-lint ./cmd/rtds-lint
-//	go vet -vettool=$PWD/bin/rtds-lint ./...
+// Diagnostics go to stderr, one per line, as
+// file:line:col: message [analyzer] — the shape CI's problem matcher
+// (.github/rtds-lint-problem-matcher.json) turns into annotations.
 //
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/token"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/rtdslint"
 )
 
 func main() {
-	args := os.Args[1:]
-	if isVettoolInvocation(args) {
-		analysis.UnitcheckerMain("rtds-lint", rtdslint.Suite(), rtdslint.AppliesTo, args)
-		return // unreachable; UnitcheckerMain exits
-	}
-
-	flags := flag.NewFlagSet("rtds-lint", flag.ExitOnError)
-	jsonOut := flags.Bool("json", false, "emit diagnostics as JSON on stdout")
-	hierarchy := flags.Bool("hierarchy", false, "print the derived lock hierarchy instead of linting")
-	flags.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: rtds-lint [-json] [-hierarchy] <packages>   (e.g. rtds-lint ./...)")
-		flags.PrintDefaults()
-	}
-	_ = flags.Parse(args)
-	patterns := flags.Args()
-	if len(patterns) == 0 {
-		flags.Usage()
+	patterns := os.Args[1:]
+	isFlag := func(arg string) bool { return strings.HasPrefix(arg, "-") }
+	if len(patterns) == 0 || slices.ContainsFunc(patterns, isFlag) {
+		fmt.Fprintln(os.Stderr, "usage: rtds-lint <packages>   (e.g. rtds-lint ./...)")
 		os.Exit(1)
 	}
-
 	pkgs, err := analysis.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtds-lint:", err)
 		os.Exit(1)
 	}
-
-	if *hierarchy {
-		printHierarchy(pkgs)
-		return
-	}
-
 	diags, fset, err := analysis.RunPackages(rtdslint.Suite(), rtdslint.AppliesTo, ".", pkgs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rtds-lint:", err)
 		os.Exit(1)
 	}
-	if *jsonOut {
-		printJSON(fset, diags)
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		return
-	}
 	if len(diags) > 0 {
 		analysis.PrintDiagnostics(os.Stderr, fset, diags)
 		os.Exit(2)
 	}
-}
-
-// printHierarchy derives and prints the canonical lock hierarchy over the
-// lockorder-scoped subset of the loaded packages.
-func printHierarchy(pkgs []*analysis.Package) {
-	var scoped []*analysis.Package
-	for _, p := range pkgs {
-		if rtdslint.AppliesTo(lockorder.Analyzer, p.ImportPath) {
-			scoped = append(scoped, p)
-		}
-	}
-	if len(scoped) == 0 {
-		fmt.Fprintln(os.Stderr, "rtds-lint: no lockorder-scoped packages in the load")
-		os.Exit(1)
-	}
-	classes := lockorder.Hierarchy(scoped[0].Fset, scoped)
-	if len(classes) == 0 {
-		fmt.Println("lock hierarchy is empty: the discipline is flat — no lock is ever acquired while another is held")
-		return
-	}
-	for i, class := range classes {
-		fmt.Printf("%2d. %s\n", i+1, class)
-	}
-}
-
-// jsonDiagnostic is the -json output shape, one object per finding.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-	Analyzer string `json:"analyzer"`
-}
-
-func printJSON(fset *token.FileSet, diags []analysis.Diagnostic) {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		jd := jsonDiagnostic{Message: d.Message, Analyzer: d.Analyzer}
-		if fset != nil && d.Pos.IsValid() {
-			p := fset.Position(d.Pos)
-			jd.File, jd.Line, jd.Column = p.Filename, p.Line, p.Column
-		}
-		out = append(out, jd)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, "rtds-lint:", err)
-		os.Exit(1)
-	}
-}
-
-// isVettoolInvocation recognizes the three argument shapes the go command
-// uses when driving a vettool; anything else is a human.
-func isVettoolInvocation(args []string) bool {
-	if len(args) != 1 {
-		return false
-	}
-	return args[0] == "-V=full" || args[0] == "-flags" || strings.HasSuffix(args[0], ".cfg")
 }

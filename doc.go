@@ -89,7 +89,7 @@
 // # Static analysis
 //
 // The determinism and protocol invariants the packages above rely on are
-// machine-checked by cmd/rtds-lint (internal/analysis): seven
+// machine-checked by cmd/rtds-lint (internal/analysis): six
 // project-specific analyzers, listed in docs/architecture.md ("Static
 // analysis"). CI fails on any finding; exceptions are annotated in the
 // source with //lint:allow <check> -- <justification>.

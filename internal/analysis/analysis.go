@@ -1,16 +1,21 @@
 // Package analysis is the repo's static-analysis layer: a minimal,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) plus the machinery the four
+// vocabulary (Analyzer, Pass, Diagnostic) plus the machinery the six
 // rtds-lint analyzers share — a go-list-driven package loader with full type
-// information (load.go), a standalone runner (run.go), the `go vet -vettool`
-// unit-checker protocol (unitchecker.go), and the //lint:allow escape-hatch
-// grammar implemented here.
+// information (load.go), the runner (run.go), and the //lint:allow
+// escape-hatch grammar implemented here.
 //
 // The x/tools module is deliberately not a dependency: the checks live and
 // die with this repository, and everything they need — parsing, type
 // checking, export data — ships in the standard library. The Analyzer/Pass
-// shape is kept compatible enough that porting to the real go/analysis
-// framework later is a rename, not a rewrite.
+// shape is kept close enough to x/tools that porting to the real
+// go/analysis framework later is mostly a rename.
+//
+// Every analyzer has one shape: its Run is called once with every package
+// its scope admits. Per-file checks (detclock, mapiter, exhaustive) loop
+// over those packages themselves; whole-program checks (lockorder,
+// hotalloc, spawncheck) build a call graph across them
+// (internal/analysis/callgraph).
 //
 // # Escape hatches
 //
@@ -19,15 +24,15 @@
 //
 //	//lint:allow <escape> -- <justification>
 //
-// or for a whole file (the live/TCP side of a mixed package, say):
+// or for a whole file (the wall-clock timer queue in a deterministic
+// package, say):
 //
 //	//lint:file-allow <escape> -- <justification>
 //
 // <escape> is the analyzer's escape token: wallclock (detclock), mapiter,
-// exhaustive, sendunderlock, lockorder, hotalloc, spawncheck. The runner
-// rejects malformed escapes — an unknown token or a missing justification
-// is itself a diagnostic — so an exception cannot be waved through
-// silently.
+// exhaustive, lockorder, hotalloc, spawncheck. The runner rejects
+// malformed escapes — an unknown token or a missing justification is
+// itself a diagnostic — so an exception cannot be waved through silently.
 //
 // A second directive declares hot-path roots for the hotalloc analyzer, on
 // the line directly above (or the doc comment of) a function declaration:
@@ -43,28 +48,22 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"regexp"
 	"strings"
 )
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and CLI flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description shown by rtds-lint -help.
+	// Doc is the one-paragraph description of what the check enforces.
 	Doc string
 	// Escape is the token accepted by //lint:allow comments. Defaults to
 	// Name; detclock uses "wallclock" (the escape names the forbidden
 	// thing, not the checker).
 	Escape string
-	// Run executes the check over one package. Exactly one of Run and
-	// RunProgram is set.
+	// Run executes the check once over every package its scope admits.
 	Run func(*Pass) error
-	// RunProgram executes the check once over every package of the load —
-	// the whole-program analyzers (lockorder, hotalloc, spawncheck) that
-	// follow calls across package boundaries. See program.go.
-	RunProgram func(*ProgramPass) error
 }
 
 // EscapeToken returns the analyzer's escape-hatch token.
@@ -82,17 +81,29 @@ type Diagnostic struct {
 	Analyzer string
 }
 
-// A Pass provides one analyzer run with a single type-checked package and
-// collects its diagnostics.
+// A Pass provides one analyzer run with the type-checked packages in its
+// scope and collects its diagnostics. Packages share Fset and are sorted by
+// import path (Load guarantees both).
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
+	Analyzer *Analyzer
+	// Dir is the directory the load ran in (the module root for
+	// `rtds-lint ./...`); analyzers that shell out to the go tool (the
+	// hotalloc escape-analysis cross-check) run it there.
+	Dir      string
+	Fset     *token.FileSet
+	Packages []*Package
 
 	diagnostics []Diagnostic
 	allows      *allowIndex
+}
+
+// Files returns every file of every package, in package order.
+func (p *Pass) Files() []*ast.File {
+	var out []*ast.File
+	for _, pkg := range p.Packages {
+		out = append(out, pkg.Files...)
+	}
+	return out
 }
 
 // Reportf records a diagnostic at pos unless an escape comment allows it.
@@ -112,7 +123,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // allow on the same line or the line directly above.
 func (p *Pass) Allowed(pos token.Pos) bool {
 	if p.allows == nil {
-		p.allows = indexAllows(p.Fset, p.Files)
+		p.allows = indexAllows(p.Fset, p.Files())
 	}
 	return p.allows.allowed(p.Fset, pos, p.Analyzer.EscapeToken())
 }

@@ -36,7 +36,7 @@ var d int
 //lint:file-allow wallclock -- whole file is on the live side
 var e int
 `)
-	diags := CheckEscapes(fset, files, []string{"wallclock", "mapiter", "exhaustive", "sendunderlock"})
+	diags := CheckEscapes(fset, files, []string{"wallclock", "mapiter", "exhaustive", "lockorder"})
 	if len(diags) != 3 {
 		t.Fatalf("got %d diagnostics, want 3: %v", len(diags), diags)
 	}
@@ -65,7 +65,7 @@ func f() {
 }
 `)
 	a := &Analyzer{Name: "mapiter", Run: func(*Pass) error { return nil }}
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files}
+	pass := &Pass{Analyzer: a, Fset: fset, Packages: []*Package{{Fset: fset, Files: files}}}
 	// Reportf at each g() call; only the unescaped middle one survives.
 	ast.Inspect(files[0], func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -90,7 +90,7 @@ func f() { g() }
 func h() { g() }
 `)
 	a := &Analyzer{Name: "detclock", Escape: "wallclock", Run: func(*Pass) error { return nil }}
-	pass := &Pass{Analyzer: a, Fset: fset, Files: files}
+	pass := &Pass{Analyzer: a, Fset: fset, Packages: []*Package{{Fset: fset, Files: files}}}
 	ast.Inspect(files[0], func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			pass.Reportf(call.Pos(), "flagged")

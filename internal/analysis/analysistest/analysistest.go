@@ -32,27 +32,15 @@ import (
 	"repro/internal/analysis"
 )
 
-// Run loads the Go files in dir as one package, applies the analyzer, and
-// reports mismatches against the // want comments through t.
+// Run loads the Go files in dir as one package, applies the analyzer to
+// it, and reports mismatches against the // want comments through t. dir
+// doubles as Pass.Dir, so an analyzer that shells out to the go tool
+// (hotalloc's escape-analysis cross-check) runs it over the fixture
+// sources.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	pkg, fset, files := load(t, dir)
-	diags, err := analysis.RunForTest(a, pkg)
-	if err != nil {
-		t.Fatalf("analysistest: %v", err)
-	}
-	check(t, fset, files, diags)
-}
-
-// RunProgram loads the Go files in dir as one package and applies a
-// whole-program analyzer (Analyzer.RunProgram) to it as a single-package
-// program, checking // want comments exactly as Run does. dir doubles as
-// Program.Dir, so an analyzer that shells out to the go tool (hotalloc's
-// escape-analysis cross-check) runs it over the fixture sources.
-func RunProgram(t *testing.T, a *analysis.Analyzer, dir string) {
-	t.Helper()
-	pkg, fset, files := load(t, dir)
-	diags, err := analysis.RunProgramForTest(a, dir, pkg)
+	diags, err := analysis.RunForTest(a, dir, pkg)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}

@@ -3,7 +3,7 @@ package callgraph
 // The body walker. One pass per function builds both halves of the node:
 // outgoing edges (static calls, CHA-resolved interface calls, function
 // values) and the lock summary (acquisitions with held sets, held sets on
-// call edges). Held-set tracking follows the sendunderlock model: locks are
+// call edges). Held-set tracking is intra-procedural: locks are
 // interpreted sequentially through the statement list, nested control flow
 // gets a copy of the set, a deferred Unlock keeps the lock held to the end
 // of the body, and go/defer bodies inherit nothing.

@@ -10,14 +10,14 @@
 // are banned; seeded *rand.Rand values (rand.New(rand.NewSource(seed)))
 // are the sanctioned randomness and pass untouched.
 //
-// Live/TCP code that legitimately lives in a deterministic package (the
-// wall-clock transport half of internal/simnet, wall-time measurement in
-// the experiment harness) escapes with
+// Wall-clock code that legitimately lives in a deterministic package (the
+// process's timer queue in internal/simnet/clock.go, wall-time measurement
+// in the experiment harness) escapes with
 //
 //	//lint:allow wallclock -- <justification>
 //
-// or a file-scoped //lint:file-allow for files that are wholly on the live
-// side.
+// or a file-scoped //lint:file-allow for files that are wholly on the
+// wall clock.
 package detclock
 
 import (
@@ -59,37 +59,39 @@ var allowedRand = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for ident, obj := range pass.TypesInfo.Uses {
-		pkg := obj.Pkg()
-		if pkg == nil {
-			continue
-		}
-		switch pkg.Path() {
-		case "time":
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Type().(*types.Signature).Recv() != nil {
+	for _, p := range pass.Packages {
+		for ident, obj := range p.TypesInfo.Uses {
+			pkg := obj.Pkg()
+			if pkg == nil {
 				continue
 			}
-			if forbiddenTime[fn.Name()] {
+			switch pkg.Path() {
+			case "time":
+				fn, ok := obj.(*types.Func)
+				if !ok || fn.Type().(*types.Signature).Recv() != nil {
+					continue
+				}
+				if forbiddenTime[fn.Name()] {
+					pass.Reportf(ident.Pos(),
+						"wall-clock time.%s in a deterministic package: derive time from the simulation engine (Transport.Now/After)",
+						fn.Name())
+				}
+			case "math/rand", "math/rand/v2":
+				fn, ok := obj.(*types.Func)
+				if !ok || fn.Type().(*types.Signature).Recv() != nil {
+					continue // methods on *rand.Rand are seeded-source draws
+				}
+				if !allowedRand[fn.Name()] {
+					pass.Reportf(ident.Pos(),
+						"global rand.%s in a deterministic package: draw from a seeded *rand.Rand (rand.New(rand.NewSource(seed)))",
+						fn.Name())
+				}
+			case "crypto/rand":
+				// Everything in crypto/rand is OS entropy; even the package
+				// variables (rand.Reader) are forbidden.
 				pass.Reportf(ident.Pos(),
-					"wall-clock time.%s in a deterministic package: derive time from the simulation engine (Transport.Now/After)",
-					fn.Name())
+					"crypto/rand.%s in a deterministic package: OS entropy can never be replayed from a seed", obj.Name())
 			}
-		case "math/rand", "math/rand/v2":
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Type().(*types.Signature).Recv() != nil {
-				continue // methods on *rand.Rand are seeded-source draws
-			}
-			if !allowedRand[fn.Name()] {
-				pass.Reportf(ident.Pos(),
-					"global rand.%s in a deterministic package: draw from a seeded *rand.Rand (rand.New(rand.NewSource(seed)))",
-					fn.Name())
-			}
-		case "crypto/rand":
-			// Everything in crypto/rand is OS entropy; even the package
-			// variables (rand.Reader) are forbidden.
-			pass.Reportf(ident.Pos(),
-				"crypto/rand.%s in a deterministic package: OS entropy can never be replayed from a seed", obj.Name())
 		}
 	}
 	return nil

@@ -42,21 +42,23 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sw, ok := n.(*ast.SwitchStmt)
-			if !ok || sw.Tag == nil {
+	for _, pkg := range pass.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sw, ok := n.(*ast.SwitchStmt)
+				if !ok || sw.Tag == nil {
+					return true
+				}
+				checkSwitch(pass, pkg, sw)
 				return true
-			}
-			checkSwitch(pass, sw)
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
-func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
-	tv, ok := pass.TypesInfo.Types[sw.Tag]
+func checkSwitch(pass *analysis.Pass, pkg *analysis.Package, sw *ast.SwitchStmt) {
+	tv, ok := pkg.TypesInfo.Types[sw.Tag]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -78,15 +80,15 @@ func checkSwitch(pass *analysis.Pass, sw *ast.SwitchStmt) {
 			continue
 		}
 		for _, e := range cc.List {
-			if v := pass.TypesInfo.Types[e].Value; v != nil {
+			if v := pkg.TypesInfo.Types[e].Value; v != nil {
 				covered[v.ExactString()] = true
 			}
 		}
 	}
 
 	typeName := named.Obj().Name()
-	if pkg := named.Obj().Pkg(); pkg != nil && pkg != pass.Pkg {
-		typeName = pkg.Name() + "." + typeName
+	if p := named.Obj().Pkg(); p != nil && p != pkg.Types {
+		typeName = p.Name() + "." + typeName
 	}
 
 	if defaultClause != nil {

@@ -34,13 +34,13 @@ type escapeMark struct {
 // escapeRe matches one compiler diagnostic line: file:line:col: message.
 var escapeRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.*)$`)
 
-// escapeFacts builds the per-line escape index for the program's packages.
-func escapeFacts(prog *analysis.Program) (map[lineKey]escapeMark, error) {
+// escapeFacts builds the per-line escape index for the pass's packages.
+func escapeFacts(pass *analysis.Pass) (map[lineKey]escapeMark, error) {
 	args := []string{"build", "-gcflags=-m"}
 	var pats []string
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pass.Packages {
 		if pkg.Dir == "" {
-			// A standalone fixture package (analysistest): the program
+			// A standalone fixture package (analysistest): the pass
 			// directory is the package directory.
 			pats = []string{"."}
 			break
@@ -48,7 +48,7 @@ func escapeFacts(prog *analysis.Program) (map[lineKey]escapeMark, error) {
 		pats = append(pats, pkg.Dir)
 	}
 	cmd := exec.Command("go", append(args, pats...)...)
-	cmd.Dir = prog.Dir
+	cmd.Dir = pass.Dir
 	// The compiler prints -m diagnostics on stderr, mixed with package
 	// headers ("# repro/internal/wire") and inlining notes.
 	out, err := cmd.CombinedOutput()
@@ -70,7 +70,7 @@ func escapeFacts(prog *analysis.Program) (map[lineKey]escapeMark, error) {
 		}
 		file := m[1]
 		if !filepath.IsAbs(file) {
-			file = filepath.Join(prog.Dir, file)
+			file = filepath.Join(pass.Dir, file)
 		}
 		if abs, absErr := filepath.Abs(file); absErr == nil {
 			file = abs

@@ -54,7 +54,7 @@ var Analyzer = &analysis.Analyzer{
 	Escape: "hotalloc",
 	Doc: "forbid heap allocations reachable from //lint:hotpath roots, " +
 		"cross-checked against go build -gcflags=-m escape analysis",
-	RunProgram: run,
+	Run: run,
 }
 
 // A candidate is one potential allocation site found in hot code.
@@ -66,11 +66,10 @@ type candidate struct {
 	confirm bool
 }
 
-func run(pass *analysis.ProgramPass) error {
-	prog := pass.Prog
-	g := callgraph.Build(prog.Fset, prog.Packages)
+func run(pass *analysis.Pass) error {
+	g := callgraph.Build(pass.Fset, pass.Packages)
 
-	roots := hotpathRoots(g, prog)
+	roots := hotpathRoots(g, pass.Packages)
 	if len(roots) == 0 {
 		return nil
 	}
@@ -94,7 +93,7 @@ func run(pass *analysis.ProgramPass) error {
 	}
 	callgraph.SortNodes(hot)
 
-	escapes, err := escapeFacts(prog)
+	escapes, err := escapeFacts(pass)
 	if err != nil {
 		return fmt.Errorf("escape-analysis cross-check: %v", err)
 	}
@@ -107,14 +106,14 @@ func run(pass *analysis.ProgramPass) error {
 		// still reports their argument boxing; cover their lines so the gap
 		// check below does not re-surface what the exemption waived.
 		for _, span := range exempt {
-			from := position(prog.Fset, span.from).Line
-			to := position(prog.Fset, span.to).Line
+			from := position(pass.Fset, span.from).Line
+			to := position(pass.Fset, span.to).Line
 			for line := from; line <= to; line++ {
 				lines[line] = true
 			}
 		}
 		for _, c := range cands {
-			p := position(prog.Fset, c.pos)
+			p := position(pass.Fset, c.pos)
 			lines[p.Line] = true
 			marks := escapes[lineKey{p.Filename, p.Line}]
 			switch {
@@ -135,8 +134,8 @@ func run(pass *analysis.ProgramPass) error {
 		if body == nil {
 			continue
 		}
-		start := position(prog.Fset, body.Pos())
-		end := position(prog.Fset, body.End())
+		start := position(pass.Fset, body.Pos())
+		end := position(pass.Fset, body.End())
 		var gapLines []int
 		for key, mark := range escapes {
 			if !mark.heap || key.file != start.Filename {
@@ -150,7 +149,7 @@ func run(pass *analysis.ProgramPass) error {
 		sort.Ints(gapLines)
 		for _, line := range gapLines {
 			mark := escapes[lineKey{start.Filename, line}]
-			pass.Reportf(posOnLine(prog.Fset, body, line),
+			pass.Reportf(posOnLine(pass.Fset, body, line),
 				"compiler reports %q on the hot path (reachable from %s) but hotalloc has no allocation candidate here — the two views must agree",
 				mark.msg, root)
 		}
@@ -159,9 +158,9 @@ func run(pass *analysis.ProgramPass) error {
 }
 
 // hotpathRoots maps //lint:hotpath-marked declarations to graph nodes.
-func hotpathRoots(g *callgraph.Graph, prog *analysis.Program) []*callgraph.Node {
+func hotpathRoots(g *callgraph.Graph, pkgs []*analysis.Package) []*callgraph.Node {
 	var roots []*callgraph.Node
-	for _, pkg := range prog.Packages {
+	for _, pkg := range pkgs {
 		for _, fd := range analysis.HotpathFuncs(pkg.Fset, pkg.Files) {
 			if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				if n := g.NodeOf(obj); n != nil {

@@ -7,9 +7,9 @@ import (
 )
 
 func TestHotalloc(t *testing.T) {
-	analysistest.RunProgram(t, Analyzer, analysistest.Dir("hot"))
+	analysistest.Run(t, Analyzer, analysistest.Dir("hot"))
 }
 
 func TestAllowSilences(t *testing.T) {
-	analysistest.RunProgram(t, Analyzer, analysistest.Dir("allowhot"))
+	analysistest.Run(t, Analyzer, analysistest.Dir("allowhot"))
 }

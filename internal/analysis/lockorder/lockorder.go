@@ -3,8 +3,8 @@
 // deadlock between two goroutines.
 //
 // The analysis is whole-program. It builds the call graph of the scoped
-// packages (internal/core, internal/simnet, internal/wire — the heaviest
-// lock users), composes each function's lock summary transitively, and
+// packages (every internal package outside the linter itself), composes
+// each function's lock summary transitively, and
 // records an ordered pair A -> B whenever some execution acquires class B
 // while class A is held — directly in one body, or because a call made
 // under A reaches a function that acquires B. A cycle among the ordered
@@ -20,9 +20,10 @@
 // per goroutine, so the precision loss is free today.
 //
 // The same machinery derives the canonical lock hierarchy — the
-// topological order of the acquisition graph — surfaced by
-// `rtds-lint -hierarchy` and recorded in this file's doc so the tool and
-// the humans agree on it (a doc test keeps the two in sync).
+// topological order of the acquisition graph — recorded as
+// DocumentedHierarchy (doc.go) so the tool and the humans agree on it:
+// TestDocumentedHierarchyMatchesDerived keeps the two in sync and prints
+// the derived list when they part.
 //
 // A justified exception carries //lint:allow lockorder -- <why> on the
 // acquisition (or call) line that completes the cycle.
@@ -44,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "report mutex classes acquired in inconsistent order across the " +
 		"whole program (potential AB/BA deadlock) and derive the canonical " +
 		"lock hierarchy",
-	RunProgram: run,
+	Run: run,
 }
 
 // An orderEdge is one ordered acquisition pair with its first witness.
@@ -57,8 +58,8 @@ type orderEdge struct {
 	via string
 }
 
-func run(pass *analysis.ProgramPass) error {
-	g := callgraph.Build(pass.Prog.Fset, pass.Prog.Packages)
+func run(pass *analysis.Pass) error {
+	g := callgraph.Build(pass.Fset, pass.Packages)
 	edges := orderEdges(g)
 	for _, e := range cycleEdges(edges) {
 		cycle := e.from + " -> " + e.to

@@ -53,40 +53,43 @@ var messagePathNames = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+	for _, pkg := range pass.Packages {
+		info := pkg.TypesInfo
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				tv, ok := info.Types[rs.X]
+				if !ok || tv.Type == nil {
+					return true
+				}
+				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if sink := findSink(info, rs.Body); sink != "" {
+					pass.Reportf(rs.For,
+						"range over map reaches order-sensitive sink (%s): iterate determinism.SortedKeys / OrderedRange for a stable order",
+						sink)
+				}
 				return true
-			}
-			tv, ok := pass.TypesInfo.Types[rs.X]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if sink := findSink(pass, rs.Body); sink != "" {
-				pass.Reportf(rs.For,
-					"range over map reaches order-sensitive sink (%s): iterate determinism.SortedKeys / OrderedRange for a stable order",
-					sink)
-			}
-			return true
-		})
+			})
+		}
 	}
 	return nil
 }
 
 // findSink walks a range body and names the first order-sensitive sink it
 // finds, or returns "".
-func findSink(pass *analysis.Pass, body *ast.BlockStmt) (sink string) {
+func findSink(info *types.Info, body *ast.BlockStmt) (sink string) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if sink != "" {
 			return false
 		}
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if s := assignSink(pass, n); s != "" {
+			if s := assignSink(info, n); s != "" {
 				sink = s
 				return false
 			}
@@ -101,18 +104,18 @@ func findSink(pass *analysis.Pass, body *ast.BlockStmt) (sink string) {
 	return sink
 }
 
-func assignSink(pass *analysis.Pass, as *ast.AssignStmt) string {
+func assignSink(info *types.Info, as *ast.AssignStmt) string {
 	switch as.Tok {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		for _, lhs := range as.Lhs {
-			if isFloat(pass, lhs) {
+			if isFloat(info, lhs) {
 				return "float accumulation"
 			}
 		}
 	case token.ASSIGN, token.DEFINE:
 		for i, rhs := range as.Rhs {
 			call, ok := rhs.(*ast.CallExpr)
-			if !ok || !isBuiltinAppend(pass, call) {
+			if !ok || !isBuiltinAppend(info, call) {
 				continue
 			}
 			// m[k] = append(m[k], ...) distributes by key and is
@@ -129,8 +132,8 @@ func assignSink(pass *analysis.Pass, as *ast.AssignStmt) string {
 	return ""
 }
 
-func isFloat(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
+func isFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -138,12 +141,12 @@ func isFloat(pass *analysis.Pass, e ast.Expr) bool {
 	return ok && b.Info()&types.IsFloat != 0
 }
 
-func isBuiltinAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok || id.Name != "append" {
 		return false
 	}
-	_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
+	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
 }
 

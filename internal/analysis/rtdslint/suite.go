@@ -13,20 +13,17 @@ import (
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/mapiter"
-	"repro/internal/analysis/sendunderlock"
 	"repro/internal/analysis/spawncheck"
 )
 
 // Suite returns the analyzers in the order they run (and the order their
-// names appear in documentation). The first four are per-package; the last
-// three are whole-program (they run once over their scoped package set and
-// are skipped under `go vet -vettool`, which schedules per package).
+// names appear in documentation). Each runs once over the packages
+// AppliesTo admits.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detclock.Analyzer,
 		mapiter.Analyzer,
 		exhaustive.Analyzer,
-		sendunderlock.Analyzer,
 		lockorder.Analyzer,
 		hotalloc.Analyzer,
 		spawncheck.Analyzer,
@@ -35,10 +32,11 @@ func Suite() []*analysis.Analyzer {
 
 // deterministicPkgs are the import-path prefixes whose code runs under the
 // discrete-event simulation and must never read wall-clock time or the
-// global rand source. internal/simnet is included even though its live/TCP
-// half is wall-clock by nature; those files carry //lint:file-allow
-// wallclock with a justification, which keeps the boundary explicit in the
-// source instead of implicit in linter configuration.
+// global rand source. internal/simnet is included even though its
+// process timer queue (clock.go) is wall-clock by nature; that file carries
+// //lint:file-allow wallclock with a justification, which keeps the
+// boundary explicit in the source instead of implicit in linter
+// configuration.
 var deterministicPkgs = []string{
 	"repro/internal/sim",
 	"repro/internal/core",
@@ -52,10 +50,8 @@ var deterministicPkgs = []string{
 // import path. Scoping policy:
 //
 //   - detclock: deterministic packages only (see deterministicPkgs)
-//   - mapiter, sendunderlock: all internal packages except the linter's own
+//   - mapiter, lockorder: all internal packages except the linter's own
 //     implementation (its testdata fixtures intentionally violate the rules)
-//   - lockorder: the heavy lock users (core, simnet, wire) — the packages
-//     whose mutexes interleave across the message chain
 //   - hotalloc: the declared hot-path packages (wire, sim, schedule, and
 //     routing for the bootstrap's merge and landmark relaxation); the
 //     //lint:hotpath roots live there and the call graph stays within them
@@ -77,12 +73,8 @@ func AppliesTo(a *analysis.Analyzer, importPath string) bool {
 			}
 		}
 		return false
-	case "mapiter", "sendunderlock":
+	case "mapiter", "lockorder":
 		return hasPrefix(importPath, "repro/internal")
-	case "lockorder":
-		return hasPrefix(importPath, "repro/internal/core") ||
-			hasPrefix(importPath, "repro/internal/simnet") ||
-			hasPrefix(importPath, "repro/internal/wire")
 	case "hotalloc":
 		return hasPrefix(importPath, "repro/internal/wire") ||
 			hasPrefix(importPath, "repro/internal/sim") ||

@@ -7,26 +7,30 @@ import (
 	"sort"
 )
 
-// runOne executes a single analyzer over a loaded package and returns its
+// runOne executes a single analyzer once over the packages the scoping
+// function admits (all of them when appliesTo is nil) and returns its
 // diagnostics (escape-suppressed ones excluded).
-func runOne(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
+func runOne(a *Analyzer, appliesTo func(*Analyzer, string) bool, dir string, pkgs []*Package) ([]Diagnostic, error) {
+	pass := &Pass{Analyzer: a, Dir: dir}
+	for _, pkg := range pkgs {
+		if appliesTo == nil || appliesTo(a, pkg.ImportPath) {
+			pass.Fset = pkg.Fset
+			pass.Packages = append(pass.Packages, pkg)
+		}
+	}
+	if len(pass.Packages) == 0 {
+		return nil, nil
 	}
 	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
+		return nil, fmt.Errorf("%s: %v", a.Name, err)
 	}
 	return pass.diagnostics, nil
 }
 
-// RunForTest executes one analyzer over one package; the analysistest
-// harness drives it directly, bypassing package scoping.
-func RunForTest(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	diags, err := runOne(a, pkg)
+// RunForTest executes one analyzer over one package, bypassing package
+// scoping; the analysistest harness drives it directly. dir is Pass.Dir.
+func RunForTest(a *Analyzer, dir string, pkg *Package) ([]Diagnostic, error) {
+	diags, err := runOne(a, nil, dir, []*Package{pkg})
 	if err != nil {
 		return nil, err
 	}
@@ -34,14 +38,12 @@ func RunForTest(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunPackages applies every applicable analyzer (per appliesTo) to every
-// package, validates escape comments, and returns all diagnostics sorted
-// by position. Per-package analyzers run package by package; program
-// analyzers (Analyzer.RunProgram) run once afterwards over the packages
-// their scope admits, loaded from dir. The loop is deterministic by
-// construction — Load sorts packages, analyzers run in slice order, and
-// the final sort breaks any remaining ties — so rtds-lint's output is
-// byte-stable.
+// RunPackages validates the escape comments of every package, applies
+// every analyzer once to the packages its scope (per appliesTo) admits, and
+// returns all diagnostics sorted by position. The packages are loaded from
+// dir. The loop is deterministic by construction — Load sorts packages,
+// analyzers run in slice order, and the final sort breaks any remaining
+// ties — so rtds-lint's output is byte-stable.
 func RunPackages(analyzers []*Analyzer, appliesTo func(*Analyzer, string) bool, dir string, pkgs []*Package) ([]Diagnostic, *token.FileSet, error) {
 	var tokens []string
 	for _, a := range analyzers {
@@ -52,25 +54,9 @@ func RunPackages(analyzers []*Analyzer, appliesTo func(*Analyzer, string) bool, 
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
 		diags = append(diags, CheckEscapes(pkg.Fset, pkg.Files, tokens)...)
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			if appliesTo != nil && !appliesTo(a, pkg.ImportPath) {
-				continue
-			}
-			ds, err := runOne(a, pkg)
-			if err != nil {
-				return nil, nil, err
-			}
-			diags = append(diags, ds...)
-		}
 	}
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		ds, err := runOneProgram(a, dir, pkgs, appliesTo)
+		ds, err := runOne(a, appliesTo, dir, pkgs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -34,11 +34,11 @@ var Analyzer = &analysis.Analyzer{
 	Escape: "spawncheck",
 	Doc: "require every go statement to have a provable join or teardown " +
 		"path (WaitGroup, close-guarded loop) so goroutines cannot leak",
-	RunProgram: run,
+	Run: run,
 }
 
-func run(pass *analysis.ProgramPass) error {
-	g := callgraph.Build(pass.Prog.Fset, pass.Prog.Packages)
+func run(pass *analysis.Pass) error {
+	g := callgraph.Build(pass.Fset, pass.Packages)
 	for _, n := range g.Nodes {
 		spawnEdges := make(map[*ast.GoStmt][]*callgraph.Edge)
 		for _, e := range n.Out {

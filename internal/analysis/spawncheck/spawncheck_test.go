@@ -7,9 +7,9 @@ import (
 )
 
 func TestSpawncheck(t *testing.T) {
-	analysistest.RunProgram(t, Analyzer, analysistest.Dir("spawn"))
+	analysistest.Run(t, Analyzer, analysistest.Dir("spawn"))
 }
 
 func TestAllowSilences(t *testing.T) {
-	analysistest.RunProgram(t, Analyzer, analysistest.Dir("allowspawn"))
+	analysistest.Run(t, Analyzer, analysistest.Dir("allowspawn"))
 }

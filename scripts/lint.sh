@@ -24,9 +24,7 @@ else
     echo "== staticcheck (skipped: not installed; CI runs it)"
 fi
 
-# All seven analyzers: the per-package four plus the whole-program
-# lockorder/hotalloc/spawncheck (the standalone invocation is required
-# for those — go vet -vettool runs per-package and skips them).
+# All six analyzers; rtds-lint takes package patterns only.
 echo "== rtds-lint"
 go build -o bin/rtds-lint ./cmd/rtds-lint
 ./bin/rtds-lint ./...
