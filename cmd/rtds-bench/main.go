@@ -4,10 +4,6 @@
 // benchmark (per-experiment wall time, events/sec, guarantee ratios) so the
 // performance trajectory is tracked across PRs.
 //
-// With -scheme the tool instead benchmarks one registered scheme on one
-// -topo topology: a targeted cell (scheme × topology × load) with wall time
-// and events/sec, without running the whole suite.
-//
 // With -check the tool is the CI gate for table identity and allocs/op: it
 // re-runs the suite at the committed baseline's size and seeds and fails if
 // any per-experiment guarantee ratio or row count drifts from the baseline,
@@ -28,7 +24,6 @@
 // Usage:
 //
 //	rtds-bench [-quick] [-md] [-seed N] [-trials N] [-workers N] [-kernel-workers N] [-json] [-out FILE] [-exp SUBSTR]
-//	rtds-bench -scheme NAME [-topo KIND] [-sites N] [-load F] [-quick] [-seed N] [-kernel-workers N]
 //	rtds-bench -check BENCH_suite.json [-workers N] [-kernel-workers N]
 package main
 
@@ -44,8 +39,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/graph"
-	"repro/internal/scheme"
 )
 
 func main() {
@@ -57,10 +50,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "write the machine-readable suite benchmark")
 	outPath := flag.String("out", "BENCH_suite.json", "path of the -json report")
 	expFilter := flag.String("exp", "", "run only experiments whose name contains this substring (e.g. E12, fault)")
-	schemeName := flag.String("scheme", "", "benchmark one scheme ("+strings.Join(scheme.Names(), "|")+") instead of the suite")
-	topoKind := flag.String("topo", "random", "topology kind of the -scheme benchmark: ring|line|star|clique|grid|torus|hypercube|tree|random|geometric")
-	sites := flag.Int("sites", 0, "sites of the -scheme benchmark (0 = suite default for the size)")
-	load := flag.Float64("load", 0.6, "offered load of the -scheme benchmark")
 	checkPath := flag.String("check", "", "regression gate: re-run the suite at this baseline's size/seeds and fail on drift")
 	kernelWorkers := flag.Int("kernel-workers", 0, "simulation kernel for rtds-core clusters: 0 = serial reference, N = parallel kernel with N partitions (tables are byte-identical)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -89,14 +78,12 @@ func main() {
 	}
 	defer stopProfiling()
 
-	// The modes accept disjoint flag sets; a flag from another mode would
-	// be silently ignored, so refuse it loudly instead of letting a user
-	// read suite tables as torus numbers (or wait for a report that will
-	// never be written).
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *checkPath != "" {
-		for _, other := range []string{"scheme", "topo", "sites", "load", "json", "out", "md", "exp", "trials", "quick", "seed"} {
+		// -check re-runs the baseline's suite; a suite flag would be
+		// silently ignored, so refuse it loudly instead.
+		explicit := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		for _, other := range []string{"json", "out", "md", "exp", "trials", "quick", "seed"} {
 			if explicit[other] {
 				fmt.Fprintf(os.Stderr, "error: -%s does not apply to -check mode (size and seeds come from the baseline)\n", other)
 				os.Exit(1)
@@ -107,25 +94,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-	if *schemeName != "" {
-		for _, suiteOnly := range []string{"json", "out", "md", "exp", "trials", "workers"} {
-			if explicit[suiteOnly] {
-				fmt.Fprintf(os.Stderr, "error: -%s applies to suite runs only, not -scheme mode\n", suiteOnly)
-				os.Exit(1)
-			}
-		}
-		if err := benchScheme(*schemeName, *topoKind, *sites, *load, *quick, *seed, *kernelWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	for _, schemeOnly := range []string{"topo", "sites", "load"} {
-		if explicit[schemeOnly] {
-			fmt.Fprintf(os.Stderr, "error: -%s applies to -scheme mode only; the suite runs its fixed configurations\n", schemeOnly)
-			os.Exit(1)
-		}
 	}
 
 	// One task per experiment×seed; trial-major order keeps each trial's
@@ -322,62 +290,5 @@ func checkBaseline(path string, workers, kernelWorkers int) error {
 	fmt.Fprintf(os.Stderr,
 		"regression gate passed: %d experiments match the baseline, %.0f events/sec (baseline %.0f) in %v\n",
 		len(current.Experiments), current.EventsPerSec, baseline.EventsPerSec, wall.Round(time.Millisecond))
-	return nil
-}
-
-// benchScheme benchmarks one registered scheme on one generated topology:
-// build (bootstrap included), submit a standard workload, drain, and report
-// the outcome with wall time and simulation throughput.
-func benchScheme(name, topoKind string, sites int, load float64, quick bool, seed int64, kernelWorkers int) error {
-	s, ok := scheme.Get(name)
-	if !ok {
-		return fmt.Errorf("unknown scheme %q; have %s", name, strings.Join(scheme.Names(), ", "))
-	}
-	n, horizon := 32, 400.0
-	if quick {
-		n, horizon = 16, 150.0
-	}
-	if sites > 0 {
-		n = sites
-	}
-	topo, err := graph.Generate(graph.TopologyKind(topoKind), n, experiments.StdDelays, seed)
-	if err != nil {
-		return err
-	}
-	// Literally the suite's workload shape, so "-scheme shares the suite's
-	// workload" stays true by construction.
-	arrivals, err := experiments.ArrivalsForLoad(
-		experiments.StdSpec(topo.Len(), horizon, seed), load)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	c, err := s.Build(topo, scheme.Config{Horizon: horizon, KernelWorkers: kernelWorkers})
-	if err != nil {
-		return err
-	}
-	for _, a := range arrivals {
-		if err := c.Submit(a.At, a.Origin, a.Graph, a.Deadline); err != nil {
-			return err
-		}
-	}
-	if err := c.Run(); err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	res := c.Summarize()
-	fmt.Printf("scheme %s on %s (%d sites, %d links), load %.2f, %d jobs\n",
-		s.Name(), topoKind, topo.Len(), topo.NumEdges(), load, len(arrivals))
-	fmt.Printf("ratio=%.3f msgs/job=%.1f bytes=%d\n",
-		res.GuaranteeRatio, res.MessagesPerJob, res.Bytes)
-	if res.Core != nil {
-		fmt.Println(*res.Core)
-	}
-	perSec := 0.0
-	if wall > 0 {
-		perSec = float64(c.EventsProcessed()) / wall.Seconds()
-	}
-	fmt.Fprintf(os.Stderr, "completed in %v (%d events, %.0f events/sec)\n",
-		wall.Round(time.Millisecond), c.EventsProcessed(), perSec)
 	return nil
 }

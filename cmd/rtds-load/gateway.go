@@ -18,7 +18,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/determinism"
+	"repro/internal/graph"
+	"repro/internal/nodeapi"
 	"repro/internal/workload"
 )
 
@@ -55,6 +57,14 @@ func runGateway(o opts) error {
 	tenants := strings.Split(o.tenantsSpec, ",")
 	if o.tenantsSpec == "" || len(tenants) == 0 {
 		return fmt.Errorf("-tenants is required in gateway mode (comma-separated tenant names)")
+	}
+	// The nodes named here are only scraped, so they need not be all sites.
+	var nodes map[graph.NodeID]string
+	if o.nodesSpec != "" {
+		var err error
+		if nodes, err = nodeapi.ParseAddrs("nodes", o.nodesSpec, o.sites, false); err != nil {
+			return err
+		}
 	}
 	arrivals, err := buildWorkload(o)
 	if err != nil {
@@ -166,20 +176,14 @@ func runGateway(o opts) error {
 	// The metrics plane must parse as valid Prometheus text — on the
 	// gateway and on every node we were told about.
 	targets := []string{base + "/metrics"}
-	if o.nodesSpec != "" {
-		nodes, err := parseNodeList(o.nodesSpec)
-		if err != nil {
-			return err
-		}
-		for _, addr := range nodes {
-			targets = append(targets, "http://"+addr+"/metrics")
-		}
+	for _, id := range determinism.SortedKeys(nodes) {
+		targets = append(targets, "http://"+nodes[id]+"/metrics")
 	}
-	for _, url := range targets {
-		if err := validateMetrics(client, url); err != nil {
+	for _, u := range targets {
+		if _, err := getMetrics(client, u); err != nil {
 			return err
 		}
-		rep.MetricsValidated = append(rep.MetricsValidated, url)
+		rep.MetricsValidated = append(rep.MetricsValidated, u)
 	}
 
 	fmt.Printf("gateway load: %d acked, %d accepted, %d rejected, %d undecided, %d lost, per-tenant %v\n",
@@ -279,41 +283,4 @@ func getJSONCode(client *http.Client, url string, v any) (int, error) {
 		return resp.StatusCode, nil
 	}
 	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(v)
-}
-
-func validateMetrics(client *http.Client, url string) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return fmt.Errorf("GET %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return err
-	}
-	if err := metrics.ValidateText(data); err != nil {
-		return fmt.Errorf("%s: invalid Prometheus exposition: %w", url, err)
-	}
-	return nil
-}
-
-// parseNodeList accepts both the id=host:port map form and a bare
-// comma-separated host:port list (gateway mode does not need site ids).
-func parseNodeList(spec string) ([]string, error) {
-	var out []string
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if _, addr, found := strings.Cut(tok, "="); found {
-			out = append(out, addr)
-		} else if tok != "" {
-			out = append(out, tok)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-nodes %q names no addresses", spec)
-	}
-	return out, nil
 }

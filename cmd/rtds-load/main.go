@@ -26,8 +26,13 @@
 // and unreachable polls do not fail the run. -joiner asserts the
 // replacement actually served: it must have answered at least one
 // enrollment and accepted at least one job of its own, or the run fails.
-// -verify-live cannot be combined with churn (lost jobs break the
-// per-origin pairing).
+// -verify-live cannot be combined with churn (a lost job has no decision to
+// compare, and a replacement process reuses its predecessor's job IDs).
+//
+// rtds-load reads the nodes as the gateway does: each node's decision
+// journal (GET /jobs?since=) with a cursor and boot token, its totals from
+// GET /metrics, and only the leak check's GET /reservations grows with
+// the history.
 package main
 
 import (
@@ -42,7 +47,6 @@ import (
 	"time"
 
 	rtds "repro"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/metrics"
@@ -179,7 +183,7 @@ func run(o opts) error {
 	}
 	if o.verifyLive && o.churn() {
 		return fmt.Errorf("-verify-live cannot be combined with -optional-sites: " +
-			"jobs lost with a killed node break the per-origin pairing")
+			"a job lost with a killed node has no decision to compare")
 	}
 	if o.joiner >= o.sites {
 		return fmt.Errorf("-joiner %d out of range [0,%d)", o.joiner, o.sites)
@@ -201,60 +205,66 @@ func run(o opts) error {
 			return fmt.Errorf("node %d: %w", id, err)
 		}
 	}
-	// The report and the -verify-live per-origin pairing both assume this
-	// run's jobs are the only jobs the nodes have; stale jobs from an
-	// earlier run would silently corrupt both, so refuse them loudly.
+	// The report assumes this run's jobs are the only jobs the nodes have;
+	// stale jobs from an earlier run would silently corrupt it, so refuse
+	// them loudly.
 	for id := 0; id < o.sites; id++ {
-		jobs, err := fetchJobs(client, nodes[graph.NodeID(id)])
+		t, err := scrapeNode(client, nodes[graph.NodeID(id)])
 		if err != nil {
 			if o.optional[graph.NodeID(id)] {
 				continue
 			}
 			return fmt.Errorf("node %d: %w", id, err)
 		}
-		if len(jobs) > 0 {
-			return fmt.Errorf("node %d already has %d jobs from an earlier run; restart the cluster", id, len(jobs))
+		if t.jobs > 0 {
+			return fmt.Errorf("node %d already has %d jobs from an earlier run; restart the cluster", id, t.jobs)
 		}
 	}
 
-	// Submit at the target rate: one serial pacer preserves per-origin
-	// submission order (the equivalence pairing depends on it). In churn
-	// mode a submission to a down optional site is skipped, not fatal —
-	// the node was killed, or its replacement is not ready yet.
+	// Submit at the target rate: one serial pacer, each arrival's job ID
+	// kept for the -verify-live pairing. In churn mode a submission to a
+	// down optional site is skipped, not fatal — the node was killed, or its
+	// replacement is not ready yet.
 	start := time.Now()
 	skipped := 0
 	submitted := make(map[graph.NodeID]int)
+	ids := make([]string, len(arrivals))
 	for i, a := range arrivals {
 		due := time.Duration(a.At * float64(o.scale))
 		if d := due - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
-		if err := submit(client, nodes[a.Origin], a); err != nil {
+		id, err := submit(client, nodes[a.Origin], a)
+		if err != nil {
 			if o.optional[a.Origin] {
 				skipped++
 				continue
 			}
 			return fmt.Errorf("submit %d to site %d: %w", i, a.Origin, err)
 		}
+		ids[i] = id
 		submitted[a.Origin]++
 	}
 	submitWall := time.Since(start)
 	fmt.Printf("rtds-load: %d of %d jobs submitted in %v (%d skipped), waiting for decisions...\n",
 		len(arrivals)-skipped, len(arrivals), submitWall.Round(time.Millisecond), skipped)
 
-	statuses, err := waitDecided(client, nodes, o, submitted)
-	if err != nil {
+	journals := make([]*journal, o.sites)
+	for id := range journals {
+		journals[id] = &journal{addr: nodes[graph.NodeID(id)]}
+	}
+	if err := waitDecided(client, journals, o, submitted); err != nil {
 		return err
 	}
 	wall := time.Since(start)
 
-	rep, err := buildReport(client, nodes, o, statuses)
+	rep, err := buildReport(client, journals, o)
 	if err != nil {
 		return err
 	}
 	rep.SkippedSubmissions = skipped
 	for id, n := range submitted {
-		if lost := n - len(statuses[id]); lost > 0 {
+		if lost := n - len(journals[id].decided); lost > 0 {
 			rep.LostJobs += lost
 		}
 	}
@@ -262,12 +272,7 @@ func run(o opts) error {
 	rep.TotalWallSeconds = wall.Seconds()
 
 	if o.verifyLive {
-		if err := verifyAgainstLive(o, arrivals, statuses, &rep); err != nil {
-			return err
-		}
-	}
-	if o.joiner >= 0 {
-		if err := checkJoiner(client, nodes[graph.NodeID(o.joiner)], &rep); err != nil {
+		if err := verifyAgainstLive(o, arrivals, ids, journals, &rep); err != nil {
 			return err
 		}
 	}
@@ -310,28 +315,6 @@ func run(o opts) error {
 		return fmt.Errorf("joiner %d never answered an enrollment", o.joiner)
 	case o.joiner >= 0 && rep.JoinerAccepted == 0:
 		return fmt.Errorf("joiner %d accepted none of its own jobs", o.joiner)
-	}
-	return nil
-}
-
-// checkJoiner verifies the replacement node actually served: membership
-// says it joined, it answered at least one enrollment, and it accepted at
-// least one of its own submissions. The hard gating happens in run's final
-// switch; this only collects the evidence.
-func checkJoiner(client *http.Client, addr string, rep *Report) error {
-	var st nodeapi.StatsReply
-	if err := getJSON(client, "http://"+addr+"/stats", &st); err != nil {
-		return fmt.Errorf("joiner stats: %w", err)
-	}
-	rep.JoinerEnrollAcks = st.ByKind["rtds.enroll-ack"]
-	jobs, err := fetchJobs(client, addr)
-	if err != nil {
-		return fmt.Errorf("joiner jobs: %w", err)
-	}
-	for _, j := range jobs {
-		if j.OutcomeName == "accepted-local" || j.OutcomeName == "accepted-distributed" {
-			rep.JoinerAccepted++
-		}
 	}
 	return nil
 }
@@ -397,115 +380,105 @@ func waitReady(client *http.Client, base string, timeout time.Duration) error {
 	return fmt.Errorf("%s not ready after %v", base, timeout)
 }
 
-func submit(client *http.Client, addr string, a workload.Arrival) error {
+// submit posts one arrival to its origin's node and returns the job ID.
+func submit(client *http.Client, addr string, a workload.Arrival) (string, error) {
 	graphJSON, err := json.Marshal(a.Graph)
 	if err != nil {
-		return err
+		return "", err
 	}
 	body, err := json.Marshal(nodeapi.SubmitRequest{At: 0, Deadline: a.Deadline, Graph: graphJSON})
 	if err != nil {
-		return err
+		return "", err
 	}
 	resp, err := client.Post("http://"+addr+"/submit", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var msg bytes.Buffer
 		msg.ReadFrom(resp.Body)
-		return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(msg.String()))
+		return "", fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(msg.String()))
 	}
-	return nil
-}
-
-func fetchJobs(client *http.Client, addr string) ([]core.JobStatus, error) {
 	var reply struct {
-		Jobs []core.JobStatus `json:"jobs"`
+		ID string `json:"id"`
 	}
-	err := getJSON(client, "http://"+addr+"/jobs", &reply)
-	return reply.Jobs, err
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil || reply.ID == "" {
+		return "", fmt.Errorf("malformed submit reply: %v", err)
+	}
+	return reply.ID, nil
 }
 
-// waitDecided polls every node until the submitted jobs are decided AND
-// every node reports idle (lock released, transactions closed — so the
-// abort unlocks of rejected jobs have been processed and the subsequent
-// /reservations leak check does not race in-flight cleanup), returning
-// each node's job list in submission order.
+// waitDecided reads every node's journal until the submitted jobs are
+// decided AND every node reports idle (lock released, transactions closed
+// — so the abort unlocks of rejected jobs have been processed and the
+// subsequent /reservations leak check does not race in-flight cleanup).
 //
-// Required sites must report every successful submission decided. Optional
-// sites (churn mode) are weaker by nature: an unreachable one is skipped,
-// and a reachable one only needs every job it still REMEMBERS decided —
-// jobs submitted to a node that was later killed died with it and cannot
-// be waited for.
-func waitDecided(client *http.Client, nodes map[graph.NodeID]string, o opts,
-	submitted map[graph.NodeID]int) (map[graph.NodeID][]core.JobStatus, error) {
+// A required site must have decided every successful submission. An
+// optional site (churn mode) is weaker by nature: an unreachable one is
+// skipped, and a reachable one only needs every job it still REMEMBERS
+// decided, as its /metrics counts them — jobs submitted to a node that was
+// later killed died with it and cannot be waited for.
+func waitDecided(client *http.Client, journals []*journal, o opts, submitted map[graph.NodeID]int) error {
 	deadline := time.Now().Add(o.timeout)
 	for {
-		statuses := make(map[graph.NodeID][]core.JobStatus, o.sites)
 		done := true
-		decided, seen := 0, 0
-		for id := 0; id < o.sites; id++ {
+		decided, want := 0, 0
+		for id, j := range journals {
 			site := graph.NodeID(id)
-			jobs, err := fetchJobs(client, nodes[site])
-			if err != nil {
+			if err := j.read(client); err != nil {
 				if o.optional[site] {
 					continue
 				}
-				return nil, fmt.Errorf("node %d: %w", id, err)
+				return fmt.Errorf("node %d: %w", id, err)
 			}
-			statuses[site] = jobs
-			seen += len(jobs)
-			siteDecided := 0
-			for _, j := range jobs {
-				if j.OutcomeName != "pending" {
-					siteDecided++
+			n := submitted[site]
+			if o.optional[site] {
+				t, err := scrapeNode(client, j.addr)
+				if err != nil {
+					continue
 				}
+				n = t.jobs
 			}
-			decided += siteDecided
-			if siteDecided < len(jobs) {
-				done = false
-			}
-			if !o.optional[site] && len(jobs) < submitted[site] {
+			decided += len(j.decided)
+			want += n
+			if len(j.decided) < n {
 				done = false
 			}
 		}
-		if done && allIdle(client, nodes, o) {
-			return statuses, nil
+		if done && allIdle(client, journals, o) {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return statuses, fmt.Errorf("timeout: %d of %d visible jobs decided after %v", decided, seen, o.timeout)
+			return fmt.Errorf("timeout: %d of %d jobs decided after %v", decided, want, o.timeout)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
 }
 
-func allIdle(client *http.Client, nodes map[graph.NodeID]string, o opts) bool {
-	for id := 0; id < o.sites; id++ {
-		resp, err := client.Get("http://" + nodes[graph.NodeID(id)] + "/idle")
-		if err != nil {
+func allIdle(client *http.Client, journals []*journal, o opts) bool {
+	for id, j := range journals {
+		var reply struct {
+			Idle bool `json:"idle"`
+		}
+		if err := getJSON(client, "http://"+j.addr+"/idle", &reply); err != nil {
 			if o.optional[graph.NodeID(id)] {
 				continue
 			}
 			return false
 		}
-		var reply struct {
-			Idle bool `json:"idle"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&reply)
-		resp.Body.Close()
-		if err != nil || !reply.Idle {
+		if !reply.Idle {
 			return false
 		}
 	}
 	return true
 }
 
-// buildReport aggregates the nodes' stats and runs the leak check. Every
-// fetch failure is an error, not a skip — a node whose /reservations
-// answer was lost must not silently pass the gate this tool exists to
-// enforce — except on optional sites in churn mode, which may simply be
-// gone.
+// buildReport aggregates the nodes' journals and /metrics and runs the leak
+// check. Every fetch failure is an error, not a skip — a node whose
+// /reservations answer was lost must not silently pass the gate this tool
+// exists to enforce — except on optional sites in churn mode, which may
+// simply be gone.
 //
 // The leak check distinguishes two cases. A reservation of a job some
 // node REMEMBERS rejecting is a leak: the abort path failed. A
@@ -513,51 +486,51 @@ func allIdle(client *http.Client, nodes map[graph.NodeID]string, o opts) bool {
 // in churn mode (the job record died with its killed initiator after the
 // commit went out); it is reported as an orphan, not a failure — the
 // member executed a share in good faith and its slots expire with time.
-func buildReport(client *http.Client, nodes map[graph.NodeID]string, o opts,
-	statuses map[graph.NodeID][]core.JobStatus) (Report, error) {
+func buildReport(client *http.Client, journals []*journal, o opts) (Report, error) {
 	rep := Report{Sites: o.sites, LeakedReservations: []string{}}
 	var latency metrics.Sample
 	accepted := make(map[string]bool)
 	known := make(map[string]bool)
-	for id := 0; id < o.sites; id++ {
-		for _, j := range statuses[graph.NodeID(id)] {
-			rep.Jobs++
-			known[j.ID] = true
-			switch j.OutcomeName {
-			case "pending":
-				rep.Undecided++
-				continue
-			case "accepted-local", "accepted-distributed":
+	for _, j := range journals {
+		for _, st := range j.decided {
+			known[st.ID] = true
+			if st.OutcomeName == "accepted-local" || st.OutcomeName == "accepted-distributed" {
 				rep.Accepted++
-				accepted[j.ID] = true
+				accepted[st.ID] = true
 			}
-			latency.Add(j.DecisionAt - j.Arrival)
+			latency.Add(st.DecisionAt - st.Arrival)
 		}
-	}
-	if rep.Jobs > 0 {
-		rep.GuaranteeRatio = float64(rep.Accepted) / float64(rep.Jobs)
 	}
 	rep.DecisionLatencyP50 = latency.Percentile(50)
 	rep.DecisionLatencyP99 = latency.Percentile(99)
-	for id := 0; id < o.sites; id++ {
+	for id, j := range journals {
 		site := graph.NodeID(id)
-		addr := nodes[site]
-		var st nodeapi.StatsReply
-		if err := getJSON(client, "http://"+addr+"/stats", &st); err != nil {
+		t, err := scrapeNode(client, j.addr)
+		if err != nil {
 			if o.optional[site] {
 				continue
 			}
-			return rep, fmt.Errorf("node %d stats: %w", id, err)
+			return rep, fmt.Errorf("node %d metrics: %w", id, err)
 		}
-		rep.Messages += st.Messages
-		rep.Bytes += st.Bytes
-		rep.Dropped += st.Dropped
-		rep.Violations += st.Violations
-		rep.Disruptions += st.Disruptions
+		rep.Jobs += t.jobs
+		rep.Undecided += t.jobs - t.decided
+		rep.Messages += t.messages
+		rep.Bytes += t.bytes
+		rep.Dropped += t.dropped
+		rep.Violations += t.violations
+		rep.Disruptions += t.disruptions
+		if id == o.joiner {
+			rep.JoinerEnrollAcks = t.enrollAcks
+			for jobID := range j.decided {
+				if accepted[jobID] {
+					rep.JoinerAccepted++
+				}
+			}
+		}
 		var r struct {
 			Jobs []string `json:"jobs"`
 		}
-		if err := getJSON(client, "http://"+addr+"/reservations", &r); err != nil {
+		if err := getJSON(client, "http://"+j.addr+"/reservations", &r); err != nil {
 			if o.optional[site] {
 				continue
 			}
@@ -576,6 +549,7 @@ func buildReport(client *http.Client, nodes map[graph.NodeID]string, o opts,
 		}
 	}
 	if rep.Jobs > 0 {
+		rep.GuaranteeRatio = float64(rep.Accepted) / float64(rep.Jobs)
 		rep.MsgsPerJob = float64(rep.Messages) / float64(rep.Jobs)
 	}
 	return rep, nil
@@ -607,9 +581,10 @@ func writeReport(path string, rep any) error {
 
 // verifyAgainstLive replays the identical arrivals on an in-process live
 // cluster with the nodes' configuration and compares per-arrival
-// outcomes, pairing each arrival with its per-origin submission sequence.
-func verifyAgainstLive(o opts, arrivals []workload.Arrival,
-	statuses map[graph.NodeID][]core.JobStatus, rep *Report) error {
+// outcomes, pairing each arrival with the decision of the job ID its
+// /submit returned.
+func verifyAgainstLive(o opts, arrivals []workload.Arrival, ids []string,
+	journals []*journal, rep *Report) error {
 	topo, err := graph.Generate(graph.TopologyKind(o.topoKind), o.sites, experiments.StdDelays, o.seed)
 	if err != nil {
 		return err
@@ -643,11 +618,9 @@ func verifyAgainstLive(o opts, arrivals []workload.Arrival,
 	accepted := func(outcome string) bool {
 		return outcome == "accepted-local" || outcome == "accepted-distributed"
 	}
-	next := make(map[graph.NodeID]int)
 	match, strict := 0, 0
 	for i, a := range arrivals {
-		netSt := statuses[a.Origin][next[a.Origin]]
-		next[a.Origin]++
+		netSt := journals[a.Origin].decided[ids[i]]
 		if netSt.OutcomeName == live[i].OutcomeName {
 			strict++
 		}

@@ -1,8 +1,9 @@
 // Command rtds-node runs ONE RTDS site as a real networked process: the
 // protocol core over the internal/wire TCP transport, with an HTTP control
-// plane (internal/nodeapi) for job submission, decision polling and
-// metrics. N processes with a shared topology seed form a cluster that
-// reaches the same decisions as the in-process transports.
+// plane (internal/nodeapi; endpoints in docs/api.md) for job submission,
+// decision return and metrics. N processes with a shared topology seed
+// form a cluster that reaches the same decisions as the in-process
+// transports.
 //
 // Every process must be given the same -topo/-sites/-seed (they generate
 // the shared topology deterministically) and a -peers map naming each

@@ -84,7 +84,8 @@
 // leaves. A restarted gateway replays undecided jobs into the cluster;
 // an acked submission is never lost. Both the gateway and every node
 // expose a Prometheus text /metrics plane built on the stdlib-only
-// registry in internal/metrics.
+// registry in internal/metrics. docs/api.md lists the endpoints of both,
+// the node's in one table.
 //
 // # Static analysis
 //

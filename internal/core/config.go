@@ -30,12 +30,6 @@ type Config struct {
 	// release is now + ReleasePadFactor·ω(ACS). It covers the validation
 	// round trip plus the dispatch of task codes.
 	ReleasePadFactor float64
-	// CodeBytesPerTask is the accounted size of one task's code when
-	// dispatched to an executing site (§11).
-	CodeBytesPerTask int
-	// ResultBytes is the accounted size of one task-result message sent from
-	// a predecessor's site to a successor's site during execution.
-	ResultBytes int
 	// Throughput enables the §13 data-volume model: DAG edges decorated
 	// with data volumes add volume/Throughput to the cross-site
 	// communication estimate, and result transmission is delayed by the
@@ -117,10 +111,17 @@ func DefaultConfig() Config {
 		SurplusWindow:    200,
 		EnrollSlack:      1e-3,
 		ReleasePadFactor: 3,
-		CodeBytesPerTask: 256,
-		ResultBytes:      64,
 	}
 }
+
+const (
+	// codeBytesPerTask is the accounted size of one task's code when
+	// dispatched to an executing site (§11).
+	codeBytesPerTask = 256
+	// resultBytes is the accounted size of one task-result message sent from
+	// a predecessor's site to a successor's site during execution.
+	resultBytes = 64
+)
 
 // validate checks the configuration against the topology it will run on.
 func (c Config) validate(topo *graph.Graph) error {

@@ -210,7 +210,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 			// message serves every consumer on the destination site.
 			if !sent[dest] {
 				sent[dest] = true
-				s.sendTo(dest, ResultMsg{Job: e.job.ID, Task: id, Bytes: s.cluster.cfg.ResultBytes})
+				s.sendTo(dest, ResultMsg{Job: e.job.ID, Task: id, Bytes: resultBytes})
 			}
 			continue
 		}
@@ -218,7 +218,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 		// volume/throughput before it travels, and is addressed to its
 		// consumer since volumes differ per edge.
 		msg := ResultMsg{Job: e.job.ID, Task: id, For: succ,
-			Bytes: s.cluster.cfg.ResultBytes + int(vol)}
+			Bytes: resultBytes + int(vol)}
 		e.timers = append(e.timers, s.after(vol/th, func() {
 			if !e.cancelled {
 				s.sendTo(dest, msg)

@@ -362,7 +362,7 @@ func (s *Site) finishValidation(t *activeTxn) {
 			n := len(t.TM.Tasks(t.job.Graph, proc))
 			msg.Graph = t.job.Graph
 			msg.TaskSites = taskSites
-			msg.CodeBytes = n * s.cluster.cfg.CodeBytesPerTask
+			msg.CodeBytes = n * codeBytesPerTask
 			t.ExpectCommitAck(m)
 		}
 		s.sendTo(m, msg)

@@ -26,10 +26,10 @@ import (
 // execution context and report their zero value within probeTimeout when
 // the transport is closed or unresponsive.
 //
-// Job records (local submissions and adopted remote shares) are retained
-// for the node's lifetime: summaries, the /jobs control endpoint and the
-// load harness's leak checks all read the full history. A node is
-// therefore sized for bounded load campaigns, not unbounded daemon
+// Job records (local submissions and adopted remote shares) and the
+// decision journal are retained for the node's lifetime, though its readers
+// (the /jobs and /metrics control endpoints) pay only for what is new. A
+// node is therefore sized for bounded load campaigns, not unbounded daemon
 // uptime; decided-job eviction is deliberate future work.
 type Node struct {
 	c    *Cluster
@@ -132,9 +132,6 @@ func (n *Node) Idle() bool { return n.c.AllIdle() }
 // ReservationJobIDs reports the distinct job IDs with committed
 // reservations in this site's plan (leak detection for the load harness).
 func (n *Node) ReservationJobIDs() []string { return n.c.ReservationJobIDs()[n.site.id] }
-
-// Jobs lists the locally-submitted job records in submission order.
-func (n *Node) Jobs() []*Job { return n.c.Jobs() }
 
 // JobStatuses snapshots the locally-submitted jobs' decision state under
 // the cluster lock (safe while the protocol is still running).

@@ -385,13 +385,11 @@ func (b *HTTPBackend) watch(ctx context.Context, nd *backendNode, deliver func(m
 // Stats implements Backend: the worst sustained p99 across reachable sites,
 // from the decisions this backend reads in their journals (every decision a
 // node makes is read within one reconcile tick, whoever submitted the job).
-// Not the p99 a node reports in /stats: that one is over the node's whole
-// life, its maximum until the node has decided a hundred jobs, and a gate
-// that keys on it stays shut after one slow spell, since it refuses the jobs
-// whose quick decisions would dilute it. A site is reachable when its
-// GET /healthz answers 200; /stats is not asked, since the node answers it
-// by probing its execution context and sorting its latencies. Each call
-// ends a tick.
+// Not a figure over the node's whole life, such as its /metrics latency
+// histogram: a gate that keys on one stays shut after one slow spell, since
+// it refuses the jobs whose quick decisions would dilute it. A site is
+// reachable when its GET /healthz answers 200; nothing else is asked, since
+// /metrics probes the node's execution context. Each call ends a tick.
 func (b *HTTPBackend) Stats() (BackendStats, error) {
 	var out BackendStats
 	var lastErr error

@@ -6,8 +6,8 @@
 //
 // The observability half (prom.go) is a stdlib-only Prometheus metric
 // registry — counters, gauges, fixed-bucket histograms and their label
-// vectors — with deterministic text-format exposition (WriteTo) and a
-// format validator (ValidateText). The gateway (internal/gateway) and the
+// vectors — with deterministic text-format exposition (WriteTo) and the
+// parser that reads it back (ParseText). The gateway (internal/gateway) and the
 // node control plane (internal/nodeapi) serve their GET /metrics endpoints
 // from it; docs/metrics.md documents every exported family, enforced by
 // test.
@@ -121,25 +121,6 @@ func nearestRank(sorted []float64, p float64) float64 {
 	}
 	return sorted[rank]
 }
-
-// SortedSample keeps its observations in ascending order as they arrive, so
-// a percentile is an index lookup instead of a copy and a sort: the shape a
-// long-running process needs when every scrape asks for percentiles of an
-// all-time sample. Percentile agrees with Sample.Percentile bit for bit.
-type SortedSample struct {
-	sorted []float64
-}
-
-// Add inserts an observation at its rank.
-func (s *SortedSample) Add(v float64) {
-	i := sort.SearchFloat64s(s.sorted, v)
-	s.sorted = append(s.sorted, 0)
-	copy(s.sorted[i+1:], s.sorted[i:])
-	s.sorted[i] = v
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
-func (s *SortedSample) Percentile(p float64) float64 { return nearestRank(s.sorted, p) }
 
 // Table is a fixed-width text table with a caption, rendered into
 // EXPERIMENTS.md and experiment stdout.

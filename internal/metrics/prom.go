@@ -128,6 +128,19 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 	return f.histogram(nil)
 }
 
+// NewUnregisteredHistogram returns a histogram that belongs to no registry,
+// for state that outlives the registries built to render it (AddHistogram).
+func NewUnregisteredHistogram(buckets []float64) *Histogram {
+	buckets = checkBuckets("unregistered", buckets)
+	return &Histogram{buckets: buckets, counts: make([]uint64, len(buckets))}
+}
+
+// AddHistogram registers h, built by NewUnregisteredHistogram, as a
+// label-less histogram family with h's buckets.
+func (r *Registry) AddHistogram(name, help string, h *Histogram) {
+	r.register(name, help, KindHistogram, nil, h.buckets).child(nil, func() child { return h })
+}
+
 // NewHistogramVec registers a histogram family with the given bucket bounds
 // and label names.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
@@ -460,20 +473,29 @@ func validLabelName(s string) bool {
 }
 
 // ---------------------------------------------------------------------------
-// text-format validation
+// text-format parsing
 
-// ValidateText checks that data parses as Prometheus text format 0.0.4:
-// HELP/TYPE comment syntax, known TYPE values, sample lines of the form
-// name{label="value"} value [timestamp] whose names are legal and whose
-// values parse as floats, histogram sample suffixes consistent with their
-// declared TYPE, and at least one sample or family present. The soak and
-// the gateway tests run every /metrics response through it.
-func ValidateText(data []byte) error {
+// Series is one sample line of a text exposition. A histogram's samples
+// keep their _bucket, _sum or _count suffix in Name, and a bucket's bound
+// is its "le" label.
+type Series struct {
+	Name   string
+	Labels map[string]string // nil when the line has no label block
+	Value  float64
+}
+
+// ParseText parses data as Prometheus text format 0.0.4 and returns its
+// samples in order. It checks HELP/TYPE comment syntax, known TYPE values,
+// sample lines of the form name{label="value",...} value [timestamp] whose
+// names are legal and whose values parse as floats, histogram samples that
+// carry a _bucket/_sum/_count suffix, and that something is exposed at
+// all. rtds-load and the tests read every /metrics response through it.
+func ParseText(data []byte) ([]Series, error) {
 	types := make(map[string]MetricKind)
+	var out []Series
 	sawAnything := false
-	lineNo := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		lineNo++
+	for i, line := range strings.Split(string(data), "\n") {
+		lineNo := i + 1
 		if line == "" {
 			continue
 		}
@@ -485,83 +507,103 @@ func ValidateText(data []byte) error {
 			}
 			name := fields[2]
 			if !validMetricName(name) {
-				return fmt.Errorf("line %d: invalid metric name %q in %s", lineNo, name, fields[1])
+				return nil, fmt.Errorf("line %d: invalid metric name %q in %s", lineNo, name, fields[1])
 			}
 			if fields[1] == "TYPE" {
 				if len(fields) != 4 {
-					return fmt.Errorf("line %d: TYPE without a kind", lineNo)
+					return nil, fmt.Errorf("line %d: TYPE without a kind", lineNo)
 				}
 				kind := MetricKind(strings.TrimSpace(fields[3]))
 				switch kind {
 				case KindCounter, KindGauge, KindHistogram, "summary", "untyped":
 				default:
-					return fmt.Errorf("line %d: unknown TYPE %q", lineNo, kind)
+					return nil, fmt.Errorf("line %d: unknown TYPE %q", lineNo, kind)
 				}
 				types[name] = kind
 			}
 			sawAnything = true
 			continue
 		}
-		name, rest, err := splitSample(line)
+		s, err := parseSample(line)
 		if err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		value := strings.Fields(rest)
-		if len(value) < 1 || len(value) > 2 {
-			return fmt.Errorf("line %d: expected value [timestamp], got %q", lineNo, rest)
+		if types[s.Name] == KindHistogram {
+			return nil, fmt.Errorf("line %d: histogram %s sampled without _bucket/_sum/_count suffix", lineNo, s.Name)
 		}
-		if _, err := parseSampleValue(value[0]); err != nil {
-			return fmt.Errorf("line %d: bad sample value %q", lineNo, value[0])
-		}
-		base := name
-		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			trimmed := strings.TrimSuffix(name, suffix)
-			if trimmed != name && types[trimmed] == KindHistogram {
-				base = trimmed
-				break
-			}
-		}
-		if kind, declared := types[base]; declared && kind == KindHistogram && base == name {
-			return fmt.Errorf("line %d: histogram %s sampled without _bucket/_sum/_count suffix", lineNo, name)
-		}
+		out = append(out, s)
 		sawAnything = true
 	}
 	if !sawAnything {
-		return fmt.Errorf("metrics: empty exposition")
+		return nil, fmt.Errorf("metrics: empty exposition")
 	}
-	return nil
+	return out, nil
 }
 
-// splitSample splits a sample line into the metric name and the remainder
-// after the optional label block, validating both.
-func splitSample(line string) (name, rest string, err error) {
+// ValidateText checks that data parses as Prometheus text format 0.0.4; see
+// ParseText for what is checked.
+func ValidateText(data []byte) error {
+	_, err := ParseText(data)
+	return err
+}
+
+// parseSample parses one sample line: name, optional label block, value and
+// optional timestamp.
+func parseSample(line string) (Series, error) {
 	i := strings.IndexAny(line, "{ ")
 	if i < 0 {
-		return "", "", fmt.Errorf("sample line %q has no value", line)
+		return Series{}, fmt.Errorf("sample line %q has no value", line)
 	}
-	name = line[:i]
-	if !validMetricName(name) {
-		return "", "", fmt.Errorf("invalid metric name %q", name)
+	s := Series{Name: line[:i]}
+	if !validMetricName(s.Name) {
+		return Series{}, fmt.Errorf("invalid metric name %q", s.Name)
 	}
-	if line[i] == ' ' {
-		return name, strings.TrimSpace(line[i:]), nil
-	}
-	// Label block: scan to the closing brace, honoring escaped quotes.
-	inQuotes, esc := false, false
-	for j := i + 1; j < len(line); j++ {
-		c := line[j]
-		switch {
-		case esc:
-			esc = false
-		case c == '\\':
-			esc = true
-		case c == '"':
-			inQuotes = !inQuotes
-		case c == '}' && !inQuotes:
-			return name, strings.TrimSpace(line[j+1:]), nil
+	rest := line[i:]
+	if rest[0] == '{' {
+		var err error
+		if s.Labels, rest, err = parseLabels(rest[1:]); err != nil {
+			return Series{}, fmt.Errorf("%w in %q", err, line)
 		}
 	}
-	return "", "", fmt.Errorf("unterminated label block in %q", line)
+	fields := strings.Fields(rest)
+	if len(fields) < 1 || len(fields) > 2 {
+		return Series{}, fmt.Errorf("expected value [timestamp], got %q", strings.TrimSpace(rest))
+	}
+	v, err := parseSampleValue(fields[0])
+	if err != nil {
+		return Series{}, fmt.Errorf("bad sample value %q", fields[0])
+	}
+	s.Value = v
+	return s, nil
+}
+
+// parseLabels reads a label block from just after its opening brace:
+// name="value" pairs separated by commas (a trailing comma is allowed),
+// values quoted and escaped as Go strings are (the format's \\, \" and \n
+// escapes are Go's). It returns the labels and what follows the brace.
+func parseLabels(s string) (map[string]string, string, error) {
+	labels := make(map[string]string)
+	for {
+		s = strings.TrimLeft(s, " ")
+		if rest, ok := strings.CutPrefix(s, "}"); ok {
+			return labels, rest, nil
+		}
+		name, rest, ok := strings.Cut(s, "=")
+		name = strings.TrimSpace(name)
+		if !ok || !validLabelName(name) {
+			return nil, "", fmt.Errorf("bad label name in block")
+		}
+		rest = strings.TrimLeft(rest, " ")
+		quoted, err := strconv.QuotedPrefix(rest)
+		if err != nil || quoted[0] != '"' {
+			return nil, "", fmt.Errorf("label %s has no quoted value", name)
+		}
+		labels[name], _ = strconv.Unquote(quoted)
+		s, ok = strings.CutPrefix(strings.TrimLeft(rest[len(quoted):], " "), ",")
+		if !ok && !strings.HasPrefix(s, "}") {
+			return nil, "", fmt.Errorf("unterminated label block")
+		}
+	}
 }
 
 func parseSampleValue(s string) (float64, error) {

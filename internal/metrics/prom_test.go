@@ -105,6 +105,51 @@ func TestValidateTextRejectsGarbage(t *testing.T) {
 	}
 }
 
+// ParseText reads back what WriteTo renders: every sample, its labels
+// unescaped, and a histogram kept outside the registry that renders it.
+func TestParseTextReadsExposition(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounterVec("p_total", "p", "kind").With(`a"b\c` + "\n").Add(3)
+	r.NewGauge("p_gauge", "g").Set(-1.5)
+	h := NewUnregisteredHistogram([]float64{1, 2})
+	h.Observe(1.5)
+	h.Observe(7)
+	r.AddHistogram("p_seconds", "h", h)
+	series, err := ParseText([]byte(r.Expose()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, s := range series {
+		key := s.Name
+		for _, l := range []string{"kind", "le"} {
+			if v, ok := s.Labels[l]; ok {
+				key += "/" + v
+			}
+		}
+		got[key] = s.Value
+	}
+	want := map[string]float64{
+		"p_total/a\"b\\c\n":  3,
+		"p_gauge":            -1.5,
+		"p_seconds_bucket/1": 0, "p_seconds_bucket/2": 1, "p_seconds_bucket/+Inf": 2,
+		"p_seconds_sum": 8.5, "p_seconds_count": 2,
+	}
+	if len(got) != len(want) {
+		t.Errorf("parsed %d series, want %d: %v", len(got), len(want), got)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Errorf("%q = %v (present %v), want %v", k, g, ok, v)
+		}
+	}
+	for _, bad := range []string{`m{a="x",b} 1`, `m{a=x} 1`, `m{9a="x"} 1`, `m{a="x"`} {
+		if _, err := ParseText([]byte(bad + "\n")); err == nil {
+			t.Errorf("ParseText accepted %q", bad)
+		}
+	}
+}
+
 func TestCounterPanicsOnDecrease(t *testing.T) {
 	defer func() {
 		if recover() == nil {

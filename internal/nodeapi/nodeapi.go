@@ -1,9 +1,8 @@
 // Package nodeapi is the control and observability plane of one deployed
 // RTDS site (cmd/rtds-node): a small JSON-over-HTTP API for job
-// submission, decision return and leak checking, plus one statistics
-// snapshot (decision-latency percentiles from internal/metrics, transport
-// counters) in two encodings: JSON on /stats for the gateway and the load
-// harness, Prometheus text on /metrics for dashboards.
+// submission, decision return and leak checking, and one statistics
+// surface, Prometheus text on /metrics (prom.go). docs/api.md lists the
+// endpoints; docs/metrics.md the metric families.
 //
 // Decisions return through the node's decision journal (core.Node's
 // DecidedSince): GET /jobs?since=<cursor>&boot=<token> answers with the
@@ -11,23 +10,9 @@
 // holds the request until the next decision or the timeout, so a reader that
 // keeps its cursor learns of a decision when it is made and pays for new
 // decisions only. The boot token names this process: a reader whose token
-// is stale (the node restarted, its journal is empty) is restarted at 0.
-// /stats and /metrics render one fold of the same journal. GET /jobs
-// without a cursor still returns the whole history (summaries, leak checks).
-//
-// Endpoints:
-//
-//	GET  /healthz       process liveness
-//	GET  /readyz        200 once the PCS bootstrap completed and the epoch is sealed
-//	POST /submit        {"at":0,"deadline":40,"graph":{dag json}} -> {"id":"j1@3"}
-//	GET  /jobs          {"jobs":[{id,outcome,arrival,decision_at,...}]}
-//	GET  /jobs?since=N&boot=T[&wait=800ms]
-//	                    {"boot":T,"next":M,"jobs":[the decisions N..M-1]}
-//	GET  /stats         transport counters + decision-latency percentiles
-//	GET  /reservations  {"jobs":["j1@3",...]} — job IDs with committed plan reservations
-//	GET  /idle          {"idle":true} — lock released, no deferred work, no open txns
-//	GET  /membership    membership view: epoch, incarnation, per-site liveness, repair state
-//	GET  /metrics       Prometheus text exposition (see docs/metrics.md)
+// is stale (the node restarted, its journal is empty) is restarted at 0, and
+// so is a GET /jobs without a cursor. /metrics folds the same journal a tail
+// at a time into its decision counters and latency histogram.
 package nodeapi
 
 import (
@@ -58,12 +43,13 @@ type Server struct {
 	release     chan struct{} // closed by ReleaseWaiters
 	releaseOnce sync.Once
 
-	// What /stats knows of the decision journal so far.
-	statsMu  sync.Mutex
+	// What /metrics knows of the decision journal so far: a cursor, two
+	// counts and a fixed-bucket histogram, whatever the history.
+	foldMu   sync.Mutex
 	cursor   int
 	decided  int
 	accepted int
-	latency  metrics.SortedSample
+	latency  *metrics.Histogram
 }
 
 // maxWait bounds how long GET /jobs?since= holds a request open. It stays
@@ -84,6 +70,7 @@ func New(node *core.Node) *Server {
 		mux:     http.NewServeMux(),
 		boot:    strconv.FormatInt(time.Now().UnixNano(), 36),
 		release: make(chan struct{}),
+		latency: newLatencyHistogram(),
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -97,7 +84,6 @@ func New(node *core.Node) *Server {
 	})
 	s.mux.HandleFunc("POST /submit", s.handleSubmit)
 	s.mux.HandleFunc("GET /jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /reservations", s.handleReservations)
 	s.mux.HandleFunc("GET /idle", s.handleIdle)
 	s.mux.HandleFunc("GET /membership", s.handleMembership)
@@ -154,7 +140,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // in-flight handlers, and a long-poll would otherwise delay it by its wait.
 func (s *Server) ReleaseWaiters() { s.releaseOnce.Do(func() { close(s.release) }) }
 
-// JournalReply is the GET /jobs?since= schema.
+// JournalReply is the GET /jobs schema.
 type JournalReply struct {
 	// Boot names the answering process; send it back with the next read.
 	Boot string `json:"boot"`
@@ -167,14 +153,13 @@ type JournalReply struct {
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	if !q.Has("since") {
-		writeJSON(w, map[string]any{"jobs": s.node.JobStatuses()})
-		return
-	}
-	cursor, err := strconv.Atoi(q.Get("since"))
-	if err != nil || cursor < 0 {
-		http.Error(w, "since must be a non-negative integer", http.StatusBadRequest)
-		return
+	cursor := 0 // no cursor reads from the start, as a stale one does
+	var err error
+	if q.Has("since") {
+		if cursor, err = strconv.Atoi(q.Get("since")); err != nil || cursor < 0 {
+			http.Error(w, "since must be a non-negative integer", http.StatusBadRequest)
+			return
+		}
 	}
 	if q.Get("boot") != s.boot {
 		cursor = 0 // the reader's cursor counted another process's journal
@@ -200,72 +185,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, JournalReply{Boot: s.boot, Next: next, Jobs: tail})
-}
-
-// StatsReply is the GET /stats schema.
-type StatsReply struct {
-	Site               int              `json:"site"`
-	Ready              bool             `json:"ready"`
-	Messages           int64            `json:"messages"`
-	Bytes              int64            `json:"bytes"`
-	Dropped            int64            `json:"dropped"`
-	ByKind             map[string]int64 `json:"by_kind,omitempty"`
-	BootstrapMessages  int64            `json:"bootstrap_messages"`
-	BootstrapBytes     int64            `json:"bootstrap_bytes"`
-	Jobs               int              `json:"jobs"`
-	Decided            int              `json:"decided"`
-	Accepted           int              `json:"accepted"`
-	Violations         int              `json:"violations"`
-	Disruptions        int              `json:"disruptions"`
-	DecisionLatencyP50 float64          `json:"decision_latency_p50"`
-	DecisionLatencyP99 float64          `json:"decision_latency_p99"`
-	RoutingTableBytes  int              `json:"routing_table_bytes"`
-	RoutingEntries     int              `json:"routing_entries"`
-}
-
-func (s *Server) stats() StatsReply {
-	st := s.node.Stats()
-	bm, bb := s.node.BootstrapCost()
-	rb, re := s.node.RoutingState()
-	reply := StatsReply{
-		Site:              int(s.node.Self()),
-		Ready:             s.ready.Load(),
-		Messages:          st.Messages(),
-		Bytes:             st.Bytes(),
-		Dropped:           st.Dropped(),
-		ByKind:            st.ByKind(),
-		BootstrapMessages: bm,
-		BootstrapBytes:    bb,
-		Violations:        len(s.node.Violations()),
-		Disruptions:       s.node.FaultDisruptions(),
-		RoutingTableBytes: rb,
-		RoutingEntries:    re,
-	}
-	// The gateway asks every tick and every scrape asks again, so the
-	// decision counters are folded in from the journal tail and the latency
-	// sample is kept sorted: a call costs the decisions made since the last
-	// one, not the history.
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	tail, next, _ := s.node.DecidedSince(s.cursor, 0)
-	s.cursor = next
-	for _, j := range tail {
-		s.decided++
-		if j.Outcome == core.AcceptedLocal || j.Outcome == core.AcceptedDistributed {
-			s.accepted++
-		}
-		s.latency.Add(j.DecisionAt - j.Arrival)
-	}
-	reply.Jobs = s.node.JobCount()
-	reply.Decided = s.decided
-	reply.Accepted = s.accepted
-	reply.DecisionLatencyP50 = s.latency.Percentile(50)
-	reply.DecisionLatencyP99 = s.latency.Percentile(99)
-	return reply
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.stats())
 }
 
 func (s *Server) handleReservations(w http.ResponseWriter, r *http.Request) {

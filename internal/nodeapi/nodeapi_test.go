@@ -1,14 +1,16 @@
 package nodeapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -156,13 +158,9 @@ func TestControlPlane(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	var stats StatsReply
-	getJSON(t, srv0.URL+"/stats", &stats)
-	if stats.Jobs != 1 || stats.Decided != 1 || stats.Accepted != 1 {
-		t.Fatalf("stats: %+v, want 1 job decided and accepted", stats)
-	}
-	if stats.BootstrapMessages == 0 {
-		t.Fatal("stats reports no bootstrap messages")
+	// /metrics is the one statistics surface: there is no /stats.
+	if resp, err := http.Get(srv0.URL + "/stats"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: %v %v, want 404", resp, err)
 	}
 
 	var res struct {
@@ -246,20 +244,27 @@ func TestControlPlane(t *testing.T) {
 	}
 	for _, want := range []string{
 		"rtds_node_ready 1",
+		"rtds_node_jobs_total 1",
+		"rtds_node_jobs_decided_total 1",
 		"rtds_node_jobs_accepted_total 1",
+		"rtds_node_decision_latency_seconds_count 1",
 		`rtds_node_messages_by_kind_total{kind=`,
 	} {
 		if !strings.Contains(string(promBody), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, promBody)
 		}
 	}
+	if strings.Contains(string(promBody), "rtds_node_bootstrap_messages_total 0\n") {
+		t.Error("/metrics reports no bootstrap messages")
+	}
 }
 
 // Every family a live scrape can emit must be in MetricNames (the set
 // docs/metrics.md is tested against).
 func TestMetricNamesCoverLiveScrape(t *testing.T) {
-	live := buildPromRegistry(StatsReply{
-		Ready: true, Messages: 3, ByKind: map[string]int64{"rtds.enroll": 2},
+	live := buildPromRegistry(snapshot{
+		ready: true, messages: 3, byKind: map[string]int64{"rtds.enroll": 2},
+		latency: newLatencyHistogram(),
 	}).Names()
 	declared := make(map[string]bool)
 	for _, n := range MetricNames() {
@@ -355,39 +360,6 @@ func TestJobsSince(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	submitJobs(t, srv0, rng, 12)
 
-	// Without a cursor the reply is what it always was: the whole history,
-	// and no journal fields. Accepted jobs are still executing, so the
-	// history is rendered before and after the request until both agree.
-	render := func() []byte {
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"jobs": api.node.JobStatuses()}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for try := 0; ; try++ {
-		before := render()
-		resp, err := http.Get(srv0.URL + "/jobs")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, render()) && try < 200 {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		if !bytes.Equal(got, before) {
-			t.Errorf("GET /jobs changed:\n got %s\nwant %s", got, before)
-		}
-		break
-	}
-
 	// A first read knows no boot token and starts at 0. Walking the journal
 	// in pages of any size visits every decision once, in decision order,
 	// with a cursor that never goes back.
@@ -422,6 +394,7 @@ func TestJobsSince(t *testing.T) {
 	}{
 		{name: "stale boot token restarts at 0", query: "since=9&boot=another-process", wantJobs: 12},
 		{name: "missing boot token restarts at 0", query: "since=9", wantJobs: 12},
+		{name: "no cursor reads from 0", query: "", wantJobs: 12},
 		{name: "cursor beyond the journal restarts at 0", query: "since=99&boot=" + first.Boot, wantJobs: 12},
 		{name: "at the end, no wait", query: "since=12&boot=" + first.Boot, wantJobs: 0},
 		{name: "negative cursor", query: "since=-1&boot=" + first.Boot, wantStatus: http.StatusBadRequest},
@@ -546,52 +519,98 @@ func TestJobsSince(t *testing.T) {
 	})
 }
 
-// statsFromScratch recomputes the decision part of /stats the way it was
-// computed before the journal: one pass over the whole history and a sort
-// per percentile.
-func statsFromScratch(node *core.Node) (jobs, decided, accepted int, p50, p99 float64) {
-	var latency metrics.Sample
+// scrapeFold reads the decision part of GET /metrics: the job, decided and
+// accepted counters, and the latency histogram's cumulative bucket counts
+// (the +Inf bucket last), its count and its sum.
+func scrapeFold(t *testing.T, srv *httptest.Server) (counts map[string]float64, buckets []float64) {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series, err := metrics.ParseText(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts = make(map[string]float64)
+	for _, s := range series {
+		switch s.Name {
+		case "rtds_node_jobs_total", "rtds_node_jobs_decided_total", "rtds_node_jobs_accepted_total",
+			"rtds_node_decision_latency_seconds_count", "rtds_node_decision_latency_seconds_sum":
+			counts[s.Name] = s.Value
+		case "rtds_node_decision_latency_seconds_bucket":
+			buckets = append(buckets, s.Value)
+		}
+	}
+	return counts, buckets
+}
+
+// foldFromScratch recomputes the same figures with one pass over the whole
+// history.
+func foldFromScratch(node *core.Node) (counts map[string]float64, buckets []float64) {
+	counts = make(map[string]float64)
+	buckets = make([]float64, len(latencyBuckets)+1)
 	for _, j := range node.JobStatuses() {
-		jobs++
+		counts["rtds_node_jobs_total"]++
 		if j.Outcome == core.Pending {
 			continue
 		}
-		decided++
+		counts["rtds_node_jobs_decided_total"]++
 		if j.Outcome == core.AcceptedLocal || j.Outcome == core.AcceptedDistributed {
-			accepted++
+			counts["rtds_node_jobs_accepted_total"]++
 		}
-		latency.Add(j.DecisionAt - j.Arrival)
+		latency := j.DecisionAt - j.Arrival
+		counts["rtds_node_decision_latency_seconds_count"]++
+		counts["rtds_node_decision_latency_seconds_sum"] += latency
+		for i, ub := range latencyBuckets {
+			if latency <= ub {
+				buckets[i]++
+			}
+		}
+		buckets[len(latencyBuckets)]++
 	}
-	return jobs, decided, accepted, latency.Percentile(50), latency.Percentile(99)
+	return counts, buckets
 }
 
-// /stats folds the journal in a tail at a time; whatever the tails were, the
-// reply must be the one a recomputation over the whole history gives. The
-// gateway's laxity gate compares deadlines with this p99: bit for bit.
-func TestStatsMatchRecomputation(t *testing.T) {
+// /metrics folds the journal in a tail at a time; whatever the tails were
+// (rounds of random size, each scraped one to three times), its decision
+// counters and histogram must be the ones a recomputation over the whole
+// history gives.
+func TestMetricsFoldMatchesRecomputation(t *testing.T) {
 	srv0, _, cleanup := startPair(t)
 	defer cleanup()
 	api := serverOf(t, srv0)
 	api.SetReady()
 	rng := rand.New(rand.NewSource(11))
 	total := 0
+	var got map[string]float64
 	for round := 0; round < 8; round++ {
 		n := 1 + rng.Intn(40)
 		submitJobs(t, srv0, rng, n)
 		total += n
-		got := api.stats()
-		jobs, decided, accepted, p50, p99 := statsFromScratch(api.node)
-		if got.Jobs != jobs || got.Decided != decided || got.Accepted != accepted ||
-			got.DecisionLatencyP50 != p50 || got.DecisionLatencyP99 != p99 {
-			t.Fatalf("after %d jobs: stats %d/%d/%d p50 %v p99 %v, recomputed %d/%d/%d p50 %v p99 %v",
-				total, got.Jobs, got.Decided, got.Accepted, got.DecisionLatencyP50, got.DecisionLatencyP99,
-				jobs, decided, accepted, p50, p99)
+		for range rng.Intn(3) {
+			scrapeFold(t, srv0)
 		}
-		if decided != total {
-			t.Fatalf("%d decided, want %d", decided, total)
+		var buckets []float64
+		got, buckets = scrapeFold(t, srv0)
+		want, wantBuckets := foldFromScratch(api.node)
+		sum, wantSum := got["rtds_node_decision_latency_seconds_sum"], want["rtds_node_decision_latency_seconds_sum"]
+		delete(got, "rtds_node_decision_latency_seconds_sum")
+		delete(want, "rtds_node_decision_latency_seconds_sum")
+		if !maps.Equal(got, want) || !slices.Equal(buckets, wantBuckets) || math.Abs(sum-wantSum) > 1e-9*max(1, wantSum) {
+			t.Fatalf("after %d jobs: scraped %v buckets %v sum %v, recomputed %v buckets %v sum %v",
+				total, got, buckets, sum, want, wantBuckets, wantSum)
+		}
+		if want["rtds_node_jobs_decided_total"] != float64(total) {
+			t.Fatalf("%v decided, want %d", want["rtds_node_jobs_decided_total"], total)
 		}
 	}
-	if got := api.stats(); got.Accepted == 0 || got.Accepted == got.Decided {
-		t.Errorf("the workload did not mix outcomes: %d of %d accepted", got.Accepted, got.Decided)
+	if acc := got["rtds_node_jobs_accepted_total"]; acc == 0 || acc == got["rtds_node_jobs_decided_total"] {
+		t.Errorf("the workload did not mix outcomes: %v of %v accepted", acc, got["rtds_node_jobs_decided_total"])
 	}
 }

@@ -94,8 +94,8 @@ type Router interface {
 // destination. Lookups are a binary search (see find), Snapshot, Destinations and
 // Sphere are linear projections in ID order, and Merge folds a neighbor's
 // sorted snapshot in with one two-pointer pass. The slice is the table's only
-// representation and Merge and RemoveSite rewrite it in place after the table
-// has been adopted, so no caller may keep a []Route of it without copying.
+// representation and Merge rewrites it in place after the table has been
+// adopted, so no caller may keep a []Route of it without copying.
 type Table struct {
 	Self   graph.NodeID
 	routes []Route // sorted by Dest, one line per destination
@@ -294,17 +294,6 @@ func (t *Table) Snapshot() []WireRoute {
 		out[i] = WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops}
 	}
 	return out
-}
-
-// RemoveSite deletes the route to a dead site and every route whose next
-// hop is the dead site — those paths are physically broken. It reports how
-// many routes were removed. Destinations stranded by the removal are
-// re-learned by RebuildAlive (the repair pass the cluster runs when a site
-// is declared dead).
-func (t *Table) RemoveSite(dead graph.NodeID) int {
-	n := len(t.routes)
-	t.routes = slices.DeleteFunc(t.routes, func(r Route) bool { return r.Dest == dead || r.NextHop == dead })
-	return n - len(t.routes)
 }
 
 // Clone deep-copies the table.

@@ -319,29 +319,6 @@ func ringN(n int) *graph.Graph {
 	return g
 }
 
-func TestRemoveSiteDropsDeadAndVia(t *testing.T) {
-	tables, _, err := Build(lineN(4), RoundsForRadius(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tables[0] // routes to 1, 2, 3 all via next hop 1
-	removed := tb.RemoveSite(1)
-	if removed != 3 {
-		t.Fatalf("removed %d routes, want 3 (dest 1 and the two via 1)", removed)
-	}
-	for _, dest := range []graph.NodeID{1, 2, 3} {
-		if _, ok := tb.NextHop(dest); ok {
-			t.Errorf("route to %d survived removal of its next hop", dest)
-		}
-	}
-	if tb.Dist(0) != 0 {
-		t.Error("self route removed")
-	}
-	if tb.RemoveSite(1) != 0 {
-		t.Error("second removal found routes")
-	}
-}
-
 func TestRebuildAliveRoutesAroundDeadSite(t *testing.T) {
 	topo := ringN(5)
 	dead := graph.NodeID(1)
@@ -425,39 +402,6 @@ func TestRebuildAliveRoundBudgetLimitsDetour(t *testing.T) {
 	// rounds=2 caps paths at 3 edges: destination 2 drops out at node 0.
 	if _, ok := RebuildAlive(topo, 2, alive)[0].Route(2); ok {
 		t.Fatal("detour beyond the round budget was learned")
-	}
-}
-
-// TestRemoveSiteRepeatedIdempotence: removing dead sites repeatedly, in any
-// order, converges to the same table and never touches self.
-func TestRemoveSiteRepeatedIdempotence(t *testing.T) {
-	tables, _, err := Build(ringN(6), RoundsForRadius(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := tables[0].Clone()
-	b := tables[0].Clone()
-	a.RemoveSite(2)
-	a.RemoveSite(4)
-	a.RemoveSite(2) // repeat
-	b.RemoveSite(4)
-	b.RemoveSite(2)
-	b.RemoveSite(4) // repeat
-	if a.Len() != b.Len() {
-		t.Fatalf("order-dependent removal: %d vs %d destinations", a.Len(), b.Len())
-	}
-	for _, d := range a.Destinations() {
-		ra, _ := a.Route(d)
-		rb, ok := b.Route(d)
-		if !ok || ra != rb {
-			t.Fatalf("route to %d diverged: %+v vs %+v", d, ra, rb)
-		}
-	}
-	if a.Dist(0) != 0 {
-		t.Fatal("self route lost across repeated removals")
-	}
-	if a.RemoveSite(2)+a.RemoveSite(4) != 0 {
-		t.Fatal("repeated removal still found routes")
 	}
 }
 

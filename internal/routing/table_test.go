@@ -100,17 +100,6 @@ func (t *refTable) snapshot() []WireRoute {
 	return out
 }
 
-func (t *refTable) removeSite(dead graph.NodeID) int {
-	removed := 0
-	for _, d := range determinism.SortedKeys(t.routes) {
-		if r := t.routes[d]; d == dead || r.NextHop == dead {
-			delete(t.routes, d)
-			removed++
-		}
-	}
-	return removed
-}
-
 func (t *refTable) clone() *refTable {
 	c := &refTable{self: t.self, routes: make(map[graph.NodeID]Route, len(t.routes))}
 	for k, v := range t.routes {
@@ -187,7 +176,7 @@ func randomEntries(rng *rand.Rand, self graph.NodeID) []WireRoute {
 
 // TestTableMatchesMapReference drives the sorted-slice Table and the map
 // reference through the same random sequences of Merge (sorted, unsorted
-// and self-containing input, and real snapshots), RemoveSite and Clone, and
+// and self-containing input, and real snapshots) and Clone, and
 // compares every answer and every changed bit. Merge must never write its
 // input.
 func TestTableMatchesMapReference(t *testing.T) {
@@ -206,7 +195,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 		peer := NewTable(graph.NodeID((int(self)+1)%refDests), nil)
 		for op := 0; op < 60; op++ {
 			switch r := rng.Intn(10); {
-			case r < 6:
+			case r < 8:
 				from := graph.NodeID(rng.Intn(refDests))
 				delay := float64(rng.Intn(3)) * 0.5
 				entries := randomEntries(rng, self)
@@ -222,17 +211,11 @@ func TestTableMatchesMapReference(t *testing.T) {
 				if !slices.Equal(entries, before) {
 					t.Fatalf("seed %d op %d: Merge wrote its input", seed, op)
 				}
-			case r < 8:
-				dead := graph.NodeID(rng.Intn(refDests))
-				if g, w := got.RemoveSite(dead), ref.removeSite(dead); g != w {
-					t.Fatalf("seed %d op %d: RemoveSite(%d) removed %d, reference %d", seed, op, dead, g, w)
-				}
 			default:
 				// Continue on the clone; the original keeps changing and
 				// must not leak into it.
 				c, rc := got.Clone(), ref.clone()
 				got.Merge(self+1, 0, randomEntries(rng, self))
-				got.RemoveSite(graph.NodeID(rng.Intn(refDests)))
 				got, ref = c, rc
 			}
 			sameAsRef(t, "after op", got, ref)
