@@ -1,15 +1,14 @@
 // Command rtds-bench runs the full experiment suite (DESIGN.md §4) on a
 // parallel worker pool and prints every table; -md emits GitHub-flavored
 // markdown for EXPERIMENTS.md, -json writes the machine-readable suite
-// benchmark (per-experiment wall time, events/sec, guarantee ratios) so the
-// performance trajectory is tracked across PRs.
+// benchmark (per-experiment wall time, events/sec and rendered table).
 //
-// With -check the tool is the CI gate for table identity and allocs/op: it
-// re-runs the suite at the committed baseline's size and seeds and fails if
-// any per-experiment guarantee ratio or row count drifts from the baseline,
-// a hot path allocates more per op, the routing sweep moves, or the kernel
-// storm loses its determinism (or, on >= 8 cores, its 4x floor). Events/sec
-// is printed, never compared: speed is measured by go run ./benchmark.
+// With -check the tool is the CI gate for table identity: it re-runs the
+// suite at the committed baseline's size and seeds and fails unless the run
+// produces the same experiment@seed set with every table identical line for
+// line, naming the first differing line of each experiment that moved.
+// Events/sec is printed, never compared: speed is measured by go run
+// ./benchmark.
 //
 // -kernel-workers selects the simulation kernel for every RTDS-core cluster
 // the run builds: 0 (the default) the serial reference engine, N >= 1 the
@@ -146,10 +145,6 @@ func main() {
 
 	if *jsonOut {
 		rep := experiments.NewBenchReport(size, seeds, *workers, wall, results)
-		if err := measureSections(&rep, true, true, true); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -223,39 +218,20 @@ func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
 	}, nil
 }
 
-// measureSections fills the report's sections beside the experiment tables:
-// -json measures all three, -check those its baseline carries.
-func measureSections(rep *experiments.BenchReport, micro, kernel, routing bool) (err error) {
-	if micro {
-		fmt.Fprintln(os.Stderr, "running hot-path micro-benchmarks (allocs/op)")
-		rep.Micro = experiments.RunMicroBenches()
-	}
-	if kernel {
-		fmt.Fprintln(os.Stderr, "running kernel scaling benchmark (token storm)")
-		if rep.Kernel, err = experiments.RunKernelBench(); err != nil {
-			return err
-		}
-	}
-	if routing {
-		fmt.Fprintln(os.Stderr, "running hierarchical routing benchmark (scale sweep)")
-		if rep.Routing, err = experiments.RunRoutingBench(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkBaseline is the regression gate: re-run the suite exactly as the
-// committed baseline describes (size, seeds), then compare what is
-// deterministic — guarantee ratios, row counts, allocs/op, the routing sweep
-// and the kernel storm's event count.
+// committed baseline describes (size, seeds), then compare every rendered
+// table with the baseline's. A baseline with fields this report no longer
+// has is refused, not half-compared: regenerate it.
 func checkBaseline(path string, workers, kernelWorkers int) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
+	defer f.Close()
 	var baseline experiments.BenchReport
-	if err := json.Unmarshal(data, &baseline); err != nil {
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&baseline); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", path, err)
 	}
 	if len(baseline.Experiments) == 0 || len(baseline.Seeds) == 0 {
@@ -281,9 +257,6 @@ func checkBaseline(path string, workers, kernelWorkers int) error {
 		return err
 	}
 	current := experiments.NewBenchReport(size, baseline.Seeds, workers, wall, results)
-	if err := measureSections(&current, len(baseline.Micro) > 0, baseline.Kernel != nil, baseline.Routing != nil); err != nil {
-		return err
-	}
 	if err := experiments.CompareReports(baseline, current); err != nil {
 		return err
 	}

@@ -5,7 +5,9 @@
 // mid-run shows up as a burst of retries, not a failed load run. At the
 // end every acked job ID is reconciled against GET /v1/jobs/{id}: an
 // acked submission the restarted gateway no longer knows is a durability
-// bug and fails the run.
+// bug and fails the run. With -gateway, run refuses the node-mode checks
+// (-verify-live, -min-agreement, -optional-sites, -joiner), and runGateway
+// an empty name in -tenants.
 package main
 
 import (
@@ -14,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -55,8 +58,8 @@ type GatewayReport struct {
 // runGateway is the -gateway entry point.
 func runGateway(o opts) error {
 	tenants := strings.Split(o.tenantsSpec, ",")
-	if o.tenantsSpec == "" || len(tenants) == 0 {
-		return fmt.Errorf("-tenants is required in gateway mode (comma-separated tenant names)")
+	if slices.Contains(tenants, "") {
+		return fmt.Errorf("-tenants %q: gateway mode needs comma-separated, non-empty tenant names", o.tenantsSpec)
 	}
 	// The nodes named here are only scraped, so they need not be all sites.
 	var nodes map[graph.NodeID]string

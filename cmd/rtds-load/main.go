@@ -167,6 +167,21 @@ type Report struct {
 
 func run(o opts) error {
 	if o.gatewayURL != "" {
+		// Gateway mode reads none of the node-mode checks: refuse them rather
+		// than exit 0 without having run them.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"verify-live", o.verifyLive},
+			{"min-agreement", o.minAgreement != 0},
+			{"optional-sites", o.optionalSpec != ""},
+			{"joiner", o.joiner >= 0},
+		} {
+			if f.set {
+				return fmt.Errorf("-%s applies to node mode only, not -gateway", f.name)
+			}
+		}
 		return runGateway(o)
 	}
 	if o.nodesSpec == "" {

@@ -145,6 +145,10 @@ func TestRunRefusesBadOptions(t *testing.T) {
 		{"joiner out of range", opts{sites: 3, joiner: 3, nodesSpec: nodes}, "-joiner 3 out of range"},
 		{"malformed gateway-mode nodes", opts{sites: 3, joiner: -1, gatewayURL: "127.0.0.1:1", tenantsSpec: "acme",
 			nodesSpec: "127.0.0.1:1"}, "not id=host:port"},
+		{"gateway mode with node-mode checks", opts{sites: 3, joiner: -1, gatewayURL: "127.0.0.1:1", tenantsSpec: "acme",
+			verifyLive: true, minAgreement: 1}, "-verify-live applies to node mode only"},
+		{"gateway mode with an empty tenant", opts{sites: 3, joiner: -1, gatewayURL: "127.0.0.1:1", tenantsSpec: "a,,b"},
+			`-tenants "a,,b"`},
 	} {
 		err := run(tc.o)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/simnet"
 )
 
@@ -21,6 +22,34 @@ func (h *hookedTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 		h.onSend(p)
 	}
 	return h.Transport.Send(from, to, p)
+}
+
+// soloHost hosts site 0 of a 2-site line alone on the serial DES: its
+// routing table holds the one neighbour, which is a sink that swallows
+// whatever it is sent. decorate, if non-nil, wraps the transport before the
+// site attaches to it. The site's locks and deferred queue can then be
+// driven by hand, with Cluster.Run draining what it sends.
+func soloHost(cfg Config, decorate func(simnet.Transport) simnet.Transport) (*Cluster, error) {
+	topo := graph.Line(2, graph.UnitDelay, 1)
+	if err := cfg.validate(topo); err != nil {
+		return nil, err
+	}
+	kernel, err := simnet.NewKernel(topo, 0)
+	if err != nil {
+		return nil, err
+	}
+	var tr simnet.Transport = simnet.NewDES(kernel, topo)
+	if decorate != nil {
+		tr = decorate(tr)
+	}
+	c, err := newHost(topo, cfg, tr, []graph.NodeID{0})
+	if err != nil {
+		return nil, err
+	}
+	c.kernel = kernel
+	tr.Attach(1, func(graph.NodeID, simnet.Payload) {})
+	c.sites[0].adoptTable(routing.NewTable(0, topo.Neighbors(0)))
+	return c, nil
 }
 
 // soloSite is a traced soloHost whose deferred queue is driven by hand. The log

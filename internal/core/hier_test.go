@@ -255,3 +255,29 @@ func TestHierDistancesFinite(t *testing.T) {
 		_ = lay
 	}
 }
+
+// TestHierRouteDigestPinned pins every route of the rtds-hier cluster on
+// the 256- and 1,024-site random topologies (degree 4, the suite's link
+// delays, seed 1+n): the digest of every site's routes and sphere, and the
+// bootstrap's message count. Both are deterministic, so a change that moves
+// one route or one bootstrap message fails here; a deliberate one updates
+// the pins.
+func TestHierRouteDigestPinned(t *testing.T) {
+	for _, pin := range []struct {
+		sites  int
+		digest uint64
+		msgs   int64
+	}{
+		{256, 0xd5f8cfb436a9472b, 22454},
+		{1024, 0x9db263b998d279da, 163542},
+	} {
+		cfg := DefaultConfig()
+		cfg.Hier = true
+		c := mustCluster(t, hierTopo(pin.sites, 1+int64(pin.sites)), cfg)
+		msgs, _ := c.BootstrapCost()
+		if got := c.RouteDigest(); got != pin.digest || msgs != pin.msgs {
+			t.Errorf("%d sites: route digest %016x after %d bootstrap messages, pinned %016x after %d",
+				pin.sites, got, msgs, pin.digest, pin.msgs)
+		}
+	}
+}

@@ -1,12 +1,70 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/simnet"
 )
+
+// The two protocol-layer hot paths whose allocation counts the tests below
+// pin. Each constructor builds a small DES cluster and returns the closure
+// that performs one operation in steady state.
+
+// newRelayHop returns a step that relays one routed message across the
+// middle site of a 3-site line: Site.handle → forward → DES.Send →
+// Queue.Step, the delivery at the destination (an acknowledgement nobody
+// waits for) included. kernelWorkers is Config.KernelWorkers.
+func newRelayHop(kernelWorkers int) (step func(), err error) {
+	cfg := DefaultConfig()
+	cfg.KernelWorkers = kernelWorkers
+	c, err := NewCluster(graph.Line(3, graph.UnitDelay, 1), cfg)
+	if err != nil {
+		return nil, err
+	}
+	relay := c.sites[1]
+	m := NewRouted(0, 2, 0, UnlockAck{Job: "nobody", Member: 0})
+	var p simnet.Payload = m
+	return func() {
+		m.TTL = 2 // spent by the hop; the message itself is reused
+		relay.handle(0, p)
+		if err := c.Run(); err != nil {
+			panic(err)
+		}
+	}, nil
+}
+
+// newUnlockReplay returns a step that unlocks a site holding n deferred
+// enrollments: the first re-locks the site (and acknowledges, which is the
+// step's only allocation: the boxed EnrollAck and its routed header), the
+// other n-1 find it locked again and requeue. The step then requeues the
+// enrollment it consumed, so every call sees the same queue.
+func newUnlockReplay(n int) (step func(), err error) {
+	c, err := soloHost(DefaultConfig(), nil)
+	if err != nil {
+		return nil, err
+	}
+	s := c.sites[0]
+	enroll := func(job string) deferredWork {
+		return deferredWork{src: 1, req: EnrollReq{Job: job, Initiator: 1, Window: 1}}
+	}
+	s.lock(1, "held")
+	for i := 0; i < n; i++ {
+		s.deferWork(enroll(fmt.Sprintf("j%d", i)))
+	}
+	return func() {
+		s.unlock()
+		if len(s.deferred) != n-1 || !s.locked() {
+			panic(fmt.Sprintf("core: unlock replay left %d deferred, locked=%v", len(s.deferred), s.locked()))
+		}
+		s.deferWork(enroll(s.lockJob))
+		if err := c.Run(); err != nil { // the sink swallows the ack
+			panic(err)
+		}
+	}, nil
+}
 
 // TestRelayHopAllocatesNothing pins the cost of one relayed hop on a 3-site
 // line — Site.handle → forward → DES.Send → Queue.Step, the delivery at the
@@ -15,7 +73,7 @@ import (
 // node, and the routed handle is re-sent as it is.
 func TestRelayHopAllocatesNothing(t *testing.T) {
 	for _, workers := range []int{0, 1} {
-		step, err := NewRelayHop(workers)
+		step, err := newRelayHop(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +92,7 @@ func TestRelayHopAllocatesNothing(t *testing.T) {
 func TestUnlockReplayAllocatesNothingPerItem(t *testing.T) {
 	const ackCost = 2
 	for _, n := range []int{1, 2, 64, 1024} {
-		step, err := NewUnlockReplay(n)
+		step, err := newUnlockReplay(n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,87 +101,3 @@ func e15Scale(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
 func E15Scale(size Size, seed int64) (*metrics.Table, error) {
 	return e15Scale(new(runEnv), size, seed)
 }
-
-// ---------------------------------------------------------------------------
-// Routing benchmark: the BENCH_suite.json "routing" section
-
-// routingBenchSizes are the section's fixed sweep points. Small enough for
-// the PR gate to re-run, large enough that linear-vs-sublinear state growth
-// is unambiguous between consecutive points.
-var routingBenchSizes = []int{256, 1024}
-
-// routingBenchSeed pins the section's topology and workload; the produced
-// numbers are fully deterministic, so the gate compares them exactly.
-const routingBenchSeed = 1
-
-// RoutingPoint is one network-size measurement of the routing benchmark.
-type RoutingPoint struct {
-	Sites   int `json:"sites"`
-	Regions int `json:"regions"`
-	// TableBytes/TableEntries are the largest per-site routing-state
-	// footprint across the hierarchical cluster's sites.
-	TableBytes   int `json:"table_bytes"`
-	TableEntries int `json:"table_entries"`
-	// FlatTableBytes is the flat protocol's per-site table at the same
-	// size: exactly one 16-byte line per destination plus the header.
-	FlatTableBytes  int     `json:"flat_table_bytes"`
-	BootstrapRounds int     `json:"bootstrap_rounds"`
-	MsgsPerJob      float64 `json:"msgs_per_job"`
-	GuaranteeRatio  float64 `json:"guarantee_ratio"`
-	// CrossRegionMessages counts protocol messages that crossed a region
-	// boundary during the run (escalations and their ACS traffic only —
-	// region-local jobs contribute zero).
-	CrossRegionMessages int64 `json:"cross_region_messages"`
-	// BootstrapMsgs is the two-phase bootstrap's message count and
-	// RouteDigest a hash of every site's routes (core.Cluster.RouteDigest):
-	// both are gated exactly, so a representation change that moves a
-	// single route or message fails the gate.
-	BootstrapMsgs int64  `json:"bootstrap_msgs,omitempty"`
-	RouteDigest   string `json:"route_digest,omitempty"`
-}
-
-// RoutingBench is the BENCH_suite.json "routing" section: the hierarchical
-// routing sweep CompareReports gates — the per-site table-bytes curve must
-// stay sub-linear in the site count, and msgs/job at the largest point must
-// not regress against the committed baseline.
-type RoutingBench struct {
-	Seed   int64          `json:"seed"`
-	Jobs   int            `json:"jobs_per_point"`
-	Points []RoutingPoint `json:"points"`
-}
-
-// RunRoutingBench measures the rtds-hier scheme at the section's fixed
-// sweep points with a fixed job budget.
-func RunRoutingBench() (*RoutingBench, error) {
-	const jobs = 96
-	rb := &RoutingBench{Seed: routingBenchSeed, Jobs: jobs}
-	env := new(runEnv)
-	for _, n := range routingBenchSizes {
-		topo := graph.RandomConnected(n, 4, StdDelays, routingBenchSeed+int64(n))
-		arrivals, err := workload.Generate(e15Spec(n, jobs, routingBenchSeed+int64(n)))
-		if err != nil {
-			return nil, err
-		}
-		c, err := env.runCluster("rtds-hier", topo, scheme.Config{}, arrivals)
-		if err != nil {
-			return nil, fmt.Errorf("routing bench at %d sites: %w", n, err)
-		}
-		sum := c.Summarize()
-		cluster := c.(scheme.CoreBacked).Core()
-		bootMsgs, _ := cluster.BootstrapCost()
-		rb.Points = append(rb.Points, RoutingPoint{
-			Sites:               n,
-			Regions:             cluster.Layout().Regions,
-			TableBytes:          sum.Core.RoutingTableBytes,
-			TableEntries:        sum.Core.RoutingEntries,
-			FlatTableBytes:      8 + 16*n,
-			BootstrapRounds:     cluster.BootstrapRounds(),
-			MsgsPerJob:          sum.MessagesPerJob,
-			GuaranteeRatio:      sum.GuaranteeRatio,
-			CrossRegionMessages: sum.Core.CrossRegionMessages,
-			BootstrapMsgs:       bootMsgs,
-			RouteDigest:         fmt.Sprintf("%016x", cluster.RouteDigest()),
-		})
-	}
-	return rb, nil
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,16 +314,16 @@ func All(size Size, seed int64) ([]*metrics.Table, error) {
 // WallSeconds sums the experiment's pool-unit walls; BusySeconds sums its
 // cluster simulations' own elapsed times, and is the denominator of
 // EventsPerSec so internally-overlapped cluster runs do not inflate the
-// throughput number.
+// throughput number. Table is the experiment's rendered table, one element
+// per line: what rtds-bench prints for it, and what CompareReports pins.
 type BenchExperiment struct {
-	Name            string             `json:"name"`
-	Seed            int64              `json:"seed"`
-	WallSeconds     float64            `json:"wall_seconds"`
-	BusySeconds     float64            `json:"busy_seconds"`
-	Events          int64              `json:"events"`
-	EventsPerSec    float64            `json:"events_per_sec"`
-	Rows            int                `json:"rows"`
-	GuaranteeRatios map[string]float64 `json:"guarantee_ratios,omitempty"`
+	Name         string   `json:"name"`
+	Seed         int64    `json:"seed"`
+	WallSeconds  float64  `json:"wall_seconds"`
+	BusySeconds  float64  `json:"busy_seconds"`
+	Events       int64    `json:"events"`
+	EventsPerSec float64  `json:"events_per_sec"`
+	Table        []string `json:"table"`
 }
 
 // BenchReport is the BENCH_suite.json schema: suite-level wall time and
@@ -337,19 +336,6 @@ type BenchReport struct {
 	TotalEvents  int64             `json:"total_events"`
 	EventsPerSec float64           `json:"events_per_sec"`
 	Experiments  []BenchExperiment `json:"experiments"`
-	// Micro pins the hot-path allocation budget (see RunMicroBenches);
-	// CompareReports gates allocs/op exactly, never ns/op.
-	Micro []MicroBench `json:"micro,omitempty"`
-	// Kernel records the parallel kernel's single-run scaling curve
-	// (events/sec vs partition count on the token storm, against the serial
-	// engine). CompareReports checks its determinism invariant everywhere
-	// and its speedup floor on machines with enough cores to express one.
-	Kernel *KernelBench `json:"kernel,omitempty"`
-	// Routing records the hierarchical routing sweep (see RunRoutingBench).
-	// CompareReports requires the per-site table-bytes curve to stay
-	// sub-linear in the site count and msgs/job at the largest point not to
-	// regress; both are deterministic.
-	Routing *RoutingBench `json:"routing,omitempty"`
 }
 
 // NewBenchReport summarizes a RunTasks result set into the JSON report.
@@ -378,8 +364,7 @@ func NewBenchReport(size Size, seeds []int64, workers int, suiteWall time.Durati
 			e.EventsPerSec = float64(r.Events) / r.Busy.Seconds()
 		}
 		if r.Table != nil {
-			e.Rows = r.Table.NumRows()
-			e.GuaranteeRatios = guaranteeRatios(r.Table)
+			e.Table = strings.Split(strings.TrimSuffix(r.Table.String(), "\n"), "\n")
 		}
 		rep.TotalEvents += r.Events
 		rep.Experiments = append(rep.Experiments, e)
@@ -388,40 +373,4 @@ func NewBenchReport(size Size, seeds []int64, workers int, suiteWall time.Durati
 		rep.EventsPerSec = float64(rep.TotalEvents) / suiteWall.Seconds()
 	}
 	return rep
-}
-
-// ratioColumns are the table headers that report guarantee ratios under
-// algorithm names rather than a literal "ratio" column (E1, E4).
-var ratioColumns = map[string]bool{
-	"oracle": true, "rtds": true, "local-only": true,
-	"broadcast": true, "fa-bidding": true,
-}
-
-// guaranteeRatios extracts the mean of every guarantee-ratio column of a
-// table, keyed by column header. Tables without ratio columns yield nil.
-func guaranteeRatios(t *metrics.Table) map[string]float64 {
-	var out map[string]float64
-	for col, h := range t.Headers {
-		lower := strings.ToLower(h)
-		if !ratioColumns[lower] && !strings.Contains(lower, "ratio") {
-			continue
-		}
-		sum, n := 0.0, 0
-		for row := 0; row < t.NumRows(); row++ {
-			v, err := strconv.ParseFloat(t.Cell(row, col), 64)
-			if err != nil {
-				continue
-			}
-			sum += v
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]float64)
-		}
-		out[h] = sum / float64(n)
-	}
-	return out
 }

@@ -125,17 +125,14 @@ func TestBenchReportAggregation(t *testing.T) {
 		t.Fatalf("%d experiments", len(rep.Experiments))
 	}
 	e1 := rep.Experiments[0]
-	if e1.EventsPerSec != 1000 || e1.Rows != 2 {
+	if e1.EventsPerSec != 1000 {
 		t.Fatalf("e1 %+v", e1)
 	}
-	// "rtds" is a guarantee-ratio column; "load" and "msgs/job" are not.
-	if got, want := e1.GuaranteeRatios["rtds"], 0.7; got != want {
-		t.Fatalf("rtds ratio %v, want %v (map %v)", got, want, e1.GuaranteeRatios)
+	// The report carries each table as the lines rtds-bench prints for it.
+	if got, want := strings.Join(e1.Table, "\n")+"\n", tbl.String(); got != want {
+		t.Fatalf("e1 table lines\n%q\nwant the rendered table\n%q", got, want)
 	}
-	if _, ok := e1.GuaranteeRatios["load"]; ok {
-		t.Fatal("load column misclassified as guarantee ratio")
-	}
-	if _, ok := e1.GuaranteeRatios["msgs/job"]; ok {
-		t.Fatal("msgs/job column misclassified as guarantee ratio")
+	if len(e1.Table) != 5 || e1.Table[4] != "1      0.600  14      " {
+		t.Fatalf("e1 table %q: want caption, header, rule and two rows", e1.Table)
 	}
 }

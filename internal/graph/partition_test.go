@@ -130,6 +130,16 @@ func TestPartitionAtScale(t *testing.T) {
 	}
 }
 
+// TestPartitionAllocs bounds the partitioner's scratch: splitting the
+// 1,024-site random topology 32 ways allocates in proportion to the graph
+// alone, at most 711 times, so accidental quadratic scratch fails here.
+func TestPartitionAllocs(t *testing.T) {
+	g := RandomConnected(1024, 4, DelayRange{Min: 0.05, Max: 0.3}, 1)
+	if allocs := testing.AllocsPerRun(10, func() { g.Partition(32) }); allocs > 711 {
+		t.Fatalf("Partition(32) of 1,024 sites allocates %v, want at most 711", allocs)
+	}
+}
+
 // partitionGolden was generated at the commit before the growth loop stopped
 // re-prepending its frontier head: the assignment is a pure function of the
 // graph, so any rewrite of the loop must reproduce it exactly.

@@ -490,11 +490,11 @@ func TestRecoverKeepsQueuedGraphsAcrossChunks(t *testing.T) {
 }
 
 // Recovery allocates what the Replay keeps of a job and little more: for a
-// decided job, its entry and its id, client key and cluster id. Its graph
-// is never copied, its tenant and outcome are shared with every other
-// job's, and the chunks, buffers and workers are shared by the whole log.
-// That share grows with the workers (two chunks in flight each), so their
-// number is fixed.
+// decided job, its id, client key and cluster id, 3 allocations, its entry
+// coming 256 to a block. Its graph is never copied, its tenant and outcome
+// are shared with every other job's, and the chunks, buffers and workers are
+// shared by the whole log. That share grows with the workers (two chunks in
+// flight each), so their number is fixed.
 func TestRecoverAllocatesWhatItKeeps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const jobs = 20000
@@ -526,8 +526,8 @@ func TestRecoverAllocatesWhatItKeeps(t *testing.T) {
 	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
 	allocs := float64(after.Mallocs-before.Mallocs) / jobs
 	t.Logf("Recover: %.0f B and %.2f allocations per decided job", perJob, allocs)
-	if perJob > 500 || allocs > 8 {
-		t.Errorf("Recover allocated %.0f B in %.2f allocations per decided job, want at most 500 B and 8", perJob, allocs)
+	if perJob > 500 || allocs >= 4 {
+		t.Errorf("Recover allocated %.0f B in %.2f allocations per decided job, want at most 500 B and fewer than 4", perJob, allocs)
 	}
 }
 

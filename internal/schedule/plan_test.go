@@ -151,6 +151,24 @@ func TestAdmitRejectNoAllocs(t *testing.T) {
 	}
 }
 
+// TestAdmitAcceptAllocatesTheTicket pins the accept path: an admission that
+// succeeds (ticket handed out, not committed, so the plan stays as it was)
+// allocates exactly the ticket it returns: the ticket, its placements and its
+// copy of the requests.
+func TestAdmitAcceptAllocatesTheTicket(t *testing.T) {
+	p := NewNonPreemptive()
+	reqs := []Request{req("b", 1, 0, 100, 5), req("b", 2, 0, 100, 5)}
+	mustAdmit(t, p, 0, reqs...) // warm the scratch buffers
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := p.Admit(0, reqs); !ok {
+			t.Fatal("feasible request rejected")
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("Admit accept path allocated %v times per call, want 3 (the ticket)", allocs)
+	}
+}
+
 func TestAdmitScratchReuseMatchesFresh(t *testing.T) {
 	// Repeated Admit calls on one plan (scratch reused) must produce the
 	// same placements as calls on freshly constructed plans.

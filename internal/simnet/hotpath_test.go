@@ -152,3 +152,33 @@ func TestStatsConcurrentRecord(t *testing.T) {
 		t.Fatalf("control messages %d, want 4000", got)
 	}
 }
+
+// TestKernelTickAllocatesNothing pins the event loop itself: a
+// self-rescheduling Schedule tick, one event fired per step, allocates
+// nothing on the serial engine and on the parallel kernel's in-line
+// partition (event nodes are pool-recycled and the closure is reused).
+func TestKernelTickAllocatesNothing(t *testing.T) {
+	onEveryKernel(t, lineTopo(), []int{1}, func(t *testing.T, k Kernel) {
+		fired := 0
+		var tick func()
+		tick = func() {
+			fired++
+			k.Schedule(0, 0, k.NowOf(0)+1, tick)
+		}
+		k.Schedule(0, 0, 1, tick)
+		until := 0.0
+		step := func() {
+			until++
+			if err := k.RunUntil(until); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step() // first use grows the heap and the pool
+		if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+			t.Fatalf("a Schedule tick allocates %v per event, want 0", allocs)
+		}
+		if fired != 202 {
+			t.Fatalf("fired %d of 202 ticks", fired)
+		}
+	})
+}

@@ -1,7 +1,7 @@
 // Stream framing: the per-connection read arena and the vectored batch
-// write shared by NetTransport's read and write loops. Factored out (and
-// exported) so the hot-path allocation profile of both sides is pinned by
-// the suite's micro-benchmarks, not just observed in production profiles.
+// write shared by NetTransport's read and write loops. Factored out so the
+// hot-path allocation profile of both sides is pinned by this package's
+// tests (TestStreamAllocs), not just observed in production profiles.
 package wire
 
 import (
