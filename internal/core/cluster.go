@@ -49,20 +49,18 @@ type Cluster struct {
 	bootstrapMessages int64
 	bootstrapBytes    int64
 
-	mu          sync.Mutex // guards records (needed on the wall-clock transports)
-	jobs        []*Job
-	jobIndex    map[string]*Job
-	journal     []*Job        // decided jobs in decision order, append-only (see recordDecision)
-	journalWake chan struct{} // closed at the next journal append; nil while nobody waits
-	violations  []string
-	events      []Event
-	jobSeq      int
-	disruptions int // fault-attributed anomalies (see protocolDrop, recordViolation)
+	mu         sync.Mutex // guards records (needed on the wall-clock transports)
+	jobs       []*Job
+	jobIndex   map[string]*Job
+	jobSeq     int
+	log        []Event       // the record stream, append-only (see record)
+	decideWake chan struct{} // closed at the next decision; nil while nobody waits
+	violated   int           // EvViolation records in log
+	disrupted  int           // EvDisruption records in log
 }
 
-// faultsOn reports whether this cluster runs with transport fault injection,
-// which also arms the protocol's defensive machinery (lock leases,
-// retransmitted aborts) and reclassifies violations as fault disruptions.
+// faultsOn reports whether this cluster runs with transport fault injection
+// (one of the two conditions that make it resilient).
 func (c *Cluster) faultsOn() bool {
 	return c.cfg.Faults != nil && c.cfg.Faults.Enabled()
 }
@@ -78,31 +76,6 @@ func (c *Cluster) membershipOn() bool { return c.mcfg.Enabled }
 // as disruptions instead of violations: a message lost against a dead or
 // mid-repair site is an expected consequence of churn, not a protocol bug.
 func (c *Cluster) resilient() bool { return c.faultsOn() || c.membershipOn() }
-
-// protocolDrop reports an anomaly on a graceful-degradation path (a dropped
-// un-routable message, a refused commit of an unknown job, lost plan
-// fragments). On a faulty cluster these are expected consequences of the
-// injected faults and only counted; on a faultless cluster they indicate a
-// protocol bug and are reported as violations so tests fail loudly.
-func (c *Cluster) protocolDrop(site graph.NodeID, msg string) {
-	if !c.resilient() {
-		c.recordViolation(msg)
-		return
-	}
-	c.mu.Lock()
-	c.disruptions++
-	c.mu.Unlock()
-	c.event(site, "", EvMsgDropped, msg)
-}
-
-// FaultDisruptions reports how many anomalies were attributed to injected
-// faults (dropped protocol messages, causality misses from lost results,
-// torn-down executions). Always 0 on a faultless cluster.
-func (c *Cluster) FaultDisruptions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.disruptions
-}
 
 // newHost builds the sites in local over tr and attaches their handlers. It
 // sends nothing, so every host of a network can be attached before the
@@ -352,51 +325,29 @@ type JobStatus struct {
 func (c *Cluster) JobStatuses() []JobStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return statusesOf(c.jobs)
-}
-
-// statusesOf snapshots job records; callers hold c.mu.
-func statusesOf(jobs []*Job) []JobStatus {
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = JobStatus{
-			ID:          j.ID,
-			Origin:      j.Origin,
-			Arrival:     j.Arrival,
-			AbsDeadline: j.AbsDeadline,
-			Outcome:     j.Outcome,
-			OutcomeName: j.Outcome.String(),
-			RejectStage: j.RejectStage,
-			DecisionAt:  j.DecisionAt,
-			Done:        j.Done,
-			CompletedAt: j.CompletedAt,
-			ACSSize:     j.ACSSize,
-			NumProcs:    j.NumProcs,
-		}
+	out := make([]JobStatus, len(c.jobs))
+	for i, j := range c.jobs {
+		out[i] = statusOf(j)
 	}
 	return out
 }
 
-// decidedSince reads the decision journal from a cursor: the statuses of
-// up to limit (0 = all) jobs decided after the first `cursor` decisions, in
-// decision order, the cursor to pass next time, and a channel that is closed
-// at the next decision (for a reader whose tail came back empty). A cursor
-// outside the journal reads from the start: re-reading is harmless, skipping
-// is not.
-func (c *Cluster) decidedSince(cursor, limit int) (tail []JobStatus, next int, wake <-chan struct{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cursor < 0 || cursor > len(c.journal) {
-		cursor = 0
+// statusOf snapshots one job record; callers hold c.mu.
+func statusOf(j *Job) JobStatus {
+	return JobStatus{
+		ID:          j.ID,
+		Origin:      j.Origin,
+		Arrival:     j.Arrival,
+		AbsDeadline: j.AbsDeadline,
+		Outcome:     j.Outcome,
+		OutcomeName: j.Outcome.String(),
+		RejectStage: j.RejectStage,
+		DecisionAt:  j.DecisionAt,
+		Done:        j.Done,
+		CompletedAt: j.CompletedAt,
+		ACSSize:     j.ACSSize,
+		NumProcs:    j.NumProcs,
 	}
-	next = len(c.journal)
-	if limit > 0 && next-cursor > limit {
-		next = cursor + limit
-	}
-	if c.journalWake == nil {
-		c.journalWake = make(chan struct{})
-	}
-	return statusesOf(c.journal[cursor:next]), next, c.journalWake
 }
 
 // Stats exposes the post-bootstrap communication counters.
@@ -446,14 +397,6 @@ func (c *Cluster) RemoteRegionViews(id graph.NodeID) map[int][]membership.Entry 
 		out[r] = append([]membership.Entry(nil), s.remoteRegions[r]...)
 	}
 	return out
-}
-
-// Violations lists causality violations detected during execution. A sound
-// run has none; tests assert emptiness.
-func (c *Cluster) Violations() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.violations...)
 }
 
 // SiteSphere exposes a site's PCS (for tests and experiments).
@@ -536,87 +479,6 @@ func (c *Cluster) jobByID(id string) *Job {
 	return c.jobIndex[id]
 }
 
-// noteJobACS and noteJobProcs record a job's mapping shape under the
-// record lock: on wall-clock transports these fields are written by the
-// initiator's goroutine while status snapshots read them concurrently.
-func (c *Cluster) noteJobACS(job *Job, n int) {
-	c.mu.Lock()
-	job.ACSSize = n
-	c.mu.Unlock()
-}
-
-func (c *Cluster) noteJobProcs(job *Job, n int) {
-	c.mu.Lock()
-	job.NumProcs = n
-	c.mu.Unlock()
-}
-
-func (c *Cluster) recordDecision(job *Job, outcome Outcome, stage RejectStage, at float64) {
-	c.mu.Lock()
-	if job.Outcome != Pending {
-		c.mu.Unlock()
-		panic(fmt.Sprintf("core: job %s decided twice (%v then %v)", job.ID, job.Outcome, outcome))
-	}
-	job.Outcome = outcome
-	job.RejectStage = stage
-	job.DecisionAt = at
-	// Every decision of every execution mode passes here, so the journal is
-	// complete by construction. Waiters are woken by channel: this package
-	// runs under the DES and may not touch timers.
-	c.journal = append(c.journal, job)
-	if c.journalWake != nil {
-		close(c.journalWake)
-		c.journalWake = nil
-	}
-	c.mu.Unlock()
-	if c.tracing() {
-		detail := outcome.String()
-		if stage != "" {
-			detail += "/" + string(stage)
-		}
-		c.event(job.Origin, job.ID, EvDecided, detail)
-	}
-}
-
-func (c *Cluster) recordTaskDone(job *Job, task dag.TaskID, at float64) {
-	c.mu.Lock()
-	if !job.remaining[task] {
-		c.mu.Unlock()
-		return
-	}
-	delete(job.remaining, task)
-	if at > job.CompletedAt {
-		job.CompletedAt = at
-	}
-	done := len(job.remaining) == 0
-	if done {
-		job.Done = true
-	}
-	c.mu.Unlock()
-	if c.tracing() {
-		c.event(job.Origin, job.ID, EvTaskDone, fmt.Sprintf("t%d at %.3f", task, at))
-	}
-	if done && c.tracing() {
-		c.event(job.Origin, job.ID, EvJobDone, fmt.Sprintf("completed %.3f", job.CompletedAt))
-	}
-}
-
-func (c *Cluster) recordViolation(msg string) {
-	if c.resilient() {
-		// Under injected faults or membership churn a causality miss (a
-		// slot firing without its lost inputs) is an expected disruption,
-		// not a protocol bug; keep Violations reserved for genuine
-		// correctness failures so faulty experiment runs remain checkable.
-		c.mu.Lock()
-		c.disruptions++
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.violations = append(c.violations, msg)
-}
-
 // Summary aggregates a run's outcomes.
 type Summary struct {
 	Submitted            int
@@ -637,7 +499,7 @@ type Summary struct {
 	ControlMessages      int64   // membership + route-repair traversals (included in Messages)
 	ControlBytes         int64
 	Dropped              int64 // traversals discarded by the fault injector
-	Disruptions          int   // fault-attributed protocol anomalies
+	Disruptions          int   // anomalies on a resilient cluster (faults or membership armed)
 	// Routing-state footprint (largest per-site table) and cross-region
 	// traffic. CrossRegionMessages is counted only on hierarchical clusters
 	// (flat clusters install no region boundary) and is always 0 when every
@@ -706,7 +568,7 @@ func (c *Cluster) Summarize() Summary {
 	s.ControlMessages = c.tr.Stats().ControlMessages()
 	s.ControlBytes = c.tr.Stats().ControlBytes()
 	s.Dropped = c.tr.Stats().Dropped()
-	s.Disruptions = c.disruptions
+	s.Disruptions = c.disrupted
 	s.CrossRegionMessages = c.tr.Stats().CrossMessages()
 	for _, site := range c.local {
 		st := site.routingState()

@@ -38,8 +38,9 @@ type Config struct {
 	// Powers optionally assigns per-site computing powers (uniform machines,
 	// §13). Empty means identical machines (power 1).
 	Powers []float64
-	// TraceEvents records a protocol timeline (Cluster.Events); off by
-	// default to keep long experiment runs lean.
+	// TraceEvents logs every protocol fact (Cluster.Events). Off, the
+	// default, only decisions and anomalies (violations, disruptions) are
+	// logged, which keeps long experiment runs lean.
 	TraceEvents bool
 	// UseLocalKnowledge implements the §13 "local knowledge of k"
 	// refinement: the initiator estimates its own availability over the

@@ -96,12 +96,12 @@ func newSoloSite(t *testing.T) *soloSite {
 func (h *soloSite) flushEvents() {
 	h.c.mu.Lock()
 	defer h.c.mu.Unlock()
-	for _, e := range h.c.events[h.evSeen:] {
+	for _, e := range h.c.log[h.evSeen:] {
 		if e.Kind == EvArrival || e.Kind == EvDeferred || e.Kind == EvLocalOK {
 			h.log = append(h.log, fmt.Sprintf("%s %s", e.Kind, e.Job))
 		}
 	}
-	h.evSeen = len(h.c.events)
+	h.evSeen = len(h.c.log)
 }
 
 // enroll delivers an enrollment request from the given initiator.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/dag"
@@ -102,12 +101,7 @@ func (s *Site) rescheduleAllExec() {
 				// abort crossed a commit under faults). Tear the execution
 				// down instead of crashing the cluster; on a faultless run
 				// this is still reported as a violation.
-				s.cluster.protocolDrop(s.id, fmt.Sprintf(
-					"site %d lost fragments of %s/t%d", s.id, jobID, ti))
-				if s.cluster.tracing() {
-					s.cluster.event(s.id, jobID, EvExecAborted,
-						fmt.Sprintf("t%d fragments missing", ti))
-				}
+				s.cluster.record(Event{Site: s.id, Job: jobID, Kind: EvViolation, Cause: CauseLostFragments, Task: id})
 				lost = append(lost, jobID)
 				break
 			}
@@ -161,9 +155,7 @@ func (s *Site) onTaskStart(e *execJob, id dag.TaskID, tries int) {
 			s.after(startRecheckDelay, func() { s.onTaskStart(e, id, tries+1) }))
 		return
 	}
-	s.cluster.recordViolation(fmt.Sprintf(
-		"site %d: job %s task %d started at %v without inputs from %v",
-		s.id, e.job.ID, id, s.now(), missing))
+	s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvViolation, Cause: CauseStartNoInputs, Task: id, Inputs: missing})
 }
 
 func (s *Site) missingInputs(e *execJob, id dag.TaskID) []dag.TaskID {
@@ -190,9 +182,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 	if s.plan.Preemptive() {
 		// In preemptive mode the start assertion runs here (slots move).
 		if missing := s.missingInputs(e, id); len(missing) > 0 {
-			s.cluster.recordViolation(fmt.Sprintf(
-				"site %d: job %s task %d completed at %v without inputs from %v",
-				s.id, e.job.ID, id, s.now(), missing))
+			s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvViolation, Cause: CauseCompleteNoInputs, Task: id, Inputs: missing})
 		}
 	}
 	e.completed[id] = true
@@ -226,7 +216,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 		}))
 	}
 	if e.job.Origin == s.id {
-		s.cluster.recordTaskDone(e.job, id, at)
+		s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvTaskDone, Task: id, T: at})
 	} else {
 		s.sendTo(e.job.Origin, DoneMsg{Job: e.job.ID, Task: id, At: at})
 	}
@@ -253,7 +243,7 @@ func (s *Site) onResult(m ResultMsg) {
 // onDone records a remote task completion at the job's initiator.
 func (s *Site) onDone(m DoneMsg) {
 	if j := s.cluster.jobByID(m.Job); j != nil {
-		s.cluster.recordTaskDone(j, m.Task, m.At)
+		s.cluster.record(Event{Site: s.id, job: j, Kind: EvTaskDone, Task: m.Task, T: m.At})
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/schedule"
 )
@@ -248,12 +249,41 @@ func TestEventTimeline(t *testing.T) {
 	}
 }
 
-// TestEventsOffByDefault: no tracing unless asked.
+// TestEventsOffByDefault: untraced, the log keeps exactly one EvDecided
+// per job and no other kind (a clean run records no anomaly). The jobs are
+// a distributed accept, a deferred local accept, an empty-ACS reject and a
+// plain local accept.
 func TestEventsOffByDefault(t *testing.T) {
 	c := mustCluster(t, fastLine(3), DefaultConfig())
-	c.Submit(0, 0, parJob(t, 2, 10), 16)
+	for _, sub := range []struct {
+		at     float64
+		origin graph.NodeID
+		g      *dag.Graph
+		rel    float64
+	}{
+		{0, 0, parJob(t, 2, 10), 16},
+		{0.01, 0, parJob(t, 2, 10), 40},
+		{0.02, 2, chainJob(t, 3, 30), 20},
+		{0.03, 1, chainJob(t, 2, 1), 50},
+	} {
+		if _, err := c.Submit(sub.at, sub.origin, sub.g, sub.rel); err != nil {
+			t.Fatal(err)
+		}
+	}
 	runAll(t, c)
-	if len(c.Events()) != 0 {
-		t.Fatalf("events recorded without TraceEvents: %d", len(c.Events()))
+	decided := make(map[string]int)
+	for _, e := range c.Events() {
+		if e.Kind != EvDecided {
+			t.Fatalf("untraced log holds %v", e)
+		}
+		decided[e.Job]++
+	}
+	for _, j := range c.Jobs() {
+		if decided[j.ID] != 1 {
+			t.Fatalf("job %s decided %d times in the log, want 1", j.ID, decided[j.ID])
+		}
+	}
+	if len(decided) != 4 {
+		t.Fatalf("log names %d jobs, want 4", len(decided))
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -27,9 +26,7 @@ import (
 // and the window timer is armed.
 func (s *Site) startTxn(job *Job) {
 	expected := s.enrollSet
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, job.ID, EvEnroll, fmt.Sprintf("pcs=%d", len(expected)))
-	}
+	s.cluster.record(Event{Site: s.id, job: job, Kind: EvEnroll, N: len(expected)})
 	s.lock(s.id, job.ID)
 	t := &activeTxn{Txn: txn.New(job.ID, expected), job: job}
 	s.txns[job.ID] = t
@@ -88,16 +85,13 @@ func (s *Site) enrollDone(t *activeTxn) {
 		if s.escalateEnrollment(t) {
 			return
 		}
-		s.cluster.event(s.id, job.ID, EvACSFixed, "acs=1 (nobody enrolled)")
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvACSFixed}) // N=0: no ACS formed
 		s.finishTxn(t, Rejected, StageEmptyACS)
 		return
 	}
 
 	acs := t.FixACS()
-	s.cluster.noteJobACS(job, len(acs)+1) // initiator included
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, job.ID, EvACSFixed, fmt.Sprintf("acs=%d", job.ACSSize))
-	}
+	s.cluster.record(Event{Site: s.id, job: job, Kind: EvACSFixed, N: len(acs) + 1}) // initiator included
 
 	omega := s.acsDiameter(t)
 	t.Omega = omega
@@ -113,11 +107,8 @@ func (s *Site) enrollDone(t *activeTxn) {
 		return
 	}
 	t.TM = tm
-	s.cluster.noteJobProcs(job, tm.NumProcs())
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, job.ID, EvMapped,
-			fmt.Sprintf("procs=%d case=%s M=%.3g M*=%.3g", tm.NumProcs(), tm.Case, tm.Makespan, tm.IdealMakespan))
-	}
+	s.cluster.record(Event{Site: s.id, job: job, Kind: EvMapped,
+		N: tm.NumProcs(), M: int(tm.Case), T: tm.Makespan, U: tm.IdealMakespan})
 
 	// Broadcast M in the ACS (§10); endorse locally in place.
 	windows := make([][]mapper.TaskWindow, tm.NumProcs())
@@ -174,10 +165,7 @@ func (s *Site) escalateEnrollment(t *activeTxn) bool {
 	}
 	t.Reopen(extra)
 	timeout := 2*diam + s.cluster.cfg.EnrollSlack
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, t.job.ID, EvEscalate,
-			fmt.Sprintf("landmarks=%d window=%.3g", len(extra), timeout))
-	}
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvEscalate, N: len(extra), T: timeout})
 	s.sendAll(extra, EnrollReq{Job: t.job.ID, Initiator: s.id, Window: timeout})
 	t.SetTimer(s.after(timeout, func() { s.enrollDone(t) }))
 	return true
@@ -191,10 +179,7 @@ func (s *Site) validateTimeout(t *activeTxn) {
 	if !fired {
 		return
 	}
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
-			fmt.Sprintf("validate missing=%d", missing))
-	}
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageValidateTimeout, N: missing})
 	s.finishValidation(t)
 }
 
@@ -318,10 +303,7 @@ func (s *Site) finishValidation(t *activeTxn) {
 		}
 	}
 	res := b.MaximumMatching()
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, t.job.ID, EvValidated,
-			fmt.Sprintf("coupling=%d/%d", res.Size, t.TM.NumProcs()))
-	}
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvValidated, N: res.Size, M: t.TM.NumProcs()})
 	if !res.PerfectOnRight() {
 		s.finishTxn(t, Rejected, StageMatching)
 		return
@@ -368,9 +350,7 @@ func (s *Site) finishValidation(t *activeTxn) {
 		s.sendTo(m, msg)
 	}
 	t.CommitsSent = true
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, t.job.ID, EvCommit, fmt.Sprintf("executing=%d", t.CommitsOutstanding()+1))
-	}
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvCommit, N: t.CommitsOutstanding() + 1})
 	if t.CommitsOutstanding() == 0 {
 		s.commitResolved(t)
 		return
@@ -393,10 +373,7 @@ func (s *Site) commitTimeout(t *activeTxn) {
 	if !fired {
 		return
 	}
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, t.job.ID, EvPhaseTimeout,
-			fmt.Sprintf("commit missing=%d", missing))
-	}
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageCommitTimeout, N: missing})
 	s.commitResolved(t)
 }
 
@@ -471,24 +448,18 @@ func (s *Site) scheduleAbortRetry(job string, ar *txn.AbortRetry) {
 
 // abortRetryFire retransmits the abort unlock to members that have not
 // acknowledged it. Retries are bounded so runs with permanently dead
-// members still terminate; giving up is traced.
+// members still terminate; giving up is recorded.
 func (s *Site) abortRetryFire(job string, ar *txn.AbortRetry) {
 	ar.TimerFired()
 	if len(ar.Members) == 0 {
 		delete(s.aborts, job)
 		return
 	}
-	if !ar.NextTry() {
-		if s.cluster.tracing() {
-			s.cluster.event(s.id, job, EvAbortRetry,
-				fmt.Sprintf("gave up on %d members after %d tries", len(ar.Members), txn.MaxAbortTries))
-		}
+	retry := ar.NextTry()
+	s.cluster.record(Event{Site: s.id, Job: job, Kind: EvAbortRetry, N: len(ar.Members), M: ar.Tries})
+	if !retry {
 		delete(s.aborts, job)
 		return
-	}
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, job, EvAbortRetry,
-			fmt.Sprintf("try %d to %d members", ar.Tries, len(ar.Members)))
 	}
 	s.sendAll(ar.Members, UnlockMsg{Job: job, From: s.id, Abort: true})
 	s.scheduleAbortRetry(job, ar)
@@ -521,6 +492,6 @@ func (s *Site) finishTxn(t *activeTxn, outcome Outcome, stage RejectStage) {
 		s.sendAll(t.ACS, UnlockMsg{Job: t.job.ID, From: s.id})
 		delete(s.memberTickets, t.job.ID)
 	}
-	s.cluster.recordDecision(t.job, outcome, stage, s.now())
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvDecided, Outcome: outcome, Stage: stage})
 	s.unlock()
 }

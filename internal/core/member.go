@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/mapper"
@@ -60,9 +58,7 @@ func (s *Site) leaseExpired(job string, initiator graph.NodeID) {
 	if !s.locked() || s.lockJob != job || s.lockedBy != initiator {
 		return
 	}
-	if s.cluster.tracing() {
-		s.cluster.event(s.id, job, EvLeaseExpired, fmt.Sprintf("initiator %d silent", initiator))
-	}
+	s.cluster.record(Event{Site: s.id, Job: job, Kind: EvLeaseExpired, Peer: initiator})
 	delete(s.memberTickets, job)
 	s.unlock()
 }
@@ -168,8 +164,7 @@ func (s *Site) onCommit(m CommitMsg) {
 	if job == nil {
 		// The job record is gone (possible only under injected faults, when
 		// messages survive their transaction). Refuse instead of crashing.
-		s.cluster.protocolDrop(s.id, fmt.Sprintf(
-			"site %d: commit for unknown job %s", s.id, m.Job))
+		s.cluster.record(Event{Site: s.id, Job: m.Job, Kind: EvViolation, Cause: CauseUnknownJob})
 		s.sendTo(m.Initiator, CommitAck{Job: m.Job, Member: s.id, OK: false})
 		s.unlock()
 		return

@@ -1,7 +1,6 @@
 package membership
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/determinism"
@@ -31,8 +30,17 @@ type Hooks struct {
 	// of discarding the bootstrap's knowledge, and join acks carry its
 	// snapshot so a joiner starts from a full view of the network.
 	Current func() *routing.Table
-	// Event traces a membership event (optional).
-	Event func(kind, detail string)
+	// Event reports a membership transition (optional).
+	Event func(Note)
+}
+
+// Note is one membership transition, as plain values: the manager formats nothing.
+type Note struct {
+	Kind  string       // member-dead, member-alive, member-refute, member-join, joined, join-failed, route-repair, repair-settled
+	Site  graph.NodeID // the site whose view entry moved
+	From  graph.NodeID // the site the news came from; this manager's own site when it concluded it alone
+	Inc   uint64       // the incarnation the entry moved to
+	Epoch uint64       // the route epoch (route-repair, repair-settled, joined)
 }
 
 // siteState is one entry of the membership view. Sites absent from the map
@@ -110,6 +118,9 @@ func New(self graph.NodeID, neighbors []graph.Edge, cfg Config, hooks Hooks) *Ma
 	delays := make(map[graph.NodeID]float64, len(neighbors))
 	for _, e := range neighbors {
 		delays[e.To] = e.Delay
+	}
+	if hooks.Event == nil {
+		hooks.Event = func(Note) {}
 	}
 	return &Manager{
 		self:      self,
@@ -214,8 +225,7 @@ func (m *Manager) declareDead(n graph.NodeID) {
 	if !m.apply(Entry{Site: n, Inc: inc, Dead: true}) {
 		return
 	}
-	m.event("member-dead", fmt.Sprintf("site %d silent for %.3g, declared dead (inc %d)",
-		n, m.cfg.SuspectAfter, inc))
+	m.hooks.Event(Note{Kind: "member-dead", Site: n, From: m.self, Inc: inc})
 	m.flood(DeadNotice{Site: n, Inc: inc})
 	m.repair(true)
 }
@@ -235,7 +245,7 @@ func (m *Manager) HandleHeartbeat(from graph.NodeID, hb Heartbeat) {
 		// partitions), so the observer mints the incarnation.
 		inc := max(hb.Inc, st.inc) + 1
 		if m.apply(Entry{Site: from, Inc: inc, Dead: false}) {
-			m.event("member-alive", fmt.Sprintf("site %d heartbeating again, resurrected (inc %d)", from, inc))
+			m.hooks.Event(Note{Kind: "member-alive", Site: from, From: m.self, Inc: inc})
 			m.flood(AliveNotice{Site: from, Inc: inc})
 			changed = true
 		}
@@ -267,7 +277,7 @@ func (m *Manager) HandleDead(from graph.NodeID, n DeadNotice) {
 	if !m.apply(Entry{Site: n.Site, Inc: n.Inc, Dead: true}) {
 		return
 	}
-	m.event("member-dead", fmt.Sprintf("death of site %d (inc %d) learned from %d", n.Site, n.Inc, from))
+	m.hooks.Event(Note{Kind: "member-dead", Site: n.Site, From: from, Inc: n.Inc})
 	m.flood(DeadNotice{Site: n.Site, Inc: n.Inc})
 	m.repair(true)
 }
@@ -290,7 +300,7 @@ func (m *Manager) HandleAlive(from graph.NodeID, n AliveNotice) {
 	if !m.apply(Entry{Site: n.Site, Inc: n.Inc, Dead: false}) {
 		return
 	}
-	m.event("member-alive", fmt.Sprintf("resurrection of site %d (inc %d) learned from %d", n.Site, n.Inc, from))
+	m.hooks.Event(Note{Kind: "member-alive", Site: n.Site, From: from, Inc: n.Inc})
 	m.flood(AliveNotice{Site: n.Site, Inc: n.Inc})
 	m.repair(false)
 }
@@ -304,7 +314,7 @@ func (m *Manager) refute(deadInc uint64) {
 	}
 	inc := deadInc + 1
 	m.setState(m.self, siteState{inc: inc})
-	m.event("member-refute", fmt.Sprintf("declared dead at inc %d, refuting with inc %d", deadInc, inc))
+	m.hooks.Event(Note{Kind: "member-refute", Site: m.self, From: m.self, Inc: inc})
 	m.flood(AliveNotice{Site: m.self, Inc: inc})
 	m.repair(false)
 }
@@ -391,7 +401,7 @@ func (m *Manager) repair(reset bool) {
 	}
 	m.sendsLeft = m.cfg.FloodRounds
 	m.hooks.Adopt(m.table)
-	m.event("route-repair", fmt.Sprintf("epoch %#x, reset=%v", m.epoch, reset))
+	m.hooks.Event(Note{Kind: "route-repair", Site: m.self, From: m.self, Epoch: m.epoch})
 	m.broadcastTable()
 	m.beginSettle()
 }
@@ -481,7 +491,7 @@ func (m *Manager) beginSettle() {
 func (m *Manager) settled() {
 	m.settle = nil
 	m.repairing = false
-	m.event("repair-settled", fmt.Sprintf("epoch %#x", m.epoch))
+	m.hooks.Event(Note{Kind: "repair-settled", Site: m.self, From: m.self, Epoch: m.epoch})
 	pending := m.onSettled
 	m.onSettled = nil
 	for _, fn := range pending {
@@ -513,7 +523,7 @@ func (m *Manager) joinTry() {
 	}
 	if m.joinTries >= m.cfg.JoinRetries {
 		m.joining = false
-		m.event("join-failed", fmt.Sprintf("no JoinAck after %d tries", m.joinTries))
+		m.hooks.Event(Note{Kind: "join-failed", Site: m.self, From: m.self})
 		return
 	}
 	m.joinTries++
@@ -539,7 +549,7 @@ func (m *Manager) HandleJoinReq(from graph.NodeID, req JoinReq) {
 	if st.dead || req.Inc >= st.inc {
 		inc := max(req.Inc, st.inc) + 1
 		if m.apply(Entry{Site: from, Inc: inc, Dead: false}) {
-			m.event("member-join", fmt.Sprintf("admitted site %d at inc %d", from, inc))
+			m.hooks.Event(Note{Kind: "member-join", Site: from, From: from, Inc: inc})
 			m.flood(AliveNotice{Site: from, Inc: inc})
 			m.repair(false)
 		}
@@ -615,7 +625,7 @@ func (m *Manager) HandleJoinAck(from graph.NodeID, ack JoinAck) {
 			m.setState(m.self, siteState{inc: ack.Inc})
 		}
 		m.applyDigest(ack.Digest)
-		m.event("joined", fmt.Sprintf("admitted by %d at inc %d, epoch %#x", from, m.state(m.self).inc, m.epoch))
+		m.hooks.Event(Note{Kind: "joined", Site: m.self, From: from, Inc: m.state(m.self).inc, Epoch: m.epoch})
 		m.repair(true) // builds the start table and floods it
 		m.mergeAckTable(from, ack)
 		m.hooks.After(m.cfg.HeartbeatEvery, m.tick)
@@ -712,10 +722,4 @@ func (m *Manager) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-func (m *Manager) event(kind, detail string) {
-	if m.hooks.Event != nil {
-		m.hooks.Event(kind, detail)
-	}
 }

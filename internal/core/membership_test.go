@@ -140,7 +140,7 @@ func TestRepairDefersEnrollment(t *testing.T) {
 	}
 	deferred := false
 	for _, e := range c.JobEvents(job.ID) {
-		if e.Kind == EvDeferred && strings.Contains(e.Detail, "repair") {
+		if e.Kind == EvDeferred && strings.Contains(e.String(), "repair") {
 			deferred = true
 		}
 	}

@@ -26,11 +26,12 @@ import (
 // execution context and report their zero value within probeTimeout when
 // the transport is closed or unresponsive.
 //
-// Job records (local submissions and adopted remote shares) and the
-// decision journal are retained for the node's lifetime, though its readers
-// (the /jobs and /metrics control endpoints) pay only for what is new. A
-// node is therefore sized for bounded load campaigns, not unbounded daemon
-// uptime; decided-job eviction is deliberate future work.
+// Job records (local submissions and adopted remote shares) and the record
+// log (untraced, the default: one entry per decision and per anomaly) are
+// retained for the node's lifetime, though their readers (the /jobs and
+// /metrics control endpoints) pay only for what is new. A node is therefore
+// sized for bounded load campaigns, not unbounded daemon uptime; decided-job
+// eviction and a bounded log are deliberate future work.
 type Node struct {
 	c    *Cluster
 	site *Site
@@ -137,15 +138,28 @@ func (n *Node) ReservationJobIDs() []string { return n.c.ReservationJobIDs()[n.s
 // the cluster lock (safe while the protocol is still running).
 func (n *Node) JobStatuses() []JobStatus { return n.c.JobStatuses() }
 
-// DecidedSince reads this node's decision journal from a cursor: the
-// statuses of up to limit (0 = all) jobs decided after the first `cursor`
-// decisions, in decision order, the cursor to pass next time, and a channel
-// closed at the next decision, for a caller that wants to wait for one. A
-// cursor outside the journal reads from the start. A reader that keeps its
-// cursor does work proportional to the new decisions, not to the history
-// (which JobStatuses copies whole).
+// DecidedSince reads this node's decisions after a cursor, an opaque log
+// position (one outside the log reads from the start: re-reading is
+// harmless, skipping is not): up to limit (0 = all) statuses in decision
+// order, the cursor to pass next, and a channel closed at the next decision.
+// A reader that keeps its cursor pays for what was logged since, not more.
 func (n *Node) DecidedSince(cursor, limit int) (tail []JobStatus, next int, wake <-chan struct{}) {
-	return n.c.decidedSince(cursor, limit)
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	log := n.c.log
+	if cursor < 0 || cursor > len(log) {
+		cursor = 0
+	}
+	tail = []JobStatus{}
+	for next = cursor; next < len(log) && (limit <= 0 || len(tail) < limit); next++ {
+		if log[next].Kind == EvDecided {
+			tail = append(tail, statusOf(log[next].job))
+		}
+	}
+	if n.c.decideWake == nil {
+		n.c.decideWake = make(chan struct{})
+	}
+	return tail, next, n.c.decideWake
 }
 
 // JobCount reports how many jobs were submitted at this node.
@@ -168,8 +182,13 @@ func (n *Node) BootstrapCost() (messages, bytes int64) { return n.c.BootstrapCos
 // Violations lists causality violations detected at this node.
 func (n *Node) Violations() []string { return n.c.Violations() }
 
-// FaultDisruptions reports fault-attributed anomalies observed at this node.
-func (n *Node) FaultDisruptions() int { return n.c.FaultDisruptions() }
+// Anomalies counts the violations and disruptions recorded at this node.
+// A node with faults or membership armed records only disruptions.
+func (n *Node) Anomalies() (violations, disruptions int) {
+	n.c.mu.Lock()
+	defer n.c.mu.Unlock()
+	return n.c.violated, n.c.disrupted
+}
 
 // adoptRemoteJob reconstructs a member-side job record from a commit
 // message: when the initiator is hosted elsewhere its record lives in

@@ -187,7 +187,9 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 			Send:    directSend,
 			Adopt:   adopt,
 			Current: current,
-			Event:   func(kind, detail string) { c.event(s.id, "", EventKind(kind), detail) },
+			Event: func(n membership.Note) {
+				c.record(Event{Site: s.id, Kind: EventKind(n.Kind), Peer: n.Site, From: n.From, N: int(n.Inc), Epoch: n.Epoch})
+			},
 		})
 	}
 	return s
@@ -439,17 +441,13 @@ func (s *Site) sendAll(dests []graph.NodeID, p simnet.Payload) {
 //lint:hotpath -- one call per link traversal of every routed protocol message
 func (s *Site) forward(m Routed) {
 	if m.TTL <= 0 {
-		//lint:allow hotalloc -- drop path: a protocol bug on a faultless cluster, counted degradation on a faulty one
-		s.cluster.protocolDrop(s.id, fmt.Sprintf(
-			"TTL exhausted forwarding %q from %d to %d at %d", m.Inner.Kind(), m.Src, m.Dest, s.id))
+		s.cluster.record(Event{Site: s.id, Kind: EvViolation, Cause: CauseTTL, Msg: m.Inner.Kind(), From: m.Src, Peer: m.Dest})
 		return
 	}
 	m.TTL--
 	nh, ok := s.table.NextHop(m.Dest)
 	if !ok {
-		//lint:allow hotalloc -- drop path: a protocol bug on a faultless cluster, counted degradation on a faulty one
-		s.cluster.protocolDrop(s.id, fmt.Sprintf(
-			"site %d has no route to %d for %q", s.id, m.Dest, m.Inner.Kind()))
+		s.cluster.record(Event{Site: s.id, Kind: EvViolation, Cause: CauseNoRoute, Msg: m.Inner.Kind(), Peer: m.Dest})
 		return
 	}
 	if err := s.cluster.tr.Send(s.id, nh, m); err != nil {
@@ -527,13 +525,11 @@ func (s *Site) deferWork(w deferredWork) { s.deferred = append(s.deferred, w) }
 // jobArrives is the entry point for a job submitted at this site.
 func (s *Site) jobArrives(job *Job) {
 	if s.locked() {
-		if s.cluster.tracing() {
-			s.cluster.event(s.id, job.ID, EvDeferred, fmt.Sprintf("locked by %d", s.lockedBy))
-		}
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDeferred, Peer: s.lockedBy})
 		s.deferWork(deferredWork{job: job})
 		return
 	}
-	s.cluster.event(s.id, job.ID, EvArrival, "")
+	s.cluster.record(Event{Site: s.id, job: job, Kind: EvArrival})
 	if tk, ok := s.acceptPol.LocalTest(s.plan, s.now(), job.ID, job.Graph, job.Arrival, job.AbsDeadline, s.power); ok {
 		if err := s.plan.Commit(tk); err != nil {
 			// The plan refused a ticket admitted an instant ago on an
@@ -541,14 +537,12 @@ func (s *Site) jobArrives(job *Job) {
 			// the whole cluster over one job helps nobody: reject the job
 			// with a trace and report it as a violation so faultless tests
 			// still fail loudly.
-			s.cluster.protocolDrop(s.id, fmt.Sprintf(
-				"site %d: unlocked local commit of %s failed: %v", s.id, job.ID, err))
-			s.cluster.recordDecision(job, Rejected, StageCommit, s.now())
+			s.cluster.record(Event{Site: s.id, job: job, Kind: EvViolation, Cause: CauseLocalCommit, Msg: err.Error()})
+			s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: Rejected, Stage: StageCommit})
 			return
 		}
-		s.cluster.event(s.id, job.ID, EvLocalOK, "")
-		s.cluster.recordDecision(job, AcceptedLocal, "", s.now())
-		s.cluster.noteJobProcs(job, 1)
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvLocalOK})
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: AcceptedLocal})
 		allLocal := make(map[dag.TaskID]graph.NodeID, job.Graph.Len())
 		for _, id := range job.Graph.TaskIDs() {
 			allLocal[id] = s.id
@@ -557,7 +551,7 @@ func (s *Site) jobArrives(job *Job) {
 		return
 	}
 	if s.cluster.cfg.LocalOnly {
-		s.cluster.recordDecision(job, Rejected, StageLocalOnly, s.now())
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: Rejected, Stage: StageLocalOnly})
 		return
 	}
 	if s.member != nil && s.member.Repairing() {
@@ -566,7 +560,7 @@ func (s *Site) jobArrives(job *Job) {
 		// change. Re-run the arrival once the flood quiesces — by then the
 		// sphere may have shrunk (a death) or grown back (a join), and the
 		// local test gets a fresh chance too.
-		s.cluster.event(s.id, job.ID, EvDeferred, "route repair settling")
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDeferred, Peer: noLock}) // no lock holder: the repair
 		s.member.WhenSettled(func() { s.jobArrives(job) })
 		return
 	}
@@ -576,7 +570,7 @@ func (s *Site) jobArrives(job *Job) {
 		// with an empty fan-out, its window closes immediately and the
 		// underflow escalates to the adjacent regions' landmarks.
 		if s.hierTable == nil || len(s.hierTable.EscalationLandmarks()) == 0 {
-			s.cluster.recordDecision(job, Rejected, StageNoSphere, s.now())
+			s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: Rejected, Stage: StageNoSphere})
 			return
 		}
 	}

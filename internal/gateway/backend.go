@@ -106,7 +106,7 @@ type backendNode struct {
 	// long-poll; the watcher that holds the lock delivers.
 	reading sync.Mutex
 	boot    string // the node process the cursor counts in (guarded by reading)
-	cursor  int    // decisions of that process already read (guarded by reading)
+	cursor  int    // opaque position read up to in that process's log (guarded by reading)
 
 	mu   sync.Mutex
 	owed map[string]struct{} // forwarded here, not yet read back decided

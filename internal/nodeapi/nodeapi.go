@@ -4,9 +4,10 @@
 // surface, Prometheus text on /metrics (prom.go). docs/api.md lists the
 // endpoints; docs/metrics.md the metric families.
 //
-// Decisions return through the node's decision journal (core.Node's
-// DecidedSince): GET /jobs?since=<cursor>&boot=<token> answers with the
-// decisions made after the cursor, in decision order, and with wait=<d> it
+// Decisions return through the node's decision journal, the decisions of
+// its record log (core.Node's DecidedSince): GET
+// /jobs?since=<cursor>&boot=<token> answers with the decisions logged after
+// the cursor, an opaque log position, in decision order, and with wait=<d> it
 // holds the request until the next decision or the timeout, so a reader that
 // keeps its cursor learns of a decision when it is made and pays for new
 // decisions only. The boot token names this process: a reader whose token
@@ -144,7 +145,8 @@ func (s *Server) ReleaseWaiters() { s.releaseOnce.Do(func() { close(s.release) }
 type JournalReply struct {
 	// Boot names the answering process; send it back with the next read.
 	Boot string `json:"boot"`
-	// Next is the cursor to send with the next read.
+	// Next is the cursor to send with the next read: an opaque position
+	// in the node's record log.
 	Next int `json:"next"`
 	// Jobs are the decisions made after the request's cursor, in decision
 	// order (empty, not null, when there are none).
@@ -162,7 +164,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if q.Get("boot") != s.boot {
-		cursor = 0 // the reader's cursor counted another process's journal
+		cursor = 0 // the reader's cursor is a position in another process's log
 	}
 	var wait time.Duration
 	if v := q.Get("wait"); v != "" {

@@ -38,6 +38,7 @@ func (s *Server) scrape() snapshot {
 	st := s.node.Stats()
 	bm, bb := s.node.BootstrapCost()
 	rb, re := s.node.RoutingState()
+	violations, disruptions := s.node.Anomalies()
 	snap := snapshot{
 		site:              int(s.node.Self()),
 		ready:             s.ready.Load(),
@@ -47,8 +48,8 @@ func (s *Server) scrape() snapshot {
 		byKind:            st.ByKind(),
 		bootstrapMessages: bm,
 		bootstrapBytes:    bb,
-		violations:        len(s.node.Violations()),
-		disruptions:       s.node.FaultDisruptions(),
+		violations:        violations,
+		disruptions:       disruptions,
 		routingTableBytes: rb,
 		routingEntries:    re,
 	}
