@@ -1,7 +1,7 @@
-// Benchmarks: one target per paper artifact (Fig. 2–4, Table 1) and one per
-// evaluation experiment (E1–E10 of DESIGN.md §4). The experiment benchmarks
-// execute the Quick-size drivers; `go run ./cmd/rtds-bench` runs the Full
-// configuration that EXPERIMENTS.md records.
+// Benchmarks: one target per paper artifact (Fig. 2–4, Table 1), one
+// sub-benchmark per suite experiment (the E-tables listed in the
+// internal/experiments package doc, at the Quick size), and the E10
+// transport pair. `go run ./cmd/rtds-bench` runs the Full configuration.
 package rtds_test
 
 import (
@@ -11,7 +11,6 @@ import (
 	rtds "repro"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 // BenchmarkFig2TaskGraph measures constructing the paper's example DAG.
@@ -45,47 +44,20 @@ func BenchmarkTable1Adjustment(b *testing.B) {
 	}
 }
 
-func benchTable(b *testing.B, run func(experiments.Size, int64) (*metrics.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(experiments.Quick, 1); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSuite regenerates each suite experiment's Quick table, one
+// sub-benchmark per Suite() entry, on one worker.
+func BenchmarkSuite(b *testing.B) {
+	for _, n := range experiments.Suite() {
+		b.Run(n.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := experiments.RunTasks(experiments.Quick, []experiments.Task{{Exp: n, Seed: 1}}, 1, 0)
+				if err := experiments.FirstError(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkE1GuaranteeVsLoad regenerates the E1 table.
-func BenchmarkE1GuaranteeVsLoad(b *testing.B) { benchTable(b, experiments.E1GuaranteeVsLoad) }
-
-// BenchmarkE2MessagesVsNetworkSize regenerates the E2 table.
-func BenchmarkE2MessagesVsNetworkSize(b *testing.B) {
-	benchTable(b, experiments.E2MessagesVsNetworkSize)
-}
-
-// BenchmarkE3SphereRadius regenerates the E3 table.
-func BenchmarkE3SphereRadius(b *testing.B) { benchTable(b, experiments.E3SphereRadius) }
-
-// BenchmarkE4DeadlineTightness regenerates the E4 table.
-func BenchmarkE4DeadlineTightness(b *testing.B) { benchTable(b, experiments.E4DeadlineTightness) }
-
-// BenchmarkE5LaxityDispatch regenerates the E5 table.
-func BenchmarkE5LaxityDispatch(b *testing.B) { benchTable(b, experiments.E5LaxityDispatch) }
-
-// BenchmarkE6UniformMachines regenerates the E6 table.
-func BenchmarkE6UniformMachines(b *testing.B) { benchTable(b, experiments.E6UniformMachines) }
-
-// BenchmarkE7Preemption regenerates the E7 table.
-func BenchmarkE7Preemption(b *testing.B) { benchTable(b, experiments.E7Preemption) }
-
-// BenchmarkE8MapperHeuristics regenerates the E8 table.
-func BenchmarkE8MapperHeuristics(b *testing.B) { benchTable(b, experiments.E8MapperHeuristics) }
-
-// BenchmarkE9PCSConstruction regenerates the E9 table.
-func BenchmarkE9PCSConstruction(b *testing.B) { benchTable(b, experiments.E9PCSConstruction) }
-
-// BenchmarkE12FaultTolerance regenerates the E12 fault sweep — the cost of
-// simulating under injected loss, jitter and crashes.
-func BenchmarkE12FaultTolerance(b *testing.B) { benchTable(b, experiments.E12FaultTolerance) }
 
 // BenchmarkSuiteSerial runs the entire Quick suite serially — the baseline
 // the parallel runner is measured against.

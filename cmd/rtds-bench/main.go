@@ -1,7 +1,8 @@
-// Command rtds-bench runs the full experiment suite (DESIGN.md §4) on a
-// parallel worker pool and prints every table; -md emits GitHub-flavored
-// markdown for EXPERIMENTS.md, -json writes the machine-readable suite
-// benchmark (per-experiment wall time, events/sec and rendered table).
+// Command rtds-bench runs the full experiment suite (the E-tables the
+// internal/experiments package doc lists) on a parallel worker pool and
+// prints every table; -md emits GitHub-flavored markdown, -json writes the
+// machine-readable suite benchmark (per-experiment wall time, events/sec
+// and rendered table).
 //
 // With -check the tool is the CI gate for table identity: it re-runs the
 // suite at the committed baseline's size and seeds and fails unless the run

@@ -270,7 +270,8 @@ func collectCall(info *types.Info, call *ast.CallExpr, add func(token.Pos, strin
 
 // boxedArgs flags concrete values passed where the callee takes an
 // interface — each such argument is boxed, which allocates if it escapes
-// (so these are confirm-candidates).
+// (so these are confirm-candidates). A pointer-shaped value (pointer, map,
+// chan, func) is the interface's data word itself and is never boxed.
 func boxedArgs(info *types.Info, call *ast.CallExpr, add func(token.Pos, string, bool)) {
 	tv, ok := info.Types[call.Fun]
 	if !ok {
@@ -301,11 +302,19 @@ func boxedArgs(info *types.Info, call *ast.CallExpr, add func(token.Pos, string,
 		if !ok || at.Type == nil || types.IsInterface(at.Type) {
 			continue
 		}
-		if at.IsNil() || isUntypedConst(at) {
+		if at.IsNil() || isUntypedConst(at) || pointerShaped(at.Type) {
 			continue
 		}
 		add(arg.Pos(), "interface boxing", true)
 	}
+}
+
+func pointerShaped(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
+		return true
+	}
+	return false
 }
 
 func isUntypedConst(tv types.TypeAndValue) bool {

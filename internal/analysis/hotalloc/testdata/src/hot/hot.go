@@ -43,3 +43,34 @@ func stackOnly() int {
 func concat(a, b string) {
 	sink = a + b // want `compiler reports .* but hotalloc has no allocation candidate`
 }
+
+type taker interface{ take() }
+
+type pair struct{ a, b int }
+
+func (pair) take() {}
+
+type node struct{ next *node }
+
+func (*node) take() {}
+
+var held taker
+
+func keep(t taker) { held = t }
+
+type post struct{ t taker }
+
+var posted *post
+
+// enqueue inlines, so the compiler reports its allocation on the caller's
+// line too: there the pointer argument must not be taken for the cause.
+func enqueue(t taker) {
+	posted = &post{t} // want `hot-path allocation \(composite literal\) reachable from hot\.boxing`
+}
+
+//lint:hotpath -- fixture: a struct passed as an interface is boxed; a pointer is the interface's data word
+func boxing(p pair, n *node) {
+	keep(p)    // want `hot-path allocation \(interface boxing\) reachable from hot\.boxing`
+	keep(n)    // pointer-shaped: silent
+	enqueue(n) // want `compiler reports .* but hotalloc has no allocation candidate`
+}

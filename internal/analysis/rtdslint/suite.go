@@ -52,9 +52,10 @@ var deterministicPkgs = []string{
 //   - detclock: deterministic packages only (see deterministicPkgs)
 //   - mapiter, lockorder: all internal packages except the linter's own
 //     implementation (its testdata fixtures intentionally violate the rules)
-//   - hotalloc: the declared hot-path packages (wire, sim, schedule, and
-//     routing for the bootstrap's merge and landmark relaxation); the
-//     //lint:hotpath roots live there and the call graph stays within them
+//   - hotalloc: the declared hot-path packages (wire, sim, core for the
+//     record writer and the relay hop, schedule, and routing for the
+//     bootstrap's merge and landmark relaxation); the //lint:hotpath roots
+//     live there and the call graph stays within them
 //   - spawncheck: every package that spawns goroutines, i.e. all module
 //     code outside the linter itself
 //   - exhaustive: the whole module
@@ -78,6 +79,7 @@ func AppliesTo(a *analysis.Analyzer, importPath string) bool {
 	case "hotalloc":
 		return hasPrefix(importPath, "repro/internal/wire") ||
 			hasPrefix(importPath, "repro/internal/sim") ||
+			hasPrefix(importPath, "repro/internal/core") ||
 			hasPrefix(importPath, "repro/internal/schedule") ||
 			hasPrefix(importPath, "repro/internal/routing")
 	default: // exhaustive, spawncheck, future module-wide checks

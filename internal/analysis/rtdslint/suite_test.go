@@ -39,6 +39,8 @@ func TestAppliesToScoping(t *testing.T) {
 		{"mapiter", "repro/internal/sim/par", true},
 		{"hotalloc", "repro/internal/sim/par", true},
 		{"hotalloc", "repro/internal/routing/hier", true},
+		{"hotalloc", "repro/internal/core", true},
+		{"hotalloc", "repro/internal/baseline", false},
 		{"mapiter", "repro/internal/wire", true},
 		{"mapiter", "repro/internal/baseline", true},
 		{"mapiter", "repro/cmd/rtds-sim", false},

@@ -13,11 +13,11 @@
 //     detail; we reconstruct the *communication pattern* it criticizes so
 //     experiment E2 can quantify the claim.
 //
-// FocusedBidding semantics (documented in DESIGN.md §5): on local failure
-// the origin sends the whole job to the known-best-surplus site (the
-// focused site) and requests bids from the next-best sites; bids go to the
-// focused site, which keeps the job if it can guarantee it locally and
-// otherwise awards it to the best bidder. Jobs are never split across
+// FocusedBidding semantics (this reconstruction's own; the paper gives
+// none): on local failure the origin sends the whole job to the
+// known-best-surplus site (the focused site) and requests bids from the
+// next-best sites; bids go to the focused site, which keeps the job if it
+// can guarantee it locally and otherwise awards it to the best bidder. Jobs are never split across
 // sites, which is the functional gap to RTDS; surplus dissemination floods
 // the entire network periodically, which is the communication gap.
 //

@@ -185,7 +185,9 @@ func (s *Site) validateTimeout(t *activeTxn) {
 
 // acsDiameter computes ω: the largest pairwise known delay among ACS
 // members (initiator included), from the initiator's own table plus the
-// enrollees' distance vectors (DESIGN.md §6.3).
+// enrollees' distance vectors. The paper leaves open how the initiator
+// learns ω; with the vectors it is exact for the ACS, not bounded by the
+// whole sphere's diameter.
 func (s *Site) acsDiameter(t *activeTxn) float64 {
 	members := append([]graph.NodeID{s.id}, t.ACS...)
 	inACS := make(map[graph.NodeID]bool, len(members))

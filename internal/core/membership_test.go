@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core/membership"
+	"repro/internal/graph"
 	"repro/internal/simnet"
 )
 
@@ -163,5 +164,23 @@ func TestRepairDefersEnrollment(t *testing.T) {
 	}
 	if !settleSeen {
 		t.Fatal("no repair-settled event recorded")
+	}
+}
+
+// TestRelayWithoutTableDrops: a site that has no routing table yet — a
+// joiner whose JoinAck has not arrived while its neighbors already route
+// through it — drops a routed message for another site as unroutable
+// instead of crashing.
+func TestRelayWithoutTableDrops(t *testing.T) {
+	c := mustCluster(t, graph.Line(3, graph.UnitDelay, 1), DefaultConfig())
+	relay := c.sites[1]
+	relay.table = nil
+	relay.handle(0, NewRouted(0, 2, 4, UnlockAck{Job: "nobody", Member: 0}))
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := `site 1 has no route to 2 for "rtds.unlock-ack"`
+	if v := c.Violations(); len(v) != 1 || v[0] != want {
+		t.Fatalf("violations %q, want [%q]", v, want)
 	}
 }

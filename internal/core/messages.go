@@ -66,7 +66,7 @@ func (EnrollReq) Kind() string     { return "rtds.enroll" }
 func (e EnrollReq) SizeBytes() int { return msgHeader + 8 }
 
 // DistEntry is one line of the distance vector an enrollee reports, letting
-// the initiator compute the exact ACS delay diameter (DESIGN.md §6.3). It
+// the initiator compute the exact ACS delay diameter (Site.acsDiameter). It
 // aliases the txn package's representation so enrollment reports flow into
 // the state machine without conversion.
 type DistEntry = txn.DistEntry

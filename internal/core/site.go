@@ -433,7 +433,8 @@ func (s *Site) sendAll(dests []graph.NodeID, p simnet.Payload) {
 // forward relays a routed payload one hop. An exhausted TTL or a missing
 // route drops the message: on a faultless cluster that is a protocol bug and
 // is reported as a violation, on a faulty one it is expected degradation
-// (routes to dead sites are pruned) and only counted. The phase timeouts
+// (routes to dead sites are pruned, and a joiner has no table until its
+// JoinAck installs one) and only counted. The phase timeouts
 // and lock leases guarantee the protocol recovers from the loss either way.
 // The message is this site's until it is sent on (see Routed): TTL drops in
 // the header and the same handle goes out, so a relayed hop allocates nothing.
@@ -445,7 +446,10 @@ func (s *Site) forward(m Routed) {
 		return
 	}
 	m.TTL--
-	nh, ok := s.table.NextHop(m.Dest)
+	nh, ok := graph.NodeID(0), false
+	if s.table != nil {
+		nh, ok = s.table.NextHop(m.Dest)
+	}
 	if !ok {
 		s.cluster.record(Event{Site: s.id, Kind: EvViolation, Cause: CauseNoRoute, Msg: m.Inner.Kind(), Peer: m.Dest})
 		return

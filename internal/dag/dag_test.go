@@ -8,8 +8,9 @@ import (
 	"testing/quick"
 )
 
-// paperGraph builds the Fig. 2 example DAG reverse-engineered in DESIGN.md:
-// edges {1->3, 2->3, 1->4, 3->5, 4->5}, c = (6, 4, 4, 2, 5).
+// paperGraph builds the Fig. 2 example DAG, read off the paper's Fig. 4 as
+// experiments.PaperExampleDAG explains: edges {1->3, 2->3, 1->4, 3->5,
+// 4->5}, c = (6, 4, 4, 2, 5).
 func paperGraph(t testing.TB) *Graph {
 	t.Helper()
 	g, err := NewBuilder("fig2").

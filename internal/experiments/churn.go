@@ -12,7 +12,28 @@ import (
 	"repro/internal/simnet"
 )
 
-// e14ChurnCounts is the churn axis (one shard per point): how many sites
+// E14 — the dynamic-membership subsystem end to end: sites crash mid-run
+// (and, in the rejoin rows, come back), and every repair — failure
+// detection, epoch-tagged table re-floods, resurrection — happens through
+// the wire protocol rather than a scripted oracle. Per (crash count,
+// rejoin) cell the sweep reports:
+//
+//   - the guarantee ratio of RTDS, the BroadcastSphere ablation and the
+//     focused-addressing/bidding baseline on the same churning network;
+//   - the abort-stage breakdown of jobs caught by the churn (enrollments
+//     that closed empty against dead members, validations and commits
+//     resolved by their timeouts);
+//   - the membership outcome: the route epoch the survivors converged to,
+//     the number of resurrections applied, and the control-plane traffic
+//     (heartbeats, notices, repair floods) the protocol spent — the price
+//     of owning failure knowledge instead of being handed it.
+//
+// Rejoin rows recover capacity: their late-run guarantee ratio reflects
+// the resurrected sites serving enrollments again. Every run must drain
+// with all locks released; like E12 the experiment doubles as a liveness
+// stress, now for the repair and join paths.
+//
+// e14ChurnCounts is the churn axis, one point per value: how many sites
 // crash during the run.
 func e14ChurnCounts(size Size) []int {
 	if size == Full {
@@ -20,8 +41,6 @@ func e14ChurnCounts(size Size) []int {
 	}
 	return []int{0, 1}
 }
-
-func e14Shards(size Size) int { return len(e14ChurnCounts(size)) }
 
 // e14Membership pins the membership timing for every E14 cell so the sweep
 // measures churn, not parameter drift: 1-unit heartbeats, 3-unit suspicion,
@@ -69,13 +88,13 @@ func e14Plan(seed int64, churn int, rejoin bool, horizon float64, sites int) *si
 	return plan
 }
 
-func e14Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	churn := e14ChurnCounts(size)[shard]
+func e14Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	churn := e14ChurnCounts(size)[point]
 	var rows [][]any
-	// One topology and arrival sequence per churn level: within a shard the
+	// One topology and arrival sequence per churn level: within a point the
 	// rejoin column isolates the effect of recovery on identical traffic.
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
-	spec := StdSpec(size.sites(), size.horizon(), seed+int64(shard*100))
+	spec := StdSpec(size.sites(), size.horizon(), seed+int64(point*100))
 	arrivals, err := ArrivalsForLoad(spec, 0.6)
 	if err != nil {
 		return nil, err
@@ -145,32 +164,4 @@ func e14Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		})
 	}
 	return rows, nil
-}
-
-func e14Churn(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e14Shards, e14Table, e14Row)
-}
-
-// E14Churn evaluates the dynamic-membership subsystem end to end: sites
-// crash mid-run (and, in the rejoin rows, come back), and every repair —
-// failure detection, epoch-tagged table re-floods, resurrection — happens
-// through the wire protocol rather than the old scripted oracle. Per
-// (crash count, rejoin) cell the sweep reports:
-//
-//   - the guarantee ratio of RTDS, the BroadcastSphere ablation and the
-//     focused-addressing/bidding baseline on the same churning network;
-//   - the abort-stage breakdown of jobs caught by the churn (enrollments
-//     that closed empty against dead members, validations and commits
-//     resolved by their timeouts);
-//   - the membership outcome: the route epoch the survivors converged to,
-//     the number of resurrections applied, and the control-plane traffic
-//     (heartbeats, notices, repair floods) the protocol spent — the price
-//     of owning failure knowledge instead of being handed it.
-//
-// Rejoin rows recover capacity: their late-run guarantee ratio reflects
-// the resurrected sites serving enrollments again. Every run must drain
-// with all locks released; like E12 the experiment doubles as a liveness
-// stress, now for the repair and join paths.
-func E14Churn(size Size, seed int64) (*metrics.Table, error) {
-	return e14Churn(new(runEnv), size, seed)
 }

@@ -6,10 +6,7 @@ import (
 )
 
 func TestE14ChurnInvariants(t *testing.T) {
-	tbl, err := E14Churn(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E14-churn", 1)
 	// One control row (churn 0) plus two rows (permanent, rejoin) per
 	// non-zero churn level.
 	wantRows := 1 + 2*(len(e14ChurnCounts(Quick))-1)

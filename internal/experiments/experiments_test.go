@@ -46,6 +46,28 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// lookup returns the suite experiment called name.
+func lookup(t testing.TB, name string) Named {
+	t.Helper()
+	for _, n := range Suite() {
+		if n.Name == name {
+			return n
+		}
+	}
+	t.Fatalf("no suite experiment %q", name)
+	return Named{}
+}
+
+// runNamed runs the suite experiment called name at the quick size.
+func runNamed(t testing.TB, name string, seed int64) *metrics.Table {
+	t.Helper()
+	r := RunTasks(Quick, []Task{{Exp: lookup(t, name), Seed: seed}}, 0, 0)[0]
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	return r.Table
+}
+
 // parse extracts the float in column `col` of row `row` from a rendered
 // table (data rows start after header + separator).
 func parse(t *testing.T, tbl interface{ String() string }, row, col int) float64 {
@@ -60,10 +82,7 @@ func parse(t *testing.T, tbl interface{ String() string }, row, col int) float64
 }
 
 func TestE1QualitativeClaims(t *testing.T) {
-	tbl, err := E1GuaranteeVsLoad(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E1-guarantee-vs-load", 1)
 	if tbl.NumRows() != 6 {
 		t.Fatalf("rows %d", tbl.NumRows())
 	}
@@ -105,10 +124,7 @@ func TestE1QualitativeClaims(t *testing.T) {
 }
 
 func TestE2SphereBoundsTraffic(t *testing.T) {
-	tbl, err := E2MessagesVsNetworkSize(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E2-messages-vs-size", 1)
 	// At the largest quick size (32 sites), sphere-limited RTDS must use
 	// fewer messages per job than the whole-network broadcast variant, and
 	// the FA/bidding flood must be the most expensive.
@@ -135,10 +151,7 @@ func TestE2SphereBoundsTraffic(t *testing.T) {
 }
 
 func TestE3RadiusTradeoff(t *testing.T) {
-	tbl, err := E3SphereRadius(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E3-sphere-radius", 1)
 	if tbl.NumRows() != 5 {
 		t.Fatalf("rows %d", tbl.NumRows())
 	}
@@ -155,10 +168,7 @@ func TestE3RadiusTradeoff(t *testing.T) {
 }
 
 func TestE4TightnessMonotoneTrend(t *testing.T) {
-	tbl, err := E4DeadlineTightness(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E4-deadline-tightness", 1)
 	// Looser deadlines must not hurt: last row (tightness 6) must beat the
 	// first row (1.2) for both algorithms.
 	if parse(t, tbl, 5, 1) <= parse(t, tbl, 0, 1) {
@@ -171,25 +181,21 @@ func TestE4TightnessMonotoneTrend(t *testing.T) {
 
 func TestAblationExperimentsRun(t *testing.T) {
 	runs := []struct {
-		name string
-		run  func(Size, int64) (*metrics.Table, error)
-		rows int
+		short, name string
+		rows        int
 	}{
-		{"E5", E5LaxityDispatch, 2},
-		{"E6", E6UniformMachines, 2},
-		{"E7", E7Preemption, 2},
-		{"E8", E8MapperHeuristics, 4},
-		{"E11", E11DataVolumes, 5},
-		{"E9", E9PCSConstruction, 8},
+		{"E5", "E5-laxity-dispatch", 2},
+		{"E6", "E6-uniform-machines", 2},
+		{"E7", "E7-preemption", 2},
+		{"E8", "E8-mapper-heuristics", 4},
+		{"E11", "E11-data-volumes", 5},
+		{"E9", "E9-pcs-construction", 8},
 	}
 	for _, c := range runs {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.short, func(t *testing.T) {
 			t.Parallel()
-			tb, err := c.run(Quick, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tb := runNamed(t, c.name, 1)
 			if tb.NumRows() != c.rows {
 				t.Errorf("%s: %d rows, want %d:\n%s", c.name, tb.NumRows(), c.rows, tb)
 			}
@@ -203,10 +209,7 @@ func TestAblationExperimentsRun(t *testing.T) {
 // decided in every cell), and the dropped-traversal column tracks the
 // injected intensity.
 func TestE12FaultToleranceDegradesGracefully(t *testing.T) {
-	tbl, err := E12FaultTolerance(Quick, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E12-fault-tolerance", 1)
 	rows := tbl.NumRows()
 	if rows != len(e12Loss)*len(e12CrashCounts(Quick)) {
 		t.Fatalf("%d rows, want %d", rows, len(e12Loss)*len(e12CrashCounts(Quick)))

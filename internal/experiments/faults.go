@@ -12,7 +12,25 @@ import (
 	"repro/internal/simnet"
 )
 
-// e12Loss is the loss-rate axis of the fault sweep (one shard per point).
+// E12 — graceful degradation under adverse network conditions, the
+// operational regime of an "arbitrary wide network" that the clean-run
+// experiments never exercise. A seeded fault plan injects per-traversal
+// message loss, delay jitter and permanent site crashes; the sweep
+// measures, per (loss rate, crash count) cell:
+//
+//   - the guarantee ratio of RTDS, the BroadcastSphere baseline and the
+//     focused-addressing/bidding baseline on the same faulty network;
+//   - how many jobs end undecided (their initiator crashed mid-protocol);
+//   - the abort-stage breakdown of the defensive machinery: enrollments
+//     that closed empty, validations and commits resolved by their
+//     timeouts, and ordinary commit refusals;
+//   - the dropped-traversal and disruption counts, tying the degradation
+//     back to the injected fault intensity.
+//
+// Every run must terminate with all locks released (the DES would otherwise
+// never drain and the run would hit the event limit): the experiment doubles
+// as a liveness stress for the timeout/lease/retransmission paths. One
+// point per loss rate; each point contributes one row per crash count.
 var e12Loss = []float64{0, 0.05, 0.1, 0.2}
 
 func e12CrashCounts(size Size) []int {
@@ -21,8 +39,6 @@ func e12CrashCounts(size Size) []int {
 	}
 	return []int{0, 1}
 }
-
-func e12Shards(Size) int { return len(e12Loss) }
 
 func e12Table(size Size) *metrics.Table {
 	return metrics.NewTable(
@@ -38,13 +54,13 @@ func e12Table(size Size) *metrics.Table {
 // Lossy cells also carry delay jitter (a lossy network is a jittery one);
 // the loss-free cells stay jitter-free so the (0, 0) cell is a true
 // faultless control and the (0, k) column isolates pure crash effects.
-func e12Plan(seed int64, shard, crashes int, loss, horizon float64, sites int) *simnet.FaultPlan {
+func e12Plan(seed int64, point, crashes int, loss, horizon float64, sites int) *simnet.FaultPlan {
 	jitter := 0.0
 	if loss > 0 {
 		jitter = 0.05
 	}
 	plan := &simnet.FaultPlan{
-		Seed:      seed*1000 + int64(shard*10+crashes),
+		Seed:      seed*1000 + int64(point*10+crashes),
 		Loss:      loss,
 		MaxJitter: jitter,
 	}
@@ -76,19 +92,19 @@ func e12Detector(crashes int) func(*core.Config) {
 	}
 }
 
-func e12Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	loss := e12Loss[shard]
+func e12Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	loss := e12Loss[point]
 	var rows [][]any
-	// One topology and arrival sequence per loss level: within a shard the
+	// One topology and arrival sequence per loss level: within a point the
 	// crash column isolates the effect of dead sites on identical traffic.
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
-	spec := StdSpec(size.sites(), size.horizon(), seed+int64(shard*100))
+	spec := StdSpec(size.sites(), size.horizon(), seed+int64(point*100))
 	arrivals, err := ArrivalsForLoad(spec, 0.6)
 	if err != nil {
 		return nil, err
 	}
 	for _, crashes := range e12CrashCounts(size) {
-		plan := e12Plan(seed, shard, crashes, loss, size.horizon(), size.sites())
+		plan := e12Plan(seed, point, crashes, loss, size.horizon(), size.sites())
 
 		detect := e12Detector(crashes)
 
@@ -116,30 +132,4 @@ func e12Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		})
 	}
 	return rows, nil
-}
-
-func e12FaultTolerance(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e12Shards, e12Table, e12Row)
-}
-
-// E12FaultTolerance evaluates graceful degradation under adverse network
-// conditions — the operational regime of an "arbitrary wide network" that
-// the clean-run experiments never exercise. A seeded fault plan injects
-// per-traversal message loss, delay jitter and permanent site crashes;
-// the sweep measures, per (loss rate, crash count) cell:
-//
-//   - the guarantee ratio of RTDS, the BroadcastSphere baseline and the
-//     focused-addressing/bidding baseline on the same faulty network;
-//   - how many jobs end undecided (their initiator crashed mid-protocol);
-//   - the abort-stage breakdown of the defensive machinery: enrollments
-//     that closed empty, validations and commits resolved by their
-//     timeouts, and ordinary commit refusals;
-//   - the dropped-traversal and disruption counts, tying the degradation
-//     back to the injected fault intensity.
-//
-// Every run must terminate with all locks released (the DES would otherwise
-// never drain and the run would hit the event limit): the experiment doubles
-// as a liveness stress for the timeout/lease/retransmission paths.
-func E12FaultTolerance(size Size, seed int64) (*metrics.Table, error) {
-	return e12FaultTolerance(new(runEnv), size, seed)
 }

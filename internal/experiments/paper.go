@@ -1,7 +1,3 @@
-// Package experiments contains one driver per artifact the repository
-// reproduces: the paper's worked example (Fig. 2–4 and Table 1, the only
-// quantitative artifacts in the paper) and the synthetic evaluation suite
-// E1–E10 catalogued in DESIGN.md §4.
 package experiments
 
 import (
@@ -14,9 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// PaperExampleDAG builds the Fig. 2 task graph as reverse-engineered in
-// DESIGN.md §3: tasks 1..5 with c = (6, 4, 4, 2, 5) and edges
-// {1→3, 2→3, 1→4, 3→5, 4→5}.
+// PaperExampleDAG builds the Fig. 2 task graph: tasks 1..5 with
+// c = (6, 4, 4, 2, 5) and edges {1→3, 2→3, 1→4, 3→5, 4→5}. The paper
+// draws Fig. 2 without numbers, so both are read off Fig. 4: each task's
+// complexity is its length in S* (surplus 1), and the edges are the ones
+// that explain every start time in S* with ω = 3 between processors.
 func PaperExampleDAG() *dag.Graph {
 	return dag.NewBuilder("paper-fig2").
 		SetWindow(0, 66).
@@ -57,13 +55,39 @@ func PaperExample() (*PaperResult, error) {
 	res.GanttS = trace.Gantt(fmt.Sprintf("Fig. 3 — schedule S computed by the Mapper (M = %g)", m.Makespan), spansS, 66)
 	res.GanttSStar = trace.Gantt(fmt.Sprintf("Fig. 4 — schedule S* at 100%% surplus (M* = %g)", m.IdealMakespan), spansStar, 66)
 
-	tbl := metrics.NewTable("Table 1 — adjusted r(ti) and d(ti)", "ti", "ri", "di", "r(ti)", "d(ti)")
+	res.Table1 = paperTable(Full)
+	addRows(res.Table1, table1Rows(g, m))
+	return res, nil
+}
+
+// paperTable is Table 1's header. PaperExample and the suite's "paper"
+// entry both build Table 1 from it and table1Rows.
+func paperTable(Size) *metrics.Table {
+	return metrics.NewTable("Table 1 — adjusted r(ti) and d(ti)", "ti", "ri", "di", "r(ti)", "d(ti)")
+}
+
+// table1Rows is Table 1: each task's window in S and its adjusted window.
+func table1Rows(g *dag.Graph, m *mapper.TrialMapping) [][]any {
+	var rows [][]any
 	for _, id := range g.TaskIDs() {
 		a := m.Assign[id]
-		tbl.AddRow(int(id), a.Start, a.Finish, m.Release[id], m.Deadline[id])
+		rows = append(rows, []any{int(id), a.Start, a.Finish, m.Release[id], m.Deadline[id]})
 	}
-	res.Table1 = tbl
-	return res, nil
+	return rows
+}
+
+// paperRows is the suite's one point of the paper example: it recomputes
+// the example, verifies it against the paper's numbers and reports
+// Table 1.
+func paperRows(*runEnv, Size, int64, int) ([][]any, error) {
+	paper, err := PaperExample()
+	if err != nil {
+		return nil, err
+	}
+	if err := VerifyPaperExample(paper); err != nil {
+		return nil, fmt.Errorf("paper example mismatch: %w", err)
+	}
+	return table1Rows(paper.Graph, paper.Mapping), nil
 }
 
 // paperExpectations pins every number the paper reports for the example.

@@ -9,11 +9,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// E13PolicyMatrix sweeps the policy layer's axes — sphere growth (radius),
+// E13 sweeps the policy layer's axes — sphere growth (radius),
 // local acceptance (EDF vs the laxity-threshold admission), and enrollment
 // redundancy (full sphere vs k-redundant fan-out) — over the topology kinds
 // graph.Generate supports but the random-graph suite never exercises:
-// torus, hypercube and random-geometric. One shard per topology; every row
+// torus, hypercube and random-geometric. One point per topology; every row
 // derives all state from (seed, topology) alone, so serial and parallel
 // runs are byte-identical.
 //
@@ -43,23 +43,21 @@ func e13Combos() []e13Combo {
 	return combos
 }
 
-func e13Shards(Size) int { return len(e13Topos) }
-
 func e13Table(size Size) *metrics.Table {
 	return metrics.NewTable(
 		fmt.Sprintf("E13 — policy matrix (~%d sites, load 0.6): sphere growth × acceptance × redundancy over torus/hypercube/geometric", size.sites()),
 		"topo", "h", "accept", "enroll", "ratio", "accepted-dist", "msgs/job", "mean ACS")
 }
 
-func e13Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	kind := e13Topos[shard]
-	topo, err := graph.Generate(kind, size.sites(), StdDelays, seed+int64(shard))
+func e13Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	kind := e13Topos[point]
+	topo, err := graph.Generate(kind, size.sites(), StdDelays, seed+int64(point))
 	if err != nil {
 		return nil, err
 	}
 	// Generators round the node count (square sides, powers of two), so the
 	// workload is drawn for the realized size.
-	spec := StdSpec(topo.Len(), size.horizon(), seed+int64(shard*37))
+	spec := StdSpec(topo.Len(), size.horizon(), seed+int64(point*37))
 	arrivals, err := ArrivalsForLoad(spec, 0.6)
 	if err != nil {
 		return nil, err
@@ -82,13 +80,4 @@ func e13Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		})
 	}
 	return rows, nil
-}
-
-func e13PolicyMatrix(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e13Shards, e13Table, e13Row)
-}
-
-// E13PolicyMatrix runs E13 standalone.
-func E13PolicyMatrix(size Size, seed int64) (*metrics.Table, error) {
-	return e13PolicyMatrix(new(runEnv), size, seed)
 }

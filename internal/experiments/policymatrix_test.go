@@ -11,10 +11,7 @@ import (
 // k-redundant enrollment policy puts on the mean ACS (k members plus the
 // initiator).
 func TestE13PolicyMatrixInvariants(t *testing.T) {
-	tbl, err := E13PolicyMatrix(Quick, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := runNamed(t, "E13-policy-matrix", 3)
 	wantRows := len(e13Topos) * len(e13Combos())
 	if tbl.NumRows() != wantRows {
 		t.Fatalf("%d rows, want %d (topologies × combos)", tbl.NumRows(), wantRows)

@@ -9,14 +9,14 @@ import (
 	"repro/internal/workload"
 )
 
-// E15Scale: the hierarchical routing sweep — per-site routing state,
+// E15 is the hierarchical routing sweep: per-site routing state,
 // bootstrap rounds, message cost and guarantee ratio of rtds-hier against
 // flat rtds as the network grows toward thousands of sites. The flat
 // protocol's per-site table is exactly one line per destination (O(n)); the
 // hierarchy holds the region's exact table plus one landmark line per
 // region (O(√n)), and region-local jobs resolve without a single
-// cross-region protocol message. Sharded per network size: the 4,096-site
-// point dwarfs the rest.
+// cross-region protocol message. One point per network size: the
+// 4,096-site point dwarfs the rest.
 
 // e15FlatCap bounds the flat-RTDS comparison runs: beyond it a flat
 // cluster's O(n) tables at every one of n sites cost O(n²) memory and the
@@ -42,8 +42,6 @@ func e15Jobs(size Size) int {
 	return 48
 }
 
-func e15Shards(size Size) int { return len(e15Sizes(size)) }
-
 func e15Table(Size) *metrics.Table {
 	return metrics.NewTable(
 		"E15 — hierarchical scale sweep (√n regions, fixed job budget)",
@@ -59,8 +57,8 @@ func e15Spec(n, jobs int, seed int64) workload.Spec {
 	return spec
 }
 
-func e15Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	n := e15Sizes(size)[shard]
+func e15Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	n := e15Sizes(size)[point]
 	topo := graph.RandomConnected(n, 4, StdDelays, seed+int64(n))
 	arrivals, err := workload.Generate(e15Spec(n, e15Jobs(size), seed+int64(n)))
 	if err != nil {
@@ -91,13 +89,4 @@ func e15Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		hier.MessagesPerJob, flatMsgs,
 		hier.Core.RoutingTableBytes, flatBytes, rounds,
 		hier.Core.CrossRegionMessages}}, nil
-}
-
-func e15Scale(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e15Shards, e15Table, e15Row)
-}
-
-// E15Scale runs E15 standalone.
-func E15Scale(size Size, seed int64) (*metrics.Table, error) {
-	return e15Scale(new(runEnv), size, seed)
 }

@@ -1,3 +1,22 @@
+// Package experiments reproduces the paper's artifacts as tables: the
+// worked example of §12 (Figs. 2–4 and Table 1, the paper's only
+// quantitative artifacts) and the evaluation suite — E1 guarantee ratio vs
+// offered load, E2 messages per job vs network size, E3 sphere radius, E4
+// deadline tightness, E5 laxity dispatching, E6 uniform machines, E7
+// preemption, E8 mapper heuristics, E9 PCS construction cost, E11 data
+// volumes, E12 fault tolerance, E13 the policy matrix, E14 churn and E15
+// hierarchical scale. (E10, DES against wall-clock transport, is a test
+// and a benchmark pair, not a table: internal/core's live tests and the
+// root package's BenchmarkE10Transport*.)
+//
+// Every suite entry has one shape, Named: a table header, a number of
+// points, and the rows one point contributes. A point derives all of its
+// state from (size, seed, point), so points run on any worker in any
+// order, and an experiment's table is its header plus every point's rows
+// in point order. To add an experiment, write its header and row
+// functions and list it in Suite with its point count (fixed(1) for a
+// single point); RunTasks and All run it, rtds-bench prints it and
+// rtds-bench -check pins it once BENCH_suite.json is regenerated.
 package experiments
 
 import (
@@ -35,83 +54,49 @@ func (e *runEnv) note(n int64, elapsed time.Duration) {
 	e.busyNS.Add(int64(elapsed))
 }
 
-// Named pairs an experiment with its stable report name. Sweep experiments
-// additionally describe row-level shards: independent units of work whose
-// row blocks, concatenated in shard order, form exactly the table the
-// whole-experiment run produces. Shards are what let the worker pool
-// balance a suite whose largest experiment dwarfs the rest.
+// Named is one suite experiment under its stable report name: table gives
+// its caption and columns, points how many independent points it has at a
+// size, and rows the rows one point contributes. The table is the header
+// plus every point's rows in point order; points are what let the worker
+// pool balance a suite whose largest point (E2 at 128 sites) dwarfs the
+// rest.
 type Named struct {
-	Name string
-	run  func(*runEnv, Size, int64) (*metrics.Table, error)
-
-	// Sharding; nil shards means the experiment is indivisible.
-	shards    func(Size) int
-	newTable  func(Size) *metrics.Table
-	shardRows func(*runEnv, Size, int64, int) ([][]any, error)
+	Name   string
+	table  func(Size) *metrics.Table
+	points func(Size) int
+	rows   func(env *runEnv, size Size, seed int64, point int) ([][]any, error)
 }
 
-// runShardsSerially assembles a sharded experiment's table by computing
-// every shard in order — the serial reference path and the body of the
-// sharded experiments' whole-run functions.
-func runShardsSerially(env *runEnv, size Size, seed int64,
-	shards func(Size) int, newTable func(Size) *metrics.Table,
-	rows func(*runEnv, Size, int64, int) ([][]any, error)) (*metrics.Table, error) {
-	tbl := newTable(size)
-	for s := 0; s < shards(size); s++ {
-		rs, err := rows(env, size, seed, s)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rs {
-			tbl.AddRow(r...)
-		}
-	}
-	return tbl, nil
+// fixed is the point count of an experiment whose axis does not depend on
+// the size.
+func fixed(n int) func(Size) int { return func(Size) int { return n } }
+
+// sweep is the point count of an experiment with one point per value of a
+// size-dependent axis.
+func sweep[T any](axis func(Size) []T) func(Size) int {
+	return func(s Size) int { return len(axis(s)) }
 }
 
 // Suite lists the full experiment suite, paper example first, in the stable
 // order every report uses.
 func Suite() []Named {
 	return []Named{
-		{Name: "paper", run: runPaperExample},
-		{Name: "E1-guarantee-vs-load", run: e1GuaranteeVsLoad,
-			shards: e1Shards, newTable: e1Table, shardRows: e1Row},
-		{Name: "E2-messages-vs-size", run: e2MessagesVsNetworkSize,
-			shards: e2Shards, newTable: e2Table, shardRows: e2Row},
-		{Name: "E3-sphere-radius", run: e3SphereRadius},
-		{Name: "E4-deadline-tightness", run: e4DeadlineTightness,
-			shards: e4Shards, newTable: e4Table, shardRows: e4Row},
-		{Name: "E5-laxity-dispatch", run: e5LaxityDispatch},
-		{Name: "E6-uniform-machines", run: e6UniformMachines},
-		{Name: "E7-preemption", run: e7Preemption},
-		{Name: "E8-mapper-heuristics", run: e8MapperHeuristics},
-		{Name: "E9-pcs-construction", run: e9PCSConstruction,
-			shards: e9Shards, newTable: e9Table, shardRows: e9Row},
-		{Name: "E11-data-volumes", run: e11DataVolumes,
-			shards: e11Shards, newTable: e11Table, shardRows: e11Row},
-		{Name: "E12-fault-tolerance", run: e12FaultTolerance,
-			shards: e12Shards, newTable: e12Table, shardRows: e12Row},
-		{Name: "E13-policy-matrix", run: e13PolicyMatrix,
-			shards: e13Shards, newTable: e13Table, shardRows: e13Row},
-		{Name: "E14-churn", run: e14Churn,
-			shards: e14Shards, newTable: e14Table, shardRows: e14Row},
-		{Name: "E15-scale", run: e15Scale,
-			shards: e15Shards, newTable: e15Table, shardRows: e15Row},
+		{"paper", paperTable, fixed(1), paperRows},
+		{"E1-guarantee-vs-load", e1Table, fixed(len(e1Loads)), e1Row},
+		{"E2-messages-vs-size", e2Table, sweep(e2Sizes), e2Row},
+		{"E3-sphere-radius", e3Table, fixed(len(e3Radii)), e3Row},
+		{"E4-deadline-tightness", e4Table, fixed(len(e4Tightness)), e4Row},
+		{"E5-laxity-dispatch", e5Table, fixed(len(e5Modes)), e5Row},
+		{"E6-uniform-machines", e6Table, fixed(1), e6Rows},
+		{"E7-preemption", e7Table, fixed(len(e7Preemptive)), e7Row},
+		{"E8-mapper-heuristics", e8Table, fixed(len(e8Heuristics)), e8Row},
+		{"E9-pcs-construction", e9Table, sweep(e9Sizes), e9Row},
+		{"E11-data-volumes", e11Table, fixed(len(e11CCRs)), e11Row},
+		{"E12-fault-tolerance", e12Table, fixed(len(e12Loss)), e12Row},
+		{"E13-policy-matrix", e13Table, fixed(len(e13Topos)), e13Row},
+		{"E14-churn", e14Table, sweep(e14ChurnCounts), e14Row},
+		{"E15-scale", e15Table, sweep(e15Sizes), e15Row},
 	}
-}
-
-// runPaperExample wraps the paper's worked example (Figs. 2-4, Table 1) as a
-// suite task: it recomputes the example, verifies it against the paper's
-// numbers and reports Table 1.
-func runPaperExample(_ *runEnv, _ Size, _ int64) (*metrics.Table, error) {
-	paper, err := PaperExample()
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyPaperExample(paper); err != nil {
-		return nil, fmt.Errorf("paper example mismatch: %w", err)
-	}
-	return paper.Table1, nil
 }
 
 // Task is one experiment×seed cell of a suite run.
@@ -122,10 +107,10 @@ type Task struct {
 
 // Result is one completed suite task. Results are returned in task order
 // regardless of which worker finished first, so merges are deterministic.
-// For sharded experiments Wall sums the task's shard walls, which can
-// exceed the suite's wall clock; Busy sums each cluster simulation's own
-// elapsed time, so it stays meaningful even when an experiment overlaps
-// cluster runs internally (E2 drives its three schemes concurrently).
+// Wall sums the task's point walls, which can exceed the suite's wall
+// clock; Busy sums each cluster simulation's own elapsed time, so it stays
+// meaningful even when a point overlaps cluster runs internally (E2 drives
+// its three schemes concurrently).
 type Result struct {
 	Name   string
 	Seed   int64
@@ -136,28 +121,20 @@ type Result struct {
 	Err    error
 }
 
-// RunTasks fans the tasks out over a worker pool and returns one Result per
-// task, in task order. Sharded experiments are split into one pool unit per
-// shard, so one expensive sweep point (E2 at 128 sites) does not serialize
-// the suite. Every experiment draws all of its randomness from its own seed
-// (per-task rand sources, no shared globals) and shard row blocks are
-// merged in shard order, so the produced tables are byte-identical to a
-// serial run whatever the worker count. workers <= 0 selects GOMAXPROCS.
-// kernelWorkers selects the simulation kernel of every RTDS-core cluster
-// (0 serial, >= 1 parallel; see core.Config.KernelWorkers).
+// RunTasks fans the tasks out over a worker pool, one pool unit per
+// (task, point), and returns one Result per task, in task order. Every
+// experiment draws all of its randomness from its own seed (per-task rand
+// sources, no shared globals) and point rows are appended in point order,
+// so the produced tables are byte-identical to All's serial run whatever
+// the worker count. workers <= 0 selects GOMAXPROCS. kernelWorkers selects
+// the simulation kernel of every RTDS-core cluster (0 serial, >= 1
+// parallel; see core.Config.KernelWorkers).
 func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
-	type unit struct {
-		task  int // index into tasks
-		shard int // -1: run the whole experiment
-	}
+	type unit struct{ task, point int }
 	var units []unit
 	for ti, t := range tasks {
-		if t.Exp.shards != nil && t.Exp.shards(size) > 1 {
-			for s := 0; s < t.Exp.shards(size); s++ {
-				units = append(units, unit{ti, s})
-			}
-		} else {
-			units = append(units, unit{ti, -1})
+		for p := 0; p < t.Exp.points(size); p++ {
+			units = append(units, unit{ti, p})
 		}
 	}
 	if workers <= 0 {
@@ -167,8 +144,7 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 		workers = len(units)
 	}
 	type unitResult struct {
-		table  *metrics.Table // whole-experiment units
-		rows   [][]any        // shard units
+		rows   [][]any
 		wall   time.Duration
 		busy   time.Duration
 		events int64
@@ -198,12 +174,7 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 				env := &runEnv{kernelWorkers: kernelWorkers}
 				start := time.Now() //lint:allow wallclock -- wall-time measurement of suite throughput; never enters simulation state
 				ur := unitResult{}
-				if u.shard < 0 {
-					ur.table, ur.err = t.Exp.run(env, size, t.Seed)
-				} else {
-					ur.rows, ur.err = t.Exp.shardRows(env, size, t.Seed, u.shard)
-				}
-				if ur.err != nil {
+				if ur.rows, ur.err = t.Exp.rows(env, size, t.Seed, u.point); ur.err != nil {
 					failed.Store(true)
 				}
 				ur.wall = time.Since(start) //lint:allow wallclock -- wall-time measurement of suite throughput; never enters simulation state
@@ -216,14 +187,11 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 	wg.Wait()
 
 	// Fold units back into per-task results. Units were emitted task-major
-	// with ascending shard indices, so walking them in order reassembles
-	// each sharded table deterministically.
+	// with ascending points, so walking them in order appends each table's
+	// rows in point order.
 	results := make([]Result, len(tasks))
 	for i, t := range tasks {
-		results[i] = Result{Name: t.Exp.Name, Seed: t.Seed}
-		if t.Exp.shards != nil && t.Exp.shards(size) > 1 {
-			results[i].Table = t.Exp.newTable(size)
-		}
+		results[i] = Result{Name: t.Exp.Name, Seed: t.Seed, Table: t.Exp.table(size)}
 	}
 	for ui, u := range units {
 		r := &results[u.task]
@@ -231,21 +199,21 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 		r.Wall += ur.wall
 		r.Busy += ur.busy
 		r.Events += ur.events
-		if ur.err != nil {
-			if r.Err == nil {
-				r.Err = ur.err
-			}
-			continue
+		if r.Err == nil {
+			r.Err = ur.err
 		}
-		if u.shard < 0 {
-			r.Table = ur.table
-		} else if r.Err == nil {
-			for _, row := range ur.rows {
-				r.Table.AddRow(row...)
-			}
+		if r.Err == nil {
+			addRows(r.Table, ur.rows)
 		}
 	}
 	return results
+}
+
+// addRows appends rows to tbl.
+func addRows(tbl *metrics.Table, rows [][]any) {
+	for _, r := range rows {
+		tbl.AddRow(r...)
+	}
 }
 
 // errSuiteAborted marks units skipped because an earlier unit failed. The
@@ -292,17 +260,22 @@ func RunAll(size Size, seed int64, workers, kernelWorkers int) ([]*metrics.Table
 	return tables, nil
 }
 
-// All runs the entire suite serially (no worker pool) and returns the tables
-// in a stable order. It is the reference the parallel runner's determinism
-// tests compare against; cmd/rtds-bench uses RunAll.
+// All runs the entire suite serially (no worker pool): for each experiment,
+// its header and then every point's rows in order. It is the reference the
+// parallel runner's determinism tests compare against; cmd/rtds-bench uses
+// RunAll.
 func All(size Size, seed int64) ([]*metrics.Table, error) {
 	var tables []*metrics.Table
 	for _, n := range Suite() {
-		t, err := n.run(new(runEnv), size, seed)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n.Name, err)
+		tbl := n.table(size)
+		for p := 0; p < n.points(size); p++ {
+			rows, err := n.rows(new(runEnv), size, seed, p)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", n.Name, err)
+			}
+			addRows(tbl, rows)
 		}
-		tables = append(tables, t)
+		tables = append(tables, tbl)
 	}
 	return tables, nil
 }
@@ -363,9 +336,7 @@ func NewBenchReport(size Size, seeds []int64, workers int, suiteWall time.Durati
 		if r.Busy > 0 {
 			e.EventsPerSec = float64(r.Events) / r.Busy.Seconds()
 		}
-		if r.Table != nil {
-			e.Table = strings.Split(strings.TrimSuffix(r.Table.String(), "\n"), "\n")
-		}
+		e.Table = strings.Split(strings.TrimSuffix(r.Table.String(), "\n"), "\n")
 		rep.TotalEvents += r.Events
 		rep.Experiments = append(rep.Experiments, e)
 	}

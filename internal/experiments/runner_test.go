@@ -43,15 +43,10 @@ func TestParallelSuiteDeterministicMerge(t *testing.T) {
 // TestRunTasksOrderAndInstrumentation: results come back in task order with
 // wall time and event counts filled in for simulation-driving experiments.
 func TestRunTasksOrderAndInstrumentation(t *testing.T) {
-	suite := Suite()
-	byName := map[string]Named{}
-	for _, n := range suite {
-		byName[n.Name] = n
-	}
 	tasks := []Task{
-		{Exp: byName["E9-pcs-construction"], Seed: 1},
-		{Exp: byName["paper"], Seed: 2},
-		{Exp: byName["E9-pcs-construction"], Seed: 3},
+		{Exp: lookup(t, "E9-pcs-construction"), Seed: 1},
+		{Exp: lookup(t, "paper"), Seed: 2},
+		{Exp: lookup(t, "E9-pcs-construction"), Seed: 3},
 	}
 	results := RunTasks(Quick, tasks, 4, 0)
 	if len(results) != len(tasks) {
@@ -65,8 +60,8 @@ func TestRunTasksOrderAndInstrumentation(t *testing.T) {
 			t.Errorf("result %d is %s/seed %d, want %s/seed %d",
 				i, r.Name, r.Seed, tasks[i].Exp.Name, tasks[i].Seed)
 		}
-		if r.Table == nil || r.Wall <= 0 {
-			t.Errorf("result %d missing table or wall time: %+v", i, r)
+		if r.Table.NumRows() == 0 || r.Wall <= 0 {
+			t.Errorf("result %d missing rows or wall time: %+v", i, r)
 		}
 	}
 	// The PCS construction experiment runs bootstrap simulations: its event
@@ -87,12 +82,7 @@ func TestRunTasksOrderAndInstrumentation(t *testing.T) {
 // with itself and checks the outputs are identical — the per-task rand
 // sources must not interfere.
 func TestSameSeedSameTableAcrossWorkers(t *testing.T) {
-	e9 := Named{}
-	for _, n := range Suite() {
-		if n.Name == "E9-pcs-construction" {
-			e9 = n
-		}
-	}
+	e9 := lookup(t, "E9-pcs-construction")
 	tasks := []Task{{Exp: e9, Seed: 7}, {Exp: e9, Seed: 7}, {Exp: e9, Seed: 7}}
 	results := RunTasks(Quick, tasks, 3, 0)
 	for i := 1; i < len(results); i++ {

@@ -25,7 +25,7 @@ const (
 	// Quick shrinks networks and horizons so the whole suite runs in
 	// seconds; trends remain visible but noisier.
 	Quick Size = iota
-	// Full is the EXPERIMENTS.md configuration.
+	// Full is the configuration rtds-bench runs by default.
 	Full
 )
 
@@ -113,12 +113,11 @@ func ArrivalsForLoad(spec workload.Spec, load float64) ([]workload.Arrival, erro
 	return workload.Generate(spec)
 }
 
-// E1GuaranteeVsLoad: guarantee ratio as offered load grows, RTDS vs
-// LocalOnly vs BroadcastSphere vs Focused-Addressing/Bidding. Sharded per
-// load point: every row derives all state from (seed, load) alone.
+// E1 — guarantee ratio as offered load grows: RTDS vs LocalOnly vs
+// BroadcastSphere vs Focused-Addressing/Bidding, with the clairvoyant
+// oracle as the upper bound. One point per load; every row derives all state from (seed,
+// load) alone.
 var e1Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
-
-func e1Shards(Size) int { return len(e1Loads) }
 
 func e1Table(size Size) *metrics.Table {
 	return metrics.NewTable(
@@ -126,8 +125,8 @@ func e1Table(size Size) *metrics.Table {
 		"load", "oracle", "rtds", "local-only", "broadcast", "fa-bidding")
 }
 
-func e1Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	load := e1Loads[shard]
+func e1Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	load := e1Loads[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed+int64(load*100))
 	arrivals, err := ArrivalsForLoad(spec, load)
@@ -158,15 +157,11 @@ func e1Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		local.GuaranteeRatio, bcast.GuaranteeRatio, fab.GuaranteeRatio}}, nil
 }
 
-func e1GuaranteeVsLoad(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e1Shards, e1Table, e1Row)
-}
-
-// E2MessagesVsNetworkSize: communication cost per job as the network grows —
-// the paper's central claim: spheres keep traffic bounded while broadcast
-// schemes scale with N. Sharded per network size — the 128-site point costs
-// orders of magnitude more than the 8-site point, so row-level fan-out is
-// what lets the pool balance the suite.
+// E2 — communication cost per job as the network grows, the paper's
+// central claim: spheres keep traffic bounded while broadcast schemes
+// scale with N. One point per network size — the 128-site point costs
+// orders of magnitude more than the 8-site point, so point-level fan-out
+// is what lets the pool balance the suite.
 func e2Sizes(size Size) []int {
 	if size == Full {
 		return []int{8, 16, 32, 64, 128}
@@ -174,16 +169,14 @@ func e2Sizes(size Size) []int {
 	return []int{8, 16, 32}
 }
 
-func e2Shards(size Size) int { return len(e2Sizes(size)) }
-
 func e2Table(Size) *metrics.Table {
 	return metrics.NewTable(
 		"E2 — messages per job vs network size (load 0.6, h=2)",
 		"sites", "rtds msgs/job", "broadcast msgs/job", "fa-bidding msgs/job", "rtds ratio", "broadcast ratio")
 }
 
-func e2Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	n := e2Sizes(size)[shard]
+func e2Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	n := e2Sizes(size)[point]
 	topo := graph.RandomConnected(n, 3, StdDelays, seed+int64(n))
 	spec := StdSpec(n, size.horizon(), seed+int64(n))
 	arrivals, err := ArrivalsForLoad(spec, 0.6)
@@ -192,7 +185,7 @@ func e2Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 	}
 	// The three schemes are independent simulations over the same arrival
 	// sequence; at 128 sites the broadcast run alone costs seconds, so run
-	// them concurrently instead of back to back — otherwise this one shard
+	// them concurrently instead of back to back — otherwise this one point
 	// bounds the whole suite's parallel wall time.
 	var rtds, bcast, fab scheme.Result
 	errs := make([]error, 3)
@@ -223,39 +216,36 @@ func e2Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		rtds.GuaranteeRatio, bcast.GuaranteeRatio}}, nil
 }
 
-func e2MessagesVsNetworkSize(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e2Shards, e2Table, e2Row)
+// E3 — the locality trade-off of the Computing Sphere concept, one point
+// per sphere radius.
+var e3Radii = []int{1, 2, 3, 4, 5}
+
+func e3Table(size Size) *metrics.Table {
+	return metrics.NewTable(
+		fmt.Sprintf("E3 — sphere radius trade-off (%d sites, load 0.8)", size.sites()),
+		"h", "ratio", "msgs/job", "mean ACS", "bootstrap msgs")
 }
 
-// E3SphereRadius: the locality trade-off of the Computing Sphere concept.
-func e3SphereRadius(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
+func e3Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	h := e3Radii[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed)
 	arrivals, err := ArrivalsForLoad(spec, 0.8)
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(
-		fmt.Sprintf("E3 — sphere radius trade-off (%d sites, load 0.8)", size.sites()),
-		"h", "ratio", "msgs/job", "mean ACS", "bootstrap msgs")
-	for h := 1; h <= 5; h++ {
-		h := h
-		c, err := env.runCluster("rtds", topo, tuned(func(cc *core.Config) { cc.Radius = h }), arrivals)
-		if err != nil {
-			return nil, fmt.Errorf("h=%d: %w", h, err)
-		}
-		sum := c.Summarize()
-		bootMsgs, _ := c.(scheme.Bootstrapper).BootstrapCost()
-		tbl.AddRow(h, sum.GuaranteeRatio, sum.MessagesPerJob, sum.Core.MeanACSSize, bootMsgs)
+	c, err := env.runCluster("rtds", topo, tuned(func(cc *core.Config) { cc.Radius = h }), arrivals)
+	if err != nil {
+		return nil, fmt.Errorf("h=%d: %w", h, err)
 	}
-	return tbl, nil
+	sum := c.Summarize()
+	bootMsgs, _ := c.(scheme.Bootstrapper).BootstrapCost()
+	return [][]any{{h, sum.GuaranteeRatio, sum.MessagesPerJob, sum.Core.MeanACSSize, bootMsgs}}, nil
 }
 
-// E4DeadlineTightness: admission quality of the window adjustment
-// (eqs. 3–5) as deadlines tighten. Sharded per tightness point.
+// E4 — admission quality of the window adjustment (eqs. 3–5) as deadlines
+// tighten, one point per tightness.
 var e4Tightness = []float64{1.2, 1.5, 2, 3, 4, 6}
-
-func e4Shards(Size) int { return len(e4Tightness) }
 
 func e4Table(size Size) *metrics.Table {
 	return metrics.NewTable(
@@ -263,8 +253,8 @@ func e4Table(size Size) *metrics.Table {
 		"tightness", "rtds", "local-only")
 }
 
-func e4Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	tight := e4Tightness[shard]
+func e4Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	tight := e4Tightness[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed+int64(tight*10))
 	spec.Tightness = tight
@@ -283,95 +273,98 @@ func e4Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 	return [][]any{{tight, rtds.GuaranteeRatio, local.GuaranteeRatio}}, nil
 }
 
-func e4DeadlineTightness(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e4Shards, e4Table, e4Row)
-}
-
-// E5LaxityDispatch: §13's busyness-weighted laxity scattering vs the
-// uniform ℓ of §12.2. The policy only acts in case (iii), so this
+// E5 — §13's busyness-weighted laxity scattering vs the uniform ℓ of
+// §12.2, one point per mode. The policy only acts in case (iii), so this
 // experiment drives the mapper directly on windows forced between M* and M
 // and measures (a) how often the adjusted windows stay self-consistent and
 // (b) how much slack tasks on the busiest processor receive — the quantity
 // the weighted variant is designed to increase.
-func e5LaxityDispatch(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	trials := 300
+var e5Modes = []mapper.LaxityMode{mapper.LaxityUniform, mapper.LaxityBusynessWeighted}
+
+func e5Trials(size Size) int {
 	if size == Full {
-		trials = 2000
+		return 2000
 	}
+	return 300
+}
+
+func e5Table(size Size) *metrics.Table {
+	return metrics.NewTable(
+		fmt.Sprintf("E5 — laxity dispatching in case (iii), %d random DAGs", e5Trials(size)),
+		"mode", "case-iii", "consistent", "busy-proc slack", "idle-proc slack")
+}
+
+func e5Row(_ *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	mode := e5Modes[point]
 	procs := []mapper.ProcInfo{
 		{Site: 0, Surplus: 0.9},
 		{Site: 1, Surplus: 0.6},
 		{Site: 2, Surplus: 0.25},
 	}
 	busiest := 2 // index of the lowest-surplus processor
-	tbl := metrics.NewTable(
-		fmt.Sprintf("E5 — laxity dispatching in case (iii), %d random DAGs", trials),
-		"mode", "case-iii", "consistent", "busy-proc slack", "idle-proc slack")
-	for _, mode := range []mapper.LaxityMode{mapper.LaxityUniform, mapper.LaxityBusynessWeighted} {
-		caseIII, consistent := 0, 0
-		var busySlack, idleSlack metrics.Sample
-		for trial := 0; trial < trials; trial++ {
-			g := daggen.Layered(4+trial%4, 3, 0.25,
-				daggen.Params{MinComplexity: 1, MaxComplexity: 6}, seed+int64(trial))
-			// Probe with a loose window to learn M and M*.
-			probe, err := mapper.Build(g, procs, 1, 0, 1e9, mapper.Options{LaxityMode: mode})
-			if err != nil {
-				continue
+	caseIII, consistent := 0, 0
+	var busySlack, idleSlack metrics.Sample
+	for trial := 0; trial < e5Trials(size); trial++ {
+		g := daggen.Layered(4+trial%4, 3, 0.25,
+			daggen.Params{MinComplexity: 1, MaxComplexity: 6}, seed+int64(trial))
+		// Probe with a loose window to learn M and M*.
+		probe, err := mapper.Build(g, procs, 1, 0, 1e9, mapper.Options{LaxityMode: mode})
+		if err != nil {
+			continue
+		}
+		if probe.Makespan <= probe.IdealMakespan+1e-9 {
+			continue // cases (ii) and (iii) coincide, nothing to measure
+		}
+		// Force case (iii): window strictly between M* and M.
+		d := probe.IdealMakespan + 0.6*(probe.Makespan-probe.IdealMakespan)
+		m, err := mapper.Build(g, procs, 1, 0, d, mapper.Options{LaxityMode: mode})
+		if err != nil {
+			if err == mapper.ErrInconsistentWindows {
+				caseIII++
 			}
-			if probe.Makespan <= probe.IdealMakespan+1e-9 {
-				continue // cases (ii) and (iii) coincide, nothing to measure
-			}
-			// Force case (iii): window strictly between M* and M.
-			d := probe.IdealMakespan + 0.6*(probe.Makespan-probe.IdealMakespan)
-			m, err := mapper.Build(g, procs, 1, 0, d, mapper.Options{LaxityMode: mode})
-			if err != nil {
-				if err == mapper.ErrInconsistentWindows {
-					caseIII++
-				}
-				continue
-			}
-			if m.Case != mapper.CaseLaxity {
-				continue
-			}
-			caseIII++
-			consistent++
-			for _, id := range g.TaskIDs() {
-				a := m.Assign[id]
-				slack := (m.Deadline[id] - m.Release[id]) - (a.IdealFinish - a.IdealStart)
-				if m.Procs[a.Proc].Site == procs[busiest].Site {
-					busySlack.Add(slack)
-				} else {
-					idleSlack.Add(slack)
-				}
+			continue
+		}
+		if m.Case != mapper.CaseLaxity {
+			continue
+		}
+		caseIII++
+		consistent++
+		for _, id := range g.TaskIDs() {
+			a := m.Assign[id]
+			slack := (m.Deadline[id] - m.Release[id]) - (a.IdealFinish - a.IdealStart)
+			if m.Procs[a.Proc].Site == procs[busiest].Site {
+				busySlack.Add(slack)
+			} else {
+				idleSlack.Add(slack)
 			}
 		}
-		rate := 0.0
-		if caseIII > 0 {
-			rate = float64(consistent) / float64(caseIII)
-		}
-		tbl.AddRow(mode.String(), caseIII, rate, busySlack.Mean(), idleSlack.Mean())
 	}
-	return tbl, nil
+	rate := 0.0
+	if caseIII > 0 {
+		rate = float64(consistent) / float64(caseIII)
+	}
+	return [][]any{{mode.String(), caseIII, rate, busySlack.Mean(), idleSlack.Mean()}}, nil
 }
 
-// E6UniformMachines: the §13 related-machines extension — heterogeneous
-// computing powers with the same aggregate capacity.
-func e6UniformMachines(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
+// E6 — the §13 related-machines extension: heterogeneous computing powers
+// with the same aggregate capacity. One point, one row per machine model.
+func e6Table(Size) *metrics.Table {
+	return metrics.NewTable(
+		"E6 — identical vs uniform (related) machines, equal aggregate capacity",
+		"machines", "ratio", "accepted-dist")
+}
+
+func e6Rows(env *runEnv, size Size, seed int64, _ int) ([][]any, error) {
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed)
 	arrivals, err := ArrivalsForLoad(spec, 0.7)
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(
-		"E6 — identical vs uniform (related) machines, equal aggregate capacity",
-		"machines", "ratio", "accepted-dist")
-
 	identical, err := env.run("rtds", topo, scheme.Config{}, arrivals)
 	if err != nil {
 		return nil, err
 	}
-	tbl.AddRow("identical", identical.GuaranteeRatio, identical.Core.AcceptedDistributed)
 
 	// Heterogeneous powers in [0.5, 1.5], normalized to mean 1.
 	rng := rand.New(rand.NewSource(seed + 7))
@@ -388,12 +381,24 @@ func e6UniformMachines(env *runEnv, size Size, seed int64) (*metrics.Table, erro
 	if err != nil {
 		return nil, err
 	}
-	tbl.AddRow("uniform(0.5-1.5x)", hetero.GuaranteeRatio, hetero.Core.AcceptedDistributed)
-	return tbl, nil
+	return [][]any{
+		{"identical", identical.GuaranteeRatio, identical.Core.AcceptedDistributed},
+		{"uniform(0.5-1.5x)", hetero.GuaranteeRatio, hetero.Core.AcceptedDistributed},
+	}, nil
 }
 
-// E7Preemption: the §13 preemptive case against the non-preemptive default.
-func e7Preemption(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
+// E7 — the §13 preemptive case against the non-preemptive default, one
+// point per local scheduler.
+var e7Preemptive = []bool{false, true}
+
+func e7Table(Size) *metrics.Table {
+	return metrics.NewTable(
+		"E7 — preemptive vs non-preemptive local scheduler (tightness 1.8, load 0.8)",
+		"scheduler", "ratio", "accepted-local", "accepted-dist")
+}
+
+func e7Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	pre := e7Preemptive[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed)
 	spec.Tightness = 1.8
@@ -401,55 +406,49 @@ func e7Preemption(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(
-		"E7 — preemptive vs non-preemptive local scheduler (tightness 1.8, load 0.8)",
-		"scheduler", "ratio", "accepted-local", "accepted-dist")
-	for _, pre := range []bool{false, true} {
-		pre := pre
-		sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Preemptive = pre }), arrivals)
-		if err != nil {
-			return nil, err
-		}
-		name := "non-preemptive"
-		if pre {
-			name = "preemptive-EDF"
-		}
-		tbl.AddRow(name, sum.GuaranteeRatio, sum.Core.AcceptedLocal, sum.Core.AcceptedDistributed)
+	sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Preemptive = pre }), arrivals)
+	if err != nil {
+		return nil, err
 	}
-	return tbl, nil
+	name := "non-preemptive"
+	if pre {
+		name = "preemptive-EDF"
+	}
+	return [][]any{{name, sum.GuaranteeRatio, sum.Core.AcceptedLocal, sum.Core.AcceptedDistributed}}, nil
 }
 
-// E8MapperHeuristics: §9 says "almost any heuristic can be adapted"; this
-// ablation compares the paper's CP-EFT instance with two naive selectors.
-func e8MapperHeuristics(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
+// E8 — §9 says "almost any heuristic can be adapted"; this ablation
+// compares the paper's CP-EFT instance with naive selectors, one point per
+// heuristic.
+var e8Heuristics = []mapper.Heuristic{mapper.HeuristicCPEFT, mapper.HeuristicMinMin,
+	mapper.HeuristicBestSurplus, mapper.HeuristicRoundRobin}
+
+func e8Table(Size) *metrics.Table {
+	return metrics.NewTable(
+		"E8 — mapper heuristic ablation (load 0.8)",
+		"heuristic", "ratio", "accepted-dist", "msgs/job")
+}
+
+func e8Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	h := e8Heuristics[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed)
 	arrivals, err := ArrivalsForLoad(spec, 0.8)
 	if err != nil {
 		return nil, err
 	}
-	tbl := metrics.NewTable(
-		"E8 — mapper heuristic ablation (load 0.8)",
-		"heuristic", "ratio", "accepted-dist", "msgs/job")
-	for _, h := range []mapper.Heuristic{mapper.HeuristicCPEFT, mapper.HeuristicMinMin,
-		mapper.HeuristicBestSurplus, mapper.HeuristicRoundRobin} {
-		h := h
-		sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Policies.Mapper = policy.HeuristicMapper{H: h} }), arrivals)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(h.String(), sum.GuaranteeRatio, sum.Core.AcceptedDistributed, sum.MessagesPerJob)
+	sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Policies.Mapper = policy.HeuristicMapper{H: h} }), arrivals)
+	if err != nil {
+		return nil, err
 	}
-	return tbl, nil
+	return [][]any{{h.String(), sum.GuaranteeRatio, sum.Core.AcceptedDistributed, sum.MessagesPerJob}}, nil
 }
 
-// E11DataVolumes: the §13 data-volume extension — guarantee ratio as
-// transfers become more expensive relative to computation. Every DAG edge
-// carries a volume; the x axis is the mean transfer time vol/throughput in
-// units of mean task duration. Sharded per CCR point.
+// E11 — the §13 data-volume extension: guarantee ratio as transfers become
+// more expensive relative to computation. Every DAG edge carries a volume;
+// the x axis is the mean transfer time vol/throughput in units of mean
+// task duration. One point per CCR.
 var e11CCRs = []float64{0, 0.25, 0.5, 1, 2}
-
-func e11Shards(Size) int { return len(e11CCRs) }
 
 func e11Table(size Size) *metrics.Table {
 	return metrics.NewTable(
@@ -457,8 +456,8 @@ func e11Table(size Size) *metrics.Table {
 		"transfer/compute", "ratio", "accepted-dist", "bytes/job")
 }
 
-func e11Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	ccr := e11CCRs[shard]
+func e11Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	ccr := e11CCRs[point]
 	topo := graph.RandomConnected(size.sites(), 3, StdDelays, seed)
 	spec := StdSpec(size.sites(), size.horizon(), seed+int64(ccr*100))
 	arrivals, err := ArrivalsForLoad(spec, 0.6)
@@ -488,10 +487,6 @@ func e11Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 	return [][]any{{ccr, sum.GuaranteeRatio, sum.Core.AcceptedDistributed, bytesPerJob}}, nil
 }
 
-func e11DataVolumes(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e11Shards, e11Table, e11Row)
-}
-
 // withVolumes rebuilds a DAG with every edge carrying a volume drawn
 // uniformly from [0.5, 1.5] x meanVol.
 func withVolumes(g *dag.Graph, meanVol float64, seed int64) *dag.Graph {
@@ -511,9 +506,9 @@ func withVolumes(g *dag.Graph, meanVol float64, seed int64) *dag.Graph {
 	return b.MustBuild()
 }
 
-// E9PCSConstruction: the one-time cost of the interrupted distance-vector
-// bootstrap (§7) as a function of radius and network size. Sharded per
-// network size; each shard contributes the four radius rows of its size.
+// E9 — the one-time cost of the interrupted distance-vector bootstrap
+// (§7) as a function of radius and network size. One point per network
+// size; each point contributes the four radius rows of its size.
 func e9Sizes(size Size) []int {
 	if size == Full {
 		return []int{16, 32, 64, 128}
@@ -521,16 +516,14 @@ func e9Sizes(size Size) []int {
 	return []int{16, 32}
 }
 
-func e9Shards(size Size) int { return len(e9Sizes(size)) }
-
 func e9Table(Size) *metrics.Table {
 	return metrics.NewTable(
 		"E9 — PCS construction cost (messages = rounds × 2|E|)",
 		"sites", "h", "rounds", "messages", "bytes", "mean sphere")
 }
 
-func e9Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
-	n := e9Sizes(size)[shard]
+func e9Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
+	n := e9Sizes(size)[point]
 	topo := graph.RandomConnected(n, 3, StdDelays, seed+int64(n))
 	var rows [][]any
 	for _, h := range []int{1, 2, 3, 4} {
@@ -549,63 +542,4 @@ func e9Row(env *runEnv, size Size, seed int64, shard int) ([][]any, error) {
 		rows = append(rows, []any{n, h, 2*h - 1, msgs, bytes, sphereSum / float64(n)})
 	}
 	return rows, nil
-}
-
-func e9PCSConstruction(env *runEnv, size Size, seed int64) (*metrics.Table, error) {
-	return runShardsSerially(env, size, seed, e9Shards, e9Table, e9Row)
-}
-
-// ---------------------------------------------------------------------------
-// Exported experiment entry points. Each wrapper runs the experiment with
-// fresh instrumentation; the suite runner invokes the env-taking variants
-// directly so it can attribute events/sec per task.
-
-// E1GuaranteeVsLoad runs E1 standalone.
-func E1GuaranteeVsLoad(size Size, seed int64) (*metrics.Table, error) {
-	return e1GuaranteeVsLoad(new(runEnv), size, seed)
-}
-
-// E2MessagesVsNetworkSize runs E2 standalone.
-func E2MessagesVsNetworkSize(size Size, seed int64) (*metrics.Table, error) {
-	return e2MessagesVsNetworkSize(new(runEnv), size, seed)
-}
-
-// E3SphereRadius runs E3 standalone.
-func E3SphereRadius(size Size, seed int64) (*metrics.Table, error) {
-	return e3SphereRadius(new(runEnv), size, seed)
-}
-
-// E4DeadlineTightness runs E4 standalone.
-func E4DeadlineTightness(size Size, seed int64) (*metrics.Table, error) {
-	return e4DeadlineTightness(new(runEnv), size, seed)
-}
-
-// E5LaxityDispatch runs E5 standalone.
-func E5LaxityDispatch(size Size, seed int64) (*metrics.Table, error) {
-	return e5LaxityDispatch(new(runEnv), size, seed)
-}
-
-// E6UniformMachines runs E6 standalone.
-func E6UniformMachines(size Size, seed int64) (*metrics.Table, error) {
-	return e6UniformMachines(new(runEnv), size, seed)
-}
-
-// E7Preemption runs E7 standalone.
-func E7Preemption(size Size, seed int64) (*metrics.Table, error) {
-	return e7Preemption(new(runEnv), size, seed)
-}
-
-// E8MapperHeuristics runs E8 standalone.
-func E8MapperHeuristics(size Size, seed int64) (*metrics.Table, error) {
-	return e8MapperHeuristics(new(runEnv), size, seed)
-}
-
-// E9PCSConstruction runs E9 standalone.
-func E9PCSConstruction(size Size, seed int64) (*metrics.Table, error) {
-	return e9PCSConstruction(new(runEnv), size, seed)
-}
-
-// E11DataVolumes runs E11 standalone.
-func E11DataVolumes(size Size, seed int64) (*metrics.Table, error) {
-	return e11DataVolumes(new(runEnv), size, seed)
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/daggen"
 )
 
-// paperDAG is the Fig. 2 task graph (see DESIGN.md §3 for the
-// reverse-engineering): c = (6, 4, 4, 2, 5), edges {1→3, 2→3, 1→4, 3→5, 4→5}.
+// paperDAG is the Fig. 2 task graph (experiments.PaperExampleDAG says how
+// it is read off Fig. 4): c = (6, 4, 4, 2, 5), edges {1→3, 2→3, 1→4, 3→5, 4→5}.
 func paperDAG(t testing.TB) *dag.Graph {
 	t.Helper()
 	g, err := dag.NewBuilder("fig2").

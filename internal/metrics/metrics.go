@@ -1,8 +1,8 @@
 // Package metrics provides the repo's two measurement toolkits.
 //
 // The experiment half is sample accumulation (mean, standard deviation,
-// confidence intervals, percentiles) and fixed-width text tables matching
-// the rows EXPERIMENTS.md records.
+// confidence intervals, percentiles) and the fixed-width text tables the
+// experiment suite prints.
 //
 // The observability half (prom.go) is a stdlib-only Prometheus metric
 // registry — counters, gauges, fixed-bucket histograms and their label
@@ -122,8 +122,8 @@ func nearestRank(sorted []float64, p float64) float64 {
 	return sorted[rank]
 }
 
-// Table is a fixed-width text table with a caption, rendered into
-// EXPERIMENTS.md and experiment stdout.
+// Table is a fixed-width text table with a caption, rendered as
+// experiment stdout (plain or markdown).
 type Table struct {
 	Caption string
 	Headers []string
@@ -221,16 +221,6 @@ func (t *Table) Markdown() string {
 	sb.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
 	for _, row := range t.rows {
 		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values with a header line.
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(strings.Join(t.Headers, ",") + "\n")
-	for _, row := range t.rows {
-		sb.WriteString(strings.Join(row, ",") + "\n")
 	}
 	return sb.String()
 }

@@ -99,13 +99,6 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(md, "| load | rtds | local-only |") {
 		t.Errorf("markdown header wrong:\n%s", md)
 	}
-	csv := tb.CSV()
-	if !strings.HasPrefix(csv, "load,rtds,local-only\n") {
-		t.Errorf("csv header wrong:\n%s", csv)
-	}
-	if !strings.Contains(csv, "0.2,0.950,0.800") && !strings.Contains(csv, "0.200,0.950,0.800") {
-		t.Errorf("csv rows wrong:\n%s", csv)
-	}
 }
 
 func TestFloatFormatting(t *testing.T) {

@@ -141,12 +141,6 @@ func (r *Registry) AddHistogram(name, help string, h *Histogram) {
 	r.register(name, help, KindHistogram, nil, h.buckets).child(nil, func() child { return h })
 }
 
-// NewHistogramVec registers a histogram family with the given bucket bounds
-// and label names.
-func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	return &HistogramVec{fam: r.register(name, help, KindHistogram, labelNames, checkBuckets(name, buckets))}
-}
-
 func checkBuckets(name string, buckets []float64) []float64 {
 	if len(buckets) == 0 {
 		panic(fmt.Sprintf("metrics: histogram %q needs at least one bucket", name))
@@ -290,14 +284,6 @@ type GaugeVec struct{ fam *family }
 // With returns the child gauge for the given label values.
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.fam.gauge(labelValues)
-}
-
-// HistogramVec is a histogram family indexed by label values.
-type HistogramVec struct{ fam *family }
-
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return v.fam.histogram(labelValues)
 }
 
 func (f *family) child(labelValues []string, make func() child) child {

@@ -25,7 +25,7 @@ import (
 //
 // At each wake the dispatcher pops everything due and then, outside the
 // lock and in queue order, pushes each timer onto its inbox and hands each
-// item to its Batcher; last, it flushes every Batcher that took one.
+// frame to its Batcher; last, it flushes every Batcher that took one.
 // An inbox push does not block and a Batcher must not either, so no site
 // or peer can hold up anyone else's timers.
 //
@@ -47,23 +47,23 @@ type Clock struct {
 	flushes []Batcher
 }
 
-// A Batcher takes the items queued for it with PostTo as they come due, on
+// A Batcher takes the frames queued for it with PostTo as they come due, on
 // the dispatcher goroutine: Add for each, in queue order, reporting whether
 // it is the first since the last Flush, then one Flush once the dispatcher
 // has handed out everything due at that wake. Neither may block.
 type Batcher interface {
-	Add(item any) (first bool)
+	Add(frame []byte) (first bool)
 	Flush()
 }
 
 // event is what one queue entry does when it comes due: run timer fn on
-// inbox, or hand item to batch.
+// inbox, or hand frame to batch.
 type event struct {
-	id    sim.EventID // a timer's handle; zero for an item
+	id    sim.EventID // a timer's handle; zero for a frame
 	inbox *FIFO[func()]
 	fn    func()
 	batch Batcher
-	item  any
+	frame []byte
 }
 
 // processClock is the clock every wall-clock transport of the process shares.
@@ -116,9 +116,9 @@ func (c *Clock) After(inbox *FIFO[func()], d time.Duration, fn func()) sim.Event
 	return c.add(d, &event{inbox: inbox, fn: fn})
 }
 
-// PostTo queues item for b d from now.
-func (c *Clock) PostTo(b Batcher, d time.Duration, item any) {
-	c.add(d, &event{batch: b, item: item})
+// PostTo queues frame for b d from now.
+func (c *Clock) PostTo(b Batcher, d time.Duration, frame []byte) {
+	c.add(d, &event{batch: b, frame: frame})
 }
 
 // Cancel stops timer id from running. It reports whether the timer was
@@ -194,12 +194,12 @@ func (c *Clock) dispatch() {
 }
 
 // handOut runs the popped entries' actions in queue order, then flushes
-// the Batchers that took items.
+// the Batchers that took frames.
 func (c *Clock) handOut() {
 	for i, ev := range c.fired {
 		c.fired[i] = nil
 		if ev.batch != nil {
-			if ev.batch.Add(ev.item) {
+			if ev.batch.Add(ev.frame) {
 				c.flushes = append(c.flushes, ev.batch)
 			}
 			continue

@@ -17,22 +17,22 @@ func acquireClock(t *testing.T) *Clock {
 	return c
 }
 
-// inboxBatcher is a Batcher that pushes a record of each item onto an
+// inboxBatcher is a Batcher that pushes a record of each frame onto an
 // inbox, so the inbox shows the order in which the dispatcher handed out
-// functions and items alike.
+// functions and frames alike.
 type inboxBatcher struct {
 	inbox *FIFO[func()]
 	log   *[]string
 }
 
-func (b inboxBatcher) Add(item any) bool {
-	b.inbox.Push(func() { *b.log = append(*b.log, item.(string)) })
+func (b inboxBatcher) Add(frame []byte) bool {
+	b.inbox.Push(func() { *b.log = append(*b.log, string(frame)) })
 	return true
 }
 
 func (b inboxBatcher) Flush() {}
 
-// Entries due at exactly the same instant — timers and batched items mixed —
+// Entries due at exactly the same instant — timers and batched frames mixed —
 // are handed out in the order they were queued, every round.
 func TestClockSameInstantInQueueOrder(t *testing.T) {
 	c := acquireClock(t)
@@ -53,7 +53,7 @@ func TestClockSameInstantInQueueOrder(t *testing.T) {
 			if i%2 == 0 {
 				c.addAt(now, at, &event{inbox: inbox, fn: record(name)})
 			} else {
-				c.addAt(now, at, &event{batch: b, item: name})
+				c.addAt(now, at, &event{batch: b, frame: []byte(name)})
 			}
 		}
 		c.mu.Unlock()

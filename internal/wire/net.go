@@ -415,7 +415,7 @@ func (t *NetTransport) Send(from, to graph.NodeID, p simnet.Payload) error {
 	}
 	t.stats.RecordEdge(from, to, p)
 	t.pending.Add(1)
-	t.clock.PostTo(peer, t.wall(delay), frame)
+	t.clock.PostTo(peer, t.wall(delay), frame) //lint:allow hotalloc -- PostTo's inlined clock entry: one per wall-clock send, held until the frame comes due
 	return nil
 }
 
@@ -580,8 +580,8 @@ type handedFrame struct {
 }
 
 // Add implements simnet.Batcher.
-func (p *peerConn) Add(item any) bool {
-	p.batch = append(p.batch, item.([]byte))
+func (p *peerConn) Add(frame []byte) bool {
+	p.batch = append(p.batch, frame)
 	return len(p.batch) == 1
 }
 
