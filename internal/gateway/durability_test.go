@@ -2,10 +2,12 @@ package gateway
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,8 +248,16 @@ func jobJSON(t *testing.T, s *Server, id string) string {
 // that wrote the log answered with: for a decided, a forwarded and a queued
 // job, and for a decided job whose forwarded record never reached the disk
 // (a watcher can log a verdict before the forward it overtook, and a crash
-// can come between the two). A client key still finds its job.
+// can come between the two). A client key still finds its job. It does so
+// too when the log compacted those jobs into a checkpoint before the restart.
 func TestRestartAnswersAsBeforeRestart(t *testing.T) {
+	for _, compacted := range []bool{false, true} {
+		name := map[bool]string{false: "append-only", true: "compacted"}[compacted]
+		t.Run(name, func(t *testing.T) { restartAnswersAsBefore(t, compacted) })
+	}
+}
+
+func restartAnswersAsBefore(t *testing.T, compacted bool) {
 	logPath := filepath.Join(t.TempDir(), "gateway.wal")
 	fb := newFakeBackend()
 	s1, err := New(Options{
@@ -299,8 +309,29 @@ func TestRestartAnswersAsBeforeRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if compacted {
+		// Other tenants' decided jobs, enough for the log to compact itself
+		// past the four.
+		graph := json.RawMessage(`{"name":"` + strings.Repeat("f", 1500) + `"}`)
+		for i := 0; i < 3000; i++ {
+			id := "f" + strconv.Itoa(i)
+			if err := l.AppendNoWait(
+				joblog.Record{Type: joblog.TypeSubmitted, ID: id, Tenant: "filler", Deadline: 40, Graph: graph},
+				joblog.Record{Type: joblog.TypeForwarded, ID: id, Tenant: "filler", ClusterID: "c" + id},
+				joblog.Record{Type: joblog.TypeDecided, ID: id, Tenant: "filler", ClusterID: "c" + id, Outcome: "rejected"},
+			); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if compacted {
+		records := readLog(t, logPath)
+		if records[0].Type != joblog.TypeCheckpoint || countRecords(records, joblog.TypeFolded, queued) != 1 {
+			t.Fatalf("the log did not compact the jobs into a checkpoint: it starts with %+v", records[0])
+		}
 	}
 
 	s2 := newTestServer(t, fb, nil, logPath)

@@ -24,8 +24,11 @@ import (
 const bodyVersion = 1
 
 // recordTypes are the record types by type byte: a type's byte is its index
-// plus one, so a zero type byte is invalid.
-var recordTypes = [...]RecordType{TypeSubmitted, TypeForwarded, TypeDecided}
+// plus one, so a zero type byte is invalid. A checkpoint's records use the
+// same layout: a TypeFolded record is one job's whole state in the fields a
+// job's records fill between them, and a TypeCheckpoint record fills Seq
+// and At (see RecordType).
+var recordTypes = [...]RecordType{TypeSubmitted, TypeForwarded, TypeDecided, TypeCheckpoint, TypeFolded}
 
 // typeByte is rec.Type's type byte, or 0 when it has none.
 func typeByte(t RecordType) byte {

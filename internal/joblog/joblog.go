@@ -1,8 +1,7 @@
 // Package joblog is the gateway's write-ahead job log: the durability layer
 // that makes an accepted submission survive a gateway crash.
 //
-// The log is a single append-only file of length-prefixed, CRC-framed
-// records:
+// The log is one file of length-prefixed, CRC-framed records:
 //
 //	u32 length | u32 crc32c(body) | body
 //
@@ -12,6 +11,16 @@
 // Ids, keys, outcomes and each submitted graph's JSON are stored as plain
 // bytes, so grep and strings still find a job in the file. Bodies written
 // as JSON, by versions before this layout, are still read.
+//
+// The file is a checkpoint followed by a tail. The checkpoint is the fold of
+// the history before it, one TypeFolded record per job, and the tail is the
+// records appended since. The log compacts itself: once the tail outgrows
+// both a fixed floor and the checkpoint, a goroutine of the Log folds the
+// tail into the checkpoint it streams from the file and writes the result to
+// <path>.compact, and then, between two group commits, copies what was
+// appended meanwhile and renames the new file over the old one (see
+// compact.go). So the file stays within a small multiple of what its jobs
+// hold, and a restart folds one record per job plus a bounded tail.
 //
 // There are two ways to write, and they differ only in who waits:
 //
@@ -95,7 +104,8 @@ var ErrCorrupt = errors.New("joblog: corrupt record before the log tail")
 
 var errClosed = errors.New("joblog: log is closed")
 
-// RecordType names the three events the gateway logs.
+// RecordType names the three events the gateway logs, and the two records a
+// checkpoint is made of.
 type RecordType string
 
 // The record types, in the order a job's life emits them.
@@ -111,11 +121,22 @@ const (
 	// TypeDecided closes the job: the cluster reached a guarantee
 	// decision (or the job was written off).
 	TypeDecided RecordType = "decided"
+
+	// TypeCheckpoint opens a checkpoint, at the start of the file. Its Seq
+	// is the NextSeq of the history the checkpoint replaced, and its At the
+	// number of TypeFolded records that follow it, which Recover sizes its
+	// tables by.
+	TypeCheckpoint RecordType = "checkpoint"
+	// TypeFolded is one job's folded state (a ReplayJob) in one record: the
+	// fields of its submitted record, with Graph only while the job is still
+	// queued, and the job's ClusterID, Outcome and DecisionLatency.
+	TypeFolded RecordType = "folded"
 )
 
 // Record is one logged event. Fields are populated per type: Submitted
 // fills Tenant/ClientKey/Deadline/Graph, Forwarded fills ClusterID,
-// Decided fills Outcome and DecisionLatency.
+// Decided fills Outcome and DecisionLatency, and a checkpoint's records
+// fill what their type says.
 type Record struct {
 	Type RecordType `json:"type"`
 	// ID is the gateway-assigned job id ("g17"), the key every later
@@ -148,10 +169,14 @@ type Options struct {
 	// gateway feeds its joblog fsync-latency histogram from it.
 	OnSync func(d time.Duration)
 
-	// failpoint, when set, wraps the file for fault-injection tests:
-	// write/sync errors and crash-shaped torn writes are injected there.
-	// In-package tests only.
+	// failpoint, when set, wraps every file the log writes or syncs for
+	// fault-injection tests: the log, a compaction's <path>.compact and the
+	// directory the rename is made durable in. Write/sync errors and
+	// crash-shaped torn writes are injected there. In-package tests only.
 	failpoint func(w syncWriter) syncWriter
+	// compactFloor, when set, replaces the constant of that name, so that
+	// tests compact small logs. In-package tests only.
+	compactFloor int64
 }
 
 // syncWriter is the slice of *os.File the log writes through; the
@@ -172,16 +197,25 @@ type commit struct {
 // Log is an open write-ahead job log. Safe for concurrent use.
 type Log struct {
 	opts Options
-	f    *os.File
-	w    syncWriter
+	path string
 
 	mu      sync.Mutex
+	f       *os.File   // swapped by a compaction, under mu and with no fsync running
+	w       syncWriter // f, through the failpoint
 	closed  bool
 	pending []chan commit // waiters of the next fsync, in arrival order
 	joined  []chan commit // waiters of the running fsync: Sync or Close with nothing new to flush
 	syncing bool          // an fsync is running, or its successor has been named
 	dirty   bool          // bytes were written since the last fsync started
 	err     error         // sticky: a failed write or sync poisons the log
+
+	// The file's layout and its compaction (compact.go).
+	size       int64         // bytes in the file
+	ckpt       checkpoint    // the checkpoint at its start
+	compacting bool          // a compaction is running
+	retryAt    int64         // after a failed compaction, the size before which none starts
+	swapper    chan struct{} // a compaction waiting for the group commit to pause
+	compactors sync.WaitGroup
 
 	// started is when the last two fsyncs started, the latest first;
 	// followUp whether the latest was its window's one follow-up. Only
@@ -278,6 +312,8 @@ func (l *Log) writeLocked(buf []byte, wait bool) (done chan commit, lead bool, e
 			return nil, false, err
 		}
 		l.dirty = true
+		l.size += int64(len(buf))
+		l.maybeCompact()
 	}
 	if !wait || (!l.dirty && !l.syncing) {
 		return nil, false, nil
@@ -358,19 +394,35 @@ func (l *Log) flushBatch(handed bool) {
 	err = l.err
 	batch = append(batch, l.joined...)
 	l.joined = nil
+	// A compaction waiting for the group commit to pause runs now, before
+	// the next fsync is named: it hands the lead on when it is done.
+	swapper := l.swapper
+	l.swapper = nil
 	var next chan commit
-	if len(l.pending) > 0 {
-		next = l.pending[0] // stays enrolled: its own fsync answers it
-	} else {
-		l.syncing = false
+	if swapper == nil {
+		next = l.nextLocked()
 	}
 	l.mu.Unlock()
 	for _, ch := range batch {
 		ch <- commit{err: err}
 	}
+	if swapper != nil {
+		close(swapper)
+	}
 	if next != nil {
 		next <- commit{lead: true}
 	}
+}
+
+// nextLocked names whoever runs the next fsync: the first waiter of it,
+// which stays enrolled for its own fsync to answer. With nobody waiting, the
+// group commit stops.
+func (l *Log) nextLocked() chan commit {
+	if len(l.pending) > 0 {
+		return l.pending[0]
+	}
+	l.syncing = false
+	return nil
 }
 
 // Close makes everything written durable, records of both kinds, and
@@ -389,6 +441,14 @@ func (l *Log) Close() error {
 	l.mu.Unlock()
 	if done != nil {
 		err = l.await(done, lead)
+	}
+	// A running compaction ends, swapped in or removed, before the file is
+	// closed: nothing is left beside the log.
+	l.compactors.Wait()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err == nil {
+		err = l.err
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr

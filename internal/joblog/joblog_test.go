@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,12 +18,16 @@ import (
 // is exactly what the failpoint tests target).
 func testOpts() Options { return Options{} }
 
+// appendOnly is a log that never compacts: for tests of the record stream
+// as it is appended.
+func appendOnly() Options { return Options{NoSync: true, compactFloor: math.MaxInt64} }
+
 func rec(t RecordType, id string, seq uint64) Record {
 	return Record{Type: t, ID: id, Seq: seq, Tenant: "acme",
 		Deadline: 40, Graph: json.RawMessage(`{"name":"g"}`)}
 }
 
-func openOrDie(t *testing.T, path string, opts Options) (*Log, []Record) {
+func openOrDie(t testing.TB, path string, opts Options) (*Log, []Record) {
 	t.Helper()
 	l, records, err := Open(path, opts)
 	if err != nil {

@@ -3,10 +3,13 @@ package joblog
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,9 +18,11 @@ import (
 
 // Open replays the log at path (creating it if absent), truncates a torn
 // tail, and returns the log opened for append plus the replayed records in
-// order, each a copy the caller owns. Corruption before the tail returns
-// ErrCorrupt. Open holds every record of the history at once; a caller that
-// wants the per-job state should use Recover, which does not.
+// order, each a copy the caller owns. The records of a compacted log start
+// with its checkpoint's, which Summarize folds to the state the records
+// they replaced gave. Corruption before the tail returns ErrCorrupt. Open
+// holds every record of the log at once; a caller that wants the per-job
+// state should use Recover, which does not.
 func Open(path string, opts Options) (*Log, []Record, error) {
 	var records []Record
 	l, err := open(path, opts, func(recs []Record) {
@@ -40,8 +45,13 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 // fold copies only what the Replay keeps: a job's id, client key and
 // cluster id, its tenant and outcome once per distinct value, and a
 // submitted graph only if the job is still queued when its chunk is done.
+// A checkpoint's folded records go through the same fold, into tables sized
+// by the checkpoint's job count.
 func Recover(path string, opts Options) (*Log, *Replay, error) {
 	rep := newReplay()
+	if st, err := os.Stat(path); err == nil {
+		rep.limit = int(st.Size() / minFrame)
+	}
 	l, err := open(path, opts, rep.fold)
 	if err != nil {
 		return nil, nil, err
@@ -49,12 +59,18 @@ func Recover(path string, opts Options) (*Log, *Replay, error) {
 	return l, rep, nil
 }
 
+// open removes what a compaction cut short left beside the log, replays the
+// log through fold and opens it for append.
 func open(path string, opts Options, fold func([]Record)) (*Log, error) {
+	path = filepath.Clean(path)
+	if err := os.Remove(path + compactSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	valid, err := replay(f, chunkBytes, fold)
+	valid, ckpt, err := replay(f, chunkBytes, fold)
 	// Truncate the torn tail (no-op when the file ends cleanly), then seek
 	// to the end for appends.
 	if err == nil {
@@ -67,11 +83,7 @@ func open(path string, opts Options, fold func([]Record)) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{opts: opts, f: f, w: f}
-	if opts.failpoint != nil {
-		l.w = opts.failpoint(f)
-	}
-	return l, nil
+	return &Log{opts: opts, path: path, f: f, w: opts.wrap(f), size: valid, ckpt: ckpt}, nil
 }
 
 // chunkBytes is how much of the file one decode task reads (more when a
@@ -182,18 +194,30 @@ func (c *chunk) decode() {
 	}
 }
 
-// replay streams f's valid record prefix through fold, in file order and on
-// the calling goroutine, and returns the byte offset where validity ends. A
+// replay streams f's valid record prefix through fold and returns the byte
+// offset where validity ends and the checkpoint the prefix starts with. A
 // bad frame at the tail (torn write) is fine — recovery truncates it; a bad
 // frame followed by a GOOD frame means mid-file corruption and returns
 // ErrCorrupt, as does a body that passes its CRC and is not a record.
+func replay(f *os.File, chunkSize int, fold func([]Record)) (int64, checkpoint, error) {
+	valid, ckpt, err := stream(f, chunkSize, fold)
+	if err == nil {
+		err = probeTail(f, valid)
+	}
+	return valid, ckpt, err
+}
+
+// stream folds r's valid record prefix, in file order and on the calling
+// goroutine, and returns where it ends and the checkpoint it starts with. A
+// body that passes its CRC and is not a record is corruption (ErrCorrupt);
+// what the bytes after the prefix are is not stream's to say.
 //
 // The caller cuts the file into chunks of chunkSize bytes and folds them;
 // GOMAXPROCS workers check and decode them in between. At most maxInFlight
 // chunks exist, so memory does not grow with the file. fold is handed one
 // chunk's records at a time; they borrow from the chunk, which is reused
 // once fold returns.
-func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err error) {
+func stream(r io.Reader, chunkSize int, fold func([]Record)) (valid int64, ckpt checkpoint, err error) {
 	workers := runtime.GOMAXPROCS(0)
 	maxInFlight := 2 * workers
 	work := make(chan *chunk, maxInFlight) // every chunk in flight fits: the reader never blocks on a send
@@ -214,6 +238,7 @@ func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err er
 	var inFlight, free []*chunk
 	var carry []byte // read past the last frame cut
 	end := int64(0)  // where the frames cut so far end
+	inCkpt := true   // every record so far is the checkpoint's
 	for more := true; more || len(inFlight) > 0; {
 		if more && len(inFlight) < maxInFlight {
 			var c *chunk
@@ -222,7 +247,7 @@ func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err er
 			} else {
 				c = &chunk{done: make(chan struct{}, 1)}
 			}
-			if carry, more, err = c.fill(f, carry, end, chunkSize); err != nil {
+			if carry, more, err = c.fill(r, carry, end, chunkSize); err != nil {
 				break
 			}
 			end = c.offset(len(c.frames))
@@ -235,6 +260,9 @@ func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err er
 		c := inFlight[0]
 		inFlight = inFlight[1:]
 		<-c.done
+		for i := 0; inCkpt && i < len(c.recs); i++ {
+			inCkpt = ckpt.extend(&c.recs[i], c.offset(i+1))
+		}
 		fold(c.recs)
 		if c.err != nil {
 			err = c.err
@@ -249,15 +277,46 @@ func replay(f *os.File, chunkSize int, fold func([]Record)) (valid int64, err er
 		free = append(free, c)
 	}
 	if err != nil {
-		return 0, err
+		return 0, checkpoint{}, err
 	}
-	return end, probeTail(f, end)
+	return end, ckpt, nil
 }
+
+// checkpoint is where a log's checkpoint ends and what it holds. A
+// checkpoint is a TypeCheckpoint record at the start of the file and the
+// run of TypeFolded records after it whose Seqs it accounts for: folding it
+// leaves NextSeq at the header's Seq.
+type checkpoint struct {
+	end  int64  // the checkpoint is the file's bytes [0, end); 0 when there is none
+	next uint64 // the header's Seq: the NextSeq of the history it replaced
+	jobs int    // the folded records after the header
+}
+
+// extend grows the checkpoint over rec, the record that ends at end, and
+// reports whether rec belongs to it.
+func (ck *checkpoint) extend(rec *Record, end int64) bool {
+	switch {
+	case ck.end == 0 && rec.Type == TypeCheckpoint:
+		ck.next = rec.Seq
+	case ck.end > 0 && rec.Type == TypeFolded && nextAfter(rec.Seq) <= ck.next:
+		ck.jobs++
+	default:
+		return false
+	}
+	ck.end = end
+	return true
+}
+
+// probeStep is how far probeTail's window moves: each window holds probeStep
+// bytes of positions to probe plus the largest frame that can start at one.
+const probeStep = 1 << 20
 
 // probeTail decides what the bytes after the valid prefix are. Anything
 // there must be a torn tail: if a whole valid frame exists further on, the
-// damage is in the middle. This is the one place recovery reads the
-// remainder of the file at once, and only when there is a remainder.
+// damage is in the middle. It reads the remainder a window at a time, the
+// windows overlapping by the largest frame, so that a frame across a
+// window's end is whole in the next one: what a crash leaves behind the
+// prefix may be any size.
 func probeTail(f *os.File, valid int64) error {
 	st, err := f.Stat()
 	if err != nil {
@@ -266,13 +325,22 @@ func probeTail(f *os.File, valid int64) error {
 	if st.Size() <= valid {
 		return nil
 	}
-	rest, err := io.ReadAll(io.NewSectionReader(f, valid, st.Size()-valid))
-	if err != nil {
-		return err
-	}
-	for probe := int64(1); probe+frameHeader <= int64(len(rest)); probe++ {
-		if _, _, ok := frameAt(rest, probe); ok {
-			return fmt.Errorf("%w: valid frame after damage at offset %d", ErrCorrupt, valid)
+	const overlap = frameHeader + MaxRecord
+	buf := make([]byte, min(st.Size()-valid, probeStep+overlap))
+	for from := valid; from < st.Size(); from += probeStep {
+		n, err := f.ReadAt(buf, from)
+		if err != nil && err != io.EOF {
+			return err
+		}
+		window, last := buf[:n], from+int64(n) >= st.Size()
+		// The frame at valid is the damaged one itself: probing starts after it.
+		for probe := max(valid+1-from, 0); probe+frameHeader <= int64(n) && (last || probe < probeStep); probe++ {
+			if _, _, ok := frameAt(window, probe); ok {
+				return fmt.Errorf("%w: valid frame after damage at offset %d", ErrCorrupt, valid)
+			}
+		}
+		if last {
+			break
 		}
 	}
 	return nil
@@ -307,6 +375,9 @@ type Replay struct {
 	byID    map[string]*ReplayJob
 	// names interns tenants and outcomes, which take few distinct values.
 	names map[string]string
+	// limit caps how many jobs a checkpoint header may size the tables for:
+	// no more than the records there can be.
+	limit int
 	// free is the rest of the block the next jobs are carved from: a
 	// Replay lives only until its jobs are restored, so they are allocated
 	// jobBlock at a time rather than one by one.
@@ -318,8 +389,9 @@ const jobBlock = 256
 
 // ReplayJob is one job's recovered state.
 type ReplayJob struct {
-	// Submitted is the job's submitted record. Its Graph is kept only while
-	// the job may still have to be re-submitted: it is dropped when the
+	// Submitted is the job's submitted record: its type, id, Seq, tenant,
+	// client key, arrival and deadline, and its graph. The graph is kept only
+	// while the job may still have to be re-submitted: it is dropped when the
 	// job's forwarded or decided record is folded in.
 	Submitted Record
 	// ClusterID is set when a forwarded or decided record was recovered:
@@ -344,6 +416,7 @@ func (j *ReplayJob) Undecided() bool { return j.Outcome == "" }
 // that it overtook.
 func Summarize(records []Record) *Replay {
 	r := newReplay()
+	r.limit = len(records)
 	r.fold(records)
 	return r
 }
@@ -369,47 +442,84 @@ func (r *Replay) fold(recs []Record) {
 // add folds one record in. A submitted record's graph is kept as it is:
 // fold copies it.
 func (r *Replay) add(rec *Record) {
-	if rec.Seq >= r.NextSeq {
-		r.NextSeq = rec.Seq + 1
-	}
+	next := nextAfter(rec.Seq)
 	switch rec.Type {
-	case TypeSubmitted:
-		if _, dup := r.byID[rec.ID]; dup {
-			return // idempotent: same id resubmitted by a replayed log
+	case TypeCheckpoint:
+		next = rec.Seq // the NextSeq of the history it replaced
+		r.reserve(rec.At)
+	case TypeSubmitted, TypeFolded:
+		if _, dup := r.byID[rec.ID]; !dup { // idempotent: same id resubmitted by a replayed log
+			r.addJob(rec)
 		}
-		sub := *rec
-		sub.ID = strings.Clone(rec.ID)
-		sub.Tenant = r.intern(rec.Tenant)
-		sub.ClientKey = strings.Clone(rec.ClientKey)
-		sub.ClusterID = strings.Clone(rec.ClusterID)
-		sub.Outcome = r.intern(rec.Outcome)
-		if len(r.free) == 0 {
-			r.free = make([]ReplayJob, jobBlock)
-		}
-		j := &r.free[0]
-		r.free = r.free[1:]
-		j.Submitted = sub
-		r.byID[sub.ID] = j
-		r.Jobs = append(r.Jobs, j)
-	case TypeForwarded:
+	case TypeForwarded, TypeDecided:
 		if j := r.byID[rec.ID]; j != nil {
-			j.Submitted.Graph = nil
-			if j.ClusterID == "" {
-				j.ClusterID = strings.Clone(rec.ClusterID)
-			}
-		}
-	case TypeDecided:
-		if j := r.byID[rec.ID]; j != nil {
-			j.Submitted.Graph = nil
-			if j.ClusterID == "" {
-				j.ClusterID = strings.Clone(rec.ClusterID)
-			}
-			if j.Outcome == "" {
-				j.Outcome = r.intern(rec.Outcome)
-				j.DecisionLatency = rec.DecisionLatency
-			}
+			j.update(rec, r)
 		}
 	}
+	r.NextSeq = max(r.NextSeq, next)
+}
+
+// addJob adds the job a submitted or folded record brings.
+func (r *Replay) addJob(rec *Record) {
+	if len(r.free) == 0 {
+		r.free = make([]ReplayJob, jobBlock)
+	}
+	j := &r.free[0]
+	r.free = r.free[1:]
+	j.Submitted = Record{Type: TypeSubmitted, ID: strings.Clone(rec.ID), Seq: rec.Seq,
+		Tenant: r.intern(rec.Tenant), ClientKey: strings.Clone(rec.ClientKey),
+		At: rec.At, Deadline: rec.Deadline, Graph: rec.Graph}
+	if rec.Type == TypeFolded {
+		j.ClusterID = strings.Clone(rec.ClusterID)
+		j.Outcome = r.intern(rec.Outcome)
+		j.DecisionLatency = rec.DecisionLatency
+	}
+	r.byID[j.Submitted.ID] = j
+	r.Jobs = append(r.Jobs, j)
+}
+
+// update folds a forwarded or decided record into the job: the first
+// cluster id and the first outcome stick, and the graph goes.
+func (j *ReplayJob) update(rec *Record, r *Replay) {
+	j.Submitted.Graph = nil
+	if j.ClusterID == "" {
+		j.ClusterID = strings.Clone(rec.ClusterID)
+	}
+	if rec.Type == TypeDecided && j.Outcome == "" {
+		j.Outcome = r.intern(rec.Outcome)
+		j.DecisionLatency = rec.DecisionLatency
+	}
+}
+
+// folded is the job as one TypeFolded record.
+func (j *ReplayJob) folded() Record {
+	rec := j.Submitted
+	rec.Type = TypeFolded
+	rec.ClusterID, rec.Outcome, rec.DecisionLatency = j.ClusterID, j.Outcome, j.DecisionLatency
+	return rec
+}
+
+// nextAfter is the NextSeq a record of sequence number seq asks for: one
+// past it, or seq itself at the top of the range, so that NextSeq only grows.
+func nextAfter(seq uint64) uint64 {
+	if seq == math.MaxUint64 {
+		return seq
+	}
+	return seq + 1
+}
+
+// minFrame is the fewest bytes a record can take in the file.
+const minFrame = frameHeader + 2
+
+// reserve sizes the tables, still empty, for the jobs a checkpoint header
+// announces, but for no more than limit.
+func (r *Replay) reserve(jobs float64) {
+	if len(r.Jobs) > 0 || !(jobs >= 1) || r.limit < 1 {
+		return
+	}
+	n := int(min(jobs, float64(r.limit)))
+	r.Jobs = make([]*ReplayJob, 0, n)
+	r.byID = make(map[string]*ReplayJob, n)
 }
 
 // intern is s, copied the first time it is seen.

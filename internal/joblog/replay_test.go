@@ -42,7 +42,7 @@ func refDecode(body []byte) (Record, error) {
 	}
 	typ, err := r.ReadByte()
 	fail(err)
-	rec.Type = map[byte]RecordType{1: TypeSubmitted, 2: TypeForwarded, 3: TypeDecided}[typ]
+	rec.Type = map[byte]RecordType{1: TypeSubmitted, 2: TypeForwarded, 3: TypeDecided, 4: TypeCheckpoint, 5: TypeFolded}[typ]
 	if rec.Type == "" {
 		fail(fmt.Errorf("type byte %d", typ))
 	}
@@ -125,7 +125,7 @@ func replayBytes(t testing.TB, dir string, data []byte, chunkSize int) ([]Record
 	}
 	defer f.Close()
 	var records []Record
-	valid, err := replay(f, chunkSize, func(recs []Record) {
+	valid, _, err := replay(f, chunkSize, func(recs []Record) {
 		for _, rec := range recs {
 			records = append(records, rec.clone())
 		}
@@ -306,6 +306,10 @@ func addReplaySeeds(f *testing.F, files ...string) {
 	// Binary bodies behind good CRCs: a whole one, one with a byte too many.
 	f.Add(rawFrame(decidedBody))
 	f.Add(append(append([]byte(nil), intact...), rawFrame(append(append([]byte(nil), decidedBody...), 0))...))
+	// A checkpoint and a tail, whole and cut inside the checkpoint.
+	compacted := compactedImage(f, intact)
+	f.Add(compacted)
+	f.Add(compacted[:len(compacted)/3])
 	for _, name := range files {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -319,7 +323,7 @@ func addReplaySeeds(f *testing.F, files ...string) {
 // not panic, must agree with the reference, and so can never yield a record
 // from behind a frame that failed its CRC.
 func FuzzReplay(f *testing.F) {
-	addReplaySeeds(f, "parent.wal") // the JSON-bodied log of the format before
+	addReplaySeeds(f, "parent.wal", "checkpoint.wal") // parent.wal: the JSON-bodied log of the format before
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 32<<10 {
@@ -347,9 +351,11 @@ func FuzzReplay(f *testing.F) {
 // file image, Recover's Replay equals Summarize of Open's records, whose
 // every string and graph is a copy, or both refuse the image with the same
 // class of error. The fold is also run on chunks of a frame or two, so that
-// the chunks it borrows from are reused while it runs.
+// the chunks it borrows from are reused while it runs. And compaction keeps
+// the fold: the image's records, appended anew in two sessions whose log
+// compacts as it goes and at each end, recover to the same state.
 func FuzzRecover(f *testing.F) {
-	addReplaySeeds(f, "parent.wal", "v1.wal")
+	addReplaySeeds(f, "parent.wal", "v1.wal", "checkpoint.wal")
 	dir := f.TempDir()
 	path := filepath.Join(dir, "image")
 	load := func(t *testing.T, data []byte) {
@@ -383,10 +389,38 @@ func FuzzRecover(f *testing.F) {
 		}
 		defer file.Close()
 		tiny := newReplay()
-		if _, err = replay(file, 200, tiny.fold); err != nil {
+		if _, _, err = replay(file, 200, tiny.fold); err != nil {
 			tiny = nil
 		}
 		sameReplay(t, "tiny chunks", tiny, err, want, wantErr)
+
+		if wantErr != nil {
+			return
+		}
+		for _, r := range records {
+			if typeByte(r.Type) == 0 {
+				return // a JSON body of a type the writer does not take
+			}
+		}
+		compacted := filepath.Join(dir, "compacted")
+		if err := os.Remove(compacted); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		opts := Options{NoSync: true, compactFloor: 1}
+		for _, part := range [][]Record{records[:len(records)/2], records[len(records)/2:]} {
+			l, _, err := Recover(compacted, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendNoWait(part...); err != nil {
+				t.Fatal(err)
+			}
+			compactNow(t, l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameReplay(t, "compacted", recoverState(t, compacted, opts), nil, want, nil)
 	})
 }
 
@@ -444,7 +478,7 @@ func TestRecoverKeepsQueuedGraphsAcrossChunks(t *testing.T) {
 	withGOMAXPROCS(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		path := filepath.Join(t.TempDir(), "joblog")
-		l, _ := openOrDie(t, path, Options{NoSync: true})
+		l, _ := openOrDie(t, path, appendOnly())
 		queued, forwarded := randomGraph(rng, 640), randomGraph(rng, 640)
 		if err := l.AppendNoWait(
 			Record{Type: TypeSubmitted, ID: "queued", Seq: 1, Tenant: "acme", Deadline: 40, Graph: queued},
@@ -494,40 +528,52 @@ func TestRecoverKeepsQueuedGraphsAcrossChunks(t *testing.T) {
 // coming 256 to a block. Its graph is never copied, its tenant and outcome
 // are shared with every other job's, and the chunks, buffers and workers are
 // shared by the whole log. That share grows with the workers (two chunks in
-// flight each), so their number is fixed.
+// flight each), so their number is fixed. A job recovered from a checkpoint
+// costs no more than one folded from its three records.
 func TestRecoverAllocatesWhatItKeeps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const jobs = 20000
 	rng := rand.New(rand.NewSource(5))
 	graphs := []json.RawMessage{randomGraph(rng, 640), randomGraph(rng, 640), randomGraph(rng, 640)}
-	path := filepath.Join(t.TempDir(), "joblog")
-	l, _ := openOrDie(t, path, Options{NoSync: true})
-	for i := 1; i <= jobs; i++ {
-		if err := l.AppendNoWait(decidedJob(i, graphs[i%len(graphs)])...); err != nil {
+	recoverLog := func(checkpointed bool) (bytes, allocs float64) {
+		path := filepath.Join(t.TempDir(), "joblog")
+		l, _ := openOrDie(t, path, appendOnly())
+		for i := 1; i <= jobs; i++ {
+			if err := l.AppendNoWait(decidedJob(i, graphs[i%len(graphs)])...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checkpointed {
+			compactNow(t, l)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	l, rep, err := Recover(path, Options{NoSync: true})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l, rep, err := Recover(path, Options{NoSync: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if len(rep.Jobs) != jobs || l.ckpt.jobs != map[bool]int{false: 0, true: jobs}[checkpointed] {
+			t.Fatalf("%d jobs recovered, %d of them from a checkpoint; want %d", len(rep.Jobs), l.ckpt.jobs, jobs)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / jobs, float64(after.Mallocs-before.Mallocs) / jobs
 	}
-	defer l.Close()
-	if len(rep.Jobs) != jobs {
-		t.Fatalf("%d jobs recovered, want %d", len(rep.Jobs), jobs)
-	}
-	perJob := float64(after.TotalAlloc-before.TotalAlloc) / jobs
-	allocs := float64(after.Mallocs-before.Mallocs) / jobs
+	perJob, allocs := recoverLog(false)
 	t.Logf("Recover: %.0f B and %.2f allocations per decided job", perJob, allocs)
 	if perJob > 500 || allocs >= 4 {
 		t.Errorf("Recover allocated %.0f B in %.2f allocations per decided job, want at most 500 B and fewer than 4", perJob, allocs)
+	}
+	ckptJob, ckptAllocs := recoverLog(true)
+	t.Logf("Recover of a checkpoint: %.0f B and %.2f allocations per decided job", ckptJob, ckptAllocs)
+	if ckptJob > 500 || ckptAllocs > allocs {
+		t.Errorf("Recover of a checkpoint allocated %.0f B in %.2f allocations per decided job, want at most 500 B and %.2f allocations",
+			ckptJob, ckptAllocs, allocs)
 	}
 }
 
@@ -661,7 +707,7 @@ func TestReplayMemoryIsBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const jobs = 10000
 	path := filepath.Join(t.TempDir(), "joblog")
-	l, _ := openOrDie(t, path, Options{NoSync: true})
+	l, _ := openOrDie(t, path, appendOnly())
 	graph := json.RawMessage(`{"name":"` + strings.Repeat("g", 2000) + `"}`)
 	for i := 0; i < jobs; i++ {
 		id := fmt.Sprintf("g%d", i)
@@ -695,7 +741,7 @@ func TestReplayMemoryIsBounded(t *testing.T) {
 	base := live()
 	var peak uint64
 	n := 0
-	if _, err := replay(f, chunkBytes, func(recs []Record) {
+	if _, _, err := replay(f, chunkBytes, func(recs []Record) {
 		for range recs {
 			if n++; n%1000 == 0 {
 				peak = max(peak, live())
@@ -839,5 +885,87 @@ func TestAppendWaitsForAnFsyncThatStartedAfterItsWrite(t *testing.T) {
 	}
 	if tail := ow.events[len(ow.events)-3:]; !reflect.DeepEqual(tail, []string{"w tail", "sync", "synced"}) {
 		t.Errorf("Close after a not-waited-on write did %v, want the write, then one fsync", tail)
+	}
+}
+
+// What follows the valid prefix is read a window at a time: 64 MiB of zeros
+// behind a 100-job log, the shape a crash leaves on a filesystem that
+// exposes unwritten extents, recovers as the 100 jobs, truncated back, and
+// costs a window in memory, not the remainder.
+func TestTornTailIsReadInWindows(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "joblog")
+	l, _ := openOrDie(t, path, appendOnly())
+	graph := randomGraph(rand.New(rand.NewSource(6)), 640)
+	for i := 1; i <= 100; i++ {
+		if err := l.AppendNoWait(decidedJob(i, graph)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()+64<<20); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l, rep, err := Recover(path, Options{NoSync: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(rep.Jobs) != 100 {
+		t.Fatalf("%d jobs recovered, want 100", len(rep.Jobs))
+	}
+	if now, err := os.Stat(path); err != nil || now.Size() != st.Size() {
+		t.Fatalf("the log was left at %d bytes (%v), want %d", now.Size(), err, st.Size())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Errorf("recovering behind 64 MiB of zeros allocated %d MiB, want under 16", got>>20)
+	}
+}
+
+// A frame behind the damage is found wherever it lies against the edges of
+// the windows the remainder is read in, a frame as large as a record can be
+// among them: each is mid-file corruption, as the reference says.
+func TestProbeFindsFramesAcrossWindows(t *testing.T) {
+	dir := t.TempDir()
+	prefix, _ := randomLog(rand.New(rand.NewSource(8)), 5, false, false)
+	small, err := appendFrame(nil, rec(TypeSubmitted, "late", 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := rec(TypeSubmitted, "big", 8)
+	big.Graph = json.RawMessage(`"` + strings.Repeat("b", MaxRecord-200) + `"`)
+	large, err := appendFrame(nil, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		frame []byte
+		at    int
+	}{
+		{small, probeStep - len(small) - 1}, {small, probeStep - len(small)/2}, {small, probeStep - 1},
+		{small, probeStep}, {small, probeStep + 1}, {small, 2*probeStep - 3},
+		{large, probeStep - 10}, {large, probeStep + 10},
+	} {
+		// A torn frame at the end of the prefix, zeros up to the offset, the frame.
+		image := append(append([]byte(nil), prefix...), 7, 0, 0, 0)
+		image = append(image, make([]byte, len(prefix)+tc.at-len(image))...)
+		image = append(image, tc.frame...)
+		what := fmt.Sprintf("a %d-byte frame %d bytes behind the damage", len(tc.frame), tc.at)
+		if _, _, err := replayBytes(t, dir, image, chunkBytes); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", what, err)
+		}
+		if len(tc.frame) == len(small) {
+			agree(t, dir, what, image)
+		}
 	}
 }

@@ -48,7 +48,11 @@
 # and for at most one 1.9 ms commit window when it follows another closely.
 # The kill lands with forwarded/decided records written and not yet flushed
 # (nobody waits for those), so the zero-loss reconciliation also covers
-# recovery from a log whose tail lost them.
+# recovery from a log whose tail lost them. The log starts with a history
+# of 6,000 decided jobs written by scripts/joblogseed, which the log
+# compacts as it goes in, so the gateway starts and restarts on a
+# checkpoint. After the run the gateway is stopped cleanly, and the log must
+# be smaller than the bytes appended to it, with no file left beside it.
 #
 #   scripts/soak.sh GATEWAY 3 300 -load 0.4     # the gateway acceptance run
 set -euo pipefail
@@ -79,6 +83,7 @@ go build -o "$bin/rtds-node" ./cmd/rtds-node
 go build -o "$bin/rtds-load" ./cmd/rtds-load
 if [[ "$GATEWAY" == "1" ]]; then
   go build -o "$bin/rtds-gateway" ./cmd/rtds-gateway
+  go build -o "$bin/joblogseed" ./scripts/joblogseed
 fi
 
 peers=""
@@ -124,7 +129,9 @@ if [[ "$GATEWAY" == "1" ]]; then
   for ((i = 0; i < SITES; i++)); do
     gw_nodes+="${gw_nodes:+,}127.0.0.1:$((HTTP_BASE + i))"
   done
-  joblog="$bin/gateway.wal"
+  mkdir "$bin/wal"
+  joblog="$bin/wal/gateway.wal"
+  appended=$("$bin/joblogseed" "$joblog" 6000)
 
   start_gateway() {
     "$bin/rtds-gateway" -listen "127.0.0.1:$GW_PORT" -nodes "$gw_nodes" \
@@ -216,6 +223,22 @@ if [[ "$GATEWAY" == "1" ]]; then
   wait "$load_pid"
   check_decision_return "after the restart"
   check_accept_latency "after the restart"
+  # A clean shutdown waits for any compaction, and the log it leaves is
+  # smaller than what was appended to it (the history's graphs alone), with
+  # nothing beside it.
+  kill -TERM "$gw_pid"
+  wait "$gw_pid"
+  gw_pid=""
+  size=$(wc -c <"$joblog")
+  echo "soak: job log $size bytes after appending more than $appended"
+  if ((size >= appended)); then
+    echo "soak: FAIL: the job log did not compact" >&2
+    exit 1
+  fi
+  if [[ "$(ls -A "$bin/wal")" != "gateway.wal" ]]; then
+    echo "soak: FAIL: files left beside the job log: $(ls -A "$bin/wal")" >&2
+    exit 1
+  fi
   echo "gateway soak OK: $SITES sites, tenants $TENANTS, gateway killed+restarted, zero acked submissions lost -> $OUT"
 elif [[ "$CHURN" == "1" ]]; then
   "$bin/rtds-load" -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
