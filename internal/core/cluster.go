@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core/membership"
@@ -29,9 +32,12 @@ import (
 //     the caller's WaitReady, then Seal.
 //
 // A host knows which sites it runs (c.sites[id] != nil) and nothing about
-// how many hosts there are: state for jobs initiated elsewhere is rebuilt
-// from the protocol messages (see adoptRemoteJob). Jobs are submitted at
-// times relative to the post-bootstrap epoch.
+// how many hosts there are: on every runtime a member learns a job only
+// from the initiator's CommitMsg, and a site drops a job's state once the
+// job can no longer touch it (see Site.exec and Site.ownJobs). What a host
+// keeps for its lifetime is the records of the jobs submitted to it, the
+// record log and its sites' plan reservations. Jobs are submitted at times
+// relative to the post-bootstrap epoch.
 type Cluster struct {
 	cfg  Config
 	mcfg membership.Config // resolved membership configuration
@@ -51,7 +57,6 @@ type Cluster struct {
 
 	mu         sync.Mutex // guards records (needed on the wall-clock transports)
 	jobs       []*Job
-	jobIndex   map[string]*Job
 	jobSeq     int
 	log        []Event       // the record stream, append-only (see record)
 	decideWake chan struct{} // closed at the next decision; nil while nobody waits
@@ -82,12 +87,11 @@ func (c *Cluster) resilient() bool { return c.faultsOn() || c.membershipOn() }
 // first bootstrap message flies. cfg must have passed Config.validate.
 func newHost(topo *graph.Graph, cfg Config, tr simnet.Transport, local []graph.NodeID) (*Cluster, error) {
 	c := &Cluster{
-		cfg:      cfg,
-		mcfg:     cfg.membershipConfig(),
-		topo:     topo,
-		tr:       tr,
-		sites:    make([]*Site, topo.Len()),
-		jobIndex: make(map[string]*Job),
+		cfg:   cfg,
+		mcfg:  cfg.membershipConfig(),
+		topo:  topo,
+		tr:    tr,
+		sites: make([]*Site, topo.Len()),
 	}
 	if cfg.Hier {
 		lay, err := hier.NewLayout(topo)
@@ -255,7 +259,6 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 		job.remaining[id] = true
 	}
 	c.jobs = append(c.jobs, job)
-	c.jobIndex[job.ID] = job
 	c.mu.Unlock()
 	arrive := func() { site.jobArrives(job) }
 	if c.virtualTime() {
@@ -410,73 +413,46 @@ func (c *Cluster) SitePlanReservations(id graph.NodeID) []schedule.Reservation {
 	return c.sites[id].plan.Reservations()
 }
 
-// TaskExecution describes one task's realized execution: which site ran it
-// and the bounds of its execution (a contiguous slot on the non-preemptive
-// plan, the first/last fragment on the preemptive plan).
+// TaskExecution describes one task's execution as its site's plan holds
+// it: which site runs it and the bounds of its execution (a contiguous slot
+// on the non-preemptive plan, the first/last fragment on the preemptive
+// plan).
 type TaskExecution struct {
-	Job   *Job
+	JobID string
 	Task  dag.TaskID
 	Site  graph.NodeID
 	Start float64
 	End   float64
 }
 
-// Executions reports every realized task execution across all sites, in a
-// deterministic order. Used by the internal/verify oracle and tests.
+// Executions reports every task execution committed in the local sites'
+// plans, by site, then job id, then task. Used by the internal/verify
+// oracle and tests.
 func (c *Cluster) Executions() []TaskExecution {
+	type jobTask struct {
+		job  string
+		task int
+	}
 	var out []TaskExecution
 	for _, s := range c.local {
-		// Preemptive bounds come from the plan's fragments.
-		type bounds struct{ start, end float64 }
-		var fragBounds map[string]map[int]bounds
-		if s.plan.Preemptive() {
-			fragBounds = make(map[string]map[int]bounds)
-			for _, f := range s.plan.Reservations() {
-				byTask := fragBounds[f.Job]
-				if byTask == nil {
-					byTask = make(map[int]bounds)
-					fragBounds[f.Job] = byTask
-				}
-				b, ok := byTask[f.Task]
-				if !ok {
-					b = bounds{start: f.Start, end: f.End}
-				} else {
-					if f.Start < b.start {
-						b.start = f.Start
-					}
-					if f.End > b.end {
-						b.end = f.End
-					}
-				}
-				byTask[f.Task] = b
-			}
-		}
-		for _, jobID := range determinism.SortedKeys(s.exec) {
-			e := s.exec[jobID]
-			if e.cancelled {
+		first := len(out)
+		// A preemptive task runs in fragments: its entry spans them all.
+		at := make(map[jobTask]int)
+		for _, r := range s.plan.Reservations() {
+			k := jobTask{r.Job, r.Task}
+			if i, ok := at[k]; ok {
+				out[i].Start = min(out[i].Start, r.Start)
+				out[i].End = max(out[i].End, r.End)
 				continue
 			}
-			for _, id := range determinism.SortedKeys(e.reservations) {
-				ti := int(id)
-				te := TaskExecution{Job: e.job, Task: id, Site: s.id}
-				if s.plan.Preemptive() {
-					b := fragBounds[jobID][ti]
-					te.Start, te.End = b.start, b.end
-				} else {
-					r := e.reservations[id]
-					te.Start, te.End = r.Start, r.End
-				}
-				out = append(out, te)
-			}
+			at[k] = len(out)
+			out = append(out, TaskExecution{JobID: r.Job, Task: dag.TaskID(r.Task), Site: s.id, Start: r.Start, End: r.End})
 		}
+		slices.SortFunc(out[first:], func(a, b TaskExecution) int {
+			return cmp.Or(strings.Compare(a.JobID, b.JobID), cmp.Compare(a.Task, b.Task))
+		})
 	}
 	return out
-}
-
-func (c *Cluster) jobByID(id string) *Job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.jobIndex[id]
 }
 
 // Summary aggregates a run's outcomes.

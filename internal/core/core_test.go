@@ -1,12 +1,15 @@
 package core
 
 import (
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/graph"
+	"repro/internal/simnet"
 )
 
 // fastLine builds an n-site line with very small link delays so protocol
@@ -395,10 +398,15 @@ func TestStressRandomWorkload(t *testing.T) {
 		// (internal/verify runs the full Check; avoid the import cycle here
 		// by asserting the execution records directly): every accepted
 		// job's tasks executed exactly once, inside the job window.
+		byID := make(map[string]*Job)
+		for _, j := range c.Jobs() {
+			byID[j.ID] = j
+		}
 		counts := make(map[string]int)
 		for _, te := range c.Executions() {
-			counts[te.Job.ID]++
-			if te.Start < te.Job.Arrival-1e-6 || te.End > te.Job.AbsDeadline+1e-6 {
+			counts[te.JobID]++
+			j := byID[te.JobID]
+			if te.Start < j.Arrival-1e-6 || te.End > j.AbsDeadline+1e-6 {
 				t.Fatalf("seed %d: execution %v outside job window", seed, te)
 			}
 		}
@@ -410,6 +418,75 @@ func TestStressRandomWorkload(t *testing.T) {
 			if counts[j.ID] != want {
 				t.Fatalf("seed %d: job %s has %d executions, want %d", seed, j.ID, counts[j.ID], want)
 			}
+		}
+		// A drained run leaves no per-job state behind at any site: every
+		// share ran to its last task and every job was rejected or Done.
+		for _, s := range c.local {
+			if len(s.exec) != 0 || len(s.ownJobs) != 0 {
+				t.Fatalf("seed %d: site %d still holds %d execution shares and %d own jobs",
+					seed, s.id, len(s.exec), len(s.ownJobs))
+			}
+		}
+	}
+}
+
+// executionsDigest hashes Executions in its reported order: job id, task,
+// site and the bits of both bounds of every entry.
+func executionsDigest(execs []TaskExecution) uint64 {
+	h := fnv.New64a()
+	for _, te := range execs {
+		h.Write([]byte(te.JobID))
+		writeWord(h, uint64(te.Task))
+		writeWord(h, uint64(te.Site))
+		writeWord(h, math.Float64bits(te.Start))
+		writeWord(h, math.Float64bits(te.End))
+	}
+	return h.Sum64()
+}
+
+// TestExecutionsDigestPinned pins Executions on 32-site runs of 300 random
+// jobs, on both plans, with and without 3 % message loss. The digests were
+// recorded when Executions still walked the execution shares; reading the
+// plans instead must report the same list, entry for entry.
+func TestExecutionsDigestPinned(t *testing.T) {
+	for _, pin := range []struct {
+		preemptive bool
+		loss       float64
+		n          int
+		digest     uint64
+	}{
+		{false, 0, 1466, 0x9783858b2527ca8b},
+		{true, 0, 1613, 0xeefffc447670d34c},
+		{false, 0.03, 703, 0xd1d0e08b7db31f7b},
+		{true, 0.03, 756, 0x758e02b43e3d955c},
+	} {
+		cfg := DefaultConfig()
+		cfg.Preemptive = pin.preemptive
+		if pin.loss > 0 {
+			cfg.Faults = &simnet.FaultPlan{Seed: 7, Loss: pin.loss}
+		}
+		topo := graph.RandomConnected(32, 3, graph.DelayRange{Min: 0.05, Max: 0.3}, 5)
+		c := mustCluster(t, topo, cfg)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 300; i++ {
+			kind := daggen.AllKinds[rng.Intn(len(daggen.AllKinds))]
+			g, err := daggen.Generate(kind, 3+rng.Intn(8),
+				daggen.Params{MinComplexity: 0.5, MaxComplexity: 4}, rng.Int63())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dl := g.CriticalPathLength() * (1.2 + rng.Float64()*3)
+			if _, err := c.Submit(rng.Float64()*150, graph.NodeID(rng.Intn(32)), g, dl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		execs := c.Executions()
+		if got := executionsDigest(execs); got != pin.digest || len(execs) != pin.n {
+			t.Errorf("preemptive=%v loss=%v: %d executions, digest %#x; pinned %d, %#x",
+				pin.preemptive, pin.loss, len(execs), got, pin.n, pin.digest)
 		}
 	}
 }

@@ -57,7 +57,7 @@ type Cause uint8
 const (
 	CauseTTL              Cause = iota + 1 // a routed Msg from From to Peer ran out of hops
 	CauseNoRoute                           // no route to Peer for a routed Msg
-	CauseUnknownJob                        // a commit arrived for a job this site has no record of
+	CauseNoGraph                           // a commit dispatched a share without the job's graph
 	CauseLocalCommit                       // the plan refused a just-admitted local ticket with error Msg
 	CauseLostFragments                     // the plan lost Task's fragments; the execution is torn down
 	CauseStartNoInputs                     // Task's slot began without Inputs
@@ -155,8 +155,8 @@ func (e Event) anomaly() string {
 		return fmt.Sprintf("TTL exhausted forwarding %q from %d to %d at %d", e.Msg, e.From, e.Peer, e.Site)
 	case CauseNoRoute:
 		return fmt.Sprintf("site %d has no route to %d for %q", e.Site, e.Peer, e.Msg)
-	case CauseUnknownJob:
-		return fmt.Sprintf("site %d: commit for unknown job %s", e.Site, e.Job)
+	case CauseNoGraph:
+		return fmt.Sprintf("site %d: commit for job %s carries no graph", e.Site, e.Job)
 	case CauseLocalCommit:
 		return fmt.Sprintf("site %d: unlocked local commit of %s failed: %s", e.Site, e.Job, e.Msg)
 	case CauseLostFragments:

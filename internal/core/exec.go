@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/determinism"
@@ -13,41 +14,46 @@ import (
 // Distributed execution (§11) with the §13 communication-delay realism:
 // results travel between sites and tasks must not start before their inputs.
 
-// execJob tracks the execution of one job's tasks on this site (§11).
+// execJob is this site's share of one job's execution (§11), from the
+// commit of its tasks until the last of them completes. It knows the job by
+// what the CommitMsg carries: id, origin, graph and task placement.
 type execJob struct {
-	job       *Job
+	id        string
+	origin    graph.NodeID
 	g         *dag.Graph
 	taskSites map[dag.TaskID]graph.NodeID
-	// reservations holds this site's slots (non-preemptive) or the current
-	// completion estimates (preemptive).
-	reservations map[dag.TaskID]schedule.Reservation
+	tasks     []dag.TaskID // this site's tasks of the job, ascending
 	// arrived marks received cross-site results per (predecessor, consumer)
 	// edge: with data volumes, each edge's transfer completes separately.
 	arrived   map[[2]dag.TaskID]bool
 	completed map[dag.TaskID]bool
+	// timers start and complete the tasks; a preemptive reschedule
+	// re-derives them. transfers send results over data edges and run to
+	// the end whatever the plan does, unless the share is cancelled.
 	timers    []simnet.CancelFunc
+	transfers []simnet.CancelFunc
 	cancelled bool
 }
 
-// beginExecution registers this site's share of a job and schedules its
-// execution timers.
-func (s *Site) beginExecution(job *Job, taskSites map[dag.TaskID]graph.NodeID, tk *schedule.Ticket) {
-	e := s.exec[job.ID]
-	if e == nil {
-		e = &execJob{
-			job:          job,
-			g:            job.Graph,
-			taskSites:    taskSites,
-			reservations: make(map[dag.TaskID]schedule.Reservation),
-			arrived:      make(map[[2]dag.TaskID]bool),
-			completed:    make(map[dag.TaskID]bool),
-		}
-		s.exec[job.ID] = e
+// beginExecution builds this site's share of a job from the commit that
+// dispatched it and schedules its execution timers. A site commits at most
+// one share per job.
+func (s *Site) beginExecution(m CommitMsg, tk *schedule.Ticket) {
+	e := &execJob{
+		id:        m.Job,
+		origin:    m.Initiator,
+		g:         m.Graph,
+		taskSites: m.TaskSites,
+		tasks:     make([]dag.TaskID, len(tk.Requests)),
+		arrived:   make(map[[2]dag.TaskID]bool),
+		completed: make(map[dag.TaskID]bool),
 	}
+	for i, r := range tk.Requests {
+		e.tasks[i] = dag.TaskID(r.Task)
+	}
+	slices.Sort(e.tasks)
+	s.exec[m.Job] = e
 	if s.plan.Preemptive() {
-		for _, r := range tk.Requests {
-			e.reservations[dag.TaskID(r.Task)] = schedule.Reservation{Job: job.ID, Task: r.Task}
-		}
 		s.rescheduleAllExec()
 		return
 	}
@@ -55,7 +61,6 @@ func (s *Site) beginExecution(job *Job, taskSites map[dag.TaskID]graph.NodeID, t
 	for _, pl := range tk.Placements {
 		pl := pl
 		id := dag.TaskID(pl.Task)
-		e.reservations[id] = pl
 		startDelay := math.Max(0, pl.Start-now)
 		e.timers = append(e.timers,
 			s.after(startDelay, func() { s.onTaskStart(e, id, 0) }),
@@ -67,7 +72,8 @@ func (s *Site) beginExecution(job *Job, taskSites map[dag.TaskID]graph.NodeID, t
 // rescheduleAllExec recomputes completion timers from the preemptive plan's
 // current EDF schedule. New admissions can only postpone completions, never
 // rewrite the executed past (releases are never earlier than commit time),
-// so cancelling and re-deriving all pending timers is safe.
+// so cancelling and re-deriving every pending completion timer is safe.
+// Result transfers already under way do not depend on the plan and stay.
 func (s *Site) rescheduleAllExec() {
 	for _, e := range s.exec {
 		for _, c := range e.timers {
@@ -90,7 +96,7 @@ func (s *Site) rescheduleAllExec() {
 	var lost []string
 	for _, jobID := range determinism.SortedKeys(s.exec) {
 		e := s.exec[jobID]
-		for _, id := range determinism.SortedKeys(e.reservations) {
+		for _, id := range e.tasks {
 			ti := int(id)
 			if e.completed[id] {
 				continue
@@ -155,7 +161,7 @@ func (s *Site) onTaskStart(e *execJob, id dag.TaskID, tries int) {
 			s.after(startRecheckDelay, func() { s.onTaskStart(e, id, tries+1) }))
 		return
 	}
-	s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvViolation, Cause: CauseStartNoInputs, Task: id, Inputs: missing})
+	s.cluster.record(Event{Site: s.id, Job: e.id, Kind: EvViolation, Cause: CauseStartNoInputs, Task: id, Inputs: missing})
 }
 
 func (s *Site) missingInputs(e *execJob, id dag.TaskID) []dag.TaskID {
@@ -182,7 +188,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 	if s.plan.Preemptive() {
 		// In preemptive mode the start assertion runs here (slots move).
 		if missing := s.missingInputs(e, id); len(missing) > 0 {
-			s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvViolation, Cause: CauseCompleteNoInputs, Task: id, Inputs: missing})
+			s.cluster.record(Event{Site: s.id, Job: e.id, Kind: EvViolation, Cause: CauseCompleteNoInputs, Task: id, Inputs: missing})
 		}
 	}
 	e.completed[id] = true
@@ -200,26 +206,27 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 			// message serves every consumer on the destination site.
 			if !sent[dest] {
 				sent[dest] = true
-				s.sendTo(dest, ResultMsg{Job: e.job.ID, Task: id, Bytes: resultBytes})
+				s.sendTo(dest, ResultMsg{Job: e.id, Task: id, Bytes: resultBytes})
 			}
 			continue
 		}
 		// §13 data volumes: each edge's transfer is serialized for
 		// volume/throughput before it travels, and is addressed to its
 		// consumer since volumes differ per edge.
-		msg := ResultMsg{Job: e.job.ID, Task: id, For: succ,
+		msg := ResultMsg{Job: e.id, Task: id, For: succ,
 			Bytes: resultBytes + int(vol)}
-		e.timers = append(e.timers, s.after(vol/th, func() {
+		e.transfers = append(e.transfers, s.after(vol/th, func() {
 			if !e.cancelled {
 				s.sendTo(dest, msg)
 			}
 		}))
 	}
-	if e.job.Origin == s.id {
-		s.cluster.record(Event{Site: s.id, job: e.job, Kind: EvTaskDone, Task: id, T: at})
-	} else {
-		s.sendTo(e.job.Origin, DoneMsg{Job: e.job.ID, Task: id, At: at})
+	if len(e.completed) == len(e.tasks) {
+		// Every task of the share has run: it leaves the table (a transfer
+		// still in flight keeps it alive until sent).
+		delete(s.exec, e.id)
 	}
+	s.sendTo(e.origin, DoneMsg{Job: e.id, Task: id, At: at})
 }
 
 // onResult records an incoming predecessor result (§13).
@@ -240,10 +247,17 @@ func (s *Site) onResult(m ResultMsg) {
 	}
 }
 
-// onDone records a remote task completion at the job's initiator.
+// onDone records a task completion at the job's origin, from a member or
+// from the origin's own share. A completion for a job the origin no longer
+// holds (rejected, or already Done) is late or retransmitted and ignored.
 func (s *Site) onDone(m DoneMsg) {
-	if j := s.cluster.jobByID(m.Job); j != nil {
-		s.cluster.record(Event{Site: s.id, job: j, Kind: EvTaskDone, Task: m.Task, T: m.At})
+	j := s.ownJobs[m.Job]
+	if j == nil {
+		return
+	}
+	s.cluster.record(Event{Site: s.id, job: j, Kind: EvTaskDone, Task: m.Task, T: m.At})
+	if j.Done {
+		delete(s.ownJobs, m.Job)
 	}
 }
 
@@ -255,6 +269,9 @@ func (s *Site) cancelExecution(jobID string) {
 	}
 	e.cancelled = true
 	for _, c := range e.timers {
+		c()
+	}
+	for _, c := range e.transfers {
 		c()
 	}
 	delete(s.exec, jobID)

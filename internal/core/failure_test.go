@@ -68,7 +68,7 @@ func TestCommitFailureAborts(t *testing.T) {
 			continue
 		}
 		for _, te := range c.Executions() {
-			if te.Job.ID == j.ID {
+			if te.JobID == j.ID {
 				t.Fatalf("rejected job %s left execution %v", j.ID, te)
 			}
 		}

@@ -327,10 +327,12 @@ func (s *Site) finishValidation(t *activeTxn) {
 	}
 
 	// The initiator endorses its share first: if even the local insertion
-	// fails there is no point dispatching code.
+	// fails there is no point dispatching code. From here on the job can
+	// receive completions, until it is rejected or Done.
+	s.ownJobs[t.job.ID] = t.job
 	t.SelfOK = true
 	if myProc := procOf[s.id]; myProc >= 0 {
-		t.SelfOK = s.commitShare(t.job, myProc, t.job.Graph, taskSites)
+		t.SelfOK = s.commitShare(CommitMsg{Job: t.job.ID, Initiator: s.id, Proc: myProc, Graph: t.job.Graph, TaskSites: taskSites})
 	} else {
 		delete(s.memberTickets, t.job.ID)
 	}
@@ -487,6 +489,9 @@ func (s *Site) finishTxn(t *activeTxn, outcome Outcome, stage RejectStage) {
 		return
 	}
 	delete(s.txns, t.job.ID)
+	if outcome == Rejected {
+		delete(s.ownJobs, t.job.ID)
+	}
 	if outcome == Rejected && !t.CommitsSent {
 		// "the DAG is rejected and ACS members are unlocked" (§10). This
 		// also covers a commit that failed at the initiator itself before

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/schedule"
@@ -102,16 +101,16 @@ func (s *Site) onValidate(m ValidateReq) {
 	s.sendTo(m.Initiator, ValidateAck{Job: m.Job, Member: s.id, Endorsable: end})
 }
 
-// commitShare commits this site's cached ticket for a logical processor and
-// starts execution. It reports false when the validated slots are no longer
-// honourable (time has passed them).
-func (s *Site) commitShare(job *Job, proc int, g *dag.Graph, taskSites map[dag.TaskID]graph.NodeID) bool {
-	tickets := s.memberTickets[job.ID]
-	delete(s.memberTickets, job.ID)
-	if proc >= len(tickets) || tickets[proc] == nil {
+// commitShare commits this site's cached ticket for the logical processor
+// the commit assigns it and starts execution. It reports false when the
+// validated slots are no longer honourable (time has passed them).
+func (s *Site) commitShare(m CommitMsg) bool {
+	tickets := s.memberTickets[m.Job]
+	delete(s.memberTickets, m.Job)
+	if m.Proc >= len(tickets) || tickets[m.Proc] == nil {
 		return false
 	}
-	tk := tickets[proc]
+	tk := tickets[m.Proc]
 	now := s.now()
 	for _, r := range tk.Requests {
 		// A slot that should already have started cannot be honoured; the
@@ -125,7 +124,7 @@ func (s *Site) commitShare(job *Job, proc int, g *dag.Graph, taskSites map[dag.T
 	if err := s.plan.Commit(tk); err != nil {
 		return false
 	}
-	s.beginExecution(job, taskSites, tk)
+	s.beginExecution(m, tk)
 	return true
 }
 
@@ -140,7 +139,9 @@ func placementFor(tk *schedule.Ticket, task int) *schedule.Reservation {
 
 // onCommit handles the permutation at an ACS member (§11): endorse the
 // assigned logical processor (or be released), then unlock — "the lock of j
-// is immediately released after the insertion of all tasks of Ti".
+// is immediately released after the insertion of all tasks of Ti". The
+// message is all the member learns of the job: its share is built from the
+// id, the initiator as origin, the graph and the task placement.
 func (s *Site) onCommit(m CommitMsg) {
 	if s.lockedBy != m.Initiator || s.lockJob != m.Job {
 		// Defensive: refuse rather than stay silent so the initiator's
@@ -155,21 +156,12 @@ func (s *Site) onCommit(m CommitMsg) {
 		s.unlock()
 		return
 	}
-	job := s.cluster.jobByID(m.Job)
-	if job == nil && s.cluster.sites[m.Initiator] == nil && m.Graph != nil {
-		// The initiator is hosted elsewhere: its record lives in another
-		// process, so reconstruct the member's view from the message itself.
-		job = s.cluster.adoptRemoteJob(m.Job, m.Graph, m.Initiator)
+	if m.Graph == nil {
+		// A share without its graph is malformed input (the wire decoder
+		// admits one): refuse it instead of crashing.
+		s.cluster.record(Event{Site: s.id, Job: m.Job, Kind: EvViolation, Cause: CauseNoGraph})
 	}
-	if job == nil {
-		// The job record is gone (possible only under injected faults, when
-		// messages survive their transaction). Refuse instead of crashing.
-		s.cluster.record(Event{Site: s.id, Job: m.Job, Kind: EvViolation, Cause: CauseUnknownJob})
-		s.sendTo(m.Initiator, CommitAck{Job: m.Job, Member: s.id, OK: false})
-		s.unlock()
-		return
-	}
-	ok := s.commitShare(job, m.Proc, m.Graph, m.TaskSites)
+	ok := m.Graph != nil && s.commitShare(m)
 	s.sendTo(m.Initiator, CommitAck{Job: m.Job, Member: s.id, OK: ok})
 	s.unlock()
 }

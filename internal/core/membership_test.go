@@ -151,7 +151,7 @@ func TestRepairDefersEnrollment(t *testing.T) {
 	if job.Accepted() {
 		// Whatever the outcome, the ACS must not contain the dead site.
 		for _, te := range c.Executions() {
-			if te.Job.ID == job.ID && te.Site == 1 {
+			if te.JobID == job.ID && te.Site == 1 {
 				t.Fatal("deferred job executed on the dead site")
 			}
 		}

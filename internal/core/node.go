@@ -15,9 +15,8 @@ import (
 // Node is the Cluster host configured for deployment: one local site over
 // an injected transport — the unit of the multi-process deployment
 // (cmd/rtds-node). Every other site is a peer in another host, reachable
-// only through the transport, and the job records of remotely-initiated work
-// are reconstructed from the protocol messages themselves (see
-// adoptRemoteJob).
+// only through the transport; the site learns remotely-initiated work from
+// the protocol messages, as every site on every runtime does.
 //
 // Lifecycle: NewNode (attach to the transport) → transport start →
 // StartBootstrap → WaitReady → Seal → Submit/serve until shutdown. The
@@ -26,12 +25,14 @@ import (
 // execution context and report their zero value within probeTimeout when
 // the transport is closed or unresponsive.
 //
-// Job records (local submissions and adopted remote shares) and the record
-// log (untraced, the default: one entry per decision and per anomaly) are
-// retained for the node's lifetime, though their readers (the /jobs and
-// /metrics control endpoints) pay only for what is new. A node is therefore
-// sized for bounded load campaigns, not unbounded daemon uptime; decided-job
-// eviction and a bounded log are deliberate future work.
+// A share of a job's execution leaves the site when its last task here
+// completes, and a job's origin entry when the job is rejected or Done.
+// What the node keeps for its lifetime is the records of the jobs submitted
+// to it, the record log (untraced, the default: one entry per decision and
+// per anomaly) and the plan's reservations, past ones included; their
+// readers (the /jobs and /metrics control endpoints) pay only for what is
+// new. A node is therefore sized for bounded load campaigns, not unbounded
+// daemon uptime.
 type Node struct {
 	c    *Cluster
 	site *Site
@@ -188,22 +189,4 @@ func (n *Node) Anomalies() (violations, disruptions int) {
 	n.c.mu.Lock()
 	defer n.c.mu.Unlock()
 	return n.c.violated, n.c.disrupted
-}
-
-// adoptRemoteJob reconstructs a member-side job record from a commit
-// message: when the initiator is hosted elsewhere its record lives in
-// another process, so the graph, origin and identity carried by the
-// protocol itself are all the member knows — and all it needs (deadline accounting happens at the
-// origin). Idempotent: retransmitted commits reuse the first record.
-func (c *Cluster) adoptRemoteJob(id string, g *dag.Graph, origin graph.NodeID) *Job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j := c.jobIndex[id]; j != nil {
-		return j
-	}
-	j := &Job{ID: id, Graph: g, Origin: origin}
-	// Deliberately not appended to c.jobs: Summarize counts locally
-	// submitted jobs only, and a remote share is not a local submission.
-	c.jobIndex[id] = j
-	return j
 }

@@ -106,8 +106,13 @@ type Site struct {
 	// job -> members whose abort unlock has not been acknowledged yet.
 	aborts map[string]*txn.AbortRetry
 
-	// Execution state for jobs with tasks on this site.
+	// Execution state for jobs with tasks on this site, until their last
+	// task here completes.
 	exec map[string]*execJob
+	// ownJobs holds the jobs this site originated that can still receive
+	// task completions: in once their tasks are committed (a local
+	// acceptance, or the commit dispatch), out when rejected or Done.
+	ownJobs map[string]*Job
 }
 
 // activeTxn pairs one txn state machine with the job record it decides: the
@@ -139,6 +144,7 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 		txns:          make(map[string]*activeTxn),
 		aborts:        make(map[string]*txn.AbortRetry),
 		exec:          make(map[string]*execJob),
+		ownJobs:       make(map[string]*Job),
 	}
 	directSend := func(to graph.NodeID, p simnet.Payload) {
 		if err := c.tr.Send(id, to, p); err != nil {
@@ -551,7 +557,8 @@ func (s *Site) jobArrives(job *Job) {
 		for _, id := range job.Graph.TaskIDs() {
 			allLocal[id] = s.id
 		}
-		s.beginExecution(job, allLocal, tk)
+		s.ownJobs[job.ID] = job
+		s.beginExecution(CommitMsg{Job: job.ID, Initiator: s.id, Graph: job.Graph, TaskSites: allLocal}, tk)
 		return
 	}
 	if s.cluster.cfg.LocalOnly {

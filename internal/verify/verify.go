@@ -43,14 +43,14 @@ func Check(topo *graph.Graph, jobs []*core.Job, execs []core.TaskExecution, thro
 	byJob := make(map[string]map[dag.TaskID]core.TaskExecution)
 	bySite := make(map[graph.NodeID][]core.TaskExecution)
 	for _, te := range execs {
-		m := byJob[te.Job.ID]
+		m := byJob[te.JobID]
 		if m == nil {
 			m = make(map[dag.TaskID]core.TaskExecution)
-			byJob[te.Job.ID] = m
+			byJob[te.JobID] = m
 		}
 		if prev, dup := m[te.Task]; dup {
 			report("job %s task %d executed twice (site %d and site %d)",
-				te.Job.ID, te.Task, prev.Site, te.Site)
+				te.JobID, te.Task, prev.Site, te.Site)
 			continue
 		}
 		m[te.Task] = te
@@ -66,8 +66,8 @@ func Check(topo *graph.Graph, jobs []*core.Job, execs []core.TaskExecution, thro
 		for i := 1; i < len(list); i++ {
 			if list[i].Start < list[i-1].End-eps {
 				report("site %d executed %s/t%d [%g,%g] overlapping %s/t%d [%g,%g]",
-					site, list[i].Job.ID, list[i].Task, list[i].Start, list[i].End,
-					list[i-1].Job.ID, list[i-1].Task, list[i-1].Start, list[i-1].End)
+					site, list[i].JobID, list[i].Task, list[i].Start, list[i].End,
+					list[i-1].JobID, list[i-1].Task, list[i-1].Start, list[i-1].End)
 			}
 		}
 	}

@@ -54,14 +54,12 @@ func TestOracleAcceptsRealRuns(t *testing.T) {
 	}
 }
 
+// TestOracleAcceptsVolumeRuns: runs with §13 data volumes pass the oracle
+// and record no violation — one tight job on the non-preemptive plan, and
+// 120 jobs under load on the preemptive plan, whose reschedules must leave
+// result transfers in flight alone. The oracle checks planned slots, not
+// delivered results, so only the violation list catches a lost transfer.
 func TestOracleAcceptsVolumeRuns(t *testing.T) {
-	topo := graph.RandomConnected(8, 3, graph.DelayRange{Min: 0.05, Max: 0.2}, 3)
-	cfg := core.DefaultConfig()
-	cfg.Throughput = 2
-	c, err := core.NewCluster(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g, err := dag.NewBuilder("vol").
 		AddTask(1, 6).AddTask(2, 6).AddTask(3, 3).
 		AddDataEdge(1, 3, 2).AddDataEdge(2, 3, 4).
@@ -69,14 +67,44 @@ func TestOracleAcceptsVolumeRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(0, 0, g, 14); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if errs := CheckCluster(c, topo, 2, false); len(errs) != 0 {
-		t.Fatalf("volume run: %v", errs[0])
+	for _, tc := range []struct {
+		preemptive bool
+		throughput float64
+		jobs       int
+		seeds      int64
+	}{
+		{false, 2, 1, 1},
+		{true, 0.5, 120, 6},
+	} {
+		for seed := int64(0); seed < tc.seeds; seed++ {
+			topo := graph.RandomConnected(8, 3, graph.DelayRange{Min: 0.05, Max: 0.2}, 3+seed)
+			cfg := core.DefaultConfig()
+			cfg.Preemptive = tc.preemptive
+			cfg.Throughput = tc.throughput
+			c, err := core.NewCluster(topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < tc.jobs; i++ {
+				at, origin, dl := 0.0, graph.NodeID(0), 14.0
+				if tc.jobs > 1 {
+					at, origin, dl = rng.Float64()*200, graph.NodeID(rng.Intn(topo.Len())), 16+rng.Float64()*24
+				}
+				if _, err := c.Submit(at, origin, g, dl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if v := c.Violations(); len(v) != 0 {
+				t.Errorf("preemptive=%v seed %d: %d violations, first: %s", tc.preemptive, seed, len(v), v[0])
+			}
+			if errs := CheckCluster(c, topo, tc.throughput, tc.preemptive); len(errs) != 0 {
+				t.Errorf("preemptive=%v seed %d: oracle found %d violations, first: %v", tc.preemptive, seed, len(errs), errs[0])
+			}
+		}
 	}
 }
 
@@ -106,7 +134,7 @@ func lineTopo() *graph.Graph {
 
 func TestOracleCatchesMissingTask(t *testing.T) {
 	j := synthJob(t, true)
-	execs := []core.TaskExecution{{Job: j, Task: 1, Site: 0, Start: 0, End: 2}}
+	execs := []core.TaskExecution{{JobID: j.ID, Task: 1, Site: 0, Start: 0, End: 2}}
 	errs := Check(lineTopo(), []*core.Job{j}, execs, 0, false)
 	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "never executed") {
 		t.Fatalf("missing task not caught: %v", errs)
@@ -116,8 +144,8 @@ func TestOracleCatchesMissingTask(t *testing.T) {
 func TestOracleCatchesDeadlineMiss(t *testing.T) {
 	j := synthJob(t, true)
 	execs := []core.TaskExecution{
-		{Job: j, Task: 1, Site: 0, Start: 0, End: 2},
-		{Job: j, Task: 2, Site: 0, Start: 99, End: 101},
+		{JobID: j.ID, Task: 1, Site: 0, Start: 0, End: 2},
+		{JobID: j.ID, Task: 2, Site: 0, Start: 99, End: 101},
 	}
 	errs := Check(lineTopo(), []*core.Job{j}, execs, 0, false)
 	found := false
@@ -136,8 +164,8 @@ func TestOracleCatchesPrecedenceViolation(t *testing.T) {
 	// Successor on the other site starts only 1.0 after the predecessor
 	// finishes, but the link delay is 1.5.
 	execs := []core.TaskExecution{
-		{Job: j, Task: 1, Site: 0, Start: 0, End: 2},
-		{Job: j, Task: 2, Site: 1, Start: 3, End: 5},
+		{JobID: j.ID, Task: 1, Site: 0, Start: 0, End: 2},
+		{JobID: j.ID, Task: 2, Site: 1, Start: 3, End: 5},
 	}
 	errs := Check(lineTopo(), []*core.Job{j}, execs, 0, false)
 	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "successor started") {
@@ -157,8 +185,8 @@ func TestOracleCatchesPrecedenceViolation(t *testing.T) {
 	}
 	jv := &core.Job{ID: "jv", Graph: g, Arrival: 0, AbsDeadline: 100, Outcome: core.AcceptedDistributed}
 	execsV := []core.TaskExecution{
-		{Job: jv, Task: 1, Site: 0, Start: 0, End: 2},
-		{Job: jv, Task: 2, Site: 1, Start: 3.5, End: 5.5}, // needs 2 + 1.5 + 3/2 = 5
+		{JobID: jv.ID, Task: 1, Site: 0, Start: 0, End: 2},
+		{JobID: jv.ID, Task: 2, Site: 1, Start: 3.5, End: 5.5}, // needs 2 + 1.5 + 3/2 = 5
 	}
 	if errs := Check(lineTopo(), []*core.Job{jv}, execsV, 2, false); len(errs) == 0 {
 		t.Fatal("volume-tightened precedence violation not caught")
@@ -168,8 +196,8 @@ func TestOracleCatchesPrecedenceViolation(t *testing.T) {
 func TestOracleCatchesOverlap(t *testing.T) {
 	j := synthJob(t, true)
 	execs := []core.TaskExecution{
-		{Job: j, Task: 1, Site: 0, Start: 0, End: 2},
-		{Job: j, Task: 2, Site: 0, Start: 1, End: 3},
+		{JobID: j.ID, Task: 1, Site: 0, Start: 0, End: 2},
+		{JobID: j.ID, Task: 2, Site: 0, Start: 1, End: 3},
 	}
 	errs := Check(lineTopo(), []*core.Job{j}, execs, 0, false)
 	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "overlapping") {
@@ -189,9 +217,9 @@ func TestOracleCatchesOverlap(t *testing.T) {
 func TestOracleCatchesDuplicateAndResidue(t *testing.T) {
 	j := synthJob(t, true)
 	execs := []core.TaskExecution{
-		{Job: j, Task: 1, Site: 0, Start: 0, End: 2},
-		{Job: j, Task: 1, Site: 1, Start: 0, End: 2},
-		{Job: j, Task: 2, Site: 0, Start: 10, End: 12},
+		{JobID: j.ID, Task: 1, Site: 0, Start: 0, End: 2},
+		{JobID: j.ID, Task: 1, Site: 1, Start: 0, End: 2},
+		{JobID: j.ID, Task: 2, Site: 0, Start: 10, End: 12},
 	}
 	errs := Check(lineTopo(), []*core.Job{j}, execs, 0, false)
 	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "executed twice") {
@@ -200,7 +228,7 @@ func TestOracleCatchesDuplicateAndResidue(t *testing.T) {
 
 	rej := synthJob(t, false)
 	rej.ID = "rej"
-	residue := []core.TaskExecution{{Job: rej, Task: 1, Site: 0, Start: 0, End: 2}}
+	residue := []core.TaskExecution{{JobID: rej.ID, Task: 1, Site: 0, Start: 0, End: 2}}
 	errs = Check(lineTopo(), []*core.Job{rej}, residue, 0, false)
 	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "left 1 task executions behind") {
 		t.Fatalf("residue not caught: %v", errs)
