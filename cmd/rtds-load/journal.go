@@ -1,10 +1,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -28,9 +28,8 @@ type journal struct {
 // what the node answering now remembers.
 func (j *journal) read(client *http.Client) error {
 	for {
-		var reply nodeapi.JournalReply
-		u := fmt.Sprintf("http://%s/jobs?since=%d&boot=%s", j.addr, j.cursor, url.QueryEscape(j.boot))
-		if err := getJSON(client, u, &reply); err != nil {
+		reply, err := nodeapi.ReadJournal(context.Background(), client, "http://"+j.addr, j.cursor, j.boot, 0)
+		if err != nil {
 			*j = journal{addr: j.addr}
 			return err
 		}

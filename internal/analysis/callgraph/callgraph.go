@@ -156,9 +156,6 @@ type Graph struct {
 // NodeOf returns the node for a declared function object, or nil.
 func (g *Graph) NodeOf(obj *types.Func) *Node { return g.byObj[obj] }
 
-// NodeOfLit returns the node for a function literal, or nil.
-func (g *Graph) NodeOfLit(lit *ast.FuncLit) *Node { return g.byLit[lit] }
-
 // Build constructs the call graph and per-function summaries for the given
 // packages (normally every package of one load — resolution quality
 // degrades gracefully if callees live outside the set: those calls are

@@ -34,10 +34,11 @@ import (
 // A host knows which sites it runs (c.sites[id] != nil) and nothing about
 // how many hosts there are: on every runtime a member learns a job only
 // from the initiator's CommitMsg, and a site drops a job's state once the
-// job can no longer touch it (see Site.exec and Site.ownJobs). What a host
-// keeps for its lifetime is the records of the jobs submitted to it, the
-// record log and its sites' plan reservations. Jobs are submitted at times
-// relative to the post-bootstrap epoch.
+// job can no longer touch it (see Site.exec and Site.ownJobs). Counters are
+// recorded with their facts, never re-derived from records (see tally).
+// What a host keeps for its lifetime is the records of the jobs submitted to
+// it, the record log and its sites' plan reservations. Jobs are submitted at
+// times relative to the post-bootstrap epoch.
 type Cluster struct {
 	cfg  Config
 	mcfg membership.Config // resolved membership configuration
@@ -55,13 +56,11 @@ type Cluster struct {
 	bootstrapMessages int64
 	bootstrapBytes    int64
 
-	mu         sync.Mutex // guards records (needed on the wall-clock transports)
+	mu         sync.Mutex // guards records and the sites' tallies (needed on the wall-clock transports)
 	jobs       []*Job
 	jobSeq     int
 	log        []Event       // the record stream, append-only (see record)
 	decideWake chan struct{} // closed at the next decision; nil while nobody waits
-	violated   int           // EvViolation records in log
-	disrupted  int           // EvDisruption records in log
 }
 
 // faultsOn reports whether this cluster runs with transport fault injection
@@ -259,6 +258,7 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 		job.remaining[id] = true
 	}
 	c.jobs = append(c.jobs, job)
+	site.tally.submitted++
 	c.mu.Unlock()
 	arrive := func() { site.jobArrives(job) }
 	if c.virtualTime() {
@@ -455,6 +455,37 @@ func (c *Cluster) Executions() []TaskExecution {
 	return out
 }
 
+// LatencyBounds are the upper bounds of the decision-latency buckets, in
+// time units of the protocol clock: a local decision lands in the first, a
+// distributed one costs a few link round trips.
+var LatencyBounds = [...]float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
+
+// tally is what one site has counted of the facts recorded at it. Submit,
+// record and adoptRouter update it under c.mu as they record; Summarize and
+// RoutingState only add tallies up, so no counter reads a retained record.
+type tally struct {
+	submitted, onTime, late      int               // jobs originated; accepted ones Done on time, late
+	outcomes                     [Rejected + 1]int // decisions by outcome
+	rejectedBy                   map[RejectStage]int
+	latency                      [len(LatencyBounds) + 1]int // decisions by bucket, as Summary.DecisionLatencies
+	latencySum                   float64
+	acsSum, acsN                 int // ACS sizes of the jobs that formed one
+	violations, disruptions      int
+	routingBytes, routingEntries int // the table's footprint at its last adoption
+}
+
+// completed counts j on time or late if it is accepted and Done. record calls
+// it at j's decision and at j's last completion, so it counts j once.
+func (t *tally) completed(j *Job) {
+	switch {
+	case !j.Done || !j.Accepted():
+	case j.MetDeadline():
+		t.onTime++
+	default:
+		t.late++
+	}
+}
+
 // Summary aggregates a run's outcomes.
 type Summary struct {
 	Submitted            int
@@ -468,14 +499,18 @@ type Summary struct {
 	AcceptedNotCompleted int
 	GuaranteeRatio       float64 // accepted / submitted
 	MeanDecisionLatency  float64 // over decided jobs
-	MeanACSSize          float64 // over distributed attempts
-	Messages             int64
-	Bytes                int64
-	MessagesPerJob       float64 // per-job protocol traffic (control excluded)
-	ControlMessages      int64   // membership + route-repair traversals (included in Messages)
-	ControlBytes         int64
-	Dropped              int64 // traversals discarded by the fault injector
-	Disruptions          int   // anomalies on a resilient cluster (faults or membership armed)
+	// DecisionLatencies counts decided jobs by latency: entry i those in
+	// (LatencyBounds[i-1], LatencyBounds[i]], the last those above them all.
+	DecisionLatencies [len(LatencyBounds) + 1]int
+	MeanACSSize       float64 // over distributed attempts
+	Messages          int64
+	Bytes             int64
+	MessagesPerJob    float64 // per-job protocol traffic (control excluded)
+	ControlMessages   int64   // membership + route-repair traversals (included in Messages)
+	ControlBytes      int64
+	Dropped           int64 // traversals discarded by the fault injector
+	Violations        int   // anomalies on a plain cluster (see Cluster.Violations)
+	Disruptions       int   // anomalies on a resilient cluster (faults or membership armed)
 	// Routing-state footprint (largest per-site table) and cross-region
 	// traffic. CrossRegionMessages is counted only on hierarchical clusters
 	// (flat clusters install no region boundary) and is always 0 when every
@@ -485,73 +520,64 @@ type Summary struct {
 	CrossRegionMessages int64
 }
 
-// Summarize computes the run summary. Call it after Run has drained.
+// Summarize adds up the local sites' tallies and reads the transport's
+// counters: O(sites), and safe while the host runs.
 func (c *Cluster) Summarize() Summary {
+	st := c.tr.Stats()
+	s := Summary{RejectedByStage: make(map[RejectStage]int), Messages: st.Messages(), Bytes: st.Bytes(),
+		ControlMessages: st.ControlMessages(), ControlBytes: st.ControlBytes(), Dropped: st.Dropped(),
+		CrossRegionMessages: st.CrossMessages()}
+	var latencySum float64 // per-site sums in site order: the same float on every kernel
+	var acsSum, acsN int
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Summary{RejectedByStage: make(map[RejectStage]int)}
-	var latencySum float64
-	var latencyN int
-	var acsSum, acsN float64
-	for _, j := range c.jobs {
-		s.Submitted++
-		switch j.Outcome {
-		case AcceptedLocal:
-			s.AcceptedLocal++
-		case AcceptedDistributed:
-			s.AcceptedDistributed++
-		case Rejected:
-			s.Rejected++
-			s.RejectedByStage[j.RejectStage]++
-		case Pending:
-			s.Undecided++
+	for _, site := range c.local {
+		t := &site.tally
+		s.Submitted += t.submitted
+		s.AcceptedLocal += t.outcomes[AcceptedLocal]
+		s.AcceptedDistributed += t.outcomes[AcceptedDistributed]
+		s.Rejected += t.outcomes[Rejected]
+		for stage, n := range t.rejectedBy {
+			s.RejectedByStage[stage] += n
 		}
-		if j.Outcome != Pending {
-			latencySum += j.DecisionAt - j.Arrival
-			latencyN++
+		s.CompletedOnTime += t.onTime
+		s.CompletedLate += t.late
+		for i, n := range t.latency {
+			s.DecisionLatencies[i] += n
 		}
-		if j.ACSSize > 0 {
-			acsSum += float64(j.ACSSize)
-			acsN++
-		}
-		if j.Accepted() {
-			switch {
-			case j.MetDeadline():
-				s.CompletedOnTime++
-			case j.Done:
-				s.CompletedLate++
-			default:
-				s.AcceptedNotCompleted++
-			}
-		}
+		latencySum += t.latencySum
+		acsSum, acsN = acsSum+t.acsSum, acsN+t.acsN
+		s.Violations += t.violations
+		s.Disruptions += t.disruptions
+		s.RoutingTableBytes = max(s.RoutingTableBytes, t.routingBytes)
+		s.RoutingEntries = max(s.RoutingEntries, t.routingEntries)
 	}
+	c.mu.Unlock()
+	accepted := s.AcceptedLocal + s.AcceptedDistributed
+	decided := accepted + s.Rejected
+	s.Undecided = s.Submitted - decided
+	s.AcceptedNotCompleted = accepted - s.CompletedOnTime - s.CompletedLate
 	if s.Submitted > 0 {
-		s.GuaranteeRatio = float64(s.AcceptedLocal+s.AcceptedDistributed) / float64(s.Submitted)
+		s.GuaranteeRatio = float64(accepted) / float64(s.Submitted)
 		// Per-job cost excludes control-plane traffic: heartbeats scale with
 		// time and topology, not with jobs, and folding them in would let a
 		// quiet cluster look expensive per job.
-		s.MessagesPerJob = float64(c.tr.Stats().Messages()-c.tr.Stats().ControlMessages()) /
-			float64(s.Submitted)
+		s.MessagesPerJob = float64(s.Messages-s.ControlMessages) / float64(s.Submitted)
 	}
-	if latencyN > 0 {
-		s.MeanDecisionLatency = latencySum / float64(latencyN)
+	if decided > 0 {
+		s.MeanDecisionLatency = latencySum / float64(decided)
 	}
 	if acsN > 0 {
-		s.MeanACSSize = acsSum / acsN
-	}
-	s.Messages = c.tr.Stats().Messages()
-	s.Bytes = c.tr.Stats().Bytes()
-	s.ControlMessages = c.tr.Stats().ControlMessages()
-	s.ControlBytes = c.tr.Stats().ControlBytes()
-	s.Dropped = c.tr.Stats().Dropped()
-	s.Disruptions = c.disrupted
-	s.CrossRegionMessages = c.tr.Stats().CrossMessages()
-	for _, site := range c.local {
-		st := site.routingState()
-		s.RoutingTableBytes = max(s.RoutingTableBytes, st[0])
-		s.RoutingEntries = max(s.RoutingEntries, st[1])
+		s.MeanACSSize = float64(acsSum) / float64(acsN)
 	}
 	return s
+}
+
+// RoutingState reports the largest per-site routing-state footprint across
+// the local sites — the hierarchy's O(√n) headline versus the flat table's
+// O(n) — as the sites tallied it. Zero before the bootstrap completes.
+func (c *Cluster) RoutingState() (maxBytes, maxEntries int) {
+	s := c.Summarize()
+	return s.RoutingTableBytes, s.RoutingEntries
 }
 
 // String renders the summary as a compact report.

@@ -174,8 +174,9 @@ func (e Event) anomaly() string {
 
 // record is the one writer of protocol facts. Under c.mu it applies the
 // fact to its job — ACS size, processor count, decision, task completion —
-// and appends it to the log: decisions and anomalies always, every other
-// kind only under Config.TraceEvents. At is the recording site's clock.
+// counts it in the recording site's tally, and appends it to the log:
+// decisions and anomalies always, every other kind only under
+// Config.TraceEvents. At is the recording site's clock.
 //
 //lint:hotpath -- every protocol phase of every job records a fact; untraced, a record must allocate nothing
 func (c *Cluster) record(e Event) {
@@ -191,10 +192,13 @@ func (c *Cluster) record(e Event) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, keep := e.job, c.cfg.TraceEvents
+	j, keep, t := e.job, c.cfg.TraceEvents, &c.sites[e.Site].tally
 	switch e.Kind {
-	case EvACSFixed:
+	case EvACSFixed: // once per job: its transaction closes enrollment once
 		j.ACSSize = e.N
+		if e.N > 0 {
+			t.acsSum, t.acsN = t.acsSum+e.N, t.acsN+1
+		}
 	case EvLocalOK:
 		j.NumProcs = 1
 	case EvMapped:
@@ -204,6 +208,16 @@ func (c *Cluster) record(e Event) {
 			panic(fmt.Sprintf("core: job %s decided twice (%v then %v)", j.ID, j.Outcome, e.Outcome))
 		}
 		j.Outcome, j.RejectStage, j.DecisionAt = e.Outcome, e.Stage, e.At
+		t.outcomes[e.Outcome]++
+		if e.Outcome == Rejected {
+			t.rejectedBy[e.Stage]++
+		}
+		b, latency := 0, e.At-j.Arrival
+		for b < len(LatencyBounds) && latency > LatencyBounds[b] {
+			b++
+		}
+		t.latency[b], t.latencySum = t.latency[b]+1, t.latencySum+latency
+		t.completed(j)
 		keep = true
 		if c.decideWake != nil { // a channel, not a timer: this package runs under the DES
 			close(c.decideWake)
@@ -215,14 +229,16 @@ func (c *Cluster) record(e Event) {
 		}
 		delete(j.remaining, e.Task)
 		j.CompletedAt = max(j.CompletedAt, e.T)
-		if j.Done = len(j.remaining) == 0; j.Done && keep {
+		j.Done = len(j.remaining) == 0
+		t.completed(j) // a retransmitted completion returned above
+		if j.Done && keep {
 			c.log = append(c.log, e)
 			e.Kind, e.T = EvJobDone, j.CompletedAt
 		}
 	case EvViolation:
-		c.violated, keep = c.violated+1, true
+		t.violations, keep = t.violations+1, true
 	case EvDisruption:
-		c.disrupted, keep = c.disrupted+1, true
+		t.disruptions, keep = t.disruptions+1, true
 	case EvArrival, EvDeferred, EvEnroll, EvEscalate, EvValidated, EvCommit, EvJobDone,
 		EvPhaseTimeout, EvLeaseExpired, EvAbortRetry, EvRouteRepair, EvRepairSettled,
 		EvMemberDead, EvMemberAlive, EvMemberRefute, EvMemberJoin, EvJoined, EvJoinFailed: // change no job

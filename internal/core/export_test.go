@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -91,3 +92,79 @@ func (s *Site) routeDigest() uint64 {
 }
 
 func writeWord(h hash.Hash64, v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+
+// walkSummary is Summarize as it was computed before the sites tallied their
+// facts: a walk over every job ever submitted, the log's anomalies and each
+// site's routing table, read directly. It is the reference the tallies are
+// held to (TestSummarizeMatchesWalk); call it after Run has drained.
+func (c *Cluster) walkSummary() Summary {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := Summary{RejectedByStage: make(map[RejectStage]int)}
+	var latencySum float64
+	var latencyN int
+	var acsSum, acsN float64
+	for _, j := range c.jobs {
+		s.Submitted++
+		switch j.Outcome {
+		case AcceptedLocal:
+			s.AcceptedLocal++
+		case AcceptedDistributed:
+			s.AcceptedDistributed++
+		case Rejected:
+			s.Rejected++
+			s.RejectedByStage[j.RejectStage]++
+		case Pending:
+			s.Undecided++
+		}
+		if j.Outcome != Pending {
+			latency := j.DecisionAt - j.Arrival
+			latencySum += latency
+			latencyN++
+			s.DecisionLatencies[sort.SearchFloat64s(LatencyBounds[:], latency)]++
+		}
+		if j.ACSSize > 0 {
+			acsSum += float64(j.ACSSize)
+			acsN++
+		}
+		if j.Accepted() {
+			switch {
+			case j.MetDeadline():
+				s.CompletedOnTime++
+			case j.Done:
+				s.CompletedLate++
+			default:
+				s.AcceptedNotCompleted++
+			}
+		}
+	}
+	st := c.tr.Stats()
+	if s.Submitted > 0 {
+		s.GuaranteeRatio = float64(s.AcceptedLocal+s.AcceptedDistributed) / float64(s.Submitted)
+		s.MessagesPerJob = float64(st.Messages()-st.ControlMessages()) / float64(s.Submitted)
+	}
+	if latencyN > 0 {
+		s.MeanDecisionLatency = latencySum / float64(latencyN)
+	}
+	if acsN > 0 {
+		s.MeanACSSize = acsSum / acsN
+	}
+	s.Messages, s.Bytes = st.Messages(), st.Bytes()
+	s.ControlMessages, s.ControlBytes = st.ControlMessages(), st.ControlBytes()
+	s.Dropped, s.CrossRegionMessages = st.Dropped(), st.CrossMessages()
+	for _, e := range c.log {
+		switch e.Kind {
+		case EvViolation:
+			s.Violations++
+		case EvDisruption:
+			s.Disruptions++
+		}
+	}
+	for _, site := range c.local {
+		if site.table != nil {
+			s.RoutingTableBytes = max(s.RoutingTableBytes, site.table.StateBytes())
+			s.RoutingEntries = max(s.RoutingEntries, site.table.StateEntries())
+		}
+	}
+	return s
+}

@@ -1,13 +1,18 @@
 package core_test
 
 import (
+	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/membership"
 	"repro/internal/dag"
 	"repro/internal/graph"
+	"repro/internal/metrics"
+	"repro/internal/nodeapi"
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
@@ -452,6 +457,134 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 			if rejected[id] {
 				t.Errorf("site %d retains reservations of rejected job %s", site, id)
 			}
+		}
+	}
+}
+
+// TestCountersReadWhileRunning: a node's counters are read while it runs —
+// one goroutine scrapes /metrics and calls Summarize and RoutingState over
+// and over while the node decides jobs and a membership repair, after a
+// neighbour's neighbour dies, makes it adopt a new routing table. Under
+// -race this is the check that no reader touches site state off the site's
+// goroutine. What the readers see only grows, and once the jobs are decided
+// the scrape and Summarize agree.
+func TestCountersReadWhileRunning(t *testing.T) {
+	topo := graph.Line(3, graph.UnitDelay, 1)
+	cfg := core.DefaultConfig()
+	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25, SuspectAfter: 100, RepairSettle: 25}
+	trs := make([]*wire.NetTransport, topo.Len())
+	addrs := make(map[graph.NodeID]string)
+	for id := range trs {
+		tr, err := wire.Listen(wire.NetConfig{Self: graph.NodeID(id), Topo: topo, Listen: "127.0.0.1:0", Scale: 100 * time.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		trs[id], addrs[graph.NodeID(id)] = tr, tr.Addr()
+	}
+	nodes := make([]*core.Node, len(trs))
+	for id, tr := range trs {
+		tr.SetPeers(addrs)
+		n, err := core.NewNode(topo, cfg, tr, graph.NodeID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = n
+	}
+	for _, tr := range trs {
+		tr.Start()
+	}
+	for _, n := range nodes {
+		n.StartBootstrap()
+	}
+	for id, n := range nodes {
+		if !n.WaitReady(30 * time.Second) {
+			t.Fatalf("node %d never finished the bootstrap", id)
+		}
+	}
+	for _, n := range nodes {
+		n.Seal()
+	}
+	node := nodes[0]
+	api := nodeapi.New(node)
+	api.SetReady()
+	scrape := func() string {
+		rec := httptest.NewRecorder()
+		api.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+	_, entries := node.RoutingState()
+
+	stop, read := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var last core.Summary
+		for reads := 0; ; reads++ {
+			select {
+			case <-stop:
+				if reads == 0 {
+					read <- fmt.Errorf("no read ran")
+				} else {
+					read <- nil
+				}
+				return
+			default:
+			}
+			scrape()
+			s := node.Summarize()
+			node.RoutingState()
+			if s.Submitted < last.Submitted || s.Undecided-s.Submitted > last.Undecided-last.Submitted || s.Messages < last.Messages {
+				read <- fmt.Errorf("counters went back: %v after %v", s, last)
+				return
+			}
+			last = s
+		}
+	}()
+
+	trs[2].Close() // site 1 declares it dead, and the repair reaches site 0
+	g := dag.NewBuilder("one").AddTask(1, 2).MustBuild()
+	deadline := time.Now().Add(30 * time.Second)
+	for submitted := 0; ; submitted++ {
+		if _, now := node.RoutingState(); now != entries && submitted >= 50 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("site 0 never adopted a repaired table")
+		}
+		if _, err := node.Submit(0, g, 0.5+float64(submitted%40)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for node.Summarize().Undecided > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("jobs left undecided")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+
+	series, err := metrics.ParseText([]byte(scrape()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, s := range series {
+		got[s.Name] = s.Value
+	}
+	s := node.Summarize()
+	for name, want := range map[string]int{
+		"rtds_node_jobs_total":                     s.Submitted,
+		"rtds_node_jobs_decided_total":             s.Submitted,
+		"rtds_node_decision_latency_seconds_count": s.Submitted,
+		"rtds_node_jobs_accepted_total":            s.AcceptedLocal + s.AcceptedDistributed,
+		"rtds_node_routing_entries":                s.RoutingEntries,
+		"rtds_node_routing_table_bytes":            s.RoutingTableBytes,
+	} {
+		if got[name] != float64(want) {
+			t.Errorf("%s = %v, Summarize says %d", name, got[name], want)
 		}
 	}
 }

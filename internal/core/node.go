@@ -21,18 +21,18 @@ import (
 // Lifecycle: NewNode (attach to the transport) → transport start →
 // StartBootstrap → WaitReady → Seal → Submit/serve until shutdown. The
 // transport is owned by the caller and must outlive the node. Probes (Ready,
-// Idle, RoutingState, Membership, ReservationJobIDs) run in the site's
-// execution context and report their zero value within probeTimeout when
-// the transport is closed or unresponsive.
+// Idle, Membership, ReservationJobIDs) run in the site's execution context
+// and report their zero value within probeTimeout when the transport is
+// closed or unresponsive.
 //
 // A share of a job's execution leaves the site when its last task here
 // completes, and a job's origin entry when the job is rejected or Done.
-// What the node keeps for its lifetime is the records of the jobs submitted
-// to it, the record log (untraced, the default: one entry per decision and
-// per anomaly) and the plan's reservations, past ones included; their
-// readers (the /jobs and /metrics control endpoints) pay only for what is
-// new. A node is therefore sized for bounded load campaigns, not unbounded
-// daemon uptime.
+// Its counters are its site's tally, recorded with their facts, so Summarize
+// (and /metrics) walks nothing. What the node keeps for its lifetime is the
+// records of the jobs submitted to it, the record log (untraced, the
+// default: one entry per decision and per anomaly; /jobs reads it by cursor)
+// and the plan's reservations, past ones included. A node is therefore sized
+// for bounded load campaigns, not unbounded daemon uptime.
 type Node struct {
 	c    *Cluster
 	site *Site
@@ -94,9 +94,8 @@ func (n *Node) Membership() membership.Snapshot {
 // Ready probes whether the PCS bootstrap has completed at this node.
 func (n *Node) Ready() bool { return n.c.ready() }
 
-// RoutingState probes the site's routing-table footprint (bytes and
-// entries) — the values behind the node's routing-state gauges. Zero before
-// the bootstrap completes.
+// RoutingState reports the site's routing-table footprint (bytes and
+// entries) as its tally holds it. Zero before the bootstrap completes.
 func (n *Node) RoutingState() (bytes, entries int) { return n.c.RoutingState() }
 
 // WaitReady polls Ready until the bootstrap completes or the timeout
@@ -163,15 +162,8 @@ func (n *Node) DecidedSince(cursor, limit int) (tail []JobStatus, next int, wake
 	return tail, next, n.c.decideWake
 }
 
-// JobCount reports how many jobs were submitted at this node.
-func (n *Node) JobCount() int {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return len(n.c.jobs)
-}
-
-// Summarize aggregates the locally-submitted jobs' outcomes. Message
-// counters are this node's share of the cluster traffic.
+// Summarize reads the site's tally and this node's share of the traffic
+// counters. Safe while the node runs.
 func (n *Node) Summarize() Summary { return n.c.Summarize() }
 
 // Stats exposes the post-Seal communication counters of this node.
@@ -182,11 +174,3 @@ func (n *Node) BootstrapCost() (messages, bytes int64) { return n.c.BootstrapCos
 
 // Violations lists causality violations detected at this node.
 func (n *Node) Violations() []string { return n.c.Violations() }
-
-// Anomalies counts the violations and disruptions recorded at this node.
-// A node with faults or membership armed records only disruptions.
-func (n *Node) Anomalies() (violations, disruptions int) {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	return n.c.violated, n.c.disrupted
-}

@@ -68,16 +68,6 @@ func (c *Cluster) ready() bool {
 	return probeAll(c, func(s *Site) bool { return s.table != nil })
 }
 
-// RoutingState reports the largest per-site routing-state footprint across
-// the local sites — the hierarchy's O(√n) headline versus the flat table's
-// O(n). Zero before the bootstrap completes or when the transport is closed.
-func (c *Cluster) RoutingState() (maxBytes, maxEntries int) {
-	for _, st := range probe(c, (*Site).routingState) {
-		maxBytes, maxEntries = max(maxBytes, st[0]), max(maxEntries, st[1])
-	}
-	return maxBytes, maxEntries
-}
-
 // MembershipSnapshots reports each local site's membership view; empty when
 // membership is disabled or the transport is closed.
 func (c *Cluster) MembershipSnapshots() []membership.Snapshot {

@@ -113,6 +113,9 @@ type Site struct {
 	// task completions: in once their tasks are committed (a local
 	// acceptance, or the commit dispatch), out when rejected or Done.
 	ownJobs map[string]*Job
+
+	// tally counts what is recorded at this site; guarded by cluster.mu.
+	tally tally
 }
 
 // activeTxn pairs one txn state machine with the job record it decides: the
@@ -145,6 +148,7 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 		aborts:        make(map[string]*txn.AbortRetry),
 		exec:          make(map[string]*execJob),
 		ownJobs:       make(map[string]*Job),
+		tally:         tally{rejectedBy: make(map[RejectStage]int)},
 	}
 	directSend := func(to graph.NodeID, p simnet.Payload) {
 		if err := c.tr.Send(id, to, p); err != nil {
@@ -224,11 +228,14 @@ func (s *Site) adoptIntra(t *routing.Table) {
 }
 
 // adoptRouter rebuilds the routing-derived state: sphere membership, sphere
-// delay diameter and the distance vector. Fresh slices are allocated every
-// time because the previous ones may still be referenced by in-flight
-// enrollAcks (receivers treat Dists as read-only).
+// delay diameter and the distance vector, and tallies the table's footprint.
+// Fresh slices are allocated every time because the previous ones may still
+// be referenced by in-flight enrollAcks (receivers treat Dists as read-only).
 func (s *Site) adoptRouter(t routing.Router) {
 	s.table = t
+	s.cluster.mu.Lock()
+	s.tally.routingBytes, s.tally.routingEntries = t.StateBytes(), t.StateEntries()
+	s.cluster.mu.Unlock()
 	radius := s.cluster.cfg.Radius
 	s.pcs = nil
 	for _, m := range t.Sphere(radius) {
@@ -274,14 +281,6 @@ func (s *Site) finishBootstrap() error {
 		return fmt.Errorf("core: site %d never finished PCS construction", s.id)
 	}
 	return nil
-}
-
-// routingState reports the routing-table footprint as {bytes, entries}.
-func (s *Site) routingState() [2]int {
-	if s.table == nil {
-		return [2]int{}
-	}
-	return [2]int{s.table.StateBytes(), s.table.StateEntries()}
 }
 
 // idle reports whether the site has released its lock, drained its deferred

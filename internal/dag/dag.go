@@ -415,17 +415,6 @@ func (g *Graph) EdgeVolume(from, to TaskID) float64 {
 	return g.vol[[2]TaskID{from, to}]
 }
 
-// MaxEdgeVolume returns the largest data volume on any edge.
-func (g *Graph) MaxEdgeVolume() float64 {
-	var m float64
-	for _, v := range g.vol {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // PriorityOrder returns the list-scheduling order of paper §12: repeatedly
 // pick, among free tasks (all predecessors already ordered), the one with
 // the largest bottom-level priority, ties to the smallest ID. The result is

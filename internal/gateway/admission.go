@@ -126,21 +126,19 @@ type Admitter struct {
 
 	// p99 is the cluster's current decision latency in seconds, fed by the
 	// reconcile tick from Backend.Stats (0 when the cluster is not slow
-	// now). A submission whose relative deadline is below laxityFactor×p99
-	// is refused: the protocol would spend the job's whole laxity deciding,
-	// and the surplus-based offer phase would reject it anyway after
-	// burning cluster messages.
-	p99          float64
-	laxityFactor float64
+	// now). A submission whose relative deadline is below p99 is refused:
+	// the protocol would spend the job's whole laxity deciding, and the
+	// surplus-based offer phase would reject it anyway after burning
+	// cluster messages.
+	p99 float64
 }
 
 // NewAdmitter builds an admitter over the given tenant quotas. The clock
 // defaults to time.Now; tests override it via SetClock.
 func NewAdmitter(quotas map[string]Quota) *Admitter {
 	a := &Admitter{
-		tenants:      make(map[string]*tenantState, len(quotas)),
-		now:          time.Now,
-		laxityFactor: 1.0,
+		tenants: make(map[string]*tenantState, len(quotas)),
+		now:     time.Now,
 	}
 	for name, q := range quotas {
 		a.tenants[name] = &tenantState{quota: q, tokens: q.Burst}
@@ -217,7 +215,7 @@ func (a *Admitter) Admit(tenant string, deadline float64) Decision {
 	// Laxity gate first: it does not depend on this tenant's budget, and
 	// refusing here must not burn a token the client will need when the
 	// cluster drains.
-	if a.p99 > 0 && deadline < a.laxityFactor*a.p99 {
+	if a.p99 > 0 && deadline < a.p99 {
 		return Decision{Reason: "laxity", RetryAfter: secondsToDuration(a.p99)}
 	}
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"maps"
 	"net/http"
-	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/nodeapi"
 )
 
 // Backend is the gateway's view of the RTDS cluster: submit a job, poll
@@ -280,21 +280,8 @@ func (b *HTTPBackend) Decisions() (map[string]BackendDecision, error) {
 // request at the node for up to wait while there are none, then advances
 // the cursor and settles what the node still owes. Callers hold nd.reading.
 func (b *HTTPBackend) readJournal(ctx context.Context, nd *backendNode, wait time.Duration) (map[string]BackendDecision, error) {
-	u := fmt.Sprintf("%s/jobs?since=%d&boot=%s", nd.base, nd.cursor, url.QueryEscape(nd.boot))
-	if wait > 0 {
-		u += "&wait=" + wait.String()
-	}
-	var reply struct {
-		Boot string `json:"boot"`
-		Next int    `json:"next"`
-		Jobs []struct {
-			ID         string  `json:"id"`
-			Outcome    string  `json:"outcome"`
-			Arrival    float64 `json:"arrival"`
-			DecisionAt float64 `json:"decision_at"`
-		} `json:"jobs"`
-	}
-	if err := b.getJSON(ctx, u, &reply); err != nil {
+	reply, err := nodeapi.ReadJournal(ctx, b.client, nd.base, nd.cursor, nd.boot, wait)
+	if err != nil {
 		return nil, err
 	}
 	restarted := nd.boot != "" && reply.Boot != nd.boot
@@ -306,7 +293,7 @@ func (b *HTTPBackend) readJournal(ctx context.Context, nd *backendNode, wait tim
 	out := make(map[string]BackendDecision, len(reply.Jobs))
 	var latencies []float64
 	for _, j := range reply.Jobs {
-		d := BackendDecision{Outcome: j.Outcome, Latency: j.DecisionAt - j.Arrival}
+		d := BackendDecision{Outcome: j.OutcomeName, Latency: j.DecisionAt - j.Arrival}
 		out[j.ID] = d
 		if fresh && d.Decided() {
 			latencies = append(latencies, d.Latency)
@@ -436,20 +423,4 @@ func (b *HTTPBackend) probe(u string) error {
 		return fmt.Errorf("%s: %s", u, resp.Status)
 	}
 	return nil
-}
-
-func (b *HTTPBackend) getJSON(ctx context.Context, u string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", u, resp.Status)
-	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(v)
 }

@@ -3,7 +3,6 @@ package joblog
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -18,9 +17,9 @@ import (
 //
 // Strings and Graph are a uvarint length and their bytes (Graph is the
 // submitted JSON, verbatim); Seq is a uvarint; At, Deadline and
-// DecisionLatency are little-endian float64 bits. A body that starts with
-// '{' is a JSON-encoded Record, the format of logs written before this one:
-// it is still read, and never written.
+// DecisionLatency are little-endian float64 bits. Any other body, such as
+// the JSON-encoded Record of logs written before this layout, does not
+// decode, so a log that holds one is refused (ErrCorrupt).
 const bodyVersion = 1
 
 // recordTypes are the record types by type byte: a type's byte is its index
@@ -96,9 +95,6 @@ var (
 // are valid only while body is, and whoever keeps one past that copies it
 // (Record.clone, Replay.fold). Nothing is allocated for a binary body.
 func decodeBody(body []byte, rec *Record) error {
-	if len(body) > 0 && body[0] == '{' {
-		return json.Unmarshal(body, rec)
-	}
 	if len(body) < 2 {
 		return errShortBody
 	}

@@ -9,8 +9,7 @@
 // a version byte, a type byte, then the fields as length-prefixed bytes,
 // uvarints and float64s. Recovery reads it without parsing any JSON.
 // Ids, keys, outcomes and each submitted graph's JSON are stored as plain
-// bytes, so grep and strings still find a job in the file. Bodies written
-// as JSON, by versions before this layout, are still read.
+// bytes, so grep and strings still find a job in the file.
 //
 // The file is a checkpoint followed by a tail. The checkpoint is the fold of
 // the history before it, one TypeFolded record per job, and the tail is the

@@ -19,15 +19,10 @@ import (
 )
 
 // refDecode is the tests' own reading of a record body, written apart from
-// decodeBody so that the reference below is a second implementation: a JSON
-// body goes to encoding/json, and a binary one is read through a
-// bytes.Reader with the io-based helpers of encoding/binary.
+// decodeBody so that the reference below is a second implementation: it
+// reads through a bytes.Reader with the io-based helpers of encoding/binary.
 func refDecode(body []byte) (Record, error) {
 	var rec Record
-	if len(body) > 0 && body[0] == '{' {
-		err := json.Unmarshal(body, &rec)
-		return rec, err
-	}
 	r := bytes.NewReader(body)
 	var bad error
 	fail := func(err error) {
@@ -323,7 +318,7 @@ func addReplaySeeds(f *testing.F, files ...string) {
 // not panic, must agree with the reference, and so can never yield a record
 // from behind a frame that failed its CRC.
 func FuzzReplay(f *testing.F) {
-	addReplaySeeds(f, "parent.wal", "checkpoint.wal") // parent.wal: the JSON-bodied log of the format before
+	addReplaySeeds(f, "checkpoint.wal")
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 32<<10 {
@@ -355,7 +350,7 @@ func FuzzReplay(f *testing.F) {
 // the fold: the image's records, appended anew in two sessions whose log
 // compacts as it goes and at each end, recover to the same state.
 func FuzzRecover(f *testing.F) {
-	addReplaySeeds(f, "parent.wal", "v1.wal", "checkpoint.wal")
+	addReplaySeeds(f, "v1.wal", "checkpoint.wal")
 	dir := f.TempDir()
 	path := filepath.Join(dir, "image")
 	load := func(t *testing.T, data []byte) {
@@ -396,11 +391,6 @@ func FuzzRecover(f *testing.F) {
 
 		if wantErr != nil {
 			return
-		}
-		for _, r := range records {
-			if typeByte(r.Type) == 0 {
-				return // a JSON body of a type the writer does not take
-			}
 		}
 		compacted := filepath.Join(dir, "compacted")
 		if err := os.Remove(compacted); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -577,17 +567,10 @@ func TestRecoverAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
-// A log of JSON bodies, written by the commit before the streaming replay
-// (testdata/parent.wal, by its Append), recovers to the state that commit's
-// Open and Summarize gave, and so does testdata/v1.wal, the same records as
-// the first binary writer framed them. Today's writer frames them into
-// v1.wal's bytes, and a JSON log that a binary writer appends to recovers
-// whole.
+// testdata/v1.wal, four jobs as the first binary writer framed them,
+// recovers to the state the JSON-bodied log of the same records gave before
+// it, and today's writer frames those records into v1.wal's bytes.
 func TestParentFormatReplays(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "parent.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -627,9 +610,8 @@ func TestParentFormatReplays(t *testing.T) {
 		return l
 	}
 	recoverImage("v1.wal", v1).Close()
-	l := recoverImage("parent.wal", golden)
 
-	records, _, err := scan(golden)
+	records, _, err := scan(v1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,20 +622,50 @@ func TestParentFormatReplays(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(rewritten, v1) {
-		t.Error("today's writer frames the parent's records into bytes other than v1.wal's")
+		t.Error("today's writer frames v1.wal's records into other bytes")
 	}
+}
 
-	// The JSON log, recovered and appended to in the binary format.
-	if err := l.AppendNoWait(Record{Type: TypeDecided, ID: "g2", Outcome: "rejected"}); err != nil {
+// A log whose bodies are JSON, the layout before the binary one, is refused
+// with ErrCorrupt by Open and by Recover, whether the JSON record is the
+// whole log, the first of a binary log or its last: it is never replayed,
+// and never taken for a torn tail.
+func TestJSONBodiesAreRefused(t *testing.T) {
+	rec, err := json.Marshal(Record{Type: TypeSubmitted, ID: "g1", Seq: 1, Tenant: "acme", Deadline: 40,
+		Graph: json.RawMessage(`{"name":"g"}`)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
+	jsonFrame := rawFrame(rec)
+	binary, err := appendFrame(nil, Record{Type: TypeDecided, ID: "g1", Outcome: "rejected"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	l, mixed := openOrDie(t, path, Options{NoSync: true})
-	defer l.Close()
-	if len(mixed) != len(records)+1 || !reflect.DeepEqual(mixed[:len(records)], records) || mixed[len(records)].Outcome != "rejected" {
-		t.Errorf("a JSON log with a binary record appended recovered as %+v", mixed)
+	path := filepath.Join(t.TempDir(), "joblog")
+	for name, image := range map[string][]byte{
+		"json only":  jsonFrame,
+		"json first": append(append([]byte(nil), jsonFrame...), binary...),
+		"json last":  append(append([]byte(nil), binary...), jsonFrame...),
+		"two json":   append(append([]byte(nil), jsonFrame...), jsonFrame...),
+	} {
+		for _, open := range []struct {
+			what string
+			run  func() (*Log, error)
+		}{
+			{"Open", func() (*Log, error) { l, _, err := Open(path, Options{NoSync: true}); return l, err }},
+			{"Recover", func() (*Log, error) { l, _, err := Recover(path, Options{NoSync: true}); return l, err }},
+		} {
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := open.run()
+			if err == nil {
+				l.Close()
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s of %s: error %v, want ErrCorrupt", open.what, name, err)
+			}
+		}
 	}
 }
 

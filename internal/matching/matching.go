@@ -38,10 +38,6 @@ func (b *Bipartite) AddEdge(l, r int) {
 	b.adj[l] = append(b.adj[l], r)
 }
 
-// Left and Right report the side sizes.
-func (b *Bipartite) Left() int  { return b.left }
-func (b *Bipartite) Right() int { return b.right }
-
 // Result is a maximum matching. MatchL[l] is the right node matched to l, or
 // -1; MatchR is the inverse.
 type Result struct {

@@ -128,17 +128,21 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram
 	return f.histogram(nil)
 }
 
-// NewUnregisteredHistogram returns a histogram that belongs to no registry,
-// for state that outlives the registries built to render it (AddHistogram).
-func NewUnregisteredHistogram(buckets []float64) *Histogram {
-	buckets = checkBuckets("unregistered", buckets)
-	return &Histogram{buckets: buckets, counts: make([]uint64, len(buckets))}
-}
-
-// AddHistogram registers h, built by NewUnregisteredHistogram, as a
-// label-less histogram family with h's buckets.
-func (r *Registry) AddHistogram(name, help string, h *Histogram) {
-	r.register(name, help, KindHistogram, nil, h.buckets).child(nil, func() child { return h })
+// AddHistogram registers a label-less histogram of observations counted
+// elsewhere: counts[i] of them at most buckets[i] and above the bound
+// before it, counts[len(buckets)] above every bound, summing to sum.
+func (r *Registry) AddHistogram(name, help string, buckets []float64, counts []int, sum float64) {
+	if len(counts) != len(buckets)+1 {
+		panic(fmt.Sprintf("metrics: histogram %q has %d counts for %d buckets", name, len(counts), len(buckets)))
+	}
+	h := r.NewHistogram(name, help, buckets)
+	for i, n := range counts {
+		h.count += uint64(n)
+		if i < len(buckets) {
+			h.counts[i] = h.count
+		}
+	}
+	h.sum = sum
 }
 
 func checkBuckets(name string, buckets []float64) []float64 {

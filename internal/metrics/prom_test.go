@@ -106,15 +106,12 @@ func TestValidateTextRejectsGarbage(t *testing.T) {
 }
 
 // ParseText reads back what WriteTo renders: every sample, its labels
-// unescaped, and a histogram kept outside the registry that renders it.
+// unescaped, and a histogram whose observations were counted elsewhere.
 func TestParseTextReadsExposition(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounterVec("p_total", "p", "kind").With(`a"b\c` + "\n").Add(3)
 	r.NewGauge("p_gauge", "g").Set(-1.5)
-	h := NewUnregisteredHistogram([]float64{1, 2})
-	h.Observe(1.5)
-	h.Observe(7)
-	r.AddHistogram("p_seconds", "h", h)
+	r.AddHistogram("p_seconds", "h", []float64{1, 2}, []int{0, 1, 1}, 8.5)
 	series, err := ParseText([]byte(r.Expose()))
 	if err != nil {
 		t.Fatal(err)

@@ -12,15 +12,19 @@
 // keeps its cursor learns of a decision when it is made and pays for new
 // decisions only. The boot token names this process: a reader whose token
 // is stale (the node restarted, its journal is empty) is restarted at 0, and
-// so is a GET /jobs without a cursor. /metrics folds the same journal a tail
-// at a time into its decision counters and latency histogram.
+// so is a GET /jobs without a cursor. /metrics renders the node's
+// Summarize: the counters core records with their facts in the site's
+// tally, and the transport's. The server keeps no counter of its own.
 package nodeapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -30,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -43,14 +46,6 @@ type Server struct {
 	boot        string        // names this process to journal readers
 	release     chan struct{} // closed by ReleaseWaiters
 	releaseOnce sync.Once
-
-	// What /metrics knows of the decision journal so far: a cursor, two
-	// counts and a fixed-bucket histogram, whatever the history.
-	foldMu   sync.Mutex
-	cursor   int
-	decided  int
-	accepted int
-	latency  *metrics.Histogram
 }
 
 // maxWait bounds how long GET /jobs?since= holds a request open. It stays
@@ -71,7 +66,6 @@ func New(node *core.Node) *Server {
 		mux:     http.NewServeMux(),
 		boot:    strconv.FormatInt(time.Now().UnixNano(), 36),
 		release: make(chan struct{}),
-		latency: newLatencyHistogram(),
 	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -187,6 +181,27 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, JournalReply{Boot: s.boot, Next: next, Jobs: tail})
+}
+
+// ReadJournal reads one page of the decision journal of the node at base
+// ("http://host:port"): the decisions after cursor in the process boot
+// names, held at the node for up to wait while there are none (0 answers at
+// once). The gateway and rtds-load read nodes through it.
+func ReadJournal(ctx context.Context, client *http.Client, base string, cursor int, boot string, wait time.Duration) (reply JournalReply, err error) {
+	u := fmt.Sprintf("%s/jobs?since=%d&boot=%s&wait=%s", base, cursor, url.QueryEscape(boot), wait)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return reply, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return reply, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return reply, fmt.Errorf("GET %s: %s", u, resp.Status)
+	}
+	return reply, json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&reply) // a page is about 1 MB
 }
 
 func (s *Server) handleReservations(w http.ResponseWriter, r *http.Request) {

@@ -199,7 +199,7 @@ func TestControlPlane(t *testing.T) {
 			t.Fatalf("%s submit: status %d, want %d", bad.name, resp.StatusCode, bad.want)
 		}
 	}
-	if n := serverOf(t, srv0).node.JobCount(); n != 1 {
+	if n := serverOf(t, srv0).node.Summarize().Submitted; n != 1 {
 		t.Fatalf("refused submissions left %d jobs on the node, want the 1 accepted", n)
 	}
 
@@ -263,8 +263,7 @@ func TestControlPlane(t *testing.T) {
 // docs/metrics.md is tested against).
 func TestMetricNamesCoverLiveScrape(t *testing.T) {
 	live := buildPromRegistry(snapshot{
-		ready: true, messages: 3, byKind: map[string]int64{"rtds.enroll": 2},
-		latency: newLatencyHistogram(),
+		ready: true, sum: core.Summary{Messages: 3}, byKind: map[string]int64{"rtds.enroll": 2},
 	}).Names()
 	declared := make(map[string]bool)
 	for _, n := range MetricNames() {
@@ -293,7 +292,7 @@ func serverOf(t *testing.T, ts *httptest.Server) *Server {
 func submitJobs(t *testing.T, srv *httptest.Server, rng *rand.Rand, n int) {
 	t.Helper()
 	node := serverOf(t, srv).node
-	want := node.JobCount() + n
+	want := node.Summarize().Submitted + n
 	for i := 0; i < n; i++ {
 		g := dag.NewBuilder("job").AddTask(1, 1+4*rng.Float64()).MustBuild()
 		graphJSON, err := json.Marshal(g)
@@ -554,7 +553,7 @@ func scrapeFold(t *testing.T, srv *httptest.Server) (counts map[string]float64, 
 // history.
 func foldFromScratch(node *core.Node) (counts map[string]float64, buckets []float64) {
 	counts = make(map[string]float64)
-	buckets = make([]float64, len(latencyBuckets)+1)
+	buckets = make([]float64, len(core.LatencyBounds)+1)
 	for _, j := range node.JobStatuses() {
 		counts["rtds_node_jobs_total"]++
 		if j.Outcome == core.Pending {
@@ -567,20 +566,20 @@ func foldFromScratch(node *core.Node) (counts map[string]float64, buckets []floa
 		latency := j.DecisionAt - j.Arrival
 		counts["rtds_node_decision_latency_seconds_count"]++
 		counts["rtds_node_decision_latency_seconds_sum"] += latency
-		for i, ub := range latencyBuckets {
+		for i, ub := range core.LatencyBounds {
 			if latency <= ub {
 				buckets[i]++
 			}
 		}
-		buckets[len(latencyBuckets)]++
+		buckets[len(core.LatencyBounds)]++
 	}
 	return counts, buckets
 }
 
-// /metrics folds the journal in a tail at a time; whatever the tails were
-// (rounds of random size, each scraped one to three times), its decision
-// counters and histogram must be the ones a recomputation over the whole
-// history gives.
+// /metrics renders the node's tally; whatever the rounds of submissions
+// (of random size, each scraped one to three times), its decision counters
+// and histogram must be the ones a recomputation over the whole history
+// gives.
 func TestMetricsFoldMatchesRecomputation(t *testing.T) {
 	srv0, _, cleanup := startPair(t)
 	defer cleanup()
@@ -612,5 +611,83 @@ func TestMetricsFoldMatchesRecomputation(t *testing.T) {
 	}
 	if acc := got["rtds_node_jobs_accepted_total"]; acc == 0 || acc == got["rtds_node_jobs_decided_total"] {
 		t.Errorf("the workload did not mix outcomes: %v of %v accepted", acc, got["rtds_node_jobs_decided_total"])
+	}
+}
+
+// After a run, every counter and gauge /metrics renders is the node's
+// Summarize, and the latency histogram counts every decided job: the scrape
+// and the Summary are one computation. Message counters keep moving with
+// the membership heartbeats, so they are held between a Summarize taken
+// before the scrape and one taken after.
+func TestMetricsAreTheSummary(t *testing.T) {
+	srv0, _, cleanup := startPair(t)
+	defer cleanup()
+	api := serverOf(t, srv0)
+	api.SetReady()
+	submitJobs(t, srv0, rand.New(rand.NewSource(3)), 30)
+
+	before := api.node.Summarize()
+	resp, err := http.Get(srv0.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := api.node.Summarize()
+	series, err := metrics.ParseText(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	var buckets []float64
+	for _, s := range series {
+		if s.Name == "rtds_node_decision_latency_seconds_bucket" {
+			buckets = append(buckets, s.Value)
+			continue
+		}
+		got[s.Name] = s.Value
+	}
+
+	decided := after.Submitted - after.Undecided
+	for name, want := range map[string]int{
+		"rtds_node_jobs_total":                     after.Submitted,
+		"rtds_node_jobs_decided_total":             decided,
+		"rtds_node_jobs_accepted_total":            after.AcceptedLocal + after.AcceptedDistributed,
+		"rtds_node_violations_total":               after.Violations,
+		"rtds_node_disruptions_total":              after.Disruptions,
+		"rtds_node_routing_table_bytes":            after.RoutingTableBytes,
+		"rtds_node_routing_entries":                after.RoutingEntries,
+		"rtds_node_decision_latency_seconds_count": decided,
+	} {
+		if got[name] != float64(want) {
+			t.Errorf("%s = %v, Summarize says %d", name, got[name], want)
+		}
+	}
+	for name, bound := range map[string][2]int64{
+		"rtds_node_messages_total": {before.Messages, after.Messages},
+		"rtds_node_bytes_total":    {before.Bytes, after.Bytes},
+		"rtds_node_dropped_total":  {before.Dropped, after.Dropped},
+	} {
+		if v := got[name]; v < float64(bound[0]) || v > float64(bound[1]) {
+			t.Errorf("%s = %v, Summarize says %d before the scrape and %d after", name, v, bound[0], bound[1])
+		}
+	}
+	var cumulative []float64
+	n := 0
+	for _, c := range after.DecisionLatencies {
+		n += c
+		cumulative = append(cumulative, float64(n))
+	}
+	if !slices.Equal(buckets, cumulative) {
+		t.Errorf("latency buckets %v, Summarize's cumulative %v", buckets, cumulative)
+	}
+	if sum, want := got["rtds_node_decision_latency_seconds_sum"], after.MeanDecisionLatency*float64(decided); math.Abs(sum-want) > 1e-9*want {
+		t.Errorf("latency sum %v, want %v", sum, want)
+	}
+	if decided != 30 || after.Submitted != 30 {
+		t.Fatalf("%d of %d jobs decided, want 30 of 30", decided, after.Submitted)
 	}
 }

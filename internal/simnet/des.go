@@ -87,7 +87,7 @@ type DES struct {
 	deliver  sim.Delivery // d.dispatch, bound once: every in-flight message names it
 	stats    *Stats
 	shard    []*Stats // per site: its partition's shard
-	faults   *faultState
+	faults   *Injector
 }
 
 // NewDES builds a DES transport over the topology. The caller drives the
@@ -139,7 +139,7 @@ func (d *DES) SetFaults(plan FaultPlan, epoch float64) {
 	if (plan.Loss > 0 || plan.MaxJitter > 0) && d.kernel.Parts() > 1 {
 		panic("simnet: loss/jitter fault plans require a single-partition kernel")
 	}
-	d.faults = newFaultState(plan, epoch)
+	d.faults = NewInjector(plan, epoch)
 }
 
 // Send implements Transport. It runs in the sending site's execution
@@ -159,7 +159,7 @@ func (d *DES) Send(from, to graph.NodeID, p Payload) error {
 		// Crash windows are evaluated purely; loss and jitter draw in global
 		// send order, on a single partition by construction (see SetFaults).
 		var dropped bool
-		if delay, dropped = d.faults.perturb(from, to, now, delay); dropped {
+		if delay, dropped = d.faults.Perturb(from, to, now, delay); dropped {
 			sh.Drop()
 			return nil
 		}

@@ -74,23 +74,26 @@ func (p FaultPlan) Validate(n int) error {
 	return nil
 }
 
-// faultState is the per-transport injector. The mutex serializes the rand
+// Injector applies a FaultPlan: the DES transport's, and the wire package's
+// TCP transport's, which perturbs traversals at the socket layer with the
+// same semantics. Safe for concurrent use: the mutex serializes the rand
 // source on the wall-clock transport, whose sites send concurrently; the
 // DES transport calls from a single goroutine, where lock cost is
 // negligible next to determinism.
-type faultState struct {
+type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	plan  FaultPlan
 	epoch float64
 }
 
-func newFaultState(plan FaultPlan, epoch float64) *faultState {
-	return &faultState{rng: rand.New(rand.NewSource(plan.Seed)), plan: plan, epoch: epoch}
+// NewInjector arms a fault plan whose times are relative to epoch.
+func NewInjector(plan FaultPlan, epoch float64) *Injector {
+	return &Injector{rng: rand.New(rand.NewSource(plan.Seed)), plan: plan, epoch: epoch}
 }
 
 // down reports whether a site is inside one of its crash windows at time t.
-func (f *faultState) down(site graph.NodeID, t float64) bool {
+func (f *Injector) down(site graph.NodeID, t float64) bool {
 	for _, c := range f.plan.Crashes {
 		if c.Site != site {
 			continue
@@ -106,14 +109,14 @@ func (f *faultState) down(site graph.NodeID, t float64) bool {
 	return false
 }
 
-// perturb decides the fate of one traversal sent at time `at` with base link
+// Perturb decides the fate of one traversal sent at time `at` with base link
 // delay `delay`: it returns the (possibly jittered) delay and whether the
 // traversal is dropped. Crash windows are pure functions of (site, time):
 // a plan with crashes only takes no lock and consumes no randomness, so it
 // is reproducible without regard to traffic interleaving and safe to
 // evaluate from concurrent simulation partitions. Loss and jitter draw from
 // the seeded source in send order.
-func (f *faultState) perturb(from, to graph.NodeID, at, delay float64) (float64, bool) {
+func (f *Injector) Perturb(from, to graph.NodeID, at, delay float64) (float64, bool) {
 	if f.down(from, at) || f.down(to, at+delay) {
 		return delay, true
 	}
@@ -129,22 +132,4 @@ func (f *faultState) perturb(from, to graph.NodeID, at, delay float64) (float64,
 		delay += f.rng.Float64() * f.plan.MaxJitter
 	}
 	return delay, false
-}
-
-// Injector applies a FaultPlan for transports implemented outside this
-// package (the wire package's TCP transport perturbs traversals at the
-// socket layer with exactly the semantics the DES transport implements).
-// Safe for concurrent use.
-type Injector struct{ st *faultState }
-
-// NewInjector arms a fault plan whose times are relative to epoch.
-func NewInjector(plan FaultPlan, epoch float64) *Injector {
-	return &Injector{st: newFaultState(plan, epoch)}
-}
-
-// Perturb decides the fate of one link traversal sent at time `at` with
-// base delay `delay`: it returns the (possibly jittered) delay and whether
-// the traversal is dropped.
-func (i *Injector) Perturb(from, to graph.NodeID, at, delay float64) (float64, bool) {
-	return i.st.perturb(from, to, at, delay)
 }

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/dag"
@@ -174,10 +173,4 @@ func ExpectedWorkPerJob(s Spec, samples int) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// Quantize rounds v to q decimal places; used when comparing measured loads.
-func Quantize(v float64, q int) float64 {
-	p := math.Pow(10, float64(q))
-	return math.Round(v*p) / p
 }
