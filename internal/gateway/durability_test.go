@@ -32,6 +32,17 @@ func readLog(t *testing.T, path string) []joblog.Record {
 	return records
 }
 
+// clientKeys is how many jobs the table finds by their client key.
+func clientKeys(s *Server) int {
+	n := 0
+	for _, j := range s.jobs.Jobs {
+		if j.Submitted.ClientKey != "" && s.jobs.Keyed(j.Submitted.Tenant, j.Submitted.ClientKey) == j {
+			n++
+		}
+	}
+	return n
+}
+
 func countRecords(records []joblog.Record, typ joblog.RecordType, id string) int {
 	n := 0
 	for _, r := range records {
@@ -84,7 +95,7 @@ func TestConcurrentClientKeyOneJob(t *testing.T) {
 		t.Errorf("%d posts: %d x 202 and %d x 200, want 1 and %d", posts, accepted, duplicates, posts-1)
 	}
 	s.mu.Lock()
-	jobs, reserving := len(s.jobs), len(s.reserving)
+	jobs, reserving := len(s.jobs.Jobs), len(s.reserving)
 	s.mu.Unlock()
 	if jobs != 1 || reserving != 0 {
 		t.Errorf("the server holds %d jobs and %d reservations, want 1 and 0", jobs, reserving)
@@ -110,8 +121,8 @@ func TestFailedAppendReleasesClientKey(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.jobs) != 0 || len(s.byClientKey) != 0 || len(s.reserving) != 0 {
-		t.Errorf("failed submissions left %d jobs, %d keys, %d reservations", len(s.jobs), len(s.byClientKey), len(s.reserving))
+	if len(s.jobs.Jobs) != 0 || clientKeys(s) != 0 || len(s.reserving) != 0 {
+		t.Errorf("failed submissions left %d jobs, %d keys, %d reservations", len(s.jobs.Jobs), clientKeys(s), len(s.reserving))
 	}
 }
 
@@ -175,17 +186,18 @@ func TestGraphHeldOnlyWhileQueued(t *testing.T) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		queued, rest := 0, 0
-		for id, j := range s.jobs {
-			if j.State == StateQueued {
+		for _, j := range s.jobs.Jobs {
+			id, graph, state := j.Submitted.ID, j.Submitted.Graph, jobOf(j).State
+			if state == StateQueued {
 				queued++
-				if string(j.graph) != testGraph {
-					t.Errorf("queued job %s holds %q, not its graph", id, j.graph)
+				if string(graph) != testGraph {
+					t.Errorf("queued job %s holds %q, not its graph", id, graph)
 				}
 				continue
 			}
 			rest++
-			if j.graph != nil {
-				t.Errorf("%s job %s still holds %d graph bytes", j.State, id, len(j.graph))
+			if graph != nil {
+				t.Errorf("%s job %s still holds %d graph bytes", state, id, len(graph))
 			}
 		}
 		if queued != wantQueued || rest != wantRest {

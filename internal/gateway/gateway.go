@@ -22,13 +22,15 @@
 //
 // Once acked, a job survives gateway crashes: on restart the log is
 // replayed, undecided jobs re-enter the cluster, and clients can keep
-// polling GET /v1/jobs/{id}. Forwarding is at-least-once — a crash
-// between the cluster accepting a submission and the Forwarded record
-// reaching disk (at most one reconcile period later) makes the job run
-// twice in the cluster; a lost Decided record makes the restarted gateway
-// ask the cluster again. Clients that need exactly-once semantics supply a
-// client_key, which dedupes retries of the same logical job at the
-// gateway.
+// polling GET /v1/jobs/{id}. The job table is the log's fold, into which
+// the gateway folds each record it logs: a restart rebuilds what it served.
+//
+// Forwarding is at-least-once — a crash between the cluster accepting a
+// submission and the Forwarded record reaching disk (at most one reconcile
+// period later) makes the job run twice in the cluster; a lost Decided
+// record makes the restarted gateway ask the cluster again. Clients that
+// need exactly-once semantics supply a client_key, which dedupes retries of
+// the same logical job at the gateway.
 package gateway
 
 import (
@@ -77,8 +79,8 @@ type SubmitRequest struct {
 	Graph json.RawMessage `json:"graph"`
 }
 
-// Job is the gateway's record of one accepted submission, returned by
-// POST /v1/jobs and GET /v1/jobs/{id}.
+// Job is one accepted submission as POST /v1/jobs and GET /v1/jobs/{id}
+// return it, built from the job's entry in the table on every read.
 type Job struct {
 	// ID is the gateway-assigned durable ID ("g17"), stable across
 	// restarts.
@@ -98,12 +100,26 @@ type Job struct {
 	// DecisionLatency is the cluster-reported decision latency in
 	// virtual seconds, once decided.
 	DecisionLatency float64 `json:"decision_latency,omitempty"`
+}
 
-	clientKey string
-	// graph is held only while the job is queued, when the gateway may have
-	// to submit it (again); once the cluster holds the job it is dropped.
-	graph      json.RawMessage
-	at         float64
+// jobOf is the reply for the table's entry j: decided once it has an
+// outcome, forwarded once it has a cluster id, queued before. Callers hold
+// s.mu.
+func jobOf(j *joblog.ReplayJob) Job {
+	reply := Job{ID: j.Submitted.ID, Tenant: j.Submitted.Tenant, ClusterID: j.ClusterID,
+		State: StateQueued, Deadline: j.Submitted.Deadline}
+	switch {
+	case j.Outcome != "":
+		reply.State, reply.Outcome, reply.DecisionLatency = StateDecided, j.Outcome, j.DecisionLatency
+	case j.ClusterID != "":
+		reply.State = StateForwarded
+	}
+	return reply
+}
+
+// waiting is a job the gateway still needs something from the cluster for.
+type waiting struct {
+	job        *joblog.ReplayJob
 	acceptedAt time.Time // request arrival; zero for a job restored from the log
 }
 
@@ -164,18 +180,19 @@ type Server struct {
 	mux     *http.ServeMux
 	poll    time.Duration
 
-	mu          sync.Mutex
-	jobs        map[string]*Job      // by gateway ID
-	byClientKey map[clientKey]string // gateway ID
+	mu sync.Mutex
+	// jobs is the job table. It changes only by the records the gateway
+	// logs, each folded in (Add) as it is logged.
+	jobs *joblog.Replay
 	// reserving holds the client keys whose first submission is between its
 	// ID and its durable record; the channel closes when the append returns.
 	reserving map[clientKey]chan struct{}
 	tstats    map[string]*TenantStats
 	seq       uint64
 	// The jobs that still need something from the cluster, so that neither
-	// the tick nor a delivered verdict ever walks the all-time tables.
-	queued   map[string]*Job // by gateway ID: durable, not yet in the cluster
-	awaiting map[string]*Job // by cluster ID: forwarded, not yet decided
+	// the tick nor a delivered verdict ever walks the all-time table.
+	queued   map[string]waiting // by gateway ID: durable, not yet in the cluster
+	awaiting map[string]waiting // by cluster ID: forwarded, not yet decided
 	// forwards holds the verdicts that arrive for a cluster ID while the
 	// Backend.Submit that will return that ID is in flight (see windows.go).
 	forwards windows[verdict]
@@ -192,10 +209,10 @@ type verdict struct {
 	via string
 }
 
-// New opens (and replays) the write-ahead log, restores undecided jobs and
-// starts the reconcile tick and, when the backend is a DecisionWatcher, its
-// decision deliveries. Callers must Close the server to stop both and
-// release the log.
+// New recovers the write-ahead log, takes its fold as the job table,
+// restores undecided jobs and starts the reconcile tick and, when the
+// backend is a DecisionWatcher, its decision deliveries. Callers must Close
+// the server to stop both and release the log.
 func New(opts Options) (*Server, error) {
 	if len(opts.Tenants) == 0 {
 		return nil, fmt.Errorf("gateway: no tenants configured")
@@ -217,8 +234,8 @@ func New(opts Options) (*Server, error) {
 		poll:      opts.PollInterval,
 		reserving: make(map[clientKey]chan struct{}),
 		tstats:    make(map[string]*TenantStats),
-		queued:    make(map[string]*Job),
-		awaiting:  make(map[string]*Job),
+		queued:    make(map[string]waiting),
+		awaiting:  make(map[string]waiting),
 		stop:      make(chan struct{}),
 	}
 	for name, q := range opts.Tenants {
@@ -233,12 +250,14 @@ func New(opts Options) (*Server, error) {
 			userOnSync(d)
 		}
 	}
+	start := time.Now()
 	l, replay, err := joblog.Recover(opts.LogPath, logOpts)
 	if err != nil {
 		return nil, fmt.Errorf("gateway: open job log: %w", err)
 	}
 	s.log = l
 	s.restore(replay)
+	s.m.restartSecs.Set(time.Since(start).Seconds())
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -260,51 +279,28 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restore rebuilds in-memory state from the replayed log. Undecided jobs
-// re-occupy their tenant's inflight slot and are pushed back toward the
-// cluster by the reconcile tick (queued jobs are re-submitted; forwarded
-// jobs are asked about again). Only queued jobs come with their graph. The
-// job tables are made here, at the size the log says they have, and the
-// restored jobs, which live as long as the server, are allocated together.
+// restore takes the log's fold as the job table and rebuilds what the table
+// does not hold, in one pass that allocates nothing for a decided job:
+// undecided jobs re-occupy their tenant's inflight slot and are pushed back
+// toward the cluster by the reconcile tick (queued jobs are re-submitted,
+// with the graph the fold kept for them; forwarded jobs are asked about
+// again), and each tenant's jobs are counted.
 func (s *Server) restore(rep *joblog.Replay) {
+	s.jobs = rep
 	s.seq = rep.NextSeq
-	s.jobs = make(map[string]*Job, len(rep.Jobs))
-	s.byClientKey = make(map[clientKey]string, len(rep.Jobs))
-	restored := make([]Job, len(rep.Jobs))
-	for i, rj := range rep.Jobs {
-		sub := rj.Submitted
-		j := &restored[i]
-		*j = Job{
-			ID:        sub.ID,
-			Tenant:    sub.Tenant,
-			ClusterID: rj.ClusterID,
-			Deadline:  sub.Deadline,
-			clientKey: sub.ClientKey,
-			graph:     sub.Graph,
-			at:        sub.At,
-		}
-		switch {
-		case rj.Outcome != "":
-			j.State = StateDecided
-			j.Outcome = rj.Outcome
-			j.DecisionLatency = rj.DecisionLatency
-		case rj.ClusterID != "":
-			j.State = StateForwarded
-			s.awaiting[j.ClusterID] = j
-		default:
-			j.State = StateQueued
-			s.queued[j.ID] = j
-		}
-		s.jobs[j.ID] = j
-		if j.clientKey != "" {
-			s.byClientKey[clientKey{j.Tenant, j.clientKey}] = j.ID
-		}
-		ts := s.tenantStats(j.Tenant)
+	for _, j := range rep.Jobs {
+		tenant := j.Submitted.Tenant
+		ts := s.tenantStats(tenant)
 		ts.Submitted++
 		switch {
-		case j.State != StateDecided:
-			s.adm.Restore(j.Tenant)
-			s.m.inflight.With(j.Tenant).Inc()
+		case j.Undecided():
+			if j.ClusterID != "" {
+				s.awaiting[j.ClusterID] = waiting{job: j}
+			} else {
+				s.queued[j.Submitted.ID] = waiting{job: j}
+			}
+			s.adm.Restore(tenant)
+			s.m.inflight.With(tenant).Inc()
 			s.m.replayed.Inc()
 		case isAccepted(j.Outcome):
 			ts.Accepted++
@@ -312,6 +308,7 @@ func (s *Server) restore(rep *joblog.Replay) {
 			ts.Rejected++
 		}
 	}
+	s.m.jobsHeld.Set(float64(len(rep.Jobs)))
 }
 
 // tenantStats returns (creating if needed) the per-tenant counters.
@@ -410,13 +407,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	keyed := req.ClientKey != ""
 	s.mu.Lock()
 	for keyed {
-		if id, ok := s.byClientKey[key]; ok {
+		if j := s.jobs.Keyed(req.Tenant, req.ClientKey); j != nil {
 			// Idempotent retry: same (tenant, client_key) returns the original.
-			j := *s.jobs[id]
+			reply := jobOf(j)
 			s.tenantStats(req.Tenant).Duplicates++
 			s.mu.Unlock()
 			s.m.submissions.With(req.Tenant, "duplicate").Inc()
-			writeJSON(w, http.StatusOK, j)
+			writeJSON(w, http.StatusOK, reply)
 			return
 		}
 		first, ok := s.reserving[key]
@@ -438,18 +435,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	rec.ID, rec.Seq = jobID(s.seq), s.seq
-	j := &Job{
-		ID:        rec.ID,
-		Tenant:    req.Tenant,
-		State:     StateQueued,
-		Deadline:  req.Deadline,
-		clientKey: req.ClientKey,
-		graph:     req.Graph,
-		at:        req.At,
-		// Stamped before the forward: the verdict can be back within
-		// milliseconds, and the decision-latency sample is taken from it.
-		acceptedAt: start,
-	}
 	var reserved chan struct{}
 	if keyed {
 		reserved = make(chan struct{})
@@ -467,12 +452,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		delete(s.reserving, key)
 		close(reserved)
 	}
+	var j *joblog.ReplayJob
 	if err == nil {
-		s.jobs[j.ID] = j
-		if keyed {
-			s.byClientKey[key] = j.ID
-		}
-		s.tenantStats(j.Tenant).Submitted++
+		j = s.jobs.Add(&rec) // it keeps req.Graph while the job is queued
+		s.tenantStats(req.Tenant).Submitted++
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -482,14 +465,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.joblogRecords.Inc()
-	s.m.inflight.With(j.Tenant).Inc()
-	s.m.submissions.With(j.Tenant, "accepted").Inc()
+	s.m.jobsHeld.Inc()
+	s.m.inflight.With(req.Tenant).Inc()
+	s.m.submissions.With(req.Tenant, "accepted").Inc()
 
-	// Forward inline; a failure leaves the job queued for the tick.
-	s.forward(j)
+	// Forward inline; a failure leaves the job queued for the tick. The
+	// accept instant is the request's: the verdict can be back within
+	// milliseconds, and the decision-latency sample is taken from it.
+	s.forward(waiting{job: j, acceptedAt: start})
 
 	s.mu.Lock()
-	reply := *j
+	reply := jobOf(j)
 	s.mu.Unlock()
 	s.m.acceptLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusAccepted, reply)
@@ -497,13 +483,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
+	j := s.jobs.Job(r.PathValue("id"))
 	var reply Job
-	if ok {
-		reply = *j
+	if j != nil {
+		reply = jobOf(j)
 	}
 	s.mu.Unlock()
-	if !ok {
+	if j == nil {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
@@ -559,53 +545,47 @@ func (s *Server) countLimited(tenant, reason string) {
 // ---------------------------------------------------------------------------
 // forwarding and decision return
 
-// forward submits a job to the cluster and records the outcome. A failure
-// queues it for the next tick (a job enters s.queued only here and in
-// restore, so the tick never races the inline forward of a fresh job).
-func (s *Server) forward(j *Job) {
+// forward submits a queued job to the cluster. A failure queues it for the
+// next tick (a job enters s.queued only here and in restore, so the tick
+// never races the inline forward of a fresh job). A success folds the job's
+// Forwarded record into the table, which gives the job its cluster id and
+// lets go of its graph, logs the record and applies the verdict if it
+// overtook the forward (it was kept in w). Nobody waits for the record: it
+// is written after the cluster accepted the submission and is durable with
+// the next flush, and a crash before that replays the submission
+// (at-least-once, see the package comment). A watcher may log the job's
+// Decided record first; replay folds the two in either order.
+func (s *Server) forward(p waiting) {
 	s.mu.Lock()
-	if j.State != StateQueued { // two ticks at once: the other one forwarded it
+	sub := &p.job.Submitted
+	if jobOf(p.job).State != StateQueued { // two ticks at once: the other one forwarded it
 		s.mu.Unlock()
 		return
 	}
 	w := s.forwards.open()
-	graph := j.graph // dropped, under this lock, once the job is forwarded
+	at, deadline, graph := sub.At, sub.Deadline, sub.Graph
 	s.mu.Unlock()
-	clusterID, err := s.backend.Submit(j.at, j.Deadline, graph)
+	clusterID, err := s.backend.Submit(at, deadline, graph)
 	if err != nil {
 		s.m.backendErrors.Inc()
 		s.mu.Lock()
 		s.forwards.close(w, "")
-		s.queued[j.ID] = j
+		s.queued[sub.ID] = p
 		s.mu.Unlock()
 		return
 	}
-	s.recordForwarded(j, clusterID, w)
-}
-
-// recordForwarded marks a job as held by the cluster, lets go of its graph,
-// logs the Forwarded record and applies the verdict if it overtook the
-// forward (it was kept in w). Nobody waits for the record: it is written
-// after the cluster accepted the submission and is durable with the next
-// flush, and a crash before that replays the submission (at-least-once, see
-// the package comment). A watcher may log the job's Decided record first;
-// replay folds the two in either order.
-func (s *Server) recordForwarded(j *Job, clusterID string, w *window[verdict]) {
 	s.mu.Lock()
 	early, decided := s.forwards.close(w, clusterID)
-	if j.State != StateQueued {
+	if jobOf(p.job).State != StateQueued {
 		s.mu.Unlock()
 		return
 	}
-	j.State = StateForwarded
-	j.ClusterID = clusterID
-	j.graph = nil
-	delete(s.queued, j.ID)
-	s.awaiting[clusterID] = j
+	rec := joblog.Record{Type: joblog.TypeForwarded, ID: sub.ID, Tenant: sub.Tenant, ClusterID: clusterID}
+	s.jobs.Add(&rec)
+	delete(s.queued, rec.ID)
+	s.awaiting[clusterID] = p
 	s.mu.Unlock()
-	s.logNoWait(joblog.Record{
-		Type: joblog.TypeForwarded, ID: j.ID, Tenant: j.Tenant, ClusterID: clusterID,
-	})
+	s.logNoWait(rec)
 	if decided {
 		s.applyDecisions(map[string]BackendDecision{clusterID: early.BackendDecision}, early.via)
 	}
@@ -650,13 +630,13 @@ func (s *Server) pollOnce() {
 
 	// Re-submit queued jobs (failed forwards, replayed submissions).
 	s.mu.Lock()
-	queued := make([]*Job, 0, len(s.queued))
+	queued := make([]waiting, 0, len(s.queued))
 	for _, id := range determinism.SortedKeys(s.queued) {
 		queued = append(queued, s.queued[id])
 	}
 	s.mu.Unlock()
-	for _, j := range queued {
-		s.forward(j)
+	for _, p := range queued {
+		s.forward(p)
 	}
 
 	if decisions, err := s.backend.Decisions(); err == nil {
@@ -673,45 +653,42 @@ func (s *Server) pollOnce() {
 // jobs this gateway does not await; the first report of an awaited job
 // wins. The work is proportional to the report, never to the job history.
 func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string) {
-	var decided []Job
+	var recs []joblog.Record
+	var acceptedAt []time.Time
 	s.mu.Lock()
 	for _, clusterID := range determinism.SortedKeys(decisions) {
 		d := decisions[clusterID]
 		if !d.Decided() {
 			continue
 		}
-		j, ok := s.awaiting[clusterID]
+		p, ok := s.awaiting[clusterID]
 		if !ok {
 			// Possibly the job of a forward still in flight.
 			s.forwards.offer(clusterID, verdict{d, via})
 			continue
 		}
 		delete(s.awaiting, clusterID)
-		j.State = StateDecided
-		j.Outcome = d.Outcome
-		j.DecisionLatency = d.Latency
-		ts := s.tenantStats(j.Tenant)
+		rec := joblog.Record{Type: joblog.TypeDecided, ID: p.job.Submitted.ID, Tenant: p.job.Submitted.Tenant,
+			ClusterID: clusterID, Outcome: d.Outcome, DecisionLatency: d.Latency}
+		s.jobs.Add(&rec)
+		ts := s.tenantStats(rec.Tenant)
 		if isAccepted(d.Outcome) {
 			ts.Accepted++
 		} else {
 			ts.Rejected++
 		}
-		decided = append(decided, *j)
+		recs = append(recs, rec)
+		acceptedAt = append(acceptedAt, p.acceptedAt)
 	}
 	s.mu.Unlock()
-	recs := make([]joblog.Record, 0, len(decided))
-	for _, j := range decided {
-		s.adm.Release(j.Tenant)
-		s.m.inflight.With(j.Tenant).Dec()
-		s.m.decisions.With(j.Tenant, j.Outcome).Inc()
+	for i, rec := range recs {
+		s.adm.Release(rec.Tenant)
+		s.m.inflight.With(rec.Tenant).Dec()
+		s.m.decisions.With(rec.Tenant, rec.Outcome).Inc()
 		s.m.observed.With(via).Inc()
-		if !j.acceptedAt.IsZero() {
-			s.m.decideLatency.Observe(time.Since(j.acceptedAt).Seconds())
+		if !acceptedAt[i].IsZero() {
+			s.m.decideLatency.Observe(time.Since(acceptedAt[i]).Seconds())
 		}
-		recs = append(recs, joblog.Record{
-			Type: joblog.TypeDecided, ID: j.ID, Tenant: j.Tenant,
-			ClusterID: j.ClusterID, Outcome: j.Outcome, DecisionLatency: j.DecisionLatency,
-		})
 	}
 	// One write for the whole report, not one fsync per verdict.
 	s.logNoWait(recs...)

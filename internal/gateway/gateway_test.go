@@ -259,10 +259,10 @@ func TestAdmissionTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(s.jobs) != tc.prime || len(s.byClientKey) != 0 || fb.submitted != tc.prime ||
+				if len(s.jobs.Jobs) != tc.prime || clientKeys(s) != 0 || fb.submitted != tc.prime ||
 					after.Size() != logged.Size() || s.seq != uint64(tc.prime) {
 					t.Errorf("refusal stored something: %d jobs, %d keys, %d cluster submissions, log %d -> %d bytes, seq %d",
-						len(s.jobs), len(s.byClientKey), fb.submitted, logged.Size(), after.Size(), s.seq)
+						len(s.jobs.Jobs), clientKeys(s), fb.submitted, logged.Size(), after.Size(), s.seq)
 				}
 			}
 			if tc.wantResult != "" && reply["result"] != tc.wantResult {

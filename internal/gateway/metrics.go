@@ -19,6 +19,8 @@ type gwMetrics struct {
 	backendErrors *metrics.Counter    // rtds_gateway_backend_errors_total
 	clusterLaxity *metrics.Gauge      // rtds_gateway_cluster_decision_p99_seconds
 	joblogRecords *metrics.Counter    // rtds_gateway_joblog_records_total
+	restartSecs   *metrics.Gauge      // rtds_gateway_restart_seconds
+	jobsHeld      *metrics.Gauge      // rtds_gateway_jobs_held
 }
 
 func newGWMetrics() *gwMetrics {
@@ -54,6 +56,10 @@ func newGWMetrics() *gwMetrics {
 			"Cluster p99 decision latency feeding the laxity admission gate."),
 		joblogRecords: r.NewCounter("rtds_gateway_joblog_records_total",
 			"Records written to the write-ahead job log (submitted, forwarded, decided)."),
+		restartSecs: r.NewGauge("rtds_gateway_restart_seconds",
+			"Wall time the gateway's start spent recovering the write-ahead log and rebuilding its job table."),
+		jobsHeld: r.NewGauge("rtds_gateway_jobs_held",
+			"Jobs in the gateway's job table, decided or not: one entry per job the log holds."),
 	}
 }
 

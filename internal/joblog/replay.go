@@ -46,7 +46,8 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 // cluster id, its tenant and outcome once per distinct value, and a
 // submitted graph only if the job is still queued when its chunk is done.
 // A checkpoint's folded records go through the same fold, into tables sized
-// by the checkpoint's job count.
+// by the checkpoint's job count; the client-key index is made last, at the
+// number of jobs folded.
 func Recover(path string, opts Options) (*Log, *Replay, error) {
 	rep := newReplay()
 	if st, err := os.Stat(path); err == nil {
@@ -56,6 +57,7 @@ func Recover(path string, opts Options) (*Log, *Replay, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	rep.indexKeys()
 	return l, rep, nil
 }
 
@@ -364,8 +366,9 @@ func frameAt(data []byte, offset int64) (body []byte, next int64, ok bool) {
 	return body, offset + frameHeader + int64(n), true
 }
 
-// Replay summarizes a recovered record stream into per-job state: the
-// latest known stage of every gateway job id, in first-submission order.
+// Replay summarizes a record stream into per-job state: the latest known
+// stage of every gateway job id, in first-submission order. The gateway
+// keeps it as its job table and folds each record it appends in (Add).
 type Replay struct {
 	// Jobs holds one entry per submitted gateway job id.
 	Jobs []*ReplayJob
@@ -373,16 +376,23 @@ type Replay struct {
 	// resumes here.
 	NextSeq uint64
 	byID    map[string]*ReplayJob
+	// byKey and otherKeys find a job by its submission's client key: byKey
+	// for the first tenant that named the key, otherKeys for any other (a
+	// key submitted again names the later job). See indexKeys.
+	byKey     map[string]*ReplayJob
+	otherKeys map[tenantKey]*ReplayJob
 	// names interns tenants and outcomes, which take few distinct values.
 	names map[string]string
 	// limit caps how many jobs a checkpoint header may size the tables for:
 	// no more than the records there can be.
 	limit int
-	// free is the rest of the block the next jobs are carved from: a
-	// Replay lives only until its jobs are restored, so they are allocated
-	// jobBlock at a time rather than one by one.
+	// free is the rest of the block the next jobs are carved from: jobs
+	// live as long as their Replay, so they come jobBlock at a time.
 	free []ReplayJob
 }
+
+// tenantKey is a (tenant, client key) pair.
+type tenantKey struct{ tenant, key string }
 
 // jobBlock is how many jobs a Replay allocates at once.
 const jobBlock = 256
@@ -418,11 +428,47 @@ func Summarize(records []Record) *Replay {
 	r := newReplay()
 	r.limit = len(records)
 	r.fold(records)
+	r.indexKeys()
 	return r
 }
 
 func newReplay() *Replay {
 	return &Replay{byID: make(map[string]*ReplayJob), names: make(map[string]string)}
+}
+
+// Job is the job with gateway id id, nil if none.
+func (r *Replay) Job(id string) *ReplayJob { return r.byID[id] }
+
+// Keyed is the job tenant submitted under client key key, nil if none.
+func (r *Replay) Keyed(tenant, key string) *ReplayJob {
+	if j := r.byKey[key]; j != nil && j.Submitted.Tenant == tenant {
+		return j
+	}
+	return r.otherKeys[tenantKey{tenant, key}]
+}
+
+// indexKeys indexes the jobs folded so far by client key, in a map made at
+// their number: grown as the fold went, it would allocate about twice as
+// much. Jobs added later are indexed as they are added.
+func (r *Replay) indexKeys() {
+	r.byKey = make(map[string]*ReplayJob, len(r.Jobs))
+	r.otherKeys = make(map[tenantKey]*ReplayJob)
+	for _, j := range r.Jobs {
+		r.index(j)
+	}
+}
+
+// index makes j the job its client key names, once there is an index.
+func (r *Replay) index(j *ReplayJob) {
+	tenant, key := j.Submitted.Tenant, j.Submitted.ClientKey
+	if r.byKey == nil || key == "" {
+		return
+	}
+	if first := r.byKey[key]; first == nil || first.Submitted.Tenant == tenant {
+		r.byKey[key] = j
+	} else {
+		r.otherKeys[tenantKey{tenant, key}] = j
+	}
 }
 
 // fold folds a run of records in, in order. Their strings and graphs may
@@ -432,35 +478,39 @@ func newReplay() *Replay {
 func (r *Replay) fold(recs []Record) {
 	submitted := len(r.Jobs)
 	for i := range recs {
-		r.add(&recs[i])
+		r.Add(&recs[i])
 	}
 	for _, j := range r.Jobs[submitted:] {
 		j.Submitted.Graph = bytes.Clone(j.Submitted.Graph) // nil once forwarded or decided
 	}
 }
 
-// add folds one record in. A submitted record's graph is kept as it is:
-// fold copies it.
-func (r *Replay) add(rec *Record) {
+// Add folds one record in and returns the job it is about, nil when it is
+// about none. Its strings are copied; a submitted record's graph is kept as
+// it is, so the caller hands it over (fold copies it).
+func (r *Replay) Add(rec *Record) *ReplayJob {
 	next := nextAfter(rec.Seq)
+	j := r.byID[rec.ID]
 	switch rec.Type {
 	case TypeCheckpoint:
 		next = rec.Seq // the NextSeq of the history it replaced
 		r.reserve(rec.At)
+		j = nil
 	case TypeSubmitted, TypeFolded:
-		if _, dup := r.byID[rec.ID]; !dup { // idempotent: same id resubmitted by a replayed log
-			r.addJob(rec)
+		if j == nil { // else idempotent: same id resubmitted by a replayed log
+			j = r.addJob(rec)
 		}
 	case TypeForwarded, TypeDecided:
-		if j := r.byID[rec.ID]; j != nil {
+		if j != nil {
 			j.update(rec, r)
 		}
 	}
 	r.NextSeq = max(r.NextSeq, next)
+	return j
 }
 
 // addJob adds the job a submitted or folded record brings.
-func (r *Replay) addJob(rec *Record) {
+func (r *Replay) addJob(rec *Record) *ReplayJob {
 	if len(r.free) == 0 {
 		r.free = make([]ReplayJob, jobBlock)
 	}
@@ -475,7 +525,9 @@ func (r *Replay) addJob(rec *Record) {
 		j.DecisionLatency = rec.DecisionLatency
 	}
 	r.byID[j.Submitted.ID] = j
+	r.index(j)
 	r.Jobs = append(r.Jobs, j)
+	return j
 }
 
 // update folds a forwarded or decided record into the job: the first

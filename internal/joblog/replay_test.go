@@ -514,8 +514,9 @@ func TestRecoverKeepsQueuedGraphsAcrossChunks(t *testing.T) {
 }
 
 // Recovery allocates what the Replay keeps of a job and little more: for a
-// decided job, its id, client key and cluster id, 3 allocations, its entry
-// coming 256 to a block. Its graph is never copied, its tenant and outcome
+// decided job, its id, client key and cluster id, 3 allocations, and its
+// slots in the id and client-key indexes, its entry coming 256 to a block.
+// Its graph is never copied, its tenant and outcome
 // are shared with every other job's, and the chunks, buffers and workers are
 // shared by the whole log. That share grows with the workers (two chunks in
 // flight each), so their number is fixed. A job recovered from a checkpoint
