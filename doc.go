@@ -83,8 +83,8 @@
 // group-commit fsync, truncation-tolerant recovery) before the 202
 // leaves. A restarted gateway replays undecided jobs into the cluster;
 // an acked submission is never lost. Both the gateway and every node
-// expose a Prometheus text /metrics plane built on the stdlib-only
-// registry in internal/metrics. docs/api.md lists the endpoints of both,
+// expose a Prometheus text /metrics plane, rendered at scrape time from
+// their own state by the stdlib-only builder in internal/metrics. docs/api.md lists the endpoints of both,
 // the node's in one table.
 //
 // # Static analysis

@@ -7,17 +7,16 @@ package lockorder
 // without the other fails the build's test leg, and the failure prints the
 // derived list.
 //
-// It holds three independent nestings, each two classes deep, listed in one
+// It holds two independent nestings, each two classes deep, listed in one
 // topological order:
 //
-//   - gateway.Server.mu before gateway.Admitter.mu: a duplicate submission
-//     creates its tenant's stats row under Server.mu, reading the tenant's
-//     quota from the Admitter;
+//   - gateway.Server.mu before gateway.Admitter.mu: a submission's client-key
+//     lookup, Admit and ID assignment are one critical section under
+//     Server.mu, and a scrape reads the Admitter's inflight counts and
+//     laxity gate under it;
 //   - gateway.backendNode.reading before gateway.backendNode.mu: a site's
 //     journal reader checks, under reading, whether the site still owes
-//     decisions;
-//   - metrics.family.mu before metrics.Histogram.mu: the exposition
-//     renders each histogram child under its family's lock.
+//     decisions.
 //
 // The message path — internal/core, internal/simnet and internal/wire —
 // stays flat: no mutex there is acquired, directly or through any chain of
@@ -41,6 +40,4 @@ var DocumentedHierarchy = []string{
 	"repro/internal/gateway.Admitter.mu",
 	"repro/internal/gateway.backendNode.reading",
 	"repro/internal/gateway.backendNode.mu",
-	"repro/internal/metrics.family.mu",
-	"repro/internal/metrics.Histogram.mu",
 }

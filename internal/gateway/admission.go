@@ -41,7 +41,8 @@ func (q Quota) Validate() error {
 
 // ParseTenants parses the -tenants flag: semicolon-separated tenant
 // clauses, each "name:rate=R,burst=B,inflight=N". Burst defaults to
-// max(rate, 1) and inflight to unlimited when omitted:
+// max(rate, 1) and inflight to unlimited when omitted. The name "unknown"
+// is reserved:
 //
 //	acme:rate=50,burst=100,inflight=200;zeta:rate=10
 func ParseTenants(spec string) (map[string]Quota, error) {
@@ -58,6 +59,9 @@ func ParseTenants(spec string) (map[string]Quota, error) {
 		}
 		if _, dup := out[name]; dup {
 			return nil, fmt.Errorf("tenant %q declared twice", name)
+		}
+		if name == "unknown" { // the label /metrics gives undeclared tenants
+			return nil, fmt.Errorf("tenant name %q is reserved", name)
 		}
 		var q Quota
 		for _, kv := range strings.Split(params, ",") {
@@ -162,6 +166,13 @@ func (a *Admitter) ObserveDecisionLatency(p99 float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.p99 = p99
+}
+
+// DecisionLatency returns the p99 decision latency the laxity gate reads.
+func (a *Admitter) DecisionLatency() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.p99
 }
 
 // Known reports whether the tenant has a declared quota.

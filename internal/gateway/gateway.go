@@ -176,7 +176,6 @@ type Server struct {
 	backend Backend
 	adm     *Admitter
 	log     *joblog.Log
-	m       *gwMetrics
 	mux     *http.ServeMux
 	poll    time.Duration
 
@@ -187,8 +186,11 @@ type Server struct {
 	// reserving holds the client keys whose first submission is between its
 	// ID and its durable record; the channel closes when the append returns.
 	reserving map[clientKey]chan struct{}
-	tstats    map[string]*TenantStats
-	seq       uint64
+	// tstats holds each tenant's submitted, accepted and rejected jobs, the
+	// log's included; a stats reply reads the rest from t and the admitter.
+	tstats map[string]*TenantStats
+	t      tally
+	seq    uint64
 	// The jobs that still need something from the cluster, so that neither
 	// the tick nor a delivered verdict ever walks the all-time table.
 	queued   map[string]waiting // by gateway ID: durable, not yet in the cluster
@@ -230,7 +232,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		backend:   opts.Backend,
 		adm:       NewAdmitter(opts.Tenants),
-		m:         newGWMetrics(),
+		t:         newTally(),
 		poll:      opts.PollInterval,
 		reserving: make(map[clientKey]chan struct{}),
 		tstats:    make(map[string]*TenantStats),
@@ -242,10 +244,14 @@ func New(opts Options) (*Server, error) {
 		s.tstats[name] = &TenantStats{Tenant: name, Quota: q}
 	}
 
+	// OnSync runs on whichever goroutine's Append, Sync or Close leads the
+	// fsync, and it takes s.mu: no call into the log is made under s.mu.
 	logOpts := opts.Log
 	userOnSync := logOpts.OnSync
 	logOpts.OnSync = func(d time.Duration) {
-		s.m.fsyncLatency.Observe(d.Seconds())
+		s.mu.Lock()
+		s.t.fsync.Observe(d.Seconds())
+		s.mu.Unlock()
 		if userOnSync != nil {
 			userOnSync(d)
 		}
@@ -257,7 +263,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s.log = l
 	s.restore(replay)
-	s.m.restartSecs.Set(time.Since(start).Seconds())
+	s.t.restartSeconds = time.Since(start).Seconds()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -300,15 +306,13 @@ func (s *Server) restore(rep *joblog.Replay) {
 				s.queued[j.Submitted.ID] = waiting{job: j}
 			}
 			s.adm.Restore(tenant)
-			s.m.inflight.With(tenant).Inc()
-			s.m.replayed.Inc()
+			s.t.replayed++
 		case isAccepted(j.Outcome):
 			ts.Accepted++
 		default:
 			ts.Rejected++
 		}
 	}
-	s.m.jobsHeld.Set(float64(len(rep.Jobs)))
 }
 
 // tenantStats returns (creating if needed) the per-tenant counters.
@@ -338,7 +342,14 @@ func (s *Server) Close() error {
 }
 
 // MetricsText renders the current /metrics exposition (tests, debugging).
-func (s *Server) MetricsText() string { return s.m.reg.Expose() }
+func (s *Server) MetricsText() string { return s.scrape().Expose() }
+
+// scrape builds the /metrics exposition from the server's state.
+func (s *Server) scrape() *metrics.Builder {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return exposition(&s.t, s.adm, len(s.jobs.Jobs))
+}
 
 // ---------------------------------------------------------------------------
 // handlers
@@ -410,9 +421,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if j := s.jobs.Keyed(req.Tenant, req.ClientKey); j != nil {
 			// Idempotent retry: same (tenant, client_key) returns the original.
 			reply := jobOf(j)
-			s.tenantStats(req.Tenant).Duplicates++
+			s.t.submissions[[2]string{req.Tenant, "duplicate"}]++
 			s.mu.Unlock()
-			s.m.submissions.With(req.Tenant, "duplicate").Inc()
 			writeJSON(w, http.StatusOK, reply)
 			return
 		}
@@ -426,7 +436,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := s.adm.Admit(req.Tenant, req.Deadline)
 	if !dec.OK {
-		s.countLimited(req.Tenant, dec.Reason)
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(dec.RetryAfter.Seconds()))))
 		s.reject(w, req.Tenant, "rejected_"+dec.Reason, http.StatusTooManyRequests,
@@ -456,6 +465,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		j = s.jobs.Add(&rec) // it keeps req.Graph while the job is queued
 		s.tenantStats(req.Tenant).Submitted++
+		s.t.submissions[[2]string{req.Tenant, "accepted"}]++
+		s.t.records++
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -464,10 +475,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"job log write failed: "+err.Error(), 0)
 		return
 	}
-	s.m.joblogRecords.Inc()
-	s.m.jobsHeld.Inc()
-	s.m.inflight.With(req.Tenant).Inc()
-	s.m.submissions.With(req.Tenant, "accepted").Inc()
 
 	// Forward inline; a failure leaves the job queued for the tick. The
 	// accept instant is the request's: the verdict can be back within
@@ -476,8 +483,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	reply := jobOf(j)
+	s.t.accept.Observe(time.Since(start).Seconds())
 	s.mu.Unlock()
-	s.m.acceptLatency.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusAccepted, reply)
 }
 
@@ -504,42 +511,35 @@ func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	reply := *s.tenantStats(tenant)
+	result := func(r string) int { return s.t.submissions[[2]string{tenant, r}] }
+	reply.RateLimited, reply.QuotaLimited, reply.LaxityLimited = result("rejected_rate"), result("rejected_quota"), result("rejected_laxity")
+	reply.Duplicates = result("duplicate")
 	s.mu.Unlock()
 	reply.Inflight = s.adm.Inflight(tenant)
 	writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	b := s.scrape()
 	w.Header().Set("Content-Type", metrics.ContentType)
-	s.m.reg.WriteTo(w)
+	b.WriteTo(w)
 }
 
 // reject writes an error reply and counts it against the tenant's
-// submissions metric (unknown tenants land on the "unknown" label).
+// submissions (unknown tenants land on the "unknown" label).
 func (s *Server) reject(w http.ResponseWriter, tenant, result string, code int, msg string, retryAfter float64) {
 	label := tenant
 	if !s.adm.Known(tenant) {
 		label = "unknown"
 	}
-	s.m.submissions.With(label, result).Inc()
+	s.mu.Lock()
+	s.t.submissions[[2]string{label, result}]++
+	s.mu.Unlock()
 	body := map[string]any{"error": msg, "result": result}
 	if retryAfter > 0 {
 		body["retry_after_seconds"] = math.Ceil(retryAfter)
 	}
 	writeJSON(w, code, body)
-}
-
-// countLimited counts one 429 against the tenant. Callers hold s.mu.
-func (s *Server) countLimited(tenant, reason string) {
-	ts := s.tenantStats(tenant)
-	switch reason {
-	case "rate":
-		ts.RateLimited++
-	case "quota":
-		ts.QuotaLimited++
-	case "laxity":
-		ts.LaxityLimited++
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -567,8 +567,8 @@ func (s *Server) forward(p waiting) {
 	s.mu.Unlock()
 	clusterID, err := s.backend.Submit(at, deadline, graph)
 	if err != nil {
-		s.m.backendErrors.Inc()
 		s.mu.Lock()
+		s.t.backendErrors++
 		s.forwards.close(w, "")
 		s.queued[sub.ID] = p
 		s.mu.Unlock()
@@ -611,7 +611,9 @@ func (s *Server) pollLoop() {
 // there is nothing to undo here.
 func (s *Server) logNoWait(recs ...joblog.Record) {
 	if err := s.log.AppendNoWait(recs...); err == nil {
-		s.m.joblogRecords.Add(float64(len(recs)))
+		s.mu.Lock()
+		s.t.records += len(recs)
+		s.mu.Unlock()
 	}
 }
 
@@ -623,9 +625,8 @@ func (s *Server) logNoWait(recs ...joblog.Record) {
 func (s *Server) pollOnce() {
 	if st, err := s.backend.Stats(); err == nil {
 		s.adm.ObserveDecisionLatency(st.DecisionLatencyP99)
-		s.m.clusterLaxity.Set(st.DecisionLatencyP99)
 	} else {
-		s.m.backendErrors.Inc()
+		s.countBackendError()
 	}
 
 	// Re-submit queued jobs (failed forwards, replayed submissions).
@@ -642,7 +643,7 @@ func (s *Server) pollOnce() {
 	if decisions, err := s.backend.Decisions(); err == nil {
 		s.applyDecisions(decisions, "poll")
 	} else {
-		s.m.backendErrors.Inc()
+		s.countBackendError()
 	}
 	_ = s.log.Sync() // a failed flush poisons the log; the next submission reports it
 }
@@ -654,7 +655,6 @@ func (s *Server) pollOnce() {
 // wins. The work is proportional to the report, never to the job history.
 func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string) {
 	var recs []joblog.Record
-	var acceptedAt []time.Time
 	s.mu.Lock()
 	for _, clusterID := range determinism.SortedKeys(decisions) {
 		d := decisions[clusterID]
@@ -677,21 +677,24 @@ func (s *Server) applyDecisions(decisions map[string]BackendDecision, via string
 		} else {
 			ts.Rejected++
 		}
+		s.t.decisions[[2]string{rec.Tenant, d.Outcome}]++
+		s.t.observed[via]++
+		if !p.acceptedAt.IsZero() {
+			s.t.decide.Observe(time.Since(p.acceptedAt).Seconds())
+		}
+		s.adm.Release(rec.Tenant)
 		recs = append(recs, rec)
-		acceptedAt = append(acceptedAt, p.acceptedAt)
 	}
 	s.mu.Unlock()
-	for i, rec := range recs {
-		s.adm.Release(rec.Tenant)
-		s.m.inflight.With(rec.Tenant).Dec()
-		s.m.decisions.With(rec.Tenant, rec.Outcome).Inc()
-		s.m.observed.With(via).Inc()
-		if !acceptedAt[i].IsZero() {
-			s.m.decideLatency.Observe(time.Since(acceptedAt[i]).Seconds())
-		}
-	}
 	// One write for the whole report, not one fsync per verdict.
 	s.logNoWait(recs...)
+}
+
+// countBackendError counts one failed backend call.
+func (s *Server) countBackendError() {
+	s.mu.Lock()
+	s.t.backendErrors++
+	s.mu.Unlock()
 }
 
 // PollNow runs one synchronous reconcile tick (tests and shutdown drains);

@@ -414,7 +414,7 @@ func TestParseTenants(t *testing.T) {
 	if q := quotas["zeta"]; q != (Quota{Rate: 10, Burst: 10}) {
 		t.Errorf("zeta = %+v (burst should default to rate)", q)
 	}
-	for _, bad := range []string{"", "noparams", "x:rate=0", "x:rate=5;x:rate=6", "x:speed=9"} {
+	for _, bad := range []string{"", "noparams", "x:rate=0", "x:rate=5;x:rate=6", "x:speed=9", "unknown:rate=1"} {
 		if _, err := ParseTenants(bad); err == nil {
 			t.Errorf("ParseTenants(%q) accepted", bad)
 		}

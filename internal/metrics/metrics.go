@@ -4,13 +4,15 @@
 // confidence intervals, percentiles) and the fixed-width text tables the
 // experiment suite prints.
 //
-// The observability half (prom.go) is a stdlib-only Prometheus metric
-// registry — counters, gauges, fixed-bucket histograms and their label
-// vectors — with deterministic text-format exposition (WriteTo) and the
-// parser that reads it back (ParseText). The gateway (internal/gateway) and the
-// node control plane (internal/nodeapi) serve their GET /metrics endpoints
-// from it; docs/metrics.md documents every exported family, enforced by
-// test.
+// The observability half (prom.go) is a stdlib-only Prometheus text-format
+// renderer and parser: a Builder that takes values read at scrape time
+// (counters, gauges, labelled series, histograms given as bounds, counts and
+// sum) and renders them deterministically (WriteTo), a plain Histogram its
+// owner observes into under its own lock, and the parser that reads the
+// text back (ParseText). It keeps no live instrument. The gateway
+// (internal/gateway) and the node control plane (internal/nodeapi) build
+// their GET /metrics from their own state on each scrape; docs/metrics.md
+// documents every exported family, enforced by test.
 package metrics
 
 import (

@@ -8,61 +8,59 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
-// This file is the Prometheus half of the package: a small, stdlib-only
-// metric registry whose exposition follows the Prometheus text format
-// (version 0.0.4). It exists so the gateway and the node control plane can
-// serve GET /metrics without importing a client library the build container
-// does not have. Only the features the repo needs are implemented: counters,
-// gauges, fixed-bucket histograms, label vectors with pre-declared label
-// names, and deterministic rendering (families and label sets in sorted
-// order, so two scrapes of the same state are byte-identical).
+// This file is the Prometheus half of the package: a builder that renders
+// values in the Prometheus text format (version 0.0.4), and the parser that
+// reads such text back. It exists so the gateway and the node control plane
+// can serve GET /metrics without importing a client library the build
+// container does not have. Nothing here is live: a scrape builds a fresh
+// Builder from the state its server already keeps, renders it and drops it,
+// so there is no second set of counters to keep in step with that state.
+// Rendering is deterministic (families and label sets in sorted order), so
+// two scrapes of the same state are byte-identical.
 
 // MetricKind is the TYPE line of a family: counter, gauge or histogram.
 type MetricKind string
 
-// The three exposition kinds the registry supports.
+// The three exposition kinds the builder supports.
 const (
 	KindCounter   MetricKind = "counter"
 	KindGauge     MetricKind = "gauge"
 	KindHistogram MetricKind = "histogram"
 )
 
-// Registry holds metric families and renders them in the Prometheus text
-// format. The zero value is not usable; call NewRegistry.
-type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
-	order    []string // registration order is irrelevant; rendering sorts
+// Builder assembles one exposition from values read at scrape time. It is
+// used by one goroutine; the zero value is ready to use.
+type Builder struct {
+	families []*Family
 }
 
-// family is one named metric family: TYPE, HELP and its children keyed by
-// the canonical label-value tuple.
-type family struct {
+// Family is one named metric family of a Builder: TYPE, HELP and one
+// sample per label set.
+type Family struct {
 	name       string
 	help       string
 	kind       MetricKind
 	labelNames []string
-	buckets    []float64 // histograms only
-
-	mu       sync.Mutex
-	children map[string]child
-	keys     []string
+	samples    []sample
+	bounds     []float64 // histograms only
 }
 
-type child interface {
-	render(w *bufio.Writer, fam *family, labels string)
+// sample is one label set of a family and its value: a histogram's sum,
+// with its cumulative bucket counts (the last one is the +Inf bucket, the
+// count).
+type sample struct {
+	labels     string // the rendered label block, the sort key
+	value      float64
+	cumulative []int
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-func (r *Registry) register(name, help string, kind MetricKind, labelNames []string, buckets []float64) *family {
+// Family declares a family whose samples are labelled with labelNames and
+// returns it to take them (Set). A family with no sample renders its HELP
+// and TYPE only, so a scrape documents every metric the process can export
+// even before the first event.
+func (b *Builder) Family(kind MetricKind, name, help string, labelNames ...string) *Family {
 	if name == "" || !validMetricName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -71,90 +69,86 @@ func (r *Registry) register(name, help string, kind MetricKind, labelNames []str
 			panic(fmt.Sprintf("metrics: invalid label name %q on %s", l, name))
 		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.families[name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate registration of %q", name))
+	for _, f := range b.families {
+		if f.name == name {
+			panic(fmt.Sprintf("metrics: duplicate family %q", name))
+		}
 	}
-	f := &family{
-		name: name, help: help, kind: kind,
-		labelNames: append([]string(nil), labelNames...),
-		buckets:    buckets,
-		children:   make(map[string]child),
-	}
-	r.families[name] = f
-	r.order = append(r.order, name)
+	f := &Family{name: name, help: help, kind: kind, labelNames: labelNames}
+	b.families = append(b.families, f)
 	return f
 }
 
-// Names returns every registered family name in sorted order. The docs
-// coverage test uses it to enforce that each exported metric appears in
-// docs/metrics.md.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
-}
-
-// NewCounter registers a label-less counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, KindCounter, nil, nil)
-	return f.counter(nil)
-}
-
-// NewCounterVec registers a counter family with the given label names;
-// children are created on first With.
-func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	return &CounterVec{fam: r.register(name, help, KindCounter, labelNames, nil)}
-}
-
-// NewGauge registers a label-less gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil)
-	return f.gauge(nil)
-}
-
-// NewGaugeVec registers a gauge family with the given label names.
-func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, KindGauge, labelNames, nil)}
-}
-
-// NewHistogram registers a label-less histogram with the given upper
-// bucket bounds (strictly increasing; the +Inf bucket is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, KindHistogram, nil, checkBuckets(name, buckets))
-	return f.histogram(nil)
-}
-
-// AddHistogram registers a label-less histogram of observations counted
-// elsewhere: counts[i] of them at most buckets[i] and above the bound
-// before it, counts[len(buckets)] above every bound, summing to sum.
-func (r *Registry) AddHistogram(name, help string, buckets []float64, counts []int, sum float64) {
-	if len(counts) != len(buckets)+1 {
-		panic(fmt.Sprintf("metrics: histogram %q has %d counts for %d buckets", name, len(counts), len(buckets)))
+// Set adds the sample of one label set, its values in the order of the
+// family's label names. A counter's value is never negative.
+func (f *Family) Set(v float64, labelValues ...string) {
+	if len(labelValues) != len(f.labelNames) {
+		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d",
+			f.name, len(f.labelNames), len(labelValues)))
 	}
-	h := r.NewHistogram(name, help, buckets)
-	for i, n := range counts {
-		h.count += uint64(n)
-		if i < len(buckets) {
-			h.counts[i] = h.count
-		}
+	if f.kind == KindCounter && v < 0 {
+		panic(fmt.Sprintf("metrics: counter %s is negative", f.name))
 	}
-	h.sum = sum
+	f.samples = append(f.samples, sample{labels: renderLabels(f.labelNames, labelValues), value: v})
 }
 
-func checkBuckets(name string, buckets []float64) []float64 {
-	if len(buckets) == 0 {
+// Counter adds a label-less counter.
+func (b *Builder) Counter(name, help string, v float64) {
+	b.Family(KindCounter, name, help).Set(v)
+}
+
+// Gauge adds a label-less gauge.
+func (b *Builder) Gauge(name, help string, v float64) {
+	b.Family(KindGauge, name, help).Set(v)
+}
+
+// Histogram adds a label-less histogram of observations counted elsewhere.
+// It copies what it renders, so h may change once Histogram returns.
+func (b *Builder) Histogram(name, help string, h Histogram) {
+	if len(h.Bounds) == 0 {
 		panic(fmt.Sprintf("metrics: histogram %q needs at least one bucket", name))
 	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
+	for i := 1; i < len(h.Bounds); i++ {
+		if h.Bounds[i] <= h.Bounds[i-1] {
 			panic(fmt.Sprintf("metrics: histogram %q buckets not strictly increasing", name))
 		}
 	}
-	return append([]float64(nil), buckets...)
+	if len(h.Counts) != len(h.Bounds)+1 {
+		panic(fmt.Sprintf("metrics: histogram %q has %d counts for %d buckets", name, len(h.Counts), len(h.Bounds)))
+	}
+	f := b.Family(KindHistogram, name, help)
+	f.bounds = append([]float64(nil), h.Bounds...)
+	cumulative := make([]int, len(h.Counts))
+	n := 0
+	for i, c := range h.Counts {
+		n += c
+		cumulative[i] = n
+	}
+	f.samples = append(f.samples, sample{value: h.Sum, cumulative: cumulative})
+}
+
+// Histogram counts observations into fixed buckets. It is a plain value:
+// its owner guards it, and a scrape hands it to Builder.Histogram.
+type Histogram struct {
+	// Bounds are the buckets' upper bounds, strictly increasing; the +Inf
+	// bucket is implicit.
+	Bounds []float64
+	// Counts[i] is the number of observations at most Bounds[i] and above
+	// the bound before it; Counts[len(Bounds)] those above every bound.
+	Counts []int
+	// Sum is the sum of the observations.
+	Sum float64
+}
+
+// NewHistogram returns an empty histogram over bounds.
+func NewHistogram(bounds []float64) Histogram {
+	return Histogram{Bounds: bounds, Counts: make([]int, len(bounds)+1)}
+}
+
+// Observe records one observation.
+func (h *Histogram) Observe(v float64) {
+	h.Counts[sort.SearchFloat64s(h.Bounds, v)]++
+	h.Sum += v
 }
 
 // DefaultLatencyBuckets are the seconds-scale buckets the gateway's latency
@@ -163,193 +157,42 @@ var DefaultLatencyBuckets = []float64{
 	0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10,
 }
 
-// ---------------------------------------------------------------------------
-// children
-
-// Counter is a monotonically increasing value.
-type Counter struct{ bits atomic.Uint64 }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add increases the counter; negative deltas panic (counters only go up).
-func (c *Counter) Add(delta float64) {
-	if delta < 0 {
-		panic("metrics: counter decreased")
+// Names returns every family name in sorted order. The docs coverage test
+// uses it to enforce that each exported metric appears in docs/metrics.md.
+func (b *Builder) Names() []string {
+	out := make([]string, len(b.families))
+	for i, f := range b.families {
+		out[i] = f.name
 	}
-	addFloat(&c.bits, delta)
+	sort.Strings(out)
+	return out
 }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-func (c *Counter) render(w *bufio.Writer, fam *family, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", fam.name, labels, formatValue(c.Value()))
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
-
-// Inc adds 1.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts 1.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) render(w *bufio.Writer, fam *family, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", fam.name, labels, formatValue(g.Value()))
-}
-
-// Histogram accumulates observations into fixed cumulative buckets.
-type Histogram struct {
-	mu      sync.Mutex
-	buckets []float64 // upper bounds, shared with the family
-	counts  []uint64  // one per bound; +Inf is implicit in count
-	count   uint64
-	sum     float64
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	for i, ub := range h.buckets {
-		if v <= ub {
-			h.counts[i]++
-		}
-	}
-	h.count++
-	h.sum += v
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) from the cumulative
-// buckets: the upper bound of the first bucket whose cumulative count
-// reaches q·count. It is the scrape-side estimate dashboards would compute;
-// the gateway bench records it as p50/p99.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	for i, c := range h.counts {
-		if c >= rank {
-			return h.buckets[i]
-		}
-	}
-	return math.Inf(1)
-}
-
-func (h *Histogram) render(w *bufio.Writer, fam *family, labels string) {
-	h.mu.Lock()
-	counts := append([]uint64(nil), h.counts...)
-	count, sum := h.count, h.sum
-	h.mu.Unlock()
-	for i, ub := range fam.buckets {
-		fmt.Fprintf(w, "%s_bucket%s %d\n", fam.name, mergeLabels(labels, "le", formatValue(ub)), counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket%s %d\n", fam.name, mergeLabels(labels, "le", "+Inf"), count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", fam.name, labels, formatValue(sum))
-	fmt.Fprintf(w, "%s_count%s %d\n", fam.name, labels, count)
-}
-
-// ---------------------------------------------------------------------------
-// vectors
-
-// CounterVec is a counter family indexed by label values.
-type CounterVec struct{ fam *family }
-
-// With returns the child counter for the given label values (created on
-// first use). The number of values must match the declared label names.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.fam.counter(labelValues)
-}
-
-// GaugeVec is a gauge family indexed by label values.
-type GaugeVec struct{ fam *family }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.fam.gauge(labelValues)
-}
-
-func (f *family) child(labelValues []string, make func() child) child {
-	if len(labelValues) != len(f.labelNames) {
-		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d",
-			f.name, len(f.labelNames), len(labelValues)))
-	}
-	key := renderLabels(f.labelNames, labelValues)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
-		return c
-	}
-	c := make()
-	f.children[key] = c
-	f.keys = append(f.keys, key)
-	return c
-}
-
-func (f *family) counter(labelValues []string) *Counter {
-	return f.child(labelValues, func() child { return new(Counter) }).(*Counter)
-}
-
-func (f *family) gauge(labelValues []string) *Gauge {
-	return f.child(labelValues, func() child { return new(Gauge) }).(*Gauge)
-}
-
-func (f *family) histogram(labelValues []string) *Histogram {
-	return f.child(labelValues, func() child {
-		return &Histogram{buckets: f.buckets, counts: make([]uint64, len(f.buckets))}
-	}).(*Histogram)
-}
-
-// ---------------------------------------------------------------------------
-// exposition
 
 // WriteTo renders every family in the Prometheus text format, families and
-// label sets in sorted order. Families with no children yet are rendered
-// with HELP/TYPE only, so a scrape documents every metric the process can
-// export even before the first event.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	names := append([]string(nil), r.order...)
-	r.mu.Unlock()
-	sort.Strings(names)
+// label sets in sorted order.
+func (b *Builder) WriteTo(w io.Writer) (int64, error) {
+	sort.Slice(b.families, func(i, j int) bool { return b.families[i].name < b.families[j].name })
 	counting := &countingWriter{w: w}
 	bw := bufio.NewWriter(counting)
-	for _, name := range names {
-		r.mu.Lock()
-		f := r.families[name]
-		r.mu.Unlock()
+	for _, f := range b.families {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		f.mu.Lock()
-		keys := append([]string(nil), f.keys...)
-		sort.Strings(keys)
-		for _, k := range keys {
-			f.children[k].render(bw, f, k)
+		sort.Slice(f.samples, func(i, j int) bool { return f.samples[i].labels < f.samples[j].labels })
+		for _, s := range f.samples {
+			if f.kind != KindHistogram {
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, s.labels, formatValue(s.value))
+				continue
+			}
+			for i, ub := range f.bounds {
+				fmt.Fprintf(bw, "%s_bucket{le=\"%s\"} %d\n", f.name, formatValue(ub), s.cumulative[i])
+			}
+			count := s.cumulative[len(f.bounds)]
+			fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", f.name, count)
+			fmt.Fprintf(bw, "%s_sum %s\n", f.name, formatValue(s.value))
+			fmt.Fprintf(bw, "%s_count %d\n", f.name, count)
 		}
-		f.mu.Unlock()
 	}
 	err := bw.Flush()
 	return counting.n, err
@@ -359,10 +202,10 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 // exposition.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Expose renders the registry to a string (test and bench convenience).
-func (r *Registry) Expose() string {
+// Expose renders the exposition to a string (tests and debugging).
+func (b *Builder) Expose() string {
 	var sb strings.Builder
-	r.WriteTo(&sb)
+	b.WriteTo(&sb)
 	return sb.String()
 }
 
@@ -419,16 +262,6 @@ func renderLabels(names, values []string) string {
 	return sb.String()
 }
 
-// mergeLabels inserts one extra label (the histogram "le") into an existing
-// rendered label block.
-func mergeLabels(labels, name, value string) string {
-	extra := name + `="` + escapeLabel(value) + `"`
-	if labels == "" {
-		return "{" + extra + "}"
-	}
-	return labels[:len(labels)-1] + "," + extra + "}"
-}
-
 func validMetricName(s string) bool {
 	for i, c := range s {
 		switch {
@@ -477,9 +310,9 @@ type Series struct {
 // ParseText parses data as Prometheus text format 0.0.4 and returns its
 // samples in order. It checks HELP/TYPE comment syntax, known TYPE values,
 // sample lines of the form name{label="value",...} value [timestamp] whose
-// names are legal and whose values parse as floats, histogram samples that
-// carry a _bucket/_sum/_count suffix, and that something is exposed at
-// all. rtds-load and the tests read every /metrics response through it.
+// names are legal, whose values parse as floats and whose timestamps as
+// integers, histogram samples that carry a _bucket/_sum/_count suffix, and
+// that something is exposed at all. rtds-load and the tests read every /metrics response through it.
 func ParseText(data []byte) ([]Series, error) {
 	types := make(map[string]MetricKind)
 	var out []Series
@@ -563,6 +396,12 @@ func parseSample(line string) (Series, error) {
 	if err != nil {
 		return Series{}, fmt.Errorf("bad sample value %q", fields[0])
 	}
+	// A timestamp is milliseconds since the epoch, an integer.
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return Series{}, fmt.Errorf("bad timestamp %q", fields[1])
+		}
+	}
 	s.Value = v
 	return s, nil
 }
@@ -606,15 +445,4 @@ func parseSampleValue(s string) (float64, error) {
 		return math.NaN(), nil
 	}
 	return strconv.ParseFloat(s, 64)
-}
-
-// addFloat is an atomic float64 add over a uint64 bit store.
-func addFloat(bits *atomic.Uint64, delta float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }

@@ -2,26 +2,24 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
 func TestRegistryExposition(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounter("test_requests_total", "Requests handled.")
-	c.Add(3)
-	cv := r.NewCounterVec("test_by_tenant_total", "Per-tenant submissions.", "tenant", "result")
-	cv.With("acme", "accepted").Add(2)
-	cv.With("zeta", "rejected").Inc()
-	g := r.NewGauge("test_inflight", "Jobs in flight.")
-	g.Set(5)
-	g.Dec()
-	h := r.NewHistogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.5)
-	h.Observe(10)
+	var b Builder
+	b.Counter("test_requests_total", "Requests handled.", 3)
+	cv := b.Family(KindCounter, "test_by_tenant_total", "Per-tenant submissions.", "tenant", "result")
+	cv.Set(2, "acme", "accepted")
+	cv.Set(1, "zeta", "rejected")
+	b.Gauge("test_inflight", "Jobs in flight.", 4)
+	h := NewHistogram([]float64{0.01, 0.1, 1})
+	for _, v := range []float64{0.005, 0.1, 0.5, 10} {
+		h.Observe(v)
+	}
+	b.Histogram("test_latency_seconds", "Latency.", h)
+	h.Observe(0.5) // the builder rendered a copy
 
-	out := r.Expose()
+	out := b.Expose()
 	for _, want := range []string{
 		"# TYPE test_requests_total counter",
 		"test_requests_total 3",
@@ -31,11 +29,11 @@ func TestRegistryExposition(t *testing.T) {
 		"test_inflight 4",
 		"# TYPE test_latency_seconds histogram",
 		`test_latency_seconds_bucket{le="0.01"} 1`,
-		`test_latency_seconds_bucket{le="0.1"} 1`,
-		`test_latency_seconds_bucket{le="1"} 2`,
-		`test_latency_seconds_bucket{le="+Inf"} 3`,
-		"test_latency_seconds_sum 10.505",
-		"test_latency_seconds_count 3",
+		`test_latency_seconds_bucket{le="0.1"} 2`, // a bound holds what equals it
+		`test_latency_seconds_bucket{le="1"} 3`,
+		`test_latency_seconds_bucket{le="+Inf"} 4`,
+		"test_latency_seconds_sum 10.605",
+		"test_latency_seconds_count 4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -47,52 +45,39 @@ func TestRegistryExposition(t *testing.T) {
 }
 
 // Two scrapes of the same state must be byte-identical: families and label
-// sets render in sorted order regardless of registration or touch order.
+// sets render in sorted order regardless of the order they were added in.
 func TestExpositionDeterministic(t *testing.T) {
 	build := func(order []string) string {
-		r := NewRegistry()
-		v := r.NewCounterVec("det_total", "d", "k")
-		r.NewGauge("det_gauge", "g").Set(1)
+		var b Builder
+		v := b.Family(KindCounter, "det_total", "d", "k")
+		b.Gauge("det_gauge", "g", 1)
+		b.Family(KindGauge, "det_empty", "e", "k")
 		for _, k := range order {
-			v.With(k).Inc()
+			v.Set(1, k)
 		}
-		return r.Expose()
+		return b.Expose()
 	}
 	a := build([]string{"x", "y", "z"})
-	b := build([]string{"z", "x", "y"})
-	if a != b {
-		t.Fatalf("exposition depends on touch order:\n%s\nvs\n%s", a, b)
+	if b := build([]string{"z", "x", "y"}); a != b {
+		t.Fatalf("exposition depends on insertion order:\n%s\nvs\n%s", a, b)
 	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("q_seconds", "q", []float64{1, 2, 4, 8})
-	for i := 0; i < 99; i++ {
-		h.Observe(1.5) // lands in le=2
-	}
-	h.Observe(7) // lands in le=8
-	if got := h.Quantile(0.5); got != 2 {
-		t.Errorf("p50 = %v, want bucket bound 2", got)
-	}
-	if got := h.Quantile(0.995); got != 8 {
-		t.Errorf("p99.5 = %v, want bucket bound 8", got)
-	}
-	var empty Histogram
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
+	if !strings.Contains(a, "# TYPE det_empty gauge\n# HELP det_gauge") {
+		t.Errorf("a family with no sample is not declared alone:\n%s", a)
 	}
 }
 
 func TestValidateTextRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"empty":          "",
-		"bad name":       "9bad_name 1\n",
-		"no value":       "lonely_metric\n",
-		"bad value":      "m 1.2.3\n",
-		"bad type":       "# TYPE m sandwich\n",
-		"unclosed block": "m{a=\"x\" 1\n",
-		"histogram base": "# TYPE h histogram\nh 3\n",
+		"empty":           "",
+		"bad name":        "9bad_name 1\n",
+		"no value":        "lonely_metric\n",
+		"bad value":       "m 1.2.3\n",
+		"bad type":        "# TYPE m sandwich\n",
+		"unclosed block":  "m{a=\"x\" 1\n",
+		"histogram base":  "# TYPE h histogram\nh 3\n",
+		"word timestamp":  "m 1 abc\n",
+		"float timestamp": "m 1 1.5\n",
+		"dash timestamp":  "m{a=\"x\"} 1 --\n",
 	}
 	for name, text := range cases {
 		if err := ValidateText([]byte(text)); err == nil {
@@ -108,11 +93,11 @@ func TestValidateTextRejectsGarbage(t *testing.T) {
 // ParseText reads back what WriteTo renders: every sample, its labels
 // unescaped, and a histogram whose observations were counted elsewhere.
 func TestParseTextReadsExposition(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounterVec("p_total", "p", "kind").With(`a"b\c` + "\n").Add(3)
-	r.NewGauge("p_gauge", "g").Set(-1.5)
-	r.AddHistogram("p_seconds", "h", []float64{1, 2}, []int{0, 1, 1}, 8.5)
-	series, err := ParseText([]byte(r.Expose()))
+	var b Builder
+	b.Family(KindCounter, "p_total", "p", "kind").Set(3, `a"b\c`+"\n")
+	b.Gauge("p_gauge", "g", -1.5)
+	b.Histogram("p_seconds", "h", Histogram{Bounds: []float64{1, 2}, Counts: []int{0, 1, 1}, Sum: 8.5})
+	series, err := ParseText([]byte(b.Expose()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,36 +132,13 @@ func TestParseTextReadsExposition(t *testing.T) {
 	}
 }
 
+// A counter starts at zero and only goes up, so a negative one is a bug.
 func TestCounterPanicsOnDecrease(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative counter add did not panic")
+			t.Fatal("negative counter did not panic")
 		}
 	}()
-	r := NewRegistry()
-	r.NewCounter("c_total", "c").Add(-1)
-}
-
-func TestVectorConcurrency(t *testing.T) {
-	r := NewRegistry()
-	v := r.NewCounterVec("conc_total", "c", "worker")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				v.With(string(rune('a' + w))).Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
-	for w := 0; w < 8; w++ {
-		if got := v.With(string(rune('a' + w))).Value(); got != 1000 {
-			t.Errorf("worker %d count = %v, want 1000", w, got)
-		}
-	}
-	if err := ValidateText([]byte(r.Expose())); err != nil {
-		t.Fatal(err)
-	}
+	var b Builder
+	b.Counter("c_total", "c", -1)
 }

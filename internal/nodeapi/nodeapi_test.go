@@ -262,7 +262,7 @@ func TestControlPlane(t *testing.T) {
 // Every family a live scrape can emit must be in MetricNames (the set
 // docs/metrics.md is tested against).
 func TestMetricNamesCoverLiveScrape(t *testing.T) {
-	live := buildPromRegistry(snapshot{
+	live := buildProm(snapshot{
 		ready: true, sum: core.Summary{Messages: 3}, byKind: map[string]int64{"rtds.enroll": 2},
 	}).Names()
 	declared := make(map[string]bool)
