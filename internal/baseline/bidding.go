@@ -31,6 +31,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/core/policy"
 	"repro/internal/dag"
 	"repro/internal/determinism"
 	"repro/internal/graph"
@@ -167,7 +168,6 @@ type site struct {
 	seq     int
 
 	pending map[string]*pendingJob // focused-site state per job
-	execEnd map[string]float64     // job -> last completion time here
 }
 
 type pendingJob struct {
@@ -217,7 +217,6 @@ func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
 			surplus: make(map[graph.NodeID]float64),
 			seen:    make(map[graph.NodeID]int),
 			pending: make(map[string]*pendingJob),
-			execEnd: make(map[string]float64),
 		}
 		c.sites = append(c.sites, s)
 		c.tr.Attach(id, s.handle)
@@ -414,31 +413,11 @@ func (s *site) onSurplus(from graph.NodeID, m surplusMsg) {
 	}
 }
 
-// localTest inserts the whole DAG into this site's plan (same semantics as
-// the RTDS local test: §5) and commits on success.
+// localTest runs the RTDS local test (policy.EDF, §5) on this site's plan
+// at power 1 and commits on success.
 func (s *site) localTest(job *core.Job) bool {
-	sess := s.plan.NewSession(s.now())
-	g := job.Graph
-	for _, id := range g.PriorityOrder() {
-		rel := job.Arrival
-		if n := s.now(); n > rel {
-			rel = n
-		}
-		for _, p := range g.Predecessors(id) {
-			if c, ok := sess.Completion(int(p)); ok && c > rel {
-				rel = c
-			}
-		}
-		req := schedule.Request{
-			Job: job.ID, Task: int(id),
-			Release: rel, Deadline: job.AbsDeadline, Duration: g.Complexity(id),
-		}
-		if _, ok := sess.Place(req); !ok {
-			return false
-		}
-	}
-	tk := sess.Ticket()
-	if err := s.plan.Commit(tk); err != nil {
+	tk, ok := policy.EDF{}.LocalTest(s.plan, s.now(), job.ID, job.Graph, job.Arrival, job.AbsDeadline, 1)
+	if !ok || s.plan.Commit(tk) != nil {
 		return false
 	}
 	end := 0.0
@@ -447,7 +426,6 @@ func (s *site) localTest(job *core.Job) bool {
 			end = pl.End
 		}
 	}
-	s.execEnd[job.ID] = end
 	s.c.engine.At(end, func() { s.completeJob(job, end) })
 	return true
 }

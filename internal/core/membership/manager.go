@@ -27,8 +27,8 @@ type Hooks struct {
 	Adopt func(t *routing.Table)
 	// Current returns the site's current routing table (nil before the
 	// bootstrap finishes). The first additive repair seeds from it instead
-	// of discarding the bootstrap's knowledge, and join acks carry its
-	// snapshot so a joiner starts from a full view of the network.
+	// of discarding the bootstrap's knowledge, and a join handover sends
+	// it so a joiner starts from a full view of the network.
 	Current func() *routing.Table
 	// Event reports a membership transition (optional).
 	Event func(Note)
@@ -392,10 +392,7 @@ func (m *Manager) repair(reset bool) {
 		// First repair is additive (a join, a refutation): take ownership
 		// of the site's bootstrap table rather than throwing its multi-hop
 		// knowledge away — nothing died, every route in it is still sound.
-		if m.hooks.Current != nil {
-			m.table = m.hooks.Current()
-		}
-		if m.table == nil {
+		if m.table = m.current(); m.table == nil {
 			m.table = routing.NewTable(m.self, m.aliveNeighborEdges())
 		}
 	}
@@ -404,6 +401,15 @@ func (m *Manager) repair(reset bool) {
 	m.hooks.Event(Note{Kind: "route-repair", Site: m.self, From: m.self, Epoch: m.epoch})
 	m.broadcastTable()
 	m.beginSettle()
+}
+
+// current is the table the site routes by: the repair table, or the
+// bootstrap's before the first repair (nil if there is neither).
+func (m *Manager) current() *routing.Table {
+	if m.table == nil && m.hooks.Current != nil {
+		return m.hooks.Current()
+	}
+	return m.table
 }
 
 func (m *Manager) aliveNeighborEdges() []graph.Edge {
@@ -431,9 +437,9 @@ func (m *Manager) broadcastTable() {
 	}
 }
 
-// HandleTable offers an incoming routing table message to the repair
-// layer. It reports whether the message was consumed: epoch-0 messages
-// belong to the §7 bootstrap and are left to the caller's routing.Node.
+// HandleTable offers an incoming routing table message (a repair flood or a
+// join handover) to the repair layer. It reports whether it was consumed:
+// epoch-0 messages belong to the §7 bootstrap and are left to routing.Node.
 func (m *Manager) HandleTable(from graph.NodeID, msg routing.TableMsg) bool {
 	if msg.Epoch == 0 {
 		return false
@@ -537,9 +543,9 @@ func (m *Manager) joinTry() {
 // HandleJoinReq admits a joining neighbor (at an established site): grant
 // a fresh incarnation — strictly above anything it was declared dead at,
 // and above the stale one a fast-restarted process re-presents — flood
-// the admission, repair additively and answer with the full view plus the
-// current table, so the joiner is routable and routing from its first ack
-// even if nobody ever noticed the old process die.
+// the admission, repair additively and answer with the full view, then the
+// table as a TableMsg at this epoch, so the joiner is routable and routing
+// from its first ack even if nobody ever noticed the old process die.
 func (m *Manager) HandleJoinReq(from graph.NodeID, req JoinReq) {
 	if !m.started {
 		return
@@ -556,64 +562,19 @@ func (m *Manager) HandleJoinReq(from graph.NodeID, req JoinReq) {
 	}
 	// Retries racing the first ack (req.Inc now below the minted
 	// incarnation) answer with the current view — the handshake is
-	// idempotent.
-	ack := JoinAck{Inc: m.state(from).inc, Epoch: m.epoch, Digest: m.digest()}
-	var snap []routing.WireRoute
-	if m.table != nil {
-		snap = m.table.Snapshot()
-	} else if m.hooks.Current != nil {
-		if t := m.hooks.Current(); t != nil {
-			snap = t.Snapshot()
-		}
-	}
-	if len(snap) <= MaxAckRoutes {
-		ack.Table = snap
-		m.hooks.Send(from, ack)
-		return
-	}
-	// Chunk an oversized snapshot: the ack carries the head, the remainder
-	// follows as epoch-tagged TableChunks the joiner merges like repair
-	// floods. Links are order-preserving, but a lost chunk only costs
-	// routes the re-flood re-delivers anyway.
-	rest := snap[MaxAckRoutes:]
-	total := (len(rest) + MaxAckRoutes - 1) / MaxAckRoutes
-	ack.Table = snap[:MaxAckRoutes]
-	ack.TableChunks = total
-	m.hooks.Send(from, ack)
-	for i := 0; i < total; i++ {
-		hi := (i + 1) * MaxAckRoutes
-		if hi > len(rest) {
-			hi = len(rest)
-		}
-		m.hooks.Send(from, TableChunk{Epoch: m.epoch, Seq: i + 1, Total: total,
-			Entries: rest[i*MaxAckRoutes : hi]})
-	}
-}
-
-// HandleTableChunk merges one continuation chunk of a chunked JoinAck
-// snapshot. Chunks are valid only at the epoch they were cut at — a stale
-// chunk is dropped exactly like a stale repair flood.
-func (m *Manager) HandleTableChunk(from graph.NodeID, c TableChunk) {
-	if !m.started || c.Epoch != m.epoch {
-		m.staleTables++
-		return
-	}
-	delay, ok := m.linkDelay[from]
-	if !ok || m.table == nil {
-		return
-	}
-	if m.table.Merge(from, delay, c.Entries) {
-		m.hooks.Adopt(m.table)
-		m.broadcastTable()
-		m.beginSettle()
+	// idempotent. The link keeps order, so the joiner has adopted this
+	// view, and with it this epoch, when the table arrives.
+	m.hooks.Send(from, JoinAck{Inc: m.state(from).inc, Epoch: m.epoch, Digest: m.digest()})
+	if t := m.current(); t != nil {
+		m.hooks.Send(from, routing.TableMsg{Epoch: m.epoch, Entries: t.Snapshot()})
 	}
 }
 
 // HandleJoinAck completes the joiner's handshake: adopt the acker's view
-// (arriving at the same epoch), install the start-condition table seeded
-// with the acker's full table snapshot, enter the epoch's flood and start
-// normal heartbeating. Later acks from other neighbors fold in
-// idempotently.
+// (arriving at the same epoch), install the start-condition table, enter
+// the epoch's flood and start normal heartbeating. The acker's table
+// follows as a TableMsg that HandleTable merges. Later acks from other
+// neighbors fold in idempotently.
 func (m *Manager) HandleJoinAck(from graph.NodeID, ack JoinAck) {
 	if m.joining {
 		m.joining = false
@@ -627,35 +588,15 @@ func (m *Manager) HandleJoinAck(from graph.NodeID, ack JoinAck) {
 		m.applyDigest(ack.Digest)
 		m.hooks.Event(Note{Kind: "joined", Site: m.self, From: from, Inc: m.state(m.self).inc, Epoch: m.epoch})
 		m.repair(true) // builds the start table and floods it
-		m.mergeAckTable(from, ack)
 		m.hooks.After(m.cfg.HeartbeatEvery, m.tick)
 		return
 	}
 	if !m.started {
 		return
 	}
-	// A straggler ack after the join completed: treat its digest as
-	// gossip, and its table like any same-epoch flood.
+	// A straggler ack after the join completed: treat its digest as gossip.
 	if changed, died := m.applyDigest(ack.Digest); changed {
 		m.repair(died)
-	}
-	if ack.Epoch == m.epoch {
-		m.mergeAckTable(from, ack)
-	}
-}
-
-// mergeAckTable folds the admitting site's table snapshot into the
-// joiner's: one merge hands over everything the acker can route to, so
-// the joiner serves with a full table even before the re-flood reaches it.
-func (m *Manager) mergeAckTable(from graph.NodeID, ack JoinAck) {
-	delay, ok := m.linkDelay[from]
-	if !ok || len(ack.Table) == 0 || m.table == nil {
-		return
-	}
-	if m.table.Merge(from, delay, ack.Table) {
-		m.hooks.Adopt(m.table)
-		m.broadcastTable()
-		m.beginSettle()
 	}
 }
 

@@ -454,17 +454,18 @@ func ExampleManager() {
 	// Output: 0 true
 }
 
-// TestJoinAckChunked: an admitting site whose table snapshot exceeds
-// MaxAckRoutes splits the handover — head inline in the ack, remainder as
-// epoch-tagged TableChunks — and the joiner reassembles the full view from
-// the pieces. Hand-driven (no transport) so the re-flood path cannot mask
-// a broken chunk merge.
-func TestJoinAckChunked(t *testing.T) {
+// TestJoinHandoverIsOneTableMsg: an admitting site answers a JoinReq with
+// a JoinAck followed by its whole table as one TableMsg at its epoch, and
+// the joiner merges it as a repair flood, ending at the acker's epoch with
+// every route. Hand-driven (no transport) so the re-flood path cannot mask
+// a broken handover.
+func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 	topo := graph.New(2)
 	topo.MustAddEdge(0, 1, 0.05)
 	noop := Hooks{
 		Now:   func() float64 { return 0 },
 		After: func(float64, func()) simnet.CancelFunc { return func() bool { return false } },
+		Send:  func(graph.NodeID, simnet.Payload) {},
 		Adopt: func(*routing.Table) {},
 	}
 
@@ -478,8 +479,8 @@ func TestJoinAckChunked(t *testing.T) {
 	acker := New(0, topo.Neighbors(0), cfg30(), ah)
 	acker.Start()
 
-	// Hand the acker a table far beyond the inline cap: 1300 synthetic
-	// destinations learned through its one neighbor.
+	// Hand the acker a wide table: 1300 synthetic destinations learned
+	// through its one neighbor.
 	const extra = 1300
 	big := routing.NewTable(0, topo.Neighbors(0))
 	routes := make([]routing.WireRoute, extra)
@@ -490,85 +491,58 @@ func TestJoinAckChunked(t *testing.T) {
 		}
 	}
 	if !big.Merge(1, 0.05, routes) {
-		t.Fatal("seeding the oversized table changed nothing")
+		t.Fatal("seeding the wide table changed nothing")
 	}
 	acker.table = big
-	snapLen := len(big.Snapshot())
-	if snapLen <= MaxAckRoutes {
-		t.Fatalf("test table of %d routes does not exceed MaxAckRoutes", snapLen)
-	}
 
 	acker.HandleJoinReq(1, JoinReq{})
-	var ack JoinAck
-	var chunks []TableChunk
-	gotAck := false
-	for _, p := range sent {
-		switch m := p.(type) {
-		case JoinAck:
-			ack, gotAck = m, true
-		case TableChunk:
-			chunks = append(chunks, m)
-		case AliveNotice, routing.TableMsg, Heartbeat:
-			// Admission flood, table re-flood and heartbeats ride along;
-			// not under test.
-		default:
-			t.Fatalf("unexpected payload %q in join answer", p.Kind())
-		}
+	// The admission flood and the repair's own table broadcast precede the
+	// answer; the answer is the ack and then exactly one table message.
+	i := len(sent) - 2
+	if i < 0 {
+		t.Fatalf("join answer is %d messages, want at least an ack and a table", len(sent))
 	}
-	if !gotAck {
-		t.Fatal("no JoinAck sent")
+	ack, ok := sent[i].(JoinAck)
+	if !ok {
+		t.Fatalf("join answer starts with %q, want a JoinAck", sent[i].Kind())
 	}
-	if len(ack.Table) != MaxAckRoutes {
-		t.Fatalf("inline head carries %d routes, want exactly %d", len(ack.Table), MaxAckRoutes)
+	tm, ok := sent[i+1].(routing.TableMsg)
+	if !ok {
+		t.Fatalf("JoinAck followed by %q, want a TableMsg", sent[i+1].Kind())
 	}
-	wantChunks := (snapLen - MaxAckRoutes + MaxAckRoutes - 1) / MaxAckRoutes
-	if ack.TableChunks != wantChunks || len(chunks) != wantChunks {
-		t.Fatalf("announced %d chunks, sent %d, want %d", ack.TableChunks, len(chunks), wantChunks)
+	if tm.Epoch != acker.Epoch() || ack.Epoch != acker.Epoch() || tm.Epoch == 0 {
+		t.Fatalf("handover at ack epoch %#x, table epoch %#x, want the acker's %#x",
+			ack.Epoch, tm.Epoch, acker.Epoch())
 	}
-	covered := len(ack.Table)
-	for i, c := range chunks {
-		if c.Seq != i+1 || c.Total != wantChunks || c.Epoch != acker.Epoch() {
-			t.Fatalf("chunk %d has seq=%d total=%d epoch=%#x, want seq=%d total=%d epoch=%#x",
-				i, c.Seq, c.Total, c.Epoch, i+1, wantChunks, acker.Epoch())
-		}
-		if len(c.Entries) == 0 || len(c.Entries) > MaxAckRoutes {
-			t.Fatalf("chunk %d carries %d routes, want 1..%d", i, len(c.Entries), MaxAckRoutes)
-		}
-		covered += len(c.Entries)
-	}
-	if covered != snapLen {
-		t.Fatalf("handover covers %d of %d snapshot routes", covered, snapLen)
+	if len(tm.Entries) != big.Len() {
+		t.Fatalf("handover carries %d routes, want the acker's %d", len(tm.Entries), big.Len())
 	}
 
-	// The joiner reassembles: ack first (links preserve order), then every
-	// chunk; the adopted table must cover the whole snapshot.
+	// The joiner gets the ack first (links keep order), then the table.
 	var adopted *routing.Table
 	jh := noop
-	jh.Send = func(graph.NodeID, simnet.Payload) {}
 	jh.Adopt = func(tb *routing.Table) { adopted = tb }
 	joiner := New(1, topo.Neighbors(1), cfg30(), jh)
 	joiner.StartJoin()
 	joiner.HandleJoinAck(0, ack)
-	for _, c := range chunks {
-		joiner.HandleTableChunk(0, c)
+	if !joiner.HandleTable(0, tm) {
+		t.Fatal("joiner left the handover to the bootstrap")
 	}
 	if joiner.Joining() || !joiner.Started() {
 		t.Fatalf("joiner state: joining=%v started=%v", joiner.Joining(), joiner.Started())
 	}
+	if joiner.Epoch() != acker.Epoch() {
+		t.Fatalf("joiner at epoch %#x, acker at %#x", joiner.Epoch(), acker.Epoch())
+	}
 	if adopted == nil {
 		t.Fatal("joiner never adopted a table")
 	}
-	for _, r := range routes {
+	for _, r := range append(routes, routing.WireRoute{Dest: 0}) {
 		if _, ok := adopted.Route(r.Dest); !ok {
-			t.Fatalf("joiner table missing destination %d after chunked handover", r.Dest)
+			t.Fatalf("joiner table missing destination %d after the handover", r.Dest)
 		}
 	}
-	// A chunk cut at a dead epoch must be refused like a stale flood.
-	stale := chunks[0]
-	stale.Epoch = chunks[0].Epoch + 1
-	before := adopted.Len()
-	joiner.HandleTableChunk(0, stale)
-	if adopted.Len() != before {
-		t.Fatal("stale-epoch chunk mutated the joiner's table")
+	if stale := joiner.Snapshot().StaleTables; stale != 0 {
+		t.Fatalf("joiner refused %d tables of the handover", stale)
 	}
 }

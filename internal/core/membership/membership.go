@@ -55,19 +55,19 @@
 // A joiner (a replacement process for a crashed site, or a site re-entering
 // after a partition) sends JoinReq to its topology neighbors. An alive
 // neighbor resurrects it at a fresh incarnation, floods the resurrection,
-// and answers JoinAck carrying its full view digest. The joiner adopts the
-// digest (computing the same epoch as the acker), installs its start-
-// condition table and enters the epoch's re-flood, learning routes — and
-// becoming routable — within the flood budget. Join repairs are additive:
-// survivors keep their tables and merge the joiner's flood instead of
-// resetting, since nothing died.
+// and answers JoinAck carrying its full view digest, then its routing table
+// as a TableMsg at its epoch. The joiner adopts the digest (computing the
+// same epoch as the acker), installs its start-condition table, enters the
+// epoch's re-flood and merges the acker's table as a same-epoch repair
+// flood (links keep order, so the table arrives after the ack). Join
+// repairs are additive: survivors keep their tables and merge the joiner's
+// flood instead of resetting, since nothing died.
 package membership
 
 import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/routing"
 )
 
 // Config tunes one site's membership manager. The zero value (Enabled
@@ -207,50 +207,21 @@ func (JoinReq) Kind() string { return "member.join" }
 func (JoinReq) SizeBytes() int { return msgHeader }
 
 // JoinAck admits a joiner: it carries the granted incarnation, the acker's
-// route epoch, its full non-default view digest — from which the joiner
-// reconstructs the same view (and therefore the same epoch) — and the head
-// of a snapshot of the acker's routing table, so the joiner can route from
-// its very first ack instead of waiting for the re-flood to reach it. A
-// snapshot larger than MaxAckRoutes is split: the ack carries the first
-// chunk and TableChunks records how many TableChunk messages follow, so one
-// admission on a wide network never serializes an O(n) table into a single
-// unbounded frame.
+// route epoch and its full non-default view digest, from which the joiner
+// reconstructs the same view and therefore the same epoch. The acker's
+// routing table follows on the same link as an ordinary epoch-tagged
+// routing.TableMsg, merged like any repair flood.
 type JoinAck struct {
-	Inc         uint64
-	Epoch       uint64
-	Digest      []Entry
-	Table       []routing.WireRoute
-	TableChunks int // TableChunk messages following this ack (0 = none)
+	Inc    uint64
+	Epoch  uint64
+	Digest []Entry
 }
 
 // Kind implements simnet.Payload.
 func (JoinAck) Kind() string { return "member.join-ack" }
 
 // SizeBytes implements simnet.Payload.
-func (a JoinAck) SizeBytes() int { return msgHeader + 20 + 10*len(a.Digest) + 16*len(a.Table) }
-
-// MaxAckRoutes caps the table snapshot carried inline by one JoinAck (and
-// one TableChunk): a 512-route chunk stays around 8 KiB on the wire, far
-// under the codec's frame cap, whatever the network size.
-const MaxAckRoutes = 512
-
-// TableChunk is one continuation frame of a chunked JoinAck table snapshot:
-// chunk Seq of Total (1-based; chunk 0 travels inline in the ack itself),
-// valid at the carried epoch. Receivers merge each chunk like a same-epoch
-// repair flood, so loss of a chunk degrades to the re-flood path instead of
-// corrupting the table.
-type TableChunk struct {
-	Epoch   uint64
-	Seq     int
-	Total   int
-	Entries []routing.WireRoute
-}
-
-// Kind implements simnet.Payload.
-func (TableChunk) Kind() string { return "member.chunk" }
-
-// SizeBytes implements simnet.Payload.
-func (c TableChunk) SizeBytes() int { return msgHeader + 16 + 16*len(c.Entries) }
+func (a JoinAck) SizeBytes() int { return msgHeader + 16 + 10*len(a.Digest) }
 
 // RegionDigest is a landmark's liveness summary of its own region, routed
 // to the adjacent regions' landmarks under hierarchical routing: membership

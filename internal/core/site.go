@@ -328,10 +328,6 @@ func (s *Site) handle(from graph.NodeID, p simnet.Payload) {
 		if s.member != nil {
 			s.member.HandleJoinAck(from, m)
 		}
-	case membership.TableChunk:
-		if s.member != nil {
-			s.member.HandleTableChunk(from, m)
-		}
 	case Routed:
 		if m.Dest != s.id {
 			s.forward(m)

@@ -63,11 +63,6 @@ func (d BackendDecision) Decided() bool {
 	return d.Outcome != "" && d.Outcome != "pending"
 }
 
-// Accepted reports whether the verdict guarantees the deadline.
-func (d BackendDecision) Accepted() bool {
-	return strings.HasPrefix(d.Outcome, "accepted")
-}
-
 // BackendStats is the slice of cluster statistics the gateway's
 // backpressure logic consumes.
 type BackendStats struct {

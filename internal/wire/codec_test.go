@@ -2,7 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"fmt"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,14 +81,6 @@ func samples(t testing.TB) []simnet.Payload {
 		membership.JoinAck{Inc: 6, Epoch: 11, Digest: []membership.Entry{
 			{Site: 0, Inc: 1, Dead: false},
 			{Site: 12, Inc: 6, Dead: false},
-		}, Table: []routing.WireRoute{
-			{Dest: 0, Dist: 0.5, PathHops: 1, MinHops: 1},
-			{Dest: 3, Dist: 2.25, PathHops: 4, MinHops: 3},
-		}, TableChunks: 3},
-		membership.TableChunk{},
-		membership.TableChunk{Epoch: 11, Seq: 2, Total: 3, Entries: []routing.WireRoute{
-			{Dest: 513, Dist: 4.5, PathHops: 6, MinHops: 5},
-			{Dest: 700, Dist: 0.25, PathHops: 1, MinHops: 1},
 		}},
 		// Hierarchical routing: landmark floods and cross-region digests.
 		hier.LandmarkAd{},
@@ -215,6 +213,44 @@ func TestRoundTripEveryMessageType(t *testing.T) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("encoding of %T is not canonical", p)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "record the frames file of a wire Version that has none yet")
+
+// TestFramesPinnedPerVersion pins the encoding of every sample to the wire
+// Version: testdata/frames-v<Version>.hex holds one hex frame per sample,
+// so a body layout that changes while Version stays fails here. -update
+// writes the file only for a Version that has none, so a layout change
+// forces a Version bump.
+func TestFramesPinnedPerVersion(t *testing.T) {
+	var got bytes.Buffer
+	for _, p := range samples(t) {
+		fmt.Fprintf(&got, "%x\n", mustEncode(t, p))
+	}
+	path := filepath.Join("testdata", fmt.Sprintf("frames-v%d.hex", Version))
+	want, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) && *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%v (a new Version is recorded with -update)", err)
+	}
+	if *update {
+		t.Fatalf("%s exists: Version %d is recorded, and a layout change needs a new Version", path, Version)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i, p := range samples(t) {
+		if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("sample %d (%T) encodes differently from %s: the layout changed, so bump Version", i, p, path)
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%s holds %d frames, the samples %d", path, len(wantLines)-1, len(gotLines)-1)
 	}
 }
 

@@ -229,16 +229,6 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 	case kindJoinAck:
 		m := membership.JoinAck{Inc: d.uvarint(), Epoch: d.uvarint()}
 		m.Digest = decodeEntries(d)
-		m.Table = decodeRoutes(d)
-		m.TableChunks = int(d.varint())
-		p = m
-	case kindTableChunk:
-		m := membership.TableChunk{
-			Epoch: d.uvarint(),
-			Seq:   int(d.varint()),
-			Total: int(d.varint()),
-		}
-		m.Entries = decodeRoutes(d)
 		p = m
 	case kindRegionDigest:
 		m := membership.RegionDigest{Region: int(d.varint())}

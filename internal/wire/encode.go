@@ -173,14 +173,6 @@ func encodePayload(e *enc, p simnet.Payload) error {
 		e.uvarint(m.Inc)
 		e.uvarint(m.Epoch)
 		encodeEntries(e, m.Digest)
-		encodeRoutes(e, m.Table)
-		e.varint(int64(m.TableChunks))
-	case membership.TableChunk:
-		e.kind(kindTableChunk)
-		e.uvarint(m.Epoch)
-		e.varint(int64(m.Seq))
-		e.varint(int64(m.Total))
-		encodeRoutes(e, m.Entries)
 	case membership.RegionDigest:
 		e.kind(kindRegionDigest)
 		e.varint(int64(m.Region))
@@ -222,8 +214,8 @@ func encodeGraph(e *enc, g *dag.Graph) {
 }
 
 // encodeRoutes writes a routing-table snapshot (already sorted by
-// destination — Table.Snapshot is deterministic). Shared by bootstrap and
-// repair table messages and the join-ack table handover.
+// destination — Table.Snapshot is deterministic): the body of every table
+// message, whether bootstrap, repair flood or join handover.
 func encodeRoutes(e *enc, routes []routing.WireRoute) {
 	e.uvarint(uint64(len(routes)))
 	for _, r := range routes {

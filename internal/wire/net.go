@@ -41,12 +41,13 @@ import (
 // clock's dispatcher writes each link's due frames itself, with one writev
 // (same-tick batching). A batch goes to the link's dialer goroutine instead
 // when the connection is down or an earlier batch is still queued there:
-// the dialer dials lazily and re-dials with exponential backoff, so nodes
-// may start in any order and survive peer restarts, and a dead neighbour
-// never delays anyone else's timers. A batch that cannot be written because
-// the connection broke mid-write is resent whole on the fresh connection —
-// duplicates are possible across a reconnect and the protocol's handlers
-// tolerate them, exactly as they tolerate retransmitted aborts.
+// the dialer dials lazily and re-dials with exponential backoff, cut short
+// when the peer dials in, so nodes may start in any order and survive peer
+// restarts, and a dead neighbour never delays anyone else's timers. A batch
+// that cannot be written because the connection broke mid-write is resent
+// whole on the fresh connection — duplicates are possible across a
+// reconnect and the protocol's handlers tolerate them, exactly as they
+// tolerate retransmitted aborts.
 type NetTransport struct {
 	topo       *graph.Graph
 	scale      time.Duration
@@ -253,6 +254,7 @@ func (t *NetTransport) Start() {
 				maxBackoff: t.maxBackoff,
 				rng:        rand.New(rand.NewSource(seed*1000003 + int64(e.To))),
 				wake:       make(chan struct{}, 1),
+				retry:      make(chan struct{}, 1),
 				done:       make(chan struct{}),
 			}
 		}
@@ -371,6 +373,14 @@ func (t *NetTransport) admit(body []byte) (graph.NodeID, *hostedSite) {
 	}
 	if _, err := t.topo.EdgeDelay(graph.NodeID(from), graph.NodeID(to)); err != nil {
 		return 0, nil
+	}
+	// The neighbour listens again (a restarted process dials before it is
+	// dialed): the reverse link's dialer stops backing off and dials now.
+	if p := t.peers[edge{graph.NodeID(to), graph.NodeID(from)}]; p != nil {
+		select {
+		case p.retry <- struct{}{}:
+		default:
+		}
 	}
 	return graph.NodeID(from), s
 }
@@ -555,6 +565,7 @@ type peerConn struct {
 	busy    bool          // the dialer holds frames not yet written; later batches queue behind them
 	closed  bool
 	wake    chan struct{} // capacity 1: the dialer has a backlog
+	retry   chan struct{} // capacity 1: the peer dialed in, so a backoff wait ends early
 	done    chan struct{} // closed by close(); ends a wait or a reconnect backoff
 
 	// The dispatcher's own: the frames due at this wake and writev scratch.
@@ -708,9 +719,9 @@ func (p *peerConn) dialLoop() {
 // connections and immediately resets them cannot drive a zero-sleep
 // reconnect spin. Each sleep is jittered from the peer's seeded source (see
 // NetConfig.Seed) so simultaneously restarted nodes do not re-dial in
-// lockstep. WriteBatch consumes scratch, never batch, so each retry resends
-// the identical frames — the peer may see duplicates, which the protocol
-// tolerates.
+// lockstep, and ends early when the peer dials in. WriteBatch consumes
+// scratch, never batch, so each retry resends the identical frames — the
+// peer may see duplicates, which the protocol tolerates.
 func (p *peerConn) write(batch [][]byte, scratch *net.Buffers) {
 	backoff := 50 * time.Millisecond
 	fail := func() bool { // sleep and grow; reports whether the peer closed
@@ -789,13 +800,16 @@ func nextBackoff(cur, max time.Duration, rng *rand.Rand) (sleep, next time.Durat
 	return sleep, next
 }
 
-// sleepClosed sleeps for d and reports whether the peer was closed
-// meanwhile (so backoff waits honor Close promptly).
+// sleepClosed sleeps for d, or less if the peer dials in, and reports
+// whether the peer was closed meanwhile (so backoff waits honor Close
+// promptly).
 func (p *peerConn) sleepClosed(d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
+		return false
+	case <-p.retry:
 		return false
 	case <-p.done:
 		return true

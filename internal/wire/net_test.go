@@ -423,6 +423,72 @@ func TestNetClusterSurvivesFaults(t *testing.T) {
 	}
 }
 
+// TestBackoffEndsWhenNeighbourDialsIn: a dialer backing off from a peer
+// that was down dials again as soon as that peer dials in, instead of
+// sleeping out its backoff. A replacement process for a crashed site
+// would otherwise miss its neighbours' join acks and tables for up to
+// MaxBackoff. The sleep schedule is the dialer's own (same seed, same
+// derivation as Start), so the peer comes up mid-way through a long sleep.
+func TestBackoffEndsWhenNeighbourDialsIn(t *testing.T) {
+	topo := graph.New(2)
+	topo.MustAddEdge(0, 1, 0.05)
+	scale := 500 * time.Microsecond
+	const seed, maxBackoff = 7, 10 * time.Second
+
+	a, err := Listen(NetConfig{Self: 0, Topo: topo, Listen: "127.0.0.1:0", Scale: scale,
+		Seed: seed, MaxBackoff: maxBackoff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b0, err := Listen(NetConfig{Self: 1, Topo: topo, Listen: "127.0.0.1:0", Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrB := b0.Addr()
+	b0.Close()
+	a.SetPeers(map[graph.NodeID]string{1: addrB})
+	a.Attach(0, func(graph.NodeID, simnet.Payload) {})
+	a.Start()
+
+	// A's dialer for link 0->1 dials now and then sleeps s1, s2, ...: wake
+	// B half-way through the first sleep of at least 600 ms.
+	rng := rand.New(rand.NewSource(seed*1000003 + 1))
+	var slept, sleep time.Duration
+	for cur := 50 * time.Millisecond; sleep < 600*time.Millisecond; slept += sleep {
+		sleep, cur = nextBackoff(cur, maxBackoff, rng)
+	}
+	up := slept - sleep/2
+	start := time.Now()
+	if err := a.Send(0, 1, core.DoneMsg{Job: "x", Task: 1, At: 1}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(up)
+
+	b, err := Listen(NetConfig{Self: 1, Topo: topo, Listen: addrB, Scale: scale})
+	if err != nil {
+		t.Skipf("could not rebind %s: %v", addrB, err) // port stolen: environment, not code
+	}
+	defer b.Close()
+	b.SetPeers(map[graph.NodeID]string{0: a.Addr()})
+	got := make(chan struct{}, 1)
+	b.Attach(1, func(graph.NodeID, simnet.Payload) { got <- struct{}{} })
+	b.Start()
+	cameUp := time.Now()
+	if err := b.Send(1, 0, core.DoneMsg{Job: "y", Task: 1, At: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+		if wait := time.Since(cameUp); wait > sleep/4 {
+			t.Fatalf("frame delivered %v after the peer dialed in, want under %v (its backoff had %v left)",
+				wait, sleep/4, slept-cameUp.Sub(start))
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("queued frame never delivered after the peer came up")
+	}
+}
+
 // TestBackoffJitterDeterministicPerSeed: the reconnect backoff draws its
 // jitter from a seeded source — identical seeds reproduce the exact sleep
 // sequence, different seeds (simultaneously restarted nodes) diverge, and

@@ -29,13 +29,16 @@ import "fmt"
 // added the membership layer: the epoch tag in routing-table bodies and
 // the heartbeat/notice/join message kinds. Version 3 added hierarchical
 // routing: the landmark-advertisement, region-digest and table-chunk
-// kinds, and the chunk count in join-ack bodies.
-const Version = 3
+// kinds, and the chunk count in join-ack bodies. Version 4 dropped the
+// join-ack table and the table-chunk kind: an acker sends its table as a
+// routing-table frame after the ack.
+const Version = 4
 
 // MaxFrame bounds a frame's encoded size. The largest legitimate frames are
-// commit messages carrying a job DAG — well under a mebibyte — so anything
-// bigger is a corrupt length prefix, and refusing it keeps a garbage
-// connection from forcing a huge allocation.
+// commit messages carrying a job DAG and routing-table snapshots, at about
+// 16 bytes per route (64 KiB for 4,096 routes), so anything bigger is a
+// corrupt length prefix, and refusing it keeps a garbage connection from
+// forcing a huge allocation.
 const MaxFrame = 1 << 20
 
 // MaxJobJSON bounds the JSON body of a job submission (the gateway's POST
@@ -76,7 +79,6 @@ const (
 	kindJoinAck
 	kindLandmarkAd
 	kindRegionDigest
-	kindTableChunk
 )
 
 // String names the kind for diagnostics. Hand-written because the build is
@@ -124,8 +126,6 @@ func (k Kind) String() string {
 		return "landmark-ad"
 	case kindRegionDigest:
 		return "region-digest"
-	case kindTableChunk:
-		return "table-chunk"
 	}
 	return fmt.Sprintf("Kind(%d)", byte(k))
 }
