@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core/membership"
 )
 
 // FuzzWireRoundTrip drives the decoder with arbitrary bytes: it must never
@@ -19,6 +21,17 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, Version, byte(kindDone)})
+	// Layouts Version 4 retired: a table-chunk frame (the kind after
+	// region-digest, now unknown) and a join-ack body still carrying
+	// Version 3's trailing table and chunk count (dropped as unknown fields).
+	f.Add([]byte{6, 0, 0, 0, Version, byte(kindRegionDigest + 1), 11, 4, 6, 0})
+	ack, err := Encode(membership.JoinAck{Inc: 6, Epoch: 11})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ack = append(ack, 0, 6)
+	ack[0] += 2
+	f.Add(ack)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {
