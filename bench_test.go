@@ -74,7 +74,8 @@ func BenchmarkSuiteSerial(b *testing.B) {
 // harness banks on; on one core it degenerates to the serial cost.
 func BenchmarkSuiteParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAll(experiments.Quick, 1, 0, 0); err != nil {
+		r := experiments.RunTasks(experiments.Quick, experiments.Tasks(experiments.Suite(), []int64{1}), 0, 0)
+		if err := experiments.FirstError(r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,25 +1,29 @@
 // Command rtds-bench runs the full experiment suite (the E-tables the
 // internal/experiments package doc lists) on a parallel worker pool and
 // prints every table; -md emits GitHub-flavored markdown, -json writes the
-// machine-readable suite benchmark (per-experiment wall time, events/sec
-// and rendered table).
+// suite report (each experiment's event count and rendered table). The
+// report holds nothing read off the host, so two regenerations are
+// byte-identical; the run's wall time goes to stderr only.
 //
-// With -check the tool is the CI gate for table identity: it re-runs the
-// suite at the committed baseline's size and seeds and fails unless the run
-// produces the same experiment@seed set with every table identical line for
-// line, naming the first differing line of each experiment that moved.
-// Events/sec is printed, never compared: speed is measured by go run
-// ./benchmark.
+// With -check the tool is the CI gate for the suite's results: it re-runs
+// the suite at the committed baseline's size and seeds and fails unless the
+// run produces the same experiment@seed set with every table identical line
+// for line and every event count equal, naming the first differing line of
+// each experiment that moved. Speed is measured by go run ./benchmark.
 //
 // -kernel-workers selects the simulation kernel for every RTDS-core cluster
 // the run builds: 0 (the default) the serial reference engine, N >= 1 the
-// conservative parallel kernel with N partitions. The produced tables are
-// byte-identical either way — the flag trades wall-clock time only, and
-// running -check with it is a live proof of that invariant.
+// conservative parallel kernel with N partitions. The produced tables and
+// event counts are identical either way — the flag trades wall-clock time
+// only, and running -check with it is a live proof of that invariant.
 //
-// -cpuprofile, -memprofile and -trace write the standard pprof/runtime-trace
-// artifacts for whichever mode runs, so kernel scaling work can be measured
-// rather than guessed at.
+// To profile one experiment, use the toolchain's own flags on its
+// sub-benchmark in the root package (any name from the suite works):
+//
+//	go test -run '^$' -bench 'BenchmarkSuite$/E12' -cpuprofile cpu.pprof .
+//	go tool pprof -top cpu.pprof
+//
+// and go run ./benchmark attributes CPU to each layer.
 //
 // Usage:
 //
@@ -33,8 +37,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"strings"
 	"time"
 
@@ -52,9 +54,6 @@ func main() {
 	expFilter := flag.String("exp", "", "run only experiments whose name contains this substring (e.g. E12, fault)")
 	checkPath := flag.String("check", "", "regression gate: re-run the suite at this baseline's size/seeds and fail on drift")
 	kernelWorkers := flag.Int("kernel-workers", 0, "simulation kernel for rtds-core clusters: 0 = serial reference, N = parallel kernel with N partitions (tables are byte-identical)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
-	tracePath := flag.String("trace", "", "write a runtime execution trace of the run to this file")
 	flag.Parse()
 
 	size := experiments.Full
@@ -71,13 +70,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -kernel-workers must be >= 0")
 		os.Exit(1)
 	}
-	stopProfiling, err := startProfiling(*cpuProfile, *memProfile, *tracePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	defer stopProfiling()
-
 	if *checkPath != "" {
 		// -check re-runs the baseline's suite; a suite flag would be
 		// silently ignored, so refuse it loudly instead.
@@ -96,8 +88,6 @@ func main() {
 		return
 	}
 
-	// One task per experiment×seed; trial-major order keeps each trial's
-	// tables contiguous and in suite order.
 	suite := experiments.Suite()
 	if *expFilter != "" {
 		var keep []experiments.Named
@@ -116,15 +106,11 @@ func main() {
 		}
 		suite = keep
 	}
-	var tasks []experiments.Task
 	var seeds []int64
 	for t := 0; t < *trials; t++ {
-		s := *seed + int64(t)
-		seeds = append(seeds, s)
-		for _, n := range suite {
-			tasks = append(tasks, experiments.Task{Exp: n, Seed: s})
-		}
+		seeds = append(seeds, *seed+int64(t))
 	}
+	tasks := experiments.Tasks(suite, seeds)
 
 	start := time.Now()
 	results := experiments.RunTasks(size, tasks, *workers, *kernelWorkers)
@@ -145,7 +131,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		rep := experiments.NewBenchReport(size, seeds, *workers, wall, results)
+		rep := experiments.NewBenchReport(size, seeds, results)
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -156,73 +142,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d experiment runs, %.0f events/sec)\n",
-			*outPath, len(rep.Experiments), rep.EventsPerSec)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d experiment runs)\n", *outPath, len(rep.Experiments))
 	}
 	fmt.Fprintf(os.Stderr, "suite completed in %v on %d workers (%d tasks)\n",
 		wall.Round(time.Millisecond), *workers, len(tasks))
 }
 
-// startProfiling starts whichever of the three profilers were requested and
-// returns a single stop function (run the deferred way; error-path os.Exit
-// calls lose the profile, which is fine — the run failed). The heap profile
-// is taken at stop time, after a GC, so it shows retained memory rather than
-// transient garbage.
-func startProfiling(cpuPath, memPath, tracePath string) (func(), error) {
-	var stops []func()
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("start CPU profile: %w", err)
-		}
-		stops = append(stops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("start execution trace: %w", err)
-		}
-		stops = append(stops, func() {
-			trace.Stop()
-			f.Close()
-		})
-	}
-	if memPath != "" {
-		stops = append(stops, func() {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "error: write heap profile:", err)
-			}
-		})
-	}
-	return func() {
-		for i := len(stops) - 1; i >= 0; i-- {
-			stops[i]()
-		}
-	}, nil
-}
-
 // checkBaseline is the regression gate: re-run the suite exactly as the
 // committed baseline describes (size, seeds), then compare every rendered
-// table with the baseline's. A baseline with fields this report no longer
-// has is refused, not half-compared: regenerate it.
+// table and event count with the baseline's. A baseline with fields this
+// report no longer has is refused, not half-compared: regenerate it.
 func checkBaseline(path string, workers, kernelWorkers int) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -242,27 +171,19 @@ func checkBaseline(path string, workers, kernelWorkers int) error {
 	if baseline.Size == "quick" {
 		size = experiments.Quick
 	}
-	suite := experiments.Suite()
-	var tasks []experiments.Task
-	for _, s := range baseline.Seeds {
-		for _, n := range suite {
-			tasks = append(tasks, experiments.Task{Exp: n, Seed: s})
-		}
-	}
 	fmt.Fprintf(os.Stderr, "regression gate: re-running the %s suite at seeds %v on %d workers\n",
 		baseline.Size, baseline.Seeds, workers)
 	start := time.Now()
-	results := experiments.RunTasks(size, tasks, workers, kernelWorkers)
+	results := experiments.RunTasks(size, experiments.Tasks(experiments.Suite(), baseline.Seeds), workers, kernelWorkers)
 	wall := time.Since(start)
 	if err := experiments.FirstError(results); err != nil {
 		return err
 	}
-	current := experiments.NewBenchReport(size, baseline.Seeds, workers, wall, results)
+	current := experiments.NewBenchReport(size, baseline.Seeds, results)
 	if err := experiments.CompareReports(baseline, current); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr,
-		"regression gate passed: %d experiments match the baseline, %.0f events/sec (baseline %.0f) in %v\n",
-		len(current.Experiments), current.EventsPerSec, baseline.EventsPerSec, wall.Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "regression gate passed: %d experiments match the baseline's tables and event counts in %v\n",
+		len(current.Experiments), wall.Round(time.Millisecond))
 	return nil
 }

@@ -281,8 +281,8 @@ func (c *Cluster) Run() error { return c.kernel.Run() }
 func (c *Cluster) RunUntil(t float64) error { return c.kernel.RunUntil(c.epoch + t) }
 
 // EventsProcessed reports how many discrete events the kernel has fired (0
-// on wall-clock runtimes, which have no event queue). The experiment harness
-// aggregates this into its events/sec throughput metric.
+// on wall-clock runtimes, which have no event queue). The experiment suite
+// records it per experiment, and rtds-bench -check pins it.
 func (c *Cluster) EventsProcessed() int64 {
 	if !c.virtualTime() {
 		return 0

@@ -552,20 +552,25 @@ func (m *Manager) HandleJoinReq(from graph.NodeID, req JoinReq) {
 	}
 	m.lastHeard[from] = m.hooks.Now()
 	st := m.state(from)
+	admitted := false
 	if st.dead || req.Inc >= st.inc {
 		inc := max(req.Inc, st.inc) + 1
 		if m.apply(Entry{Site: from, Inc: inc, Dead: false}) {
 			m.hooks.Event(Note{Kind: "member-join", Site: from, From: from, Inc: inc})
 			m.flood(AliveNotice{Site: from, Inc: inc})
-			m.repair(false)
+			admitted = true
 		}
 	}
-	// Retries racing the first ack (req.Inc now below the minted
-	// incarnation) answer with the current view — the handshake is
-	// idempotent. The link keeps order, so the joiner has adopted this
-	// view, and with it this epoch, when the table arrives.
+	// The ack goes first: the link keeps order, so the joiner has adopted
+	// this view, and with it this epoch, when the table arrives. An
+	// admission's repair flood carries the table to the joiner with every
+	// other neighbor; retries racing the first ack (req.Inc now below the
+	// minted incarnation) answer with the current view and table — the
+	// handshake is idempotent.
 	m.hooks.Send(from, JoinAck{Inc: m.state(from).inc, Epoch: m.epoch, Digest: m.digest()})
-	if t := m.current(); t != nil {
+	if admitted {
+		m.repair(false)
+	} else if t := m.current(); t != nil {
 		m.hooks.Send(from, routing.TableMsg{Epoch: m.epoch, Entries: t.Snapshot()})
 	}
 }

@@ -455,10 +455,12 @@ func ExampleManager() {
 }
 
 // TestJoinHandoverIsOneTableMsg: an admitting site answers a JoinReq with
-// a JoinAck followed by its whole table as one TableMsg at its epoch, and
-// the joiner merges it as a repair flood, ending at the acker's epoch with
-// every route. Hand-driven (no transport) so the re-flood path cannot mask
-// a broken handover.
+// a JoinAck, and its repair flood then carries its whole table to the
+// joiner as one TableMsg at its epoch. Replaying every frame the acker sent
+// to the joiner, in order, the joiner merges that one table and refuses
+// none, ending at the acker's epoch with every route. A retry that admits
+// no one is answered with the ack and the table alike. Hand-driven (no
+// transport) so the re-flood path cannot mask a broken handover.
 func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 	topo := graph.New(2)
 	topo.MustAddEdge(0, 1, 0.05)
@@ -496,37 +498,44 @@ func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 	acker.table = big
 
 	acker.HandleJoinReq(1, JoinReq{})
-	// The admission flood and the repair's own table broadcast precede the
-	// answer; the answer is the ack and then exactly one table message.
-	i := len(sent) - 2
-	if i < 0 {
-		t.Fatalf("join answer is %d messages, want at least an ack and a table", len(sent))
-	}
-	ack, ok := sent[i].(JoinAck)
-	if !ok {
-		t.Fatalf("join answer starts with %q, want a JoinAck", sent[i].Kind())
-	}
-	tm, ok := sent[i+1].(routing.TableMsg)
-	if !ok {
-		t.Fatalf("JoinAck followed by %q, want a TableMsg", sent[i+1].Kind())
-	}
-	if tm.Epoch != acker.Epoch() || ack.Epoch != acker.Epoch() || tm.Epoch == 0 {
-		t.Fatalf("handover at ack epoch %#x, table epoch %#x, want the acker's %#x",
-			ack.Epoch, tm.Epoch, acker.Epoch())
-	}
-	if len(tm.Entries) != big.Len() {
-		t.Fatalf("handover carries %d routes, want the acker's %d", len(tm.Entries), big.Len())
-	}
 
-	// The joiner gets the ack first (links keep order), then the table.
+	// Links keep order: the joiner gets the acker's frames as sent.
 	var adopted *routing.Table
 	jh := noop
 	jh.Adopt = func(tb *routing.Table) { adopted = tb }
 	joiner := New(1, topo.Neighbors(1), cfg30(), jh)
 	joiner.StartJoin()
-	joiner.HandleJoinAck(0, ack)
-	if !joiner.HandleTable(0, tm) {
-		t.Fatal("joiner left the handover to the bootstrap")
+	var acks, tables int
+	for _, p := range sent {
+		switch m := p.(type) {
+		case Heartbeat:
+			joiner.HandleHeartbeat(0, m)
+		case AliveNotice:
+			joiner.HandleAlive(0, m)
+		case JoinAck:
+			acks++
+			if m.Epoch != acker.Epoch() {
+				t.Fatalf("ack at epoch %#x, want the acker's %#x", m.Epoch, acker.Epoch())
+			}
+			joiner.HandleJoinAck(0, m)
+		case routing.TableMsg:
+			tables++
+			if m.Epoch != acker.Epoch() || len(m.Entries) != big.Len() {
+				t.Fatalf("table at epoch %#x with %d routes, want the acker's epoch %#x and %d routes",
+					m.Epoch, len(m.Entries), acker.Epoch(), big.Len())
+			}
+			if !joiner.HandleTable(0, m) {
+				t.Fatal("joiner left the handover to the bootstrap")
+			}
+		default:
+			t.Fatalf("acker sent the joiner %q", p.Kind())
+		}
+	}
+	if acks != 1 || tables != 1 {
+		t.Fatalf("acker sent the joiner %d acks and %d tables, want one of each", acks, tables)
+	}
+	if stale := joiner.Snapshot().StaleTables; stale != 0 {
+		t.Fatalf("joiner refused %d tables of the handover", stale)
 	}
 	if joiner.Joining() || !joiner.Started() {
 		t.Fatalf("joiner state: joining=%v started=%v", joiner.Joining(), joiner.Started())
@@ -542,7 +551,18 @@ func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 			t.Fatalf("joiner table missing destination %d after the handover", r.Dest)
 		}
 	}
-	if stale := joiner.Snapshot().StaleTables; stale != 0 {
-		t.Fatalf("joiner refused %d tables of the handover", stale)
+
+	// A retry below the minted incarnation admits no one: the answer is the
+	// ack and the table, nothing else.
+	sent = nil
+	acker.HandleJoinReq(1, JoinReq{})
+	if len(sent) != 2 {
+		t.Fatalf("retry answered with %d messages, want an ack and a table", len(sent))
+	}
+	if _, ok := sent[0].(JoinAck); !ok {
+		t.Fatalf("retry answer starts with %q, want a JoinAck", sent[0].Kind())
+	}
+	if tm, ok := sent[1].(routing.TableMsg); !ok || tm.Epoch != acker.Epoch() || len(tm.Entries) != big.Len() {
+		t.Fatalf("retry ack followed by %q, want the acker's table at its epoch", sent[1].Kind())
 	}
 }

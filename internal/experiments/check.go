@@ -8,14 +8,11 @@ import (
 // CompareReports checks a freshly-run suite report against the committed
 // baseline (the cmd/rtds-bench -check gate). The suite is seeded and
 // deterministic, so the gate is one exact comparison: the same size, the
-// same set of experiment@seed keys, and every rendered table identical line
-// for line. An experiment whose table differs is reported at its first
-// differing line; a deliberate behavior change regenerates the baseline.
-//
-// Nothing wall-clock is compared: events/sec is a reading of the host, and
-// throughput and latency regressions are the benchmark's job (go run
-// ./benchmark), which measures them against the parent commit with a
-// recorded spread.
+// same set of experiment@seed keys, every rendered table identical line for
+// line and every event count equal. An experiment whose table differs is
+// reported at its first differing line; a deliberate behavior change
+// regenerates the baseline. Throughput and latency are the benchmark's job
+// (go run ./benchmark).
 //
 // All problems are reported together so one CI run shows the full damage.
 func CompareReports(baseline, current BenchReport) error {
@@ -40,6 +37,10 @@ func CompareReports(baseline, current BenchReport) error {
 		}
 		if diff := firstDiff(b.Table, c.Table); diff != "" {
 			problems = append(problems, key+": "+diff)
+		}
+		if c.Events != b.Events {
+			problems = append(problems, fmt.Sprintf(
+				"%s: %d events, the baseline has %d", key, c.Events, b.Events))
 		}
 	}
 	for _, b := range baseline.Experiments {

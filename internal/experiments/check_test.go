@@ -6,24 +6,22 @@ import (
 )
 
 func gateReports() (BenchReport, BenchReport) {
-	mk := func(events float64) BenchReport {
+	mk := func() BenchReport {
 		return BenchReport{
-			Size:         "quick",
-			EventsPerSec: events,
+			Size: "quick",
 			Experiments: []BenchExperiment{
-				{Name: "E1", Seed: 1, Table: []string{
+				{Name: "E1", Seed: 1, Events: 143931, Table: []string{
 					"E1 — guarantee ratio vs offered load",
 					"load   rtds",
 					"-----  -----",
 					"0.200  1    ",
 					"0.400  0.972",
 				}},
-				{Name: "E2", Seed: 1, Table: []string{"E2", "sites", "-----", "8    "}},
+				{Name: "E2", Seed: 1, Events: 2048, Table: []string{"E2", "sites", "-----", "8    "}},
 			},
 		}
 	}
-	// Wall-clock readings differ between any two runs and are never gated.
-	return mk(100000), mk(98000)
+	return mk(), mk()
 }
 
 // gateFails runs the gate and requires an error that names every want.
@@ -47,15 +45,14 @@ func TestCompareReportsPasses(t *testing.T) {
 	}
 }
 
-// Wall time, busy time and events/sec are readings of the host: runs that
-// differ only there pass.
-func TestCompareReportsWallClockNeverGated(t *testing.T) {
+// Event counts are as deterministic as the tables: a run that processes
+// another number of events fails even when every table line matches.
+func TestCompareReportsCatchesEventDrift(t *testing.T) {
 	base, cur := gateReports()
-	cur.WallSeconds, cur.Workers = 30, 8
-	cur.Experiments[0].WallSeconds, cur.Experiments[0].BusySeconds = 9, 8
-	cur.Experiments[0].EventsPerSec = base.Experiments[0].EventsPerSec / 100
-	if err := CompareReports(base, cur); err != nil {
-		t.Fatalf("wall-clock drift must not gate: %v", err)
+	cur.Experiments[1].Events++
+	gateFails(t, base, cur, "E2@1: 2049 events, the baseline has 2048")
+	if err := CompareReports(base, cur); strings.Contains(err.Error(), "E1@1") || strings.Contains(err.Error(), "table line") {
+		t.Errorf("event drift in E2 also named a table or E1:\n%v", err)
 	}
 }
 

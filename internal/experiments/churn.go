@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/membership"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/scheme"
 	"repro/internal/simnet"
 )
@@ -54,8 +53,8 @@ func e14Membership(size Size) membership.Config {
 	}
 }
 
-func e14Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e14Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E14 — churn (%d sites, load 0.6): crash+rejoin via distributed membership", size.sites()),
 		"crashes", "rejoin", "rtds", "broadcast", "fa-bidding", "undecided",
 		"rej empty-acs", "rej validate-to", "rej commit-to",

@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 func TestPaperExampleMatchesPaper(t *testing.T) {
@@ -59,7 +57,7 @@ func lookup(t testing.TB, name string) Named {
 }
 
 // runNamed runs the suite experiment called name at the quick size.
-func runNamed(t testing.TB, name string, seed int64) *metrics.Table {
+func runNamed(t testing.TB, name string, seed int64) *Table {
 	t.Helper()
 	r := RunTasks(Quick, []Task{{Exp: lookup(t, name), Seed: seed}}, 0, 0)[0]
 	if r.Err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/membership"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/scheme"
 	"repro/internal/simnet"
 )
@@ -40,8 +39,8 @@ func e12CrashCounts(size Size) []int {
 	return []int{0, 1}
 }
 
-func e12Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e12Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E12 — fault tolerance (%d sites, load 0.6): guarantee ratio and abort stages vs loss/crashes", size.sites()),
 		"loss", "crashes", "rtds", "broadcast", "fa-bidding", "undecided",
 		"rej empty-acs", "rej validate-to", "rej commit-to", "rej commit", "dropped", "disrupted")

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/mapper"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -29,7 +28,7 @@ type PaperResult struct {
 	Mapping    *mapper.TrialMapping
 	GanttS     string // Fig. 3 rendering
 	GanttSStar string // Fig. 4 rendering
-	Table1     *metrics.Table
+	Table1     *Table
 }
 
 // PaperExample reproduces §12.1–12.2: the mapper runs on the Fig. 2 DAG
@@ -62,8 +61,8 @@ func PaperExample() (*PaperResult, error) {
 
 // paperTable is Table 1's header. PaperExample and the suite's "paper"
 // entry both build Table 1 from it and table1Rows.
-func paperTable(Size) *metrics.Table {
-	return metrics.NewTable("Table 1 — adjusted r(ti) and d(ti)", "ti", "ri", "di", "r(ti)", "d(ti)")
+func paperTable(Size) *Table {
+	return NewTable("Table 1 — adjusted r(ti) and d(ti)", "ti", "ri", "di", "r(ti)", "d(ti)")
 }
 
 // table1Rows is Table 1: each task's window in S and its adjusted window.

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/policy"
 	"repro/internal/graph"
-	"repro/internal/metrics"
 )
 
 // E13 sweeps the policy layer's axes — sphere growth (radius),
@@ -43,8 +42,8 @@ func e13Combos() []e13Combo {
 	return combos
 }
 
-func e13Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e13Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E13 — policy matrix (~%d sites, load 0.6): sphere growth × acceptance × redundancy over torus/hypercube/geometric", size.sites()),
 		"topo", "h", "accept", "enroll", "ratio", "accepted-dist", "msgs/job", "mean ACS")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/metrics"
 	"repro/internal/scheme"
 	"repro/internal/workload"
 )
@@ -42,8 +41,8 @@ func e15Jobs(size Size) int {
 	return 48
 }
 
-func e15Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e15Table(Size) *Table {
+	return NewTable(
 		"E15 — hierarchical scale sweep (√n regions, fixed job budget)",
 		"sites", "regions", "hier ratio", "flat ratio", "hier msgs/job", "flat msgs/job",
 		"hier table B", "flat table B", "boot rounds", "xregion msgs")

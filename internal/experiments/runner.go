@@ -17,6 +17,9 @@
 // functions and list it in Suite with its point count (fixed(1) for a
 // single point); RunTasks and All run it, rtds-bench prints it and
 // rtds-bench -check pins it once BENCH_suite.json is regenerated.
+//
+// Nothing here reads a clock: a suite run's report is a function of the
+// code and the seeds alone.
 package experiments
 
 import (
@@ -26,32 +29,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
 )
 
-// runEnv carries per-task instrumentation through one experiment run. Every
-// cluster an experiment drives reports its discrete-event count and compute
-// time here, so the suite can attribute simulation throughput (events/sec)
-// to individual experiments even when many clusters run concurrently —
-// busy time sums each cluster's own elapsed time, so overlapping runs
-// (e.g. E2's three schemes) do not inflate the throughput metric.
+// runEnv carries one experiment point's settings and its event count. Every
+// cluster the point drives adds its discrete-event count here (atomically:
+// E2 runs its three schemes concurrently), so each experiment's count is
+// its own even when many points run at once.
 type runEnv struct {
 	events atomic.Int64
-	busyNS atomic.Int64
 	// kernelWorkers routes every RTDS-core cluster the task builds onto the
 	// parallel kernel with that many partitions (core.Config.KernelWorkers);
 	// 0 is the serial reference engine. The tables are byte-identical either
 	// way — the setting trades wall-clock time only — and the fab/oracle
 	// baselines have no DES core and are unaffected.
 	kernelWorkers int
-}
-
-// note accumulates one cluster run's processed-event count and elapsed time.
-func (e *runEnv) note(n int64, elapsed time.Duration) {
-	e.events.Add(n)
-	e.busyNS.Add(int64(elapsed))
 }
 
 // Named is one suite experiment under its stable report name: table gives
@@ -62,7 +53,7 @@ func (e *runEnv) note(n int64, elapsed time.Duration) {
 // rest.
 type Named struct {
 	Name   string
-	table  func(Size) *metrics.Table
+	table  func(Size) *Table
 	points func(Size) int
 	rows   func(env *runEnv, size Size, seed int64, point int) ([][]any, error)
 }
@@ -105,19 +96,25 @@ type Task struct {
 	Seed int64
 }
 
+// Tasks lists one task per experiment×seed, seed-major: each seed's tables
+// stay contiguous and in suite order.
+func Tasks(suite []Named, seeds []int64) []Task {
+	tasks := make([]Task, 0, len(suite)*len(seeds))
+	for _, s := range seeds {
+		for _, n := range suite {
+			tasks = append(tasks, Task{Exp: n, Seed: s})
+		}
+	}
+	return tasks
+}
+
 // Result is one completed suite task. Results are returned in task order
 // regardless of which worker finished first, so merges are deterministic.
-// Wall sums the task's point walls, which can exceed the suite's wall
-// clock; Busy sums each cluster simulation's own elapsed time, so it stays
-// meaningful even when a point overlaps cluster runs internally (E2 drives
-// its three schemes concurrently).
 type Result struct {
 	Name   string
 	Seed   int64
-	Table  *metrics.Table
-	Wall   time.Duration
-	Busy   time.Duration // summed per-cluster simulation time
-	Events int64         // discrete events processed by this task's simulations
+	Table  *Table
+	Events int64 // discrete events processed by this task's simulations
 	Err    error
 }
 
@@ -145,8 +142,6 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 	}
 	type unitResult struct {
 		rows   [][]any
-		wall   time.Duration
-		busy   time.Duration
 		events int64
 		err    error
 	}
@@ -172,13 +167,10 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 				u := units[i]
 				t := tasks[u.task]
 				env := &runEnv{kernelWorkers: kernelWorkers}
-				start := time.Now() //lint:allow wallclock -- wall-time measurement of suite throughput; never enters simulation state
 				ur := unitResult{}
 				if ur.rows, ur.err = t.Exp.rows(env, size, t.Seed, u.point); ur.err != nil {
 					failed.Store(true)
 				}
-				ur.wall = time.Since(start) //lint:allow wallclock -- wall-time measurement of suite throughput; never enters simulation state
-				ur.busy = time.Duration(env.busyNS.Load())
 				ur.events = env.events.Load()
 				uresults[i] = ur
 			}
@@ -196,8 +188,6 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 	for ui, u := range units {
 		r := &results[u.task]
 		ur := uresults[ui]
-		r.Wall += ur.wall
-		r.Busy += ur.busy
 		r.Events += ur.events
 		if r.Err == nil {
 			r.Err = ur.err
@@ -210,7 +200,7 @@ func RunTasks(size Size, tasks []Task, workers, kernelWorkers int) []Result {
 }
 
 // addRows appends rows to tbl.
-func addRows(tbl *metrics.Table, rows [][]any) {
+func addRows(tbl *Table, rows [][]any) {
 	for _, r := range rows {
 		tbl.AddRow(r...)
 	}
@@ -239,33 +229,11 @@ func FirstError(results []Result) error {
 	return aborted
 }
 
-// RunAll runs the entire suite for one seed on a worker pool and returns the
-// tables in the same stable order All produces. workers <= 0 selects
-// GOMAXPROCS; workers == 1 degenerates to a serial run. kernelWorkers is
-// passed through to RunTasks.
-func RunAll(size Size, seed int64, workers, kernelWorkers int) ([]*metrics.Table, error) {
-	suite := Suite()
-	tasks := make([]Task, len(suite))
-	for i, n := range suite {
-		tasks[i] = Task{Exp: n, Seed: seed}
-	}
-	results := RunTasks(size, tasks, workers, kernelWorkers)
-	if err := FirstError(results); err != nil {
-		return nil, err
-	}
-	tables := make([]*metrics.Table, len(results))
-	for i, r := range results {
-		tables[i] = r.Table
-	}
-	return tables, nil
-}
-
 // All runs the entire suite serially (no worker pool): for each experiment,
 // its header and then every point's rows in order. It is the reference the
-// parallel runner's determinism tests compare against; cmd/rtds-bench uses
-// RunAll.
-func All(size Size, seed int64) ([]*metrics.Table, error) {
-	var tables []*metrics.Table
+// parallel runner's determinism tests compare against.
+func All(size Size, seed int64) ([]*Table, error) {
+	var tables []*Table
 	for _, n := range Suite() {
 		tbl := n.table(size)
 		for p := 0; p < n.points(size); p++ {
@@ -283,65 +251,39 @@ func All(size Size, seed int64) ([]*metrics.Table, error) {
 // ---------------------------------------------------------------------------
 // Suite benchmark report (cmd/rtds-bench -json)
 
-// BenchExperiment is one experiment's row in the suite benchmark report.
-// WallSeconds sums the experiment's pool-unit walls; BusySeconds sums its
-// cluster simulations' own elapsed times, and is the denominator of
-// EventsPerSec so internally-overlapped cluster runs do not inflate the
-// throughput number. Table is the experiment's rendered table, one element
-// per line: what rtds-bench prints for it, and what CompareReports pins.
+// BenchExperiment is one experiment's entry in the suite report: its
+// simulations' event count and its rendered table, one element per line
+// (what rtds-bench prints for it). CompareReports pins both.
 type BenchExperiment struct {
-	Name         string   `json:"name"`
-	Seed         int64    `json:"seed"`
-	WallSeconds  float64  `json:"wall_seconds"`
-	BusySeconds  float64  `json:"busy_seconds"`
-	Events       int64    `json:"events"`
-	EventsPerSec float64  `json:"events_per_sec"`
-	Table        []string `json:"table"`
+	Name   string   `json:"name"`
+	Seed   int64    `json:"seed"`
+	Events int64    `json:"events"`
+	Table  []string `json:"table"`
 }
 
-// BenchReport is the BENCH_suite.json schema: suite-level wall time and
-// simulation throughput plus one entry per experiment×seed, in run order.
+// BenchReport is the BENCH_suite.json schema: the suite size, its seeds and
+// one entry per experiment×seed, in run order. It holds nothing read off
+// the host, so regenerating it anywhere writes the same bytes.
 type BenchReport struct {
-	Size         string            `json:"size"`
-	Seeds        []int64           `json:"seeds"`
-	Workers      int               `json:"workers"`
-	WallSeconds  float64           `json:"wall_seconds"`
-	TotalEvents  int64             `json:"total_events"`
-	EventsPerSec float64           `json:"events_per_sec"`
-	Experiments  []BenchExperiment `json:"experiments"`
+	Size        string            `json:"size"`
+	Seeds       []int64           `json:"seeds"`
+	Experiments []BenchExperiment `json:"experiments"`
 }
 
-// NewBenchReport summarizes a RunTasks result set into the JSON report.
-// suiteWall is the wall-clock time of the whole run (less than the sum of
-// per-task walls when workers > 1).
-func NewBenchReport(size Size, seeds []int64, workers int, suiteWall time.Duration, results []Result) BenchReport {
+// NewBenchReport turns a RunTasks result set into the JSON report.
+func NewBenchReport(size Size, seeds []int64, results []Result) BenchReport {
 	name := "full"
 	if size == Quick {
 		name = "quick"
 	}
-	rep := BenchReport{
-		Size:        name,
-		Seeds:       seeds,
-		Workers:     workers,
-		WallSeconds: suiteWall.Seconds(),
-	}
+	rep := BenchReport{Size: name, Seeds: seeds}
 	for _, r := range results {
-		e := BenchExperiment{
-			Name:        r.Name,
-			Seed:        r.Seed,
-			WallSeconds: r.Wall.Seconds(),
-			BusySeconds: r.Busy.Seconds(),
-			Events:      r.Events,
-		}
-		if r.Busy > 0 {
-			e.EventsPerSec = float64(r.Events) / r.Busy.Seconds()
-		}
-		e.Table = strings.Split(strings.TrimSuffix(r.Table.String(), "\n"), "\n")
-		rep.TotalEvents += r.Events
-		rep.Experiments = append(rep.Experiments, e)
-	}
-	if suiteWall > 0 {
-		rep.EventsPerSec = float64(rep.TotalEvents) / suiteWall.Seconds()
+		rep.Experiments = append(rep.Experiments, BenchExperiment{
+			Name:   r.Name,
+			Seed:   r.Seed,
+			Events: r.Events,
+			Table:  strings.Split(strings.TrimSuffix(r.Table.String(), "\n"), "\n"),
+		})
 	}
 	return rep
 }

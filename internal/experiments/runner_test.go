@@ -3,14 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/metrics"
 )
 
 // renderAll flattens a table list into one string, the byte-identity unit
 // the determinism tests compare.
-func renderAll(tables []*metrics.Table) string {
+func renderAll(tables []*Table) string {
 	var sb strings.Builder
 	for _, t := range tables {
 		sb.WriteString(t.String())
@@ -29,9 +26,13 @@ func TestParallelSuiteDeterministicMerge(t *testing.T) {
 	}
 	want := renderAll(serial)
 	for _, workers := range []int{1, 8} {
-		par, err := RunAll(Quick, 1, workers, 0)
-		if err != nil {
+		results := RunTasks(Quick, Tasks(Suite(), []int64{1}), workers, 0)
+		if err := FirstError(results); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var par []*Table
+		for _, r := range results {
+			par = append(par, r.Table)
 		}
 		if got := renderAll(par); got != want {
 			t.Errorf("workers=%d: parallel tables diverge from serial run\n--- serial ---\n%s\n--- parallel ---\n%s",
@@ -41,7 +42,7 @@ func TestParallelSuiteDeterministicMerge(t *testing.T) {
 }
 
 // TestRunTasksOrderAndInstrumentation: results come back in task order with
-// wall time and event counts filled in for simulation-driving experiments.
+// event counts filled in for simulation-driving experiments.
 func TestRunTasksOrderAndInstrumentation(t *testing.T) {
 	tasks := []Task{
 		{Exp: lookup(t, "E9-pcs-construction"), Seed: 1},
@@ -60,8 +61,8 @@ func TestRunTasksOrderAndInstrumentation(t *testing.T) {
 			t.Errorf("result %d is %s/seed %d, want %s/seed %d",
 				i, r.Name, r.Seed, tasks[i].Exp.Name, tasks[i].Seed)
 		}
-		if r.Table.NumRows() == 0 || r.Wall <= 0 {
-			t.Errorf("result %d missing rows or wall time: %+v", i, r)
+		if r.Table.NumRows() == 0 {
+			t.Errorf("result %d has no rows: %+v", i, r)
 		}
 	}
 	// The PCS construction experiment runs bootstrap simulations: its event
@@ -96,26 +97,39 @@ func TestSameSeedSameTableAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTasksSeedMajor: Tasks lists every experiment for the first seed, in
+// suite order, before any for the next.
+func TestTasksSeedMajor(t *testing.T) {
+	suite := Suite()[:2]
+	tasks := Tasks(suite, []int64{4, 9})
+	want := []Task{{suite[0], 4}, {suite[1], 4}, {suite[0], 9}, {suite[1], 9}}
+	if len(tasks) != len(want) {
+		t.Fatalf("%d tasks, want %d", len(tasks), len(want))
+	}
+	for i, w := range want {
+		if tasks[i].Exp.Name != w.Exp.Name || tasks[i].Seed != w.Seed {
+			t.Errorf("task %d is %s@%d, want %s@%d", i, tasks[i].Exp.Name, tasks[i].Seed, w.Exp.Name, w.Seed)
+		}
+	}
+}
+
 func TestBenchReportAggregation(t *testing.T) {
-	tbl := metrics.NewTable("t", "load", "rtds", "msgs/job")
+	tbl := NewTable("t", "load", "rtds", "msgs/job")
 	tbl.AddRow(0.5, 0.8, 12.0)
 	tbl.AddRow(1.0, 0.6, 14.0)
 	results := []Result{
-		{Name: "E1", Seed: 1, Table: tbl, Wall: time.Second, Busy: time.Second, Events: 1000},
-		{Name: "E5", Seed: 1, Table: metrics.NewTable("x", "mode"), Wall: time.Second, Events: 0},
+		{Name: "E1", Seed: 1, Table: tbl, Events: 1000},
+		{Name: "E5", Seed: 1, Table: NewTable("x", "mode"), Events: 0},
 	}
-	rep := NewBenchReport(Quick, []int64{1}, 4, 2*time.Second, results)
-	if rep.Size != "quick" || rep.Workers != 4 {
+	rep := NewBenchReport(Quick, []int64{1}, results)
+	if rep.Size != "quick" || len(rep.Seeds) != 1 || rep.Seeds[0] != 1 {
 		t.Fatalf("report header %+v", rep)
-	}
-	if rep.TotalEvents != 1000 || rep.EventsPerSec != 500 {
-		t.Fatalf("events %d at %f/s, want 1000 at 500/s", rep.TotalEvents, rep.EventsPerSec)
 	}
 	if len(rep.Experiments) != 2 {
 		t.Fatalf("%d experiments", len(rep.Experiments))
 	}
 	e1 := rep.Experiments[0]
-	if e1.EventsPerSec != 1000 {
+	if e1.Name != "E1" || e1.Seed != 1 || e1.Events != 1000 {
 		t.Fatalf("e1 %+v", e1)
 	}
 	// The report carries each table as the lines rtds-bench prints for it.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/policy"
@@ -72,7 +71,6 @@ func (env *runEnv) runCluster(name string, topo *graph.Graph, cfg scheme.Config,
 	if cfg.KernelWorkers == 0 {
 		cfg.KernelWorkers = env.kernelWorkers
 	}
-	start := time.Now() //lint:allow wallclock -- events/sec accounting for the CI bench gate; never enters simulation state
 	c, err := scheme.MustGet(name).Build(topo, cfg)
 	if err != nil {
 		return nil, err
@@ -83,8 +81,7 @@ func (env *runEnv) runCluster(name string, topo *graph.Graph, cfg scheme.Config,
 		}
 	}
 	err = c.Run()
-	//lint:allow wallclock -- events/sec accounting for the CI bench gate; never enters simulation state
-	env.note(c.EventsProcessed(), time.Since(start))
+	env.events.Add(c.EventsProcessed())
 	if err != nil {
 		return nil, err
 	}
@@ -119,8 +116,8 @@ func ArrivalsForLoad(spec workload.Spec, load float64) ([]workload.Arrival, erro
 // load) alone.
 var e1Loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
 
-func e1Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e1Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E1 — guarantee ratio vs offered load (%d sites, h=3, tightness 2.5)", size.sites()),
 		"load", "oracle", "rtds", "local-only", "broadcast", "fa-bidding")
 }
@@ -169,8 +166,8 @@ func e2Sizes(size Size) []int {
 	return []int{8, 16, 32}
 }
 
-func e2Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e2Table(Size) *Table {
+	return NewTable(
 		"E2 — messages per job vs network size (load 0.6, h=2)",
 		"sites", "rtds msgs/job", "broadcast msgs/job", "fa-bidding msgs/job", "rtds ratio", "broadcast ratio")
 }
@@ -220,8 +217,8 @@ func e2Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
 // per sphere radius.
 var e3Radii = []int{1, 2, 3, 4, 5}
 
-func e3Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e3Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E3 — sphere radius trade-off (%d sites, load 0.8)", size.sites()),
 		"h", "ratio", "msgs/job", "mean ACS", "bootstrap msgs")
 }
@@ -247,8 +244,8 @@ func e3Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
 // tighten, one point per tightness.
 var e4Tightness = []float64{1.2, 1.5, 2, 3, 4, 6}
 
-func e4Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e4Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E4 — guarantee ratio vs deadline tightness (%d sites, load 0.6)", size.sites()),
 		"tightness", "rtds", "local-only")
 }
@@ -288,8 +285,8 @@ func e5Trials(size Size) int {
 	return 300
 }
 
-func e5Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e5Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E5 — laxity dispatching in case (iii), %d random DAGs", e5Trials(size)),
 		"mode", "case-iii", "consistent", "busy-proc slack", "idle-proc slack")
 }
@@ -348,8 +345,8 @@ func e5Row(_ *runEnv, size Size, seed int64, point int) ([][]any, error) {
 
 // E6 — the §13 related-machines extension: heterogeneous computing powers
 // with the same aggregate capacity. One point, one row per machine model.
-func e6Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e6Table(Size) *Table {
+	return NewTable(
 		"E6 — identical vs uniform (related) machines, equal aggregate capacity",
 		"machines", "ratio", "accepted-dist")
 }
@@ -391,8 +388,8 @@ func e6Rows(env *runEnv, size Size, seed int64, _ int) ([][]any, error) {
 // point per local scheduler.
 var e7Preemptive = []bool{false, true}
 
-func e7Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e7Table(Size) *Table {
+	return NewTable(
 		"E7 — preemptive vs non-preemptive local scheduler (tightness 1.8, load 0.8)",
 		"scheduler", "ratio", "accepted-local", "accepted-dist")
 }
@@ -423,8 +420,8 @@ func e7Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
 var e8Heuristics = []mapper.Heuristic{mapper.HeuristicCPEFT, mapper.HeuristicMinMin,
 	mapper.HeuristicBestSurplus, mapper.HeuristicRoundRobin}
 
-func e8Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e8Table(Size) *Table {
+	return NewTable(
 		"E8 — mapper heuristic ablation (load 0.8)",
 		"heuristic", "ratio", "accepted-dist", "msgs/job")
 }
@@ -450,8 +447,8 @@ func e8Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
 // task duration. One point per CCR.
 var e11CCRs = []float64{0, 0.25, 0.5, 1, 2}
 
-func e11Table(size Size) *metrics.Table {
-	return metrics.NewTable(
+func e11Table(size Size) *Table {
+	return NewTable(
 		fmt.Sprintf("E11 — data volumes (%d sites, load 0.6): transfer cost vs guarantee ratio", size.sites()),
 		"transfer/compute", "ratio", "accepted-dist", "bytes/job")
 }
@@ -516,8 +513,8 @@ func e9Sizes(size Size) []int {
 	return []int{16, 32}
 }
 
-func e9Table(Size) *metrics.Table {
-	return metrics.NewTable(
+func e9Table(Size) *Table {
+	return NewTable(
 		"E9 — PCS construction cost (messages = rounds × 2|E|)",
 		"sites", "h", "rounds", "messages", "bytes", "mean sphere")
 }

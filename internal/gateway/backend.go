@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -182,7 +183,7 @@ func (b *HTTPBackend) Submit(at, deadline float64, graph json.RawMessage) (strin
 func (b *HTTPBackend) submitTo(nd *backendNode, body []byte) (id string, final bool, err error) {
 	w := nd.beginSubmit()
 	defer func() { nd.endSubmit(w, id) }()
-	resp, err := b.client.Post(nd.base+"/submit", "application/json", strings.NewReader(string(body)))
+	resp, err := b.client.Post(nd.base+"/submit", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return "", false, err
 	}

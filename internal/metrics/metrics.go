@@ -1,8 +1,8 @@
 // Package metrics provides the repo's two measurement toolkits.
 //
 // The experiment half is sample accumulation (mean, standard deviation,
-// confidence intervals, percentiles) and the fixed-width text tables the
-// experiment suite prints.
+// confidence intervals, percentiles); the tables the experiment suite
+// prints are internal/experiments' own.
 //
 // The observability half (prom.go) is a stdlib-only Prometheus text-format
 // renderer and parser: a Builder that takes values read at scrape time
@@ -16,10 +16,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations of one quantity.
@@ -122,107 +120,4 @@ func nearestRank(sorted []float64, p float64) float64 {
 		rank = 0
 	}
 	return sorted[rank]
-}
-
-// Table is a fixed-width text table with a caption, rendered as
-// experiment stdout (plain or markdown).
-type Table struct {
-	Caption string
-	Headers []string
-	rows    [][]string
-}
-
-// NewTable creates a table with the given caption and column headers.
-func NewTable(caption string, headers ...string) *Table {
-	return &Table{Caption: caption, Headers: headers}
-}
-
-// AddRow appends a row; cells are formatted with %v unless already strings.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = formatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
-	}
-	return fmt.Sprintf("%.3f", v)
-}
-
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Cell returns the formatted cell at (row, col); empty when out of range.
-func (t *Table) Cell(row, col int) string {
-	if row < 0 || row >= len(t.rows) || col < 0 || col >= len(t.rows[row]) {
-		return ""
-	}
-	return t.rows[row][col]
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var sb strings.Builder
-	if t.Caption != "" {
-		sb.WriteString(t.Caption)
-		sb.WriteByte('\n')
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
-				sb.WriteByte(' ')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	if t.Caption != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Caption)
-	}
-	sb.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	sb.WriteString("|" + strings.Repeat("---|", len(t.Headers)) + "\n")
-	for _, row := range t.rows {
-		sb.WriteString("| " + strings.Join(row, " | ") + " |\n")
-	}
-	return sb.String()
 }
