@@ -388,8 +388,8 @@ func (c *Cluster) BootstrapRounds() int {
 }
 
 // RemoteRegionViews reports the cross-region liveness digests a landmark
-// has received from its adjacent peers (tests and observability; empty for
-// non-landmarks and flat clusters).
+// has received from its adjacent peers (for tests; empty for non-landmarks
+// and flat clusters).
 func (c *Cluster) RemoteRegionViews(id graph.NodeID) map[int][]membership.Entry {
 	out := make(map[int][]membership.Entry)
 	s := c.sites[id]

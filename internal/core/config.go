@@ -58,8 +58,8 @@ type Config struct {
 	// fan-out (Sphere), the local guarantee test (Acceptance), case-(iii)
 	// laxity scattering (Dispatch) and the trial-mapping heuristic (Mapper).
 	// It is the only selector of all four. Nil fields resolve to the paper
-	// defaults — FullSphere (HierSphere under Hier), EDF, UniformDispatch
-	// and the CP-EFT HeuristicMapper.
+	// defaults — FullSphere (HierSphere under Hier, which enrolls the same
+	// sphere), EDF, UniformDispatch and the CP-EFT HeuristicMapper.
 	Policies policy.Set
 	// KernelWorkers selects the discrete-event kernel backing a simulated
 	// cluster. 0 (the default) runs the serial internal/sim engine — the
@@ -80,11 +80,12 @@ type Config struct {
 	// the topology is partitioned into ~√n connected regions, each site
 	// bootstraps an exact table of its own region plus a constant-size
 	// landmark vector toward every other region, and per-site routing state
-	// drops from O(n) to O(√n). Commit spheres become region-first — the PCS
-	// is confined to the initiator's region — and an enrollment window that
-	// closes empty escalates once to the adjacent regions' landmarks before
-	// rejecting. Membership heartbeats and repair floods are scoped to the
-	// region; landmarks exchange cross-region liveness digests. Available on
+	// drops from O(n) to O(√n). Commit spheres are region-local: the PCS,
+	// and so every ACS, is confined to the initiator's region, where the
+	// tables are exact, and a site alone in its region rejects what it
+	// cannot keep (StageNoSphere). Membership heartbeats and repair floods
+	// are scoped to the region; landmarks exchange cross-region liveness
+	// digests. Available on
 	// every runtime that can await network-wide quiescence — NewCluster on
 	// either kernel and NewLiveCluster, through the same bootstrap code: the
 	// landmark flood terminates by "no strict improvement" and has no local

@@ -20,7 +20,6 @@ const (
 	EvDeferred  EventKind = "deferred"     // processing deferred (site locked)
 	EvLocalOK   EventKind = "local-accept" // whole DAG guaranteed locally
 	EvEnroll    EventKind = "enroll"       // ACS enrollment started
-	EvEscalate  EventKind = "escalate"     // empty window reopened toward adjacent regions' landmarks
 	EvACSFixed  EventKind = "acs-fixed"    // enrollment window closed
 	EvMapped    EventKind = "mapped"       // trial mapping built
 	EvValidated EventKind = "validated"    // all endorsements collected
@@ -107,8 +106,6 @@ func (e Event) detail() string {
 		return fmt.Sprintf("locked by %d", e.Peer)
 	case EvEnroll:
 		return fmt.Sprintf("pcs=%d", e.N)
-	case EvEscalate:
-		return fmt.Sprintf("landmarks=%d window=%.3g", e.N, e.T)
 	case EvACSFixed:
 		if e.N == 0 {
 			return "acs=1 (nobody enrolled)"
@@ -239,7 +236,7 @@ func (c *Cluster) record(e Event) {
 		t.violations, keep = t.violations+1, true
 	case EvDisruption:
 		t.disruptions, keep = t.disruptions+1, true
-	case EvArrival, EvDeferred, EvEnroll, EvEscalate, EvValidated, EvCommit, EvJobDone,
+	case EvArrival, EvDeferred, EvEnroll, EvValidated, EvCommit, EvJobDone,
 		EvPhaseTimeout, EvLeaseExpired, EvAbortRetry, EvRouteRepair, EvRepairSettled,
 		EvMemberDead, EvMemberAlive, EvMemberRefute, EvMemberJoin, EvJoined, EvJoinFailed: // change no job
 	}

@@ -70,17 +70,17 @@ func TestHierClusterRegionLocalJobs(t *testing.T) {
 	}
 }
 
-// TestHierEscalation: a region too small to hold any sphere member escalates
-// its empty enrollment window to the adjacent region's landmark instead of
-// rejecting — and the resulting ACS genuinely crosses the region border.
-func TestHierEscalation(t *testing.T) {
-	// Two sites, one link: two regions of one site each. Site 0's regional
-	// sphere is empty, so any distributed job must escalate to site 1.
+// TestHierEmptyRegionRejects: a region too small to hold any sphere member
+// rejects a job it cannot keep locally at once, as a flat site with an
+// empty sphere does — no enrollment crosses the region border.
+func TestHierEmptyRegionRejects(t *testing.T) {
+	// Two sites, one link: two regions of one site each, so site 0's
+	// regional sphere is empty and a job that must distribute has nowhere
+	// to go.
 	topo := graph.New(2)
 	topo.MustAddEdge(0, 1, 0.05)
 	cfg := DefaultConfig()
 	cfg.Hier = true
-	cfg.TraceEvents = true
 	c := mustCluster(t, topo, cfg)
 
 	job, err := c.Submit(0, 0, parJob(t, 2, 10), 16)
@@ -88,21 +88,12 @@ func TestHierEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	runAll(t, c)
-	if job.Outcome != AcceptedDistributed {
-		t.Fatalf("outcome = %v (stage %q), want accepted-distributed via escalation",
-			job.Outcome, job.RejectStage)
+	if job.Outcome != Rejected || job.RejectStage != StageNoSphere {
+		t.Fatalf("outcome = %v (stage %q), want rejected at %q",
+			job.Outcome, job.RejectStage, StageNoSphere)
 	}
-	escalated := false
-	for _, e := range c.Events() {
-		if e.Kind == EvEscalate {
-			escalated = true
-		}
-	}
-	if !escalated {
-		t.Fatal("no escalate event recorded")
-	}
-	if got := c.Stats().CrossMessages(); got == 0 {
-		t.Fatal("escalated job crossed no region boundary")
+	if got := c.Stats().CrossMessages(); got != 0 {
+		t.Fatalf("job of a one-site region crossed region boundaries %d times", got)
 	}
 }
 
@@ -238,21 +229,18 @@ func TestHierNodeModeRejected(t *testing.T) {
 }
 
 // TestHierDistancesFinite: the ω computation must see finite distances to
-// every escalation landmark from every site.
+// every sphere member from every site.
 func TestHierDistancesFinite(t *testing.T) {
 	topo := hierTopo(48, 7)
 	cfg := DefaultConfig()
 	cfg.Hier = true
 	c := mustCluster(t, topo, cfg)
-	lay := c.Layout()
 	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
-		s := c.sites[id]
-		for _, lm := range s.hierTable.EscalationLandmarks() {
-			if d := s.table.Dist(lm); math.IsInf(d, 1) {
-				t.Fatalf("site %d has infinite distance to escalation landmark %d", id, lm)
+		for _, m := range c.SiteSphere(id) {
+			if d := c.sites[id].table.Dist(m); math.IsInf(d, 1) {
+				t.Fatalf("site %d has infinite distance to sphere member %d", id, m)
 			}
 		}
-		_ = lay
 	}
 }
 

@@ -75,16 +75,9 @@ func (s *Site) enrollDone(t *activeTxn) {
 	}
 
 	if t.Enrollments() == 0 {
-		// Nobody enrolled before the window closed (§8). On a hierarchical
-		// cluster the sphere was region-local, so before rejecting the
-		// initiator escalates once: the window reopens toward the adjacent
-		// regions' landmarks — the ACS-underflow widening of the regional
-		// commit sphere. Flat clusters (and a second underflow) reject
-		// without attempting an initiator-only mapping — the local test
-		// already failed, and the paper distributes or rejects.
-		if s.escalateEnrollment(t) {
-			return
-		}
+		// Nobody enrolled before the window closed (§8): reject without
+		// attempting an initiator-only mapping — the local test already
+		// failed, and the paper distributes or rejects.
 		s.cluster.record(Event{Site: s.id, job: job, Kind: EvACSFixed}) // N=0: no ACS formed
 		s.finishTxn(t, Rejected, StageEmptyACS)
 		return
@@ -134,43 +127,6 @@ func (s *Site) enrollDone(t *activeTxn) {
 	t.SetTimer(s.after(2*omega+s.cluster.cfg.EnrollSlack, func() { s.validateTimeout(t) }))
 }
 
-// escalateEnrollment reopens an enrollment window that closed empty, once,
-// toward the adjacent regions' landmarks (hierarchical clusters only): the
-// regional commit sphere underflowed, so the transaction widens its fan-out
-// beyond the region border — to exactly the sites the landmark vector can
-// reach deterministically — instead of rejecting. Returns false when there
-// is nothing to escalate to (flat cluster, already escalated, or no
-// reachable adjacent landmark), leaving the reject path to the caller.
-func (s *Site) escalateEnrollment(t *activeTxn) bool {
-	if s.hierTable == nil || t.Escalated {
-		return false
-	}
-	already := make(map[graph.NodeID]bool, len(t.Expected))
-	for _, m := range t.Expected {
-		already[m] = true
-	}
-	var extra []graph.NodeID
-	var diam float64
-	for _, lm := range s.hierTable.EscalationLandmarks() {
-		if lm == s.id || already[lm] {
-			continue
-		}
-		extra = append(extra, lm)
-		if d := s.table.Dist(lm); !math.IsInf(d, 1) && d > diam {
-			diam = d
-		}
-	}
-	if len(extra) == 0 {
-		return false
-	}
-	t.Reopen(extra)
-	timeout := 2*diam + s.cluster.cfg.EnrollSlack
-	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvEscalate, N: len(extra), T: timeout})
-	s.sendAll(extra, EnrollReq{Job: t.job.ID, Initiator: s.id, Window: timeout})
-	t.SetTimer(s.after(timeout, func() { s.enrollDone(t) }))
-	return true
-}
-
 // validateTimeout closes the validation phase when members went silent:
 // missing answers count as empty endorsements and the coupling runs on what
 // arrived, which typically rejects the job and unlocks everyone.
@@ -187,7 +143,8 @@ func (s *Site) validateTimeout(t *activeTxn) {
 // members (initiator included), from the initiator's own table plus the
 // enrollees' distance vectors. The paper leaves open how the initiator
 // learns ω; with the vectors it is exact for the ACS, not bounded by the
-// whole sphere's diameter.
+// whole sphere's diameter. Under hier routing it stays exact because an ACS
+// never leaves the initiator's region, where every table is exact.
 func (s *Site) acsDiameter(t *activeTxn) float64 {
 	members := append([]graph.NodeID{s.id}, t.ACS...)
 	inACS := make(map[graph.NodeID]bool, len(members))

@@ -48,7 +48,7 @@ type RejectStage string
 // Rejection stages, recorded for diagnosis and the experiment breakdowns.
 const (
 	StageLocalOnly RejectStage = "local-only" // local test failed and distribution is off
-	StageNoSphere  RejectStage = "no-sphere"  // PCS is empty (radius 0 or isolated site)
+	StageNoSphere  RejectStage = "no-sphere"  // PCS is empty (radius 0, isolated site, one-site region)
 	StageEmptyACS  RejectStage = "empty-acs"  // nobody enrolled before the window closed
 	StageMapper    RejectStage = "mapper"     // case (i) or inconsistent windows
 	StageMatching  RejectStage = "matching"   // maximum coupling smaller than |U|

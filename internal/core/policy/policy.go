@@ -101,14 +101,11 @@ func (p KRedundant) EnrollSet(pcs []graph.NodeID, dist func(graph.NodeID) float6
 	return set
 }
 
-// HierSphere is the region-first enrollment of the hierarchical routing
-// hierarchy: the precomputed sphere is enrolled unchanged — under two-level
-// routing the sphere is already confined to the initiator's region, because
-// the hierarchical table's Sphere() walks intra-region routes only — and the
-// widening to adjacent regions happens outside this axis, as the initiator's
-// ACS-underflow escalation to the neighboring regions' landmarks. The policy
-// therefore exists to *name* the regional behavior in reports and sweeps;
-// its EnrollSet is deliberately identical to FullSphere's.
+// HierSphere is the default Sphere under hierarchical routing. It enrolls
+// the precomputed sphere unchanged, as FullSphere does: the hierarchical
+// table's Sphere() walks intra-region routes only, so the sphere is already
+// confined to the initiator's region, and no enrollment ever leaves it. The
+// type only names that behavior; its EnrollSet is FullSphere's.
 type HierSphere struct{}
 
 // Name implements Sphere.

@@ -58,7 +58,7 @@ type Site struct {
 	// (hierarchical clusters) is non-nil; table is whichever router the
 	// bootstrap produced — the flat *routing.Table, or the two-level
 	// *hier.Table also held in hierTable for the hierarchy-specific calls
-	// (escalation landmarks, intra-table repair).
+	// (the adjacent landmarks of the region digest, intra-table repair).
 	rnode      *routing.Node
 	boot       *hier.Bootstrap
 	table      routing.Router
@@ -396,16 +396,16 @@ func (s *Site) shareRegionDigest() {
 	}
 	s.lastRegionDigest = d
 	msg := membership.RegionDigest{Region: lay.Region(s.id), Digest: d}
-	for _, lm := range s.hierTable.EscalationLandmarks() {
+	for _, lm := range s.hierTable.AdjacentLandmarks() {
 		s.sendTo(lm, msg)
 	}
 }
 
 // onRegionDigest records an adjacent region's liveness summary at this
-// landmark. The digest is observational — it feeds the membership snapshot
-// and the experiments' liveness accounting, not the routing layer: the
+// landmark. Nothing in the protocol reads it: routing ignores it (the
 // landmark vector is a bootstrap artifact and intra-region repair is the
-// region's own business.
+// region's own business), and only Cluster.RemoteRegionViews reads it back,
+// for tests.
 func (s *Site) onRegionDigest(m membership.RegionDigest) {
 	if s.remoteRegions == nil {
 		s.remoteRegions = make(map[int][]membership.Entry)
@@ -571,14 +571,8 @@ func (s *Site) jobArrives(job *Job) {
 		return
 	}
 	if len(s.pcs) == 0 {
-		// A hierarchical site whose region-local sphere is empty (a tiny
-		// region) still has the escalation path: the transaction starts
-		// with an empty fan-out, its window closes immediately and the
-		// underflow escalates to the adjacent regions' landmarks.
-		if s.hierTable == nil || len(s.hierTable.EscalationLandmarks()) == 0 {
-			s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: Rejected, Stage: StageNoSphere})
-			return
-		}
+		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: Rejected, Stage: StageNoSphere})
+		return
 	}
 	s.startTxn(job)
 }

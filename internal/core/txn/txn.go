@@ -92,10 +92,6 @@ type Txn struct {
 	// Enrollment (§8).
 	Expected []graph.NodeID // members the enrollment was sent to
 	acks     map[graph.NodeID]Enrollment
-	// Escalated records that the enrollment was reopened once for a second
-	// wave (the hierarchical ACS-underflow escalation); a transaction
-	// escalates at most once.
-	Escalated bool
 
 	// Validation (§9–§10).
 	ACS     []graph.NodeID // enrolled members (self excluded), sorted
@@ -199,25 +195,6 @@ func (t *Txn) CloseEnrollment() bool {
 func (t *Txn) FixACS() []graph.NodeID {
 	t.ACS = determinism.SortedKeys(t.acks)
 	return t.ACS
-}
-
-// Reopen returns the transaction from Validating to Enrolling for one
-// second enrollment wave over additional members — the hierarchical
-// ACS-underflow escalation: when the region-local window closed empty, the
-// initiator widens the fan-out to the adjacent regions' landmarks instead
-// of rejecting outright. Call only right after a successful CloseEnrollment
-// and at most once (Escalated guards the second attempt); the caller sends
-// the new enrollment requests and re-arms the window timer.
-func (t *Txn) Reopen(extra []graph.NodeID) {
-	if t.phase != Validating {
-		panic(fmt.Sprintf("txn: Reopen in phase %v", t.phase))
-	}
-	if t.Escalated {
-		panic("txn: transaction escalated twice")
-	}
-	t.phase = Enrolling
-	t.Escalated = true
-	t.Expected = append(t.Expected, extra...)
 }
 
 // ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ func TestRoutesMatchGolden(t *testing.T) {
 			d.int(ht.StateBytes())
 			d.int(ht.StateEntries())
 			d.int(ht.MaxVecHops())
-			for _, lm := range ht.EscalationLandmarks() {
+			for _, lm := range ht.AdjacentLandmarks() {
 				d.int(int(lm))
 			}
 		}

@@ -190,7 +190,7 @@ func TestStateSubLinear(t *testing.T) {
 	}
 }
 
-func TestEscalationLandmarks(t *testing.T) {
+func TestAdjacentLandmarks(t *testing.T) {
 	topo := testTopo(64, 5)
 	tables, lay, _, err := Build(topo)
 	if err != nil {
@@ -198,13 +198,13 @@ func TestEscalationLandmarks(t *testing.T) {
 	}
 	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
 		r := lay.Region(id)
-		esc := tables[id].EscalationLandmarks()
-		if len(esc) != len(lay.Adjacent[r]) {
-			t.Fatalf("site %d: %d escalation landmarks, %d adjacent regions", id, len(esc), len(lay.Adjacent[r]))
+		adj := tables[id].AdjacentLandmarks()
+		if len(adj) != len(lay.Adjacent[r]) {
+			t.Fatalf("site %d: %d adjacent landmarks, %d adjacent regions", id, len(adj), len(lay.Adjacent[r]))
 		}
-		for _, lm := range esc {
+		for _, lm := range adj {
 			if lay.Region(lm) == r {
-				t.Fatalf("site %d: escalation landmark %d is in its own region", id, lm)
+				t.Fatalf("site %d: adjacent landmark %d is in its own region", id, lm)
 			}
 			if lay.Landmarks[lay.Region(lm)] != lm {
 				t.Fatalf("site %d: %d is not the landmark of region %d", id, lm, lay.Region(lm))
@@ -298,7 +298,7 @@ func TestPartialVectorCountsKnownRegions(t *testing.T) {
 		if d := part.Dist(lm); !math.IsInf(d, 1) {
 			t.Fatalf("distance %v toward unknown region %d", d, r)
 		}
-		if slices.Contains(part.Destinations(), lm) || slices.Contains(part.EscalationLandmarks(), lm) {
+		if slices.Contains(part.Destinations(), lm) || slices.Contains(part.AdjacentLandmarks(), lm) {
 			t.Fatalf("unknown region %d's landmark %d is listed", r, lm)
 		}
 	}

@@ -134,9 +134,9 @@ func (t *Table) Dist(dest graph.NodeID) float64 {
 
 // Destinations implements routing.Router: the region mates plus every
 // known landmark, in increasing ID order — a merge of the intra table's
-// sorted destinations with the sorted landmark sites. Including the
-// landmarks gives the initiator finite pairwise distances for escalated
-// commit spheres (the ω phase-timer computation skips unknown pairs).
+// sorted destinations with the sorted landmark sites. The landmarks are
+// the routing layer's cross-region targets; no commit sphere reaches them,
+// because every ACS stays inside its initiator's region.
 func (t *Table) Destinations() []graph.NodeID {
 	mates := t.intra.Destinations()
 	lms := make([]graph.NodeID, 0, t.known)
@@ -168,8 +168,7 @@ func (t *Table) Destinations() []graph.NodeID {
 }
 
 // Sphere implements routing.Router: the radius-h PCS within the region.
-// The commit sphere is region-first by construction; escalation reaches
-// outside it via EscalationLandmarks, not via the sphere.
+// A commit sphere never crosses the region border.
 func (t *Table) Sphere(h int) []graph.NodeID { return t.intra.Sphere(h) }
 
 // SphereDelayDiameter implements routing.Router.
@@ -182,11 +181,10 @@ func (t *Table) StateBytes() int { return t.intra.StateBytes() + 8 + landmarkByt
 // StateEntries implements routing.Router.
 func (t *Table) StateEntries() int { return t.intra.StateEntries() + t.known }
 
-// EscalationLandmarks lists the landmarks of the regions adjacent to this
+// AdjacentLandmarks lists the landmarks of the regions adjacent to this
 // site's region that the landmark vector can reach, in increasing site-ID
-// order — the second enrollment wave when the intra-region sphere
-// underflows.
-func (t *Table) EscalationLandmarks() []graph.NodeID {
+// order — where a landmark sends its region's membership digest.
+func (t *Table) AdjacentLandmarks() []graph.NodeID {
 	var out []graph.NodeID
 	for _, r := range t.lay.Adjacent[t.lay.Region(t.Self)] {
 		if lm, ok := t.landmark(r); ok {

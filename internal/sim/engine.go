@@ -66,9 +66,6 @@ func (e *Engine) Now() Time { return e.q.Now() }
 // Processed reports how many events have fired so far.
 func (e *Engine) Processed() int64 { return e.q.Processed() }
 
-// Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int { return e.q.Len() }
-
 // nextSeq validates an event time and draws its scheduling-order key.
 func (e *Engine) nextSeq(t Time) int64 {
 	if t < e.q.now {

@@ -187,9 +187,6 @@ func (d *DES) Now() float64 { return d.kernel.Now() }
 // NowOf implements Transport: the clock of node id's partition.
 func (d *DES) NowOf(id graph.NodeID) float64 { return d.kernel.NowOf(int(id)) }
 
-// Topology implements Transport.
-func (d *DES) Topology() *graph.Graph { return d.topo }
-
 // Stats implements Transport: the aggregate of the per-partition shards.
 func (d *DES) Stats() *Stats { return d.stats }
 

@@ -72,8 +72,6 @@ type Transport interface {
 	// partition's clock on the DES, Now on the wall-clock transports.
 	Now() float64
 	NowOf(id graph.NodeID) float64
-	// Topology exposes the underlying network graph.
-	Topology() *graph.Graph
 	// Stats exposes the communication counters.
 	Stats() *Stats
 	// SetFaults arms a fault plan whose times are relative to epoch.

@@ -486,9 +486,6 @@ func (t *NetTransport) Now() float64 {
 // NowOf implements simnet.Transport: the process has one wall clock.
 func (t *NetTransport) NowOf(graph.NodeID) float64 { return t.Now() }
 
-// Topology implements simnet.Transport.
-func (t *NetTransport) Topology() *graph.Graph { return t.topo }
-
 // Stats implements simnet.Transport.
 func (t *NetTransport) Stats() *simnet.Stats { return t.stats }
 

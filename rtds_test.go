@@ -36,6 +36,34 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// TestFacadeRunUntil advances a cluster to a time in the middle of its only
+// job: the job is decided but not done, and Run finishes it.
+func TestFacadeRunUntil(t *testing.T) {
+	cluster, err := rtds.NewCluster(rtds.NewRandomNetwork(8, 3, 42), rtds.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := cluster.Submit(5, 0, paperJob(), 66)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := job.Window(); w != 66 {
+		t.Fatalf("Window() = %v, want the relative deadline 66", w)
+	}
+	if err := cluster.RunUntil(15); err != nil {
+		t.Fatal(err)
+	}
+	if !job.Accepted() || job.Done {
+		t.Fatalf("at t=15: accepted=%v done=%v, want accepted and running", job.Accepted(), job.Done)
+	}
+	if err := cluster.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !job.Done || !job.MetDeadline() {
+		t.Fatalf("after Run: done=%v met=%v", job.Done, job.MetDeadline())
+	}
+}
+
 func TestFacadeTopologyBuilders(t *testing.T) {
 	delays := rtds.DelayRange{Min: 0.1, Max: 0.2}
 	nets := []*rtds.Network{
