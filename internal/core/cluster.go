@@ -43,7 +43,7 @@ type Cluster struct {
 	cfg  Config
 	mcfg membership.Config // resolved membership configuration
 	topo *graph.Graph
-	lay  *hier.Layout // region/landmark structure; nil on flat clusters
+	lay  *hier.Layout // region structure; nil on flat clusters
 	tr   simnet.Transport
 	// kernel drives virtual time: the event kernel under the DES transport
 	// NewCluster built itself — never recovered from an injected transport,
@@ -123,15 +123,13 @@ func everySite(n int) []graph.NodeID {
 	return ids
 }
 
-// startBootstrap kicks the routing bootstrap (§7 PCS construction, or the
-// two-phase hierarchical one) from each local site's execution context.
-// Call once the transport runs; peers in other hosts start their own.
+// startBootstrap kicks the routing bootstrap (§7 PCS construction, within
+// each region under the hierarchy) from each local site's execution
+// context. Call once the transport runs; peers in other hosts start their
+// own.
 func (c *Cluster) startBootstrap() {
 	for _, s := range c.local {
 		start := s.rnode.Start
-		if s.boot != nil {
-			start = s.boot.Start
-		}
 		if c.virtualTime() {
 			start() // nothing runs yet: the caller is every site's context
 		} else {
@@ -141,10 +139,8 @@ func (c *Cluster) startBootstrap() {
 }
 
 // finishBootstrap closes the bootstrap once the runtime reports that the
-// network drained, and seals. The barrier matters for the hierarchy: its
-// landmark flood terminates by "no strict improvement" and has no local end
-// signal, so a site cannot tell by itself that its landmark vector is final
-// (flat tables are adopted by the sites as their last round completes).
+// network drained, and seals. The sites adopted their tables as their last
+// rounds completed; the barrier checks that every one did.
 func (c *Cluster) finishBootstrap() error {
 	errs := probe(c, (*Site).finishBootstrap)
 	if err := errors.Join(errs...); err != nil {
@@ -361,20 +357,20 @@ func (c *Cluster) BootstrapCost() (messages, bytes int64) {
 	return c.bootstrapMessages, c.bootstrapBytes
 }
 
-// routedTTL bounds the hop count of one routed protocol message. Flat
-// clusters derive it from the sphere radius (protocol traffic stays inside
-// spheres); hierarchical clusters route across regions along landmark
-// gradients whose length is bounded by the network, not the radius, so the
-// bound is the loop guard 4n+8 — gradient routing is loop-free, the TTL
+// routedTTL bounds the hop count of one routed protocol message at twice
+// the longest path the bootstrap can discover, plus slack: R rounds
+// discover paths of at most R+1 edges — 2h under the flat protocol's
+// radius h, twice the largest region's hop diameter under the hierarchy,
+// whose routes never leave their region. Forwarding is loop-free; the TTL
 // only catches a corrupted table.
 func (c *Cluster) routedTTL() int {
 	if c.lay != nil {
-		return 4*c.topo.Len() + 8
+		return 2*(c.lay.MaxRounds()+1) + 8
 	}
 	return 4*c.cfg.Radius + 8
 }
 
-// Layout exposes the region/landmark structure (nil on flat clusters).
+// Layout exposes the region structure (nil on flat clusters).
 func (c *Cluster) Layout() *hier.Layout { return c.lay }
 
 // BootstrapRounds reports the interruption bound the routing bootstrap ran
@@ -385,21 +381,6 @@ func (c *Cluster) BootstrapRounds() int {
 		return c.lay.MaxRounds()
 	}
 	return routing.RoundsForRadius(c.cfg.Radius)
-}
-
-// RemoteRegionViews reports the cross-region liveness digests a landmark
-// has received from its adjacent peers (for tests; empty for non-landmarks
-// and flat clusters).
-func (c *Cluster) RemoteRegionViews(id graph.NodeID) map[int][]membership.Entry {
-	out := make(map[int][]membership.Entry)
-	s := c.sites[id]
-	if s == nil {
-		return out
-	}
-	for _, r := range determinism.SortedKeys(s.remoteRegions) {
-		out[r] = append([]membership.Entry(nil), s.remoteRegions[r]...)
-	}
-	return out
 }
 
 // SiteSphere exposes a site's PCS (for tests and experiments).
@@ -461,7 +442,7 @@ func (c *Cluster) Executions() []TaskExecution {
 var LatencyBounds = [...]float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
 
 // tally is what one site has counted of the facts recorded at it. Submit,
-// record and adoptRouter update it under c.mu as they record; Summarize and
+// record and adoptTable update it under c.mu as they record; Summarize and
 // RoutingState only add tallies up, so no counter reads a retained record.
 type tally struct {
 	submitted, onTime, late      int               // jobs originated; accepted ones Done on time, late

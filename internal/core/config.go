@@ -76,23 +76,18 @@ type Config struct {
 	// It is the only kernel selector (resolved by simnet.NewKernel) and is
 	// ignored by the wall-clock transport (wire).
 	KernelWorkers int
-	// Hier arms two-level region/landmark routing (internal/routing/hier):
-	// the topology is partitioned into ~√n connected regions, each site
-	// bootstraps an exact table of its own region plus a constant-size
-	// landmark vector toward every other region, and per-site routing state
-	// drops from O(n) to O(√n). Commit spheres are region-local: the PCS,
-	// and so every ACS, is confined to the initiator's region, where the
-	// tables are exact, and a site alone in its region rejects what it
-	// cannot keep (StageNoSphere). Membership heartbeats and repair floods
-	// are scoped to the region; landmarks exchange cross-region liveness
-	// digests. Available on
-	// every runtime that can await network-wide quiescence — NewCluster on
-	// either kernel and NewLiveCluster, through the same bootstrap code: the
-	// landmark flood terminates by "no strict improvement" and has no local
-	// end signal, so the tables are assembled once the network drained.
-	// NewNode refuses it for that reason (a lone node cannot tell when its
-	// peers have drained). Requires a connected topology like the flat
-	// bootstrap.
+	// Hier arms region routing (internal/routing/hier): the topology is
+	// partitioned into ~√n connected regions, each site bootstraps an exact
+	// table of its own region over its intra-region links, and per-site
+	// routing state drops from O(n) to O(√n). Commit spheres are
+	// region-local: the PCS, and so every ACS, is confined to the
+	// initiator's region, and a site alone in its region rejects what it
+	// cannot keep (StageNoSphere). A site of another region has no route,
+	// so no message crosses a region boundary. Membership heartbeats and
+	// repair floods are scoped to the region too. Available on NewCluster
+	// (either kernel) and NewLiveCluster; NewNode refuses it, because no
+	// test holds a one-site node's hierarchy to the simulator's yet.
+	// Requires a connected topology like the flat bootstrap.
 	Hier bool
 	// Membership arms the distributed membership layer: per-site heartbeats
 	// with suspicion timeouts, flooded death/resurrection notices,

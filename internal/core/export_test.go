@@ -31,17 +31,6 @@ func (c *Cluster) StartBootstrap() { c.startBootstrap() }
 
 func (c *Cluster) FinishBootstrap() error { return c.finishBootstrap() }
 
-// FlatTableSites lists the local sites that run a flat routing table.
-func (c *Cluster) FlatTableSites() []graph.NodeID {
-	var flat []graph.NodeID
-	for _, s := range c.local {
-		if s.hierTable == nil {
-			flat = append(flat, s.id)
-		}
-	}
-	return flat
-}
-
 // SetProbeTimeout shortens probeTimeout and returns the restore.
 func SetProbeTimeout(d time.Duration) (restore func()) {
 	old := probeTimeout

@@ -30,7 +30,7 @@ func TestHierClusterRegionLocalJobs(t *testing.T) {
 		t.Fatal("hier cluster has no layout")
 	}
 	// Per-site routing state must be sub-linear: under √n regions every site
-	// holds its region's table plus one landmark line per region.
+	// holds its region's table only.
 	_, entries := c.RoutingState()
 	if entries >= topo.Len() {
 		t.Fatalf("per-site routing state %d entries at n=%d, want sub-linear", entries, topo.Len())
@@ -128,8 +128,8 @@ func TestHierDeterministic(t *testing.T) {
 
 // TestHierMembershipRegionScoped: with membership armed on a hierarchical
 // cluster, a crash inside one region is detected and repaired by the
-// region's own heartbeats, the survivors keep routing, and the region's
-// landmark shares a liveness digest with its adjacent peers.
+// region's own heartbeats, no other region learns of it, and no message —
+// heartbeat, notice, repair flood or digest — crosses a region boundary.
 func TestHierMembershipRegionScoped(t *testing.T) {
 	topo := hierTopo(32, 5)
 	cfg := DefaultConfig()
@@ -156,7 +156,6 @@ func TestHierMembershipRegionScoped(t *testing.T) {
 	runAll(t, c)
 
 	vr := lay.Region(victim)
-	sawDigest := false
 	for _, snap := range c.MembershipSnapshots() {
 		if snap.Self == victim {
 			continue
@@ -171,17 +170,8 @@ func TestHierMembershipRegionScoped(t *testing.T) {
 			t.Fatalf("site %d outside region %d learned of the death via gossip", snap.Self, vr)
 		}
 	}
-	// Adjacent landmarks learned through the landmark digest channel instead.
-	for _, r := range lay.Adjacent[vr] {
-		views := c.RemoteRegionViews(lay.Landmarks[r])
-		for _, e := range views[vr] {
-			if e.Site == victim && e.Dead {
-				sawDigest = true
-			}
-		}
-	}
-	if !sawDigest {
-		t.Fatalf("no adjacent landmark received region %d's death digest", vr)
+	if got := c.Summarize().CrossRegionMessages; got != 0 {
+		t.Fatalf("membership crossed region boundaries %d times", got)
 	}
 }
 
@@ -198,7 +188,6 @@ func mustLayout(t *testing.T, topo *graph.Graph) *layoutView {
 	return &layoutView{
 		Landmarks: l.Landmarks,
 		Members:   l.Members,
-		Adjacent:  l.Adjacent,
 		assign:    l.Assign,
 	}
 }
@@ -206,14 +195,14 @@ func mustLayout(t *testing.T, topo *graph.Graph) *layoutView {
 type layoutView struct {
 	Landmarks []graph.NodeID
 	Members   [][]graph.NodeID
-	Adjacent  [][]int
 	assign    []int
 }
 
 func (v *layoutView) Region(id graph.NodeID) int { return v.assign[id] }
 
-// TestHierNodeModeRejected: the hierarchy needs a runtime that can await
-// network-wide quiescence, which a lone node cannot; the error says so.
+// TestHierNodeModeRejected: a lone node refuses the hierarchy, and the
+// error says why — not the bootstrap, which ends locally in every region,
+// but that nothing checks a deployment's hierarchy against the simulator.
 func TestHierNodeModeRejected(t *testing.T) {
 	topo := fastLine(3)
 	cfg := DefaultConfig()
@@ -223,7 +212,7 @@ func TestHierNodeModeRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("NewNode accepted Hier")
 	}
-	if !strings.Contains(err.Error(), "quiescence") {
+	if !strings.Contains(err.Error(), "one-site node") {
 		t.Fatalf("refusal does not give the reason: %v", err)
 	}
 }
@@ -249,15 +238,17 @@ func TestHierDistancesFinite(t *testing.T) {
 // delays, seed 1+n): the digest of every site's routes and sphere, and the
 // bootstrap's message count. Both are deterministic, so a change that moves
 // one route or one bootstrap message fails here; a deliberate one updates
-// the pins.
+// the pins. They were last moved when the landmark flood went: every site's
+// intra-region routes, sphere and distances hashed identically before and
+// after, and only the landmark lines and the flood's messages left.
 func TestHierRouteDigestPinned(t *testing.T) {
 	for _, pin := range []struct {
 		sites  int
 		digest uint64
 		msgs   int64
 	}{
-		{256, 0xd5f8cfb436a9472b, 22454},
-		{1024, 0x9db263b998d279da, 163542},
+		{256, 0x8ff4b578c1c6a5d2, 6070},
+		{1024, 0x135640f89efe520d, 32470},
 	} {
 		cfg := DefaultConfig()
 		cfg.Hier = true
@@ -266,6 +257,70 @@ func TestHierRouteDigestPinned(t *testing.T) {
 		if got := c.RouteDigest(); got != pin.digest || msgs != pin.msgs {
 			t.Errorf("%d sites: route digest %016x after %d bootstrap messages, pinned %016x after %d",
 				pin.sites, got, msgs, pin.digest, pin.msgs)
+		}
+	}
+}
+
+// TestHierForeignDestinationHasNoRoute: a routed message addressed to a
+// site of another region is refused at its first hop — recorded there as a
+// no-route violation, never put on a link.
+func TestHierForeignDestinationHasNoRoute(t *testing.T) {
+	topo := hierTopo(48, 7)
+	cfg := DefaultConfig()
+	cfg.Hier = true
+	c := mustCluster(t, topo, cfg)
+	lay := c.Layout()
+	const src = graph.NodeID(0)
+	dest := graph.NodeID(-1)
+	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
+		if !lay.SameRegion(src, id) {
+			dest = id
+			break
+		}
+	}
+	c.sites[src].sendTo(dest, EnrollReq{Job: "foreign", Initiator: src, Window: 1})
+	if got := c.Stats().Messages(); got != 0 {
+		t.Fatalf("a message for another region's site took %d hops", got)
+	}
+	var noRoute []Event
+	for _, e := range c.Events() {
+		if e.Kind == EvViolation {
+			noRoute = append(noRoute, e)
+		}
+	}
+	if len(noRoute) != 1 || noRoute[0].Cause != CauseNoRoute || noRoute[0].Site != src || noRoute[0].Peer != dest {
+		t.Fatalf("violations %+v, want one no-route at site %d toward %d", noRoute, src, dest)
+	}
+}
+
+// TestHierRoutedTTLBoundsEveryRoute: under the hierarchy the routed TTL is
+// bounded by the largest region, not the network — and every intra-region
+// route, and every walk along next hops, fits under it.
+func TestHierRoutedTTLBoundsEveryRoute(t *testing.T) {
+	topo := hierTopo(256, 257)
+	cfg := DefaultConfig()
+	cfg.Hier = true
+	c := mustCluster(t, topo, cfg)
+	ttl := c.routedTTL()
+	if ttl >= topo.Len() {
+		t.Fatalf("routed TTL %d at %d sites is not bounded by the regions", ttl, topo.Len())
+	}
+	for _, s := range c.sites {
+		for _, dest := range s.table.Destinations() {
+			if r, _ := s.table.Route(dest); r.PathHops > ttl {
+				t.Fatalf("site %d: route to %d has %d hops, TTL %d", s.id, dest, r.PathHops, ttl)
+			}
+			cur, hops := s.id, 0
+			for cur != dest {
+				next, ok := c.sites[cur].table.NextHop(dest)
+				if !ok {
+					t.Fatalf("no route at %d toward %d (from %d)", cur, dest, s.id)
+				}
+				cur = next
+				if hops++; hops > ttl {
+					t.Fatalf("walk %d->%d exceeds TTL %d", s.id, dest, ttl)
+				}
+			}
 		}
 	}
 }

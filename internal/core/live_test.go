@@ -329,9 +329,9 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 }
 
 // TestLiveClusterHier: Config.Hier on the live transport builds the region
-// layout, runs the two-phase bootstrap and adopts hier.Tables once WaitIdle
-// reports the network drained — the same bootstrap code as the DES, where
-// it used to run flat tables under a HierSphere policy without saying so.
+// layout and runs the intra-region bootstrap — the same code as the DES,
+// so every site ends with the DES's routes, where it used to run flat
+// tables under a HierSphere policy without saying so.
 func TestLiveClusterHier(t *testing.T) {
 	topo := core.HierTopo(32, 5)
 	cfg := core.DefaultConfig()
@@ -347,8 +347,8 @@ func TestLiveClusterHier(t *testing.T) {
 	if live.Layout() == nil {
 		t.Fatal("live hier cluster has no layout")
 	}
-	if flat := live.FlatTableSites(); len(flat) != 0 {
-		t.Fatalf("sites %v run a flat table under Config.Hier", flat)
+	if got, want := live.RouteDigest(), des.RouteDigest(); got != want {
+		t.Fatalf("live route digest %016x, DES %016x", got, want)
 	}
 	wantBytes, wantEntries := des.RoutingState()
 	if gotBytes, gotEntries := live.RoutingState(); gotBytes != wantBytes || gotEntries != wantEntries {

@@ -200,11 +200,6 @@ func (m *Manager) tick() {
 	m.hooks.After(m.cfg.HeartbeatEvery, m.tick)
 }
 
-// Digest exposes the manager's current view digest (every non-default
-// entry, sorted by site) — the payload a hierarchical landmark shares with
-// its adjacent peers.
-func (m *Manager) Digest() []Entry { return m.digest() }
-
 // digest lists every non-default view entry, self included, sorted by site
 // for determinism.
 func (m *Manager) digest() []Entry {

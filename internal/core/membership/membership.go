@@ -222,18 +222,3 @@ func (JoinAck) Kind() string { return "member.join-ack" }
 
 // SizeBytes implements simnet.Payload.
 func (a JoinAck) SizeBytes() int { return msgHeader + 16 + 10*len(a.Digest) }
-
-// RegionDigest is a landmark's liveness summary of its own region, routed
-// to the adjacent regions' landmarks under hierarchical routing: membership
-// gossip is region-scoped there, and the landmark digest is the only
-// cross-region liveness channel. Observational — it never feeds routing.
-type RegionDigest struct {
-	Region int
-	Digest []Entry
-}
-
-// Kind implements simnet.Payload.
-func (RegionDigest) Kind() string { return "member.region" }
-
-// SizeBytes implements simnet.Payload.
-func (d RegionDigest) SizeBytes() int { return msgHeader + 4 + 10*len(d.Digest) }

@@ -46,8 +46,8 @@ func NewNode(topo *graph.Graph, cfg Config, tr simnet.Transport, self graph.Node
 		return nil, err
 	}
 	if cfg.Hier {
-		return nil, fmt.Errorf("core: hierarchical routing needs a runtime that can await network-wide " +
-			"quiescence: the landmark flood has no local end signal, and a node cannot tell when its peers have drained")
+		return nil, fmt.Errorf("core: hierarchical routing is not offered on a one-site node yet: " +
+			"no test holds a deployment's region tables and decisions to the simulator's")
 	}
 	if int(self) < 0 || int(self) >= topo.Len() {
 		return nil, fmt.Errorf("core: node id %d out of range [0,%d)", self, topo.Len())

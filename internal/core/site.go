@@ -10,7 +10,6 @@ import (
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/routing/hier"
 	"repro/internal/schedule"
 	"repro/internal/simnet"
 )
@@ -45,24 +44,15 @@ type Site struct {
 	// Membership layer: heartbeats, suspicion, epoch-tagged route repair
 	// and the join handshake. Nil when the cluster runs the faultless
 	// paper model (membership disabled). On hierarchical clusters the
-	// manager is scoped to the region: it heartbeats intra-region neighbors
-	// only and repairs the intra-region half of the table.
+	// manager is scoped to the region, like the bootstrap: it heartbeats
+	// intra-region neighbors only and repairs the region's table.
 	member *membership.Manager
-	// Cross-region liveness, landmarks only: the latest digest received
-	// from each adjacent region's landmark, and the last digest this
-	// landmark shared (so repeats are suppressed).
-	remoteRegions    map[int][]membership.Entry
-	lastRegionDigest []membership.Entry
 
-	// PCS bootstrap (§7). Exactly one of rnode (flat clusters) and boot
-	// (hierarchical clusters) is non-nil; table is whichever router the
-	// bootstrap produced — the flat *routing.Table, or the two-level
-	// *hier.Table also held in hierTable for the hierarchy-specific calls
-	// (the adjacent landmarks of the region digest, intra-table repair).
+	// PCS bootstrap (§7), over the site's intra-region links on
+	// hierarchical clusters; table is the routing table it produced, or the
+	// latest repaired one.
 	rnode      *routing.Node
-	boot       *hier.Bootstrap
-	table      routing.Router
-	hierTable  *hier.Table
+	table      *routing.Table
 	pcs        []graph.NodeID // sphere members, self excluded
 	sphereDiam float64        // max known delay to a sphere member
 	// enrollSet / enrollDiam cache the sphere policy's fan-out choice and
@@ -155,48 +145,21 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 			panic(err)
 		}
 	}
+	// Under the hierarchy a site knows only its region's links: bootstrap,
+	// heartbeats, suspicion and repair floods all stay inside the region,
+	// and the bootstrap runs as many rounds as the region's diameter needs.
+	nbrs, rounds := c.topo.Neighbors(id), routing.RoundsForRadius(c.cfg.Radius)
 	if c.lay != nil {
-		s.boot = hier.NewBootstrap(id, c.topo.Neighbors(id), c.lay, directSend)
-	} else {
-		rounds := routing.RoundsForRadius(c.cfg.Radius)
-		s.rnode = routing.NewNode(id, c.topo.Neighbors(id), rounds, directSend, s.adoptTable)
+		nbrs, rounds = c.lay.IntraLinks(id, nbrs), c.lay.Rounds[c.lay.Region(id)]
 	}
+	s.rnode = routing.NewNode(id, nbrs, rounds, directSend, s.adoptTable)
 	if c.mcfg.Enabled {
-		// Region-scoped membership on hierarchical clusters: heartbeats,
-		// suspicion and repair floods stay inside the region (the landmark
-		// summarizes the region's liveness to its peers, see
-		// shareRegionDigest); repairs rebuild the intra-region table only,
-		// the landmark vector survives untouched.
-		nbrs := c.topo.Neighbors(id)
-		adopt := s.adoptTable
-		current := func() *routing.Table {
-			if t, ok := s.table.(*routing.Table); ok {
-				return t
-			}
-			return nil
-		}
-		if c.lay != nil {
-			var intra []graph.Edge
-			for _, e := range nbrs {
-				if c.lay.SameRegion(id, e.To) {
-					intra = append(intra, e)
-				}
-			}
-			nbrs = intra
-			adopt = s.adoptIntra
-			current = func() *routing.Table {
-				if s.hierTable == nil {
-					return nil
-				}
-				return s.hierTable.Intra()
-			}
-		}
 		s.member = membership.New(id, nbrs, c.mcfg, membership.Hooks{
 			Now:     s.now,
 			After:   s.after,
 			Send:    directSend,
-			Adopt:   adopt,
-			Current: current,
+			Adopt:   s.adoptTable,
+			Current: func() *routing.Table { return s.table },
 			Event: func(n membership.Note) {
 				c.record(Event{Site: s.id, Kind: EventKind(n.Kind), Peer: n.Site, From: n.From, N: int(n.Inc), Epoch: n.Epoch})
 			},
@@ -205,33 +168,13 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 	return s
 }
 
-// adoptTable installs a flat routing table — the PCS bootstrap result, or a
-// repaired table after a site death.
-func (s *Site) adoptTable(t *routing.Table) { s.adoptRouter(t) }
-
-// adoptHier installs the finished two-level table of the hierarchical
-// bootstrap.
-func (s *Site) adoptHier(t *hier.Table) {
-	s.hierTable = t
-	s.adoptRouter(t)
-}
-
-// adoptIntra installs a repaired intra-region table into the hierarchical
-// table (membership route repair under hierarchy): the landmark vector is
-// kept — nothing outside the region changed — and the derived state is
-// rebuilt from the composite router. Landmarks then share the region's
-// liveness digest with their adjacent peers.
-func (s *Site) adoptIntra(t *routing.Table) {
-	s.hierTable.SetIntra(t)
-	s.adoptRouter(s.hierTable)
-	s.shareRegionDigest()
-}
-
-// adoptRouter rebuilds the routing-derived state: sphere membership, sphere
-// delay diameter and the distance vector, and tallies the table's footprint.
-// Fresh slices are allocated every time because the previous ones may still
-// be referenced by in-flight enrollAcks (receivers treat Dists as read-only).
-func (s *Site) adoptRouter(t routing.Router) {
+// adoptTable installs a routing table — the PCS bootstrap result, or a
+// repaired table after a site death — and rebuilds the routing-derived
+// state: sphere membership, sphere delay diameter and the distance vector,
+// and tallies the table's footprint. Fresh slices are allocated every time
+// because the previous ones may still be referenced by in-flight enrollAcks
+// (receivers treat Dists as read-only).
+func (s *Site) adoptTable(t *routing.Table) {
 	s.table = t
 	s.cluster.mu.Lock()
 	s.tally.routingBytes, s.tally.routingEntries = t.StateBytes(), t.StateEntries()
@@ -266,17 +209,10 @@ func (s *Site) adoptRouter(t routing.Router) {
 	}
 }
 
-// finishBootstrap closes this site's routing bootstrap once the network has
-// drained (see Cluster.finishBootstrap): the two-level table is assembled
-// here; a flat table was adopted when the site's last round completed.
+// finishBootstrap checks, once the network has drained (see
+// Cluster.finishBootstrap), that this site adopted its table when its last
+// round completed.
 func (s *Site) finishBootstrap() error {
-	if s.boot != nil {
-		if !s.boot.Done() {
-			return fmt.Errorf("core: site %d never finished hierarchical bootstrap (missing regions %v)",
-				s.id, s.boot.MissingRegions())
-		}
-		s.adoptHier(s.boot.Finish())
-	}
 	if s.table == nil {
 		return fmt.Errorf("core: site %d never finished PCS construction", s.id)
 	}
@@ -298,16 +234,7 @@ func (s *Site) handle(from graph.NodeID, p simnet.Payload) {
 		if s.member != nil && s.member.HandleTable(from, m) {
 			return
 		}
-		if s.boot != nil {
-			s.boot.HandleTable(from, m)
-			return
-		}
 		s.rnode.HandleTable(from, m)
-	case hier.LandmarkAd:
-		if s.boot == nil {
-			panic(fmt.Sprintf("core: site %d got landmark ad on a flat cluster", s.id))
-		}
-		s.boot.HandleAd(from, m)
 	case membership.Heartbeat:
 		if s.member != nil {
 			s.member.HandleHeartbeat(from, m)
@@ -361,56 +288,9 @@ func (s *Site) dispatch(src graph.NodeID, p simnet.Payload) {
 		s.onResult(m)
 	case DoneMsg:
 		s.onDone(m)
-	case membership.RegionDigest:
-		s.onRegionDigest(m)
 	default:
 		panic(fmt.Sprintf("core: site %d got unknown payload %q", s.id, p.Kind()))
 	}
-}
-
-// shareRegionDigest forwards this landmark's membership digest to the
-// adjacent regions' landmarks — the cross-region liveness summary of the
-// hierarchy. Non-landmarks and unchanged digests send nothing, so steady
-// state is silent and region-local churn costs one routed message per
-// adjacent region.
-func (s *Site) shareRegionDigest() {
-	if s.hierTable == nil || s.member == nil {
-		return
-	}
-	lay := s.hierTable.Layout()
-	if lay.Landmarks[lay.Region(s.id)] != s.id {
-		return
-	}
-	d := s.member.Digest()
-	if len(d) == len(s.lastRegionDigest) {
-		same := true
-		for i := range d {
-			if d[i] != s.lastRegionDigest[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return
-		}
-	}
-	s.lastRegionDigest = d
-	msg := membership.RegionDigest{Region: lay.Region(s.id), Digest: d}
-	for _, lm := range s.hierTable.AdjacentLandmarks() {
-		s.sendTo(lm, msg)
-	}
-}
-
-// onRegionDigest records an adjacent region's liveness summary at this
-// landmark. Nothing in the protocol reads it: routing ignores it (the
-// landmark vector is a bootstrap artifact and intra-region repair is the
-// region's own business), and only Cluster.RemoteRegionViews reads it back,
-// for tests.
-func (s *Site) onRegionDigest(m membership.RegionDigest) {
-	if s.remoteRegions == nil {
-		s.remoteRegions = make(map[int][]membership.Entry)
-	}
-	s.remoteRegions[m.Region] = m.Digest
 }
 
 // sendTo routes a payload toward dest along next hops.

@@ -12,9 +12,8 @@ import (
 // bootstrap rounds, message cost and guarantee ratio of rtds-hier against
 // flat rtds as the network grows toward thousands of sites. The flat
 // protocol's per-site table is exactly one line per destination (O(n)); the
-// hierarchy holds the region's exact table plus one landmark line per
-// region (O(√n)), and region-local jobs resolve without a single
-// cross-region protocol message. One point per network size: the
+// hierarchy holds its region's exact table alone (O(√n)), and no message
+// crosses a region boundary. One point per network size: the
 // 4,096-site point dwarfs the rest.
 
 // e15FlatCap bounds the flat-RTDS comparison runs: beyond it a flat

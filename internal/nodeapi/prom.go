@@ -65,7 +65,7 @@ func buildProm(st snapshot) *metrics.Builder {
 	b.Counter("rtds_node_disruptions_total",
 		"Fault-injection disruptions applied to this node.", float64(sum.Disruptions))
 	b.Gauge("rtds_node_routing_table_bytes",
-		"Per-site routing-state footprint in bytes (intra-region table plus landmark vector under hierarchical routing; the full table when flat).", float64(sum.RoutingTableBytes))
+		"Per-site routing-state footprint in bytes (the intra-region table under hierarchical routing; the full table when flat).", float64(sum.RoutingTableBytes))
 	b.Gauge("rtds_node_routing_entries",
 		"Destinations the local routing state resolves directly (region members plus landmarks under hierarchical routing; all sites when flat).", float64(sum.RoutingEntries))
 	b.Histogram("rtds_node_decision_latency_seconds",

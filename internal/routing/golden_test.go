@@ -76,34 +76,37 @@ func goldenTopos() []struct {
 }
 
 // routeGolden was generated at the commit before the routing table became a
-// sorted slice (map-backed tables, map-backed landmark vectors): every
-// site's routes, and the bootstrap's message and byte counts, must come out
-// bit-identical from the flat representation.
+// sorted slice (map-backed tables): every site's routes, and the
+// bootstrap's message and byte counts, must come out bit-identical from the
+// flat representation. The hier/ lines were re-pinned when the landmark
+// flood went: every site's intra-region routes hashed identically before
+// and after, and the lines now hash those routes and the intra-region
+// bootstrap's cost alone.
 var routeGolden = map[string]string{
 	"flat/ring48-unit/r3":       "c06984c7cef682af",
 	"flat/ring48-unit/r5":       "87198d68baf1eb4d",
-	"hier/ring48-unit":          "e183816a6dd2341a",
+	"hier/ring48-unit":          "ddf6c559394ea4ff",
 	"flat/ring64-wide/r3":       "c4cb1ccf8a7feafa",
 	"flat/ring64-wide/r5":       "0a4aa9ebf99c57e3",
-	"hier/ring64-wide":          "cdef1576f89647ce",
+	"hier/ring64-wide":          "3a27883dd78c4727",
 	"flat/grid8x8-unit/r3":      "f1630de794d35db2",
 	"flat/grid8x8-unit/r5":      "fc1d88b748e8f87a",
-	"hier/grid8x8-unit":         "e7aa07d8fb78d317",
+	"hier/grid8x8-unit":         "db16193423083fdb",
 	"flat/grid10x10-std/r3":     "57af0734ed644be1",
 	"flat/grid10x10-std/r5":     "c64f767d07fb931a",
-	"hier/grid10x10-std":        "83a63cd969c38a62",
+	"hier/grid10x10-std":        "3bd8aeb9b9fff995",
 	"flat/random96-std/r3":      "7b6d1a09a1bdc22a",
 	"flat/random96-std/r5":      "b2fb30738ad34f7c",
-	"hier/random96-std":         "218af23bf80c89e3",
+	"hier/random96-std":         "33ff49999fbb4820",
 	"flat/random200-wide/r3":    "5b4abcfbeda2bff9",
 	"flat/random200-wide/r5":    "f46cf07859c6545f",
-	"hier/random200-wide":       "b425e975b46f9b64",
+	"hier/random200-wide":       "79ba906c894ca716",
 	"flat/geometric80-std/r3":   "bf57f02bf3647289",
 	"flat/geometric80-std/r5":   "ea9cea4d5c50a3c3",
-	"hier/geometric80-std":      "082d121f044b4a3a",
+	"hier/geometric80-std":      "e419baa22bb5324b",
 	"flat/geometric150-wide/r3": "590a8a4b1a772d96",
 	"flat/geometric150-wide/r5": "b03b2a5999a7cefd",
-	"hier/geometric150-wide":    "71d9d51059073ce8",
+	"hier/geometric150-wide":    "fd1815cf2b17b725",
 }
 
 // TestRoutesMatchGolden: routing.Build at radius 2 and 3 and hier.Build
@@ -127,36 +130,14 @@ func TestRoutesMatchGolden(t *testing.T) {
 			got[fmt.Sprintf("flat/%s/r%d", tc.name, rounds)] = d.sum()
 		}
 
-		tables, lay, stats, err := hier.Build(tc.g)
+		tables, _, stats, err := hier.Build(tc.g)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		d := newDigest()
 		for id := graph.NodeID(0); int(id) < tc.g.Len(); id++ {
-			ht := tables[id]
 			d.int(int(id))
-			d.routes(ht.Intra())
-			dests := ht.Destinations()
-			d.int(len(dests))
-			for _, dest := range dests {
-				nh, ok := ht.NextHop(dest)
-				d.int(int(dest))
-				if ok {
-					d.int(int(nh))
-				} else {
-					d.int(-1)
-				}
-				d.float(ht.Dist(dest))
-			}
-			d.int(ht.StateBytes())
-			d.int(ht.StateEntries())
-			d.int(ht.MaxVecHops())
-			for _, lm := range ht.AdjacentLandmarks() {
-				d.int(int(lm))
-			}
-		}
-		for _, lm := range lay.Landmarks {
-			d.int(int(lm))
+			d.routes(tables[id])
 		}
 		d.stats(stats)
 		got["hier/"+tc.name] = d.sum()

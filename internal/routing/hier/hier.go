@@ -1,49 +1,34 @@
-// Package hier implements two-level region/landmark routing on top of the
-// flat §7 distance-vector protocol of internal/routing, so per-site routing
-// state stays sub-linear in the network size:
+// Package hier partitions a wide network into regions so that routing
+// state and protocol traffic stay sub-linear in the network size:
 //
 //   - the topology is partitioned into ~√n connected regions
 //     (graph.Partition), and each region deterministically elects the
 //     member with the smallest intra-region hop eccentricity as its
-//     landmark (ties to the lowest site ID);
-//   - every site runs the interrupted distance-vector bootstrap over its
-//     intra-region links only, producing an exact table of its region
-//     (O(√n) entries);
-//   - every landmark floods a small advertisement through the whole
-//     network; each site keeps, per region, its best distance/next-hop
-//     toward that region's landmark (O(√n) entries of constant size) and
-//     re-forwards only improvements, so the flood quiesces.
+//     landmark (ties to the lowest site ID) — the region's center, drawn by
+//     rtds-dot; the election's search also yields the region's diameter;
+//   - every site runs the flat interrupted distance-vector protocol of
+//     internal/routing over its intra-region links only, for as many rounds
+//     as the region's diameter needs, producing an exact table of its
+//     region (O(√n) entries).
 //
-// Forwarding: a destination in the local region follows the exact intra
-// table; any other destination is forwarded along the landmark gradient of
-// its region until the message enters that region, where the intra table
-// takes over. Intra-region paths never leave the region (the bootstrap only
-// saw intra-region links), so region-local protocol traffic crosses zero
-// region boundaries.
+// That table is the site's whole routing state (Table). A site in another
+// region has no route in it, so nothing a site sends — bootstrap, protocol
+// or membership traffic — ever crosses a region boundary, and every
+// distance a table reports is the delay of the path it routes along.
 //
-// Per-site state is therefore O(√n) entries — versus O(n) for the flat
-// table — and the bootstrap exchanges O(regionEdges·regionDiam) table
-// messages plus O(E·√n) constant-size advertisements instead of flooding
-// O(n)-entry tables network-wide.
-//
-// The landmark vector is a slice indexed by region with a count of known
-// lines (a line whose Site is negative marks a region no advertisement has
-// reached yet); state sizes count known lines only. The advertisement
-// flood is most of a wide network's bootstrap messages, so a dropped ad
-// costs no allocation and an improving one exactly one: its payload, boxed
-// once for every neighbor.
+// The bootstrap exchanges O(regionEdges·regionDiam) table messages of
+// O(√n) entries each, instead of flooding O(n)-entry tables network-wide.
 package hier
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 )
 
-// Layout is the deterministic region/landmark structure derived from a
-// topology: a pure function of the graph, shared by every site (the same
-// way every site already knows the topology's delay ranges and its own
+// Layout is the deterministic region structure derived from a topology: a
+// pure function of the graph, shared by every site (the same way every
+// site already knows the topology's delay ranges and its own
 // neighbor list). It carries no per-site routing state.
 type Layout struct {
 	// Regions is the number of regions (~√n).
@@ -52,15 +37,13 @@ type Layout struct {
 	Assign []int
 	// Members lists each region's sites in ascending ID order.
 	Members [][]graph.NodeID
-	// Landmarks names each region's elected landmark.
+	// Landmarks names each region's elected landmark: its center, drawn
+	// by rtds-dot; no routing state refers to it.
 	Landmarks []graph.NodeID
 	// Rounds is the per-region intra-region bootstrap round count:
 	// routing.RoundsForRadius of the region's hop diameter, the same
 	// interruption idiom as the flat protocol.
 	Rounds []int
-	// Adjacent lists, per region, the regions it shares a cut edge with,
-	// in ascending order.
-	Adjacent [][]int
 }
 
 // RegionsFor returns the region count used for an n-site network: ⌈√n⌉.
@@ -90,17 +73,9 @@ func NewLayout(topo *graph.Graph) (*Layout, error) {
 		Members:   make([][]graph.NodeID, nregions),
 		Landmarks: make([]graph.NodeID, nregions),
 		Rounds:    make([]int, nregions),
-		Adjacent:  make([][]int, nregions),
 	}
 	for v, r := range lay.Assign {
 		lay.Members[r] = append(lay.Members[r], graph.NodeID(v))
-	}
-	for v := 0; v < n; v++ {
-		for _, e := range topo.Neighbors(graph.NodeID(v)) {
-			if a, b := lay.Assign[v], lay.Assign[e.To]; a != b {
-				lay.Adjacent[a] = append(lay.Adjacent[a], b)
-			}
-		}
 	}
 	bfs := newRegionBFS(n)
 	for r := 0; r < nregions; r++ {
@@ -113,8 +88,6 @@ func NewLayout(topo *graph.Graph) (*Layout, error) {
 		}
 		lay.Landmarks[r] = landmark
 		lay.Rounds[r] = roundsForDiameter(diam)
-		slices.Sort(lay.Adjacent[r])
-		lay.Adjacent[r] = slices.Compact(lay.Adjacent[r])
 	}
 	return lay, nil
 }
@@ -197,8 +170,8 @@ func (b *regionBFS) eccentricity(topo *graph.Graph, assign []int, src graph.Node
 	return ecc, nil
 }
 
-// MaxRounds reports the largest per-region bootstrap round count — the
-// bound every region's intra path length stays under.
+// MaxRounds reports the largest per-region bootstrap round count: R rounds
+// discover paths of at most R+1 edges, so no route is longer.
 func (l *Layout) MaxRounds() int {
 	max := 0
 	for _, r := range l.Rounds {
@@ -214,3 +187,15 @@ func (l *Layout) Region(site graph.NodeID) int { return l.Assign[site] }
 
 // SameRegion reports whether two sites share a region.
 func (l *Layout) SameRegion(a, b graph.NodeID) bool { return l.Assign[a] == l.Assign[b] }
+
+// IntraLinks returns the links of site's adjacency that stay inside its
+// region — the only links its bootstrap, heartbeats and repair floods use.
+func (l *Layout) IntraLinks(site graph.NodeID, links []graph.Edge) []graph.Edge {
+	var out []graph.Edge
+	for _, e := range links {
+		if l.SameRegion(site, e.To) {
+			out = append(out, e)
+		}
+	}
+	return out
+}

@@ -62,34 +62,6 @@ func (r Route) better(c Route) bool {
 	return c.NextHop < r.NextHop
 }
 
-// Router is what the protocol layer needs from a site's routing state:
-// next-hop forwarding, distance estimates, sphere membership and a
-// state-size measurement. The flat *Table implements it directly; the
-// two-level hierarchy of internal/routing/hier implements it with an exact
-// intra-region table plus a compact landmark vector.
-type Router interface {
-	// NextHop returns the neighbor to forward to for dest.
-	NextHop(dest graph.NodeID) (graph.NodeID, bool)
-	// Dist returns the known minimum delay to dest, or +Inf. Hierarchical
-	// implementations may return a lower-bound estimate for destinations
-	// outside the local region.
-	Dist(dest graph.NodeID) float64
-	// Destinations lists the sites this router holds explicit state for,
-	// in increasing ID order.
-	Destinations() []graph.NodeID
-	// Sphere returns the PCS of radius h rooted at this site.
-	Sphere(h int) []graph.NodeID
-	// SphereDelayDiameter returns the largest known delay to any member of
-	// the radius-h sphere.
-	SphereDelayDiameter(h int) float64
-	// StateBytes approximates the wire-encoded size of the routing state
-	// this site carries; StateEntries counts its entries. These feed the
-	// rtds_node_routing_table_bytes / _entries gauges and the E15 scale
-	// sweep's per-site state curve.
-	StateBytes() int
-	StateEntries() int
-}
-
 // Table is one site's routing table: its lines in one slice sorted by
 // destination. Lookups are a binary search (see find), Snapshot, Destinations and
 // Sphere are linear projections in ID order, and Merge folds a neighbor's
@@ -162,11 +134,13 @@ func (t *Table) NextHop(dest graph.NodeID) (graph.NodeID, bool) {
 // Len reports the number of known destinations (including self).
 func (t *Table) Len() int { return len(t.routes) }
 
-// StateBytes implements Router: the encoded size of the full table, one
-// wire line per destination.
+// StateBytes approximates the encoded size of the table, one wire line per
+// destination; StateEntries counts its lines. They feed the
+// rtds_node_routing_table_bytes / _entries gauges and the E15 scale
+// sweep's per-site state curve.
 func (t *Table) StateBytes() int { return 8 + wireRouteBytes*len(t.routes) }
 
-// StateEntries implements Router.
+// StateEntries counts the table's lines (see StateBytes).
 func (t *Table) StateEntries() int { return len(t.routes) }
 
 // Destinations lists known destinations in increasing ID order.

@@ -129,8 +129,8 @@ var regionPalette = []string{
 // RegionDOT renders a topology with its hierarchical region partition:
 // nodes are filled by region (palette cycling past 16 regions),
 // landmarks are drawn as doubled circles, and cross-region edges are
-// dashed so the region boundary — where the landmark vector takes over
-// from the exact intra-region table — is visible at a glance. assign
+// dashed so the region boundary — which no route crosses — is visible at
+// a glance. assign
 // maps each node to its region; landmarks lists one elected site per
 // region.
 func RegionDOT(name string, g *graph.Graph, assign []int, landmarks []graph.NodeID) string {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/routing"
-	"repro/internal/routing/hier"
 	"repro/internal/simnet"
 )
 
@@ -81,14 +80,6 @@ func samples(t testing.TB) []simnet.Payload {
 		membership.JoinAck{Inc: 6, Epoch: 11, Digest: []membership.Entry{
 			{Site: 0, Inc: 1, Dead: false},
 			{Site: 12, Inc: 6, Dead: false},
-		}},
-		// Hierarchical routing: landmark floods and cross-region digests.
-		hier.LandmarkAd{},
-		hier.LandmarkAd{Region: 17, Landmark: 450, Dist: 3.125, Hops: 7},
-		membership.RegionDigest{},
-		membership.RegionDigest{Region: 4, Digest: []membership.Entry{
-			{Site: 40, Inc: 1, Dead: false},
-			{Site: 41, Inc: 3, Dead: true},
 		}},
 		// The ten protocol messages: zero value, then max-field.
 		core.EnrollReq{},

@@ -18,7 +18,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/routing"
-	"repro/internal/routing/hier"
 	"repro/internal/simnet"
 )
 
@@ -230,17 +229,6 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 		m := membership.JoinAck{Inc: d.uvarint(), Epoch: d.uvarint()}
 		m.Digest = decodeEntries(d)
 		p = m
-	case kindRegionDigest:
-		m := membership.RegionDigest{Region: int(d.varint())}
-		m.Digest = decodeEntries(d)
-		p = m
-	case kindLandmarkAd:
-		p = hier.LandmarkAd{
-			Region:   int(d.varint()),
-			Landmark: graph.NodeID(d.varint()),
-			Dist:     d.f64(),
-			Hops:     int(d.varint()),
-		}
 	}
 	if p == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %v", kind)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/determinism"
 	"repro/internal/graph"
 	"repro/internal/routing"
-	"repro/internal/routing/hier"
 	"repro/internal/simnet"
 )
 
@@ -173,16 +172,6 @@ func encodePayload(e *enc, p simnet.Payload) error {
 		e.uvarint(m.Inc)
 		e.uvarint(m.Epoch)
 		encodeEntries(e, m.Digest)
-	case membership.RegionDigest:
-		e.kind(kindRegionDigest)
-		e.varint(int64(m.Region))
-		encodeEntries(e, m.Digest)
-	case hier.LandmarkAd:
-		e.kind(kindLandmarkAd)
-		e.varint(int64(m.Region))
-		e.varint(int64(m.Landmark))
-		e.f64(m.Dist)
-		e.varint(int64(m.Hops))
 	default:
 		return fmt.Errorf("wire: cannot encode payload type %T (kind %q)", p, p.Kind())
 	}

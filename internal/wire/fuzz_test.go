@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"strings"
 	"testing"
 
 	"repro/internal/core/membership"
@@ -21,10 +23,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, Version, byte(kindDone)})
-	// Layouts Version 4 retired: a table-chunk frame (the kind after
-	// region-digest, now unknown) and a join-ack body still carrying
-	// Version 3's trailing table and chunk count (dropped as unknown fields).
-	f.Add([]byte{6, 0, 0, 0, Version, byte(kindRegionDigest + 1), 11, 4, 6, 0})
+	// Layouts Version 4 retired: a table-chunk frame (tag 20, an unknown
+	// kind) and a join-ack body still carrying Version 3's trailing table
+	// and chunk count (dropped as unknown fields).
+	f.Add([]byte{6, 0, 0, 0, Version, 20, 11, 4, 6, 0})
 	ack, err := Encode(membership.JoinAck{Inc: 6, Epoch: 11})
 	if err != nil {
 		f.Fatal(err)
@@ -32,6 +34,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	ack = append(ack, 0, 6)
 	ack[0] += 2
 	f.Add(ack)
+	for _, frame := range retiredFrames(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {
@@ -53,4 +58,38 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("encoding of %T is not canonical:\n  %x\n  %x", p, first, second)
 		}
 	})
+}
+
+// retiredFrames are frames of the kinds Version 5 retired, stamped with the
+// current Version: a landmark advertisement (tag 18) and a region digest
+// (tag 19), each with a zero-value and a max-field body as Version 4 laid
+// them out.
+func retiredFrames(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, h := range []string{
+		"0d00000004120000000000000000000000",
+		"0e000000041222840700000000000009400e",
+		"0400000004130000",
+		"0a00000004130802500100520301",
+	} {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[4] = Version
+		out = append(out, frame)
+	}
+	return out
+}
+
+// TestRetiredKindsRefused: a frame of a retired kind is refused as an
+// unknown kind, not decoded as whatever now holds its tag.
+func TestRetiredKindsRefused(t *testing.T) {
+	for _, frame := range retiredFrames(t) {
+		p, err := Decode(frame)
+		if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
+			t.Fatalf("frame %x decoded to %v, %v; want an unknown-kind refusal", frame, p, err)
+		}
+	}
 }

@@ -31,8 +31,10 @@ import "fmt"
 // routing: the landmark-advertisement, region-digest and table-chunk
 // kinds, and the chunk count in join-ack bodies. Version 4 dropped the
 // join-ack table and the table-chunk kind: an acker sends its table as a
-// routing-table frame after the ack.
-const Version = 4
+// routing-table frame after the ack. Version 5 dropped the
+// landmark-advertisement and region-digest kinds (tags 18 and 19): no
+// message crosses a region boundary any more.
+const Version = 5
 
 // MaxFrame bounds a frame's encoded size. The largest legitimate frames are
 // commit messages carrying a job DAG and routing-table snapshots, at about
@@ -77,8 +79,6 @@ const (
 	kindAlive
 	kindJoinReq
 	kindJoinAck
-	kindLandmarkAd
-	kindRegionDigest
 )
 
 // String names the kind for diagnostics. Hand-written because the build is
@@ -122,10 +122,6 @@ func (k Kind) String() string {
 		return "join-req"
 	case kindJoinAck:
 		return "join-ack"
-	case kindLandmarkAd:
-		return "landmark-ad"
-	case kindRegionDigest:
-		return "region-digest"
 	}
 	return fmt.Sprintf("Kind(%d)", byte(k))
 }

@@ -1,6 +1,7 @@
 package rtds_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -61,6 +62,56 @@ func TestFacadeRunUntil(t *testing.T) {
 	}
 	if !job.Done || !job.MetDeadline() {
 		t.Fatalf("after Run: done=%v met=%v", job.Done, job.MetDeadline())
+	}
+}
+
+// TestFacadeSchemeRegistry builds the hierarchical scheme by name through
+// the public registry and runs jobs built with JobBuilder.Build on it:
+// every job is decided, and not one message crosses a region boundary.
+func TestFacadeSchemeRegistry(t *testing.T) {
+	if names := rtds.SchemeNames(); !slices.IsSorted(names) || !slices.Contains(names, "rtds-hier") {
+		t.Fatalf("SchemeNames() = %v, want a sorted list holding rtds-hier", names)
+	}
+	s, ok := rtds.GetScheme("rtds-hier")
+	if !ok || s.Name() != "rtds-hier" || s.Description() == "" {
+		t.Fatalf("GetScheme(rtds-hier) = %v, %v", s, ok)
+	}
+	if _, ok := rtds.GetScheme("no-such-scheme"); ok {
+		t.Fatal("GetScheme found an unregistered scheme")
+	}
+	topo := rtds.NewRandomNetwork(64, 4, 9)
+	if _, err := rtds.BuildScheme("no-such-scheme", topo, rtds.SchemeConfig{}); err == nil {
+		t.Fatal("BuildScheme built an unregistered scheme")
+	}
+	if _, err := rtds.NewJob("cycle").Task(1, 1).Task(2, 1).Edge(1, 2).Edge(2, 1).Build(); err == nil {
+		t.Fatal("Build accepted a cyclic job")
+	}
+	job, err := rtds.NewJob("pair").Task(1, 10).Task(2, 10).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rtds.BuildScheme("rtds-hier", topo, rtds.SchemeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 8
+	for i := 0; i < jobs; i++ {
+		if err := c.Submit(float64(i), rtds.NodeID(i*8), job, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res := c.Summarize()
+	if res.Jobs != jobs || res.Core == nil {
+		t.Fatalf("summary of %d jobs (core summary %v), want %d", res.Jobs, res.Core, jobs)
+	}
+	if res.Core.Undecided != 0 {
+		t.Fatalf("%d jobs left undecided", res.Core.Undecided)
+	}
+	if res.Core.CrossRegionMessages != 0 {
+		t.Fatalf("rtds-hier crossed region boundaries %d times", res.Core.CrossRegionMessages)
 	}
 }
 
