@@ -101,3 +101,51 @@ func h() { g() }
 		t.Fatalf("file-allow did not suppress: %v", pass.diagnostics)
 	}
 }
+
+// TestRunPackagesPrintsSortedDiagnostics: RunPackages checks the escape
+// comments, runs each analyzer over the packages its scope admits, and
+// PrintDiagnostics renders the result, sorted by position, as rtds-lint
+// prints it.
+func TestRunPackagesPrintsSortedDiagnostics(t *testing.T) {
+	fset, files := parseOne(t, `package p
+
+func f() {
+	g()
+	g() //lint:allow calls
+	g() //lint:allow nosuch -- unknown token
+}
+`)
+	reportCalls := func(p *Pass) error {
+		for _, f := range p.Files() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					p.Reportf(call.Pos(), "call")
+				}
+				return true
+			})
+		}
+		return nil
+	}
+	calls := &Analyzer{Name: "calls", Run: reportCalls}
+	outOfScope := &Analyzer{Name: "scoped", Run: reportCalls}
+	appliesTo := func(a *Analyzer, path string) bool { return a != outOfScope && path == "p" }
+	diags, gotFset, err := RunPackages([]*Analyzer{outOfScope, calls}, appliesTo, ".",
+		[]*Package{{ImportPath: "p", Fset: fset, Files: files}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	PrintDiagnostics(&out, gotFset, diags)
+	// The escape on line 5 also covers line 6, the line below it.
+	const want = "a.go:4:2: call [calls]\n" +
+		"a.go:5:6: lint escape for \"calls\" is missing its justification (//lint:allow calls -- <why>) [lintescape]\n" +
+		"a.go:6:6: lint escape names unknown check \"nosuch\" (known: scoped, calls) [lintescape]\n"
+	if out.String() != want {
+		t.Fatalf("printed\n%s\nwant\n%s", out.String(), want)
+	}
+	var bare strings.Builder
+	PrintDiagnostics(&bare, nil, diags[:1])
+	if bare.String() != "call [calls]\n" {
+		t.Fatalf("without a file set printed %q", bare.String())
+	}
+}

@@ -288,3 +288,19 @@ func f() { mu.Lock(); mu.Unlock() }
 		t.Errorf("acquires = %+v, want package-level class p.mu", f.Acquires)
 	}
 }
+
+// TestNodePos: a declared function's node sits at its func keyword, a
+// literal's at its own func keyword.
+func TestNodePos(t *testing.T) {
+	g := buildSrc(t, `package p
+
+func outer() {
+	_ = func() {}
+}
+`)
+	for name, want := range map[string]string{"p.outer": "p.go:3:1", "p.outer$1": "p.go:4:6"} {
+		if got := g.Fset.Position(nodeByName(t, g, name).Pos()).String(); got != want {
+			t.Errorf("%s at %s, want %s", name, got, want)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/determinism"
 	"repro/internal/graph"
 )
 
@@ -81,13 +80,16 @@ type tentative struct {
 
 func (o *Oracle) place(job *core.Job) bool {
 	g := job.Graph
-	placed := make(map[dag.TaskID]tentative, g.Len())
+	placed := make([]tentative, g.Len()) // task id's slot at id-1; site -1 until placed
+	for i := range placed {
+		placed[i].site = -1
+	}
 	for _, id := range g.PriorityOrder() {
 		best := tentative{site: -1}
 		for site := 0; site < o.topo.Len(); site++ {
 			release := job.Arrival
 			for _, p := range g.Predecessors(id) {
-				pp := placed[p]
+				pp := placed[p-1]
 				arrival := pp.end + o.dist[pp.site][site]
 				if arrival > release {
 					release = arrival
@@ -104,10 +106,9 @@ func (o *Oracle) place(job *core.Job) bool {
 		if best.site < 0 {
 			return false // atomic: nothing committed yet
 		}
-		placed[id] = best
+		placed[id-1] = best
 	}
-	for _, id := range orderedKeys(placed) {
-		tv := placed[id]
+	for _, tv := range placed {
 		o.sites[tv.site].insert(interval{start: tv.start, end: tv.end, job: job.ID})
 		if tv.end > job.CompletedAt {
 			job.CompletedAt = tv.end
@@ -116,17 +117,13 @@ func (o *Oracle) place(job *core.Job) bool {
 	return true
 }
 
-func orderedKeys(m map[dag.TaskID]tentative) []dag.TaskID {
-	return determinism.SortedKeys(m)
-}
-
 // earliestGap finds the earliest start >= release such that
 // [start, start+dur] fits in site's committed gaps plus this job's own
 // tentative placements on the same site, and ends by deadline.
-func (o *Oracle) earliestGap(site int, release, deadline, dur float64, placedSoFar map[dag.TaskID]tentative) (float64, bool) {
+func (o *Oracle) earliestGap(site int, release, deadline, dur float64, placedSoFar []tentative) (float64, bool) {
 	occ := append([]interval(nil), o.sites[site].busy...)
-	for _, k := range determinism.SortedKeys(placedSoFar) {
-		if tv := placedSoFar[k]; tv.site == site {
+	for _, tv := range placedSoFar {
+		if tv.site == site {
 			occ = append(occ, interval{start: tv.start, end: tv.end})
 		}
 	}

@@ -248,10 +248,8 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 		Origin:      origin,
 		Arrival:     arrival,
 		AbsDeadline: arrival + relDeadline,
-		remaining:   make(map[dag.TaskID]bool, g.Len()),
-	}
-	for _, id := range g.TaskIDs() {
-		job.remaining[id] = true
+		taskDone:    make([]bool, g.Len()),
+		tasksLeft:   g.Len(),
 	}
 	c.jobs = append(c.jobs, job)
 	site.tally.submitted++

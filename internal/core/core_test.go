@@ -9,6 +9,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/graph"
+	"repro/internal/mapper"
 	"repro/internal/simnet"
 )
 
@@ -522,5 +523,66 @@ func BenchmarkClusterThroughput(b *testing.B) {
 		if err := c.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPeerFramesNamingMissingTasksAreDropped: a result or a completion that
+// names a task outside its job (a malformed or hostile peer frame) is
+// dropped by the site that receives it; it neither panics nor counts.
+func TestPeerFramesNamingMissingTasksAreDropped(t *testing.T) {
+	run := func(bad []simnet.Payload) *Job {
+		c := mustCluster(t, fastLine(3), DefaultConfig())
+		job, err := c.Submit(0, 0, chainJob(t, 3, 5), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunUntil(6); err != nil { // task 1 done, task 2 running
+			t.Fatal(err)
+		}
+		if job.Outcome != AcceptedLocal || job.Done {
+			t.Fatalf("outcome %v, done %v at t=6; want a local job still running", job.Outcome, job.Done)
+		}
+		for _, p := range bad {
+			c.sites[0].handle(1, NewRouted(1, 0, 1, p))
+		}
+		for edge := range c.sites[0].exec[job.ID].arrived {
+			t.Errorf("result for edge %v recorded", edge)
+		}
+		runAll(t, c)
+		return job
+	}
+	clean := run(nil)
+	id := clean.ID // a fresh cluster numbers its first job alike
+	got := run([]simnet.Payload{
+		ResultMsg{Job: id, Task: 4},
+		ResultMsg{Job: id, Task: 0},
+		ResultMsg{Job: id, Task: 1, For: 4},
+		DoneMsg{Job: id, Task: 4, At: 6},
+		DoneMsg{Job: id, Task: 0, At: 6},
+		DoneMsg{Job: id, Task: -1, At: 6},
+	})
+	if got.ID != id || !got.MetDeadline() || got.CompletedAt != clean.CompletedAt {
+		t.Fatalf("job %s done=%v at %v, want %s done at %v as without the frames",
+			got.ID, got.Done, got.CompletedAt, id, clean.CompletedAt)
+	}
+}
+
+// TestCommitOfTaskOutsideGraphRefused: a member that validated a window of
+// task 4 refuses the commit when the job's graph has three tasks, instead
+// of running a task the graph lacks.
+func TestCommitOfTaskOutsideGraphRefused(t *testing.T) {
+	c := mustCluster(t, fastLine(2), DefaultConfig())
+	s := c.sites[1]
+	for _, p := range []simnet.Payload{
+		EnrollReq{Job: "x", Initiator: 0, Window: 5},
+		ValidateReq{Job: "x", Initiator: 0, NumProcs: 1,
+			Windows: [][]mapper.TaskWindow{{{Task: 4, Complexity: 1, Release: 0, Deadline: 50}}}},
+		CommitMsg{Job: "x", Initiator: 0, Proc: 0, Graph: parJob(t, 3, 1), TaskSites: []graph.NodeID{1, 1, 1}},
+	} {
+		s.handle(0, NewRouted(0, 1, 1, p))
+	}
+	runAll(t, c)
+	if res := s.plan.Reservations(); len(res) != 0 {
+		t.Fatalf("member holds %v after refusing the commit", res)
 	}
 }

@@ -221,12 +221,12 @@ func (c *Cluster) record(e Event) {
 			c.decideWake = nil
 		}
 	case EvTaskDone:
-		if !j.remaining[e.Task] {
+		if j.taskDone[e.Task-1] {
 			return // a retransmitted completion
 		}
-		delete(j.remaining, e.Task)
+		j.taskDone[e.Task-1], j.tasksLeft = true, j.tasksLeft-1
 		j.CompletedAt = max(j.CompletedAt, e.T)
-		j.Done = len(j.remaining) == 0
+		j.Done = j.tasksLeft == 0
 		t.completed(j) // a retransmitted completion returned above
 		if j.Done && keep {
 			c.log = append(c.log, e)

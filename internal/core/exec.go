@@ -21,12 +21,13 @@ type execJob struct {
 	id        string
 	origin    graph.NodeID
 	g         *dag.Graph
-	taskSites map[dag.TaskID]graph.NodeID
-	tasks     []dag.TaskID // this site's tasks of the job, ascending
+	taskSites []graph.NodeID // task id's site at id-1
+	tasks     []dag.TaskID   // this site's tasks of the job, ascending
 	// arrived marks received cross-site results per (predecessor, consumer)
 	// edge: with data volumes, each edge's transfer completes separately.
 	arrived   map[[2]dag.TaskID]bool
-	completed map[dag.TaskID]bool
+	completed []bool // task id has run here, at id-1
+	left      int    // this site's tasks still to run
 	// timers start and complete the tasks; a preemptive reschedule
 	// re-derives them. transfers send results over data edges and run to
 	// the end whatever the plan does, unless the share is cancelled.
@@ -46,7 +47,8 @@ func (s *Site) beginExecution(m CommitMsg, tk *schedule.Ticket) {
 		taskSites: m.TaskSites,
 		tasks:     make([]dag.TaskID, len(tk.Requests)),
 		arrived:   make(map[[2]dag.TaskID]bool),
-		completed: make(map[dag.TaskID]bool),
+		completed: make([]bool, m.Graph.Len()),
+		left:      len(tk.Requests),
 	}
 	for i, r := range tk.Requests {
 		e.tasks[i] = dag.TaskID(r.Task)
@@ -98,7 +100,7 @@ func (s *Site) rescheduleAllExec() {
 		e := s.exec[jobID]
 		for _, id := range e.tasks {
 			ti := int(id)
-			if e.completed[id] {
+			if e.completed[id-1] {
 				continue
 			}
 			end, ok := completion[jobID][ti]
@@ -144,7 +146,7 @@ const (
 // arriving at exactly the start instant is delivered first by re-checking
 // after a zero-delay hop.
 func (s *Site) onTaskStart(e *execJob, id dag.TaskID, tries int) {
-	if e.cancelled || e.completed[id] {
+	if e.cancelled || e.completed[id-1] {
 		return
 	}
 	missing := s.missingInputs(e, id)
@@ -167,8 +169,8 @@ func (s *Site) onTaskStart(e *execJob, id dag.TaskID, tries int) {
 func (s *Site) missingInputs(e *execJob, id dag.TaskID) []dag.TaskID {
 	var missing []dag.TaskID
 	for _, p := range e.g.Predecessors(id) {
-		if e.taskSites[p] == s.id {
-			if !e.completed[p] {
+		if e.taskSites[p-1] == s.id {
+			if !e.completed[p-1] {
 				missing = append(missing, p)
 			}
 		} else if !e.arrived[[2]dag.TaskID{p, id}] {
@@ -182,7 +184,7 @@ func (s *Site) missingInputs(e *execJob, id dag.TaskID) []dag.TaskID {
 // results are sent to the sites of successor tasks (§13) and completion is
 // reported to the initiator.
 func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
-	if e.cancelled || e.completed[id] {
+	if e.cancelled || e.completed[id-1] {
 		return
 	}
 	if s.plan.Preemptive() {
@@ -191,11 +193,11 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 			s.cluster.record(Event{Site: s.id, Job: e.id, Kind: EvViolation, Cause: CauseCompleteNoInputs, Task: id, Inputs: missing})
 		}
 	}
-	e.completed[id] = true
+	e.completed[id-1], e.left = true, e.left-1
 	sent := make(map[graph.NodeID]bool)
 	for _, succ := range e.g.Successors(id) {
 		succ := succ
-		dest := e.taskSites[succ]
+		dest := e.taskSites[succ-1]
 		if dest == s.id {
 			continue
 		}
@@ -221,7 +223,7 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 			}
 		}))
 	}
-	if len(e.completed) == len(e.tasks) {
+	if e.left == 0 {
 		// Every task of the share has run: it leaves the table (a transfer
 		// still in flight keeps it alive until sent).
 		delete(s.exec, e.id)
@@ -229,10 +231,11 @@ func (s *Site) onTaskComplete(e *execJob, id dag.TaskID, at float64) {
 	s.sendTo(e.origin, DoneMsg{Job: e.id, Task: id, At: at})
 }
 
-// onResult records an incoming predecessor result (§13).
+// onResult records an incoming predecessor result (§13). A result naming a
+// task outside the job is malformed input and dropped.
 func (s *Site) onResult(m ResultMsg) {
 	e, ok := s.exec[m.Job]
-	if !ok || e.cancelled {
+	if !ok || e.cancelled || !e.g.Has(m.Task) || (m.For != 0 && !e.g.Has(m.For)) {
 		return
 	}
 	if m.For != 0 {
@@ -241,7 +244,7 @@ func (s *Site) onResult(m ResultMsg) {
 	}
 	// Broadcast result: serves every successor hosted on this site.
 	for _, succ := range e.g.Successors(m.Task) {
-		if e.taskSites[succ] == s.id {
+		if e.taskSites[succ-1] == s.id {
 			e.arrived[[2]dag.TaskID{m.Task, succ}] = true
 		}
 	}
@@ -249,10 +252,11 @@ func (s *Site) onResult(m ResultMsg) {
 
 // onDone records a task completion at the job's origin, from a member or
 // from the origin's own share. A completion for a job the origin no longer
-// holds (rejected, or already Done) is late or retransmitted and ignored.
+// holds (rejected, or already Done) is late or retransmitted and ignored,
+// and one naming a task outside the job is malformed input and dropped.
 func (s *Site) onDone(m DoneMsg) {
 	j := s.ownJobs[m.Job]
-	if j == nil {
+	if j == nil || !j.Graph.Has(m.Task) {
 		return
 	}
 	s.cluster.record(Event{Site: s.id, job: j, Kind: EvTaskDone, Task: m.Task, T: m.At})

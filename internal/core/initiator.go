@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core/txn"
-	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/matching"
@@ -278,9 +277,9 @@ func (s *Site) finishValidation(t *activeTxn) {
 		t.Assignment[proc] = members[li]
 		procOf[members[li]] = proc
 	}
-	taskSites := make(map[dag.TaskID]graph.NodeID, t.job.Graph.Len())
-	for _, id := range t.job.Graph.TaskIDs() {
-		taskSites[id] = t.Assignment[t.TM.Assign[id].Proc]
+	taskSites := make([]graph.NodeID, len(t.TM.Assign))
+	for i, a := range t.TM.Assign {
+		taskSites[i] = t.Assignment[a.Proc]
 	}
 
 	// The initiator endorses its share first: if even the local insertion

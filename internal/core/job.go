@@ -79,7 +79,8 @@ type Job struct {
 	ACSSize  int // members enrolled (initiator included), 0 if never distributed
 	NumProcs int // |U| of the accepted mapping
 
-	remaining map[dag.TaskID]bool // tasks not yet completed (initiator's view)
+	taskDone  []bool // task id completed at id-1 (initiator's view)
+	tasksLeft int    // tasks not yet completed
 }
 
 // Window is the job's relative deadline d − r.

@@ -471,7 +471,7 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 func TestCountersReadWhileRunning(t *testing.T) {
 	topo := graph.Line(3, graph.UnitDelay, 1)
 	cfg := core.DefaultConfig()
-	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25, SuspectAfter: 100, RepairSettle: 25}
+	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25, SuspectAfter: 100}
 	trs := make([]*wire.NetTransport, topo.Len())
 	addrs := make(map[graph.NodeID]string)
 	for id := range trs {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/schedule"
@@ -113,6 +114,9 @@ func (s *Site) commitShare(m CommitMsg) bool {
 	tk := tickets[m.Proc]
 	now := s.now()
 	for _, r := range tk.Requests {
+		if !m.Graph.Has(dag.TaskID(r.Task)) {
+			return false // the validated windows name a task the graph lacks
+		}
 		// A slot that should already have started cannot be honoured; the
 		// release padding (§13) makes this rare, not impossible.
 		if r.Release < now-1e-9 && !s.plan.Preemptive() {

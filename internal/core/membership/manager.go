@@ -479,14 +479,15 @@ func (m *Manager) WhenSettled(fn func()) {
 	m.onSettled = append(m.onSettled, fn)
 }
 
-// beginSettle (re)arms the settle timer: the repair is considered settled
-// after RepairSettle without table or view changes.
+// beginSettle (re)arms the settle timer: the repair is considered settled,
+// and deferred enrollments resume, after one heartbeat period without table
+// or view changes.
 func (m *Manager) beginSettle() {
 	m.repairing = true
 	if m.settle != nil {
 		m.settle()
 	}
-	m.settle = m.hooks.After(m.cfg.RepairSettle, m.settled)
+	m.settle = m.hooks.After(m.cfg.HeartbeatEvery, m.settled)
 }
 
 func (m *Manager) settled() {
@@ -522,7 +523,7 @@ func (m *Manager) joinTry() {
 	if !m.joining {
 		return
 	}
-	if m.joinTries >= m.cfg.JoinRetries {
+	if m.joinTries >= joinRetries {
 		m.joining = false
 		m.hooks.Event(Note{Kind: "join-failed", Site: m.self, From: m.self})
 		return

@@ -83,10 +83,6 @@ type Config struct {
 	// declared dead. Must exceed HeartbeatEvery by at least the link delay
 	// plus jitter headroom. Default 3·HeartbeatEvery.
 	SuspectAfter float64
-	// RepairSettle is the quiet period after the last repair-table change
-	// before the repair is considered settled and deferred enrollments
-	// resume. Default HeartbeatEvery.
-	RepairSettle float64
 	// FloodRounds bounds how many times one site re-broadcasts its table
 	// per epoch — the repair flood's interruption bound, normally
 	// routing.RoundsForRadius(h) like the bootstrap. Default 5.
@@ -95,10 +91,11 @@ type Config struct {
 	// 0 means forever (wall-clock deployments); discrete-event clusters set
 	// it so their event queues drain once the workload is done.
 	Horizon float64
-	// JoinRetries bounds how many JoinReq rounds a joiner attempts before
-	// giving up (one round per HeartbeatEvery). Default 60.
-	JoinRetries int
 }
+
+// joinRetries bounds how many JoinReq rounds a joiner attempts before
+// giving up (one round per HeartbeatEvery).
+const joinRetries = 60
 
 // WithDefaults fills unset fields: the one place the default detector
 // timing (heartbeat 1, suspicion after 3 heartbeats) is written.
@@ -109,14 +106,8 @@ func (c Config) WithDefaults() Config {
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3 * c.HeartbeatEvery
 	}
-	if c.RepairSettle <= 0 {
-		c.RepairSettle = c.HeartbeatEvery
-	}
 	if c.FloodRounds <= 0 {
 		c.FloodRounds = 5
-	}
-	if c.JoinRetries <= 0 {
-		c.JoinRetries = 60
 	}
 	return c
 }
@@ -126,7 +117,7 @@ func (c Config) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	if c.HeartbeatEvery < 0 || c.SuspectAfter < 0 || c.RepairSettle < 0 || c.Horizon < 0 {
+	if c.HeartbeatEvery < 0 || c.SuspectAfter < 0 || c.Horizon < 0 {
 		return fmt.Errorf("membership: negative timing parameter in %+v", c)
 	}
 	if c.SuspectAfter > 0 && c.HeartbeatEvery > 0 && c.SuspectAfter <= c.HeartbeatEvery {

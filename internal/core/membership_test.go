@@ -116,7 +116,7 @@ func TestRepairDefersEnrollment(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceEvents = true
 	cfg.Membership = membership.Config{
-		Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, RepairSettle: 1, Horizon: 40,
+		Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, Horizon: 40,
 	}
 	cfg.Faults = &simnet.FaultPlan{Crashes: []simnet.Crash{{Site: 1, At: 2}}}
 	c := mustCluster(t, ring5(), cfg)

@@ -121,9 +121,9 @@ type CommitMsg struct {
 	Job       string
 	Initiator graph.NodeID
 	Proc      int
-	Graph     *dag.Graph                  // task codes + precedence (size accounted below)
-	TaskSites map[dag.TaskID]graph.NodeID // where every task of the job runs
-	CodeBytes int                         // accounted size of the shipped task codes
+	Graph     *dag.Graph     // task codes + precedence (size accounted below)
+	TaskSites []graph.NodeID // where every task of the job runs: task id's site at id-1
+	CodeBytes int            // accounted size of the shipped task codes
 }
 
 func (CommitMsg) Kind() string { return "rtds.commit" }

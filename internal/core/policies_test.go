@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/core/policy"
+	"repro/internal/core/txn"
 	"repro/internal/graph"
 	"repro/internal/mapper"
+	"repro/internal/schedule"
 )
 
 // policyWorkload drives a cluster with a mixed workload that produces both
@@ -93,5 +95,37 @@ func TestLaxityThresholdShiftsAdmissions(t *testing.T) {
 	if distAttempts <= edf.Submitted-edf.AcceptedLocal {
 		t.Fatalf("refused local fits did not go to distribution: %d vs %d attempts",
 			distAttempts, edf.Submitted-edf.AcceptedLocal)
+	}
+}
+
+// TestLocalKnowledgeWindowFloor: with UseLocalKnowledge the initiator
+// measures its own surplus over the job's remaining window, unless that
+// window is 1e-6 or less, where it falls back to SurplusWindow.
+func TestLocalKnowledgeWindowFloor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.UseLocalKnowledge = true
+	c, err := soloHost(cfg, nil) // its clock stands at 0, so a deadline is the window
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.sites[0]
+	if now := s.now(); now != 0 {
+		t.Fatalf("site clock at %v, want 0", now)
+	}
+	// Book [0, 1]: over any window inside it the site is full.
+	tk, ok := s.plan.Admit(0, []schedule.Request{{Job: "busy", Task: 1, Release: 0, Deadline: 1, Duration: 1}})
+	if !ok || s.plan.Commit(tk) != nil {
+		t.Fatal("could not book the site")
+	}
+	for _, tc := range []struct {
+		window, want float64
+	}{
+		{1e-6, s.plan.Surplus(0, cfg.SurplusWindow)}, // at the floor: the configured window
+		{2e-6, clampSurplus(0)},                      // above it: the job's own, fully booked
+	} {
+		at := &activeTxn{Txn: txn.New("j", nil), job: &Job{AbsDeadline: tc.window}}
+		if got := s.acsProcs(at)[0].Surplus; got != tc.want {
+			t.Errorf("job window %v: initiator surplus %v, want %v", tc.window, got, tc.want)
+		}
 	}
 }

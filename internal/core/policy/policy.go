@@ -213,15 +213,11 @@ func (p LaxityThreshold) LocalTest(plan schedule.Plan, now float64, jobID string
 // Dispatch selects how the extra laxity of adjustment case (iii) is
 // scattered over the trial mapping's task windows.
 type Dispatch interface {
-	Name() string
 	LaxityMode() mapper.LaxityMode
 }
 
 // UniformDispatch is §12.2's constant ℓ = (d − r − M*)/η.
 type UniformDispatch struct{}
-
-// Name implements Dispatch.
-func (UniformDispatch) Name() string { return "uniform" }
 
 // LaxityMode implements Dispatch.
 func (UniformDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityUniform }
@@ -229,9 +225,6 @@ func (UniformDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityUnif
 // WeightedDispatch is the §13 busyness-weighted generalization: tasks on
 // busy processors receive proportionally more laxity.
 type WeightedDispatch struct{}
-
-// Name implements Dispatch.
-func (WeightedDispatch) Name() string { return "busyness-weighted" }
 
 // LaxityMode implements Dispatch.
 func (WeightedDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityBusynessWeighted }

@@ -26,13 +26,15 @@ func chain(t *testing.T, n int, dur float64) *dag.Graph {
 }
 
 func TestFullSphereReturnsSphereUnchanged(t *testing.T) {
-	pcs := []graph.NodeID{3, 1, 7}
-	got := FullSphere{}.EnrollSet(pcs, func(graph.NodeID) float64 { return 1 })
-	if len(got) != 3 || &got[0] != &pcs[0] {
-		t.Fatalf("FullSphere copied or changed the sphere: %v", got)
+	for _, sph := range []Sphere{FullSphere{}, HierSphere{}} {
+		pcs := []graph.NodeID{3, 1, 7}
+		got := sph.EnrollSet(pcs, func(graph.NodeID) float64 { return 1 })
+		if len(got) != 3 || &got[0] != &pcs[0] {
+			t.Fatalf("%T copied or changed the sphere: %v", sph, got)
+		}
 	}
-	if (FullSphere{}).Name() != "full-sphere" {
-		t.Fatalf("name %q", FullSphere{}.Name())
+	if (FullSphere{}).Name() != "full-sphere" || (HierSphere{}).Name() != "hier-region" {
+		t.Fatalf("names %q, %q", FullSphere{}.Name(), HierSphere{}.Name())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core/membership"
 	"repro/internal/core/policy"
 	"repro/internal/core/txn"
-	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/schedule"
@@ -428,9 +427,9 @@ func (s *Site) jobArrives(job *Job) {
 		}
 		s.cluster.record(Event{Site: s.id, job: job, Kind: EvLocalOK})
 		s.cluster.record(Event{Site: s.id, job: job, Kind: EvDecided, Outcome: AcceptedLocal})
-		allLocal := make(map[dag.TaskID]graph.NodeID, job.Graph.Len())
-		for _, id := range job.Graph.TaskIDs() {
-			allLocal[id] = s.id
+		allLocal := make([]graph.NodeID, job.Graph.Len())
+		for i := range allLocal {
+			allLocal[i] = s.id
 		}
 		s.ownJobs[job.ID] = job
 		s.beginExecution(CommitMsg{Job: job.ID, Initiator: s.id, Graph: job.Graph, TaskSites: allLocal}, tk)

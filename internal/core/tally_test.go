@@ -21,7 +21,7 @@ import (
 // routing, a loss + jitter + crash plan, membership churn, and traced and
 // untraced records.
 func TestSummarizeMatchesWalk(t *testing.T) {
-	churn := membership.Config{Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, RepairSettle: 1, Horizon: 140}
+	churn := membership.Config{Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, Horizon: 140}
 	cases := []struct {
 		name  string
 		topo  *graph.Graph

@@ -22,8 +22,6 @@
 package txn
 
 import (
-	"fmt"
-
 	"repro/internal/determinism"
 	"repro/internal/graph"
 	"repro/internal/mapper"
@@ -44,21 +42,6 @@ const (
 	// Done: the transaction reached a decision (accept or reject).
 	Done
 )
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case Enrolling:
-		return "enrolling"
-	case Validating:
-		return "validating"
-	case Committing:
-		return "committing"
-	case Done:
-		return "done"
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
-}
 
 // DistEntry is one line of a member's distance vector, reported at
 // enrollment so the initiator can compute the exact ACS delay diameter.

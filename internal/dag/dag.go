@@ -2,10 +2,10 @@
 // tasks with computational complexities, plus a job-level release r and hard
 // deadline d (paper §2).
 //
-// Tasks are numbered 1..n to match the paper's examples; internally they are
-// stored densely. The package provides the graph algorithms the mapper and
-// local scheduler need: topological orders, critical-path (bottom-level)
-// priorities, path queries, and structural validation.
+// Tasks are numbered 1..n, as in the paper's examples. The package provides
+// the graph algorithms the mapper and local scheduler need: topological
+// orders, critical-path (bottom-level) priorities, path queries, and
+// structural validation.
 package dag
 
 import (
@@ -17,7 +17,9 @@ import (
 	"strings"
 )
 
-// TaskID identifies a task within one job. IDs are 1-based like the paper.
+// TaskID identifies a task within one job. The tasks of a built Graph are
+// numbered exactly 1..n (Build refuses any other set), so a per-task table
+// is a slice of length n indexed by id-1.
 type TaskID int
 
 // Task is one node of the precedence graph.
@@ -35,12 +37,11 @@ type Graph struct {
 	Release  float64 // r: job release time (absolute or 0 for "on arrival")
 	Deadline float64 // d: job deadline, relative to Release when used by the mapper
 
-	tasks []Task                // dense, index = int(ID)-1
-	succ  [][]TaskID            // sorted adjacency
-	pred  [][]TaskID            // sorted reverse adjacency
-	index map[TaskID]int        // redundant with dense layout; kept for clarity
+	tasks []Task                // index = ID-1
+	succ  [][]TaskID            // sorted adjacency, index = ID-1
+	pred  [][]TaskID            // sorted reverse adjacency, index = ID-1
 	topo  []TaskID              // cached topological order (Kahn, smallest-ID-first)
-	blev  map[TaskID]float64    // cached bottom levels (node weights only)
+	blev  []float64             // cached bottom levels (node weights only), index = ID-1
 	vol   map[[2]TaskID]float64 // optional per-edge data volumes (§13)
 }
 
@@ -52,7 +53,6 @@ type Builder struct {
 	tasks    []Task
 	edges    map[[2]TaskID]bool
 	volumes  map[[2]TaskID]float64
-	seen     map[TaskID]bool
 	err      error
 }
 
@@ -62,7 +62,6 @@ func NewBuilder(name string) *Builder {
 	return &Builder{
 		name:  name,
 		edges: make(map[[2]TaskID]bool),
-		seen:  make(map[TaskID]bool),
 	}
 }
 
@@ -72,9 +71,10 @@ func (b *Builder) SetWindow(release, deadline float64) *Builder {
 	return b
 }
 
-// AddTask declares a task. IDs must be unique and positive; complexity must
-// be positive and finite (weights are non-negative throughout the paper; we
-// require strictly positive so durations are meaningful).
+// AddTask declares a task. The IDs of a job must be exactly 1..n, added in
+// any order (Build checks the set); complexity must be positive and finite
+// (weights are non-negative throughout the paper; we require strictly
+// positive so durations are meaningful).
 func (b *Builder) AddTask(id TaskID, complexity float64) *Builder {
 	return b.AddLabeledTask(id, complexity, "")
 }
@@ -88,15 +88,10 @@ func (b *Builder) AddLabeledTask(id TaskID, complexity float64, label string) *B
 		b.err = fmt.Errorf("dag: task ID %d must be positive", id)
 		return b
 	}
-	if b.seen[id] {
-		b.err = fmt.Errorf("dag: duplicate task %d", id)
-		return b
-	}
 	if complexity <= 0 || math.IsNaN(complexity) || math.IsInf(complexity, 0) {
 		b.err = fmt.Errorf("dag: task %d has invalid complexity %v", id, complexity)
 		return b
 	}
-	b.seen[id] = true
 	b.tasks = append(b.tasks, Task{ID: id, Complexity: complexity, Label: label})
 	return b
 }
@@ -137,8 +132,10 @@ func (b *Builder) AddDataEdge(from, to TaskID, volume float64) *Builder {
 	return b
 }
 
-// Build validates and freezes the graph. It fails if any edge references an
-// undeclared task, the graph has a cycle, or the task set is empty.
+// Build validates and freezes the graph. It fails if the task set is empty
+// or its IDs are not exactly 1..n (naming the first duplicate or missing
+// ID), if any edge references an undeclared task, or if the graph has a
+// cycle.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -151,26 +148,29 @@ func (b *Builder) Build() (*Graph, error) {
 		Release:  b.release,
 		Deadline: b.deadline,
 		tasks:    append([]Task(nil), b.tasks...),
-		index:    make(map[TaskID]int, len(b.tasks)),
 	}
+	n := len(g.tasks)
 	sort.Slice(g.tasks, func(i, j int) bool { return g.tasks[i].ID < g.tasks[j].ID })
 	for i, t := range g.tasks {
-		g.index[t.ID] = i
+		switch want := TaskID(i + 1); {
+		case t.ID == want:
+		case i > 0 && t.ID == g.tasks[i-1].ID:
+			return nil, fmt.Errorf("dag: duplicate task %d", t.ID)
+		default:
+			return nil, fmt.Errorf("dag: job %q: task IDs must be 1..%d, but %d is missing (next is %d)", b.name, n, want, t.ID)
+		}
 	}
-	g.succ = make([][]TaskID, len(g.tasks))
-	g.pred = make([][]TaskID, len(g.tasks))
+	g.succ = make([][]TaskID, n)
+	g.pred = make([][]TaskID, n)
 	for key := range b.edges {
 		from, to := key[0], key[1]
-		fi, ok := g.index[from]
-		if !ok {
-			return nil, fmt.Errorf("dag: edge %d->%d references unknown task %d", from, to, from)
+		for _, id := range key {
+			if !g.Has(id) {
+				return nil, fmt.Errorf("dag: edge %d->%d references unknown task %d", from, to, id)
+			}
 		}
-		ti, ok := g.index[to]
-		if !ok {
-			return nil, fmt.Errorf("dag: edge %d->%d references unknown task %d", from, to, to)
-		}
-		g.succ[fi] = append(g.succ[fi], to)
-		g.pred[ti] = append(g.pred[ti], from)
+		g.succ[from-1] = append(g.succ[from-1], to)
+		g.pred[to-1] = append(g.pred[to-1], from)
 	}
 	for i := range g.succ {
 		sort.Slice(g.succ[i], func(a, b int) bool { return g.succ[i][a] < g.succ[i][b] })
@@ -224,41 +224,22 @@ func (g *Graph) TaskIDs() []TaskID {
 	return ids
 }
 
-// Task returns the task with the given ID.
-func (g *Graph) Task(id TaskID) (Task, bool) {
-	i, ok := g.index[id]
-	if !ok {
-		return Task{}, false
-	}
-	return g.tasks[i], true
-}
+// Has reports whether id names a task of the graph, that is, lies in 1..n.
+// Every other accessor takes a valid ID; check one that came from outside
+// the process (a peer's message) with Has first.
+func (g *Graph) Has(id TaskID) bool { return id >= 1 && int(id) <= len(g.tasks) }
 
-// Complexity returns c(t); it panics on unknown tasks (a programming error).
-func (g *Graph) Complexity(id TaskID) float64 {
-	i, ok := g.index[id]
-	if !ok {
-		panic(fmt.Sprintf("dag: unknown task %d", id))
-	}
-	return g.tasks[i].Complexity
-}
+// Task returns the task with the given ID.
+func (g *Graph) Task(id TaskID) Task { return g.tasks[id-1] }
+
+// Complexity returns c(t).
+func (g *Graph) Complexity(id TaskID) float64 { return g.tasks[id-1].Complexity }
 
 // Successors returns Γ+(t) sorted by ID; the slice is owned by the graph.
-func (g *Graph) Successors(id TaskID) []TaskID {
-	i, ok := g.index[id]
-	if !ok {
-		panic(fmt.Sprintf("dag: unknown task %d", id))
-	}
-	return g.succ[i]
-}
+func (g *Graph) Successors(id TaskID) []TaskID { return g.succ[id-1] }
 
 // Predecessors returns Γ-(t) sorted by ID; the slice is owned by the graph.
-func (g *Graph) Predecessors(id TaskID) []TaskID {
-	i, ok := g.index[id]
-	if !ok {
-		panic(fmt.Sprintf("dag: unknown task %d", id))
-	}
-	return g.pred[i]
-}
+func (g *Graph) Predecessors(id TaskID) []TaskID { return g.pred[id-1] }
 
 // Sources returns tasks with no predecessors, sorted by ID.
 func (g *Graph) Sources() []TaskID {
@@ -292,15 +273,13 @@ func (g *Graph) TotalComplexity() float64 {
 }
 
 func (g *Graph) computeTopo() ([]TaskID, error) {
-	indeg := make(map[TaskID]int, len(g.tasks))
-	for _, t := range g.tasks {
-		indeg[t.ID] = len(g.pred[g.index[t.ID]])
-	}
+	indeg := make([]int, len(g.tasks))
 	// Min-heap behaviour via sorted ready list keeps the order deterministic
 	// (smallest ID first among ready tasks).
 	var ready []TaskID
-	for _, t := range g.tasks {
-		if indeg[t.ID] == 0 {
+	for i, t := range g.tasks {
+		indeg[i] = len(g.pred[i])
+		if indeg[i] == 0 {
 			ready = append(ready, t.ID)
 		}
 	}
@@ -311,8 +290,8 @@ func (g *Graph) computeTopo() ([]TaskID, error) {
 		ready = ready[1:]
 		order = append(order, id)
 		for _, s := range g.Successors(id) {
-			indeg[s]--
-			if indeg[s] == 0 {
+			indeg[s-1]--
+			if indeg[s-1] == 0 {
 				ready = append(ready, s)
 			}
 		}
@@ -327,18 +306,18 @@ func (g *Graph) computeTopo() ([]TaskID, error) {
 // first among ready tasks). The slice is owned by the graph.
 func (g *Graph) TopologicalOrder() []TaskID { return g.topo }
 
-func (g *Graph) computeBottomLevels() map[TaskID]float64 {
-	bl := make(map[TaskID]float64, len(g.tasks))
+func (g *Graph) computeBottomLevels() []float64 {
+	bl := make([]float64, len(g.tasks))
 	topo := g.topo
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
 		best := 0.0
 		for _, s := range g.Successors(id) {
-			if bl[s] > best {
-				best = bl[s]
+			if bl[s-1] > best {
+				best = bl[s-1]
 			}
 		}
-		bl[id] = best + g.Complexity(id)
+		bl[id-1] = best + g.Complexity(id)
 	}
 	return bl
 }
@@ -347,23 +326,15 @@ func (g *Graph) computeBottomLevels() map[TaskID]float64 {
 // task included) from t to a sink — the list-scheduling priority of paper
 // §12: "the priority of a task ti is the length of the longest path from ti
 // to a sink task in the graph".
-func (g *Graph) BottomLevel(id TaskID) float64 {
-	v, ok := g.blev[id]
-	if !ok {
-		panic(fmt.Sprintf("dag: unknown task %d", id))
-	}
-	return v
-}
+func (g *Graph) BottomLevel(id TaskID) float64 { return g.blev[id-1] }
 
 // CriticalPathLength is the longest node-weighted path in the graph: the
 // minimum possible makespan on unlimited unit-power processors with free
 // communication.
 func (g *Graph) CriticalPathLength() float64 {
 	var best float64
-	for _, t := range g.tasks {
-		if v := g.blev[t.ID]; v > best {
-			best = v
-		}
+	for _, v := range g.blev {
+		best = max(best, v)
 	}
 	return best
 }
@@ -374,7 +345,7 @@ func (g *Graph) CriticalPath() []TaskID {
 	var start TaskID
 	best := -1.0
 	for _, t := range g.tasks {
-		if v := g.blev[t.ID]; v > best || (v == best && t.ID < start) {
+		if v := g.blev[t.ID-1]; v > best || (v == best && t.ID < start) {
 			best, start = v, t.ID
 		}
 	}
@@ -390,9 +361,9 @@ func (g *Graph) CriticalPath() []TaskID {
 			return path
 		}
 		next := TaskID(-1)
-		want := g.blev[cur] - g.Complexity(cur)
+		want := g.BottomLevel(cur) - g.Complexity(cur)
 		for _, s := range succ {
-			if math.Abs(g.blev[s]-want) < 1e-12 {
+			if math.Abs(g.BottomLevel(s)-want) < 1e-12 {
 				next = s
 				break // successors sorted by ID: first match is smallest
 			}
@@ -400,7 +371,7 @@ func (g *Graph) CriticalPath() []TaskID {
 		if next < 0 {
 			// Float drift fallback: take the successor with max bottom level.
 			for _, s := range succ {
-				if next < 0 || g.blev[s] > g.blev[next] {
+				if next < 0 || g.BottomLevel(s) > g.BottomLevel(next) {
 					next = s
 				}
 			}
@@ -420,11 +391,11 @@ func (g *Graph) EdgeVolume(from, to TaskID) float64 {
 // the largest bottom-level priority, ties to the smallest ID. The result is
 // a topological order.
 func (g *Graph) PriorityOrder() []TaskID {
-	remaining := make(map[TaskID]int, len(g.tasks))
+	remaining := make([]int, len(g.tasks))
 	var free []TaskID
-	for _, t := range g.tasks {
-		remaining[t.ID] = len(g.Predecessors(t.ID))
-		if remaining[t.ID] == 0 {
+	for i, t := range g.tasks {
+		remaining[i] = len(g.pred[i])
+		if remaining[i] == 0 {
 			free = append(free, t.ID)
 		}
 	}
@@ -433,7 +404,7 @@ func (g *Graph) PriorityOrder() []TaskID {
 		// A total order (bottom level, then ID), so any sort agrees;
 		// slices.SortFunc needs no reflection-built swapper.
 		slices.SortFunc(free, func(a, b TaskID) int {
-			if c := cmp.Compare(g.blev[b], g.blev[a]); c != 0 {
+			if c := cmp.Compare(g.blev[b-1], g.blev[a-1]); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
@@ -442,8 +413,8 @@ func (g *Graph) PriorityOrder() []TaskID {
 		free = free[1:]
 		order = append(order, id)
 		for _, s := range g.Successors(id) {
-			remaining[s]--
-			if remaining[s] == 0 {
+			remaining[s-1]--
+			if remaining[s-1] == 0 {
 				free = append(free, s)
 			}
 		}
@@ -453,16 +424,10 @@ func (g *Graph) PriorityOrder() []TaskID {
 
 // HasPath reports whether there is a directed path from a to b.
 func (g *Graph) HasPath(a, b TaskID) bool {
-	if _, ok := g.index[a]; !ok {
-		return false
-	}
-	if _, ok := g.index[b]; !ok {
-		return false
-	}
 	if a == b {
 		return true
 	}
-	seen := make(map[TaskID]bool)
+	seen := make([]bool, len(g.tasks))
 	stack := []TaskID{a}
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -471,8 +436,8 @@ func (g *Graph) HasPath(a, b TaskID) bool {
 			if s == b {
 				return true
 			}
-			if !seen[s] {
-				seen[s] = true
+			if !seen[s-1] {
+				seen[s-1] = true
 				stack = append(stack, s)
 			}
 		}
@@ -485,16 +450,14 @@ func (g *Graph) HasPath(a, b TaskID) bool {
 // layer width, not the true maximum antichain, which is what scheduling
 // heuristics conventionally use.)
 func (g *Graph) Width() int {
-	depth := make(map[TaskID]int, len(g.tasks))
-	counts := make(map[int]int)
+	depth := make([]int, len(g.tasks))
+	counts := make([]int, len(g.tasks)) // a depth is below n
 	for _, id := range g.topo {
 		d := 0
 		for _, p := range g.Predecessors(id) {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
+			d = max(d, depth[p-1]+1)
 		}
-		depth[id] = d
+		depth[id-1] = d
 		counts[d]++
 	}
 	w := 0

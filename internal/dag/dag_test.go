@@ -36,8 +36,24 @@ func TestBuilderValidation(t *testing.T) {
 	if _, err := NewBuilder("empty").Build(); err == nil {
 		t.Error("empty job accepted")
 	}
-	if _, err := NewBuilder("dup").AddTask(1, 1).AddTask(1, 2).Build(); err == nil {
-		t.Error("duplicate task accepted")
+	// Task IDs are exactly 1..n; the error names the first duplicate or gap.
+	for _, c := range []struct {
+		ids  []TaskID
+		want string
+	}{
+		{[]TaskID{1, 1}, "duplicate task 1"},
+		{[]TaskID{2, 1, 2, 3}, "duplicate task 2"},
+		{[]TaskID{1, 3}, "2 is missing (next is 3)"},
+		{[]TaskID{2}, "1 is missing (next is 2)"},
+		{[]TaskID{3, 1, 2, 5}, "4 is missing (next is 5)"},
+	} {
+		b := NewBuilder("ids")
+		for _, id := range c.ids {
+			b.AddTask(id, 1)
+		}
+		if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("IDs %v: error %v, want one naming %q", c.ids, err, c.want)
+		}
 	}
 	if _, err := NewBuilder("neg").AddTask(1, -3).Build(); err == nil {
 		t.Error("negative complexity accepted")
@@ -95,6 +111,9 @@ func TestPaperGraphStructure(t *testing.T) {
 	}
 	if w := g.TotalComplexity(); w != 21 {
 		t.Fatalf("total work = %v, want 21", w)
+	}
+	if s, want := g.String(), `dag "fig2": 5 tasks, 5 edges, work 21, cp 15`; s != want {
+		t.Fatalf("String() = %q, want %q", s, want)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if back.Len() != 3 || back.NumEdges() != 2 {
 		t.Fatalf("shape lost: %d tasks, %d edges", back.Len(), back.NumEdges())
 	}
-	if tk, _ := back.Task(1); tk.Label != "src" || tk.Complexity != 6 {
+	if tk := back.Task(1); tk.Label != "src" || tk.Complexity != 6 {
 		t.Fatalf("task 1 lost: %+v", tk)
 	}
 	if v := back.EdgeVolume(2, 3); v != 7.5 {
@@ -86,4 +86,68 @@ func TestPropertyJSONRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzUnmarshalGraph feeds arbitrary bytes to UnmarshalGraph, the parser
+// behind every job submitted over HTTP. Each input either fails with an
+// error or yields a graph whose task IDs are exactly 1..Len(), whose
+// topological order covers every task and respects every edge, and that
+// round-trips through MarshalJSON to the same bytes.
+func FuzzUnmarshalGraph(f *testing.F) {
+	for _, seed := range []string{
+		// An edge to a task that is not there (the benchmark's invalid job).
+		`{"name":"bad","tasks":[{"id":1,"complexity":1}],"edges":[{"from":1,"to":9}]}`,
+		// Sparse IDs: task 2 is missing.
+		`{"name":"sparse","tasks":[{"id":1,"complexity":1},{"id":3,"complexity":2}],"edges":[{"from":1,"to":3}]}`,
+		// A duplicate ID.
+		`{"name":"dup","tasks":[{"id":1,"complexity":1},{"id":2,"complexity":1},{"id":1,"complexity":3}],"edges":[]}`,
+		// A cycle.
+		`{"name":"cycle","tasks":[{"id":1,"complexity":1},{"id":2,"complexity":1}],"edges":[{"from":1,"to":2},{"from":2,"to":1}]}`,
+		// A valid job with a window, a label and a data volume.
+		`{"name":"ok","release":2,"deadline":40,"tasks":[{"id":2,"complexity":4},{"id":1,"complexity":6,"label":"src"}],` +
+			`"edges":[{"from":1,"to":2,"volume":3.5}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := UnmarshalGraph(data)
+		if err != nil {
+			return
+		}
+		for i, id := range g.TaskIDs() {
+			if id != TaskID(i+1) {
+				t.Fatalf("task %d at position %d of a %d-task graph", id, i, g.Len())
+			}
+		}
+		pos := make([]int, g.Len())
+		order := g.TopologicalOrder()
+		if len(order) != g.Len() {
+			t.Fatalf("topological order has %d of %d tasks", len(order), g.Len())
+		}
+		for i, id := range order {
+			pos[id-1] = i
+		}
+		for _, id := range g.TaskIDs() {
+			for _, s := range g.Successors(id) {
+				if pos[s-1] <= pos[id-1] {
+					t.Fatalf("edge %d->%d goes backwards in %v", id, s, order)
+				}
+			}
+		}
+		first, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalGraph(first)
+		if err != nil {
+			t.Fatalf("marshalled graph %s refused: %v", first, err)
+		}
+		second, err := back.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(first) != string(second) {
+			t.Fatalf("round trip changed the graph:\n  %s\n  %s", first, second)
+		}
+	})
 }

@@ -38,7 +38,7 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Mapping.Release[3] = 999
+	res.Mapping.Assign[2].Release = 999
 	if err := VerifyPaperExample(res); err == nil {
 		t.Fatal("verification accepted corrupted release")
 	}

@@ -45,7 +45,7 @@ func PaperExample() (*PaperResult, error) {
 
 	var spansS, spansStar []trace.Span
 	for _, id := range g.TaskIDs() {
-		a := m.Assign[id]
+		a := m.Assign[id-1]
 		row := fmt.Sprintf("p%d", a.Proc+1)
 		label := fmt.Sprintf("t%d", id)
 		spansS = append(spansS, trace.Span{Row: row, Label: label, Start: a.Start, End: a.Finish})
@@ -69,8 +69,8 @@ func paperTable(Size) *Table {
 func table1Rows(g *dag.Graph, m *mapper.TrialMapping) [][]any {
 	var rows [][]any
 	for _, id := range g.TaskIDs() {
-		a := m.Assign[id]
-		rows = append(rows, []any{int(id), a.Start, a.Finish, m.Release[id], m.Deadline[id]})
+		a := m.Assign[id-1]
+		rows = append(rows, []any{int(id), a.Start, a.Finish, a.Release, a.Deadline})
 	}
 	return rows
 }
@@ -91,20 +91,14 @@ func paperRows(*runEnv, Size, int64, int) ([][]any, error) {
 
 // paperExpectations pins every number the paper reports for the example.
 var paperExpectations = struct {
-	s, sStar map[dag.TaskID][2]float64
-	rd       map[dag.TaskID][2]float64
+	s, sStar [][2]float64 // task id's window at id-1
+	rd       [][2]float64
 	m, mStar float64
 }{
-	s: map[dag.TaskID][2]float64{
-		1: {0, 12}, 2: {0, 10}, 3: {13, 21}, 4: {15, 20}, 5: {23, 33},
-	},
-	sStar: map[dag.TaskID][2]float64{
-		1: {0, 6}, 2: {0, 4}, 3: {7, 11}, 4: {9, 11}, 5: {14, 19},
-	},
-	rd: map[dag.TaskID][2]float64{
-		1: {0, 24}, 2: {0, 20}, 3: {24, 42}, 4: {27, 40}, 5: {43, 66},
-	},
-	m: 33, mStar: 19,
+	s:     [][2]float64{{0, 12}, {0, 10}, {13, 21}, {15, 20}, {23, 33}},
+	sStar: [][2]float64{{0, 6}, {0, 4}, {7, 11}, {9, 11}, {14, 19}},
+	rd:    [][2]float64{{0, 24}, {0, 20}, {24, 42}, {27, 40}, {43, 66}},
+	m:     33, mStar: 19,
 }
 
 // VerifyPaperExample checks the reproduction against the paper's published
@@ -122,24 +116,20 @@ func VerifyPaperExample(r *PaperResult) error {
 	if m.Case != mapper.CaseScale {
 		return fmt.Errorf("adjustment case %v, paper's example is case (ii)", m.Case)
 	}
-	for id, w := range paperExpectations.s {
-		a := m.Assign[id]
-		if math.Abs(a.Start-w[0]) > eps || math.Abs(a.Finish-w[1]) > eps {
-			return fmt.Errorf("S(t%d) = [%v,%v], paper reports [%v,%v]", id, a.Start, a.Finish, w[0], w[1])
+	for i, want := range paperExpectations.s {
+		id, a := i+1, m.Assign[i]
+		if math.Abs(a.Start-want[0]) > eps || math.Abs(a.Finish-want[1]) > eps {
+			return fmt.Errorf("S(t%d) = [%v,%v], paper reports [%v,%v]", id, a.Start, a.Finish, want[0], want[1])
 		}
-	}
-	for id, w := range paperExpectations.sStar {
-		a := m.Assign[id]
-		if math.Abs(a.IdealStart-w[0]) > eps || math.Abs(a.IdealFinish-w[1]) > eps {
+		if w := paperExpectations.sStar[i]; math.Abs(a.IdealStart-w[0]) > eps || math.Abs(a.IdealFinish-w[1]) > eps {
 			return fmt.Errorf("S*(t%d) = [%v,%v], paper reports [%v,%v]", id, a.IdealStart, a.IdealFinish, w[0], w[1])
 		}
-	}
-	for id, w := range paperExpectations.rd {
-		if math.Abs(m.Release[id]-w[0]) > eps {
-			return fmt.Errorf("r(t%d) = %v, Table 1 reports %v", id, m.Release[id], w[0])
+		w := paperExpectations.rd[i]
+		if math.Abs(a.Release-w[0]) > eps {
+			return fmt.Errorf("r(t%d) = %v, Table 1 reports %v", id, a.Release, w[0])
 		}
-		if math.Abs(m.Deadline[id]-w[1]) > eps {
-			return fmt.Errorf("d(t%d) = %v, Table 1 reports %v", id, m.Deadline[id], w[1])
+		if math.Abs(a.Deadline-w[1]) > eps {
+			return fmt.Errorf("d(t%d) = %v, Table 1 reports %v", id, a.Deadline, w[1])
 		}
 	}
 	return nil

@@ -327,8 +327,8 @@ func e5Row(_ *runEnv, size Size, seed int64, point int) ([][]any, error) {
 		caseIII++
 		consistent++
 		for _, id := range g.TaskIDs() {
-			a := m.Assign[id]
-			slack := (m.Deadline[id] - m.Release[id]) - (a.IdealFinish - a.IdealStart)
+			a := m.Assign[id-1]
+			slack := (a.Deadline - a.Release) - (a.IdealFinish - a.IdealStart)
 			if m.Procs[a.Proc].Site == procs[busiest].Site {
 				busySlack.Add(slack)
 			} else {

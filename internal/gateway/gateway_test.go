@@ -179,6 +179,14 @@ func TestAdmissionTable(t *testing.T) {
 			wantResult: "invalid",
 		},
 		{
+			// Task IDs are 1..n: task 2 is missing.
+			name: "sparse task IDs",
+			body: `{"tenant":"acme","deadline":40,"graph":{"name":"sparse","tasks":[{"id":1,"complexity":5},{"id":3,"complexity":5}],` +
+				`"edges":[{"from":1,"to":3}]}}`,
+			wantStatus: http.StatusBadRequest,
+			wantResult: "invalid",
+		},
+		{
 			// Refused by the body cap, before the graph is even parsed.
 			name: "oversized body",
 			body: `{"tenant":"acme","client_key":"big","deadline":40,"graph":{"name":"` +

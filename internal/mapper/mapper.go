@@ -136,13 +136,16 @@ func (c AdjustCase) String() string {
 	}
 }
 
-// Assignment is one task's placement in the trial schedules.
+// Assignment is one task's record in the trial mapping: its placement in
+// the trial schedules and its adjusted window.
 type Assignment struct {
 	Proc        int     // logical processor index into TrialMapping.Procs
 	Start       float64 // start in S (the surplus-scaled schedule)
 	Finish      float64 // finish in S: the paper's di
 	IdealStart  float64 // start in S* (surpluses = 100%)
 	IdealFinish float64 // finish in S*
+	Release     float64 // adjusted r(ti)
+	Deadline    float64 // adjusted d(ti)
 }
 
 // TaskWindow is the validated contract for one task: it must execute for
@@ -157,10 +160,8 @@ type TaskWindow struct {
 
 // TrialMapping is the mapper's output M = (S, r, d) of paper §9.
 type TrialMapping struct {
-	Procs    []ProcInfo // logical processors actually used
-	Assign   map[dag.TaskID]Assignment
-	Release  map[dag.TaskID]float64 // adjusted r(ti)
-	Deadline map[dag.TaskID]float64 // adjusted d(ti)
+	Procs  []ProcInfo   // logical processors actually used
+	Assign []Assignment // task id's record at id-1
 
 	Makespan      float64 // M, measured from the job release
 	IdealMakespan float64 // M*, lower bound of M for this mapping
@@ -176,13 +177,14 @@ type TrialMapping struct {
 // sorted by task ID.
 func (m *TrialMapping) Tasks(g *dag.Graph, proc int) []TaskWindow {
 	var out []TaskWindow
-	for _, id := range g.TaskIDs() {
-		if a, ok := m.Assign[id]; ok && a.Proc == proc {
+	for i, a := range m.Assign {
+		if a.Proc == proc {
+			id := dag.TaskID(i + 1)
 			out = append(out, TaskWindow{
 				Task:       id,
 				Complexity: g.Complexity(id),
-				Release:    m.Release[id],
-				Deadline:   m.Deadline[id],
+				Release:    a.Release,
+				Deadline:   a.Deadline,
 			})
 		}
 	}
@@ -225,18 +227,16 @@ func Build(g *dag.Graph, procs []ProcInfo, omega, r, d float64, opts Options) (*
 	ideal := idealize(g, procs, omega, opts.Throughput, r, sched)
 
 	m := &TrialMapping{
-		Assign:      make(map[dag.TaskID]Assignment, g.Len()),
-		Release:     make(map[dag.TaskID]float64, g.Len()),
-		Deadline:    make(map[dag.TaskID]float64, g.Len()),
+		Assign:      make([]Assignment, g.Len()),
 		Omega:       omega,
 		Throughput:  opts.Throughput,
 		JobRelease:  r,
 		JobDeadline: d,
 	}
 	var maxFin, maxIdeal float64
-	for id, pl := range sched.place {
-		ia := ideal[id]
-		m.Assign[id] = Assignment{
+	for i, pl := range sched.place {
+		ia := ideal[i]
+		m.Assign[i] = Assignment{
 			Proc: pl.proc, Start: pl.start, Finish: pl.finish,
 			IdealStart: ia.start, IdealFinish: ia.finish,
 		}
@@ -286,23 +286,23 @@ type placement struct {
 }
 
 type builtSchedule struct {
-	place     map[dag.TaskID]placement
+	place     []placement    // task id's slot at id-1
 	procOrder [][]dag.TaskID // per-processor task sequence, in start order
 }
 
 // listSchedule runs the §12 list-scheduling loop.
 func listSchedule(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, h Heuristic) builtSchedule {
-	place := make(map[dag.TaskID]placement, g.Len())
+	place := make([]placement, g.Len())
 	procAvail := make([]float64, len(procs))
 	for i := range procAvail {
 		procAvail[i] = r
 	}
 	procOrder := make([][]dag.TaskID, len(procs))
-	remainingPreds := make(map[dag.TaskID]int, g.Len())
+	remainingPreds := make([]int, g.Len())
 	var free []dag.TaskID
 	for _, id := range g.TaskIDs() {
-		remainingPreds[id] = len(g.Predecessors(id))
-		if remainingPreds[id] == 0 {
+		remainingPreds[id-1] = len(g.Predecessors(id))
+		if remainingPreds[id-1] == 0 {
 			free = append(free, id)
 		}
 	}
@@ -311,7 +311,7 @@ func listSchedule(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, 
 	startOn := func(id dag.TaskID, proc int) float64 {
 		start := math.Max(procAvail[proc], r)
 		for _, p := range g.Predecessors(id) {
-			pp := place[p]
+			pp := place[p-1]
 			comm := 0.0
 			if pp.proc != proc {
 				comm = CommDelay(g, omega, throughput, p, id)
@@ -347,12 +347,12 @@ func listSchedule(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, 
 			free = append(free[:bestIdx], free[bestIdx+1:]...)
 			start := startOn(id, bestProc)
 			fin := start + duration(id, bestProc)
-			place[id] = placement{proc: bestProc, start: start, finish: fin}
+			place[id-1] = placement{proc: bestProc, start: start, finish: fin}
 			procAvail[bestProc] = fin
 			procOrder[bestProc] = append(procOrder[bestProc], id)
 			for _, s := range g.Successors(id) {
-				remainingPreds[s]--
-				if remainingPreds[s] == 0 {
+				remainingPreds[s-1]--
+				if remainingPreds[s-1] == 0 {
 					free = append(free, s)
 				}
 			}
@@ -389,13 +389,13 @@ func listSchedule(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, 
 		}
 		start := startOn(id, proc)
 		fin := start + duration(id, proc)
-		place[id] = placement{proc: proc, start: start, finish: fin}
+		place[id-1] = placement{proc: proc, start: start, finish: fin}
 		procAvail[proc] = fin
 		procOrder[proc] = append(procOrder[proc], id)
 
 		for _, s := range g.Successors(id) {
-			remainingPreds[s]--
-			if remainingPreds[s] == 0 {
+			remainingPreds[s-1]--
+			if remainingPreds[s-1] == 0 {
 				free = append(free, s)
 			}
 		}
@@ -405,8 +405,9 @@ func listSchedule(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, 
 
 // idealize recomputes the schedule times with surpluses at 100% (schedule
 // S* of §12.2), keeping the mapping and the per-processor task order of S.
-func idealize(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, s builtSchedule) map[dag.TaskID]placement {
-	ideal := make(map[dag.TaskID]placement, len(s.place))
+func idealize(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, s builtSchedule) []placement {
+	ideal := make([]placement, len(s.place))
+	done := make([]bool, len(s.place))
 	procAvail := make([]float64, len(procs))
 	for i := range procAvail {
 		procAvail[i] = r
@@ -421,11 +422,11 @@ func idealize(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, s bu
 				ready := true
 				start := math.Max(procAvail[p], r)
 				for _, pr := range g.Predecessors(id) {
-					ia, ok := ideal[pr]
-					if !ok {
+					if !done[pr-1] {
 						ready = false
 						break
 					}
+					ia := ideal[pr-1]
 					comm := 0.0
 					if ia.proc != p {
 						comm = CommDelay(g, omega, throughput, pr, id)
@@ -438,7 +439,8 @@ func idealize(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, s bu
 					break
 				}
 				fin := start + g.Complexity(id)/procs[p].power()
-				ideal[id] = placement{proc: p, start: start, finish: fin}
+				ideal[id-1] = placement{proc: p, start: start, finish: fin}
+				done[id-1] = true
 				procAvail[p] = fin
 				cursor[p]++
 				placed++
@@ -457,8 +459,9 @@ func idealize(g *dag.Graph, procs []ProcInfo, omega, throughput, r float64, s bu
 func (m *TrialMapping) adjustByScaling(g *dag.Graph, procs []ProcInfo) {
 	r, d := m.JobRelease, m.JobDeadline
 	factor := (d - r) / m.Makespan
-	for id, a := range m.Assign {
-		m.Deadline[id] = r + (a.Finish-r)*factor // eq. (3)
+	for i := range m.Assign {
+		a := &m.Assign[i]
+		a.Deadline = r + (a.Finish-r)*factor // eq. (3)
 	}
 	m.computeReleases(g) // eq. (5)
 }
@@ -473,35 +476,35 @@ func (m *TrialMapping) adjustByLaxity(g *dag.Graph, procs []ProcInfo, mode Laxit
 	topo := g.TopologicalOrder()
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
+		ai := &m.Assign[id-1]
 		succ := g.Successors(id)
 		if len(succ) == 0 {
-			m.Deadline[id] = d
+			ai.Deadline = d
 			continue
 		}
 		dl := math.Inf(1)
-		ai := m.Assign[id]
 		for _, s := range succ {
-			as := m.Assign[s]
+			as := m.Assign[s-1]
 			comm := 0.0
 			if as.Proc != ai.Proc {
 				comm = m.comm(g, id, s)
 			}
 			durStar := as.IdealFinish - as.IdealStart // c(tj) at full speed
-			cand := m.Deadline[s] - lax[s] - durStar - comm
+			cand := as.Deadline - lax[s-1] - durStar - comm
 			if cand < dl {
 				dl = cand
 			}
 		}
-		m.Deadline[id] = dl
+		ai.Deadline = dl
 	}
 	m.computeReleases(g)
 
 	// The paper leaves case (iii) consistency implicit; we verify that every
 	// window can hold its execution (at full speed) and reject otherwise —
 	// validation at the sites would fail anyway, this fails fast.
-	for id, a := range m.Assign {
+	for _, a := range m.Assign {
 		durStar := a.IdealFinish - a.IdealStart
-		if m.Release[id]+durStar > m.Deadline[id]+eps {
+		if a.Release+durStar > a.Deadline+eps {
 			return ErrInconsistentWindows
 		}
 	}
@@ -509,16 +512,17 @@ func (m *TrialMapping) adjustByLaxity(g *dag.Graph, procs []ProcInfo, mode Laxit
 }
 
 // laxityPerTask computes ℓ(t) for eq. (4).
-func (m *TrialMapping) laxityPerTask(g *dag.Graph, procs []ProcInfo, mode LaxityMode, extra float64) map[dag.TaskID]float64 {
+// The result holds task id's ℓ at id-1.
+func (m *TrialMapping) laxityPerTask(g *dag.Graph, procs []ProcInfo, mode LaxityMode, extra float64) []float64 {
 	eta, critical := m.criticalStructure(g)
 	m.Eta = eta
-	lax := make(map[dag.TaskID]float64, g.Len())
+	lax := make([]float64, g.Len())
 	switch mode {
 	case LaxityBusynessWeighted:
 		// ℓ(t) ∝ busyness of t's processor, normalized so the heaviest
 		// critical chain receives exactly `extra` in total.
 		busy := func(id dag.TaskID) float64 {
-			b := 1 - procs[m.Assign[id].Proc].Surplus
+			b := 1 - procs[m.Assign[id-1].Proc].Surplus
 			if b < 0.05 {
 				b = 0.05 // keep every task with some share
 			}
@@ -526,21 +530,18 @@ func (m *TrialMapping) laxityPerTask(g *dag.Graph, procs []ProcInfo, mode Laxity
 		}
 		heaviest := m.heaviestCriticalChain(g, critical, busy)
 		if heaviest <= eps {
-			for _, id := range g.TaskIDs() {
-				lax[id] = 0
-			}
 			return lax
 		}
 		for _, id := range g.TaskIDs() {
-			lax[id] = extra * busy(id) / heaviest
+			lax[id-1] = extra * busy(id) / heaviest
 		}
 	default: // LaxityUniform: ℓ = (d − r − M*)/η for every task
 		l := 0.0
 		if eta > 0 {
 			l = extra / float64(eta)
 		}
-		for _, id := range g.TaskIDs() {
-			lax[id] = l
+		for i := range lax {
+			lax[i] = l
 		}
 	}
 	return lax
@@ -549,46 +550,42 @@ func (m *TrialMapping) laxityPerTask(g *dag.Graph, procs []ProcInfo, mode Laxity
 // computeReleases applies eq. (5) in topological order.
 func (m *TrialMapping) computeReleases(g *dag.Graph) {
 	for _, id := range g.TopologicalOrder() {
-		preds := g.Predecessors(id)
-		if len(preds) == 0 {
-			m.Release[id] = m.JobRelease
-			continue
-		}
-		ai := m.Assign[id]
+		ai := &m.Assign[id-1]
 		rel := m.JobRelease
-		for _, p := range preds {
-			ap := m.Assign[p]
+		for _, p := range g.Predecessors(id) {
+			ap := m.Assign[p-1]
 			comm := 0.0
 			if ap.Proc != ai.Proc {
 				comm = m.comm(g, p, id)
 			}
-			if t := m.Deadline[p] + comm; t > rel {
+			if t := ap.Deadline + comm; t > rel {
 				rel = t
 			}
 		}
-		m.Release[id] = rel
+		ai.Release = rel
 	}
 }
 
 // criticalStructure finds the tasks with zero slack in S* and returns η:
 // the maximum number of tasks on any critical path of S* (paper §12.2).
 // The schedule graph adds same-processor succession edges to the DAG edges.
-func (m *TrialMapping) criticalStructure(g *dag.Graph) (int, map[dag.TaskID]bool) {
+// critical holds task id's verdict at id-1.
+func (m *TrialMapping) criticalStructure(g *dag.Graph) (eta int, critical []bool) {
 	makespanEnd := m.JobRelease + m.IdealMakespan
 	// Backward pass for latest finish times over the schedule graph.
 	type edge struct {
 		to   dag.TaskID
 		comm float64
 	}
-	out := make(map[dag.TaskID][]edge, g.Len())
+	out := make([][]edge, g.Len())
 	addEdge := func(a, b dag.TaskID, comm float64) {
-		out[a] = append(out[a], edge{to: b, comm: comm})
+		out[a-1] = append(out[a-1], edge{to: b, comm: comm})
 	}
 	// DAG edges with ω across processors.
 	for _, id := range g.TaskIDs() {
 		for _, s := range g.Successors(id) {
 			comm := 0.0
-			if m.Assign[s].Proc != m.Assign[id].Proc {
+			if m.Assign[s-1].Proc != m.Assign[id-1].Proc {
 				comm = m.comm(g, id, s)
 			}
 			addEdge(id, s, comm)
@@ -598,75 +595,70 @@ func (m *TrialMapping) criticalStructure(g *dag.Graph) (int, map[dag.TaskID]bool
 	// start order.
 	byProc := make(map[int][]dag.TaskID)
 	for _, id := range g.TaskIDs() {
-		a := m.Assign[id]
+		a := m.Assign[id-1]
 		byProc[a.Proc] = append(byProc[a.Proc], id)
 	}
 	for p := range byProc {
 		ids := byProc[p]
 		sort.Slice(ids, func(i, j int) bool {
-			return m.Assign[ids[i]].IdealStart < m.Assign[ids[j]].IdealStart
+			return m.Assign[ids[i]-1].IdealStart < m.Assign[ids[j]-1].IdealStart
 		})
 		for i := 1; i < len(ids); i++ {
 			addEdge(ids[i-1], ids[i], 0)
 		}
 	}
 
-	latestFinish := make(map[dag.TaskID]float64, g.Len())
+	latestFinish := make([]float64, g.Len())
 	topo := g.TopologicalOrder()
 	// The schedule graph's topological order: sort by S* start time (ties by
 	// DAG topo position) — succession edges always go forward in start time.
-	pos := make(map[dag.TaskID]int, len(topo))
+	pos := make([]int, len(topo))
 	for i, id := range topo {
-		pos[id] = i
+		pos[id-1] = i
 	}
 	order := append([]dag.TaskID(nil), topo...)
 	sort.SliceStable(order, func(i, j int) bool {
-		si, sj := m.Assign[order[i]].IdealStart, m.Assign[order[j]].IdealStart
+		si, sj := m.Assign[order[i]-1].IdealStart, m.Assign[order[j]-1].IdealStart
 		if si != sj {
 			return si < sj
 		}
-		return pos[order[i]] < pos[order[j]]
+		return pos[order[i]-1] < pos[order[j]-1]
 	})
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		lf := makespanEnd
-		for _, e := range out[id] {
-			durSucc := m.Assign[e.to].IdealFinish - m.Assign[e.to].IdealStart
-			cand := latestFinish[e.to] - durSucc - e.comm
+		for _, e := range out[id-1] {
+			durSucc := m.Assign[e.to-1].IdealFinish - m.Assign[e.to-1].IdealStart
+			cand := latestFinish[e.to-1] - durSucc - e.comm
 			if cand < lf {
 				lf = cand
 			}
 		}
-		latestFinish[id] = lf
+		latestFinish[id-1] = lf
 	}
-	critical := make(map[dag.TaskID]bool, g.Len())
-	for _, id := range g.TaskIDs() {
-		if math.Abs(latestFinish[id]-m.Assign[id].IdealFinish) <= 1e-6 {
-			critical[id] = true
-		}
+	critical = make([]bool, g.Len())
+	for i, a := range m.Assign {
+		critical[i] = math.Abs(latestFinish[i]-a.IdealFinish) <= 1e-6
 	}
 	// η: longest chain (task count) through critical tasks along tight edges.
-	chain := make(map[dag.TaskID]int, g.Len())
-	eta := 0
+	chain := make([]int, g.Len())
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
-		if !critical[id] {
+		if !critical[id-1] {
 			continue
 		}
 		best := 0
-		for _, e := range out[id] {
-			if !critical[e.to] {
+		for _, e := range out[id-1] {
+			if !critical[e.to-1] {
 				continue
 			}
-			tight := math.Abs(m.Assign[e.to].IdealStart-(m.Assign[id].IdealFinish+e.comm)) <= 1e-6
-			if tight && chain[e.to] > best {
-				best = chain[e.to]
+			tight := math.Abs(m.Assign[e.to-1].IdealStart-(m.Assign[id-1].IdealFinish+e.comm)) <= 1e-6
+			if tight && chain[e.to-1] > best {
+				best = chain[e.to-1]
 			}
 		}
-		chain[id] = best + 1
-		if chain[id] > eta {
-			eta = chain[id]
-		}
+		chain[id-1] = best + 1
+		eta = max(eta, chain[id-1])
 	}
 	if eta == 0 {
 		eta = 1
@@ -676,24 +668,24 @@ func (m *TrialMapping) criticalStructure(g *dag.Graph) (int, map[dag.TaskID]bool
 
 // heaviestCriticalChain finds the maximum sum of weight(t) over chains of
 // critical tasks (used by busyness-weighted laxity normalization).
-func (m *TrialMapping) heaviestCriticalChain(g *dag.Graph, critical map[dag.TaskID]bool, weight func(dag.TaskID) float64) float64 {
+func (m *TrialMapping) heaviestCriticalChain(g *dag.Graph, critical []bool, weight func(dag.TaskID) float64) float64 {
 	topo := g.TopologicalOrder()
-	best := make(map[dag.TaskID]float64, len(topo))
+	best := make([]float64, len(topo))
 	var heaviest float64
 	for i := len(topo) - 1; i >= 0; i-- {
 		id := topo[i]
-		if !critical[id] {
+		if !critical[id-1] {
 			continue
 		}
 		b := 0.0
 		for _, s := range g.Successors(id) {
-			if critical[s] && best[s] > b {
-				b = best[s]
+			if critical[s-1] && best[s-1] > b {
+				b = best[s-1]
 			}
 		}
-		best[id] = b + weight(id)
-		if best[id] > heaviest {
-			heaviest = best[id]
+		best[id-1] = b + weight(id)
+		if best[id-1] > heaviest {
+			heaviest = best[id-1]
 		}
 	}
 	return heaviest
@@ -713,9 +705,8 @@ func (m *TrialMapping) trimProcs(procs []ProcInfo) {
 			m.Procs = append(m.Procs, procs[i])
 		}
 	}
-	for id, a := range m.Assign {
-		a.Proc = remap[a.Proc]
-		m.Assign[id] = a
+	for i := range m.Assign {
+		m.Assign[i].Proc = remap[m.Assign[i].Proc]
 	}
 }
 

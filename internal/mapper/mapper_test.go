@@ -53,7 +53,7 @@ func TestPaperScheduleS(t *testing.T) {
 		5: {0, 23, 33}, // p1: start max(21, d3+0=21, d4+ω=23), dur 10
 	}
 	for id, w := range want {
-		a := m.Assign[id]
+		a := m.Assign[id-1]
 		if a.Proc != w.proc {
 			t.Errorf("task %d on proc %d, want %d", id, a.Proc, w.proc)
 		}
@@ -80,7 +80,7 @@ func TestPaperScheduleSStar(t *testing.T) {
 		5: {14, 19}, // p1: max(11, 11+0, 11+3) = 14
 	}
 	for id, w := range want {
-		a := m.Assign[id]
+		a := m.Assign[id-1]
 		if math.Abs(a.IdealStart-w[0]) > 1e-9 || math.Abs(a.IdealFinish-w[1]) > 1e-9 {
 			t.Errorf("task %d in S*: [%v,%v], want [%v,%v]", id, a.IdealStart, a.IdealFinish, w[0], w[1])
 		}
@@ -105,10 +105,10 @@ func TestPaperTable1(t *testing.T) {
 		5: {43, 66},
 	}
 	for id, w := range want {
-		if got := m.Release[id]; math.Abs(got-w[0]) > 1e-9 {
+		if got := m.Assign[id-1].Release; math.Abs(got-w[0]) > 1e-9 {
 			t.Errorf("r(t%d) = %v, want %v", id, got, w[0])
 		}
-		if got := m.Deadline[id]; math.Abs(got-w[1]) > 1e-9 {
+		if got := m.Assign[id-1].Deadline; math.Abs(got-w[1]) > 1e-9 {
 			t.Errorf("d(t%d) = %v, want %v", id, got, w[1])
 		}
 	}
@@ -170,7 +170,7 @@ func TestCaseIIILaxity(t *testing.T) {
 	//       = min(18 − 6 − 0, 15 − 4 − 3) = min(12, 8) = 8
 	wantD := map[dag.TaskID]float64{5: 25, 4: 15, 3: 18, 2: 9, 1: 8}
 	for id, w := range wantD {
-		if got := m.Deadline[id]; math.Abs(got-w) > 1e-9 {
+		if got := m.Assign[id-1].Deadline; math.Abs(got-w) > 1e-9 {
 			t.Errorf("d(t%d) = %v, want %v", id, got, w)
 		}
 	}
@@ -180,7 +180,7 @@ func TestCaseIIILaxity(t *testing.T) {
 	// r(t5) = max(d3 + 0, d4 + 3) = max(18, 18) = 18
 	wantR := map[dag.TaskID]float64{1: 0, 2: 0, 3: 12, 4: 11, 5: 18}
 	for id, w := range wantR {
-		if got := m.Release[id]; math.Abs(got-w) > 1e-9 {
+		if got := m.Assign[id-1].Release; math.Abs(got-w) > 1e-9 {
 			t.Errorf("r(t%d) = %v, want %v", id, got, w)
 		}
 	}
@@ -248,14 +248,14 @@ func TestReleaseOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range g.TaskIDs() {
-		if math.Abs((m50.Assign[id].Start-50)-m0.Assign[id].Start) > 1e-9 {
-			t.Fatalf("task %d: start %v, want %v+50", id, m50.Assign[id].Start, m0.Assign[id].Start)
+		if math.Abs((m50.Assign[id-1].Start-50)-m0.Assign[id-1].Start) > 1e-9 {
+			t.Fatalf("task %d: start %v, want %v+50", id, m50.Assign[id-1].Start, m0.Assign[id-1].Start)
 		}
-		if math.Abs((m50.Release[id]-50)-m0.Release[id]) > 1e-9 {
-			t.Fatalf("task %d: release %v, want %v+50", id, m50.Release[id], m0.Release[id])
+		if math.Abs((m50.Assign[id-1].Release-50)-m0.Assign[id-1].Release) > 1e-9 {
+			t.Fatalf("task %d: release %v, want %v+50", id, m50.Assign[id-1].Release, m0.Assign[id-1].Release)
 		}
-		if math.Abs((m50.Deadline[id]-50)-m0.Deadline[id]) > 1e-9 {
-			t.Fatalf("task %d: deadline %v, want %v+50", id, m50.Deadline[id], m0.Deadline[id])
+		if math.Abs((m50.Assign[id-1].Deadline-50)-m0.Assign[id-1].Deadline) > 1e-9 {
+			t.Fatalf("task %d: deadline %v, want %v+50", id, m50.Assign[id-1].Deadline, m0.Assign[id-1].Deadline)
 		}
 	}
 }
@@ -280,24 +280,21 @@ func TestHeuristicVariantsProduceValidMappings(t *testing.T) {
 func checkMappingInvariants(t *testing.T, g *dag.Graph, m *TrialMapping) {
 	t.Helper()
 	for _, id := range g.TaskIDs() {
-		a, ok := m.Assign[id]
-		if !ok {
-			t.Fatalf("task %d unassigned", id)
-		}
+		a := m.Assign[id-1]
 		if a.Proc < 0 || a.Proc >= m.NumProcs() {
 			t.Fatalf("task %d on proc %d outside [0,%d)", id, a.Proc, m.NumProcs())
 		}
 		// Window sanity: r(t) >= job release, d(t) <= job deadline,
 		// window fits the full-speed duration.
-		if m.Release[id] < m.JobRelease-1e-9 {
-			t.Fatalf("task %d release %v before job release %v", id, m.Release[id], m.JobRelease)
+		if a.Release < m.JobRelease-1e-9 {
+			t.Fatalf("task %d release %v before job release %v", id, a.Release, m.JobRelease)
 		}
-		if m.Deadline[id] > m.JobDeadline+1e-9 {
-			t.Fatalf("task %d deadline %v after job deadline %v", id, m.Deadline[id], m.JobDeadline)
+		if a.Deadline > m.JobDeadline+1e-9 {
+			t.Fatalf("task %d deadline %v after job deadline %v", id, a.Deadline, m.JobDeadline)
 		}
 		durStar := a.IdealFinish - a.IdealStart
-		if m.Release[id]+durStar > m.Deadline[id]+1e-6 {
-			t.Fatalf("task %d window [%v,%v] cannot hold %v", id, m.Release[id], m.Deadline[id], durStar)
+		if a.Release+durStar > a.Deadline+1e-6 {
+			t.Fatalf("task %d window [%v,%v] cannot hold %v", id, a.Release, a.Deadline, durStar)
 		}
 	}
 	// Precedence: within the adjusted windows, a successor's release covers
@@ -305,12 +302,12 @@ func checkMappingInvariants(t *testing.T, g *dag.Graph, m *TrialMapping) {
 	for _, id := range g.TaskIDs() {
 		for _, s := range g.Successors(id) {
 			comm := m.Omega
-			if m.Assign[s].Proc == m.Assign[id].Proc {
+			if m.Assign[s-1].Proc == m.Assign[id-1].Proc {
 				comm = 0
 			}
-			if m.Release[s] < m.Deadline[id]+comm-1e-6 {
+			if m.Assign[s-1].Release < m.Assign[id-1].Deadline+comm-1e-6 {
 				t.Fatalf("edge %d->%d: release %v < deadline %v + comm %v",
-					id, s, m.Release[s], m.Deadline[id], comm)
+					id, s, m.Assign[s-1].Release, m.Assign[id-1].Deadline, comm)
 			}
 		}
 	}
@@ -318,7 +315,7 @@ func checkMappingInvariants(t *testing.T, g *dag.Graph, m *TrialMapping) {
 	// respected.
 	perProc := make(map[int][]Assignment)
 	for _, id := range g.TaskIDs() {
-		perProc[m.Assign[id].Proc] = append(perProc[m.Assign[id].Proc], m.Assign[id])
+		perProc[m.Assign[id-1].Proc] = append(perProc[m.Assign[id-1].Proc], m.Assign[id-1])
 	}
 	for _, list := range perProc {
 		for i := range list {
@@ -333,10 +330,10 @@ func checkMappingInvariants(t *testing.T, g *dag.Graph, m *TrialMapping) {
 	for _, id := range g.TaskIDs() {
 		for _, s := range g.Successors(id) {
 			comm := m.Omega
-			if m.Assign[s].Proc == m.Assign[id].Proc {
+			if m.Assign[s-1].Proc == m.Assign[id-1].Proc {
 				comm = 0
 			}
-			if m.Assign[s].Start < m.Assign[id].Finish+comm-1e-9 {
+			if m.Assign[s-1].Start < m.Assign[id-1].Finish+comm-1e-9 {
 				t.Fatalf("S violates precedence %d->%d", id, s)
 			}
 		}
@@ -424,22 +421,22 @@ func TestDataVolumeComm(t *testing.T) {
 	// EFT with comm 1+10/10=2 and 1+20/10=3: t1 on p0 [0,4], t2 on p1
 	// [0,4]; t3 earliest finish on p0: max(4, 4+0, 4+3)=7..9; on p1:
 	// max(4, 4+2, 4+0)=6..8 — t3 lands on p1, start 6, finish 8.
-	a3 := m.Assign[3]
+	a3 := m.Assign[2]
 	if a3.Proc != 1 || math.Abs(a3.Start-6) > 1e-9 || math.Abs(a3.Finish-8) > 1e-9 {
 		t.Fatalf("t3 placement %+v, want proc 1 [6,8]", a3)
 	}
 	// Adjusted windows keep the per-edge comm: r(t3) >= d(t1) + 2 (cross)
 	// and >= d(t2) + 0 (same proc).
-	if m.Release[3] < m.Deadline[1]+2-1e-9 {
-		t.Fatalf("r(t3)=%v < d(t1)+2=%v", m.Release[3], m.Deadline[1]+2)
+	if m.Assign[2].Release < m.Assign[0].Deadline+2-1e-9 {
+		t.Fatalf("r(t3)=%v < d(t1)+2=%v", m.Assign[2].Release, m.Assign[0].Deadline+2)
 	}
 	// Throughput 0 falls back to plain ω everywhere.
 	m0, err := Build(g, procs, 1, 0, 1000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m0.Assign[3].Start > 5+1e-9 {
-		t.Fatalf("base model start %v, want <= 5 (ω only)", m0.Assign[3].Start)
+	if m0.Assign[2].Start > 5+1e-9 {
+		t.Fatalf("base model start %v, want <= 5 (ω only)", m0.Assign[2].Start)
 	}
 	if _, err := Build(g, procs, 1, 0, 1000, Options{Throughput: -1}); err == nil {
 		t.Fatal("negative throughput accepted")

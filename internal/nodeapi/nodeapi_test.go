@@ -187,6 +187,8 @@ func TestControlPlane(t *testing.T) {
 	}{
 		{"truncated", "{", http.StatusBadRequest},
 		{"empty graph", `{"at":0,"deadline":50,"graph":{"tasks":[]}}`, http.StatusBadRequest},
+		{"sparse task IDs", `{"at":0,"deadline":50,"graph":{"tasks":[{"id":1,"complexity":1},{"id":3,"complexity":1}]}}`,
+			http.StatusBadRequest},
 		{"oversized", `{"at":0,"deadline":50,"graph":{"name":"` + strings.Repeat("x", wire.MaxJobJSON) + `"}}`,
 			http.StatusRequestEntityTooLarge},
 	} {

@@ -23,7 +23,6 @@ package schedule
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -372,16 +371,4 @@ func (p *NonPreemptivePlan) IdleIntervals(from, to float64) []Reservation {
 		out = append(out, Reservation{Start: cursor, End: to})
 	}
 	return out
-}
-
-// String renders the plan compactly for debugging.
-func (p *NonPreemptivePlan) String() string {
-	s := "plan["
-	for i, r := range p.res {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%s/t%d:[%.6g,%.6g]", r.Job, r.Task, r.Start, r.End)
-	}
-	return s + "]"
 }

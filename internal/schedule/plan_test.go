@@ -252,6 +252,40 @@ func TestSurplus(t *testing.T) {
 	}
 }
 
+// TestSurplusWindowBoundaries: a reservation that ends exactly at now or
+// starts exactly at the window's end takes none of the window.
+func TestSurplusWindowBoundaries(t *testing.T) {
+	p := NewNonPreemptive()
+	commit(t, p, mustAdmit(t, p, 0, req("before", 1, 0, 10, 10)))
+	commit(t, p, mustAdmit(t, p, 0, req("inside", 1, 12, 16, 4)))
+	commit(t, p, mustAdmit(t, p, 0, req("after", 1, 30, 40, 10)))
+	if s := p.Surplus(10, 20); s != 0.8 {
+		t.Fatalf("surplus of [10, 30] %v, want 0.8 (only [12, 16] busy)", s)
+	}
+}
+
+// TestAdmitTieBreaksByTask: requests of equal deadline and release are
+// placed in task order, whatever order they come in.
+func TestAdmitTieBreaksByTask(t *testing.T) {
+	p := NewNonPreemptive()
+	tk := mustAdmit(t, p, 0, []Request{req("j", 2, 0, 20, 5), req("j", 1, 0, 20, 5)}...)
+	for _, pl := range tk.Placements {
+		if want := float64(pl.Task-1) * 5; pl.Start != want {
+			t.Fatalf("task %d starts at %v, want %v: %v", pl.Task, pl.Start, want, tk.Placements)
+		}
+	}
+}
+
+// TestEarliestFitSkipsBlockEndingAtStart: once the candidate start has
+// jumped to the end of one reservation, a reservation that ends there
+// (within timeEps) does not push it further.
+func TestEarliestFitSkipsBlockEndingAtStart(t *testing.T) {
+	base := []Reservation{{Job: "a", Task: 1, Start: 0, End: 10}, {Job: "b", Task: 1, Start: 10, End: 10 + timeEps}}
+	if start, ok := earliestFitOverlay(base, nil, 0, 100, 5); !ok || start != 10 {
+		t.Fatalf("earliest fit %v/%v, want 10", start, ok)
+	}
+}
+
 func TestIdleIntervals(t *testing.T) {
 	p := NewNonPreemptive()
 	commit(t, p, mustAdmit(t, p, 0, req("a", 1, 2, 100, 3)))  // [2,5]

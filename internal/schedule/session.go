@@ -74,7 +74,8 @@ func (s *npSession) Ticket() *Ticket {
 	}
 }
 
-// NewSession starts a placement session against the preemptive plan.
+// NewSession starts a placement session against the preemptive plan. Its
+// requests number their tasks from 1, as a DAG's tasks are.
 func (p *PreemptivePlan) NewSession(now float64) PlacementSession {
 	return &ppSession{p: p, now: now, resid: p.residualAt(now)}
 }
@@ -84,8 +85,10 @@ type ppSession struct {
 	now      float64
 	resid    []Request // residual admitted work at session start
 	requests []Request
-	// completions is refreshed on every Place from a full EDF simulation.
-	completions map[int]float64
+	// completions[task-1] is the completion bound of the session job's
+	// task (tasks are numbered from 1, as in a DAG), -Inf while it is not
+	// placed. It is refreshed on every Place from a full EDF simulation.
+	completions []float64
 }
 
 func (s *ppSession) Place(r Request) (Reservation, bool) {
@@ -101,12 +104,15 @@ func (s *ppSession) Place(r Request) (Reservation, bool) {
 		return Reservation{}, false
 	}
 	s.requests = append(s.requests, r)
-	s.completions = make(map[int]float64, len(s.requests))
+	s.completions = s.completions[:0]
 	var first, last float64 = math.Inf(1), 0
 	for _, f := range frags {
 		if f.Job == r.Job {
-			if c, exists := s.completions[f.Task]; !exists || f.End > c {
-				s.completions[f.Task] = f.End
+			for len(s.completions) < f.Task {
+				s.completions = append(s.completions, math.Inf(-1))
+			}
+			if f.End > s.completions[f.Task-1] {
+				s.completions[f.Task-1] = f.End
 			}
 			if f.Task == r.Task {
 				first = math.Min(first, f.Start)
@@ -118,8 +124,11 @@ func (s *ppSession) Place(r Request) (Reservation, bool) {
 }
 
 func (s *ppSession) Completion(task int) (float64, bool) {
-	c, ok := s.completions[task]
-	return c, ok
+	if task < 1 || task > len(s.completions) {
+		return 0, false
+	}
+	c := s.completions[task-1]
+	return c, !math.IsInf(c, -1)
 }
 
 func (s *ppSession) Ticket() *Ticket {

@@ -61,3 +61,23 @@ func TestTopologyDOT(t *testing.T) {
 		t.Error("edges duplicated in DOT")
 	}
 }
+
+// TestRegionDOT: nodes are filled by region, landmarks doubled and the one
+// edge across the region boundary dashed.
+func TestRegionDOT(t *testing.T) {
+	g := graph.New(3)
+	g.MustAddEdge(0, 1, 2.5)
+	g.MustAddEdge(1, 2, 1)
+	const want = `graph "regions" {
+  layout=neato;
+  0 [shape=doublecircle,style=filled,fillcolor="lightblue",label="0/r0"];
+  1 [shape=circle,style=filled,fillcolor="lightblue",label="1/r0"];
+  2 [shape=doublecircle,style=filled,fillcolor="lightpink",label="2/r1"];
+  0 -- 1 [label="2.5"];
+  1 -- 2 [label="1",style=dashed];
+}
+`
+	if got := RegionDOT("regions", g, []int{0, 0, 1}, []graph.NodeID{0, 2}); got != want {
+		t.Fatalf("got\n%s\nwant\n%s", got, want)
+	}
+}

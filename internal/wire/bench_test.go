@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/txn"
-	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
 )
@@ -32,7 +31,7 @@ func benchPayloads(tb testing.TB) []struct {
 			Dists: []txn.DistEntry{{Dest: 0, Dist: 0.05}, {Dest: 9, Dist: 1.5}}}},
 		{"commit-graph", core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: 1, CodeBytes: 768,
 			Graph:     testGraph(tb),
-			TaskSites: map[dag.TaskID]graph.NodeID{1: 7, 2: 2, 3: 7}}},
+			TaskSites: []graph.NodeID{7, 2, 7}}},
 	}
 }
 

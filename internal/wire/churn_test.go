@@ -24,7 +24,6 @@ func churnConfig() core.Config {
 		Enabled:        true,
 		HeartbeatEvery: 25,
 		SuspectAfter:   100,
-		RepairSettle:   25,
 	}
 	return cfg
 }

@@ -52,7 +52,7 @@ func samples(t testing.TB) []simnet.Payload {
 		core.NewRouted(1, 2, 20, core.EnrollReq{Job: "j1@0", Initiator: 0, Window: 3.5}),
 		core.NewRouted(31, 0, 0, core.CommitMsg{
 			Job: "j9@31", Initiator: 31, Proc: 2, CodeBytes: 2048, Graph: g,
-			TaskSites: map[dag.TaskID]graph.NodeID{1: 4, 2: 31, 3: 0},
+			TaskSites: []graph.NodeID{4, 31, 0},
 		}),
 		// PCS bootstrap tables and epoch-tagged repair floods.
 		routing.TableMsg{},
@@ -98,7 +98,7 @@ func samples(t testing.TB) []simnet.Payload {
 		core.CommitMsg{},
 		core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: -1},
 		core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: 1, CodeBytes: 768, Graph: g,
-			TaskSites: map[dag.TaskID]graph.NodeID{1: 7, 2: 2, 3: 7}},
+			TaskSites: []graph.NodeID{7, 2, 7}},
 		core.CommitAck{},
 		core.CommitAck{Job: "j3@7", Member: 2, OK: true},
 		core.UnlockMsg{},

@@ -171,12 +171,17 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 			m.Graph = g
 		}
 		n := d.count(2)
-		if n > 0 {
-			m.TaskSites = make(map[dag.TaskID]graph.NodeID, n)
+		if m.Graph != nil && n != m.Graph.Len() {
+			d.fail("commit places %d tasks of a %d-task graph", n, m.Graph.Len())
+		}
+		if n > 0 && d.err == nil {
+			m.TaskSites = make([]graph.NodeID, n)
 		}
 		for i := 0; i < n && d.err == nil; i++ {
-			task := dag.TaskID(d.varint())
-			m.TaskSites[task] = graph.NodeID(d.varint())
+			if task := d.varint(); task != int64(i+1) {
+				d.fail("commit task-site entry %d names task %d", i+1, task)
+			}
+			m.TaskSites[i] = graph.NodeID(d.varint())
 		}
 		p = m
 	case kindCommitAck:

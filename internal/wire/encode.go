@@ -8,8 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/membership"
 	"repro/internal/dag"
-	"repro/internal/determinism"
-	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/simnet"
 )
@@ -122,10 +120,12 @@ func encodePayload(e *enc, p simnet.Payload) error {
 			e.bool(true)
 			encodeGraph(e, m.Graph)
 		}
+		// (task, site) pairs in ID order: the task is implied by the
+		// position but kept on the wire, and the decoder checks it.
 		e.uvarint(uint64(len(m.TaskSites)))
-		for _, task := range sortedTaskIDs(m.TaskSites) {
-			e.varint(int64(task))
-			e.varint(int64(m.TaskSites[task]))
+		for i, site := range m.TaskSites {
+			e.varint(int64(i + 1))
+			e.varint(int64(site))
 		}
 	case core.CommitAck:
 		e.kind(kindCommitAck)
@@ -224,10 +224,6 @@ func encodeEntries(e *enc, entries []membership.Entry) {
 		e.uvarint(en.Inc)
 		e.bool(en.Dead)
 	}
-}
-
-func sortedTaskIDs(m map[dag.TaskID]graph.NodeID) []dag.TaskID {
-	return determinism.SortedKeys(m)
 }
 
 // enc is an append-only encoder over a byte slice.

@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/core/membership"
+	"repro/internal/graph"
+	"repro/internal/simnet"
 )
 
 // FuzzWireRoundTrip drives the decoder with arbitrary bytes: it must never
@@ -35,6 +38,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	ack[0] += 2
 	f.Add(ack)
 	for _, frame := range retiredFrames(f) {
+		f.Add(frame)
+	}
+	for _, frame := range missingTaskFrames(f) {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -90,6 +96,60 @@ func TestRetiredKindsRefused(t *testing.T) {
 		p, err := Decode(frame)
 		if err == nil || !strings.Contains(err.Error(), "unknown message kind") {
 			t.Fatalf("frame %x decoded to %v, %v; want an unknown-kind refusal", frame, p, err)
+		}
+	}
+}
+
+// missingTaskFrames are well-framed messages about the three-task job of
+// testGraph that name a task it lacks: a commit whose task-site entries
+// skip task 3 (entries 1, 2, 4), and a result and a completion from task 4.
+// The decoder refuses the first; the other two decode, and the receiving
+// site drops them (core's TestPeerFramesNamingMissingTasksAreDropped).
+func missingTaskFrames(t testing.TB) [][]byte {
+	t.Helper()
+	commit, err := Encode(core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: 1, CodeBytes: 768,
+		Graph: testGraph(t), TaskSites: []graph.NodeID{7, 2, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The task-site entries end the frame: the last pair is (3, 7), whose
+	// task is the varint byte 6; 8 makes it task 4.
+	if commit[len(commit)-2] != 6 {
+		t.Fatalf("commit frame %x does not end with task 3's entry", commit)
+	}
+	commit[len(commit)-2] = 8
+	out := [][]byte{commit}
+	for _, p := range []simnet.Payload{
+		core.ResultMsg{Job: "j3@7", Task: 4, Bytes: 64},
+		core.DoneMsg{Job: "j3@7", Task: 4, At: 17.25},
+	} {
+		frame, err := Encode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame)
+	}
+	return out
+}
+
+// TestCommitTaskSitesOutOfSequenceRefused: task-site entries must name the
+// tasks 1..n in order, one per task of the graph.
+func TestCommitTaskSitesOutOfSequenceRefused(t *testing.T) {
+	frames := missingTaskFrames(t)
+	if p, err := Decode(frames[0]); err == nil || !strings.Contains(err.Error(), "names task 4") {
+		t.Fatalf("commit skipping task 3 decoded to %v, %v; want a refusal naming task 4", p, err)
+	}
+	short, err := Encode(core.CommitMsg{Job: "j3@7", Initiator: 7, Proc: 1, Graph: testGraph(t),
+		TaskSites: []graph.NodeID{7, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := Decode(short); err == nil {
+		t.Fatalf("commit placing 2 of 3 tasks decoded to %v", p)
+	}
+	for _, frame := range frames[1:] {
+		if _, err := Decode(frame); err != nil {
+			t.Fatalf("frame %x refused: %v; the wire cannot know the job's size", frame, err)
 		}
 	}
 }
