@@ -35,7 +35,6 @@ func main() {
 		horizon    = flag.Float64("horizon", 400, "arrival horizon (virtual time)")
 		taskSize   = flag.Int("tasks", 8, "approximate tasks per job")
 		seed       = flag.Int64("seed", 1, "random seed")
-		localOnly  = flag.Bool("local-only", false, "shorthand for -scheme local")
 		preempt    = flag.Bool("preemptive", false, "preemptive local scheduler (§13, core schemes)")
 		verbose    = flag.Bool("v", false, "print per-job outcomes (core schemes)")
 		traceLog   = flag.Bool("trace", false, "print the protocol event timeline (core schemes)")
@@ -45,16 +44,9 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	name := *schemeName
-	if *localOnly {
-		if explicit["scheme"] && name != "local" {
-			fatal(fmt.Errorf("-local-only conflicts with -scheme %s (it is shorthand for -scheme local)", name))
-		}
-		name = "local"
-	}
-	s, ok := scheme.Get(name)
+	s, ok := scheme.Get(*schemeName)
 	if !ok {
-		fatal(fmt.Errorf("unknown scheme %q; have %s", name, strings.Join(scheme.Names(), ", ")))
+		fatal(fmt.Errorf("unknown scheme %q; have %s", *schemeName, strings.Join(scheme.Names(), ", ")))
 	}
 
 	topo, err := graph.Generate(graph.TopologyKind(*topoKind), *sites, experiments.StdDelays, *seed)

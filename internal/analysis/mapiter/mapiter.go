@@ -19,7 +19,7 @@
 //   - a call whose name is on the message-path list (Send, Broadcast,
 //     Flood, Encode, Enqueue and their lowercase forms)
 //
-// The fix is to iterate determinism.SortedKeys(m) (or OrderedRange), which
+// The fix is to iterate determinism.SortedKeys(m), which
 // ranges over a slice and so never triggers the check. Loops that are
 // genuinely order-independent despite a textual sink can carry
 // //lint:allow mapiter -- <justification>.
@@ -70,7 +70,7 @@ func run(pass *analysis.Pass) error {
 				}
 				if sink := findSink(info, rs.Body); sink != "" {
 					pass.Reportf(rs.For,
-						"range over map reaches order-sensitive sink (%s): iterate determinism.SortedKeys / OrderedRange for a stable order",
+						"range over map reaches order-sensitive sink (%s): iterate determinism.SortedKeys for a stable order",
 						sink)
 				}
 				return true

@@ -45,13 +45,6 @@ import (
 type Config struct {
 	// SurplusPeriod is the interval between network-wide surplus floods.
 	SurplusPeriod float64
-	// SurplusWindow is the observational window of the surplus measure.
-	SurplusWindow float64
-	// NumBidders is how many next-best sites receive a request for bid.
-	NumBidders int
-	// BidSlack pads the focused site's bid-collection timeout beyond the
-	// network round trip.
-	BidSlack float64
 	// Horizon bounds the periodic flooding (floods stop after it); set it to
 	// at least the workload horizon.
 	Horizon float64
@@ -68,12 +61,17 @@ type Config struct {
 func DefaultConfig(horizon float64) Config {
 	return Config{
 		SurplusPeriod: 25,
-		SurplusWindow: 200,
-		NumBidders:    3,
-		BidSlack:      1e-3,
 		Horizon:       horizon,
 	}
 }
+
+const (
+	// numBidders is how many next-best sites receive a request for bid.
+	numBidders = 3
+	// bidSlack pads the focused site's bid-collection timeout beyond the
+	// network round trip.
+	bidSlack = 1e-3
+)
 
 // surplusMsg floods one site's surplus over the whole network.
 type surplusMsg struct {
@@ -185,7 +183,7 @@ func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
 	if !topo.Connected() {
 		return nil, fmt.Errorf("baseline: topology not connected")
 	}
-	if cfg.SurplusPeriod <= 0 || cfg.SurplusWindow <= 0 || cfg.Horizon <= 0 {
+	if cfg.SurplusPeriod <= 0 || cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("baseline: invalid config %+v", cfg)
 	}
 	engine := sim.New()
@@ -387,7 +385,7 @@ func (s *site) forward(m routedMsg) {
 // floodSurplus broadcasts this site's surplus to the entire network.
 func (s *site) floodSurplus() {
 	s.seq++
-	msg := surplusMsg{Origin: s.id, Seq: s.seq, Surplus: s.plan.Surplus(s.now(), s.c.cfg.SurplusWindow)}
+	msg := surplusMsg{Origin: s.id, Seq: s.seq, Surplus: s.plan.Surplus(s.now(), core.SurplusWindow)}
 	s.surplus[s.id] = msg.Surplus
 	s.seen[s.id] = s.seq
 	for _, e := range s.c.topo.Neighbors(s.id) {
@@ -470,7 +468,7 @@ func (s *site) jobArrives(job *core.Job) {
 	focused := cands[0].id
 	var bidders []graph.NodeID
 	for _, c := range cands[1:] {
-		if len(bidders) == s.c.cfg.NumBidders {
+		if len(bidders) == numBidders {
 			break
 		}
 		bidders = append(bidders, c.id)
@@ -498,7 +496,7 @@ func (s *site) onOffer(m offerMsg) {
 		waiting: len(m.Bidders),
 	}
 	s.pending[m.Job.ID] = p
-	timeout := 2*s.c.topo.DelayDiameter() + s.c.cfg.BidSlack
+	timeout := 2*s.c.topo.DelayDiameter() + bidSlack
 	p.timer = s.c.tr.After(s.id, timeout, func() { s.awardOrReject(p) })
 }
 
@@ -507,7 +505,7 @@ func (s *site) onRFB(m rfbMsg) {
 	s.sendTo(m.Focused, bidMsg{
 		JobID:   m.JobID,
 		Bidder:  s.id,
-		Surplus: s.plan.Surplus(s.now(), s.c.cfg.SurplusWindow),
+		Surplus: s.plan.Surplus(s.now(), core.SurplusWindow),
 	})
 }
 

@@ -440,8 +440,8 @@ func (c *Cluster) Executions() []TaskExecution {
 var LatencyBounds = [...]float64{0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100}
 
 // tally is what one site has counted of the facts recorded at it. Submit,
-// record and adoptTable update it under c.mu as they record; Summarize and
-// RoutingState only add tallies up, so no counter reads a retained record.
+// record and adoptTable update it under c.mu as they record; Summarize only
+// adds tallies up, so no counter reads a retained record.
 type tally struct {
 	submitted, onTime, late      int               // jobs originated; accepted ones Done on time, late
 	outcomes                     [Rejected + 1]int // decisions by outcome
@@ -490,8 +490,8 @@ type Summary struct {
 	Dropped           int64 // traversals discarded by the fault injector
 	Violations        int   // anomalies on a plain cluster (see Cluster.Violations)
 	Disruptions       int   // anomalies on a resilient cluster (faults or membership armed)
-	// Routing-state footprint (largest per-site table) and cross-region
-	// traffic. CrossRegionMessages is counted only on hierarchical clusters
+	// Routing-state footprint (largest per-site table; zero before the
+	// bootstrap completes) and cross-region traffic. CrossRegionMessages is counted only on hierarchical clusters
 	// (flat clusters install no region boundary) and is always 0 when every
 	// submitted job resolved inside its origin's region.
 	RoutingTableBytes   int
@@ -549,14 +549,6 @@ func (c *Cluster) Summarize() Summary {
 		s.MeanACSSize = float64(acsSum) / float64(acsN)
 	}
 	return s
-}
-
-// RoutingState reports the largest per-site routing-state footprint across
-// the local sites — the hierarchy's O(√n) headline versus the flat table's
-// O(n) — as the sites tallied it. Zero before the bootstrap completes.
-func (c *Cluster) RoutingState() (maxBytes, maxEntries int) {
-	s := c.Summarize()
-	return s.RoutingTableBytes, s.RoutingEntries
 }
 
 // String renders the summary as a compact report.

@@ -14,9 +14,6 @@ import (
 type Config struct {
 	// Radius is h, the hop radius of the Potential Computing Sphere (§6).
 	Radius int
-	// SurplusWindow is the observational window over which a site's surplus
-	// is measured (§2).
-	SurplusWindow float64
 	// Preemptive selects the §13 preemptive local scheduler.
 	Preemptive bool
 	// LocalOnly disables distribution entirely: jobs that fail the local
@@ -100,12 +97,16 @@ type Config struct {
 	Membership membership.Config
 }
 
+// SurplusWindow is the observational window over which a site measures its
+// surplus (§2): the unreserved fraction of [now, now+SurplusWindow]. The
+// focused-bidding baseline measures its surplus over the same window.
+const SurplusWindow float64 = 200
+
 // DefaultConfig returns the configuration used by the experiments unless a
 // sweep overrides a field.
 func DefaultConfig() Config {
 	return Config{
 		Radius:           3,
-		SurplusWindow:    200,
 		EnrollSlack:      1e-3,
 		ReleasePadFactor: 3,
 	}
@@ -125,9 +126,6 @@ func (c Config) validate(topo *graph.Graph) error {
 	n := topo.Len()
 	if c.Radius < 0 {
 		return fmt.Errorf("core: negative sphere radius %d", c.Radius)
-	}
-	if c.SurplusWindow <= 0 {
-		return fmt.Errorf("core: non-positive surplus window %v", c.SurplusWindow)
 	}
 	if c.ReleasePadFactor < 0 {
 		return fmt.Errorf("core: negative release pad factor %v", c.ReleasePadFactor)

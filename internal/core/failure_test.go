@@ -197,7 +197,7 @@ func TestLocalKnowledgeWindowedSurplus(t *testing.T) {
 	if err := s.plan.Commit(tk); err != nil {
 		t.Fatal(err)
 	}
-	fixed := s.plan.Surplus(0, cfg.SurplusWindow)
+	fixed := s.plan.Surplus(0, SurplusWindow)
 	windowed := s.plan.Surplus(0, 50)
 	if fixed > 0.55 {
 		t.Fatalf("fixed-window surplus %v, want ~0.5", fixed)

@@ -31,8 +31,7 @@ func TestHierClusterRegionLocalJobs(t *testing.T) {
 	}
 	// Per-site routing state must be sub-linear: under √n regions every site
 	// holds its region's table only.
-	_, entries := c.RoutingState()
-	if entries >= topo.Len() {
+	if entries := c.Summarize().RoutingEntries; entries >= topo.Len() {
 		t.Fatalf("per-site routing state %d entries at n=%d, want sub-linear", entries, topo.Len())
 	}
 

@@ -176,7 +176,7 @@ func (s *Site) acsDiameter(t *activeTxn) float64 {
 // reduce the §9 surplus ranking to a site-ID lottery among exactly the
 // sites where the ranking matters most.
 func (s *Site) acsProcs(t *activeTxn) []mapper.ProcInfo {
-	selfWindow := s.cluster.cfg.SurplusWindow
+	selfWindow := SurplusWindow
 	if s.cluster.cfg.UseLocalKnowledge {
 		if w := t.job.AbsDeadline - s.now(); w > 1e-6 {
 			selfWindow = w

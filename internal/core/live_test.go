@@ -350,10 +350,9 @@ func TestLiveClusterHier(t *testing.T) {
 	if got, want := live.RouteDigest(), des.RouteDigest(); got != want {
 		t.Fatalf("live route digest %016x, DES %016x", got, want)
 	}
-	wantBytes, wantEntries := des.RoutingState()
-	if gotBytes, gotEntries := live.RoutingState(); gotBytes != wantBytes || gotEntries != wantEntries {
+	if got, want := live.Summarize(), des.Summarize(); got.RoutingTableBytes != want.RoutingTableBytes || got.RoutingEntries != want.RoutingEntries {
 		t.Fatalf("live routing state (%d B, %d entries), DES (%d B, %d entries)",
-			gotBytes, gotEntries, wantBytes, wantEntries)
+			got.RoutingTableBytes, got.RoutingEntries, want.RoutingTableBytes, want.RoutingEntries)
 	}
 	origin := graph.NodeID(-1)
 	for id := graph.NodeID(0); int(id) < topo.Len(); id++ {
@@ -462,9 +461,9 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 }
 
 // TestCountersReadWhileRunning: a node's counters are read while it runs —
-// one goroutine scrapes /metrics and calls Summarize and RoutingState over
-// and over while the node decides jobs and a membership repair, after a
-// neighbour's neighbour dies, makes it adopt a new routing table. Under
+// one goroutine scrapes /metrics and calls Summarize over and over while
+// the node decides jobs and a membership repair, after a neighbour's
+// neighbour dies, makes it adopt a new routing table. Under
 // -race this is the check that no reader touches site state off the site's
 // goroutine. What the readers see only grows, and once the jobs are decided
 // the scrape and Summarize agree.
@@ -513,7 +512,7 @@ func TestCountersReadWhileRunning(t *testing.T) {
 		api.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		return rec.Body.String()
 	}
-	_, entries := node.RoutingState()
+	entries := node.Summarize().RoutingEntries
 
 	stop, read := make(chan struct{}), make(chan error, 1)
 	go func() {
@@ -531,7 +530,6 @@ func TestCountersReadWhileRunning(t *testing.T) {
 			}
 			scrape()
 			s := node.Summarize()
-			node.RoutingState()
 			if s.Submitted < last.Submitted || s.Undecided-s.Submitted > last.Undecided-last.Submitted || s.Messages < last.Messages {
 				read <- fmt.Errorf("counters went back: %v after %v", s, last)
 				return
@@ -544,7 +542,7 @@ func TestCountersReadWhileRunning(t *testing.T) {
 	g := dag.NewBuilder("one").AddTask(1, 2).MustBuild()
 	deadline := time.Now().Add(30 * time.Second)
 	for submitted := 0; ; submitted++ {
-		if _, now := node.RoutingState(); now != entries && submitted >= 50 {
+		if now := node.Summarize().RoutingEntries; now != entries && submitted >= 50 {
 			break
 		}
 		if time.Now().After(deadline) {

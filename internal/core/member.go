@@ -26,7 +26,7 @@ func (s *Site) onEnroll(src graph.NodeID, m EnrollReq) {
 	s.sendTo(m.Initiator, EnrollAck{
 		Job:     m.Job,
 		Member:  s.id,
-		Surplus: s.plan.Surplus(s.now(), s.cluster.cfg.SurplusWindow),
+		Surplus: s.plan.Surplus(s.now(), SurplusWindow),
 		Power:   s.power,
 		Dists:   s.distVec,
 	})

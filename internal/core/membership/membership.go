@@ -37,12 +37,11 @@
 // Sites heartbeat their direct topology neighbors every HeartbeatEvery and
 // declare a neighbor dead after SuspectAfter of silence. A detected death
 // is flooded as an incarnation-tagged notice; each site that applies it
-// bumps its epoch,
-// rebuilds its table from the start condition over its alive neighbors
-// (stale routes *through* the corpse cannot survive a reset, which is what
-// the central RebuildAlive pass used to guarantee) and re-floods the table
-// to its alive neighbors with a bounded per-epoch budget (FloodRounds, the
-// same interruption bound as the §7 bootstrap). Merging a same-epoch table
+// bumps its epoch, rebuilds its table from the start condition over its
+// alive neighbors (stale routes *through* the corpse cannot survive a
+// reset) and re-floods the table to its alive neighbors with a bounded
+// per-epoch budget (FloodRounds, the same interruption bound as the §7
+// bootstrap). Merging a same-epoch table
 // that changes the local table re-adopts and re-broadcasts, so the flood
 // quiesces at a fixed point within the budget.
 //

@@ -94,10 +94,6 @@ func (n *Node) Membership() membership.Snapshot {
 // Ready probes whether the PCS bootstrap has completed at this node.
 func (n *Node) Ready() bool { return n.c.ready() }
 
-// RoutingState reports the site's routing-table footprint (bytes and
-// entries) as its tally holds it. Zero before the bootstrap completes.
-func (n *Node) RoutingState() (bytes, entries int) { return n.c.RoutingState() }
-
 // WaitReady polls Ready until the bootstrap completes or the timeout
 // elapses, reporting success.
 func (n *Node) WaitReady(timeout time.Duration) bool {

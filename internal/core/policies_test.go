@@ -120,8 +120,8 @@ func TestLocalKnowledgeWindowFloor(t *testing.T) {
 	for _, tc := range []struct {
 		window, want float64
 	}{
-		{1e-6, s.plan.Surplus(0, cfg.SurplusWindow)}, // at the floor: the configured window
-		{2e-6, clampSurplus(0)},                      // above it: the job's own, fully booked
+		{1e-6, s.plan.Surplus(0, SurplusWindow)}, // at the floor: the fixed window
+		{2e-6, clampSurplus(0)},                  // above it: the job's own, fully booked
 	} {
 		at := &activeTxn{Txn: txn.New("j", nil), job: &Job{AbsDeadline: tc.window}}
 		if got := s.acsProcs(at)[0].Surplus; got != tc.want {

@@ -51,7 +51,8 @@ type Builder struct {
 	release  float64
 	deadline float64
 	tasks    []Task
-	edges    map[[2]TaskID]bool
+	edges    [][2]TaskID // declaration order: Build names the first bad edge
+	seen     map[[2]TaskID]bool
 	volumes  map[[2]TaskID]float64
 	err      error
 }
@@ -60,8 +61,8 @@ type Builder struct {
 // relative to the job's arrival unless release is set explicitly.
 func NewBuilder(name string) *Builder {
 	return &Builder{
-		name:  name,
-		edges: make(map[[2]TaskID]bool),
+		name: name,
+		seen: make(map[[2]TaskID]bool),
 	}
 }
 
@@ -118,11 +119,12 @@ func (b *Builder) AddDataEdge(from, to TaskID, volume float64) *Builder {
 		return b
 	}
 	key := [2]TaskID{from, to}
-	if b.edges[key] {
+	if b.seen[key] {
 		b.err = fmt.Errorf("dag: duplicate edge %d->%d", from, to)
 		return b
 	}
-	b.edges[key] = true
+	b.seen[key] = true
+	b.edges = append(b.edges, key)
 	if volume > 0 {
 		if b.volumes == nil {
 			b.volumes = make(map[[2]TaskID]float64)
@@ -134,8 +136,8 @@ func (b *Builder) AddDataEdge(from, to TaskID, volume float64) *Builder {
 
 // Build validates and freezes the graph. It fails if the task set is empty
 // or its IDs are not exactly 1..n (naming the first duplicate or missing
-// ID), if any edge references an undeclared task, or if the graph has a
-// cycle.
+// ID), if any edge references an undeclared task (naming the first such
+// edge in declaration order), or if the graph has a cycle.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -162,7 +164,7 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.succ = make([][]TaskID, n)
 	g.pred = make([][]TaskID, n)
-	for key := range b.edges {
+	for _, key := range b.edges {
 		from, to := key[0], key[1]
 		for _, id := range key {
 			if !g.Has(id) {
@@ -420,29 +422,6 @@ func (g *Graph) PriorityOrder() []TaskID {
 		}
 	}
 	return order
-}
-
-// HasPath reports whether there is a directed path from a to b.
-func (g *Graph) HasPath(a, b TaskID) bool {
-	if a == b {
-		return true
-	}
-	seen := make([]bool, len(g.tasks))
-	stack := []TaskID{a}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.Successors(cur) {
-			if s == b {
-				return true
-			}
-			if !seen[s-1] {
-				seen[s-1] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }
 
 // Width returns the size of the largest antichain layer under the canonical

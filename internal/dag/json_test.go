@@ -2,7 +2,9 @@ package dag
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -88,15 +90,32 @@ func TestPropertyJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnknownTaskErrorNamesFirstEdge: a body with several edges to tasks
+// that are not there is refused with one message, naming the first such
+// edge in declaration order, however often it is parsed.
+func TestUnknownTaskErrorNamesFirstEdge(t *testing.T) {
+	body := []byte(`{"name":"bad","tasks":[{"id":1,"complexity":1},{"id":2,"complexity":1},{"id":3,"complexity":1}],` +
+		`"edges":[{"from":1,"to":7},{"from":1,"to":8},{"from":1,"to":9}]}`)
+	const want = "dag: edge 1->7 references unknown task 7"
+	for i := 0; i < 200; i++ {
+		if _, err := UnmarshalGraph(body); err == nil || err.Error() != want {
+			t.Fatalf("parse %d: error %v, want %q", i, err, want)
+		}
+	}
+}
+
 // FuzzUnmarshalGraph feeds arbitrary bytes to UnmarshalGraph, the parser
-// behind every job submitted over HTTP. Each input either fails with an
-// error or yields a graph whose task IDs are exactly 1..Len(), whose
-// topological order covers every task and respects every edge, and that
-// round-trips through MarshalJSON to the same bytes.
+// behind every job submitted over HTTP. Each input is parsed twice and must
+// give the same error or equal graphs; a graph must have task IDs exactly
+// 1..Len(), a topological order that covers every task and respects every
+// edge, and must round-trip through MarshalJSON to the same bytes.
 func FuzzUnmarshalGraph(f *testing.F) {
 	for _, seed := range []string{
 		// An edge to a task that is not there (the benchmark's invalid job).
 		`{"name":"bad","tasks":[{"id":1,"complexity":1}],"edges":[{"from":1,"to":9}]}`,
+		// Several edges to tasks that are not there.
+		`{"name":"bad3","tasks":[{"id":1,"complexity":1},{"id":2,"complexity":1},{"id":3,"complexity":1}],` +
+			`"edges":[{"from":1,"to":7},{"from":1,"to":8},{"from":1,"to":9}]}`,
 		// Sparse IDs: task 2 is missing.
 		`{"name":"sparse","tasks":[{"id":1,"complexity":1},{"id":3,"complexity":2}],"edges":[{"from":1,"to":3}]}`,
 		// A duplicate ID.
@@ -111,6 +130,10 @@ func FuzzUnmarshalGraph(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := UnmarshalGraph(data)
+		again, errAgain := UnmarshalGraph(data)
+		if fmt.Sprint(err) != fmt.Sprint(errAgain) || !reflect.DeepEqual(g, again) {
+			t.Fatalf("two parses differ: %v / %v", err, errAgain)
+		}
 		if err != nil {
 			return
 		}

@@ -3,11 +3,11 @@
 // deliberately randomized, so any loop that ranges over a map and feeds a
 // protocol decision, a wire encoding, a flood, or a float accumulation is a
 // reproducibility bug waiting to happen. Routing every such walk through
-// SortedKeys or OrderedRange makes the pattern uniform — and, more
-// importantly, machine-checkable: the analyzer flags raw map ranges with
-// order-sensitive sinks, and the fix is always one of these two calls.
+// SortedKeys makes the pattern uniform — and, more importantly,
+// machine-checkable: the analyzer flags raw map ranges with order-sensitive
+// sinks, and the fix is always this one call.
 //
-// The helpers sort by key with cmp.Less, so for a given map content the
+// SortedKeys sorts by key with cmp.Less, so for a given map content the
 // iteration order is a pure function of the keys — identical across runs,
 // processes and architectures.
 package determinism
@@ -31,13 +31,4 @@ func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	}
 	sort.Slice(keys, func(i, j int) bool { return cmp.Less(keys[i], keys[j]) })
 	return keys
-}
-
-// OrderedRange calls fn for every map entry in ascending key order. Use it
-// where the loop body wants the value too and a separate SortedKeys pass
-// would read awkwardly.
-func OrderedRange[K cmp.Ordered, V any](m map[K]V, fn func(K, V)) {
-	for _, k := range SortedKeys(m) {
-		fn(k, m[k])
-	}
 }

@@ -37,16 +37,3 @@ func TestSortedKeysDeterministicAcrossInsertionOrders(t *testing.T) {
 		t.Fatalf("key order depends on insertion order")
 	}
 }
-
-func TestOrderedRange(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	var ks []int
-	var vs []string
-	OrderedRange(m, func(k int, v string) {
-		ks = append(ks, k)
-		vs = append(vs, v)
-	})
-	if !reflect.DeepEqual(ks, []int{1, 2, 3}) || !reflect.DeepEqual(vs, []string{"a", "b", "c"}) {
-		t.Fatalf("OrderedRange visited %v/%v", ks, vs)
-	}
-}

@@ -154,6 +154,7 @@ func TestAdmissionTable(t *testing.T) {
 		wantStatus int
 		wantResult string
 		wantRetry  bool
+		wantError  string // the reply's error text, when pinned
 	}{
 		{
 			name:       "accepted",
@@ -185,6 +186,16 @@ func TestAdmissionTable(t *testing.T) {
 				`"edges":[{"from":1,"to":3}]}}`,
 			wantStatus: http.StatusBadRequest,
 			wantResult: "invalid",
+		},
+		{
+			// Several edges to tasks that are not there: the 400 names the
+			// first in the body, the same text on every submission.
+			name: "edges to unknown tasks",
+			body: `{"tenant":"acme","deadline":40,"graph":{"name":"bad3","tasks":[{"id":1,"complexity":1},{"id":2,"complexity":1},` +
+				`{"id":3,"complexity":1}],"edges":[{"from":1,"to":7},{"from":1,"to":8},{"from":1,"to":9}]}}`,
+			wantStatus: http.StatusBadRequest,
+			wantResult: "invalid",
+			wantError:  "bad graph: dag: edge 1->7 references unknown task 7",
 		},
 		{
 			// Refused by the body cap, before the graph is even parsed.
@@ -275,6 +286,9 @@ func TestAdmissionTable(t *testing.T) {
 			}
 			if tc.wantResult != "" && reply["result"] != tc.wantResult {
 				t.Errorf("result = %v, want %v", reply["result"], tc.wantResult)
+			}
+			if tc.wantError != "" && reply["error"] != tc.wantError {
+				t.Errorf("error = %q, want %q", reply["error"], tc.wantError)
 			}
 			if tc.wantRetry && resp.Header.Get("Retry-After") == "" {
 				t.Error("429 without Retry-After")

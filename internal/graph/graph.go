@@ -3,9 +3,9 @@
 // communication links weighted by delay. Edge weights need not satisfy the
 // triangle inequality (paper §2).
 //
-// The package also provides centralized shortest-path oracles (Dijkstra,
-// hop-limited Bellman-Ford, BFS) used both by tests — as ground truth for the
-// distributed routing layer — and by experiment setup code.
+// The package also provides centralized shortest-path computations
+// (Dijkstra, BFS hop counts, the delay diameter) that partitioning, the
+// baselines and the schedule verifier use.
 package graph
 
 import (
@@ -133,12 +133,6 @@ func (g *Graph) Neighbors(u NodeID) []Edge {
 	return g.adj[u]
 }
 
-// Degree reports the number of links at u.
-func (g *Graph) Degree(u NodeID) int {
-	g.check(u)
-	return len(g.adj[u])
-}
-
 // Connected reports whether the graph is connected (true for the empty and
 // single-node graphs).
 func (g *Graph) Connected() bool {
@@ -244,44 +238,6 @@ func (g *Graph) Dijkstra(src NodeID) []PathInfo {
 	return res
 }
 
-// BoundedBellmanFord computes, for every node, the minimum delay over paths
-// from src that use at most maxEdges edges (the classic phase property of
-// Bellman-Ford). It is the centralized oracle for the distributed PCS
-// construction of internal/routing.
-func (g *Graph) BoundedBellmanFord(src NodeID, maxEdges int) []PathInfo {
-	g.check(src)
-	if maxEdges < 0 {
-		maxEdges = 0
-	}
-	cur := make([]PathInfo, g.n)
-	for i := range cur {
-		cur[i] = PathInfo{Dist: Inf, Hops: -1, Prev: -1}
-	}
-	cur[src] = PathInfo{Dist: 0, Hops: 0, Prev: -1}
-	for round := 0; round < maxEdges; round++ {
-		next := make([]PathInfo, g.n)
-		copy(next, cur)
-		changed := false
-		for u := NodeID(0); int(u) < g.n; u++ {
-			if cur[u].Dist == Inf {
-				continue
-			}
-			for _, e := range g.adj[u] {
-				nd := cur[u].Dist + e.Delay
-				if nd < next[e.To].Dist {
-					next[e.To] = PathInfo{Dist: nd, Hops: cur[u].Hops + 1, Prev: u}
-					changed = true
-				}
-			}
-		}
-		cur = next
-		if !changed {
-			break
-		}
-	}
-	return cur
-}
-
 // HopDistances computes BFS hop counts from src, ignoring delays.
 func (g *Graph) HopDistances(src NodeID) []int {
 	g.check(src)
@@ -316,13 +272,4 @@ func (g *Graph) DelayDiameter() float64 {
 		}
 	}
 	return diam
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	for u := NodeID(0); int(u) < g.n; u++ {
-		c.adj[u] = append([]Edge(nil), g.adj[u]...)
-	}
-	return c
 }

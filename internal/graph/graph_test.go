@@ -48,8 +48,8 @@ func TestNeighborsSorted(t *testing.T) {
 			t.Fatalf("neighbors not sorted: %v", ns)
 		}
 	}
-	if g.Degree(2) != 4 {
-		t.Fatalf("degree = %d, want 4", g.Degree(2))
+	if len(ns) != 4 {
+		t.Fatalf("degree = %d, want 4", len(ns))
 	}
 }
 
@@ -94,45 +94,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	res := g.Dijkstra(0)
 	if res[2].Dist != Inf || res[2].Hops != -1 {
 		t.Fatalf("unreachable node: %+v", res[2])
-	}
-}
-
-func TestBoundedBellmanFordHopLimit(t *testing.T) {
-	// 0-1-2-3 line with delay 1 each, plus expensive shortcut 0—3.
-	g := New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(2, 3, 1)
-	g.MustAddEdge(0, 3, 5)
-	r1 := g.BoundedBellmanFord(0, 1)
-	if r1[3].Dist != 5 {
-		t.Fatalf("1-edge dist(0,3) = %v, want 5 (shortcut)", r1[3].Dist)
-	}
-	if r1[2].Dist != Inf {
-		t.Fatalf("1-edge dist(0,2) = %v, want Inf", r1[2].Dist)
-	}
-	r3 := g.BoundedBellmanFord(0, 3)
-	if r3[3].Dist != 3 {
-		t.Fatalf("3-edge dist(0,3) = %v, want 3 (line)", r3[3].Dist)
-	}
-}
-
-// Property: BoundedBellmanFord with maxEdges >= n-1 equals Dijkstra on
-// random connected graphs.
-func TestPropertyBellmanFordConvergesToDijkstra(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		n := 4 + int(seed%12)
-		g := RandomConnected(n, 3, DelayRange{Min: 1, Max: 9}, seed)
-		for src := NodeID(0); int(src) < n; src++ {
-			d := g.Dijkstra(src)
-			bf := g.BoundedBellmanFord(src, n-1)
-			for v := 0; v < n; v++ {
-				if math.Abs(d[v].Dist-bf[v].Dist) > 1e-9 {
-					t.Fatalf("seed %d src %d node %d: dijkstra %v vs bf %v",
-						seed, src, v, d[v].Dist, bf[v].Dist)
-				}
-			}
-		}
 	}
 }
 
@@ -263,15 +224,6 @@ func TestDelayDiameter(t *testing.T) {
 	g.MustAddEdge(1, 2, 3)
 	if d := g.DelayDiameter(); d != 5 {
 		t.Fatalf("diameter %v, want 5", d)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := Ring(5, UnitDelay, 1)
-	c := g.Clone()
-	c.MustAddEdge(0, 2, 1)
-	if g.HasEdge(0, 2) {
-		t.Fatal("Clone shares adjacency storage")
 	}
 }
 

@@ -270,11 +270,6 @@ func (t *Table) Snapshot() []WireRoute {
 	return out
 }
 
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	return &Table{Self: t.Self, routes: slices.Clone(t.routes)}
-}
-
 // WireRoute is the on-the-wire form of a table line. NextHop is not sent:
 // the receiver's next hop toward the entry is the sender itself.
 type WireRoute struct {

@@ -78,8 +78,9 @@ func TestDistributedMatchesCentralOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s h=%d: %v", name, h, err)
 			}
+			central := CentralTables(g, rounds)
 			for k := graph.NodeID(0); int(k) < g.Len(); k++ {
-				oracle := CentralTable(g, k, rounds)
+				oracle := central[k]
 				got := tables[k]
 				if got.Len() != oracle.Len() {
 					t.Fatalf("%s h=%d node %d: %d entries vs oracle %d",
@@ -309,100 +310,13 @@ func TestDegenerateNodes(t *testing.T) {
 	iso.HandleTable(1, TableMsg{Round: 9})
 }
 
-// ringN builds an n-cycle with uniform delay 1: every pair of nodes has two
-// disjoint paths, the shape that makes routing around a dead site possible.
+// ringN builds an n-cycle with uniform delay 1.
 func ringN(n int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
 		g.MustAddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), 1)
 	}
 	return g
-}
-
-func TestRebuildAliveRoutesAroundDeadSite(t *testing.T) {
-	topo := ringN(5)
-	dead := graph.NodeID(1)
-	alive := func(id graph.NodeID) bool { return id != dead }
-	tables := RebuildAlive(topo, RoundsForRadius(3), alive)
-	if tables[dead] != nil {
-		t.Fatal("dead site received a table")
-	}
-	// Node 0 must now reach 2 the long way round: 0-4-3-2, delay 3.
-	t0 := tables[0]
-	if nh, ok := t0.NextHop(2); !ok || nh != 4 {
-		t.Fatalf("next hop to 2 = %v (ok=%v), want 4", nh, ok)
-	}
-	if d := t0.Dist(2); d != 3 {
-		t.Fatalf("dist to 2 = %v, want 3 (detour)", d)
-	}
-	if _, ok := t0.Route(dead); ok {
-		t.Fatal("dead site still listed as destination")
-	}
-	// Every surviving pair stays mutually reachable on the 4-node path.
-	for _, u := range []graph.NodeID{0, 2, 3, 4} {
-		for _, v := range []graph.NodeID{0, 2, 3, 4} {
-			if u == v {
-				continue
-			}
-			if _, ok := tables[u].NextHop(v); !ok {
-				t.Errorf("no route %d -> %d after rebuild", u, v)
-			}
-		}
-	}
-}
-
-// TestRebuildAliveDisconnectedSurvivors: when the dead site was a cut
-// vertex, the survivors on each side keep tables covering only their own
-// component — the stranded destinations drop out instead of retaining
-// routes through the corpse.
-func TestRebuildAliveDisconnectedSurvivors(t *testing.T) {
-	// Star: hub 0 connects leaves 1..4. Killing the hub isolates every leaf.
-	topo := graph.New(5)
-	for i := 1; i < 5; i++ {
-		topo.MustAddEdge(0, graph.NodeID(i), 1)
-	}
-	tables := RebuildAlive(topo, RoundsForRadius(3), func(id graph.NodeID) bool { return id != 0 })
-	if tables[0] != nil {
-		t.Fatal("dead hub received a table")
-	}
-	for i := 1; i < 5; i++ {
-		tb := tables[i]
-		if tb.Len() != 1 {
-			t.Fatalf("isolated leaf %d knows %d destinations, want 1 (self)", i, tb.Len())
-		}
-		if len(tb.Sphere(3)) != 1 {
-			t.Fatalf("isolated leaf %d has sphere %v, want self only", i, tb.Sphere(3))
-		}
-	}
-	// A dumbbell 0-1-2-3: killing 1 leaves {0} and {2,3} as components.
-	dumb := lineN(4)
-	tables = RebuildAlive(dumb, RoundsForRadius(3), func(id graph.NodeID) bool { return id != 1 })
-	if got := tables[0].Len(); got != 1 {
-		t.Fatalf("stranded node 0 knows %d destinations, want 1", got)
-	}
-	if _, ok := tables[2].NextHop(3); !ok {
-		t.Fatal("surviving component lost its internal route 2 -> 3")
-	}
-	if _, ok := tables[2].Route(0); ok {
-		t.Fatal("node 2 kept a route to the unreachable side")
-	}
-}
-
-// TestRebuildAliveRoundBudgetLimitsDetour: a detour longer than the round
-// budget allows is not re-learned — the interrupted protocol's locality
-// bound applies to repairs exactly as to the bootstrap.
-func TestRebuildAliveRoundBudgetLimitsDetour(t *testing.T) {
-	// 6-ring, node 1 dead: 0 reaches 2 only via 0-5-4-3-2 (4 edges).
-	topo := ringN(6)
-	alive := func(id graph.NodeID) bool { return id != 1 }
-	// rounds=3 discovers paths of at most 4 edges: detour found.
-	if _, ok := RebuildAlive(topo, 3, alive)[0].Route(2); !ok {
-		t.Fatal("4-edge detour not found with a 4-edge budget")
-	}
-	// rounds=2 caps paths at 3 edges: destination 2 drops out at node 0.
-	if _, ok := RebuildAlive(topo, 2, alive)[0].Route(2); ok {
-		t.Fatal("detour beyond the round budget was learned")
-	}
 }
 
 // TestMergeSnapshotRoundTrip: the exported Merge/Snapshot pair (the repair
@@ -425,20 +339,20 @@ func TestMergeSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRebuildAliveMatchesBuildWhenNobodyDied(t *testing.T) {
+func TestCentralTablesMatchBuild(t *testing.T) {
 	topo := ringN(6)
 	rounds := RoundsForRadius(2)
 	want, _, err := Build(topo, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := RebuildAlive(topo, rounds, func(graph.NodeID) bool { return true })
+	got := CentralTables(topo, rounds)
 	for id, tb := range got {
 		for _, dest := range tb.Destinations() {
 			w, _ := want[graph.NodeID(id)].Route(dest)
 			g, _ := tb.Route(dest)
 			if w != g {
-				t.Fatalf("node %d route to %d: rebuild %+v != build %+v", id, dest, g, w)
+				t.Fatalf("node %d route to %d: central %+v != build %+v", id, dest, g, w)
 			}
 		}
 		if tb.Len() != want[graph.NodeID(id)].Len() {

@@ -100,14 +100,6 @@ func (t *refTable) snapshot() []WireRoute {
 	return out
 }
 
-func (t *refTable) clone() *refTable {
-	c := &refTable{self: t.self, routes: make(map[graph.NodeID]Route, len(t.routes))}
-	for k, v := range t.routes {
-		c.routes[k] = v
-	}
-	return c
-}
-
 // sameAsRef compares every observable answer of got with the reference.
 func sameAsRef(t *testing.T, where string, got *Table, ref *refTable) {
 	t.Helper()
@@ -176,9 +168,8 @@ func randomEntries(rng *rand.Rand, self graph.NodeID) []WireRoute {
 
 // TestTableMatchesMapReference drives the sorted-slice Table and the map
 // reference through the same random sequences of Merge (sorted, unsorted
-// and self-containing input, and real snapshots) and Clone, and
-// compares every answer and every changed bit. Merge must never write its
-// input.
+// and self-containing input, and real snapshots) and compares every answer
+// and every changed bit. Merge must never write its input.
 func TestTableMatchesMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -194,29 +185,20 @@ func TestTableMatchesMapReference(t *testing.T) {
 		// A second table evolving alongside supplies realistic snapshots.
 		peer := NewTable(graph.NodeID((int(self)+1)%refDests), nil)
 		for op := 0; op < 60; op++ {
-			switch r := rng.Intn(10); {
-			case r < 8:
-				from := graph.NodeID(rng.Intn(refDests))
-				delay := float64(rng.Intn(3)) * 0.5
-				entries := randomEntries(rng, self)
-				if rng.Intn(3) == 0 {
-					peer.Merge(graph.NodeID(rng.Intn(refDests)), 1, randomEntries(rng, peer.Self))
-					entries = peer.Snapshot()
-				}
-				before := slices.Clone(entries)
-				changed, want := got.Merge(from, delay, entries), ref.merge(from, delay, entries)
-				if changed != want {
-					t.Fatalf("seed %d op %d: Merge changed=%v, reference %v (input %v)", seed, op, changed, want, entries)
-				}
-				if !slices.Equal(entries, before) {
-					t.Fatalf("seed %d op %d: Merge wrote its input", seed, op)
-				}
-			default:
-				// Continue on the clone; the original keeps changing and
-				// must not leak into it.
-				c, rc := got.Clone(), ref.clone()
-				got.Merge(self+1, 0, randomEntries(rng, self))
-				got, ref = c, rc
+			from := graph.NodeID(rng.Intn(refDests))
+			delay := float64(rng.Intn(3)) * 0.5
+			entries := randomEntries(rng, self)
+			if rng.Intn(3) == 0 {
+				peer.Merge(graph.NodeID(rng.Intn(refDests)), 1, randomEntries(rng, peer.Self))
+				entries = peer.Snapshot()
+			}
+			before := slices.Clone(entries)
+			changed, want := got.Merge(from, delay, entries), ref.merge(from, delay, entries)
+			if changed != want {
+				t.Fatalf("seed %d op %d: Merge changed=%v, reference %v (input %v)", seed, op, changed, want, entries)
+			}
+			if !slices.Equal(entries, before) {
+				t.Fatalf("seed %d op %d: Merge wrote its input", seed, op)
 			}
 			sameAsRef(t, "after op", got, ref)
 		}
@@ -232,7 +214,7 @@ func TestMergeSameShapeAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := tables[0].Clone()
+	tb := tables[0]
 	nbr := topo.Neighbors(0)[0]
 	snap := tables[nbr.To].Snapshot()
 	tb.Merge(nbr.To, nbr.Delay, snap) // learns whatever the neighbor adds
@@ -276,7 +258,7 @@ func TestNonNeighborTableIsDropped(t *testing.T) {
 
 // TestNodeMergesNeighborsInIDOrder: whatever order a round's tables arrive
 // in, they merge in ascending neighbor ID — the order that decides ties
-// under better's tolerance — exactly as RebuildAlive's synchronous flow.
+// under better's tolerance — exactly as CentralTables' synchronous flow.
 func TestNodeMergesNeighborsInIDOrder(t *testing.T) {
 	topo := graph.RandomConnected(40, 5, graph.DelayRange{Min: 1, Max: 2}, 9)
 	rounds := RoundsForRadius(3)

@@ -336,39 +336,11 @@ func (p *NonPreemptivePlan) Surplus(now, window float64) float64 {
 		if r.Start >= end {
 			break
 		}
-		lo := math.Max(r.Start, now)
-		hi := math.Min(r.End, end)
-		if hi > lo {
-			busy += hi - lo
-		}
+		busy += math.Min(r.End, end) - math.Max(r.Start, now)
 	}
 	s := (window - busy) / window
 	if s < 0 {
 		return 0
 	}
 	return s
-}
-
-// IdleIntervals lists the gaps of [from, to] not covered by reservations —
-// the "idle intervals" the paper's mapper could use for the initiator's
-// local-knowledge refinement (§13).
-func (p *NonPreemptivePlan) IdleIntervals(from, to float64) []Reservation {
-	var out []Reservation
-	cursor := from
-	for i := sort.Search(len(p.res), func(i int) bool { return p.res[i].End > from }); i < len(p.res); i++ {
-		r := p.res[i]
-		if r.Start >= to {
-			break
-		}
-		if r.Start > cursor {
-			out = append(out, Reservation{Start: cursor, End: math.Min(r.Start, to)})
-		}
-		if r.End > cursor {
-			cursor = r.End
-		}
-	}
-	if cursor < to {
-		out = append(out, Reservation{Start: cursor, End: to})
-	}
-	return out
 }

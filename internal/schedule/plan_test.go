@@ -286,22 +286,6 @@ func TestEarliestFitSkipsBlockEndingAtStart(t *testing.T) {
 	}
 }
 
-func TestIdleIntervals(t *testing.T) {
-	p := NewNonPreemptive()
-	commit(t, p, mustAdmit(t, p, 0, req("a", 1, 2, 100, 3)))  // [2,5]
-	commit(t, p, mustAdmit(t, p, 0, req("a", 2, 10, 100, 5))) // [10,15]
-	gaps := p.IdleIntervals(0, 20)
-	want := [][2]float64{{0, 2}, {5, 10}, {15, 20}}
-	if len(gaps) != len(want) {
-		t.Fatalf("gaps %v, want %v", gaps, want)
-	}
-	for i, g := range gaps {
-		if g.Start != want[i][0] || g.End != want[i][1] {
-			t.Fatalf("gap %d = [%v,%v], want %v", i, g.Start, g.End, want[i])
-		}
-	}
-}
-
 func TestPreemptiveBeatsNonPreemptive(t *testing.T) {
 	// Classic case: long task plus a tight short task released mid-way.
 	// Non-preemptive earliest-fit cannot accept both; preemptive EDF can.

@@ -94,14 +94,6 @@ func (e *Engine) At(t Time, fn func()) EventID { return e.q.Track(e.schedule(t, 
 //lint:hotpath -- fire-and-forget scheduling carries every simulated message delivery
 func (e *Engine) AtFixed(t Time, fn func()) { e.schedule(t, fn) }
 
-// After schedules fn to run d time units from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.q.now+d, fn)
-}
-
 // AfterFixed schedules fn to run d time units from now with no cancellation
 // handle (see AtFixed). Negative d panics.
 func (e *Engine) AfterFixed(d Time, fn func()) {
@@ -113,7 +105,7 @@ func (e *Engine) AfterFixed(d Time, fn func()) {
 
 // Cancel removes a scheduled event. It reports whether the event was still
 // pending (false if it already fired or was cancelled). Only events created
-// by At/After can be cancelled; AtFixed/AfterFixed events have no ID.
+// by At can be cancelled; AtFixed/AfterFixed events have no ID.
 func (e *Engine) Cancel(id EventID) bool { return e.q.Cancel(id) }
 
 // NowOf, Schedule, Deliver, ScheduleCancellable, Parts and PartOf are the

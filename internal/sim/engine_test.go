@@ -60,9 +60,9 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterAndNesting(t *testing.T) {
 	e := New()
 	var times []Time
-	e.After(2, func() {
+	e.AfterFixed(2, func() {
 		times = append(times, e.Now())
-		e.After(3, func() {
+		e.AfterFixed(3, func() {
 			times = append(times, e.Now())
 		})
 	})
@@ -167,8 +167,8 @@ func TestEventLimit(t *testing.T) {
 	e := New()
 	e.SetEventLimit(10)
 	var bomb func()
-	bomb = func() { e.After(1, bomb) } // infinite chain
-	e.After(1, bomb)
+	bomb = func() { e.AfterFixed(1, bomb) } // infinite chain
+	e.AfterFixed(1, bomb)
 	if err := e.Run(); err != ErrEventLimit {
 		t.Fatalf("err = %v, want ErrEventLimit", err)
 	}
@@ -196,10 +196,10 @@ func TestNegativeAfterPanics(t *testing.T) {
 	e := New()
 	defer func() {
 		if recover() == nil {
-			t.Error("negative After did not panic")
+			t.Error("negative AfterFixed did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterFixed(-1, func() {})
 }
 
 // Property: for any set of event times, events fire in nondecreasing time
@@ -383,19 +383,19 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineThroughputCancellable is the same chain through the
-// tracked At/After path, for comparison against the fixed path.
+// tracked At path, for comparison against the fixed path.
 func BenchmarkEngineThroughputCancellable(b *testing.B) {
 	e := New()
 	remaining := b.N
 	var step func()
 	step = func() {
 		if remaining--; remaining > 0 {
-			e.After(1, step)
+			e.At(e.Now()+1, step)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.After(1, step)
+	e.At(1, step)
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
