@@ -43,8 +43,6 @@ import (
 
 // Config tunes the focused addressing + bidding scheme.
 type Config struct {
-	// SurplusPeriod is the interval between network-wide surplus floods.
-	SurplusPeriod float64
 	// Horizon bounds the periodic flooding (floods stop after it); set it to
 	// at least the workload horizon.
 	Horizon float64
@@ -59,13 +57,12 @@ type Config struct {
 
 // DefaultConfig mirrors core.DefaultConfig's spirit.
 func DefaultConfig(horizon float64) Config {
-	return Config{
-		SurplusPeriod: 25,
-		Horizon:       horizon,
-	}
+	return Config{Horizon: horizon}
 }
 
 const (
+	// surplusPeriod is the interval between network-wide surplus floods.
+	surplusPeriod = 25
 	// numBidders is how many next-best sites receive a request for bid.
 	numBidders = 3
 	// bidSlack pads the focused site's bid-collection timeout beyond the
@@ -183,7 +180,7 @@ func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
 	if !topo.Connected() {
 		return nil, fmt.Errorf("baseline: topology not connected")
 	}
-	if cfg.SurplusPeriod <= 0 || cfg.Horizon <= 0 {
+	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("baseline: invalid config %+v", cfg)
 	}
 	engine := sim.New()
@@ -225,8 +222,8 @@ func NewCluster(topo *graph.Graph, cfg Config) (*Cluster, error) {
 		var announce func()
 		announce = func() {
 			s.floodSurplus()
-			if engine.Now()+cfg.SurplusPeriod <= cfg.Horizon {
-				engine.AfterFixed(cfg.SurplusPeriod, announce)
+			if engine.Now()+surplusPeriod <= cfg.Horizon {
+				engine.AfterFixed(surplusPeriod, announce)
 			}
 		}
 		engine.AtFixed(0, announce)

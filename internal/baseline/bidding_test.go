@@ -116,11 +116,10 @@ func TestCannotSplitParallelJob(t *testing.T) {
 
 func TestSurplusFloodCount(t *testing.T) {
 	// Each flood from one site traverses every edge at least once and at
-	// most twice (classic flooding bounds on general graphs).
+	// most twice (classic flooding bounds on general graphs). A horizon
+	// shorter than the surplus period leaves the one round at t=0.
 	topo := fastLine(5)
-	cfg := DefaultConfig(10)
-	cfg.SurplusPeriod = 100 // single round at t=0
-	c, err := NewCluster(topo, cfg)
+	c, err := NewCluster(topo, DefaultConfig(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +137,7 @@ func TestSurplusFloodCount(t *testing.T) {
 func TestFloodCostGrowsWithNetwork(t *testing.T) {
 	var prev int64
 	for _, n := range []int{4, 8, 16} {
-		cfg := DefaultConfig(50)
-		cfg.SurplusPeriod = 10
-		c, err := NewCluster(fastLine(n), cfg)
+		c, err := NewCluster(fastLine(n), DefaultConfig(50)) // floods at 0, 25 and 50
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -235,27 +235,27 @@ func TestHierDistancesFinite(t *testing.T) {
 // TestHierRouteDigestPinned pins every route of the rtds-hier cluster on
 // the 256- and 1,024-site random topologies (degree 4, the suite's link
 // delays, seed 1+n): the digest of every site's routes and sphere, and the
-// bootstrap's message count. Both are deterministic, so a change that moves
-// one route or one bootstrap message fails here; a deliberate one updates
-// the pins. They were last moved when the landmark flood went: every site's
-// intra-region routes, sphere and distances hashed identically before and
-// after, and only the landmark lines and the flood's messages left.
+// bootstrap's message and byte counts. All are deterministic, so a change
+// that moves one route or one bootstrap message fails here; a deliberate
+// one updates the pins. The digests and message counts were last moved
+// when the landmark flood went; the bytes when a round began to send only
+// the lines that changed, which left every digest and count as it was.
 func TestHierRouteDigestPinned(t *testing.T) {
 	for _, pin := range []struct {
-		sites  int
-		digest uint64
-		msgs   int64
+		sites       int
+		digest      uint64
+		msgs, bytes int64
 	}{
-		{256, 0x8ff4b578c1c6a5d2, 6070},
-		{1024, 0x135640f89efe520d, 32470},
+		{256, 0x8ff4b578c1c6a5d2, 6070, 184304},
+		{1024, 0x135640f89efe520d, 32470, 1332352},
 	} {
 		cfg := DefaultConfig()
 		cfg.Hier = true
 		c := mustCluster(t, hierTopo(pin.sites, 1+int64(pin.sites)), cfg)
-		msgs, _ := c.BootstrapCost()
-		if got := c.RouteDigest(); got != pin.digest || msgs != pin.msgs {
-			t.Errorf("%d sites: route digest %016x after %d bootstrap messages, pinned %016x after %d",
-				pin.sites, got, msgs, pin.digest, pin.msgs)
+		msgs, bytes := c.BootstrapCost()
+		if got := c.RouteDigest(); got != pin.digest || msgs != pin.msgs || bytes != pin.bytes {
+			t.Errorf("%d sites: route digest %016x after %d bootstrap messages of %d B, pinned %016x after %d of %d B",
+				pin.sites, got, msgs, bytes, pin.digest, pin.msgs, pin.bytes)
 		}
 	}
 }

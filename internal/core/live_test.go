@@ -350,6 +350,13 @@ func TestLiveClusterHier(t *testing.T) {
 	if got, want := live.RouteDigest(), des.RouteDigest(); got != want {
 		t.Fatalf("live route digest %016x, DES %016x", got, want)
 	}
+	// Rounds are synchronous over TCP too, so each round sends the same
+	// changed lines as under the DES.
+	lm, lb := live.BootstrapCost()
+	dm, db := des.BootstrapCost()
+	if lm != dm || lb != db {
+		t.Fatalf("live bootstrap %d messages of %d B, DES %d of %d B", lm, lb, dm, db)
+	}
 	if got, want := live.Summarize(), des.Summarize(); got.RoutingTableBytes != want.RoutingTableBytes || got.RoutingEntries != want.RoutingEntries {
 		t.Fatalf("live routing state (%d B, %d entries), DES (%d B, %d entries)",
 			got.RoutingTableBytes, got.RoutingEntries, want.RoutingTableBytes, want.RoutingEntries)

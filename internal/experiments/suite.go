@@ -505,7 +505,11 @@ func withVolumes(g *dag.Graph, meanVol float64, seed int64) *dag.Graph {
 
 // E9 — the one-time cost of the interrupted distance-vector bootstrap
 // (§7) as a function of radius and network size. One point per network
-// size; each point contributes the four radius rows of its size.
+// size; each point contributes the four radius rows of its size. Every
+// round sends one message per link direction; "bytes" counts the table
+// lines they carry — each site's start table, then only the lines that
+// changed since its previous round — so it levels off once the rounds
+// outlast the network's diameter.
 func e9Sizes(size Size) []int {
 	if size == Full {
 		return []int{16, 32, 64, 128}

@@ -215,3 +215,18 @@ func TestStateSubLinear(t *testing.T) {
 		t.Fatalf("worst per-site state %d entries at n=1024; want sub-linear (< %d)", worst, 1024/8)
 	}
 }
+
+// BenchmarkHierBuild times the whole hierarchical bootstrap on 1,024 random
+// sites: layout, every region's rounds on the private discrete-event
+// network, and the tables. Run it with -benchmem: the bytes a build
+// allocates follow the table lines its rounds send.
+func BenchmarkHierBuild(b *testing.B) {
+	topo := testTopo(1024, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := Build(topo); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -20,9 +20,21 @@
 //
 // Representation: a Table is one slice of routes sorted by destination,
 // and a Node's round inbox is indexed by neighbor position; nothing here
-// holds a map. A round merges its neighbors' snapshots in ascending
-// neighbor ID order, because Route.better's tolerance makes the order
-// candidates meet in decide ties (see Table.Merge for the input contract).
+// holds a map. A round merges its neighbors' tables in ascending neighbor
+// ID order, because Route.better's tolerance makes the order candidates
+// meet in decide ties (see Table.Merge for the input contract).
+//
+// What a round sends: round 0 sends the start table, and every later round
+// only the lines whose wire form changed since the node's previous round.
+// Every round still sends one TableMsg to every neighbor, an empty one when
+// nothing changed, so rounds synchronise and count exactly as if whole
+// tables went. The receiver loses nothing: it merged each unchanged line
+// when that line was last sent, its own line has only improved since, and
+// merging a candidate no better than the line it meets changes nothing.
+// (Route.better's tolerance is the one caveat: distances closer than distEps
+// compare as ties, so "improved" is not transitive there; the route goldens
+// and the CentralTables comparisons hold every route to the full-table
+// flow's.)
 package routing
 
 import (
@@ -69,21 +81,32 @@ func (r Route) better(c Route) bool {
 // representation and Merge rewrites it in place after the table has been
 // adopted, so no caller may keep a []Route of it without copying.
 type Table struct {
-	Self   graph.NodeID
-	routes []Route // sorted by Dest, one line per destination
-	spare  []Route // merge's second backing array, swapped with routes
+	Self    graph.NodeID
+	routes  []line // sorted by Dest, one line per destination
+	spare   []line // merge's second backing array, swapped with routes
+	changed int    // lines marked changed (see takeChanges)
+}
+
+// line is one table line and whether its wire form changed since the last
+// takeChanges: the bootstrap's next round sends exactly the marked lines.
+// Repair floods merged after the bootstrap mark lines too; nothing takes
+// those marks.
+type line struct {
+	Route
+	changed bool
 }
 
 // NewTable builds a table holding only the start condition: self plus the
-// given immediate neighbors (distinct, none of them self).
+// given immediate neighbors (distinct, none of them self). Every line starts
+// marked changed, so the first takeChanges is the start table.
 func NewTable(self graph.NodeID, neighbors []graph.Edge) *Table {
-	routes := make([]Route, 0, len(neighbors)+1)
-	routes = append(routes, Route{Dest: self, Dist: 0, NextHop: self, PathHops: 0, MinHops: 0})
+	routes := make([]line, 0, len(neighbors)+1)
+	routes = append(routes, line{Route{Dest: self, Dist: 0, NextHop: self, PathHops: 0, MinHops: 0}, true})
 	for _, e := range neighbors {
-		routes = append(routes, Route{Dest: e.To, Dist: e.Delay, NextHop: e.To, PathHops: 1, MinHops: 1})
+		routes = append(routes, line{Route{Dest: e.To, Dist: e.Delay, NextHop: e.To, PathHops: 1, MinHops: 1}, true})
 	}
-	slices.SortFunc(routes, func(a, b Route) int { return cmp.Compare(a.Dest, b.Dest) })
-	return &Table{Self: self, routes: routes}
+	slices.SortFunc(routes, func(a, b line) int { return cmp.Compare(a.Dest, b.Dest) })
+	return &Table{Self: self, routes: routes, changed: len(routes)}
 }
 
 // find locates the line for dest: its index and whether it is there. A
@@ -109,7 +132,7 @@ func (t *Table) find(dest graph.NodeID) (int, bool) {
 // Route returns the table line for dest.
 func (t *Table) Route(dest graph.NodeID) (Route, bool) {
 	if i, ok := t.find(dest); ok {
-		return t.routes[i], true
+		return t.routes[i].Route, true
 	}
 	return Route{}, false
 }
@@ -182,11 +205,11 @@ func (t *Table) SphereDelayDiameter(h int) float64 {
 // of both the §7 bootstrap (via Node) and the membership layer's epoch-
 // tagged repair floods, which drive it directly.
 //
-// entries is shared — one snapshot goes to every neighbor — and is never
-// written. Snapshots are sorted by destination without duplicates; any other
-// input (a peer's wire payload) is merged from a sorted copy, repeated
-// destinations in their given order, which is exactly what merging it line
-// by line would do.
+// entries is shared — one payload goes to every neighbor — and is never
+// written. Snapshots and round payloads are sorted by destination without
+// duplicates; any other input (a peer's wire payload) is merged from a
+// sorted copy, repeated destinations in their given order, which is exactly
+// what merging it line by line would do.
 func (t *Table) Merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
 	if !slices.IsSortedFunc(entries, wireByDest) {
 		entries = slices.Clone(entries)
@@ -202,13 +225,14 @@ func wireByDest(a, b WireRoute) int { return cmp.Compare(a.Dest, b.Dest) }
 // with the current one, so once both have grown to the table's size a round
 // allocates nothing. Candidates for one destination meet in the order the
 // caller merges its neighbors in, which matters: better's tolerance makes it
-// non-transitive.
+// non-transitive. A new line, or one whose distance or hop counts moved, is
+// marked changed; a new next hop alone leaves the wire form as it was.
 //
 //lint:hotpath -- every bootstrap round merges one snapshot per neighbor, and a repair flood one per hop
 func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
 	cur, out := t.routes, t.spare[:0]
 	if cap(out) < len(cur) {
-		out = make([]Route, 0, len(cur)+len(entries)) //lint:allow hotalloc -- spare growth: the table gained destinations since the spare was last sized
+		out = make([]line, 0, len(cur)+len(entries)) //lint:allow hotalloc -- spare growth: the table gained destinations since the spare was last sized
 	}
 	changed := false
 	i := 0
@@ -227,7 +251,7 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 			PathHops: 1 + e.PathHops,
 			MinHops:  1 + e.MinHops,
 		}
-		var old Route
+		var old line
 		switch {
 		case len(out) > 0 && out[len(out)-1].Dest == e.Dest:
 			// A repeated destination (unsorted input, normalised by Merge)
@@ -237,7 +261,8 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 			old = cur[i]
 			i++
 		default:
-			out = append(out, cand)
+			out = append(out, line{cand, true})
+			t.changed++
 			changed = true
 			continue
 		}
@@ -250,8 +275,12 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 		if cand.MinHops < upd.MinHops {
 			upd.MinHops = cand.MinHops
 		}
-		if upd != old {
+		if upd.Route != old.Route {
 			changed = true
+			if !upd.changed && upd.wire() != old.wire() {
+				upd.changed = true
+				t.changed++
+			}
 		}
 		out = append(out, upd)
 	}
@@ -261,13 +290,38 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 }
 
 // Snapshot copies the table into its on-the-wire form, sorted by
-// destination — the payload of a bootstrap round or a repair re-flood.
+// destination — the payload of a repair re-flood or a join handover.
 func (t *Table) Snapshot() []WireRoute {
 	out := make([]WireRoute, len(t.routes))
 	for i, r := range t.routes {
-		out[i] = WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops}
+		out[i] = r.wire()
 	}
 	return out
+}
+
+// takeChanges returns the wire form of every line marked changed — the whole
+// table on its first call — sorted by destination, and clears the marks: the
+// payload of one bootstrap round. The slice has exactly the marked lines'
+// length (nil when none is) and is never written again, so one result goes
+// to every neighbor.
+func (t *Table) takeChanges() []WireRoute {
+	if t.changed == 0 {
+		return nil
+	}
+	out := make([]WireRoute, 0, t.changed)
+	for i := 0; len(out) < t.changed; i++ {
+		if l := &t.routes[i]; l.changed {
+			out = append(out, l.wire())
+			l.changed = false
+		}
+	}
+	t.changed = 0
+	return out
+}
+
+// wire is the line's on-the-wire form.
+func (r Route) wire() WireRoute {
+	return WireRoute{Dest: r.Dest, Dist: r.Dist, PathHops: r.PathHops, MinHops: r.MinHops}
 }
 
 // WireRoute is the on-the-wire form of a table line. NextHop is not sent:
@@ -286,9 +340,12 @@ const wireRouteBytes = 16
 // TableMsg is the payload exchanged in each phase of PCS construction and,
 // epoch-tagged, in the incremental re-floods that repair tables after a
 // membership change. Epoch 0 is the §7 bootstrap (routed to the per-node
-// protocol state machine); a positive epoch names the membership view the
-// entries were computed under, and receivers on a different epoch discard
-// the message instead of mixing routes across inconsistent views.
+// protocol state machine): round 0 carries the sender's start table and
+// every later round only the lines that changed since the sender's previous
+// round, possibly none. A positive epoch names the membership view the
+// entries were computed under and carries the sender's whole table;
+// receivers on a different epoch discard the message instead of mixing
+// routes across inconsistent views.
 type TableMsg struct {
 	Round   int
 	Epoch   uint64
@@ -370,10 +427,12 @@ func (n *Node) Start() {
 	n.advance()
 }
 
-// broadcast sends this round's snapshot to every neighbor, boxed once: the
-// payload is immutable, so every neighbor receives the same one.
+// broadcast sends this round's lines — the start table in round 0, the
+// lines changed since the previous round after it — to every neighbor,
+// boxed once: the payload is immutable, so every neighbor receives the same
+// one.
 func (n *Node) broadcast() {
-	var msg simnet.Payload = TableMsg{Round: n.round, Entries: n.table.Snapshot()}
+	var msg simnet.Payload = TableMsg{Round: n.round, Entries: n.table.takeChanges()}
 	for _, e := range n.nbrs {
 		n.send(e.To, msg)
 	}
@@ -415,9 +474,12 @@ func (n *Node) advance() {
 		// Merge deterministically: neighbors in increasing ID order. The
 		// raw link delay weighs each table, not the table's own entry for
 		// the neighbor: a multi-edge path may have replaced that when
-		// weights violate the triangle inequality.
+		// weights violate the triangle inequality. A neighbor whose table
+		// did not change sent nothing to merge.
 		for i, e := range n.nbrs {
-			n.table.Merge(e.To, e.Delay, n.inbox[b][i].entries)
+			if entries := n.inbox[b][i].entries; len(entries) > 0 {
+				n.table.Merge(e.To, e.Delay, entries)
+			}
 			n.inbox[b][i] = inboxSlot{}
 		}
 		n.filled[b] = 0
@@ -442,8 +504,10 @@ func (n *Node) finish() {
 	}
 	n.done = true
 	n.inbox = [2][]inboxSlot{}
-	// The bootstrap's merges are over; a repair flood re-grows the spare.
-	n.table.spare = nil
+	// The bootstrap's merges are over. A copy at the exact size sheds the
+	// slack that merge's growth left (about what the change marks cost per
+	// line); a repair flood re-grows the spare.
+	n.table.routes, n.table.spare = slices.Clone(n.table.routes), nil
 	if n.onDone != nil {
 		n.onDone(n.table)
 	}

@@ -3,7 +3,6 @@ package routing
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -290,9 +289,101 @@ func TestNodeMergesNeighborsInIDOrder(t *testing.T) {
 			if !n.Done() {
 				t.Fatalf("seed %d: node %d did not finish", seed, id)
 			}
-			if !reflect.DeepEqual(n.Table().routes, want[id].routes) {
+			if !slices.Equal(routesOf(n.Table()), routesOf(want[id])) {
 				t.Fatalf("seed %d: node %d's table differs from the synchronous flow", seed, id)
 			}
+		}
+	}
+}
+
+// routesOf lists a table's lines without their change marks, which record
+// what the next bootstrap round sends, not what the table holds.
+func routesOf(t *Table) []Route {
+	out := make([]Route, len(t.routes))
+	for i, l := range t.routes {
+		out[i] = l.Route
+	}
+	return out
+}
+
+// TestBootstrapSendsOnlyChangedLines: round 0 sends a node's start table and
+// every later round exactly the lines whose wire form changed since the
+// node's previous round — nothing, once its table has stopped changing —
+// while every round still sends one message per neighbor and the tables
+// come out as the synchronous full-table flow builds them.
+func TestBootstrapSendsOnlyChangedLines(t *testing.T) {
+	topo := graph.RandomConnected(40, 4, graph.DelayRange{Min: 1, Max: 9}, 11)
+	rounds := RoundsForRadius(5) // well past the diameter: late rounds change nothing
+	type msg struct {
+		from, to graph.NodeID
+		m        TableMsg
+	}
+	var queue []msg
+	nodes := make([]*Node, topo.Len())
+	prev := make([][]WireRoute, topo.Len()) // each node's table at its previous round
+	sent := make([]int, topo.Len())         // lines each node has sent
+	changed := make([]int, topo.Len())      // lines changed between its rounds
+	empty := 0
+	for id := range nodes {
+		id := graph.NodeID(id)
+		nodes[id] = NewNode(id, topo.Neighbors(id), rounds, func(to graph.NodeID, p simnet.Payload) {
+			m := p.(TableMsg)
+			queue = append(queue, msg{id, to, m})
+			if to != nodes[id].nbrs[0].To {
+				return // one payload goes to every neighbor: check it once
+			}
+			snap := nodes[id].Table().Snapshot()
+			var want []WireRoute
+			for _, r := range snap {
+				i, ok := slices.BinarySearchFunc(prev[id], r, wireByDest)
+				if !ok || prev[id][i] != r {
+					want = append(want, r)
+				}
+			}
+			if m.Round > 0 {
+				changed[id] += len(want)
+			}
+			if !slices.Equal(m.Entries, want) {
+				t.Fatalf("node %d round %d sent %v, want the lines changed since its previous round %v", id, m.Round, m.Entries, want)
+			}
+			if m.Round > 0 && slices.Equal(snap, prev[id]) && len(m.Entries) != 0 {
+				t.Fatalf("node %d round %d: table unchanged, yet %d lines sent", id, m.Round, len(m.Entries))
+			}
+			if len(m.Entries) == 0 {
+				empty++
+			}
+			sent[id] += len(m.Entries)
+			prev[id] = snap
+		}, nil)
+	}
+	start := make([]int, topo.Len())
+	for id, n := range nodes {
+		start[id] = n.Table().Len()
+		n.Start()
+	}
+	msgs := 0
+	for len(queue) > 0 {
+		m := queue[0]
+		queue = queue[1:]
+		nodes[m.to].HandleTable(m.from, m.m)
+		msgs++
+	}
+	if want := rounds * 2 * topo.NumEdges(); msgs != want {
+		t.Fatalf("%d table messages, want one per neighbor and round: %d", msgs, want)
+	}
+	if empty == 0 {
+		t.Fatal("no round went without changes: the topology does not test the empty delta")
+	}
+	oracle := CentralTables(topo, rounds)
+	for id, n := range nodes {
+		if !n.Done() {
+			t.Fatalf("node %d did not finish", id)
+		}
+		if sent[id] != start[id]+changed[id] {
+			t.Fatalf("node %d sent %d lines, want its %d start lines plus %d changed", id, sent[id], start[id], changed[id])
+		}
+		if !slices.Equal(routesOf(n.Table()), routesOf(oracle[id])) {
+			t.Fatalf("node %d's table differs from the full-table flow", id)
 		}
 	}
 }
