@@ -59,7 +59,7 @@ func main() {
 	listen := flag.String("listen", "", "TCP address for protocol traffic (required)")
 	peers := flag.String("peers", "", "comma-separated id=host:port protocol addresses of all sites (required)")
 	httpAddr := flag.String("http", "", "HTTP address of the control/metrics API (empty = disabled)")
-	schemeName := flag.String("scheme", "rtds", "RTDS-core scheme to run ("+strings.Join(scheme.Names(), "|")+")")
+	schemeName := flag.String("scheme", "rtds", "RTDS-core scheme to run ("+strings.Join(scheme.Deployable(), "|")+")")
 	policySpec := flag.String("policy", "", "policy overrides, e.g. sphere=k6,accept=laxity0.25,dispatch=weighted")
 	scale := flag.Duration("scale", 2*time.Millisecond, "wall-clock duration of one virtual time unit")
 	slack := flag.Float64("slack", 8, "enrollment slack in virtual units (wall clocks need real headroom)")
@@ -183,7 +183,10 @@ func run(o runOpts) error {
 		}
 		node.Seal()
 		api.SetReady()
-		snap := node.Membership()
+		var snap membership.Snapshot
+		if snaps := node.MembershipSnapshots(); len(snaps) > 0 {
+			snap = snaps[0]
+		}
 		fmt.Printf("rtds-node %d: joined (scheme %s, incarnation %d, epoch %#x)\n",
 			id, o.schemeName, snap.Inc, snap.Epoch)
 	} else {

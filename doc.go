@@ -47,10 +47,11 @@
 // # Policies and schemes
 //
 // The protocol's decision points are pluggable (Config.Policies, the
-// policy layer): the enrollment fan-out (full sphere or k-redundant), the
-// local acceptance test (EDF or a laxity threshold), the laxity
-// dispatching and the mapper heuristic. Config.Policies is the only place
-// any of the four is chosen; nil policies are the paper's choices.
+// policy layer): the enrollment fan-out (full sphere or k-redundant) and
+// the local acceptance test (EDF or a laxity threshold), each an
+// interface, and the laxity dispatching (LaxityMode) and the mapper
+// heuristic (Heuristic), each an enum. Config.Policies is the only place
+// any of the four is chosen; the zero PolicySet is the paper's choices.
 //
 // Complete scheduling algorithms are registered as schemes — rtds,
 // rtds-hier, broadcast, local, fab (focused addressing + bidding) and
@@ -61,6 +62,9 @@
 //	_ = c.Submit(0, 0, job, 66)
 //	if err := c.Run(); err != nil { ... }
 //	fmt.Println(c.Summarize().GuaranteeRatio)
+//
+// All but fab and oracle also run as one-site rtds-node processes
+// (rtds-node -scheme), rtds-hier with its regions over TCP.
 //
 // # Transports and deployment
 //

@@ -29,7 +29,8 @@ import (
 //   - NewLiveCluster: every site on one injected wall-clock transport (the
 //     rtds facade's: loopback TCP); the transport's WaitIdle.
 //   - NewNode: one site over an injected transport (TCP in deployment);
-//     the caller's WaitReady, then Seal.
+//     the caller's WaitReady, then Seal. Flat or hierarchical, as on the
+//     other two.
 //
 // A host knows which sites it runs (c.sites[id] != nil) and nothing about
 // how many hosts there are: on every runtime a member learns a job only
@@ -267,12 +268,26 @@ func (c *Cluster) Submit(at float64, origin graph.NodeID, g *dag.Graph, relDeadl
 }
 
 // Run processes all pending events (arrivals, protocol traffic, execution).
-// Run, RunUntil and EventsProcessed drive virtual time and exist on
-// discrete-event clusters only.
-func (c *Cluster) Run() error { return c.kernel.Run() }
+// Run and RunUntil drive virtual time: on a wall-clock host (LiveCluster,
+// Node), where the transport runs itself, they return an error.
+func (c *Cluster) Run() error {
+	if !c.virtualTime() {
+		return c.wallClockErr("Run")
+	}
+	return c.kernel.Run()
+}
 
 // RunUntil advances the simulation to epoch-relative time t.
-func (c *Cluster) RunUntil(t float64) error { return c.kernel.RunUntil(c.epoch + t) }
+func (c *Cluster) RunUntil(t float64) error {
+	if !c.virtualTime() {
+		return c.wallClockErr("RunUntil")
+	}
+	return c.kernel.RunUntil(c.epoch + t)
+}
+
+func (c *Cluster) wallClockErr(op string) error {
+	return fmt.Errorf("core: %s drives virtual time, and this host runs on the wall-clock transport %T", op, c.tr)
+}
 
 // EventsProcessed reports how many discrete events the kernel has fired (0
 // on wall-clock runtimes, which have no event queue). The experiment suite

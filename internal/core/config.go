@@ -54,9 +54,9 @@ type Config struct {
 	// Policies selects the protocol's pluggable decision points: enrollment
 	// fan-out (Sphere), the local guarantee test (Acceptance), case-(iii)
 	// laxity scattering (Dispatch) and the trial-mapping heuristic (Mapper).
-	// It is the only selector of all four. Nil fields resolve to the paper
+	// It is the only selector of all four. Zero fields are the paper
 	// defaults — FullSphere (HierSphere under Hier, which enrolls the same
-	// sphere), EDF, UniformDispatch and the CP-EFT HeuristicMapper.
+	// sphere), EDF, uniform laxity and the CP-EFT heuristic.
 	Policies policy.Set
 	// KernelWorkers selects the discrete-event kernel backing a simulated
 	// cluster. 0 (the default) runs the serial internal/sim engine — the
@@ -81,9 +81,10 @@ type Config struct {
 	// initiator's region, and a site alone in its region rejects what it
 	// cannot keep (StageNoSphere). A site of another region has no route,
 	// so no message crosses a region boundary. Membership heartbeats and
-	// repair floods are scoped to the region too. Available on NewCluster
-	// (either kernel) and NewLiveCluster; NewNode refuses it, because no
-	// test holds a one-site node's hierarchy to the simulator's yet.
+	// repair floods are scoped to the region too. The same on every host:
+	// NewCluster (either kernel), NewLiveCluster and NewNode, where each
+	// process derives the regions from the shared topology and a node's
+	// links to other regions stay unused.
 	// Requires a connected topology like the flat bootstrap.
 	Hier bool
 	// Membership arms the distributed membership layer: per-site heartbeats
@@ -201,7 +202,7 @@ func (c Config) power(site int) float64 {
 	return c.Powers[site]
 }
 
-// The policy resolvers fill nil Policies fields with the paper defaults.
+// The policy resolvers fill nil Policies interfaces with the paper defaults.
 
 func (c Config) spherePolicy() policy.Sphere {
 	if c.Policies.Sphere != nil {
@@ -218,18 +219,4 @@ func (c Config) acceptancePolicy() policy.Acceptance {
 		return c.Policies.Acceptance
 	}
 	return policy.EDF{}
-}
-
-func (c Config) dispatchPolicy() policy.Dispatch {
-	if c.Policies.Dispatch != nil {
-		return c.Policies.Dispatch
-	}
-	return policy.UniformDispatch{}
-}
-
-func (c Config) mapperPolicy() policy.Mapper {
-	if c.Policies.Mapper != nil {
-		return c.Policies.Mapper
-	}
-	return policy.HeuristicMapper{}
 }

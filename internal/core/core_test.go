@@ -69,7 +69,7 @@ func runAll(t testing.TB, c *Cluster) {
 	if v := c.Violations(); len(v) != 0 {
 		t.Fatalf("causality violations: %v", v)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("sites not idle after drain (stuck locks or transactions)")
 	}
 }

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"cmp"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
+	"repro/internal/determinism"
 	"repro/internal/graph"
 )
 
@@ -43,18 +42,26 @@ func SetProbeTimeout(d time.Duration) (restore func()) {
 // pins it, so a change that moves one route at one site fails there instead
 // of only drifting a ratio. Sites that do not answer are left out.
 func (c *Cluster) RouteDigest() uint64 {
+	sums := c.SiteRouteDigests()
+	h := fnv.New64a()
+	for _, id := range determinism.SortedKeys(sums) {
+		writeWord(h, uint64(id))
+		writeWord(h, sums[id])
+	}
+	return h.Sum64()
+}
+
+// SiteRouteDigests reports each answering local site's Site.routeDigest.
+func (c *Cluster) SiteRouteDigests() map[graph.NodeID]uint64 {
 	type siteSum struct {
 		id  graph.NodeID
 		sum uint64
 	}
-	sums := probe(c, func(s *Site) siteSum { return siteSum{s.id, s.routeDigest()} })
-	slices.SortFunc(sums, func(a, b siteSum) int { return cmp.Compare(a.id, b.id) })
-	h := fnv.New64a()
-	for _, s := range sums {
-		writeWord(h, uint64(s.id))
-		writeWord(h, s.sum)
+	sums := make(map[graph.NodeID]uint64)
+	for _, s := range probe(c, func(s *Site) siteSum { return siteSum{s.id, s.routeDigest()} }) {
+		sums[s.id] = s.sum
 	}
-	return h.Sum64()
+	return sums
 }
 
 // routeDigest hashes this site's routing answers: each destination its

@@ -59,7 +59,7 @@ func TestCommitFailureAborts(t *testing.T) {
 	if v := c.Violations(); len(v) != 0 {
 		t.Fatalf("violations after aborts: %v", v)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("stuck locks after aborts")
 	}
 	// No rejected job may leave reservations behind.

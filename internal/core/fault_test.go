@@ -130,7 +130,7 @@ func TestLossyClusterTerminatesWithoutLeaks(t *testing.T) {
 	}
 
 	c, sum := run()
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("wedged locks or open transactions after drain")
 	}
 	if v := c.Violations(); len(v) != 0 {
@@ -197,7 +197,7 @@ func TestCrashedInitiatorLeaseUnlocksMembers(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("members stayed locked: lock lease never fired")
 	}
 	if job.Outcome != Rejected || job.RejectStage != StageEmptyACS {
@@ -248,7 +248,7 @@ func TestCrashedSiteRoutedAround(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("cluster not idle after drain")
 	}
 	for _, m := range c.SiteSphere(0) {

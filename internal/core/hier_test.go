@@ -2,12 +2,10 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core/membership"
 	"repro/internal/graph"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -198,23 +196,6 @@ type layoutView struct {
 }
 
 func (v *layoutView) Region(id graph.NodeID) int { return v.assign[id] }
-
-// TestHierNodeModeRejected: a lone node refuses the hierarchy, and the
-// error says why — not the bootstrap, which ends locally in every region,
-// but that nothing checks a deployment's hierarchy against the simulator.
-func TestHierNodeModeRejected(t *testing.T) {
-	topo := fastLine(3)
-	cfg := DefaultConfig()
-	cfg.Hier = true
-	tr := simnet.NewDES(sim.New(), topo)
-	_, err := NewNode(topo, cfg, tr, 0)
-	if err == nil {
-		t.Fatal("NewNode accepted Hier")
-	}
-	if !strings.Contains(err.Error(), "one-site node") {
-		t.Fatalf("refusal does not give the reason: %v", err)
-	}
-}
 
 // TestHierDistancesFinite: the ω computation must see finite distances to
 // every sphere member from every site.

@@ -90,8 +90,8 @@ func (s *Site) enrollDone(t *activeTxn) {
 	procs := s.acsProcs(t)
 	rEff := s.now() + s.cluster.cfg.ReleasePadFactor*omega
 	tm, err := mapper.Build(job.Graph, procs, omega, rEff, job.AbsDeadline, mapper.Options{
-		Heuristic:  s.mapperPol.Heuristic(),
-		LaxityMode: s.dispatchPol.LaxityMode(),
+		Heuristic:  s.cluster.cfg.Policies.Mapper,
+		LaxityMode: s.cluster.cfg.Policies.Dispatch,
 		Throughput: s.cluster.cfg.Throughput,
 	})
 	if err != nil {

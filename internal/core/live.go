@@ -28,7 +28,7 @@ type LiveTransport interface {
 // local, real (scaled) time, genuine concurrency. It exists for
 // demonstration and for the DES-equivalence tests; experiments use the
 // deterministic Cluster. Submit clamps an arrival the wall clock has already
-// passed up to now; site probes (AllIdle, ReservationJobIDs, ...) report
+// passed up to now; site probes (Idle, ReservationJobIDs, ...) report
 // "no" within probeTimeout after Close.
 type LiveCluster struct {
 	*Cluster

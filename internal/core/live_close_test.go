@@ -43,8 +43,8 @@ func TestLiveClusterCloseIdempotent(t *testing.T) {
 	// Probes of a closed cluster answer "no" within probeTimeout instead of
 	// waiting forever for a callback the transport dropped.
 	defer core.SetProbeTimeout(50 * time.Millisecond)()
-	if lc.AllIdle() {
-		t.Error("AllIdle reports idle on a closed cluster")
+	if lc.Idle() {
+		t.Error("Idle reports idle on a closed cluster")
 	}
 	if held := lc.ReservationJobIDs(); len(held) != 0 {
 		t.Errorf("ReservationJobIDs on a closed cluster = %v, want empty", held)

@@ -2,8 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"net"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,57 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/wire"
 )
+
+// startNodes runs one core.Node per site of topo, each on its own loopback
+// wire.Listen transport as an rtds-node process runs one, and returns them
+// bootstrapped, ready and sealed with their transports, which close when
+// the test ends. dial, when not nil, picks the address a site dials for a
+// neighbour from the neighbour's own.
+func startNodes(t *testing.T, topo *graph.Graph, cfg core.Config, scale time.Duration,
+	dial func(self, peer graph.NodeID, addr string) string) ([]*core.Node, []*wire.NetTransport) {
+	t.Helper()
+	trs := make([]*wire.NetTransport, topo.Len())
+	addrs := make(map[graph.NodeID]string)
+	for id := range trs {
+		tr, err := wire.Listen(wire.NetConfig{Self: graph.NodeID(id), Topo: topo, Listen: "127.0.0.1:0", Scale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		trs[id], addrs[graph.NodeID(id)] = tr, tr.Addr()
+	}
+	nodes := make([]*core.Node, len(trs))
+	for id, tr := range trs {
+		self, peers := graph.NodeID(id), addrs
+		if dial != nil {
+			peers = make(map[graph.NodeID]string)
+			for peer, addr := range addrs {
+				peers[peer] = dial(self, peer, addr)
+			}
+		}
+		tr.SetPeers(peers)
+		n, err := core.NewNode(topo, cfg, tr, self)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[id] = n
+	}
+	for _, tr := range trs {
+		tr.Start()
+	}
+	for _, n := range nodes {
+		n.StartBootstrap()
+	}
+	for id, n := range nodes {
+		if !n.WaitReady(30 * time.Second) {
+			t.Fatalf("node %d never finished the bootstrap", id)
+		}
+	}
+	for _, n := range nodes {
+		n.Seal()
+	}
+	return nodes, trs
+}
 
 // newLiveCluster builds a live cluster of every site of topo on one
 // loopback wire transport, as the rtds facade does.
@@ -90,7 +144,7 @@ func TestLiveMatchesDESDecisions(t *testing.T) {
 	}
 }
 
-// TestLiveAllIdleDuringTraffic calls AllIdle concurrently with protocol
+// TestLiveAllIdleDuringTraffic calls Idle concurrently with protocol
 // activity. The probe is routed through each site's execution context, so
 // under -race this test proves the check no longer reads site state from a
 // foreign goroutine (the seed's Cluster.AllIdle raced with handlers here).
@@ -114,7 +168,7 @@ func TestLiveAllIdleDuringTraffic(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			live.AllIdle() // value irrelevant mid-run; must not race
+			live.Idle() // value irrelevant mid-run; must not race
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -125,7 +179,7 @@ func TestLiveAllIdleDuringTraffic(t *testing.T) {
 	if job.Outcome != core.AcceptedDistributed {
 		t.Fatalf("outcome %v, want %v", job.Outcome, core.AcceptedDistributed)
 	}
-	if !live.AllIdle() {
+	if !live.Idle() {
 		t.Fatal("cluster not idle after quiescence")
 	}
 }
@@ -322,7 +376,7 @@ func TestTwoHostsMatchLiveAndDES(t *testing.T) {
 		if v := host.Violations(); len(v) != 0 {
 			t.Fatalf("host %d violations: %v", h, v)
 		}
-		if !host.AllIdle() {
+		if !host.Idle() {
 			t.Fatalf("host %d holds locks or open transactions after quiescence", h)
 		}
 	}
@@ -391,6 +445,154 @@ func TestLiveClusterHier(t *testing.T) {
 	}
 }
 
+// TestHierNodesMatchDES runs rtds-hier as rtds-node deploys it: one
+// core.Node per site, each on its own loopback TCP transport, membership
+// armed as the binary arms it. Every site must finish the bootstrap with
+// the DES's routes, and the nodes must decide like the DES a workload whose
+// jobs never contend: regions share no site, and within a region the jobs
+// are spaced out. Each node's links to neighbours in other regions point at
+// a listener that must never be dialed — a link is dialed only to write, so
+// nothing crossed a region border on the wire.
+func TestHierNodesMatchDES(t *testing.T) {
+	topo := core.HierTopo(16, 3)
+	cfg := core.DefaultConfig()
+	cfg.Hier = true
+	cfg.EnrollSlack = 8
+	cfg.ReleasePadFactor = 30
+	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25}
+	desCfg := cfg
+	desCfg.Membership.Horizon = 400
+	des := core.MustCluster(t, topo, desCfg)
+	lay := des.Layout()
+	if lay.Regions < 3 {
+		t.Fatalf("%d regions, want at least 3", lay.Regions)
+	}
+
+	trap, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trap.Close()
+	var dialed atomic.Int64
+	go func() {
+		for {
+			c, err := trap.Accept()
+			if err != nil {
+				return
+			}
+			dialed.Add(1)
+			c.Close()
+		}
+	}()
+	nodes, _ := startNodes(t, topo, cfg, 5*time.Millisecond, func(self, peer graph.NodeID, addr string) string {
+		if lay.SameRegion(self, peer) {
+			return addr
+		}
+		return trap.Addr().String()
+	})
+	want := des.SiteRouteDigests()
+	for id, n := range nodes {
+		if got := n.SiteRouteDigests()[graph.NodeID(id)]; got != want[graph.NodeID(id)] {
+			t.Fatalf("node %d route digest %016x, DES %016x", id, got, want[graph.NodeID(id)])
+		}
+	}
+
+	// In every region, from a site whose sphere holds at least two members:
+	// a job it keeps, one that must distribute (serial 80 > deadline 70) and
+	// one nobody can meet, each done before the next arrives.
+	type submission struct {
+		at, dur, dl float64
+		par         int
+	}
+	jobs := []submission{{0, 5, 50, 1}, {20, 40, 70, 2}, {120, 10, 3, 2}}
+	var origins []graph.NodeID
+	for _, members := range lay.Members {
+		for _, id := range members {
+			if len(des.SiteSphere(id)) >= 2 {
+				origins = append(origins, id)
+				break
+			}
+		}
+	}
+	if len(origins) < 3 {
+		t.Fatalf("%d regions hold a site with a sphere of two, want at least 3", len(origins))
+	}
+	wantOutcomes := make(map[graph.NodeID][]core.Outcome)
+	var desJobs []*core.Job
+	for _, origin := range origins {
+		for _, j := range jobs {
+			dj, err := des.Submit(j.at, origin, core.ParJob(t, j.par, j.dur), j.dl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			desJobs = append(desJobs, dj)
+			if _, err := nodes[origin].Submit(j.at, core.ParJob(t, j.par, j.dur), j.dl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	core.RunAll(t, des)
+	for _, j := range desJobs {
+		wantOutcomes[j.Origin] = append(wantOutcomes[j.Origin], j.Outcome)
+	}
+	for origin, got := range wantOutcomes {
+		if !reflect.DeepEqual(got, []core.Outcome{core.AcceptedLocal, core.AcceptedDistributed, core.Rejected}) {
+			t.Fatalf("DES decisions at origin %d: %v", origin, got)
+		}
+	}
+
+	deadline := time.Now().Add(60 * time.Second)
+	for _, origin := range origins {
+		n := nodes[origin]
+		for n.Summarize().Undecided > 0 || !n.Idle() {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d left jobs undecided or transactions open", origin)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		var got []core.Outcome
+		for _, st := range n.JobStatuses() {
+			got = append(got, st.Outcome)
+		}
+		if !reflect.DeepEqual(got, wantOutcomes[origin]) {
+			t.Errorf("node %d decided %v, DES %v", origin, got, wantOutcomes[origin])
+		}
+	}
+	for id, n := range nodes {
+		if v := n.Violations(); len(v) != 0 {
+			t.Errorf("node %d violations: %v", id, v)
+		}
+		if x := n.Summarize().CrossRegionMessages; x != 0 {
+			t.Errorf("node %d sent %d messages across a region border", id, x)
+		}
+	}
+	if d := dialed.Load(); d != 0 {
+		t.Fatalf("a link to another region was dialed %d times", d)
+	}
+}
+
+// TestLiveRunIsAnError: Run and RunUntil drive virtual time, which a
+// wall-clock host does not have; there they report it instead of
+// dereferencing a missing kernel.
+func TestLiveRunIsAnError(t *testing.T) {
+	live, err := newLiveCluster(core.FastLine(2), core.DefaultConfig(), 100*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	for name, run := range map[string]func() error{
+		"Run":      live.Run,
+		"RunUntil": func() error { return live.RunUntil(10) },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "wall-clock") {
+			t.Errorf("%s on a live cluster: %v, want an error naming the wall-clock transport", name, err)
+		}
+	}
+	if n := live.EventsProcessed(); n != 0 {
+		t.Errorf("EventsProcessed on a live cluster = %d, want 0", n)
+	}
+}
+
 func TestLiveClusterBootstrap(t *testing.T) {
 	topo := core.FastLine(4)
 	live, err := newLiveCluster(topo, core.DefaultConfig(), 100*time.Microsecond)
@@ -446,7 +648,7 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 	if !live.Wait(60 * time.Second) {
 		t.Fatal("live cluster did not quiesce under faults: wedged lock or timer")
 	}
-	if !live.AllIdle() {
+	if !live.Idle() {
 		t.Fatal("sites hold locks or open transactions after quiescence")
 	}
 	rejected := make(map[string]bool)
@@ -458,11 +660,9 @@ func TestLiveClusterUnderLossAndJitter(t *testing.T) {
 			rejected[j.ID] = true
 		}
 	}
-	for site, jobIDs := range live.ReservationJobIDs() {
-		for _, id := range jobIDs {
-			if rejected[id] {
-				t.Errorf("site %d retains reservations of rejected job %s", site, id)
-			}
+	for _, id := range live.ReservationJobIDs() {
+		if rejected[id] {
+			t.Errorf("a site retains reservations of rejected job %s", id)
 		}
 	}
 }
@@ -478,39 +678,7 @@ func TestCountersReadWhileRunning(t *testing.T) {
 	topo := graph.Line(3, graph.UnitDelay, 1)
 	cfg := core.DefaultConfig()
 	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25, SuspectAfter: 100}
-	trs := make([]*wire.NetTransport, topo.Len())
-	addrs := make(map[graph.NodeID]string)
-	for id := range trs {
-		tr, err := wire.Listen(wire.NetConfig{Self: graph.NodeID(id), Topo: topo, Listen: "127.0.0.1:0", Scale: 100 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		trs[id], addrs[graph.NodeID(id)] = tr, tr.Addr()
-	}
-	nodes := make([]*core.Node, len(trs))
-	for id, tr := range trs {
-		tr.SetPeers(addrs)
-		n, err := core.NewNode(topo, cfg, tr, graph.NodeID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = n
-	}
-	for _, tr := range trs {
-		tr.Start()
-	}
-	for _, n := range nodes {
-		n.StartBootstrap()
-	}
-	for id, n := range nodes {
-		if !n.WaitReady(30 * time.Second) {
-			t.Fatalf("node %d never finished the bootstrap", id)
-		}
-	}
-	for _, n := range nodes {
-		n.Seal()
-	}
+	nodes, trs := startNodes(t, topo, cfg, 100*time.Microsecond, nil)
 	node := nodes[0]
 	api := nodeapi.New(node)
 	api.SetReady()

@@ -69,7 +69,7 @@ func TestCrashRejoinResurrects(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("cluster not idle after drain")
 	}
 	if job.Outcome != AcceptedDistributed {
@@ -133,7 +133,7 @@ func TestRepairDefersEnrollment(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.AllIdle() {
+	if !c.Idle() {
 		t.Fatal("cluster not idle after drain")
 	}
 	if job.Outcome == Pending {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core/membership"
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/simnet"
@@ -16,14 +15,20 @@ import (
 // an injected transport — the unit of the multi-process deployment
 // (cmd/rtds-node). Every other site is a peer in another host, reachable
 // only through the transport; the site learns remotely-initiated work from
-// the protocol messages, as every site on every runtime does.
+// the protocol messages, as every site on every runtime does. Under
+// Config.Hier the site bootstraps, heartbeats and routes over its
+// intra-region links only, and every process derives the same regions from
+// the shared topology.
 //
-// Lifecycle: NewNode (attach to the transport) → transport start →
-// StartBootstrap → WaitReady → Seal → Submit/serve until shutdown. The
-// transport is owned by the caller and must outlive the node. Probes (Ready,
-// Idle, Membership, ReservationJobIDs) run in the site's execution context
-// and report their zero value within probeTimeout when the transport is
-// closed or unresponsive.
+// A Node is its Cluster: probes, records and counters are the embedded
+// Cluster's (Idle, ReservationJobIDs, MembershipSnapshots, JobStatuses,
+// Summarize, ...), each answering for the one local site. Node adds what a
+// one-site host with a caller-driven lifecycle needs: NewNode (attach to the
+// transport) → transport start → StartBootstrap or StartJoin → WaitReady →
+// Seal → Submit/serve until shutdown. The transport is owned by the caller
+// and must outlive the node. Probes run in the site's execution context and
+// report their zero value within probeTimeout when the transport is closed
+// or unresponsive.
 //
 // A share of a job's execution leaves the site when its last task here
 // completes, and a job's origin entry when the job is rejected or Done.
@@ -34,7 +39,7 @@ import (
 // and the plan's reservations, past ones included. A node is therefore sized
 // for bounded load campaigns, not unbounded daemon uptime.
 type Node struct {
-	c    *Cluster
+	*Cluster
 	site *Site
 }
 
@@ -45,10 +50,6 @@ func NewNode(topo *graph.Graph, cfg Config, tr simnet.Transport, self graph.Node
 	if err := cfg.validate(topo); err != nil {
 		return nil, err
 	}
-	if cfg.Hier {
-		return nil, fmt.Errorf("core: hierarchical routing is not offered on a one-site node yet: " +
-			"no test holds a deployment's region tables and decisions to the simulator's")
-	}
 	if int(self) < 0 || int(self) >= topo.Len() {
 		return nil, fmt.Errorf("core: node id %d out of range [0,%d)", self, topo.Len())
 	}
@@ -56,7 +57,7 @@ func NewNode(topo *graph.Graph, cfg Config, tr simnet.Transport, self graph.Node
 	if err != nil {
 		return nil, err
 	}
-	return &Node{c: c, site: c.sites[self]}, nil
+	return &Node{Cluster: c, site: c.sites[self]}, nil
 }
 
 // Self reports the site this node runs.
@@ -66,7 +67,7 @@ func (n *Node) Self() graph.NodeID { return n.site.id }
 // context. Call after the transport has been started; peers each run their
 // own bootstrap, and the rounds complete once the neighbors' table messages
 // have been exchanged.
-func (n *Node) StartBootstrap() { n.c.startBootstrap() }
+func (n *Node) StartBootstrap() { n.startBootstrap() }
 
 // StartJoin enters a RUNNING cluster instead of bootstrapping with it: the
 // membership layer's JoinReq/JoinAck handshake admits this site at a fresh
@@ -78,33 +79,22 @@ func (n *Node) StartJoin() error {
 	if n.site.member == nil {
 		return fmt.Errorf("core: join requires Config.Membership.Enabled")
 	}
-	n.c.tr.After(n.site.id, 0, n.site.member.StartJoin)
+	n.tr.After(n.site.id, 0, n.site.member.StartJoin)
 	return nil
 }
 
-// Membership probes the site's membership view. Returns the zero snapshot
-// when membership is disabled.
-func (n *Node) Membership() membership.Snapshot {
-	if snaps := n.c.MembershipSnapshots(); len(snaps) > 0 {
-		return snaps[0]
-	}
-	return membership.Snapshot{}
-}
-
-// Ready probes whether the PCS bootstrap has completed at this node.
-func (n *Node) Ready() bool { return n.c.ready() }
-
-// WaitReady polls Ready until the bootstrap completes or the timeout
-// elapses, reporting success.
+// WaitReady polls until the site has adopted its routing table (the
+// bootstrap's last round, or the join handshake, has completed) or the
+// timeout elapses, reporting success.
 func (n *Node) WaitReady(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		if n.Ready() {
+		if n.ready() {
 			return true
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return n.Ready()
+	return n.ready()
 }
 
 // Seal marks the end of the bootstrap phase: the epoch is fixed, the
@@ -112,27 +102,15 @@ func (n *Node) WaitReady(timeout time.Duration) bool {
 // zeroed, the configured fault plan is armed and the membership layer
 // starts heartbeating. Call once, after WaitReady — on the join path the
 // membership manager is already running and is left alone.
-func (n *Node) Seal() { n.c.seal() }
+func (n *Node) Seal() { n.seal() }
 
 // Submit injects a job arriving at this site `at` virtual time units after
 // the epoch (clamped to now when the wall clock has already passed it, like
 // the live cluster). The job's origin is always the node's own site: remote
 // origins belong to the remote nodes.
 func (n *Node) Submit(at float64, g *dag.Graph, relDeadline float64) (*Job, error) {
-	return n.c.Submit(at, n.site.id, g, relDeadline)
+	return n.Cluster.Submit(at, n.site.id, g, relDeadline)
 }
-
-// Idle probes whether the site has released its lock, drained its deferred
-// queue and closed its transactions.
-func (n *Node) Idle() bool { return n.c.AllIdle() }
-
-// ReservationJobIDs reports the distinct job IDs with committed
-// reservations in this site's plan (leak detection for the load harness).
-func (n *Node) ReservationJobIDs() []string { return n.c.ReservationJobIDs()[n.site.id] }
-
-// JobStatuses snapshots the locally-submitted jobs' decision state under
-// the cluster lock (safe while the protocol is still running).
-func (n *Node) JobStatuses() []JobStatus { return n.c.JobStatuses() }
 
 // DecidedSince reads this node's decisions after a cursor, an opaque log
 // position (one outside the log reads from the start: re-reading is
@@ -140,9 +118,9 @@ func (n *Node) JobStatuses() []JobStatus { return n.c.JobStatuses() }
 // order, the cursor to pass next, and a channel closed at the next decision.
 // A reader that keeps its cursor pays for what was logged since, not more.
 func (n *Node) DecidedSince(cursor, limit int) (tail []JobStatus, next int, wake <-chan struct{}) {
-	n.c.mu.Lock()
-	defer n.c.mu.Unlock()
-	log := n.c.log
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	log := n.log
 	if cursor < 0 || cursor > len(log) {
 		cursor = 0
 	}
@@ -152,21 +130,8 @@ func (n *Node) DecidedSince(cursor, limit int) (tail []JobStatus, next int, wake
 			tail = append(tail, statusOf(log[next].job))
 		}
 	}
-	if n.c.decideWake == nil {
-		n.c.decideWake = make(chan struct{})
+	if n.decideWake == nil {
+		n.decideWake = make(chan struct{})
 	}
-	return tail, next, n.c.decideWake
+	return tail, next, n.decideWake
 }
-
-// Summarize reads the site's tally and this node's share of the traffic
-// counters. Safe while the node runs.
-func (n *Node) Summarize() Summary { return n.c.Summarize() }
-
-// Stats exposes the post-Seal communication counters of this node.
-func (n *Node) Stats() *simnet.Stats { return n.c.Stats() }
-
-// BootstrapCost reports this node's share of the PCS construction traffic.
-func (n *Node) BootstrapCost() (messages, bytes int64) { return n.c.BootstrapCost() }
-
-// Violations lists causality violations detected at this node.
-func (n *Node) Violations() []string { return n.c.Violations() }

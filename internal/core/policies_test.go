@@ -40,8 +40,8 @@ func TestDefaultPoliciesBitExact(t *testing.T) {
 	cfg.Policies = policy.Set{
 		Sphere:     policy.FullSphere{},
 		Acceptance: policy.EDF{},
-		Dispatch:   policy.UniformDispatch{},
-		Mapper:     policy.HeuristicMapper{H: mapper.HeuristicCPEFT},
+		Dispatch:   mapper.LaxityUniform,
+		Mapper:     mapper.HeuristicCPEFT,
 	}
 	explicit := policyWorkload(t, cfg)
 	if fmt.Sprintf("%v", implicit) != fmt.Sprintf("%v", explicit) {

@@ -1,19 +1,20 @@
 // Package policy defines the pluggable decision points of the RTDS
 // protocol core. The paper fixes one choice per axis (enroll the whole
 // sphere, accept on a plain EDF insertion test, scatter laxity uniformly,
-// map with CP-EFT); this package names each axis as an interface so
-// alternatives — communication-aware placement, admission thresholds,
-// bounded enrollment redundancy — can be swept without editing the
-// protocol state machine.
+// map with CP-EFT); this package names each axis so alternatives —
+// communication-aware placement, admission thresholds, bounded enrollment
+// redundancy — can be swept without editing the protocol state machine.
 //
 // Four axes are defined:
 //
 //   - Sphere: which sphere members an initiator enrolls (fan-out and
-//     redundancy of the ACS construction, §8);
-//   - Acceptance: the local guarantee test run before distribution (§5);
+//     redundancy of the ACS construction, §8), an interface;
+//   - Acceptance: the local guarantee test run before distribution (§5),
+//     an interface;
 //   - Dispatch: how case-(iii) laxity is scattered over the trial mapping
-//     (§12.2 and the §13 generalization);
-//   - Mapper: the list-scheduling heuristic of the trial mapping (§9).
+//     (§12.2 and the §13 generalization), a mapper.LaxityMode;
+//   - Mapper: the list-scheduling heuristic of the trial mapping (§9), a
+//     mapper.Heuristic.
 //
 // The zero Set resolves to the paper's defaults, and the defaults are
 // bit-exact with the historical hard-wired behavior: a cluster built with
@@ -30,14 +31,14 @@ import (
 	"repro/internal/schedule"
 )
 
-// Set bundles one concrete choice per policy axis. Nil fields select the
-// paper defaults (FullSphere, EDF, UniformDispatch, CP-EFT HeuristicMapper);
+// Set bundles one concrete choice per policy axis. Zero fields select the
+// paper defaults (FullSphere, EDF, mapper.LaxityUniform, mapper.HeuristicCPEFT);
 // it is the only place a cluster's choice on any of the four axes is written.
 type Set struct {
 	Sphere     Sphere
 	Acceptance Acceptance
-	Dispatch   Dispatch
-	Mapper     Mapper
+	Dispatch   mapper.LaxityMode
+	Mapper     mapper.Heuristic
 }
 
 // ---------------------------------------------------------------------------
@@ -206,46 +207,3 @@ func (p LaxityThreshold) LocalTest(plan schedule.Plan, now float64, jobID string
 	}
 	return sess.Ticket(), true
 }
-
-// ---------------------------------------------------------------------------
-// Dispatch: case-(iii) laxity scattering (§12.2, §13)
-
-// Dispatch selects how the extra laxity of adjustment case (iii) is
-// scattered over the trial mapping's task windows.
-type Dispatch interface {
-	LaxityMode() mapper.LaxityMode
-}
-
-// UniformDispatch is §12.2's constant ℓ = (d − r − M*)/η.
-type UniformDispatch struct{}
-
-// LaxityMode implements Dispatch.
-func (UniformDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityUniform }
-
-// WeightedDispatch is the §13 busyness-weighted generalization: tasks on
-// busy processors receive proportionally more laxity.
-type WeightedDispatch struct{}
-
-// LaxityMode implements Dispatch.
-func (WeightedDispatch) LaxityMode() mapper.LaxityMode { return mapper.LaxityBusynessWeighted }
-
-// ---------------------------------------------------------------------------
-// Mapper: the trial-mapping heuristic (§9)
-
-// Mapper wraps the internal/mapper heuristic choice: §9 notes "almost any
-// heuristic can be adapted to our purpose", and this axis is where an
-// alternative plugs in.
-type Mapper interface {
-	Name() string
-	Heuristic() mapper.Heuristic
-}
-
-// HeuristicMapper selects a fixed internal/mapper heuristic; the zero value
-// is the paper's CP-EFT.
-type HeuristicMapper struct{ H mapper.Heuristic }
-
-// Name implements Mapper.
-func (m HeuristicMapper) Name() string { return m.H.String() }
-
-// Heuristic implements Mapper.
-func (m HeuristicMapper) Heuristic() mapper.Heuristic { return m.H }

@@ -118,19 +118,14 @@ func TestLaxityThresholdRejectsTightFits(t *testing.T) {
 	}
 }
 
-// The defaults core.Config falls back to must hand mapper.Build the paper's
-// enums: the zero HeuristicMapper is CP-EFT, UniformDispatch is §12.2.
+// The zero Set hands mapper.Build the paper's enums: CP-EFT and §12.2's
+// uniform laxity.
 func TestDispatchAndMapperCarryTheirEnums(t *testing.T) {
-	if (UniformDispatch{}).LaxityMode() != mapper.LaxityUniform {
-		t.Fatal("uniform dispatch changed the mode")
+	var zero Set
+	if zero.Dispatch != mapper.LaxityUniform {
+		t.Fatalf("zero dispatch is %v, not uniform", zero.Dispatch)
 	}
-	if (WeightedDispatch{}).LaxityMode() != mapper.LaxityBusynessWeighted {
-		t.Fatal("weighted dispatch changed the mode")
-	}
-	if (HeuristicMapper{H: mapper.HeuristicMinMin}).Heuristic() != mapper.HeuristicMinMin {
-		t.Fatal("heuristic mapper changed the heuristic")
-	}
-	if (HeuristicMapper{}).Heuristic() != mapper.HeuristicCPEFT || (HeuristicMapper{}).Name() != "cp-eft" {
-		t.Fatalf("zero mapper is %q, not cp-eft", (HeuristicMapper{}).Name())
+	if zero.Mapper != mapper.HeuristicCPEFT || zero.Mapper.String() != "cp-eft" {
+		t.Fatalf("zero mapper is %q, not cp-eft", zero.Mapper)
 	}
 }

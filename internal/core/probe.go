@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core/membership"
-	"repro/internal/graph"
+	"repro/internal/schedule"
 )
 
 // probeTimeout bounds every execution-context probe on wall-clock runtimes:
@@ -57,10 +57,10 @@ func probeAll(c *Cluster, pred func(*Site) bool) bool {
 	return len(answers) == len(c.local)
 }
 
-// AllIdle reports whether every local site has released its lock, drained
+// Idle reports whether every local site has released its lock, drained
 // its deferred queue and closed its transactions — the expected state once
 // the network has quiesced. False on a closed or unresponsive transport.
-func (c *Cluster) AllIdle() bool { return probeAll(c, (*Site).idle) }
+func (c *Cluster) Idle() bool { return probeAll(c, (*Site).idle) }
 
 // ready reports whether the routing bootstrap has completed at every local
 // site. False when the transport is closed or unresponsive.
@@ -77,29 +77,19 @@ func (c *Cluster) MembershipSnapshots() []membership.Snapshot {
 	return probe(c, func(s *Site) membership.Snapshot { return s.member.Snapshot() })
 }
 
-// ReservationJobIDs reports, per local site, the distinct job IDs with
-// committed reservations in that site's plan (leak detection: none may be
-// of a rejected job). Sites with none, or that did not answer, are absent.
-func (c *Cluster) ReservationJobIDs() map[graph.NodeID][]string {
-	type held struct {
-		site graph.NodeID
-		jobs []string
-	}
-	out := make(map[graph.NodeID][]string)
-	for _, h := range probe(c, func(s *Site) held {
-		seen := make(map[string]bool)
-		var jobs []string
-		for _, r := range s.plan.Reservations() {
+// ReservationJobIDs reports the distinct job IDs with committed
+// reservations in the local sites' plans (leak detection: none may be of a
+// rejected job), each once. Sites that did not answer are left out.
+func (c *Cluster) ReservationJobIDs() []string {
+	seen := make(map[string]bool)
+	var jobs []string
+	for _, held := range probe(c, func(s *Site) []schedule.Reservation { return s.plan.Reservations() }) {
+		for _, r := range held {
 			if !seen[r.Job] {
 				seen[r.Job] = true
 				jobs = append(jobs, r.Job)
 			}
 		}
-		return held{s.id, jobs}
-	}) {
-		if len(h.jobs) > 0 {
-			out[h.site] = h.jobs
-		}
 	}
-	return out
+	return jobs
 }

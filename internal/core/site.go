@@ -35,10 +35,8 @@ type Site struct {
 
 	// Policy layer (see internal/core/policy); resolved once from the
 	// cluster config, defaults replay the paper's hard-wired behavior.
-	spherePol   policy.Sphere
-	acceptPol   policy.Acceptance
-	dispatchPol policy.Dispatch
-	mapperPol   policy.Mapper
+	spherePol policy.Sphere
+	acceptPol policy.Acceptance
 
 	// Membership layer: heartbeats, suspicion, epoch-tagged route repair
 	// and the join handshake. Nil when the cluster runs the faultless
@@ -129,8 +127,6 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 		power:         c.cfg.power(int(id)),
 		spherePol:     c.cfg.spherePolicy(),
 		acceptPol:     c.cfg.acceptancePolicy(),
-		dispatchPol:   c.cfg.dispatchPolicy(),
-		mapperPol:     c.cfg.mapperPolicy(),
 		lockedBy:      noLock,
 		memberTickets: make(map[string][]*schedule.Ticket),
 		txns:          make(map[string]*activeTxn),

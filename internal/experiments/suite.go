@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/core/policy"
 	"repro/internal/dag"
 	"repro/internal/daggen"
 	"repro/internal/graph"
@@ -434,7 +433,7 @@ func e8Row(env *runEnv, size Size, seed int64, point int) ([][]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Policies.Mapper = policy.HeuristicMapper{H: h} }), arrivals)
+	sum, err := env.run("rtds", topo, tuned(func(c *core.Config) { c.Policies.Mapper = h }), arrivals)
 	if err != nil {
 		return nil, err
 	}

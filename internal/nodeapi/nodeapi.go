@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/membership"
 	"repro/internal/dag"
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -220,7 +221,11 @@ func (s *Server) handleIdle(w http.ResponseWriter, r *http.Request) {
 // disabled the zero snapshot (started=false, no sites) is returned, so
 // dashboards can tell "off" from "alone".
 func (s *Server) handleMembership(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.node.Membership())
+	var view membership.Snapshot
+	if snaps := s.node.MembershipSnapshots(); len(snaps) > 0 {
+		view = snaps[0] // a node runs one site
+	}
+	writeJSON(w, view)
 }
 
 // ParseAddrs parses a deployment address list of the form

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/policy"
 	"repro/internal/graph"
+	"repro/internal/mapper"
 )
 
 // CoreConfigurer is implemented by schemes built on the RTDS protocol core.
@@ -35,6 +36,18 @@ func CoreConfig(name string, topo *graph.Graph) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("scheme: %q is not built on the RTDS core and cannot run as a node", name)
 	}
 	return cc.CoreConfig(topo), nil
+}
+
+// Deployable lists, in sorted order, the schemes CoreConfig accepts: the
+// ones a node can run.
+func Deployable() []string {
+	var names []string
+	for _, name := range Names() {
+		if _, ok := registry[name].(CoreConfigurer); ok {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // ParsePolicies parses a policy specification of the form
@@ -90,9 +103,9 @@ func ParsePolicies(spec string) (policy.Set, error) {
 		case "dispatch":
 			switch value {
 			case "uniform":
-				set.Dispatch = policy.UniformDispatch{}
+				set.Dispatch = mapper.LaxityUniform
 			case "weighted":
-				set.Dispatch = policy.WeightedDispatch{}
+				set.Dispatch = mapper.LaxityBusynessWeighted
 			default:
 				return set, fmt.Errorf("scheme: unknown dispatch policy %q (uniform, weighted)", value)
 			}

@@ -1,10 +1,12 @@
 package scheme
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core/policy"
 	"repro/internal/graph"
+	"repro/internal/mapper"
 )
 
 func TestCoreConfigExposesSchemeBases(t *testing.T) {
@@ -41,6 +43,21 @@ func TestCoreConfigExposesSchemeBases(t *testing.T) {
 	}
 }
 
+// TestDeployableIsWhatCoreConfigAccepts: rtds-node's -scheme usage lists
+// Deployable, so it must name every scheme CoreConfig accepts and no other.
+func TestDeployableIsWhatCoreConfigAccepts(t *testing.T) {
+	topo := graph.RandomConnected(12, 3, graph.DelayRange{Min: 0.05, Max: 0.3}, 1)
+	var accepted []string
+	for _, name := range Names() {
+		if _, err := CoreConfig(name, topo); err == nil {
+			accepted = append(accepted, name)
+		}
+	}
+	if got := Deployable(); !slices.Equal(got, accepted) || !slices.Equal(got, []string{"broadcast", "local", "rtds", "rtds-hier"}) {
+		t.Fatalf("Deployable() = %v, CoreConfig accepts %v", got, accepted)
+	}
+}
+
 func TestParsePolicies(t *testing.T) {
 	set, err := ParsePolicies("")
 	if err != nil || set != (policy.Set{}) {
@@ -56,8 +73,8 @@ func TestParsePolicies(t *testing.T) {
 	if lt, ok := set.Acceptance.(policy.LaxityThreshold); !ok || lt.Theta != 0.25 {
 		t.Fatalf("accept=%#v, want LaxityThreshold{0.25}", set.Acceptance)
 	}
-	if _, ok := set.Dispatch.(policy.WeightedDispatch); !ok {
-		t.Fatalf("dispatch=%#v, want WeightedDispatch", set.Dispatch)
+	if set.Dispatch != mapper.LaxityBusynessWeighted {
+		t.Fatalf("dispatch=%v, want busyness-weighted", set.Dispatch)
 	}
 	set, err = ParsePolicies("sphere=full,accept=edf,dispatch=uniform")
 	if err != nil {

@@ -40,7 +40,7 @@ func init() {
 	})
 	Register(coreScheme{
 		name: "rtds-hier",
-		desc: "hierarchical variant: √n regions, exact intra-region tables, region-local commit spheres",
+		desc: "hierarchical variant: √n regions, exact intra-region tables, region-local commit spheres (simulated, live, or one rtds-node per site over TCP)",
 		base: func(*graph.Graph) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Hier = true

@@ -48,9 +48,11 @@ func distJob(t *testing.T, width int, dur float64) *dag.Graph {
 func membershipSees(n *core.Node, site graph.NodeID, dead bool, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		for _, st := range n.Membership().Sites {
-			if st.Site == site && st.Dead == dead {
-				return true
+		for _, snap := range n.MembershipSnapshots() {
+			for _, st := range snap.Sites {
+				if st.Site == site && st.Dead == dead {
+					return true
+				}
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -156,9 +158,8 @@ func TestNetClusterChurnJoin(t *testing.T) {
 			t.Fatalf("node %d never resurrected the joiner", n.Self())
 		}
 	}
-	snap := joiner.Membership()
-	if snap.Inc == 0 {
-		t.Fatal("joiner kept incarnation 0 — admission did not mint a fresh one")
+	if snaps := joiner.MembershipSnapshots(); len(snaps) != 1 || snaps[0].Inc == 0 {
+		t.Fatalf("joiner's membership view %+v: want incarnation > 0 — admission mints a fresh one", snaps)
 	}
 
 	// Phase 4: the joiner serves — as an enrolled member of a neighbor's

@@ -43,9 +43,10 @@ type (
 	// TaskID identifies a task within one job.
 	TaskID = dag.TaskID
 
-	// Heuristic names a mapper processor-selection rule; HeuristicMapper
-	// carries one into Config.Policies.
+	// Heuristic names a mapper processor-selection rule: PolicySet.Mapper.
 	Heuristic = mapper.Heuristic
+	// LaxityMode names how case-(iii) laxity is scattered: PolicySet.Dispatch.
+	LaxityMode = mapper.LaxityMode
 
 	// Workload describes a sporadic arrival process.
 	Workload = workload.Spec
@@ -85,13 +86,6 @@ type (
 	// LaxityThreshold requires Theta of the window as end-to-end laxity
 	// before accepting locally.
 	LaxityThreshold = policy.LaxityThreshold
-	// HeuristicMapper picks the trial-mapping heuristic (§9); the zero
-	// value is the paper's CP-EFT.
-	HeuristicMapper = policy.HeuristicMapper
-	// UniformDispatch scatters case-(iii) laxity evenly (§12.2, the default).
-	UniformDispatch = policy.UniformDispatch
-	// WeightedDispatch gives tasks on busy processors more laxity (§13).
-	WeightedDispatch = policy.WeightedDispatch
 )
 
 // Job outcomes.
@@ -102,12 +96,19 @@ const (
 	Rejected            = core.Rejected
 )
 
-// Mapper heuristics for HeuristicMapper.H (paper §12 instance first).
+// Mapper heuristics for PolicySet.Mapper (paper §12 instance first).
 const (
 	HeuristicCPEFT       = mapper.HeuristicCPEFT
 	HeuristicMinMin      = mapper.HeuristicMinMin
 	HeuristicBestSurplus = mapper.HeuristicBestSurplus
 	HeuristicRoundRobin  = mapper.HeuristicRoundRobin
+)
+
+// Laxity modes for PolicySet.Dispatch: §12.2's uniform scattering (the
+// default) and §13's busyness-weighted generalization.
+const (
+	LaxityUniform          = mapper.LaxityUniform
+	LaxityBusynessWeighted = mapper.LaxityBusynessWeighted
 )
 
 // DefaultConfig returns the configuration the experiments use.

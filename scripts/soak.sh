@@ -10,6 +10,11 @@
 #       -load 0.25 -tightness 8 -infeasible 0.3 # the acceptance run
 #   CHURN=1 scripts/soak.sh 8 0 -load 0.25 -tightness 4 -horizon 6000
 #                                               # the churn acceptance run
+#   SCHEME=rtds-hier scripts/soak.sh 9 150 -verify-live -min-agreement 1.0 \
+#       -load 0.25 -tightness 8 -infeasible 0.3 # region routing across processes
+#
+# SCHEME (default rtds) is passed as -scheme to every rtds-node and to
+# rtds-load, whose -verify-live replay runs the same scheme in process.
 #
 # The acceptance run uses a margin-robust workload (clearly feasible or
 # clearly infeasible deadlines): wall-clock runs cannot pin decisions whose
@@ -64,6 +69,7 @@ SITES="${1:-3}"; shift || true
 JOBS="${1:-120}"; shift || true
 
 TOPO="${TOPO:-random}"
+SCHEME="${SCHEME:-rtds}"
 SEED="${SEED:-1}"
 SCALE="${SCALE:-2ms}"
 PORT_BASE="${PORT_BASE:-7400}"
@@ -108,7 +114,7 @@ start_node() { # id, extra args...
   local id="$1"; shift
   "$bin/rtds-node" -id "$id" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
     -listen "127.0.0.1:$((PORT_BASE + id))" -peers "$peers" \
-    -http "127.0.0.1:$((HTTP_BASE + id))" -scale "$SCALE" "$@" &
+    -http "127.0.0.1:$((HTTP_BASE + id))" -scale "$SCALE" -scheme "$SCHEME" "$@" &
   pids+=($!)
 }
 
@@ -210,7 +216,7 @@ if [[ "$GATEWAY" == "1" ]]; then
 
   "$bin/rtds-load" -gateway "127.0.0.1:$GW_PORT" -tenants "$TENANTS" \
     -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
-    -jobs "$JOBS" -scale "$SCALE" -json "$OUT" "$@" &
+    -jobs "$JOBS" -scale "$SCALE" -scheme "$SCHEME" -json "$OUT" "$@" &
   load_pid=$!
   sleep "$KILL_AFTER"
   check_decision_return "before the kill"
@@ -242,7 +248,7 @@ if [[ "$GATEWAY" == "1" ]]; then
   echo "gateway soak OK: $SITES sites, tenants $TENANTS, gateway killed+restarted, zero acked submissions lost -> $OUT"
 elif [[ "$CHURN" == "1" ]]; then
   "$bin/rtds-load" -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
-    -jobs "$JOBS" -scale "$SCALE" -json "$OUT" \
+    -jobs "$JOBS" -scale "$SCALE" -scheme "$SCHEME" -json "$OUT" \
     -optional-sites "$VICTIM" -joiner "$VICTIM" "$@" &
   load_pid=$!
   sleep "$KILL_AFTER"
@@ -257,6 +263,6 @@ elif [[ "$CHURN" == "1" ]]; then
   echo "churn soak OK: $SITES sites, site $VICTIM killed and rejoined -> $OUT"
 else
   "$bin/rtds-load" -nodes "$nodes" -sites "$SITES" -topo "$TOPO" -seed "$SEED" \
-    -jobs "$JOBS" -scale "$SCALE" -json "$OUT" "$@"
+    -jobs "$JOBS" -scale "$SCALE" -scheme "$SCHEME" -json "$OUT" "$@"
   echo "soak OK: $SITES sites, $JOBS jobs -> $OUT"
 fi
