@@ -14,8 +14,7 @@
 // arriving job is first put to the local guarantee test; if the whole DAG
 // fits between the site's existing reservations it is accepted on the
 // spot. Otherwise the site becomes the initiator of a distributed
-// transaction that progresses through three named phases (the state
-// machine of internal/core/txn):
+// transaction that progresses through three phases:
 //
 //   - Enrolling — the sphere policy picks members of the precomputed
 //     Potential Computing Sphere to lock; their surplus reports form the
@@ -113,12 +112,7 @@
 //	if err := cluster.Run(); err != nil { ... }
 //	fmt.Println(rec.Outcome, cluster.Summarize())
 //
-// The package is a facade: the implementation lives in the internal
-// packages (internal/core for the protocol I/O, internal/core/txn for the
-// transaction state machine, internal/core/policy for the policy layer,
-// internal/scheme for the scheme registry, internal/mapper for the
-// trial-mapping construction, internal/routing for sphere construction,
-// internal/schedule for the local scheduler, and so on). See
-// docs/architecture.md for the full inventory and docs/operations.md for
-// deployment and soak runbooks.
+// The package is a facade over the internal packages. docs/architecture.md
+// is their map — the protocol core's layering included — and
+// docs/operations.md holds the deployment and soak runbooks.
 package rtds

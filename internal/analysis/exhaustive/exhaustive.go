@@ -1,12 +1,12 @@
 // Package exhaustive checks that switches over the repository's protocol
 // enums cover every constant.
 //
-// The wire codec, the transaction state machine, and the reject-stage
-// accounting all dispatch on small named-type constant sets (wire.Kind,
-// txn.Phase, core.RejectStage). When a new message kind or phase is added,
-// every switch that silently falls through becomes a protocol bug that no
-// test exercises until two differently-versioned binaries meet. This
-// analyzer turns that omission into a CI failure.
+// The wire codec and the reject-stage accounting dispatch on small
+// named-type constant sets (wire.Kind, core.RejectStage). When a new
+// message kind or stage is added, every switch that silently falls through
+// becomes a protocol bug that no test exercises until two
+// differently-versioned binaries meet. This analyzer turns that omission
+// into a CI failure.
 //
 // A switch is in scope when its tag has a named type with at least two
 // package-level constants of exactly that type declared in the type's

@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/routing"
 	"repro/internal/routing/hier"
-	"repro/internal/schedule"
 	"repro/internal/simnet"
 )
 
@@ -394,17 +393,6 @@ func (c *Cluster) BootstrapRounds() int {
 		return c.lay.MaxRounds()
 	}
 	return routing.RoundsForRadius(c.cfg.Radius)
-}
-
-// SiteSphere exposes a site's PCS (for tests and experiments).
-func (c *Cluster) SiteSphere(id graph.NodeID) []graph.NodeID {
-	s := c.sites[id]
-	return append([]graph.NodeID(nil), s.pcs...)
-}
-
-// SitePlanReservations exposes a site's committed reservations (for tests).
-func (c *Cluster) SitePlanReservations(id graph.NodeID) []schedule.Reservation {
-	return c.sites[id].plan.Reservations()
 }
 
 // TaskExecution describes one task's execution as its site's plan holds

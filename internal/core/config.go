@@ -91,10 +91,11 @@ type Config struct {
 	// with suspicion timeouts, flooded death/resurrection notices,
 	// epoch-tagged routing re-floods and the runtime join handshake. When
 	// not explicitly enabled but the fault plan injects crashes, the default
-	// detector is armed (flood budget from the radius, a horizon covering
-	// every planned crash) so failure detection always happens through the
-	// protocol. It is the only place failure-detection timing is written.
-	// Disabled clusters run the faultless paper model untouched.
+	// detector is armed (a horizon covering every planned crash) so failure
+	// detection always happens through the protocol. It is the only place
+	// failure-detection timing is written; the repair flood's budget is not
+	// a setting but derived from Radius (floodRounds). Disabled clusters
+	// run the faultless paper model untouched.
 	Membership membership.Config
 }
 
@@ -159,10 +160,9 @@ func (c Config) validate(topo *graph.Graph) error {
 // membershipConfig resolves the effective membership configuration: the
 // explicit Config.Membership when enabled, otherwise a configuration
 // derived from a crash-injecting fault plan — the default heartbeat and
-// suspicion timing, the flood budget from the sphere radius (the repair
-// re-flood obeys the same interruption bound as the bootstrap), and a
-// horizon that covers detecting every planned crash and recovery, so
-// discrete-event runs drain once the last repair settles.
+// suspicion timing, and a horizon that covers detecting every planned
+// crash and recovery, so discrete-event runs drain once the last repair
+// settles.
 func (c Config) membershipConfig() membership.Config {
 	m := c.Membership
 	if !m.Enabled {
@@ -170,11 +170,6 @@ func (c Config) membershipConfig() membership.Config {
 			return membership.Config{}
 		}
 		m = membership.Config{Enabled: true}
-	}
-	if m.FloodRounds == 0 {
-		if r := routing.RoundsForRadius(c.Radius); r > 0 {
-			m.FloodRounds = r
-		}
 	}
 	if m.Horizon == 0 && c.Faults != nil && len(c.Faults.Crashes) > 0 {
 		// Heartbeats must outlive the last planned crash (or recovery) long
@@ -193,6 +188,16 @@ func (c Config) membershipConfig() membership.Config {
 		m.Horizon = last + timing.SuspectAfter + 10*timing.HeartbeatEvery
 	}
 	return m
+}
+
+// floodRounds is the membership repair flood's per-epoch budget: the flat
+// bootstrap's round count for the radius, or 5 where the radius needs no
+// round. Under Hier it stays the flat count, not a region's.
+func (c Config) floodRounds() int {
+	if r := routing.RoundsForRadius(c.Radius); r > 0 {
+		return r
+	}
+	return 5
 }
 
 func (c Config) power(site int) float64 {

@@ -8,21 +8,7 @@
 // along their routing tables' next hops, so communication cost is accounted
 // per link traversal exactly as the paper argues.
 //
-// The package is layered:
-//
-//   - internal/core/txn holds the initiator-side transaction state machine —
-//     enroll → validate → commit as named phases with guarded transitions,
-//     the phase timers and the abort retransmission state;
-//   - internal/core/policy names the protocol's decision points (enrollment
-//     fan-out, local acceptance, laxity dispatching, mapper heuristic) as
-//     interfaces, resolved from Config.Policies with paper defaults;
-//   - internal/core/membership owns liveness: per-site heartbeats with
-//     suspicion timeouts, incarnation-guarded death/resurrection notices,
-//     epoch-tagged routing re-floods that repair tables after churn, and
-//     the runtime join handshake — armed via Config.Membership (or
-//     automatically by a crash-injecting fault plan);
-//   - this package owns the I/O: transports, routing, locks, plans and the
-//     member-side handlers, split by role across site.go (transport entry,
-//     locking, arrival), initiator.go (txn driving), member.go (enrollment,
-//     endorsement, commit handling) and exec.go (distributed execution).
+// How this package divides the protocol with internal/core/txn, policy
+// and membership, and which file holds which role, is described once, in
+// docs/architecture.md ("The protocol core").
 package core

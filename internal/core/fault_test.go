@@ -72,11 +72,11 @@ func TestEnrollTimeoutTieRace(t *testing.T) {
 func TestSurplusOrderingBelowClampFloor(t *testing.T) {
 	c := mustCluster(t, fastLine(4), DefaultConfig())
 	s := c.sites[0]
-	tx := &activeTxn{Txn: txn.New("x", []graph.NodeID{1, 2, 3}), job: &Job{ID: "x", AbsDeadline: 100}}
-	tx.RecordEnrollment(1, txn.Enrollment{Surplus: 1e-5, Power: 1})
-	tx.RecordEnrollment(2, txn.Enrollment{Surplus: 8e-4, Power: 1})
-	tx.RecordEnrollment(3, txn.Enrollment{Surplus: 1e-6, Power: 1})
-	tx.FixACS()
+	tx := &activeTxn{job: &Job{ID: "x", AbsDeadline: 100}}
+	tx.Enroll.Open([]graph.NodeID{1, 2, 3}, nil)
+	tx.Enroll.Answer(1, txn.Enrollment{Surplus: 1e-5, Power: 1})
+	tx.Enroll.Answer(2, txn.Enrollment{Surplus: 8e-4, Power: 1})
+	tx.Enroll.Answer(3, txn.Enrollment{Surplus: 1e-6, Power: 1})
 	procs := s.acsProcs(tx)
 	var order []graph.NodeID
 	for _, p := range procs {

@@ -2,20 +2,20 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core/txn"
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/matching"
-	"repro/internal/simnet"
 )
 
 // This file is the initiator's half of the protocol: it drives one txn
-// state machine per distributed job through enroll → validate → commit,
-// translating each guarded transition into the sends, mapper invocations
-// and plan commits of §8–§11. Member-side handlers live in member.go,
-// execution in exec.go.
+// record per distributed job through enroll → validate → commit, opening
+// each phase's wait after its sends and moving on when the wait completes
+// or expires (§8–§11). Member-side handlers live in member.go, execution
+// in exec.go.
 
 // ---------------------------------------------------------------------------
 // Enrollment (§8)
@@ -27,40 +27,38 @@ func (s *Site) startTxn(job *Job) {
 	expected := s.enrollSet
 	s.cluster.record(Event{Site: s.id, job: job, Kind: EvEnroll, N: len(expected)})
 	s.lock(s.id, job.ID)
-	t := &activeTxn{Txn: txn.New(job.ID, expected), job: job}
+	t := &activeTxn{job: job}
 	s.txns[job.ID] = t
 	timeout := 2*s.enrollDiam + s.cluster.cfg.EnrollSlack
 	s.sendAll(expected, EnrollReq{Job: job.ID, Initiator: s.id, Window: timeout})
-	t.SetTimer(s.after(timeout, func() { s.enrollDone(t) }))
+	t.Enroll.Open(expected, s.after(timeout, func() {
+		if missing := t.Enroll.Expire(); missing != nil {
+			s.enrollDone(t, missing)
+		}
+	}))
 }
 
-// onEnrollAck collects members at the initiator. Acks for finished
-// transactions (stragglers that were deferred past the enrollment window)
-// get an immediate unlock so the member is not stranded.
+// onEnrollAck collects members at the initiator. An ack the enrollment
+// wait does not count — a straggler deferred past the window, or one for
+// a finished transaction — gets an immediate unlock so the member is not
+// stranded.
 func (s *Site) onEnrollAck(m EnrollAck) {
-	t, ok := s.txns[m.Job]
-	if !ok || t.Phase() != txn.Enrolling {
-		s.sendTo(m.Member, UnlockMsg{Job: m.Job, From: s.id})
-		return
+	if t, ok := s.txns[m.Job]; ok {
+		if counted, complete := t.Enroll.Answer(m.Member, txn.Enrollment{Surplus: m.Surplus, Power: m.Power, Dists: m.Dists}); counted {
+			if complete {
+				s.enrollDone(t, nil)
+			}
+			return
+		}
 	}
-	if t.RecordEnrollment(m.Member, txn.Enrollment{Surplus: m.Surplus, Power: m.Power, Dists: m.Dists}) {
-		// Cancel before closing the window: if the expiry timer fires at
-		// the same instant as this ack (or has already been queued on the
-		// wall-clock transport), the nil-ed handle plus enrollDone's phase
-		// guard keep the window from being closed twice.
-		t.StopTimer()
-		s.enrollDone(t)
-	}
+	s.sendTo(m.Member, UnlockMsg{Job: m.Job, From: s.id})
 }
 
 // enrollDone closes the enrollment window: the ACS is fixed (§8) and the
-// mapper runs (§9, §12). It is reachable from both the final EnrollAck and
-// the expiry timer; the txn phase guard makes the second entry a no-op
-// whichever path wins the race.
-func (s *Site) enrollDone(t *activeTxn) {
-	if !t.CloseEnrollment() {
-		return
-	}
+// mapper runs (§9, §12). It is reached once, from whichever closed the
+// wait: the final EnrollAck, or the expiry timer with the members that
+// never answered.
+func (s *Site) enrollDone(t *activeTxn, missing []graph.NodeID) {
 	job := t.job
 
 	// On a resilient cluster an expected member may be locked for us while
@@ -69,11 +67,16 @@ func (s *Site) enrollDone(t *activeTxn) {
 	// clusters skip this — a missing ack there only means the member
 	// deferred, and the existing straggler path unlocks it when the late
 	// ack arrives.
-	if s.cluster.resilient() && t.Enrollments() < len(t.Expected) {
-		s.sendAll(t.MissingEnrollments(), UnlockMsg{Job: job.ID, From: s.id})
+	if s.cluster.resilient() {
+		s.sendAll(missing, UnlockMsg{Job: job.ID, From: s.id})
 	}
 
-	if t.Enrollments() == 0 {
+	for i, m := range t.Enroll.Members() {
+		if _, ok := t.Enroll.Got(i); ok {
+			t.ACS = append(t.ACS, m)
+		}
+	}
+	if len(t.ACS) == 0 {
 		// Nobody enrolled before the window closed (§8): reject without
 		// attempting an initiator-only mapping — the local test already
 		// failed, and the paper distributes or rejects.
@@ -82,8 +85,8 @@ func (s *Site) enrollDone(t *activeTxn) {
 		return
 	}
 
-	acs := t.FixACS()
-	s.cluster.record(Event{Site: s.id, job: job, Kind: EvACSFixed, N: len(acs) + 1}) // initiator included
+	slices.Sort(t.ACS)
+	s.cluster.record(Event{Site: s.id, job: job, Kind: EvACSFixed, N: len(t.ACS) + 1}) // initiator included
 
 	omega := s.acsDiameter(t)
 	t.Omega = omega
@@ -107,34 +110,24 @@ func (s *Site) enrollDone(t *activeTxn) {
 	for i := range windows {
 		windows[i] = tm.Tasks(job.Graph, i)
 	}
-	t.BeginValidation()
-	// Boxed once for the whole broadcast, like sendAll does.
-	var req simnet.Payload = ValidateReq{Job: job.ID, Initiator: s.id, NumProcs: tm.NumProcs(), Windows: windows}
-	for _, m := range acs {
-		t.ExpectEndorsement(m)
-		s.sendTo(m, req)
-	}
-	t.SetEndorsement(s.id, s.endorsable(job.ID, windows))
-	if t.Awaiting() == 0 {
-		s.finishValidation(t)
-		return
-	}
+	s.sendAll(t.ACS, ValidateReq{Job: job.ID, Initiator: s.id, NumProcs: tm.NumProcs(), Windows: windows})
+	t.Own = s.endorsable(job.ID, windows)
 	// Validation timeout, mirroring the enrollment window: the round trip
 	// inside the ACS is bounded by 2ω, so on a faultless cluster this timer
 	// is always cancelled; a lost ValidateReq or ack turns into a reject
 	// instead of a wedged initiator.
-	t.SetTimer(s.after(2*omega+s.cluster.cfg.EnrollSlack, func() { s.validateTimeout(t) }))
+	t.Validate.Open(t.ACS, s.after(2*omega+s.cluster.cfg.EnrollSlack, func() { s.validateTimeout(t) }))
 }
 
 // validateTimeout closes the validation phase when members went silent:
 // missing answers count as empty endorsements and the coupling runs on what
 // arrived, which typically rejects the job and unlocks everyone.
 func (s *Site) validateTimeout(t *activeTxn) {
-	missing, fired := t.TimeoutValidation()
-	if !fired {
+	missing := t.Validate.Expire()
+	if missing == nil {
 		return
 	}
-	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageValidateTimeout, N: missing})
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageValidateTimeout, N: len(missing)})
 	s.finishValidation(t)
 }
 
@@ -145,21 +138,20 @@ func (s *Site) validateTimeout(t *activeTxn) {
 // whole sphere's diameter. Under hier routing it stays exact because an ACS
 // never leaves the initiator's region, where every table is exact.
 func (s *Site) acsDiameter(t *activeTxn) float64 {
-	members := append([]graph.NodeID{s.id}, t.ACS...)
-	inACS := make(map[graph.NodeID]bool, len(members))
-	for _, m := range members {
-		inACS[m] = true
-	}
 	var omega float64
 	consider := func(d float64) {
 		if !math.IsInf(d, 1) && d > omega {
 			omega = d
 		}
 	}
-	for _, m := range t.ACS {
+	for i, m := range t.Enroll.Members() {
+		a, ok := t.Enroll.Got(i)
+		if !ok {
+			continue
+		}
 		consider(s.table.Dist(m))
-		for _, e := range t.Enrollment(m).Dists {
-			if inACS[e.Dest] {
+		for _, e := range a.Dists {
+			if _, in := slices.BinarySearch(t.ACS, e.Dest); in || e.Dest == s.id {
 				consider(e.Dist)
 			}
 		}
@@ -192,8 +184,11 @@ func (s *Site) acsProcs(t *activeTxn) []mapper.ProcInfo {
 		info: mapper.ProcInfo{Site: s.id, Surplus: clampSurplus(selfRaw), Power: s.power},
 		raw:  selfRaw,
 	})
-	for _, m := range t.ACS {
-		a := t.Enrollment(m)
+	for i, m := range t.Enroll.Members() {
+		a, ok := t.Enroll.Got(i)
+		if !ok {
+			continue
+		}
 		ranked = append(ranked, rankedProc{
 			info: mapper.ProcInfo{Site: m, Surplus: clampSurplus(a.Surplus), Power: a.Power},
 			raw:  a.Surplus,
@@ -231,17 +226,10 @@ func clampSurplus(v float64) float64 {
 // onValidateAck collects endorsements at the initiator; when all ACS members
 // have answered it computes the maximum coupling (§10).
 func (s *Site) onValidateAck(m ValidateAck) {
-	t, ok := s.txns[m.Job]
-	if !ok {
-		return
-	}
-	counted, complete := t.RecordEndorsement(m.Member, m.Endorsable)
-	if !counted {
-		return
-	}
-	if complete {
-		t.StopTimer()
-		s.finishValidation(t)
+	if t, ok := s.txns[m.Job]; ok {
+		if _, complete := t.Validate.Answer(m.Member, m.Endorsable); complete {
+			s.finishValidation(t)
+		}
 	}
 }
 
@@ -249,12 +237,20 @@ func (s *Site) onValidateAck(m ValidateAck) {
 // logical processors (§10); a perfect matching on the processors yields the
 // permutation that executes the job (§11).
 func (s *Site) finishValidation(t *activeTxn) {
-	members := append([]graph.NodeID{s.id}, t.ACS...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	// The coupling's sites are the ACS with the initiator at its place in
+	// ascending order, so the other members come in ACS (= Validate) order.
+	self, _ := slices.BinarySearch(t.ACS, s.id)
+	members := slices.Insert(slices.Clone(t.ACS), self, s.id)
 
 	b := matching.NewBipartite(len(members), t.TM.NumProcs())
-	for li, m := range members {
-		for _, proc := range t.Endorse[m] {
+	next := 0
+	for li := range members {
+		procs := t.Own
+		if li != self {
+			procs, _ = t.Validate.Got(next)
+			next++
+		}
+		for _, proc := range procs {
 			if proc >= 0 && proc < t.TM.NumProcs() {
 				b.AddEdge(li, proc)
 			}
@@ -267,58 +263,56 @@ func (s *Site) finishValidation(t *activeTxn) {
 		return
 	}
 
-	t.BeginCommit()
-	t.Assignment = make(map[int]graph.NodeID, t.TM.NumProcs())
-	procOf := make(map[graph.NodeID]int, len(members))
-	for _, m := range members {
-		procOf[m] = -1
-	}
-	for proc, li := range res.RightAssignment() {
-		t.Assignment[proc] = members[li]
-		procOf[members[li]] = proc
-	}
+	// assignment[proc] indexes the member that executes logical processor
+	// proc; res.MatchL[li] is member li's processor, -1 for one that only
+	// releases.
+	assignment := res.RightAssignment()
 	taskSites := make([]graph.NodeID, len(t.TM.Assign))
 	for i, a := range t.TM.Assign {
-		taskSites[i] = t.Assignment[a.Proc]
+		taskSites[i] = members[assignment[a.Proc]]
 	}
 
 	// The initiator endorses its share first: if even the local insertion
 	// fails there is no point dispatching code. From here on the job can
 	// receive completions, until it is rejected or Done.
 	s.ownJobs[t.job.ID] = t.job
-	t.SelfOK = true
-	if myProc := procOf[s.id]; myProc >= 0 {
-		t.SelfOK = s.commitShare(CommitMsg{Job: t.job.ID, Initiator: s.id, Proc: myProc, Graph: t.job.Graph, TaskSites: taskSites})
+	selfOK := true
+	if proc := res.MatchL[self]; proc >= 0 {
+		selfOK = s.commitShare(CommitMsg{Job: t.job.ID, Initiator: s.id, Proc: proc, Graph: t.job.Graph, TaskSites: taskSites})
 	} else {
 		delete(s.memberTickets, t.job.ID)
 	}
-	if !t.SelfOK {
+	if !selfOK {
 		s.finishTxn(t, Rejected, StageCommit)
 		return
 	}
 
-	for _, m := range t.ACS {
-		proc := procOf[m]
+	var executing []graph.NodeID
+	for li, m := range members {
+		if li == self {
+			continue
+		}
+		proc := res.MatchL[li]
 		msg := CommitMsg{Job: t.job.ID, Initiator: s.id, Proc: proc}
 		if proc >= 0 {
 			n := len(t.TM.Tasks(t.job.Graph, proc))
 			msg.Graph = t.job.Graph
 			msg.TaskSites = taskSites
 			msg.CodeBytes = n * codeBytesPerTask
-			t.ExpectCommitAck(m)
+			executing = append(executing, m)
 		}
 		s.sendTo(m, msg)
 	}
 	t.CommitsSent = true
-	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvCommit, N: t.CommitsOutstanding() + 1})
-	if t.CommitsOutstanding() == 0 {
-		s.commitResolved(t)
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvCommit, N: len(executing) + 1})
+	if len(executing) == 0 {
+		s.finishTxn(t, AcceptedDistributed, "")
 		return
 	}
 	// Commit timeout, mirroring the enrollment window: a lost commit or
 	// CommitAck resolves the transaction as a failed commit (abort
 	// everywhere) instead of wedging the initiator's lock forever.
-	t.SetTimer(s.after(2*t.Omega+s.cluster.cfg.EnrollSlack, func() { s.commitTimeout(t) }))
+	t.Commit.Open(executing, s.after(2*t.Omega+s.cluster.cfg.EnrollSlack, func() { s.commitTimeout(t) }))
 }
 
 // ---------------------------------------------------------------------------
@@ -329,111 +323,81 @@ func (s *Site) finishValidation(t *activeTxn) {
 // aborting everywhere is the only safe resolution, and on faulty clusters
 // the abort unlocks are retransmitted until acknowledged.
 func (s *Site) commitTimeout(t *activeTxn) {
-	missing, fired := t.TimeoutCommit()
-	if !fired {
+	missing := t.Commit.Expire()
+	if missing == nil {
 		return
 	}
-	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageCommitTimeout, N: missing})
-	s.commitResolved(t)
+	s.cluster.record(Event{Site: s.id, job: t.job, Kind: EvPhaseTimeout, Stage: StageCommitTimeout, N: len(missing)})
+	s.commitResolved(t, StageCommitTimeout)
 }
 
 // onCommitAck finalizes the transaction at the initiator once every
 // executing member confirmed (or refused) its insertion.
 func (s *Site) onCommitAck(m CommitAck) {
-	t, ok := s.txns[m.Job]
-	if !ok {
-		return
-	}
-	counted, complete := t.RecordCommitAck(m.Member, m.OK)
-	if !counted {
-		return
-	}
-	if complete {
-		t.StopTimer()
-		s.commitResolved(t)
+	if t, ok := s.txns[m.Job]; ok {
+		if _, complete := t.Commit.Answer(m.Member, m.OK); complete {
+			s.commitResolved(t, StageCommit)
+		}
 	}
 }
 
-func (s *Site) commitResolved(t *activeTxn) {
-	if t.CommitFail {
-		// Abort everywhere: members cancel any reservations of the job.
-		s.sendAll(t.ACS, UnlockMsg{Job: t.job.ID, From: s.id, Abort: true})
-		if s.cluster.resilient() {
-			s.trackAbort(t)
-		}
-		s.cancelExecution(t.job.ID)
-		s.plan.CancelJob(t.job.ID)
-		stage := StageCommit
-		if t.ComTimedOut {
-			stage = StageCommitTimeout
-		}
-		s.finishTxn(t, Rejected, stage)
+// commitResolved decides the job once the commit wait closed; a failed
+// commit is rejected at stage.
+func (s *Site) commitResolved(t *activeTxn, stage RejectStage) {
+	if !t.CommitFailed() {
+		s.finishTxn(t, AcceptedDistributed, "")
 		return
 	}
-	s.finishTxn(t, AcceptedDistributed, "")
+	// Abort everywhere: members cancel any reservations of the job.
+	s.sendAll(t.ACS, UnlockMsg{Job: t.job.ID, From: s.id, Abort: true})
+	if s.cluster.resilient() {
+		// Only the executing members can hold reservations, so only they
+		// must acknowledge; a release-only member's lock lease is backstop
+		// enough.
+		ar := &txn.AbortRetry{}
+		s.aborts[t.job.ID] = ar
+		s.awaitUnlockAcks(t.job.ID, ar, t.Commit.Members())
+	}
+	s.cancelExecution(t.job.ID)
+	s.plan.CancelJob(t.job.ID)
+	s.finishTxn(t, Rejected, stage)
 }
 
-// trackAbort records which executing members must acknowledge the abort
-// unlock just sent, and arms the retransmission timer. Only members that
-// were dispatched a real share can hold reservations; release-only members
-// need no acknowledgement (their lock lease is backstop enough).
-func (s *Site) trackAbort(t *activeTxn) {
-	var executing []graph.NodeID
-	for _, m := range t.ACS {
-		if t.Assignment != nil {
-			//lint:allow mapiter -- membership test: appends at most once per ACS member then breaks, so iteration order cannot reach the output
-			for _, site := range t.Assignment {
-				if site == m {
-					executing = append(executing, m)
-					break
-				}
-			}
-		}
-	}
-	if len(executing) == 0 {
-		return
-	}
-	ar := txn.NewAbortRetry(executing)
-	s.aborts[t.job.ID] = ar
-	s.scheduleAbortRetry(t.job.ID, ar)
-}
-
-func (s *Site) scheduleAbortRetry(job string, ar *txn.AbortRetry) {
+// awaitUnlockAcks opens one retransmission round: a wait on the members
+// an abort unlock was just sent to.
+func (s *Site) awaitUnlockAcks(job string, ar *txn.AbortRetry, members []graph.NodeID) {
 	interval := 4*s.sphereDiam + s.cluster.cfg.EnrollSlack
 	if f := s.cluster.cfg.Faults; f != nil {
 		interval += 2 * f.MaxJitter
 	}
-	ar.Arm(s.after(interval, func() { s.abortRetryFire(job, ar) }))
+	ar.Open(members, s.after(interval, func() { s.abortRetryFire(job, ar) }))
 }
 
 // abortRetryFire retransmits the abort unlock to members that have not
 // acknowledged it. Retries are bounded so runs with permanently dead
 // members still terminate; giving up is recorded.
 func (s *Site) abortRetryFire(job string, ar *txn.AbortRetry) {
-	ar.TimerFired()
-	if len(ar.Members) == 0 {
+	missing := ar.Expire()
+	if missing == nil {
 		delete(s.aborts, job)
 		return
 	}
 	retry := ar.NextTry()
-	s.cluster.record(Event{Site: s.id, Job: job, Kind: EvAbortRetry, N: len(ar.Members), M: ar.Tries})
+	s.cluster.record(Event{Site: s.id, Job: job, Kind: EvAbortRetry, N: len(missing), M: ar.Tries})
 	if !retry {
 		delete(s.aborts, job)
 		return
 	}
-	s.sendAll(ar.Members, UnlockMsg{Job: job, From: s.id, Abort: true})
-	s.scheduleAbortRetry(job, ar)
+	s.sendAll(missing, UnlockMsg{Job: job, From: s.id, Abort: true})
+	s.awaitUnlockAcks(job, ar, missing)
 }
 
-// onUnlockAck clears one member from an abort's retransmission set.
+// onUnlockAck counts one member's acknowledgement of an abort unlock.
 func (s *Site) onUnlockAck(m UnlockAck) {
-	ar := s.aborts[m.Job]
-	if ar == nil {
-		return
-	}
-	if ar.Ack(m.Member) {
-		ar.Stop()
-		delete(s.aborts, m.Job)
+	if ar := s.aborts[m.Job]; ar != nil {
+		if _, complete := ar.Answer(m.Member, struct{}{}); complete {
+			delete(s.aborts, m.Job)
+		}
 	}
 }
 
@@ -441,9 +405,6 @@ func (s *Site) onUnlockAck(m UnlockAck) {
 // yet received their commit/release messages, unlocks the initiator, and
 // replays deferred work.
 func (s *Site) finishTxn(t *activeTxn, outcome Outcome, stage RejectStage) {
-	if !t.Finish() {
-		return
-	}
 	delete(s.txns, t.job.ID)
 	if outcome == Rejected {
 		delete(s.ownJobs, t.job.ID)

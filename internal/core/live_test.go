@@ -239,6 +239,23 @@ func TestLiveSubmitValidatesLikeDES(t *testing.T) {
 	}
 }
 
+// TestNodeAnswersForItsOwnSiteOnly: a node's per-site probes read its own
+// site through the site's execution context and report nil, not a panic,
+// for a site another process runs.
+func TestNodeAnswersForItsOwnSiteOnly(t *testing.T) {
+	nodes, _ := startNodes(t, core.FastLine(2), core.DefaultConfig(), 100*time.Microsecond, nil)
+	node := nodes[0]
+	if got := node.SiteSphere(0); !reflect.DeepEqual(got, []graph.NodeID{1}) {
+		t.Fatalf("node 0's own sphere %v, want [1]", got)
+	}
+	if got := node.SiteSphere(1); got != nil {
+		t.Fatalf("node 0 reported a sphere %v for site 1, which it does not run", got)
+	}
+	if got := node.SitePlanReservations(1); got != nil {
+		t.Fatalf("node 0 reported reservations %v for site 1, which it does not run", got)
+	}
+}
+
 // TestTwoHostsMatchLiveAndDES runs an 8-site ring as two hosts of four
 // sites each, each host on its own wire transport, the two joined over TCP
 // as two processes would be. The hosts interleave (even sites, odd sites),

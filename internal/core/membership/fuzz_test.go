@@ -20,12 +20,12 @@ func FuzzMembershipDigest(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
 		events := decodeEvents(data)
-		a := New(0, nil, Config{}, Hooks{})
+		a := New(0, nil, 5, Config{}, Hooks{})
 		for _, e := range events {
 			a.apply(e)
 		}
 
-		b := New(0, nil, Config{}, Hooks{})
+		b := New(0, nil, 5, Config{}, Hooks{})
 		rng := rand.New(rand.NewSource(int64(seed)))
 		for _, i := range rng.Perm(len(events)) {
 			b.apply(events[i])

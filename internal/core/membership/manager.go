@@ -93,8 +93,9 @@ type Manager struct {
 	epoch     uint64
 	lastHeard map[graph.NodeID]float64
 
-	table     *routing.Table // repair table; nil until the first repair or join
-	sendsLeft int            // re-broadcast budget for the current epoch
+	table       *routing.Table // repair table; nil until the first repair or join
+	floodRounds int            // re-broadcasts per epoch, the flood's interruption bound
+	sendsLeft   int            // what is left of it in the current epoch
 
 	repairing bool
 	settle    simnet.CancelFunc
@@ -110,10 +111,11 @@ type Manager struct {
 	deaths, resurrections, floodsSent, staleTables int
 }
 
-// New builds a manager for one site over its direct links. Call Start (an
-// established site, post-bootstrap) or StartJoin (a joiner) once the
-// transport is running.
-func New(self graph.NodeID, neighbors []graph.Edge, cfg Config, hooks Hooks) *Manager {
+// New builds a manager for one site over its direct links, re-flooding its
+// table at most floodRounds times per epoch. Call Start (an established
+// site, post-bootstrap) or StartJoin (a joiner) once the transport is
+// running.
+func New(self graph.NodeID, neighbors []graph.Edge, floodRounds int, cfg Config, hooks Hooks) *Manager {
 	cfg = cfg.WithDefaults()
 	delays := make(map[graph.NodeID]float64, len(neighbors))
 	for _, e := range neighbors {
@@ -123,13 +125,14 @@ func New(self graph.NodeID, neighbors []graph.Edge, cfg Config, hooks Hooks) *Ma
 		hooks.Event = func(Note) {}
 	}
 	return &Manager{
-		self:      self,
-		cfg:       cfg,
-		hooks:     hooks,
-		nbrs:      neighbors,
-		linkDelay: delays,
-		view:      make(map[graph.NodeID]siteState),
-		lastHeard: make(map[graph.NodeID]float64),
+		self:        self,
+		floodRounds: floodRounds,
+		cfg:         cfg,
+		hooks:       hooks,
+		nbrs:        neighbors,
+		linkDelay:   delays,
+		view:        make(map[graph.NodeID]siteState),
+		lastHeard:   make(map[graph.NodeID]float64),
 	}
 }
 
@@ -391,7 +394,7 @@ func (m *Manager) repair(reset bool) {
 			m.table = routing.NewTable(m.self, m.aliveNeighborEdges())
 		}
 	}
-	m.sendsLeft = m.cfg.FloodRounds
+	m.sendsLeft = m.floodRounds
 	m.hooks.Adopt(m.table)
 	m.hooks.Event(Note{Kind: "route-repair", Site: m.self, From: m.self, Epoch: m.epoch})
 	m.broadcastTable()

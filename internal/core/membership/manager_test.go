@@ -55,7 +55,7 @@ func newHarness(t *testing.T, topo *graph.Graph, cfg Config) *harness {
 
 func (h *harness) newManager(id graph.NodeID, cfg Config) *Manager {
 	idx := int(id)
-	return New(id, h.topo.Neighbors(id), cfg, Hooks{
+	return New(id, h.topo.Neighbors(id), 5, cfg, Hooks{
 		Now:   h.tr.Now,
 		After: func(d float64, fn func()) simnet.CancelFunc { return h.tr.After(id, d, fn) },
 		Send: func(to graph.NodeID, p simnet.Payload) {
@@ -108,7 +108,7 @@ func (h *harness) run() {
 // cfg30 is the tests' standard timing: 1-unit heartbeats, 3-unit suspicion,
 // a 30-unit horizon so the DES drains.
 func cfg30() Config {
-	return Config{Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, Horizon: 30, FloodRounds: 5}
+	return Config{Enabled: true, HeartbeatEvery: 1, SuspectAfter: 3, Horizon: 30}
 }
 
 // TestDetectDeadAndRepair: a permanently crashed site is declared dead by
@@ -363,7 +363,7 @@ func TestStaleEpochTableRejected(t *testing.T) {
 func TestEpochIsViewDeterministic(t *testing.T) {
 	topo := ring(4)
 	mk := func() *Manager {
-		return New(0, topo.Neighbors(0), cfg30(), Hooks{
+		return New(0, topo.Neighbors(0), 5, cfg30(), Hooks{
 			Now:   func() float64 { return 0 },
 			After: func(float64, func()) simnet.CancelFunc { return func() bool { return false } },
 			Send:  func(graph.NodeID, simnet.Payload) {},
@@ -444,7 +444,7 @@ func ExampleManager() {
 	// construction shape — see the package tests for full scenarios.
 	topo := graph.New(2)
 	topo.MustAddEdge(0, 1, 0.1)
-	m := New(0, topo.Neighbors(0), Config{Enabled: true, Horizon: 5}, Hooks{
+	m := New(0, topo.Neighbors(0), 5, Config{Enabled: true, Horizon: 5}, Hooks{
 		Now:   func() float64 { return 0 },
 		After: func(float64, func()) simnet.CancelFunc { return func() bool { return false } },
 		Send:  func(graph.NodeID, simnet.Payload) {},
@@ -478,7 +478,7 @@ func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 			sent = append(sent, p)
 		}
 	}
-	acker := New(0, topo.Neighbors(0), cfg30(), ah)
+	acker := New(0, topo.Neighbors(0), 5, cfg30(), ah)
 	acker.Start()
 
 	// Hand the acker a wide table: 1300 synthetic destinations learned
@@ -503,7 +503,7 @@ func TestJoinHandoverIsOneTableMsg(t *testing.T) {
 	var adopted *routing.Table
 	jh := noop
 	jh.Adopt = func(tb *routing.Table) { adopted = tb }
-	joiner := New(1, topo.Neighbors(1), cfg30(), jh)
+	joiner := New(1, topo.Neighbors(1), 5, cfg30(), jh)
 	joiner.StartJoin()
 	var acks, tables int
 	for _, p := range sent {

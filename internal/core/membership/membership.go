@@ -40,10 +40,11 @@
 // bumps its epoch, rebuilds its table from the start condition over its
 // alive neighbors (stale routes *through* the corpse cannot survive a
 // reset) and re-floods the table to its alive neighbors with a bounded
-// per-epoch budget (FloodRounds, the same interruption bound as the §7
-// bootstrap). Merging a same-epoch table
-// that changes the local table re-adopts and re-broadcasts, so the flood
-// quiesces at a fixed point within the budget.
+// per-epoch budget of sends, which core passes to New: the flat §7
+// bootstrap's round count for the sphere radius (under hierarchical
+// routing a region's bootstrap may run more or fewer rounds than that).
+// Merging a same-epoch table that changes the local table re-adopts and
+// re-broadcasts, so the flood quiesces at a fixed point within the budget.
 //
 // Heartbeats piggyback a digest of every non-default view entry, so a site
 // that missed a flooded notice (message loss, its own partition) still
@@ -82,10 +83,6 @@ type Config struct {
 	// declared dead. Must exceed HeartbeatEvery by at least the link delay
 	// plus jitter headroom. Default 3·HeartbeatEvery.
 	SuspectAfter float64
-	// FloodRounds bounds how many times one site re-broadcasts its table
-	// per epoch — the repair flood's interruption bound, normally
-	// routing.RoundsForRadius(h) like the bootstrap. Default 5.
-	FloodRounds int
 	// Horizon stops the heartbeat/suspicion timers this long after Start.
 	// 0 means forever (wall-clock deployments); discrete-event clusters set
 	// it so their event queues drain once the workload is done.
@@ -104,9 +101,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3 * c.HeartbeatEvery
-	}
-	if c.FloodRounds <= 0 {
-		c.FloodRounds = 5
 	}
 	return c
 }

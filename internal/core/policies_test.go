@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core/policy"
-	"repro/internal/core/txn"
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/schedule"
@@ -123,7 +122,7 @@ func TestLocalKnowledgeWindowFloor(t *testing.T) {
 		{1e-6, s.plan.Surplus(0, SurplusWindow)}, // at the floor: the fixed window
 		{2e-6, clampSurplus(0)},                  // above it: the job's own, fully booked
 	} {
-		at := &activeTxn{Txn: txn.New("j", nil), job: &Job{AbsDeadline: tc.window}}
+		at := &activeTxn{job: &Job{AbsDeadline: tc.window}}
 		if got := s.acsProcs(at)[0].Surplus; got != tc.want {
 			t.Errorf("job window %v: initiator surplus %v, want %v", tc.window, got, tc.want)
 		}

@@ -3,9 +3,11 @@ package core
 //lint:file-allow wallclock -- the probe timeout guards callers of a wall-clock transport that was closed under them; on virtual time a probe is a direct read and never touches the clock
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/core/membership"
+	"repro/internal/graph"
 	"repro/internal/schedule"
 )
 
@@ -21,20 +23,34 @@ var probeTimeout = 5 * time.Second
 // goroutine owns its state, so the read goes through the transport and the
 // answers come back in any order; sites that do not answer within
 // probeTimeout are missing from the result, which callers treat as "no".
-func probe[T any](c *Cluster, read func(*Site) T) []T {
-	out := make([]T, 0, len(c.local))
+func probe[T any](c *Cluster, read func(*Site) T) []T { return probeSites(c, c.local, read) }
+
+// probeSite is probe on one site: read's answer, or T's zero value when
+// this host does not run id or the site did not answer.
+func probeSite[T any](c *Cluster, id graph.NodeID, read func(*Site) T) T {
+	if int(id) >= 0 && int(id) < len(c.sites) && c.sites[id] != nil {
+		if out := probeSites(c, c.sites[id:id+1], read); len(out) == 1 {
+			return out[0]
+		}
+	}
+	var zero T
+	return zero
+}
+
+func probeSites[T any](c *Cluster, sites []*Site, read func(*Site) T) []T {
+	out := make([]T, 0, len(sites))
 	if c.virtualTime() {
-		for _, s := range c.local {
+		for _, s := range sites {
 			out = append(out, read(s))
 		}
 		return out
 	}
-	answers := make(chan T, len(c.local))
-	for _, s := range c.local {
+	answers := make(chan T, len(sites))
+	for _, s := range sites {
 		c.tr.After(s.id, 0, func() { answers <- read(s) })
 	}
 	timeout := time.After(probeTimeout)
-	for range c.local {
+	for range sites {
 		select {
 		case v := <-answers:
 			out = append(out, v)
@@ -92,4 +108,16 @@ func (c *Cluster) ReservationJobIDs() []string {
 		}
 	}
 	return jobs
+}
+
+// SiteSphere reports a site's PCS, self excluded; nil for a site this host
+// does not run.
+func (c *Cluster) SiteSphere(id graph.NodeID) []graph.NodeID {
+	return probeSite(c, id, func(s *Site) []graph.NodeID { return slices.Clone(s.pcs) })
+}
+
+// SitePlanReservations reports a site's committed reservations; nil for a
+// site this host does not run.
+func (c *Cluster) SitePlanReservations(id graph.NodeID) []schedule.Reservation {
+	return probeSite(c, id, func(s *Site) []schedule.Reservation { return s.plan.Reservations() })
 }

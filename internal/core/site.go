@@ -85,8 +85,7 @@ type Site struct {
 	memberTickets map[string][]*schedule.Ticket
 	reqScratch    []schedule.Request
 
-	// Initiator-side transactions (the txn state machines plus their job
-	// records).
+	// Initiator-side transactions (the txn records plus their jobs).
 	txns map[string]*activeTxn
 
 	// Initiator-side abort retransmission state (faulty clusters only):
@@ -105,11 +104,11 @@ type Site struct {
 	tally tally
 }
 
-// activeTxn pairs one txn state machine with the job record it decides: the
-// machine tracks identifiers and phase bookkeeping only, the protocol needs
-// the record for deadlines, graphs and the final decision.
+// activeTxn pairs one txn record with the job it decides: the record holds
+// the phases' waits and what they fixed, the protocol needs the job for
+// deadlines, graphs and the final decision.
 type activeTxn struct {
-	*txn.Txn
+	txn.Txn
 	job *Job
 }
 
@@ -149,7 +148,7 @@ func newSite(id graph.NodeID, c *Cluster) *Site {
 	}
 	s.rnode = routing.NewNode(id, nbrs, rounds, directSend, s.adoptTable)
 	if c.mcfg.Enabled {
-		s.member = membership.New(id, nbrs, c.mcfg, membership.Hooks{
+		s.member = membership.New(id, nbrs, c.cfg.floodRounds(), c.mcfg, membership.Hooks{
 			Now:     s.now,
 			After:   s.after,
 			Send:    directSend,

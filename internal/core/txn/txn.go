@@ -1,46 +1,17 @@
-// Package txn holds the initiator-side state machine of one distributed
-// scheduling transaction: the enroll → validate → commit progression of
-// paper §8–§11, with every phase's timer handle, acknowledgement
-// bookkeeping and abort/retransmission state in one place.
-//
-// The package is deliberately free of protocol I/O: it never sends a
-// message, never reads a routing table and never touches a scheduling plan.
-// A Txn is pure bookkeeping with guarded transitions — the Site in
-// internal/core drives it, translating each transition's outcome into the
-// sends, mapper invocations and plan commits of the protocol. This split is
-// what keeps the state graph auditable:
-//
-//	Enrolling ──(all acks | window timer)──▶ Validating
-//	Validating ──(all endorsements | phase timer)──▶ Committing
-//	Committing ──(all commit acks | phase timer)──▶ Done
-//	    any ──(reject: empty ACS, mapper, matching, commit failure)──▶ Done
-//
-// Every transition is guarded by the current phase, so the races inherent
-// to a timer-driven protocol (an expiry firing at the same instant as the
-// final ack, a straggler ack after the window closed) collapse into no-ops
-// instead of double transitions.
+// Package txn holds the initiator-side bookkeeping of one distributed
+// scheduling transaction (paper §8–§11). It never sends a message, reads a
+// routing table or touches a plan; internal/core drives it. Its one
+// pattern is Wait: a phase's request goes to a set of members, and the
+// phase moves on when all of them answered or its timer expired.
+// docs/architecture.md describes how the two packages divide the protocol.
 package txn
 
 import (
-	"repro/internal/determinism"
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/mapper"
 	"repro/internal/simnet"
-)
-
-// Phase names one state of the transaction state machine.
-type Phase int
-
-const (
-	// Enrolling: enrollment requests are out; the window timer is armed.
-	Enrolling Phase = iota
-	// Validating: the ACS is fixed and the trial mapping is being endorsed.
-	Validating
-	// Committing: the coupling permutation is dispatched; executing members
-	// confirm or refuse their insertions.
-	Committing
-	// Done: the transaction reached a decision (accept or reject).
-	Done
 )
 
 // DistEntry is one line of a member's distance vector, reported at
@@ -58,240 +29,132 @@ type Enrollment struct {
 	Dists   []DistEntry
 }
 
-// Txn is the initiator-side record of one distributed job. Fields are
-// grouped by the phase that populates them; collections that decide
-// transition completion (acks, awaited endorsements, awaited commits) are
-// unexported so every mutation goes through a guarded method.
-type Txn struct {
-	// Job is the transaction's job identifier.
-	Job string
-
-	phase Phase
-	// timer cancels the current phase's expiry timer: the enrollment window
-	// first, then the validation and commit timers that mirror it. Every
-	// path that closes a phase cancels and nils it before advancing.
+// Wait is one phase's fan-out: the members its request was sent to, in
+// send order, with each member's answer held at the member's position. It
+// is open from Open until the last member answered or Expire closed it,
+// and it counts an answer only while open, only from one of its members
+// and only once per member. Those guards are what make the races of a
+// timer-driven protocol (an expiry at the instant of the last answer, a
+// straggler after the window closed) no-ops instead of double transitions.
+type Wait[T any] struct {
+	members []graph.NodeID
+	answers []answer[T]
+	pending int
+	open    bool
+	// timer cancels the expiry; the last answer cancels it, Expire drops
+	// the spent handle.
 	timer simnet.CancelFunc
-
-	// Enrollment (§8).
-	Expected []graph.NodeID // members the enrollment was sent to
-	acks     map[graph.NodeID]Enrollment
-
-	// Validation (§9–§10).
-	ACS     []graph.NodeID // enrolled members (self excluded), sorted
-	Omega   float64        // ACS delay diameter, sizes the phase timers
-	TM      *mapper.TrialMapping
-	Endorse map[graph.NodeID][]int
-	await   map[graph.NodeID]bool
-	// ValTimedOut records that validation closed by its timer with
-	// endorsements missing.
-	ValTimedOut bool
-
-	// Commit (§11).
-	Assignment map[int]graph.NodeID // logical proc -> executing site
-	commitWait map[graph.NodeID]bool
-	// CommitFail marks the transaction for an abort-everywhere resolution.
-	CommitFail bool
-	// CommitsSent records that commit/release messages reached the ACS, so
-	// a later rejection must abort rather than merely unlock.
-	CommitsSent bool
-	// SelfOK records whether the initiator committed its own share.
-	SelfOK bool
-	// ComTimedOut records that the commit phase was resolved by its timer.
-	ComTimedOut bool
 }
 
-// New starts a transaction in the Enrolling phase, expecting an enrollment
-// answer from each of the given members.
-func New(job string, expected []graph.NodeID) *Txn {
-	return &Txn{
-		Job:      job,
-		phase:    Enrolling,
-		Expected: expected,
-		acks:     make(map[graph.NodeID]Enrollment),
+type answer[T any] struct {
+	v  T
+	ok bool
+}
+
+// Open starts the wait on the members the phase was just sent to, in send
+// order, and its expiry timer's handle. A wait on no member stays open
+// until it expires.
+func (w *Wait[T]) Open(members []graph.NodeID, timer simnet.CancelFunc) {
+	*w = Wait[T]{members: members, answers: make([]answer[T], len(members)), pending: len(members), open: true, timer: timer}
+}
+
+// Answer records m's answer. counted is false when the wait is closed, m
+// is not one of its members or m already answered. complete reports that
+// this was the last answer: the wait closes and its timer is cancelled.
+func (w *Wait[T]) Answer(m graph.NodeID, v T) (counted, complete bool) {
+	if !w.open {
+		return false, false
 	}
-}
-
-// Phase reports the current phase.
-func (t *Txn) Phase() Phase { return t.phase }
-
-// SetTimer installs the current phase's expiry timer handle, replacing any
-// previous handle without cancelling it (the caller cancels via StopTimer).
-func (t *Txn) SetTimer(c simnet.CancelFunc) { t.timer = c }
-
-// StopTimer cancels and clears the armed phase timer. Cancelling before
-// closing a phase is what makes the final-ack/expiry tie race safe: the
-// nil-ed handle plus the phase guards keep a window from closing twice.
-func (t *Txn) StopTimer() {
-	if t.timer != nil {
-		t.timer()
-		t.timer = nil
+	i := slices.Index(w.members, m)
+	if i < 0 || w.answers[i].ok {
+		return false, false
 	}
+	w.answers[i] = answer[T]{v, true}
+	w.pending--
+	if w.pending > 0 {
+		return true, false
+	}
+	w.open = false
+	if w.timer != nil {
+		w.timer()
+		w.timer = nil
+	}
+	return true, true
 }
 
-// TimerFired clears the timer handle without cancelling, for use inside
-// the expiry callback itself (the transport already consumed the timer).
-func (t *Txn) TimerFired() { t.timer = nil }
-
-// ---------------------------------------------------------------------------
-// Enrolling
-
-// RecordEnrollment stores one member's enrollment and reports whether every
-// expected member has now answered (the window can close early).
-func (t *Txn) RecordEnrollment(m graph.NodeID, e Enrollment) (complete bool) {
-	t.acks[m] = e
-	return len(t.acks) == len(t.Expected)
-}
-
-// Enrollments reports how many members enrolled.
-func (t *Txn) Enrollments() int { return len(t.acks) }
-
-// Enrollment returns a member's stored enrollment report.
-func (t *Txn) Enrollment(m graph.NodeID) Enrollment { return t.acks[m] }
-
-// MissingEnrollments lists the expected members that never enrolled, in
-// Expected order (deterministic for retransmission and unlocking).
-func (t *Txn) MissingEnrollments() []graph.NodeID {
-	var missing []graph.NodeID
-	for _, m := range t.Expected {
-		if _, ok := t.acks[m]; !ok {
-			missing = append(missing, m)
+// Expire closes the wait from inside its timer's callback and lists the
+// members that never answered, in send order (empty, not nil, for a wait
+// on no member). It returns nil when the wait was already closed: the last
+// answer won the race against the timer.
+func (w *Wait[T]) Expire() []graph.NodeID {
+	w.timer = nil
+	if !w.open {
+		return nil
+	}
+	w.open = false
+	missing := make([]graph.NodeID, 0, w.pending)
+	for i, a := range w.answers {
+		if !a.ok {
+			missing = append(missing, w.members[i])
 		}
 	}
 	return missing
 }
 
-// CloseEnrollment transitions Enrolling → Validating. It is reachable from
-// both the final enrollment ack and the window timer; the phase guard makes
-// the second entry a no-op whichever path wins the race. Returns false when
-// the window was already closed.
-func (t *Txn) CloseEnrollment() bool {
-	if t.phase != Enrolling {
-		return false
-	}
-	t.StopTimer()
-	t.phase = Validating
-	return true
+// Members lists the members the phase was sent to, in send order.
+func (w *Wait[T]) Members() []graph.NodeID { return w.members }
+
+// Got returns the answer of Members()[i], and whether it arrived; a member
+// that never answered reads as T's zero value.
+func (w *Wait[T]) Got(i int) (T, bool) { return w.answers[i].v, w.answers[i].ok }
+
+// Txn is the initiator-side record of one distributed job: one wait per
+// phase, and what each phase fixed for the next.
+type Txn struct {
+	// Enroll waits on the enrollment fan-out (§8).
+	Enroll Wait[Enrollment]
+	ACS    []graph.NodeID // enrolled members (self excluded), ascending
+	Omega  float64        // ACS delay diameter, sizes the later phase timers
+	TM     *mapper.TrialMapping
+	// Validate waits on the ACS's endorsements (§10), in ACS order; Own is
+	// the initiator's endorsement, computed in place.
+	Validate Wait[[]int]
+	Own      []int
+	// Commit waits on the executing members' commit answers (§11).
+	Commit Wait[bool]
+	// CommitsSent records that commit/release messages reached the ACS, so
+	// a later rejection must abort rather than merely unlock.
+	CommitsSent bool
 }
 
-// FixACS freezes the Accepted Computing Sphere: the enrolled members in
-// ascending site order (§8). Call once, after CloseEnrollment.
-func (t *Txn) FixACS() []graph.NodeID {
-	t.ACS = determinism.SortedKeys(t.acks)
-	return t.ACS
+// CommitFailed reports, once the commit wait closed, whether the job must
+// be aborted everywhere: a member refused its share, or the timer closed
+// the wait first and a silent member may or may not hold its share.
+func (t *Txn) CommitFailed() bool {
+	for _, a := range t.Commit.answers {
+		if !a.v {
+			return true
+		}
+	}
+	return false
 }
 
-// ---------------------------------------------------------------------------
-// Validating
+// MaxAbortTries bounds abort retransmission so runs terminate even when a
+// member is permanently unreachable. At 10% loss, 8 rounds leave a 1e-8
+// chance of an alive member missing every copy.
+const MaxAbortTries = 8
 
-// BeginValidation initializes the endorsement bookkeeping.
-func (t *Txn) BeginValidation() {
-	t.Endorse = make(map[graph.NodeID][]int)
-	t.await = make(map[graph.NodeID]bool)
+// AbortRetry tracks one aborted job's unacknowledged abort unlocks at the
+// initiator (faulty clusters only): the abort outlives the transaction,
+// and each retransmission round is a wait on the members still silent.
+type AbortRetry struct {
+	Wait[struct{}]
+	Tries int
 }
 
-// ExpectEndorsement marks one ACS member as owing a validation answer.
-func (t *Txn) ExpectEndorsement(m graph.NodeID) { t.await[m] = true }
-
-// SetEndorsement records an endorsement that needs no acknowledgement (the
-// initiator's own, computed in place).
-func (t *Txn) SetEndorsement(m graph.NodeID, procs []int) { t.Endorse[m] = procs }
-
-// RecordEndorsement stores one member's validation answer. counted is false
-// for answers that are stale (wrong phase) or unexpected; complete reports
-// that every awaited member has now answered.
-func (t *Txn) RecordEndorsement(m graph.NodeID, procs []int) (counted, complete bool) {
-	if t.phase != Validating || !t.await[m] {
-		return false, false
-	}
-	delete(t.await, m)
-	t.Endorse[m] = procs
-	return true, len(t.await) == 0
-}
-
-// Awaiting reports how many validation answers are still outstanding.
-func (t *Txn) Awaiting() int { return len(t.await) }
-
-// TimeoutValidation closes the validation phase from its expiry timer:
-// members that never answered are given empty endorsements so the coupling
-// runs on what arrived. Returns the number of silent members and false when
-// the timeout lost the race against the final ack (nothing to do).
-func (t *Txn) TimeoutValidation() (missing int, fired bool) {
-	if t.phase != Validating {
-		return 0, false
-	}
-	t.TimerFired()
-	if len(t.await) == 0 {
-		return 0, false
-	}
-	t.ValTimedOut = true
-	missing = len(t.await)
-	for m := range t.await {
-		t.Endorse[m] = nil
-	}
-	t.await = make(map[graph.NodeID]bool)
-	return missing, true
-}
-
-// ---------------------------------------------------------------------------
-// Committing
-
-// BeginCommit transitions Validating → Committing and initializes the
-// commit-acknowledgement bookkeeping.
-func (t *Txn) BeginCommit() {
-	t.phase = Committing
-	t.commitWait = make(map[graph.NodeID]bool)
-}
-
-// ExpectCommitAck marks one executing member as owing a commit answer.
-func (t *Txn) ExpectCommitAck(m graph.NodeID) { t.commitWait[m] = true }
-
-// CommitsOutstanding reports how many commit answers are still awaited.
-func (t *Txn) CommitsOutstanding() int { return len(t.commitWait) }
-
-// RecordCommitAck stores one executing member's commit confirmation or
-// refusal. counted is false for stale or unexpected answers; complete
-// reports that every executing member has now answered.
-func (t *Txn) RecordCommitAck(m graph.NodeID, ok bool) (counted, complete bool) {
-	if t.phase != Committing || !t.commitWait[m] {
-		return false, false
-	}
-	delete(t.commitWait, m)
-	if !ok {
-		t.CommitFail = true
-	}
-	return true, len(t.commitWait) == 0
-}
-
-// TimeoutCommit resolves the commit phase from its expiry timer. The silent
-// members may or may not have committed their shares, so the transaction is
-// marked failed (abort everywhere is the only safe resolution). Returns the
-// number of silent members and false when the timer lost the race.
-func (t *Txn) TimeoutCommit() (missing int, fired bool) {
-	if t.phase != Committing {
-		return 0, false
-	}
-	t.TimerFired()
-	if len(t.commitWait) == 0 {
-		return 0, false
-	}
-	t.ComTimedOut = true
-	t.CommitFail = true
-	missing = len(t.commitWait)
-	t.commitWait = make(map[graph.NodeID]bool)
-	return missing, true
-}
-
-// ---------------------------------------------------------------------------
-// Done
-
-// Finish transitions any live phase → Done, stopping the armed timer.
-// Returns false when the transaction already finished (duplicate decision
-// paths collapse into one).
-func (t *Txn) Finish() bool {
-	if t.phase == Done {
-		return false
-	}
-	t.phase = Done
-	t.StopTimer()
-	return true
+// NextTry consumes one retry; it returns false when the budget is spent and
+// the initiator should give up (the members' lock leases are the backstop).
+func (a *AbortRetry) NextTry() bool {
+	a.Tries++
+	return a.Tries <= MaxAbortTries
 }

@@ -80,7 +80,7 @@ func e12Plan(seed int64, point, crashes int, loss, horizon float64, sites int) *
 // time units of silence, three heartbeats per suspicion window. It is armed
 // only in cells that crash a site — heartbeats in a loss-only cell would
 // move msgs/job, dropped and the event count — and leaves the flood budget
-// and horizon for core to derive from the radius and the plan.
+// (derived from the radius) and the horizon (from the plan) to core.
 func e12Detector(crashes int) func(*core.Config) {
 	if crashes == 0 {
 		return nil

@@ -65,9 +65,9 @@ func buildProm(st snapshot) *metrics.Builder {
 	b.Counter("rtds_node_disruptions_total",
 		"Fault-injection disruptions applied to this node.", float64(sum.Disruptions))
 	b.Gauge("rtds_node_routing_table_bytes",
-		"Per-site routing-state footprint in bytes (the intra-region table under hierarchical routing; the full table when flat).", float64(sum.RoutingTableBytes))
+		"Per-site routing-table footprint in bytes: one wire line per destination that rtds_node_routing_entries counts.", float64(sum.RoutingTableBytes))
 	b.Gauge("rtds_node_routing_entries",
-		"Destinations the local routing state resolves directly (region members plus landmarks under hierarchical routing; all sites when flat).", float64(sum.RoutingEntries))
+		"Destinations in the site's routing table, itself included: the sites within 2h edges when flat (h the sphere radius), its region's members under hierarchical routing.", float64(sum.RoutingEntries))
 	b.Histogram("rtds_node_decision_latency_seconds",
 		"Decision latency of locally submitted jobs (arrival to decision), in virtual seconds.",
 		metrics.Histogram{Bounds: core.LatencyBounds[:], Counts: sum.DecisionLatencies[:], Sum: sum.MeanDecisionLatency * float64(decided)})

@@ -206,30 +206,18 @@ func (t *Table) SphereDelayDiameter(h int) float64 {
 // tagged repair floods, which drive it directly.
 //
 // entries is shared — one payload goes to every neighbor — and is never
-// written. Snapshots and round payloads are sorted by destination without
-// duplicates; any other input (a peer's wire payload) is merged from a
-// sorted copy, repeated destinations in their given order, which is exactly
-// what merging it line by line would do.
-func (t *Table) Merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
-	if !slices.IsSortedFunc(entries, wireByDest) {
-		entries = slices.Clone(entries)
-		slices.SortStableFunc(entries, wireByDest)
-	}
-	return t.merge(from, linkDelay, entries)
-}
-
-func wireByDest(a, b WireRoute) int { return cmp.Compare(a.Dest, b.Dest) }
-
-// merge is Merge's two-pointer pass over entries sorted by destination: the
-// merged table is written into the spare backing array, which then swaps
-// with the current one, so once both have grown to the table's size a round
-// allocates nothing. Candidates for one destination meet in the order the
-// caller merges its neighbors in, which matters: better's tolerance makes it
-// non-transitive. A new line, or one whose distance or hop counts moved, is
-// marked changed; a new next hop alone leaves the wire form as it was.
+// written. It must be sorted strictly ascending by destination, as every
+// snapshot and round payload is and as the wire decoder requires of a
+// peer's. The merged table is written into the spare backing array, which
+// then swaps with the current one, so once both have grown to the table's
+// size a round allocates nothing. Candidates for one destination meet in
+// the order the caller merges its neighbors in, which matters: better's
+// tolerance makes it non-transitive. A new line, or one whose distance or
+// hop counts moved, is marked changed; a new next hop alone leaves the wire
+// form as it was.
 //
 //lint:hotpath -- every bootstrap round merges one snapshot per neighbor, and a repair flood one per hop
-func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
+func (t *Table) Merge(from graph.NodeID, linkDelay float64, entries []WireRoute) bool {
 	cur, out := t.routes, t.spare[:0]
 	if cap(out) < len(cur) {
 		out = make([]line, 0, len(cur)+len(entries)) //lint:allow hotalloc -- spare growth: the table gained destinations since the spare was last sized
@@ -251,21 +239,14 @@ func (t *Table) merge(from graph.NodeID, linkDelay float64, entries []WireRoute)
 			PathHops: 1 + e.PathHops,
 			MinHops:  1 + e.MinHops,
 		}
-		var old line
-		switch {
-		case len(out) > 0 && out[len(out)-1].Dest == e.Dest:
-			// A repeated destination (unsorted input, normalised by Merge)
-			// merges into what its first line produced.
-			old, out = out[len(out)-1], out[:len(out)-1]
-		case i < len(cur) && cur[i].Dest == e.Dest:
-			old = cur[i]
-			i++
-		default:
+		if i == len(cur) || cur[i].Dest != e.Dest {
 			out = append(out, line{cand, true})
 			t.changed++
 			changed = true
 			continue
 		}
+		old := cur[i]
+		i++
 		upd := old
 		if old.better(cand) {
 			upd.Dist = cand.Dist

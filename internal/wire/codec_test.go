@@ -252,7 +252,8 @@ func TestTruncatedFramesRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Every proper prefix must be refused (frame length mismatch), and
-		// truncating the body with a fixed-up length must error, not panic.
+		// so must a truncated body with a fixed-up length: every field of a
+		// body is required.
 		for cut := 0; cut < len(data); cut++ {
 			if _, err := Decode(data[:cut]); err == nil {
 				t.Fatalf("%T: truncation to %d of %d bytes decoded successfully", p, cut, len(data))
@@ -263,14 +264,7 @@ func TestTruncatedFramesRejected(t *testing.T) {
 			n := cut - 4
 			trunc[0], trunc[1], trunc[2], trunc[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
 			if _, err := Decode(trunc); err == nil {
-				// Some cuts still parse (they only drop ignorable trailing
-				// bytes of the last field); a cut inside a required field
-				// must not. Distinguish by re-checking with the original:
-				// cutting at a field boundary after all known fields is the
-				// forward-compatibility contract, not a bug.
-				if orig, derr := Decode(data); derr != nil || !payloadsEqual(orig, mustDecode(t, trunc)) {
-					t.Fatalf("%T: truncated body (%d of %d bytes) decoded to a different message", p, cut, len(data))
-				}
+				t.Fatalf("%T: truncated body (%d of %d bytes) decoded", p, cut, len(data))
 			}
 		}
 	}
@@ -318,10 +312,10 @@ func TestGarbageRejected(t *testing.T) {
 	}
 }
 
-// TestUnknownTrailingFieldIgnored is the cross-version contract: a newer
-// peer may append fields to any message body, and this decoder reads the
-// fields it knows and ignores the rest.
-func TestUnknownTrailingFieldIgnored(t *testing.T) {
+// TestTrailingBodyBytesRefused: Version is the only compatibility rule, so
+// a body that holds more than its fields is refused — on every kind, and
+// inside a Routed wrapper's inner payload too.
+func TestTrailingBodyBytesRefused(t *testing.T) {
 	for _, p := range samples(t) {
 		data, err := Encode(p)
 		if err != nil {
@@ -331,16 +325,27 @@ func TestUnknownTrailingFieldIgnored(t *testing.T) {
 		extended = append(extended, 0xde, 0xad, 0xbe, 0xef, 0x42) // a "new field"
 		n := len(extended) - 4
 		extended[0], extended[1], extended[2], extended[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-		got, err := Decode(extended)
-		if err != nil {
-			// The Routed wrapper is the one place trailing bytes belong to
-			// the inner payload, which itself ignores them — so even there
-			// the decode must succeed.
-			t.Fatalf("%T: decode with unknown trailing field failed: %v", p, err)
+		if _, err := Decode(extended); err == nil {
+			t.Fatalf("%T: a body with bytes after its fields decoded", p)
 		}
-		if !payloadsEqual(p, got) {
-			t.Fatalf("%T: unknown trailing field changed the decoded message", p)
+	}
+}
+
+// TestTableEntriesMustAscend: a table whose entries are not strictly
+// ascending by destination — out of order, or a destination repeated — is
+// refused, because routing.Table.Merge relies on the order.
+func TestTableEntriesMustAscend(t *testing.T) {
+	for _, entries := range [][]routing.WireRoute{
+		{{Dest: 5, Dist: 1}, {Dest: 3, Dist: 2}},
+		{{Dest: 3, Dist: 1}, {Dest: 3, Dist: 2}},
+	} {
+		if _, err := Decode(mustEncode(t, routing.TableMsg{Round: 1, Entries: entries})); err == nil {
+			t.Errorf("table %v decoded", entries)
 		}
+	}
+	sorted := []routing.WireRoute{{Dest: 3, Dist: 2}, {Dest: 5, Dist: 1}}
+	if got := mustDecode(t, mustEncode(t, routing.TableMsg{Round: 1, Entries: sorted})).(routing.TableMsg); len(got.Entries) != 2 {
+		t.Fatalf("ascending table decoded to %v", got)
 	}
 }
 

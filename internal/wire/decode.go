@@ -22,9 +22,9 @@ import (
 )
 
 // Decode parses one framed payload. Trailing bytes after the frame are an
-// error here (the stream reader consumes exactly one frame at a time);
-// trailing bytes *inside* a message body are ignored for forward
-// compatibility.
+// error here (the stream reader consumes exactly one frame at a time), and
+// so are bytes left inside a message body: Version is the only
+// compatibility rule, so a body holds its fields and nothing else.
 //
 //lint:hotpath -- every received frame passes through here; allocations beyond the payload itself are regressions
 func Decode(buf []byte) (simnet.Payload, error) {
@@ -238,10 +238,12 @@ func decodePayload(kind Kind, body []byte) (simnet.Payload, error) {
 	if p == nil {
 		return nil, fmt.Errorf("wire: unknown message kind %v", kind)
 	}
+	if d.err == nil && len(d.b) > 0 {
+		d.fail("%d bytes left in the body", len(d.b))
+	}
 	if d.err != nil {
 		return nil, fmt.Errorf("wire: decoding %v frame: %w", kind, d.err)
 	}
-	// Bytes left in d.b are fields appended by a newer peer: ignored.
 	return p, nil
 }
 
@@ -274,16 +276,22 @@ func decodeGraph(d *dec) (*dag.Graph, error) {
 	return g, nil
 }
 
+// decodeRoutes reads a table's entries, which must be strictly ascending by
+// destination: routing.Table.Merge relies on it.
 func decodeRoutes(d *dec) []routing.WireRoute {
 	n := d.count(2)
 	var out []routing.WireRoute
 	for i := 0; i < n && d.err == nil; i++ {
-		out = append(out, routing.WireRoute{
+		r := routing.WireRoute{
 			Dest:     graph.NodeID(d.varint()),
 			Dist:     d.f64(),
 			PathHops: int(d.varint()),
 			MinHops:  int(d.varint()),
-		})
+		}
+		if i > 0 && r.Dest <= out[i-1].Dest {
+			d.fail("table entry %d for site %d after site %d", i, r.Dest, out[i-1].Dest)
+		}
+		out = append(out, r)
 	}
 	return out
 }

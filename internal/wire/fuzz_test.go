@@ -9,13 +9,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/membership"
 	"repro/internal/graph"
+	"repro/internal/routing"
 	"repro/internal/simnet"
 )
 
 // FuzzWireRoundTrip drives the decoder with arbitrary bytes: it must never
 // panic, and any frame it accepts must re-encode canonically — encode,
 // decode and encode again yield byte-identical frames. (Raw input bytes are
-// not compared: trailing unknown-field bytes are dropped by design.)
+// not compared: a varint may arrive padded with continuation bytes.)
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, p := range samples(f) {
 		data, err := Encode(p)
@@ -28,7 +29,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, Version, byte(kindDone)})
 	// Layouts Version 4 retired: a table-chunk frame (tag 20, an unknown
 	// kind) and a join-ack body still carrying Version 3's trailing table
-	// and chunk count (dropped as unknown fields).
+	// and chunk count (refused: a body holds its fields and nothing else).
 	f.Add([]byte{6, 0, 0, 0, Version, 20, 11, 4, 6, 0})
 	ack, err := Encode(membership.JoinAck{Inc: 6, Epoch: 11})
 	if err != nil {
@@ -43,6 +44,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, frame := range missingTaskFrames(f) {
 		f.Add(frame)
 	}
+	// Inputs the decoder refuses although every field parses: a table
+	// whose entries are not ascending by destination, and a body with one
+	// byte after its fields.
+	unsorted, err := Encode(routing.TableMsg{Round: 2, Entries: []routing.WireRoute{{Dest: 5, Dist: 1}, {Dest: 3, Dist: 2}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(unsorted)
+	done, err := Encode(core.DoneMsg{Job: "j1@0", Task: 1, At: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	done = append(done, 0)
+	done[0]++
+	f.Add(done)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {

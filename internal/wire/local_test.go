@@ -103,9 +103,8 @@ func sendRaw(t *testing.T, addr string, hello []byte) (kept bool) {
 
 // A hello that names no link into this transport — a dialing site that is
 // not a neighbour of the dialed one, a dialed site hosted elsewhere, an id
-// outside the topology, or a one-field hello to a transport of several
-// sites — gets its connection dropped, and none of its frames reaches a
-// handler.
+// outside the topology, or a body that is not exactly the two sites — gets
+// its connection dropped, and none of its frames reaches a handler.
 func TestHelloNamingNoLinkIsDropped(t *testing.T) {
 	topo := line3()
 	one, err := Listen(NetConfig{Self: 2, Topo: topo, Listen: "127.0.0.1:0"})
@@ -132,6 +131,7 @@ func TestHelloNamingNoLinkIsDropped(t *testing.T) {
 		hello []byte
 	}{
 		{"one-field hello from a non-neighbour", one, rawHello(0)},
+		{"hello with a third field", one, rawHello(1, 2, 7)},
 		{"non-neighbour", one, rawHello(0, 2)},
 		{"dialed site hosted elsewhere", one, rawHello(1, 0)},
 		{"dialing site out of range", one, rawHello(9, 2)},
@@ -150,27 +150,23 @@ func TestHelloNamingNoLinkIsDropped(t *testing.T) {
 	}
 }
 
-// A one-field hello — the format of older peers — is still accepted by a
-// one-site transport from a neighbour, and its frames arrive from that
-// neighbour.
-func TestOneFieldHelloStillAccepted(t *testing.T) {
+// A one-field hello is refused even from a neighbour of a one-site
+// transport: Version is the only compatibility rule, so a hello names both
+// ends of its link, and none of the connection's frames arrives.
+func TestOneFieldHelloDropped(t *testing.T) {
 	tr, err := Listen(NetConfig{Self: 2, Topo: line3(), Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	from := make(chan graph.NodeID, 1)
-	tr.Attach(2, func(f graph.NodeID, _ simnet.Payload) { from <- f })
+	var delivered atomic.Int64
+	tr.Attach(2, func(graph.NodeID, simnet.Payload) { delivered.Add(1) })
 	tr.Start()
-	if !sendRaw(t, tr.Addr(), rawHello(1)) {
-		t.Fatal("one-field hello from a neighbour: connection dropped")
+	if sendRaw(t, tr.Addr(), rawHello(1)) {
+		t.Fatal("one-field hello from a neighbour: connection kept")
 	}
-	select {
-	case f := <-from:
-		if f != 1 {
-			t.Fatalf("frame from %d, want 1", f)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("frame never delivered")
+	time.Sleep(20 * time.Millisecond)
+	if n := delivered.Load(); n != 0 {
+		t.Fatalf("%d frames of a one-field hello reached a handler", n)
 	}
 }

@@ -347,22 +347,17 @@ func (t *NetTransport) readLoop(conn net.Conn) {
 	}
 }
 
-// admit reads a hello body — the dialing site, then the dialed one — and
-// returns both when the link is admissible: the dialed site is hosted here
-// and the dialing site is its topology neighbour. A hello that names only
-// the dialing site, as older peers send, dials the site of a Listen
-// transport.
+// admit reads a hello body — the dialing site, then the dialed one, and
+// nothing else — and returns both when the link is admissible: the dialed
+// site is hosted here and the dialing site is its topology neighbour.
 func (t *NetTransport) admit(body []byte) (graph.NodeID, *hostedSite) {
 	from, k := binary.Varint(body)
 	if k <= 0 {
 		return 0, nil
 	}
-	to := int64(t.self)
-	if len(body) > k {
-		var n int
-		if to, n = binary.Varint(body[k:]); n <= 0 {
-			return 0, nil
-		}
+	to, n := binary.Varint(body[k:])
+	if n <= 0 || k+n != len(body) {
+		return 0, nil
 	}
 	if from < 0 || from >= int64(t.topo.Len()) {
 		return 0, nil
@@ -813,8 +808,7 @@ func (p *peerConn) sleepClosed(d time.Duration) bool {
 	}
 }
 
-// helloFrame names a link: the dialing site, then the dialed one. A decoder
-// that reads only the dialing site ignores the rest of the body.
+// helloFrame names a link: the dialing site, then the dialed one.
 func helloFrame(from, to graph.NodeID) []byte {
 	e := enc{}
 	e.b = append(e.b, 0, 0, 0, 0)

@@ -11,11 +11,12 @@
 //	| u32 length (LE) | u8 version | u8 kind | body... |
 //
 // length counts everything after itself (version, kind and body). The
-// version byte is bumped on incompatible changes; a decoder refuses frames
-// from a different major version. Within a version the format is
-// forward-compatible by construction: decoders read the fields they know
-// and ignore trailing bytes, so a newer peer may append fields to any
-// message body without breaking an older one.
+// version byte is the only compatibility rule: it is bumped on any layout
+// change, and every frame's version is checked before anything else reads
+// it, hellos included. Within a version a body is exactly its fields: a
+// decoder refuses bytes left after them, a hello that does not name both
+// ends of its link, and table entries not strictly ascending by
+// destination.
 //
 // Body encoding uses three primitives: zig-zag varints for integers,
 // 8-byte little-endian IEEE 754 for floats, and uvarint-length-prefixed
